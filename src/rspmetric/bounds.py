@@ -12,11 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NTooSmallError, ParameterOutOfRangeError
 
 log = logging.getLogger(__name__)
+
+EULER_GAMMA = 0.5772156649015329
 
 
 def _exp_capped(rate: float, cap: float) -> float:
@@ -36,12 +37,23 @@ def _clamp01(value: float, formula_id: str) -> float:
     return value
 
 
-@lru_cache(maxsize=None)
+HARMONIC_DIRECT_BELOW = 10**5
+
+
 def harmonic(n: int) -> float:
-    """H_n = sum_{i=1}^n 1/i by direct summation (H_0 = 0)."""
+    """H_n = sum_{i=1}^n 1/i (H_0 = 0).
+
+    Summed directly below ``HARMONIC_DIRECT_BELOW``; above it the asymptotic
+    series ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4), whose truncation
+    error (< 1/(252 n^6)) is far below one ulp there.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return math.fsum(1.0 / i for i in range(1, n + 1))
+    if n < HARMONIC_DIRECT_BELOW:
+        return math.fsum(1.0 / i for i in range(1, n + 1))
+    inv = 1 / n  # int / int: huge n underflows to 0.0 rather than overflowing a float
+    inv2 = inv * inv
+    return math.log(n) + EULER_GAMMA + inv / 2 - inv2 / 12 + inv2 * inv2 / 120
 
 
 def exp_sum_cdf(c: float, n: int, a: float) -> float:

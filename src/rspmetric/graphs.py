@@ -20,7 +20,9 @@ from .errors import (
 )
 from .rng import Seed, UniformStream
 
-CUT_PARAMETER_CAP = 24  # 2^(n-1)-1 subsets are enumerated; ~1 minute at 24
+# Hard ceiling: a ``cap`` argument can only lower it.  2^(n-1)-1 subsets are
+# enumerated in chunks of 2^20 (~60 MB of work arrays); ~1 minute at 24.
+CUT_PARAMETER_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,7 @@ def cut_parameters_exact(graph: Graph, cap: int = CUT_PARAMETER_CAP) -> CutParam
     n = graph.n
     if n < 2:
         raise ValueError("cut parameters need at least two vertices")
+    cap = min(cap, CUT_PARAMETER_CAP)
     if n > cap:
         raise SizeCapExceededError(f"n={n} exceeds the subset enumeration cap {cap}")
 

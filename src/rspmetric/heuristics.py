@@ -6,7 +6,23 @@ runs are reproducible on crafted metrics; ties are a measure-zero event under
 continuous random weights.
 
 Exact baselines are capped dynamic programs / enumerations, not
-approximations: past the cap they raise instead of degrading.
+approximations: past the cap they raise instead of degrading.  The two subset
+DPs run as whole-array numpy passes, never one mask at a time:
+
+- ``exact_tsp`` (Held-Karp) anchors the tour at vertex 1 and keeps a
+  ``(2^(n-1), n-1)`` table over subsets of the other vertices, filled one
+  popcount layer at a time with one gather and one ``argmin`` per end vertex.
+  ``argmin`` returns the lowest predecessor, and the closing step the lowest
+  last vertex.
+- ``exact_matching`` always matches the lowest vertex i of a subset.  The
+  subsets with lowest vertex i form a strided slice of the ``2^n`` table,
+  updated from the slice of subsets with lowest vertex above i by one
+  ``np.minimum`` per partner j.  Pairs are recovered by taking the lowest j
+  whose recomputed sum equals the table entry.
+
+Both keep the lowest-index tie rule of a per-mask DP scanning candidates in
+ascending order (the reference versions live in ``tests/oracles.py``), so they
+return the same tours and pairings, not just the same costs.
 """
 
 from __future__ import annotations
@@ -27,8 +43,9 @@ from .errors import (
 from .metric import Metric
 from .rng import Seed, UniformStream
 
-TSP_CAP = 18        # Held-Karp over 2^n subsets
-MATCHING_CAP = 20   # pairing DP over 2^n subsets
+# Hard ceilings: a ``cap`` argument or config key can only lower them.
+TSP_CAP = 18        # Held-Karp tables 2^17 x 17: ~18 MB float64 + ~2 MB int8 at 18
+MATCHING_CAP = 20   # pairing DP table 2^20 float64: ~8 MB at 20
 KMEDIAN_CAP = 10**6  # number of center sets enumerated
 
 
@@ -104,47 +121,42 @@ def greedy_matching(metric: Metric) -> Matching:
 
 
 def exact_matching(metric: Metric, cap: int = MATCHING_CAP) -> Matching:
-    """Minimum-cost perfect matching by DP over vertex subsets."""
+    """Minimum-cost perfect matching by DP over vertex subsets.
+
+    ``dp[mask]`` is the cheapest perfect matching of ``mask``, whose lowest
+    vertex i is always the one matched.  Masks with lowest bit i are the
+    strided slice ``dp[1 << i :: 2 << i]``; they draw from the masks with
+    lowest bit above i, ``dp[:: 2 << i]``, so i runs from n-1 down to 0.
+    """
     n = metric.n
     if n % 2:
         raise OddVertexCountError(f"n={n} is odd; perfect matchings need even n")
+    cap = min(cap, MATCHING_CAP)
     if n > cap:
         raise SizeCapExceededError(f"n={n} exceeds the matching DP cap {cap}")
     _require_finite(metric)
-    d = metric.dist.tolist()
-    size = 1 << n
-    inf = math.inf
-    dp = [inf] * size
-    choice = [0] * size
+    d = metric.dist
+    dp = np.full(1 << n, np.inf)
     dp[0] = 0.0
-    for mask in range(2, size):
-        if mask.bit_count() % 2:
-            continue
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        best = inf
-        best_j = -1
-        di = d[i]
-        r = rest
-        while r:
-            jbit = r & -r
-            j = jbit.bit_length() - 1
-            c = dp[rest ^ jbit] + di[j]
-            if c < best:
-                best = c
-                best_j = j
-            r ^= jbit
-        dp[mask] = best
-        choice[mask] = best_j
+    for i in range(n - 1, -1, -1):
+        src = dp[:: 2 << i]  # index t <-> mask t << (i+1)
+        dst = dp[1 << i :: 2 << i]  # index t <-> mask (t << (i+1)) | (1 << i)
+        for j in range(i + 1, n):
+            half = 1 << (j - i - 1)  # bit j of the mask is this bit of t
+            with_j = dst.reshape(-1, 2, half)[:, 1, :]
+            np.minimum(with_j, src.reshape(-1, 2, half)[:, 0, :] + d[i, j], out=with_j)
+    # walk back, matching i to the lowest j whose sum attains dp[mask]
     pairs = []
-    mask = size - 1
+    mask = (1 << n) - 1
     while mask:
         i = (mask & -mask).bit_length() - 1
-        j = choice[mask]
+        rest = mask ^ (1 << i)
+        js = np.flatnonzero((rest >> np.arange(n)) & 1)
+        j = int(js[np.argmax(dp[rest ^ (1 << js)] + d[i, js] == dp[mask])])
         pairs.append((i + 1, j + 1))
-        mask ^= (1 << i) | (1 << j)
+        mask = rest ^ (1 << j)
     pairs.sort()
-    cost = math.fsum(d[a - 1][b - 1] for a, b in pairs)
+    cost = math.fsum(d[a - 1, b - 1] for a, b in pairs)
     return Matching(pairs=tuple(pairs), cost=cost)
 
 
@@ -337,47 +349,46 @@ def has_improving_exchange(metric: Metric, tour: Tour) -> bool:
 
 
 def exact_tsp(metric: Metric, cap: int = TSP_CAP) -> Tour:
-    """Optimal tour by the Held-Karp subset dynamic program."""
+    """Optimal tour by the Held-Karp subset dynamic program.
+
+    Tours are anchored at vertex 1.  ``dp[S, j]`` is the cheapest path from
+    vertex 1 through the set S of other vertices, ending at vertex j+2 (bit
+    j); S runs over the 2^(n-1) subsets one popcount layer at a time.
+    """
     n = metric.n
     if n < 3:
         raise TooFewVerticesError("a tour needs at least 3 vertices")
+    cap = min(cap, TSP_CAP)
     if n > cap:
         raise SizeCapExceededError(f"n={n} exceeds the TSP DP cap {cap}")
     _require_finite(metric)
     d = metric.dist
-    size = 1 << n
-    dp = np.full((size, n), np.inf)
-    parent = np.full((size, n), -1, dtype=np.int8)
-    dp[1, 0] = 0.0
-    all_v = np.arange(n)
-    for mask in range(1, size, 2):  # tours are anchored at vertex 1 (bit 0)
-        row = dp[mask]
-        active = np.flatnonzero(np.isfinite(row))
-        if active.size == 0:
-            continue
-        outside = np.flatnonzero(~((mask >> all_v) & 1).astype(bool))
-        if outside.size == 0:
-            continue
-        cand = row[active, None] + d[np.ix_(active, outside)]
-        arg = np.argmin(cand, axis=0)
-        best = cand[arg, np.arange(outside.size)]
-        targets = mask | (1 << outside)
-        better = best < dp[targets, outside]
-        dp[targets[better], outside[better]] = best[better]
-        parent[targets[better], outside[better]] = active[arg[better]]
-    full = size - 1
-    closing = dp[full] + d[:, 0]
-    closing[0] = np.inf
-    last = int(np.argmin(closing))
-    order0 = []
+    m = n - 1
+    masks = np.arange(1 << m)
+    popcount = np.zeros(1 << m, dtype=np.int8)
+    for b in range(m):
+        popcount += (masks >> b) & 1
+    dp = np.full((1 << m, m), np.inf)
+    par = np.zeros((1 << m, m), dtype=np.int8)
+    dp[1 << np.arange(m), np.arange(m)] = d[0, 1:]
+    for k in range(2, m + 1):
+        layer = masks[popcount == k]
+        for j in range(m):
+            ends = layer[(layer >> j) & 1 == 1]
+            cand = dp[ends ^ (1 << j)] + d[1:, j + 1]
+            arg = np.argmin(cand, axis=1)  # lowest predecessor on ties
+            dp[ends, j] = cand[np.arange(len(ends)), arg]
+            par[ends, j] = arg
+    full = (1 << m) - 1
+    cur = int(np.argmin(dp[full] + d[1:, 0]))  # lowest last vertex on ties
+    path = []
     mask = full
-    cur = last
-    while cur != 0:
-        order0.append(cur)
-        prev = int(parent[mask, cur])
+    while mask:
+        path.append(cur + 2)
+        prev = int(par[mask, cur])
         mask ^= 1 << cur
         cur = prev
-    order = tuple([1] + [v + 1 for v in reversed(order0)])
+    order = tuple([1] + path[::-1])
     return Tour(order=order, cost=tour_cost(metric, order))
 
 

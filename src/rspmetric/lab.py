@@ -245,6 +245,12 @@ def validate_config(config: ExperimentConfig) -> None:
     if not 1 <= c.start <= c.n:
         problems.append("start must lie in 1..n")
 
+    for key, ceiling in (
+        ("tsp_cap", TSP_CAP), ("matching_cap", MATCHING_CAP), ("cutparam_cap", CUT_PARAMETER_CAP)
+    ):
+        if getattr(c, key) > ceiling:
+            problems.append(f"{key} may not exceed {ceiling}")
+
     needs_exact_cut = c.suite in ("tau", "concentration", "cdf") or (
         c.suite == "structure" and ({"chi", "cluster"} & set(c.structure_checks))
     )

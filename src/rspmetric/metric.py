@@ -213,7 +213,9 @@ def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
     mis: list[int] = []
     if len(dense0):
         balls = in_ball[dense0]
-        meets = (balls.astype(np.uint8) @ balls.astype(np.uint8).T) > 0
+        # shared-member counts; float32 is exact below 2^24 (uint8 would wrap at 256)
+        fb = balls.astype(np.float32)
+        meets = (fb @ fb.T) > 0
         chosen: list[int] = []
         blocked = np.zeros(len(dense0), dtype=bool)
         for i in range(len(dense0)):

@@ -19,6 +19,7 @@ from rspmetric import (
     tau_cdf_bounds,
     tau_expectation_bounds,
 )
+from rspmetric.bounds import HARMONIC_DIRECT_BELOW
 
 
 # -- harmonic -----------------------------------------------------------------
@@ -27,6 +28,19 @@ from rspmetric import (
 @pytest.mark.parametrize("n,value", [(0, 0.0), (1, 1.0), (4, 25 / 12)])
 def test_harmonic_small_values(n, value):
     assert harmonic(n) == pytest.approx(value, abs=1e-15)
+
+
+def test_harmonic_asymptotic_form_matches_direct_sum_at_threshold():
+    for n in (HARMONIC_DIRECT_BELOW, HARMONIC_DIRECT_BELOW + 1):
+        direct = math.fsum(1.0 / i for i in range(1, n + 1))
+        assert abs(harmonic(n) - direct) <= 2 * math.ulp(direct)
+    below = HARMONIC_DIRECT_BELOW - 1
+    assert harmonic(below) == math.fsum(1.0 / i for i in range(1, below + 1))
+
+
+def test_harmonic_huge_n_is_finite():
+    assert harmonic(10**12) == pytest.approx(math.log(1e12) + 0.5772156649015329, rel=1e-15)
+    assert math.isfinite(harmonic(10**400))
 
 
 def test_harmonic_rejects_negative():

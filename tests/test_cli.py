@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,18 @@ def test_bounds_eval(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(25 / 12)
+
+
+def test_bounds_eval_harmonic_huge_n_returns_promptly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from rspmetric.cli import main; sys.exit(main(sys.argv[1:]))",
+         "bounds", "eval", "harmonic", "--params", "n=1000000000000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["value"] == pytest.approx(28.208236780830582, rel=1e-14)
 
 
 def test_bounds_eval_pair_output(capsys):

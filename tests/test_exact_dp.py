@@ -1,0 +1,156 @@
+"""Exact subset DPs against the per-mask reference DPs, and their size ceilings.
+
+The vectorized DPs must reproduce the reference tie rules, so tours and
+pairings are compared for equality, not just their costs.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rspmetric import (
+    ConfigInvalidError,
+    ExperimentConfig,
+    Metric,
+    Seed,
+    SizeCapExceededError,
+    build_metric,
+    complete_graph,
+    cut_parameters_exact,
+    draw_weights,
+    exact_matching,
+    exact_tsp,
+    generate_erdos_renyi,
+    is_connected,
+)
+from rspmetric.graphs import CUT_PARAMETER_CAP
+from rspmetric.heuristics import MATCHING_CAP, TSP_CAP
+from rspmetric.lab import validate_config
+from conftest import rsp_instance
+from oracles import held_karp_per_mask, pairing_dp_per_mask
+
+
+def er_metric(n, seed):
+    """Shortest-path metric on the first connected G(n, 1/2) draw from the seed."""
+    s = Seed(seed)
+    while True:
+        s = s.child(0)
+        g = generate_erdos_renyi(n, 0.5, s)
+        if is_connected(g):
+            return build_metric(draw_weights(g, s.child(1)))
+
+
+def points_on_line(n):
+    pos = np.arange(n, dtype=float)
+    return Metric(np.abs(pos[:, None] - pos[None, :]))
+
+
+def all_ones_metric(n):
+    return Metric(np.ones((n, n)) - np.eye(n))
+
+
+def small_integer_metric(n, seed):
+    """Shortest-path closure of symmetric weights drawn from {1, 2, 3}."""
+    w = np.random.default_rng(seed).integers(1, 4, size=(n, n)).astype(float)
+    d = np.triu(w, 1)
+    d = d + d.T
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return Metric(d)
+
+
+def assert_same_tour(metric):
+    got = exact_tsp(metric)
+    assert (got.order, got.cost) == held_karp_per_mask(metric.dist)
+
+
+def assert_same_matching(metric):
+    got = exact_matching(metric)
+    assert (got.pairs, got.cost) == pairing_dp_per_mask(metric.dist)
+
+
+# -- differential: Held-Karp ----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_tsp_matches_per_mask_dp_on_complete_graphs(n):
+    for seed in range(3):
+        assert_same_tour(rsp_instance(n, seed=1000 * n + seed)[2])
+
+
+@pytest.mark.parametrize("n", (5, 8, 11))
+def test_tsp_matches_per_mask_dp_on_er_graphs(n):
+    for seed in range(3):
+        assert_same_tour(er_metric(n, seed=77 * n + seed))
+
+
+@pytest.mark.parametrize("n", (3, 6, 9, 12))
+def test_tsp_matches_per_mask_dp_on_tie_heavy_metrics(n):
+    assert_same_tour(points_on_line(n))
+    assert_same_tour(all_ones_metric(n))
+    for seed in range(3):
+        assert_same_tour(small_integer_metric(n, seed))
+
+
+# -- differential: pairing DP ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_matching_matches_per_mask_dp_on_complete_graphs(n):
+    for seed in range(3 if n < 16 else 1):
+        assert_same_matching(rsp_instance(n, seed=2000 * n + seed)[2])
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_matching_matches_per_mask_dp_on_er_graphs(n):
+    for seed in range(3):
+        assert_same_matching(er_metric(n, seed=91 * n + seed))
+
+
+@pytest.mark.parametrize("n", (2, 6, 10, 14))
+def test_matching_matches_per_mask_dp_on_tie_heavy_metrics(n):
+    assert_same_matching(points_on_line(n))
+    assert_same_matching(all_ones_metric(n))
+    for seed in range(3):
+        assert_same_matching(small_integer_metric(n, seed))
+
+
+# -- size ceilings --------------------------------------------------------------
+
+
+def test_cap_argument_cannot_raise_the_ceiling():
+    big_tsp = rsp_instance(TSP_CAP + 1, seed=1)[2]
+    big_matching = rsp_instance(MATCHING_CAP + 2, seed=1)[2]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceededError):
+            exact_tsp(big_tsp, cap=40)
+        with pytest.raises(SizeCapExceededError):
+            exact_matching(big_matching, cap=40)
+        with pytest.raises(SizeCapExceededError):
+            cut_parameters_exact(complete_graph(CUT_PARAMETER_CAP + 1), cap=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # rejected before any subset table exists
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(suite="ratio", kind="nn", n=30, tsp_cap=40),
+        dict(suite="ratio", kind="matching", n=22, matching_cap=22),
+        dict(suite="tau", model="er", n=26, p=0.5, cutparam_cap=30),
+        dict(suite="ratio", kind="nn", n=12, tsp_cap=TSP_CAP + 1),  # n fits, cap does not
+    ],
+)
+def test_config_cap_above_ceiling_is_rejected(kwargs):
+    with pytest.raises(ConfigInvalidError, match="may not exceed"):
+        validate_config(ExperimentConfig(**kwargs))
+
+
+def test_config_cap_may_lower_the_ceiling():
+    validate_config(ExperimentConfig(suite="ratio", kind="nn", n=10, tsp_cap=10))
+    with pytest.raises(ConfigInvalidError):
+        validate_config(ExperimentConfig(suite="ratio", kind="nn", n=11, tsp_cap=10))

@@ -222,6 +222,19 @@ def test_partition_invariants_on_random_instances():
                 assert len(ball(m, v, delta)) < part.s_delta
 
 
+def test_balls_sharing_256_vertices_meet():
+    # vertices 1 and 2 sit at distance 2 and share 256 common neighbours at
+    # distance 1, so their delta=1 balls meet in exactly 256 vertices
+    n = 258
+    d = np.full((n, n), 2.0)
+    d[:2, 2:] = d[2:, :2] = 1.0
+    np.fill_diagonal(d, 0.0)
+    part = cluster_partition(Metric(d), 1.0, alpha=1.0)
+    assert part.mis == (1,)
+    assert frozenset({1, 2}) in part.clusters
+    assert len(part.clusters) == n - 1
+
+
 def test_cluster_partition_rejects_disconnected():
     wg = WeightedGraph(Graph(3, ((1, 2),)), (1.0,))
     with pytest.raises(DisconnectedGraphError):
