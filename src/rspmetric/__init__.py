@@ -82,12 +82,6 @@ from .lab import (
     parse_config_file,
     run_suite,
     run_trials,
-    suite_cdf,
-    suite_concentration,
-    suite_ratio,
-    suite_structure,
-    suite_tau_bounds,
-    suite_two_opt,
     summarize,
     summarize_values,
 )

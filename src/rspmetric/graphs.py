@@ -83,10 +83,6 @@ class WeightedGraph:
     def weight_map(self) -> dict[tuple[int, int], float]:
         return dict(zip(self.graph.edges, self.weights))
 
-    def weight(self, u: int, v: int) -> float:
-        e = (u, v) if u < v else (v, u)
-        return self.weight_map()[e]
-
 
 @dataclass(frozen=True)
 class CutParameters:

@@ -416,6 +416,7 @@ def exact_kmedian(metric: Metric, k: int, cap: int = KMEDIAN_CAP) -> MedianSolut
     n = metric.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
+    cap = min(cap, KMEDIAN_CAP)
     if math.comb(n, k) > cap:
         raise SizeCapExceededError(f"C({n},{k}) exceeds the enumeration cap {cap}")
     _require_finite(metric)

@@ -1,13 +1,19 @@
 """Seeded Monte Carlo experiment runner, statistics, and verification suites.
 
-A suite turns a flat :class:`ExperimentConfig` into a :class:`Report`: one
-:class:`TrialRecord` per trial (each a pure function of config and trial
-index, so results are identical at any degree of parallelism), summary
-statistics with 99% confidence intervals, and named pass/fail checks.
-Deterministic invariants (cut bounds, cluster diameters, monotone cost
-decrease, heuristic >= exact) must hold with zero violations; statistical
-statements pass when the predicted bracket intersects the confidence
-interval, never on point estimates.
+Every suite runs one pipeline, :func:`run_suite`:
+
+1. Validate the config once; :func:`make_context` builds what all trials
+   share, a frozen graph and its exact cut parameters.
+2. The instance stage, :func:`run_trials`, gives each trial its seed and its
+   graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
+   ends the trial at ``connected=0``.  Weights and metric are drawn on use.
+3. The suite's ``_SUITES`` entry turns the instance into a
+   :class:`TrialRecord`, a pure function of config and trial index, so
+   records are identical at any worker count.
+4. One epilogue summarizes the eligible records (99% confidence intervals)
+   and runs the entry's checks.  Deterministic invariants must have zero
+   violations; statistical statements pass when the predicted bracket
+   intersects the confidence interval, never on point estimates.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +33,7 @@ from .graphs import (
     CUT_PARAMETER_CAP,
     CutParameters,
     Graph,
+    WeightedGraph,
     complete_graph,
     cut_parameters_exact,
     draw_weights,
@@ -49,7 +57,7 @@ from .heuristics import (
     trivial_kmedian,
     two_opt,
 )
-from .metric import build_metric, cluster_partition, diameter, tau_profile
+from .metric import Metric, build_metric, cluster_partition, diameter, tau_profile
 from .rng import Seed, UniformStream
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -94,10 +102,7 @@ def summarize_values(values, violations: int = 0) -> SummaryStats:
         raise EmptySelectionError("no values to summarize")
     n = len(vals)
     mean = math.fsum(vals) / n
-    if n > 1:
-        variance = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
-    else:
-        variance = 0.0
+    variance = math.fsum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0
     half = Z99 * math.sqrt(variance / n)
     return SummaryStats(
         count=n,
@@ -115,18 +120,10 @@ def summarize(records, selector, violations: int = 0) -> SummaryStats:
     """Summarize one statistic over trial records.
 
     ``selector`` is a value key or a callable on records; records that do not
-    carry the statistic are skipped.
+    carry the statistic (the callable returns None) are skipped.
     """
-    if callable(selector):
-        vals = [selector(r) for r in records]
-        vals = [v for v in vals if v is not None]
-    else:
-        vals = [r.values[selector] for r in records if selector in r.values]
-    return summarize_values(vals, violations)
-
-
-def _bracket_meets_ci(lo: float, hi: float, stats: SummaryStats) -> bool:
-    return lo <= stats.ci_high and hi >= stats.ci_low
+    vals = [selector(r) if callable(selector) else r.values.get(selector) for r in records]
+    return summarize_values([v for v in vals if v is not None], violations)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +163,16 @@ class ExperimentConfig:
     out: str | None = None
 
 
-_INT_KEYS = {
-    "n", "trials", "seed", "workers", "k", "start", "tsp_cap", "matching_cap",
-    "kmedian_cap", "cutparam_cap", "cdf_terms", "samples",
-}
-_FLOAT_KEYS = {"p", "epsilon", "cdf_c", "cdf_tol"}
-_INT_TUPLE_KEYS = {"tau_ks"}
-_FLOAT_TUPLE_KEYS = {"delta_fractions"}
-_STR_TUPLE_KEYS = {"structure_checks"}
+_SCALARS = {"int": int, "float": float, "str": str}
+
+
+def _parse_value(annotation: str, text: str):
+    """Parse one config value by its field's annotation, e.g. ``tuple[int, ...]``."""
+    base = annotation.removesuffix(" | None")
+    if base.startswith("tuple["):
+        item = _SCALARS[base[len("tuple["):].split(",")[0]]
+        return tuple(item(x.strip()) for x in text.split(",") if x.strip())
+    return _SCALARS[base](text)
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -192,25 +191,16 @@ def parse_config_file(path: str) -> ExperimentConfig:
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
-    valid = set(ExperimentConfig.__dataclass_fields__)
+    fields = ExperimentConfig.__dataclass_fields__
     kwargs: dict = {}
     for key, value in raw.items():
-        if key not in valid:
+        if key not in fields:
             raise ConfigInvalidError(f"unknown config key {key!r}")
         if isinstance(value, str):
             value = value.strip()
             if value == "":
                 continue
-            if key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
-            elif key in _INT_TUPLE_KEYS:
-                value = tuple(int(x) for x in value.split(",") if x.strip())
-            elif key in _FLOAT_TUPLE_KEYS:
-                value = tuple(float(x) for x in value.split(",") if x.strip())
-            elif key in _STR_TUPLE_KEYS:
-                value = tuple(x.strip() for x in value.split(",") if x.strip())
+            value = _parse_value(fields[key].type, value)
         kwargs[key] = value
     if kwargs.get("model") == "erdos-renyi":
         kwargs["model"] = "er"
@@ -220,103 +210,61 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    problems: list[str] = []
+    """Raise one ConfigInvalidError that names every problem of the config."""
     c = config
-    if c.suite not in SUITES:
-        problems.append(f"suite must be one of {SUITES}")
-    if c.model not in MODELS:
-        problems.append(f"model must be one of {MODELS}")
-    if c.trials < 1:
-        problems.append("trials must be >= 1")
-    if c.n < 1:
-        problems.append("n must be >= 1")
-    if c.workers < 1:
-        problems.append("workers must be >= 1")
-    if not 0 <= c.seed <= (1 << 64) - 1:
-        problems.append("seed must be a 64-bit unsigned integer")
-    if c.format not in ("csv", "json"):
-        problems.append("format must be csv or json")
-    if c.model == "er" and (c.p is None or not 0.0 <= c.p <= 1.0):
-        problems.append("er model needs p in [0, 1]")
-    if c.model == "imported" and not c.graph_file:
-        problems.append("imported model needs graph_file")
-    if any(f < 0 for f in c.delta_fractions):
-        problems.append("delta_fractions must be nonnegative")
-    if not 1 <= c.start <= c.n:
-        problems.append("start must lie in 1..n")
-
-    for key, ceiling in (
-        ("tsp_cap", TSP_CAP), ("matching_cap", MATCHING_CAP), ("cutparam_cap", CUT_PARAMETER_CAP)
-    ):
-        if getattr(c, key) > ceiling:
-            problems.append(f"{key} may not exceed {ceiling}")
-
-    needs_exact_cut = c.suite in ("tau", "concentration", "cdf") or (
-        c.suite == "structure" and ({"chi", "cluster"} & set(c.structure_checks))
+    kind = c.kind if c.suite == "ratio" else None
+    checks = set(c.structure_checks) if c.suite == "structure" else set()
+    unknown = sorted(checks - {"chi", "cluster", "sandwich"})
+    matching = kind == "matching" or "sandwich" in checks  # runs exact_matching
+    tsp = kind in ("nn", "insertion") or "sandwich" in checks  # runs exact_tsp
+    exact_cut = c.suite in ("tau", "concentration", "cdf") or bool({"chi", "cluster"} & checks)
+    k_ok = c.k is not None and 1 <= c.k <= c.n - 1
+    ceilings = (
+        ("tsp_cap", TSP_CAP), ("matching_cap", MATCHING_CAP),
+        ("kmedian_cap", KMEDIAN_CAP), ("cutparam_cap", CUT_PARAMETER_CAP),
     )
-    if needs_exact_cut and c.model != "complete" and c.n > c.cutparam_cap:
-        problems.append(f"suite {c.suite} needs exact cut parameters: n <= {c.cutparam_cap}")
-
-    if c.suite == "ratio":
-        if c.kind not in RATIO_KINDS:
-            problems.append(f"ratio suite needs kind in {RATIO_KINDS}")
-        elif c.kind == "matching":
-            if c.n % 2:
-                problems.append("matching needs even n")
-            if c.n > c.matching_cap:
-                problems.append(f"matching baseline capped at n <= {c.matching_cap}")
-        elif c.kind in ("nn", "insertion"):
-            if c.n < 3:
-                problems.append("tours need n >= 3")
-            if c.n > c.tsp_cap:
-                problems.append(f"TSP baseline capped at n <= {c.tsp_cap}")
-            if c.kind == "insertion" and c.rule not in INSERTION_RULES:
-                problems.append(f"rule must be one of {INSERTION_RULES}")
-        elif c.kind == "kmedian":
-            if c.k is None or not 1 <= c.k <= c.n - 1:
-                problems.append("kmedian needs 1 <= k <= n-1 (k = n is degenerate)")
-            elif math.comb(c.n, c.k) > c.kmedian_cap:
-                problems.append(f"C(n,k) exceeds kmedian cap {c.kmedian_cap}")
-    if c.suite == "two-opt":
-        if c.two_opt_init not in ("identity", "nn"):
-            problems.append("two_opt_init must be identity or nn")
-        if c.n < 3:
-            problems.append("two-opt suite needs n >= 3")
-    if c.suite == "concentration":
-        if c.model != "er":
-            problems.append("concentration suite needs the er model")
-        if not 0 < c.epsilon < 1:
-            problems.append("epsilon must lie in (0, 1)")
-        if c.n > c.cutparam_cap:
-            problems.append(f"concentration needs n <= {c.cutparam_cap}")
-        if c.n < 2:
-            problems.append("concentration needs n >= 2")
-    if c.suite == "structure":
-        unknown = set(c.structure_checks) - {"chi", "cluster", "sandwich"}
-        if unknown:
-            problems.append(f"unknown structure checks: {sorted(unknown)}")
-        if not c.structure_checks:
-            problems.append("structure suite needs at least one check")
-        if "sandwich" in c.structure_checks:
-            if c.n % 2:
-                problems.append("sandwich check needs even n")
-            if c.n > min(c.tsp_cap, c.matching_cap) or c.n < 4:
-                problems.append("sandwich check needs 4 <= n <= min(tsp_cap, matching_cap)")
-    if c.suite == "cdf":
-        if c.cdf_terms < 1:
-            problems.append("cdf_terms must be >= 1")
-        if c.cdf_c <= 0:
-            problems.append("cdf_c must be positive")
-        if c.samples < 1:
-            problems.append("samples must be >= 1")
-        if any(not 1 <= k <= c.n for k in c.tau_ks):
-            problems.append("tau_ks must lie in 1..n")
-    if c.suite == "tau":
-        if any(not 1 <= k <= c.n for k in c.tau_ks):
-            problems.append("tau_ks must lie in 1..n")
-    if c.suite in ("tau", "cdf") and c.n < 2:
-        problems.append(f"suite {c.suite} needs n >= 2")
-
+    rules = [
+        (c.suite not in SUITES, f"suite must be one of {SUITES}"),
+        (c.model not in MODELS, f"model must be one of {MODELS}"),
+        (c.trials < 1, "trials must be >= 1"),
+        (c.n < 1, "n must be >= 1"),
+        (c.workers < 1, "workers must be >= 1"),
+        (not 0 <= c.seed <= (1 << 64) - 1, "seed must be a 64-bit unsigned integer"),
+        (c.format not in ("csv", "json"), "format must be csv or json"),
+        (c.model == "er" and (c.p is None or not 0.0 <= c.p <= 1.0), "er model needs p in [0, 1]"),
+        (c.model == "imported" and not c.graph_file, "imported model needs graph_file"),
+        (any(f < 0 for f in c.delta_fractions), "delta_fractions must be nonnegative"),
+        (not 1 <= c.start <= c.n, "start must lie in 1..n"),
+    ]
+    rules += [(getattr(c, key) > top, f"{key} may not exceed {top}") for key, top in ceilings]
+    rules += [
+        (exact_cut and c.model != "complete" and c.n > c.cutparam_cap,
+         f"suite {c.suite} needs exact cut parameters: n <= {c.cutparam_cap}"),
+        (c.suite in ("tau", "cdf", "concentration") and c.n < 2, f"suite {c.suite} needs n >= 2"),
+        (c.suite in ("tau", "cdf") and any(not 1 <= k <= c.n for k in c.tau_ks),
+         "tau_ks must lie in 1..n"),
+        (c.suite == "ratio" and kind not in RATIO_KINDS,
+         f"ratio suite needs kind in {RATIO_KINDS}"),
+        (matching and c.n % 2, "perfect matchings need even n"),
+        (matching and c.n > c.matching_cap, f"matching baseline capped at n <= {c.matching_cap}"),
+        ((tsp or c.suite == "two-opt") and c.n < 3, "tours need n >= 3"),
+        (tsp and c.n > c.tsp_cap, f"TSP baseline capped at n <= {c.tsp_cap}"),
+        (kind == "insertion" and c.rule not in INSERTION_RULES,
+         f"rule must be one of {INSERTION_RULES}"),
+        (kind == "kmedian" and not k_ok, "kmedian needs 1 <= k <= n-1 (k = n is degenerate)"),
+        (kind == "kmedian" and k_ok and math.comb(c.n, c.k) > c.kmedian_cap,
+         f"C(n,k) exceeds kmedian cap {c.kmedian_cap}"),
+        (c.suite == "two-opt" and c.two_opt_init not in ("identity", "nn"),
+         "two_opt_init must be identity or nn"),
+        (c.suite == "concentration" and c.model != "er", "concentration suite needs the er model"),
+        (c.suite == "concentration" and not 0 < c.epsilon < 1, "epsilon must lie in (0, 1)"),
+        (bool(unknown), f"unknown structure checks: {unknown}"),
+        (c.suite == "structure" and not checks, "structure suite needs at least one check"),
+        (c.suite == "cdf" and c.cdf_terms < 1, "cdf_terms must be >= 1"),
+        (c.suite == "cdf" and c.cdf_c <= 0, "cdf_c must be positive"),
+        (c.suite == "cdf" and c.samples < 1, "samples must be >= 1"),
+    ]
+    problems = [message for broken, message in rules if broken]
     if problems:
         raise ConfigInvalidError("; ".join(problems))
 
@@ -399,17 +347,13 @@ class Report:
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # bools print as 1 and 0
         return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
-# shared experiment context
+# instance stage: what every trial shares, then one random instance per trial
 
 
 @dataclass(frozen=True)
@@ -421,15 +365,26 @@ class _Context:
     frozen_index: int = -1
 
 
+@dataclass
+class _Instance:
+    """One trial's connected graph; weights and metric are drawn on first use."""
+
+    config: ExperimentConfig
+    seed: Seed
+    graph: Graph
+    cut: CutParameters | None
+
+    @cached_property
+    def weighted(self) -> WeightedGraph:
+        return draw_weights(self.graph, self.seed.child(0, "weights"))
+
+    @cached_property
+    def metric(self) -> Metric:
+        return build_metric(self.weighted)
+
+
 def _is_complete(graph: Graph) -> bool:
     return graph.m == graph.n * (graph.n - 1) // 2
-
-
-def _cut_of(graph: Graph, cap: int) -> CutParameters:
-    # the complete graph's parameters are known exactly; skip the enumeration
-    if _is_complete(graph):
-        return CutParameters(1.0, 1.0)
-    return cut_parameters_exact(graph, cap)
 
 
 def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
@@ -438,6 +393,8 @@ def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
     if config.model == "imported":
         loaded = read_graph(config.graph_file)
         graph = loaded.graph if hasattr(loaded, "graph") else loaded
+        if graph.n != config.n:
+            raise ConfigInvalidError(f"imported graph has {graph.n} vertices but n={config.n}")
         if not is_connected(graph):
             raise ConfigInvalidError("imported graph is disconnected")
         return graph, -1
@@ -449,28 +406,70 @@ def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
     raise ConfigInvalidError("no connected draw found in 10000 attempts; p too small?")
 
 
+def _cut_for(config: ExperimentConfig, graph: Graph) -> CutParameters | None:
+    if not _SUITES[config.suite].needs_cut(config, graph):
+        return None
+    if _is_complete(graph):  # known exactly; skip the enumeration
+        return CutParameters(1.0, 1.0)
+    return cut_parameters_exact(graph, config.cutparam_cap)
+
+
 def make_context(config: ExperimentConfig) -> _Context:
-    suite = config.suite
-    if suite in ("tau", "cdf"):
-        graph, idx = _frozen_graph(config)
-        return _Context(graph=graph, cut=_cut_of(graph, config.cutparam_cap), frozen_index=idx)
-    if suite == "concentration":
-        return _Context()
-    if config.model == "er":
+    if _SUITES[config.suite].fresh and config.model == "er":
         return _Context()  # fresh draw per trial
     graph, idx = _frozen_graph(config)
-    cut = None
-    if suite == "structure" or (suite == "two-opt" and (
-        _is_complete(graph) or config.n <= config.cutparam_cap
-    )):
-        cut = _cut_of(graph, config.cutparam_cap)
-    return _Context(graph=graph, cut=cut, frozen_index=idx)
+    return _Context(graph=graph, cut=_cut_for(config, graph), frozen_index=idx)
 
 
-def _trial_graph(config: ExperimentConfig, ctx: _Context, trial_seed: Seed) -> Graph:
-    if ctx.graph is not None:
-        return ctx.graph
-    return generate_erdos_renyi(config.n, config.p, trial_seed.child(0, "graph"))
+def _trial(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
+    # module level so that process pools can pickle it
+    ts = Seed(config.seed).child(i, "trial")
+    suite = _SUITES[config.suite]
+    graph, cut = ctx.graph, ctx.cut
+    if graph is None:  # a frozen graph is connected by construction
+        graph = generate_erdos_renyi(config.n, config.p, ts.child(0, "graph"))
+        if not is_connected(graph):
+            return TrialRecord(index=i, seed=ts.hex(), values={"connected": 0})
+        cut = _cut_for(config, graph)
+    values = suite.stats(_Instance(config, ts, graph, cut))
+    if suite.fresh:
+        values = {"connected": 1, **values}
+    return TrialRecord(index=i, seed=ts.hex(), values=values)
+
+
+def run_trials(config: ExperimentConfig, context: _Context | None = None) -> list[TrialRecord]:
+    """Run all trials; records are identical for any worker count."""
+    if context is None:
+        validate_config(config)
+        context = make_context(config)
+    trial = partial(_trial, config, context)
+    if config.workers <= 1:
+        return [trial(i) for i in range(config.trials)]
+    chunk = max(1, config.trials // (4 * config.workers))
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(trial, range(config.trials), chunksize=chunk))
+
+
+# ---------------------------------------------------------------------------
+# statistics of one instance, per suite
+
+
+def _tau_ks(config: ExperimentConfig) -> tuple[int, ...]:
+    n = config.n
+    if config.tau_ks:
+        return config.tau_ks
+    if config.suite == "tau":
+        return tuple(range(1, n + 1))
+    return tuple(sorted({2, (n + 1) // 2, n} - {1}))  # n >= 2 is validated
+
+
+def _tau_columns(config: ExperimentConfig) -> tuple[str, ...]:
+    return tuple(f"tau_{k}" for k in _tau_ks(config))
+
+
+def _taus(x: _Instance) -> dict:
+    profile = tau_profile(x.metric, x.graph, 1)
+    return {f"tau_{k}": profile.tau(k) for k in _tau_ks(x.config)}
 
 
 def _random_pair(stream: UniformStream, n: int) -> tuple[int, int]:
@@ -481,371 +480,136 @@ def _random_pair(stream: UniformStream, n: int) -> tuple[int, int]:
     return a + 1, b + 1
 
 
-# ---------------------------------------------------------------------------
-# per-trial functions (module level so process pools can pickle them)
+def _tau_stats(x: _Instance) -> dict:
+    u, v = _random_pair(UniformStream(x.seed.child(0, "aux")), x.config.n)
+    return {**_taus(x), "pair_dist": x.metric.d(u, v)}
 
 
-def _trial_tau(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
-    ts = Seed(config.seed).child(i, "trial")
-    wg = draw_weights(ctx.graph, ts.child(0, "weights"))
-    metric = build_metric(wg)
-    profile = tau_profile(metric, ctx.graph, 1)
-    ks = config.tau_ks or tuple(range(1, config.n + 1))
-    values = {f"tau_{k}": profile.tau(k) for k in ks}
-    u, v = _random_pair(UniformStream(ts.child(0, "aux")), config.n)
-    values["pair_dist"] = metric.d(u, v)
-    return TrialRecord(index=i, seed=ts.hex(), values=values)
-
-
-def _trial_ratio(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
-    ts = Seed(config.seed).child(i, "trial")
-    graph = _trial_graph(config, ctx, ts)
-    if not is_connected(graph):
-        return TrialRecord(index=i, seed=ts.hex(), values={"connected": 0})
-    wg = draw_weights(graph, ts.child(0, "weights"))
-    metric = build_metric(wg)
-    if config.kind == "matching":
-        heur = greedy_matching(metric).cost
-        exact = exact_matching(metric, config.matching_cap).cost
-    elif config.kind == "nn":
-        heur = nearest_neighbor_tour(metric, config.start).cost
-        exact = exact_tsp(metric, config.tsp_cap).cost
-    elif config.kind == "insertion":
-        heur = insertion_tour(metric, config.rule, ts.child(0, "rule")).cost
-        exact = exact_tsp(metric, config.tsp_cap).cost
+def _ratio_stats(x: _Instance) -> dict:
+    c, metric = x.config, x.metric
+    if c.kind == "matching":
+        heur, exact = greedy_matching(metric), exact_matching(metric, c.matching_cap)
+    elif c.kind == "nn":
+        heur, exact = nearest_neighbor_tour(metric, c.start), exact_tsp(metric, c.tsp_cap)
+    elif c.kind == "insertion":
+        heur = insertion_tour(metric, c.rule, x.seed.child(0, "rule"))
+        exact = exact_tsp(metric, c.tsp_cap)
     else:  # kmedian
-        heur = trivial_kmedian(metric, first_k_centers(config.k)).cost
-        exact = exact_kmedian(metric, config.k, config.kmedian_cap).cost
-    values = {"connected": 1, "heuristic": heur, "exact": exact, "ratio": heur / exact}
-    return TrialRecord(index=i, seed=ts.hex(), values=values)
+        heur = trivial_kmedian(metric, first_k_centers(c.k))
+        exact = exact_kmedian(metric, c.k, c.kmedian_cap)
+    return {"heuristic": heur.cost, "exact": exact.cost, "ratio": heur.cost / exact.cost}
 
 
-def _trial_two_opt(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
-    ts = Seed(config.seed).child(i, "trial")
-    graph = _trial_graph(config, ctx, ts)
-    if not is_connected(graph):
-        return TrialRecord(index=i, seed=ts.hex(), values={"connected": 0})
-    wg = draw_weights(graph, ts.child(0, "weights"))
-    metric = build_metric(wg)
-    if config.two_opt_init == "nn":
-        initial = nearest_neighbor_tour(metric, config.start)
-    else:
-        initial = None
+def _two_opt_stats(x: _Instance) -> dict:
+    c, metric = x.config, x.metric
+    initial = nearest_neighbor_tour(metric, c.start) if c.two_opt_init == "nn" else None
     trace = two_opt(metric, initial)
-    decreasing = all(b < a for a, b in zip(trace.costs, trace.costs[1:]))
-    local_opt = not has_improving_exchange(metric, trace.final)
     values = {
-        "connected": 1,
         "iterations": trace.iterations,
         "initial_cost": trace.costs[0],
         "final_cost": trace.final.cost,
-        "strictly_decreasing": int(decreasing),
-        "locally_optimal": int(local_opt),
+        "strictly_decreasing": int(all(b < a for a, b in zip(trace.costs, trace.costs[1:]))),
+        "locally_optimal": int(not has_improving_exchange(metric, trace.final)),
     }
-    cut = ctx.cut
-    if cut is None and config.n <= config.cutparam_cap:
-        cut = _cut_of(graph, config.cutparam_cap)
-    if cut is not None:
-        n = config.n
-        scale = n**8 * math.log(n) ** 3 * cut.beta / cut.alpha
-        values["iteration_scale"] = scale
-        values["within_scale"] = int(trace.iterations <= scale)
-    return TrialRecord(index=i, seed=ts.hex(), values=values)
+    if x.cut is not None:
+        scale = c.n**8 * math.log(c.n) ** 3 * x.cut.beta / x.cut.alpha
+        values.update(iteration_scale=scale, within_scale=int(trace.iterations <= scale))
+    return values
 
 
-def _trial_concentration(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
-    ts = Seed(config.seed).child(i, "trial")
-    graph = generate_erdos_renyi(config.n, config.p, ts.child(0, "graph"))
-    if not is_connected(graph):
-        return TrialRecord(index=i, seed=ts.hex(), values={"connected": 0})
-    cut = cut_parameters_exact(graph, config.cutparam_cap)
-    p, eps = config.p, config.epsilon
-    within = (1 - eps) * p <= cut.alpha and cut.beta <= (1 + eps) * p
-    values = {
-        "connected": 1,
-        "alpha": cut.alpha,
-        "beta": cut.beta,
-        "alpha_over_p": cut.alpha / p,
-        "beta_over_p": cut.beta / p,
-        "within_bracket": int(within),
+def _concentration_stats(x: _Instance) -> dict:
+    alpha, beta, p, eps = x.cut.alpha, x.cut.beta, x.config.p, x.config.epsilon
+    return {
+        "alpha": alpha,
+        "beta": beta,
+        "alpha_over_p": alpha / p,
+        "beta_over_p": beta / p,
+        "within_bracket": int((1 - eps) * p <= alpha and beta <= (1 + eps) * p),
     }
-    return TrialRecord(index=i, seed=ts.hex(), values=values)
 
 
-def _trial_structure(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
-    ts = Seed(config.seed).child(i, "trial")
-    graph = _trial_graph(config, ctx, ts)
-    if not is_connected(graph):
-        return TrialRecord(index=i, seed=ts.hex(), values={"connected": 0})
-    wg = draw_weights(graph, ts.child(0, "weights"))
-    metric = build_metric(wg)
-    n = graph.n
-    values: dict = {"connected": 1}
-    cut = ctx.cut
-    if cut is None and ({"chi", "cluster"} & set(config.structure_checks)):
-        cut = _cut_of(graph, config.cutparam_cap)
-
-    if "chi" in config.structure_checks:
-        # compare the same floating ratios the enumeration produced, so the
-        # containment alpha <= chi/mu <= beta is exact, no tolerance needed
-        bad = 0
-        for v in range(1, n + 1):
-            profile = tau_profile(metric, graph, v)
-            for k in range(1, n):
-                ratio = profile.chis[k - 1] / (k * (n - k))
-                if ratio < cut.alpha or ratio > cut.beta:
-                    bad += 1
-        values["chi_violations"] = bad
-
-    if "cluster" in config.structure_checks:
-        dmax = diameter(metric)
-        bad = 0
-        for gi, f in enumerate(config.delta_fractions):
-            delta = f * dmax
-            part = cluster_partition(metric, delta, cut.alpha)
-            bad += sum(1 for dia in part.diameters if dia > 4 * delta + FLOAT_SLACK)
-            values[f"delta_{gi}"] = delta
-            values[f"clusters_{gi}"] = len(part.clusters)
-            values[f"scale_{gi}"] = n / part.s_delta
-        values["cluster_violations"] = bad
-
-    if "sandwich" in config.structure_checks:
-        s_half = sum_lightest_edges(wg, n // 2)
-        mm = exact_matching(metric, config.matching_cap).cost
-        tsp = exact_tsp(metric, config.tsp_cap).cost
-        bad = int(tsp < mm - FLOAT_SLACK) + int(mm < s_half - FLOAT_SLACK)
-        values.update(
-            {"s_half": s_half, "mm": mm, "tsp": tsp, "sandwich_violations": bad}
-        )
-    return TrialRecord(index=i, seed=ts.hex(), values=values)
+def _chi_stats(x: _Instance) -> dict:
+    # compare the same floating ratios the enumeration produced, so the
+    # containment alpha <= chi/mu <= beta is exact, no tolerance needed
+    n = x.graph.n
+    ks = np.arange(1, n)
+    bad = 0
+    for v in range(1, n + 1):
+        ratios = tau_profile(x.metric, x.graph, v).chis / (ks * (n - ks))
+        bad += int(np.count_nonzero((ratios < x.cut.alpha) | (ratios > x.cut.beta)))
+    return {"chi_violations": bad}
 
 
-def _default_cdf_ks(n: int) -> tuple[int, ...]:
-    return tuple(sorted({min(2, n), (n + 1) // 2, n} - {1})) or (1,)
+def _cluster_stats(x: _Instance) -> dict:
+    dmax = diameter(x.metric)
+    values: dict = {}
+    bad = 0
+    for gi, f in enumerate(x.config.delta_fractions):
+        delta = f * dmax
+        part = cluster_partition(x.metric, delta, x.cut.alpha)
+        bad += sum(1 for dia in part.diameters if dia > 4 * delta + FLOAT_SLACK)
+        values[f"delta_{gi}"] = delta
+        values[f"clusters_{gi}"] = len(part.clusters)
+        values[f"scale_{gi}"] = x.graph.n / part.s_delta
+    values["cluster_violations"] = bad
+    return values
 
 
-def _trial_cdf(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
-    ts = Seed(config.seed).child(i, "trial")
-    wg = draw_weights(ctx.graph, ts.child(0, "weights"))
-    metric = build_metric(wg)
-    profile = tau_profile(metric, ctx.graph, 1)
-    ks = config.tau_ks or _default_cdf_ks(config.n)
-    values = {f"tau_{k}": profile.tau(k) for k in ks}
-    return TrialRecord(index=i, seed=ts.hex(), values=values)
+def _sandwich_stats(x: _Instance) -> dict:
+    s_half = sum_lightest_edges(x.weighted, x.graph.n // 2)
+    mm = exact_matching(x.metric, x.config.matching_cap).cost
+    tsp = exact_tsp(x.metric, x.config.tsp_cap).cost
+    bad = int(tsp < mm - FLOAT_SLACK) + int(mm < s_half - FLOAT_SLACK)
+    return {"s_half": s_half, "mm": mm, "tsp": tsp, "sandwich_violations": bad}
 
 
-_TRIAL_FNS = {
-    "tau": _trial_tau,
-    "ratio": _trial_ratio,
-    "two-opt": _trial_two_opt,
-    "concentration": _trial_concentration,
-    "structure": _trial_structure,
-    "cdf": _trial_cdf,
+_STRUCTURE_PARTS = {  # check -> (statistics, columns of the config)
+    "chi": (_chi_stats, lambda c: ("chi_violations",)),
+    "cluster": (_cluster_stats, lambda c: tuple(
+        f"{name}_{gi}" for gi in range(len(c.delta_fractions))
+        for name in ("delta", "clusters", "scale")
+    ) + ("cluster_violations",)),
+    "sandwich": (_sandwich_stats, lambda c: ("s_half", "mm", "tsp", "sandwich_violations")),
 }
 
 
-def run_trials(config: ExperimentConfig, context: _Context | None = None) -> list[TrialRecord]:
-    """Run all trials; records are identical for any worker count."""
-    validate_config(config)
-    ctx = context if context is not None else make_context(config)
-    fn = _TRIAL_FNS[config.suite]
-    if config.workers <= 1:
-        records = [fn(config, ctx, i) for i in range(config.trials)]
-    else:
-        chunk = max(1, config.trials // (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(partial(fn, config, ctx), range(config.trials), chunksize=chunk))
-    records.sort(key=lambda r: r.index)
-    return records
+def _structure_stats(x: _Instance) -> dict:
+    values: dict = {}
+    for check, (stats, _) in _STRUCTURE_PARTS.items():
+        if check in x.config.structure_checks:
+            values.update(stats(x))
+    return values
+
+
+def _structure_columns(config: ExperimentConfig) -> tuple[str, ...]:
+    return tuple(col for check, (_, columns) in _STRUCTURE_PARTS.items()
+                 if check in config.structure_checks for col in columns(config))
 
 
 # ---------------------------------------------------------------------------
-# suites
+# checks beyond violation counts: brackets and closed forms
 
 
-def suite_tau_bounds(config: ExperimentConfig) -> Report:
-    """Empirical mean distances to the k-th closest vertex versus the harmonic brackets."""
-    validate_config(config)
-    ctx = make_context(config)
-    records = run_trials(config, ctx)
-    n = config.n
-    alpha, beta = ctx.cut.alpha, ctx.cut.beta
-    ks = config.tau_ks or tuple(range(1, n + 1))
-    columns = tuple(f"tau_{k}" for k in ks) + ("pair_dist",)
-    summaries: dict[str, SummaryStats] = {}
-    checks: list[CheckResult] = []
-    for k in ks:
-        stats = summarize(records, f"tau_{k}")
-        summaries[f"tau_{k}"] = stats
-        lo, hi = bounds.tau_expectation_bounds(n, k, alpha, beta)
-        ok = _bracket_meets_ci(lo, hi, stats)
-        checks.append(
-            CheckResult(
-                name=f"tau_{k}-bracket",
-                passed=ok,
-                detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{stats.ci_low:.6g}; {stats.ci_high:.6g}]",
-            )
-        )
-    stats = summarize(records, "pair_dist")
-    summaries["pair_dist"] = stats
-    lo = bounds.harmonic(n - 1) / (beta * (n - 1))
-    hi = bounds.harmonic(n - 1) / (alpha * (n - 1))
-    checks.append(
-        CheckResult(
-            name="pair_dist-bracket",
-            passed=_bracket_meets_ci(lo, hi, stats),
-            detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{stats.ci_low:.6g}; {stats.ci_high:.6g}]",
-        )
-    )
-    notes = {"alpha": alpha, "beta": beta, "frozen_graph_index": ctx.frozen_index}
-    return Report(config.suite, config, columns, records, summaries, checks, notes)
+def _tau_checks(config, ctx, records, summaries):
+    """Mean distances to the k-th closest vertex versus the harmonic brackets."""
+    n, alpha, beta = config.n, ctx.cut.alpha, ctx.cut.beta
+    brackets = [
+        (f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta)) for k in _tau_ks(config)
+    ]
+    h = bounds.harmonic(n - 1)
+    brackets.append(("pair_dist", (h / (beta * (n - 1)), h / (alpha * (n - 1)))))
+    checks = []
+    for col, (lo, hi) in brackets:
+        s = summaries[col]
+        checks.append(CheckResult(
+            name=f"{col}-bracket",
+            passed=lo <= s.ci_high and hi >= s.ci_low,
+            detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{s.ci_low:.6g}; {s.ci_high:.6g}]",
+        ))
+    return checks, {}
 
 
-def _eligible(records: list[TrialRecord]) -> list[TrialRecord]:
-    return [r for r in records if r.values.get("connected", 1) == 1]
-
-
-def suite_ratio(config: ExperimentConfig) -> Report:
-    """Per-trial heuristic/exact ratios for matching, NN, insertion, or k-median."""
-    validate_config(config)
-    records = run_trials(config)
-    eligible = _eligible(records)
-    columns = ("connected", "heuristic", "exact", "ratio")
-    summaries: dict[str, SummaryStats] = {}
-    checks: list[CheckResult] = []
-    notes = {"eligible": len(eligible), "skipped_disconnected": len(records) - len(eligible)}
-    if eligible:
-        low = sum(1 for r in eligible if r.values["ratio"] < 1 - FLOAT_SLACK)
-        summaries["ratio"] = summarize(eligible, "ratio", violations=low)
-        summaries["heuristic"] = summarize(eligible, "heuristic")
-        summaries["exact"] = summarize(eligible, "exact")
-        checks.append(
-            CheckResult(
-                name="ratio-floor",
-                passed=low == 0,
-                detail=f"{low} of {len(eligible)} ratios below 1",
-            )
-        )
-    else:
-        checks.append(CheckResult("eligible-trials", False, "no connected instances"))
-    return Report(config.suite, config, columns, records, summaries, checks, notes)
-
-
-def suite_two_opt(config: ExperimentConfig) -> Report:
-    """Iteration counts and invariants of the 2-exchange local search."""
-    validate_config(config)
-    records = run_trials(config)
-    eligible = _eligible(records)
-    columns = (
-        "connected", "iterations", "initial_cost", "final_cost",
-        "strictly_decreasing", "locally_optimal", "iteration_scale", "within_scale",
-    )
-    summaries: dict[str, SummaryStats] = {}
-    checks: list[CheckResult] = []
-    notes = {"eligible": len(eligible), "skipped_disconnected": len(records) - len(eligible)}
-    if eligible:
-        not_decreasing = sum(1 for r in eligible if not r.values["strictly_decreasing"])
-        not_local = sum(1 for r in eligible if not r.values["locally_optimal"])
-        summaries["iterations"] = summarize(eligible, "iterations")
-        summaries["final_cost"] = summarize(eligible, "final_cost")
-        checks.append(
-            CheckResult(
-                "monotone-decrease", not_decreasing == 0,
-                f"{not_decreasing} of {len(eligible)} traces not strictly decreasing",
-            )
-        )
-        checks.append(
-            CheckResult(
-                "local-optimum", not_local == 0,
-                f"{not_local} of {len(eligible)} final tours admit an improvement",
-            )
-        )
-        scaled = [r for r in eligible if "within_scale" in r.values]
-        if scaled:
-            over = sum(1 for r in scaled if not r.values["within_scale"])
-            checks.append(
-                CheckResult(
-                    "iteration-scale", over == 0,
-                    f"{over} of {len(scaled)} runs beyond the polynomial scale",
-                )
-            )
-    else:
-        checks.append(CheckResult("eligible-trials", False, "no connected instances"))
-    return Report(config.suite, config, columns, records, summaries, checks, notes)
-
-
-def suite_concentration(config: ExperimentConfig) -> Report:
-    """Distribution of exact cut parameters of G(n, p) draws around p.
-
-    Informational: the underlying concentration statement is asymptotic and
-    desk-scale n cannot meet its premises, so the fraction inside the
-    (1 +/- epsilon)p bracket is reported without a pass/fail threshold.
-    """
-    validate_config(config)
-    records = run_trials(config)
-    eligible = _eligible(records)
-    columns = ("connected", "alpha", "beta", "alpha_over_p", "beta_over_p", "within_bracket")
-    summaries: dict[str, SummaryStats] = {}
-    checks: list[CheckResult] = []
-    notes = {
-        "eligible": len(eligible),
-        "skipped_disconnected": len(records) - len(eligible),
-    }
-    if eligible:
-        for col in ("alpha_over_p", "beta_over_p", "within_bracket"):
-            summaries[col] = summarize(eligible, col)
-        notes["bracket_fraction"] = summaries["within_bracket"].mean
-    else:
-        notes["bracket_fraction"] = None
-    return Report(config.suite, config, columns, records, summaries, checks, notes)
-
-
-def suite_structure(config: ExperimentConfig) -> Report:
-    """Deterministic structural invariants: cut bounds, clustering, sandwich."""
-    validate_config(config)
-    records = run_trials(config)
-    eligible = _eligible(records)
-    columns: tuple[str, ...] = ("connected",)
-    if "chi" in config.structure_checks:
-        columns += ("chi_violations",)
-    if "cluster" in config.structure_checks:
-        for gi in range(len(config.delta_fractions)):
-            columns += (f"delta_{gi}", f"clusters_{gi}", f"scale_{gi}")
-        columns += ("cluster_violations",)
-    if "sandwich" in config.structure_checks:
-        columns += ("s_half", "mm", "tsp", "sandwich_violations")
-    summaries: dict[str, SummaryStats] = {}
-    checks: list[CheckResult] = []
-    notes = {"eligible": len(eligible), "skipped_disconnected": len(records) - len(eligible)}
-    if not eligible:
-        checks.append(CheckResult("eligible-trials", False, "no connected instances"))
-        return Report(config.suite, config, columns, records, summaries, checks, notes)
-    for check in config.structure_checks:
-        key = f"{check}_violations"
-        total = sum(r.values[key] for r in eligible)
-        summaries[key] = summarize(eligible, key, violations=total)
-        checks.append(
-            CheckResult(
-                name=f"{check}-invariant",
-                passed=total == 0,
-                detail=f"{total} violations over {len(eligible)} instances",
-            )
-        )
-    if "cluster" in config.structure_checks:
-        for gi in range(len(config.delta_fractions)):
-            summaries[f"clusters_{gi}"] = summarize(eligible, f"clusters_{gi}")
-            summaries[f"scale_{gi}"] = summarize(eligible, f"scale_{gi}")
-    if "sandwich" in config.structure_checks:
-        for col in ("s_half", "mm", "tsp"):
-            summaries[col] = summarize(eligible, col)
-    return Report(config.suite, config, columns, records, summaries, checks, notes)
-
-
-def _dkw_slack(count: int, delta: float = 0.01) -> float:
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * count))
-
-
-def suite_cdf(config: ExperimentConfig) -> Report:
+def _cdf_checks(config, ctx, records, summaries):
     """Monte Carlo CDFs versus the closed forms.
 
     Part (a): the exact CDF of a sum of independent exponentials with rates
@@ -853,76 +617,163 @@ def suite_cdf(config: ExperimentConfig) -> Report:
     empirical CDF of the distance to the k-th closest vertex against its
     bracket, up to DKW slack.
     """
-    validate_config(config)
-    ctx = make_context(config)
-    records = run_trials(config, ctx)
-    n = config.n
-    alpha, beta = ctx.cut.alpha, ctx.cut.beta
-    ks = config.tau_ks or _default_cdf_ks(n)
-    columns = tuple(f"tau_{k}" for k in ks)
-    summaries = {f"tau_{k}": summarize(records, f"tau_{k}") for k in ks}
-    checks: list[CheckResult] = []
-
-    # part (a): vectorized sampling of the exponential sum
     c, terms, count = config.cdf_c, config.cdf_terms, config.samples
     stream = UniformStream(Seed(config.seed).child(0, "expsum"))
-    u = stream.u01_block(count * terms).reshape(count, terms)
-    rates = c * np.arange(1, terms + 1)
-    xs = np.sort((-np.log1p(-u) / rates).sum(axis=1))
+    draws = stream.exponential_block(count * terms).reshape(count, terms)
+    xs = np.sort((draws / (c * np.arange(1, terms + 1))).sum(axis=1))
     cdf = (-np.expm1(-c * xs)) ** terms
-    grid_hi = np.arange(1, count + 1) / count
-    grid_lo = np.arange(0, count) / count
-    sup_diff = float(np.max(np.maximum(np.abs(grid_hi - cdf), np.abs(cdf - grid_lo))))
-    checks.append(
-        CheckResult(
-            name="exp-sum-ks",
-            passed=sup_diff < config.cdf_tol,
-            detail=f"sup|ecdf - cdf| = {sup_diff:.5f} over {count} samples (tol {config.cdf_tol})",
-        )
-    )
+    grid = np.arange(count + 1) / count
+    sup_diff = float(np.max(np.maximum(np.abs(grid[1:] - cdf), np.abs(cdf - grid[:-1]))))
+    checks = [CheckResult(
+        name="exp-sum-ks",
+        passed=sup_diff < config.cdf_tol,
+        detail=f"sup|ecdf - cdf| = {sup_diff:.5f} over {count} samples (tol {config.cdf_tol})",
+    )]
 
-    # part (b): tau_k empirical CDF inside its bracket up to DKW slack
-    slack = _dkw_slack(len(records))
-    for k in ks:
-        samples = np.sort(np.array([r.values[f"tau_{k}"] for r in records]))
+    slack = math.sqrt(math.log(2.0 / 0.01) / (2.0 * len(records)))  # DKW at level 0.01
+    for k in _tau_ks(config):
+        samples = np.sort([r.values[f"tau_{k}"] for r in records])
         top = float(samples[-1])
-        grid = np.linspace(0.0, top * 1.05 if top > 0 else 1.0, 25)[1:]
         worst = 0.0
-        ok = True
-        for x in grid:
+        for x in np.linspace(0.0, top * 1.05 if top > 0 else 1.0, 25)[1:]:
             ecdf = float(np.searchsorted(samples, x, side="right")) / len(samples)
-            lo, hi = bounds.tau_cdf_bounds(float(x), n, k, alpha, beta)
-            breach = max(lo - slack - ecdf, ecdf - hi - slack)
-            worst = max(worst, breach)
-            if breach > 0:
-                ok = False
-        checks.append(
-            CheckResult(
-                name=f"tau_{k}-cdf-bracket",
-                passed=ok,
-                detail=f"max bracket breach {worst:.5f} (slack {slack:.5f})",
-            )
-        )
-    notes = {
-        "alpha": alpha,
-        "beta": beta,
-        "frozen_graph_index": ctx.frozen_index,
-        "exp_sum_sup_diff": sup_diff,
-        "exp_sum_samples": count,
-    }
-    return Report(config.suite, config, columns, records, summaries, checks, notes)
+            lo, hi = bounds.tau_cdf_bounds(float(x), config.n, k, ctx.cut.alpha, ctx.cut.beta)
+            worst = max(worst, max(lo - slack - ecdf, ecdf - hi - slack))
+        checks.append(CheckResult(
+            name=f"tau_{k}-cdf-bracket",
+            passed=worst <= 0,
+            detail=f"max bracket breach {worst:.5f} (slack {slack:.5f})",
+        ))
+    return checks, {"exp_sum_sup_diff": sup_diff, "exp_sum_samples": count}
 
 
-_SUITE_FNS = {
-    "tau": suite_tau_bounds,
-    "ratio": suite_ratio,
-    "two-opt": suite_two_opt,
-    "concentration": suite_concentration,
-    "structure": suite_structure,
-    "cdf": suite_cdf,
+def _concentration_notes(config, ctx, records, summaries):
+    """The share of draws inside the (1 +/- epsilon)p bracket, without a threshold.
+
+    Informational: the concentration statement is asymptotic, and desk-scale
+    n cannot meet its premises.
+    """
+    stats = summaries.get("within_bracket")
+    return [], {"bracket_fraction": stats.mean if stats else None}
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """How one suite measures an instance and judges the records.
+
+    ``counts`` rows are ``(check name, value key, badness, detail)``: the
+    check sums ``badness(value)`` over the eligible records that carry the
+    key, passes iff the sum is 0, and is left out when no record carries
+    the key.  The sum is also the ``violations`` of that key's summary.
+    ``finish`` adds checks and notes that are not such counts.
+    """
+
+    stats: Callable[[_Instance], dict]
+    columns: Callable[[ExperimentConfig], tuple[str, ...]]
+    fresh: bool = True  # er draws a graph per trial; records carry `connected`
+    needs_cut: Callable[[ExperimentConfig, Graph], bool] = lambda c, g: True
+    summaries: Callable[[ExperimentConfig], tuple[str, ...]] | None = None  # None: columns
+    counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
+    finish: Callable = lambda config, ctx, records, summaries: ([], {})
+
+
+_SUITES = {
+    "tau": _Suite(
+        stats=_tau_stats,
+        columns=lambda c: _tau_columns(c) + ("pair_dist",),
+        fresh=False,
+        finish=_tau_checks,
+    ),
+    "ratio": _Suite(
+        stats=_ratio_stats,
+        columns=lambda c: ("heuristic", "exact", "ratio"),
+        needs_cut=lambda c, g: False,
+        counts=lambda c: (
+            ("ratio-floor", "ratio", lambda r: r < 1 - FLOAT_SLACK,
+             "{bad} of {count} ratios below 1"),
+        ),
+    ),
+    "two-opt": _Suite(
+        stats=_two_opt_stats,
+        columns=lambda c: (
+            "iterations", "initial_cost", "final_cost", "strictly_decreasing",
+            "locally_optimal", "iteration_scale", "within_scale",
+        ),
+        # a frozen complete graph has known cut parameters at any n
+        needs_cut=lambda c, g: c.n <= c.cutparam_cap or (c.model != "er" and _is_complete(g)),
+        summaries=lambda c: ("iterations", "final_cost"),
+        counts=lambda c: (
+            ("monotone-decrease", "strictly_decreasing", lambda ok: not ok,
+             "{bad} of {count} traces not strictly decreasing"),
+            ("local-optimum", "locally_optimal", lambda ok: not ok,
+             "{bad} of {count} final tours admit an improvement"),
+            ("iteration-scale", "within_scale", lambda ok: not ok,
+             "{bad} of {count} runs beyond the polynomial scale"),
+        ),
+    ),
+    "concentration": _Suite(
+        stats=_concentration_stats,
+        columns=lambda c: ("alpha", "beta", "alpha_over_p", "beta_over_p", "within_bracket"),
+        summaries=lambda c: ("alpha_over_p", "beta_over_p", "within_bracket"),
+        finish=_concentration_notes,
+    ),
+    "structure": _Suite(
+        stats=_structure_stats,
+        columns=_structure_columns,
+        needs_cut=lambda c, g: bool({"chi", "cluster"} & set(c.structure_checks)),
+        summaries=lambda c: tuple(
+            col for col in _structure_columns(c) if not col.startswith("delta_")
+        ),
+        counts=lambda c: tuple(
+            (f"{check}-invariant", f"{check}_violations", int,
+             "{bad} violations over {count} instances")
+            for check in c.structure_checks
+        ),
+    ),
+    "cdf": _Suite(
+        stats=_taus,
+        columns=_tau_columns,
+        fresh=False,
+        finish=_cdf_checks,
+    ),
 }
 
 
 def run_suite(config: ExperimentConfig) -> Report:
+    """Validate, run every trial, then summarize and check the eligible records."""
     validate_config(config)
-    return _SUITE_FNS[config.suite](config)
+    ctx = make_context(config)
+    records = run_trials(config, ctx)
+    suite = _SUITES[config.suite]
+    columns = suite.columns(config)
+    eligible = [r for r in records if r.values.get("connected", 1) == 1]
+    if suite.fresh:
+        columns = ("connected",) + columns
+        notes = {"eligible": len(eligible), "skipped_disconnected": len(records) - len(eligible)}
+    else:
+        notes = {
+            "alpha": ctx.cut.alpha, "beta": ctx.cut.beta, "frozen_graph_index": ctx.frozen_index
+        }
+    summaries: dict[str, SummaryStats] = {}
+    checks: list[CheckResult] = []
+    counts = suite.counts(config)
+    if eligible:
+        violations: dict[str, int] = {}
+        for name, key, badness, detail in counts:
+            scores = [badness(r.values[key]) for r in eligible if key in r.values]
+            if scores:
+                bad = violations[key] = sum(scores)
+                text = detail.format(bad=bad, count=len(scores))
+                checks.append(CheckResult(name, bad == 0, text))
+        for col in (suite.summaries or suite.columns)(config):
+            summaries[col] = summarize(eligible, col, violations.get(col, 0))
+    elif counts:
+        checks.append(CheckResult("eligible-trials", False, "no connected instances"))
+    more_checks, more_notes = suite.finish(config, ctx, eligible, summaries)
+    checks += more_checks
+    notes.update(more_notes)
+    return Report(config.suite, config, columns, records, summaries, checks, notes)

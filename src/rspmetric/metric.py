@@ -54,10 +54,6 @@ class Metric:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self._dist).all())
 
-    @classmethod
-    def from_matrix(cls, dist) -> "Metric":
-        return cls(np.asarray(dist, dtype=np.float64))
-
     def __getstate__(self):
         return {"dist": np.asarray(self._dist)}
 

@@ -102,9 +102,6 @@ class UniformStream:
         self._counter += count
         return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
 
-    def exponential(self) -> float:
-        return float(-np.log1p(-self.u01()))
-
     def exponential_block(self, count: int) -> np.ndarray:
         return -np.log1p(-self.u01_block(count))
 

@@ -13,7 +13,7 @@ from rspmetric import Metric, Seed, build_metric, complete_graph, draw_weights
 def line_metric():
     """Four points on a line at 0, 1.1, 2, 4.5; distances are gaps."""
     pos = np.array([0.0, 1.1, 2.0, 4.5])
-    return Metric.from_matrix(np.abs(pos[:, None] - pos[None, :]))
+    return Metric(np.abs(pos[:, None] - pos[None, :]))
 
 
 def rsp_instance(n, seed):

@@ -19,6 +19,7 @@ from rspmetric import (
     complete_graph,
     cut_parameters_exact,
     draw_weights,
+    exact_kmedian,
     exact_matching,
     exact_tsp,
     generate_erdos_renyi,
@@ -122,6 +123,7 @@ def test_matching_matches_per_mask_dp_on_tie_heavy_metrics(n):
 def test_cap_argument_cannot_raise_the_ceiling():
     big_tsp = rsp_instance(TSP_CAP + 1, seed=1)[2]
     big_matching = rsp_instance(MATCHING_CAP + 2, seed=1)[2]
+    k30 = rsp_instance(30, seed=1)[2]  # C(30, 15) center sets exceed KMEDIAN_CAP
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapExceededError):
@@ -130,6 +132,8 @@ def test_cap_argument_cannot_raise_the_ceiling():
             exact_matching(big_matching, cap=40)
         with pytest.raises(SizeCapExceededError):
             cut_parameters_exact(complete_graph(CUT_PARAMETER_CAP + 1), cap=40)
+        with pytest.raises(SizeCapExceededError):
+            exact_kmedian(k30, 15, cap=10**12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -143,6 +147,7 @@ def test_cap_argument_cannot_raise_the_ceiling():
         dict(suite="ratio", kind="matching", n=22, matching_cap=22),
         dict(suite="tau", model="er", n=26, p=0.5, cutparam_cap=30),
         dict(suite="ratio", kind="nn", n=12, tsp_cap=TSP_CAP + 1),  # n fits, cap does not
+        dict(suite="ratio", kind="kmedian", n=40, k=20, kmedian_cap=10**12),
     ],
 )
 def test_config_cap_above_ceiling_is_rejected(kwargs):

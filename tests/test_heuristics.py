@@ -33,7 +33,7 @@ RULES = ("nearest", "farthest", "cheapest", "random")
 
 
 def infinite_metric():
-    return Metric.from_matrix(
+    return Metric(
         [[0.0, 1.0, math.inf, math.inf],
          [1.0, 0.0, math.inf, math.inf],
          [math.inf, math.inf, 0.0, 1.0],
@@ -45,7 +45,7 @@ def infinite_metric():
 
 
 def test_greedy_on_two_vertices_is_optimal():
-    m = Metric.from_matrix([[0.0, 0.4], [0.4, 0.0]])
+    m = Metric([[0.0, 0.4], [0.4, 0.0]])
     greedy = greedy_matching(m)
     assert greedy.pairs == ((1, 2),)
     assert greedy.cost == exact_matching(m).cost == 0.4
@@ -65,7 +65,7 @@ def test_exact_matching_line_example(line_metric):
 
 
 def test_matching_errors(line_metric):
-    odd = Metric.from_matrix(np.zeros((3, 3)))
+    odd = Metric(np.zeros((3, 3)))
     with pytest.raises(OddVertexCountError):
         greedy_matching(odd)
     with pytest.raises(OddVertexCountError):
@@ -106,7 +106,7 @@ def test_matching_is_perfect():
 
 
 def test_nn_two_vertices():
-    m = Metric.from_matrix([[0.0, 0.3], [0.3, 0.0]])
+    m = Metric([[0.0, 0.3], [0.3, 0.0]])
     assert nearest_neighbor_tour(m, 1).cost == pytest.approx(0.6)
 
 
@@ -155,7 +155,7 @@ def test_random_rule_is_seeded():
 
 
 def test_insertion_errors():
-    tiny = Metric.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+    tiny = Metric([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(TooFewVerticesError):
         insertion_tour(tiny, "nearest")
     with pytest.raises(ValueError):
@@ -234,7 +234,7 @@ def test_tsp_agrees_with_permutation_enumeration():
 
 def test_tsp_errors(line_metric):
     with pytest.raises(TooFewVerticesError):
-        exact_tsp(Metric.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
+        exact_tsp(Metric([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SizeCapExceededError):
         exact_tsp(line_metric, cap=3)
     with pytest.raises(InfiniteDistanceError):

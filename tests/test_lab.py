@@ -325,3 +325,16 @@ def test_imported_model_uses_graph_file(tmp_path):
     assert report.passed
     ctx = make_context(cfg)
     assert ctx.graph == g
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_imported_graph_must_have_n_vertices(tmp_path, n):
+    from rspmetric import complete_graph, write_graph
+
+    path = tmp_path / "k8.txt"
+    write_graph(str(path), complete_graph(8))
+    cfg = ExperimentConfig(suite="tau", model="imported", graph_file=str(path), n=n, trials=2)
+    with pytest.raises(ConfigInvalidError, match="8 vertices"):
+        make_context(cfg)
+    with pytest.raises(ConfigInvalidError, match="8 vertices"):
+        run_suite(cfg)

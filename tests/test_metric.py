@@ -92,9 +92,9 @@ def test_table_is_exactly_symmetric():
         [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]],  # not square
     ],
 )
-def test_from_matrix_validates(bad):
+def test_constructor_validates(bad):
     with pytest.raises(ValueError):
-        Metric.from_matrix(bad)
+        Metric(bad)
 
 
 # -- tau profile --------------------------------------------------------------
