@@ -8,8 +8,10 @@ was built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +56,18 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only ``(m, 2)`` int32 array, 1-based, built on first use."""
+        flat = itertools.chain.from_iterable(self.edges)
+        arr = np.fromiter(flat, dtype=np.int32, count=2 * self.m).reshape(self.m, 2)
+        arr.setflags(write=False)
+        return arr
+
+    def __getstate__(self):
+        # leave the cached edge_array out: unpickled arrays come back writable
+        return {"n": self.n, "edges": self.edges}
+
     def adjacency(self) -> list[list[int]]:
         """0-based adjacency lists (index v-1 holds neighbors as 0-based ids)."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -76,9 +90,10 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         if len(self.weights) != self.graph.m:
             raise ValueError("need exactly one weight per edge")
-        if any(w <= 0 or not math.isfinite(w) for w in self.weights):
+        w = np.asarray(self.weights, dtype=np.float64)
+        if not (np.isfinite(w) & (w > 0)).all():
             raise ValueError("edge weights must be strictly positive and finite")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
 
     def weight_map(self) -> dict[tuple[int, int], float]:
         return dict(zip(self.graph.edges, self.weights))
@@ -137,7 +152,7 @@ def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
 def draw_weights(graph: Graph, seed: Seed) -> WeightedGraph:
     """Independent rate-1 exponential weight per edge, in lexicographic edge order."""
     w = UniformStream(seed).exponential_block(graph.m)
-    return WeightedGraph(graph, tuple(float(x) for x in w))
+    return WeightedGraph(graph, w)
 
 
 def is_connected(graph: Graph) -> bool:

@@ -48,6 +48,8 @@ TSP_CAP = 18        # Held-Karp tables 2^17 x 17: ~18 MB float64 + ~2 MB int8 at
 MATCHING_CAP = 20   # pairing DP table 2^20 float64: ~8 MB at 20
 KMEDIAN_CAP = 10**6  # number of center sets enumerated
 
+_ROW_BLOCK = 128  # rows of the distance table copied at once by greedy_matching
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -99,25 +101,45 @@ def _check_tour(metric: Metric, order: tuple[int, ...]) -> None:
 
 
 def greedy_matching(metric: Metric) -> Matching:
-    """Repeatedly match the closest unmatched pair (ties lexicographic)."""
+    """Repeatedly match the closest unmatched pair (ties lexicographic).
+
+    Runs in rounds instead of scanning all n^2/2 sorted pairs.  Each unmatched
+    vertex points at its closest unmatched partner, the first (lowest-index)
+    ``argmin`` of its row, which is its least edge in the order on
+    (weight, u, v).  A pair pointing at each other is least at both ends, so
+    the scan would match it: it is taken, and only rows that pointed at a
+    vertex just matched are recomputed, ``_ROW_BLOCK`` rows at a time.  Pairs
+    come out in (weight, u, v) order, as the scan matches them.
+    """
     n = metric.n
     if n % 2:
         raise OddVertexCountError(f"n={n} is odd; perfect matchings need even n")
     _require_finite(metric)
     d = metric.dist
-    iu, iv = np.triu_indices(n, 1)
-    order = np.lexsort((iv, iu, d[iu, iv]))
-    matched = np.zeros(n, dtype=bool)
-    pairs = []
-    for idx in order:
-        a, b = int(iu[idx]), int(iv[idx])
-        if not matched[a] and not matched[b]:
-            matched[a] = matched[b] = True
-            pairs.append((a + 1, b + 1))
-            if len(pairs) == n // 2:
-                break
-    cost = math.fsum(d[a - 1, b - 1] for a, b in pairs)
-    return Matching(pairs=tuple(pairs), cost=cost)
+    alive = np.arange(n)  # unmatched vertices, ascending
+    partner = np.zeros(n, dtype=np.intp)
+    stale = alive
+    first: list[np.ndarray] = []
+    second: list[np.ndarray] = []
+    while len(alive):
+        for lo in range(0, len(stale), _ROW_BLOCK):
+            rows = stale[lo : lo + _ROW_BLOCK]
+            block = d[np.ix_(rows, alive)]
+            block[np.arange(len(rows)), np.searchsorted(alive, rows)] = np.inf
+            partner[rows] = alive[np.argmin(block, axis=1)]
+        mutual = alive[partner[partner[alive]] == alive]
+        low = mutual[mutual < partner[mutual]]
+        first.append(low)
+        second.append(partner[low])
+        matched = np.zeros(n, dtype=bool)
+        matched[mutual] = True
+        alive = alive[~matched[alive]]
+        stale = alive[matched[partner[alive]]]
+    a, b = np.concatenate(first), np.concatenate(second)
+    by = np.lexsort((b, a, d[a, b]))
+    pairs = tuple(zip((a[by] + 1).tolist(), (b[by] + 1).tolist()))
+    cost = math.fsum(d[a, b].tolist())
+    return Matching(pairs=pairs, cost=cost)
 
 
 def exact_matching(metric: Metric, cap: int = MATCHING_CAP) -> Matching:
@@ -193,11 +215,17 @@ def _initial_triple(metric: Metric, rule: str, stream: UniformStream | None) -> 
         picks = [int(x) for x in by if x != 0][:2]
         return [0] + picks
     if rule == "cheapest":
+        # first triple (i, j, k), i < j < k, in lexicographic order with the least
+        # d[i,j] + d[j,k] + d[i,k], one row i at a time
         best = None
-        for i, j, k in itertools.combinations(range(n), 3):
-            per = d[i, j] + d[j, k] + d[i, k]
-            if best is None or per < best[0]:
-                best = (per, [i, j, k])
+        for i in range(n - 2):
+            rest = np.arange(i + 1, n)
+            per = d[i, rest, None] + d[np.ix_(rest, rest)] + d[i, rest]
+            per[np.tril_indices(len(rest))] = np.inf  # keep k > j
+            at = int(np.argmin(per))
+            if best is None or per.flat[at] < best[0]:
+                j, k = divmod(at, len(rest))
+                best = (per.flat[at], [i, int(rest[j]), int(rest[k])])
         return best[1]
     if rule == "random":
         remaining = list(range(n))
@@ -225,50 +253,87 @@ def insertion_tour(metric: Metric, rule: str = "nearest", seed: Seed | None = No
     order = _initial_triple(metric, rule, stream)
     in_tour = np.zeros(n, dtype=bool)
     in_tour[order] = True
-    while len(order) < n:
-        out = np.flatnonzero(~in_tour)
-        if rule in ("nearest", "farthest"):
-            dmin = d[np.ix_(out, order)].min(axis=1)  # distance of each outsider to the tour
-            pick = int(out[np.argmin(dmin)] if rule == "nearest" else out[np.argmax(dmin)])
+    dmin = d[order].min(axis=0)  # distance of each vertex to the tour
+    # closed[:t] is the tour and closed[t] its first vertex again;
+    # legs[i] = d[closed[i], closed[i+1]]
+    closed = np.empty(n + 1, dtype=np.intp)
+    closed[:4] = order + order[:1]
+    legs = np.empty(n)
+    legs[:3] = d[closed[:3], closed[1:4]]
+    for t in range(3, n):
+        if rule == "nearest":
+            pick = int(np.argmin(np.where(in_tour, np.inf, dmin)))  # lowest index on ties
+        elif rule == "farthest":
+            pick = int(np.argmax(np.where(in_tour, -np.inf, dmin)))
         elif rule == "cheapest":
-            best = None
-            for x in out:
-                inc = min(
-                    d[order[i], x] + d[x, order[(i + 1) % len(order)]]
-                    - d[order[i], order[(i + 1) % len(order)]]
-                    for i in range(len(order))
-                )
-                if best is None or inc < best[0]:
-                    best = (inc, int(x))
-            pick = best[1]
+            out = np.flatnonzero(~in_tour)
+            to_tour = d[np.ix_(out, closed[: t + 1])]
+            inc = to_tour[:, :-1] + to_tour[:, 1:] - legs[:t]
+            pick = int(out[np.argmin(inc.min(axis=1))])
         else:  # random
+            out = np.flatnonzero(~in_tour)
             pick = int(out[stream.integer_below(len(out))])
-        increases = [
-            d[order[i], pick] + d[pick, order[(i + 1) % len(order)]]
-            - d[order[i], order[(i + 1) % len(order)]]
-            for i in range(len(order))
-        ]
+        # d[tour[i], x] + d[x, tour[i+1]] - d[tour[i], tour[i+1]] (d is symmetric)
+        to_tour = d[pick][closed[: t + 1]]
+        increases = to_tour[:-1] + to_tour[1:] - legs[:t]
         pos = int(np.argmin(increases))  # earliest position on ties
-        order.insert(pos + 1, pick)
+        closed[pos + 2 : t + 2] = closed[pos + 1 : t + 1]
+        closed[pos + 1] = pick
+        legs[pos + 2 : t + 1] = legs[pos + 1 : t]
+        legs[pos : pos + 2] = to_tour[pos : pos + 2]
         in_tour[pick] = True
-    order_t = tuple(x + 1 for x in order)
+        np.minimum(dmin, d[pick], out=dmin)
+    order_t = tuple((closed[:n] + 1).tolist())
     return Tour(order=order_t, cost=tour_cost(metric, order_t))
 
 
-def _exchange_pairs(n: int) -> list[tuple[int, int]]:
-    """Position pairs (i, j) whose tour edges are disjoint, in lexicographic order."""
-    return [
-        (i, j)
-        for i in range(n - 1)
-        for j in range(i + 2, n)
-        if not (i == 0 and j == n - 1)
-    ]
+def _exchange_rows(n: int) -> list[tuple[int, int, int]]:
+    """Rows (i, lo, hi) of the position pairs (i, j), lo <= j < hi, whose tour
+    edges are disjoint; read in order they list the pairs lexicographically."""
+    return [(i, i + 2, n - 1 if i == 0 else n) for i in range(n - 2)]
 
 
-def _exchange_delta(d: list[list[float]], order: list[int], i: int, j: int, n: int) -> float:
-    a, b = order[i], order[i + 1]
-    c, e = order[j], order[(j + 1) % n]
-    return d[a][c] + d[b][e] - d[a][b] - d[c][e]
+def _row_deltas(
+    d: np.ndarray, o: np.ndarray, legs: np.ndarray, i: int, lo: int, hi: int
+) -> np.ndarray:
+    """Cost changes of exchanging tour edge i with each edge j in lo..hi-1.
+
+    ``o`` is the closed tour (``o[n] == o[0]``) and ``legs[j] = d[o[j], o[j+1]]``.
+    Edges (a, b) and (c, e) become (a, c) and (b, e):
+    ``d[a,c] + d[b,e] - d[a,b] - d[c,e]``, summed in that order.
+    """
+    return d[o[i]][o[lo:hi]] + d[o[i + 1]][o[lo + 1 : hi + 1]] - legs[i] - legs[lo:hi]
+
+
+def _exchange(d: np.ndarray, o: np.ndarray, i: int, j: int, cost: float):
+    """The closed tour with positions i+1..j reversed, its legs and its cost,
+    if that cost is strictly below ``cost``; otherwise None."""
+    new = o.copy()
+    new[i + 1 : j + 1] = o[j:i:-1]
+    legs = d[new[:-1], new[1:]]
+    new_cost = math.fsum(legs.tolist())
+    return (new, legs, new_cost) if new_cost < cost else None
+
+
+def _closed_tour(d: np.ndarray, order: tuple[int, ...]):
+    """0-based closed tour of a 1-based order, its legs and its cost."""
+    o = np.array([v - 1 for v in order] + [order[0] - 1])
+    legs = d[o[:-1], o[1:]]
+    return o, legs, math.fsum(legs.tolist())
+
+
+def _improving_in_row(d, o, legs, cost, i, lo, hi):
+    """First j in lo..hi-1 whose exchange with edge i improves, and its result.
+
+    An exchange improves iff ``cost + delta < cost`` for its row delta and the
+    exchanged tour's ``fsum`` cost is strictly below ``cost``.
+    """
+    deltas = _row_deltas(d, o, legs, i, lo, hi)
+    for t in (cost + deltas < cost).nonzero()[0]:
+        exchanged = _exchange(d, o, i, lo + int(t), cost)
+        if exchanged is not None:
+            return lo + int(t), exchanged
+    return None
 
 
 def two_opt(
@@ -279,11 +344,15 @@ def two_opt(
     """Apply improving 2-exchanges until a local optimum.
 
     ``pivot="first"`` scans position pairs lexicographically, resuming right
-    after the last applied exchange; ``pivot="best"`` applies the best
-    improvement each round.  An exchange counts as improving only when the
-    tracked cost strictly decreases, so the recorded cost sequence is
-    strictly decreasing by construction and the local-optimality check uses
-    the same predicate.
+    after the last applied exchange, and stops after a full cycle of pairs
+    without one; ``pivot="best"`` applies the improving exchange with the
+    least delta (the first such pair on ties) each round.  An exchange
+    improves iff it passes the screen ``cost + delta < cost``, where ``cost``
+    is the current tour's ``tour_cost``, and the exchanged tour's
+    ``tour_cost`` is strictly lower.  ``costs`` holds each tour's
+    ``tour_cost``, so it falls strictly and the loop ends, and
+    :func:`has_improving_exchange` uses the same predicate.  Each row of
+    pairs (i, j) for one i is screened as one numpy pass.
     """
     _require_finite(metric)
     if pivot not in ("first", "best"):
@@ -296,55 +365,54 @@ def two_opt(
     else:
         start_order = tuple(initial)
     _check_tour(metric, start_order)
-    d = metric.dist.tolist()
-    order = [v - 1 for v in start_order]
-    cost = tour_cost(metric, start_order)
+    d = metric.dist
+    o, legs, cost = _closed_tour(d, start_order)
     costs = [cost]
-    pairs = _exchange_pairs(n)
-    iterations = 0
-    if pairs:
-        if pivot == "first":
-            pos = 0
-            stale = 0
-            while stale < len(pairs):
-                i, j = pairs[pos % len(pairs)]
-                delta = _exchange_delta(d, order, i, j, n)
-                if cost + delta < cost:
-                    order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
-                    cost += delta
-                    costs.append(cost)
-                    iterations += 1
-                    stale = 0
-                else:
-                    stale += 1
-                pos += 1
-        else:
-            while True:
-                best = None
-                for i, j in pairs:
-                    delta = _exchange_delta(d, order, i, j, n)
-                    if cost + delta < cost and (best is None or delta < best[0]):
-                        best = (delta, i, j)
-                if best is None:
-                    break
-                _, i, j = best
-                order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
-                cost += best[0]
+    rows = _exchange_rows(n)
+    npairs = sum(hi - lo for _, lo, hi in rows)
+    if pivot == "first":
+        r, j, stale = 0, 2, 0  # scan position: row rows[r], pair (rows[r][0], j)
+        while stale < npairs:
+            i, _, hi = rows[r]
+            hi = min(hi, j + npairs - stale)  # stop after a full cycle of pairs
+            found = _improving_in_row(d, o, legs, cost, i, j, hi)
+            if found is None:
+                stale += hi - j
+                j = hi
+            else:
+                j, (o, legs, cost) = found
                 costs.append(cost)
-                iterations += 1
-    final_order = tuple(v + 1 for v in order)
-    final = Tour(order=final_order, cost=tour_cost(metric, final_order))
-    return TwoOptTrace(final=final, iterations=iterations, costs=tuple(costs))
+                stale = 0
+                j += 1
+            if j == rows[r][2]:
+                r = (r + 1) % len(rows)
+                j = rows[r][1]
+    elif npairs:
+        pi = np.repeat([i for i, _, _ in rows], [hi - lo for _, lo, hi in rows])
+        pj = np.concatenate([np.arange(lo, hi) for _, lo, hi in rows])
+        while True:
+            deltas = np.concatenate([_row_deltas(d, o, legs, *row) for row in rows])
+            screened = np.flatnonzero(cost + deltas < cost)
+            for p in screened[np.argsort(deltas[screened], kind="stable")]:
+                exchanged = _exchange(d, o, int(pi[p]), int(pj[p]), cost)
+                if exchanged is not None:
+                    break
+            else:
+                break
+            o, legs, cost = exchanged
+            costs.append(cost)
+    final_order = tuple((o[:-1] + 1).tolist())
+    final = Tour(order=final_order, cost=cost)
+    return TwoOptTrace(final=final, iterations=len(costs) - 1, costs=tuple(costs))
 
 
 def has_improving_exchange(metric: Metric, tour: Tour) -> bool:
-    """Full rescan: does any 2-exchange strictly decrease the tour cost?"""
-    n = metric.n
-    d = metric.dist.tolist()
-    order = [v - 1 for v in tour.order]
-    cost = tour.cost
+    """Full rescan: does any 2-exchange improve the tour, as :func:`two_opt` decides?"""
+    d = metric.dist
+    o, legs, cost = _closed_tour(d, tour.order)
     return any(
-        cost + _exchange_delta(d, order, i, j, n) < cost for i, j in _exchange_pairs(n)
+        _improving_in_row(d, o, legs, cost, i, lo, hi) is not None
+        for i, lo, hi in _exchange_rows(metric.n)
     )
 
 

@@ -243,6 +243,8 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.suite in ("tau", "cdf", "concentration") and c.n < 2, f"suite {c.suite} needs n >= 2"),
         (c.suite in ("tau", "cdf") and any(not 1 <= k <= c.n for k in c.tau_ks),
          "tau_ks must lie in 1..n"),
+        (c.suite in ("tau", "cdf") and len(set(c.tau_ks)) < len(c.tau_ks),
+         "tau_ks may not repeat an entry"),
         (c.suite == "ratio" and kind not in RATIO_KINDS,
          f"ratio suite needs kind in {RATIO_KINDS}"),
         (matching and c.n % 2, "perfect matchings need even n"),
@@ -259,6 +261,8 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.suite == "concentration" and c.model != "er", "concentration suite needs the er model"),
         (c.suite == "concentration" and not 0 < c.epsilon < 1, "epsilon must lie in (0, 1)"),
         (bool(unknown), f"unknown structure checks: {unknown}"),
+        (c.suite == "structure" and len(checks) < len(c.structure_checks),
+         "structure_checks may not repeat an entry"),
         (c.suite == "structure" and not checks, "structure suite needs at least one check"),
         (c.suite == "cdf" and c.cdf_terms < 1, "cdf_terms must be >= 1"),
         (c.suite == "cdf" and c.cdf_c <= 0, "cdf_c must be positive"),

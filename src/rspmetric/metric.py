@@ -110,14 +110,59 @@ def build_metric(wg: WeightedGraph) -> Metric:
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         return Metric(dist)
-    rows = np.fromiter((u - 1 for u, _ in wg.graph.edges), dtype=np.int64, count=wg.graph.m)
-    cols = np.fromiter((v - 1 for _, v in wg.graph.edges), dtype=np.int64, count=wg.graph.m)
-    mat = csr_matrix((np.asarray(wg.weights), (rows, cols)), shape=(n, n))
-    dist = dijkstra(mat, directed=False)
+    edges0 = wg.graph.edge_array - 1
+    dist, _ = _certified_apsp(n, edges0[:, 0], edges0[:, 1], np.asarray(wg.weights))
     # dijkstra from u and from v may round the same path differently; take the
     # smaller of the two so the table is exactly symmetric
-    dist = np.minimum(dist, dist.T)
-    return Metric(dist)
+    return Metric(np.minimum(dist, dist.T))
+
+
+def _certified_apsp(
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Dijkstra from every source on each vertex's lightest edges, certified exact.
+
+    Edges (u[i], v[i]) are 0-based with u < v.  Returns the raw table (row s
+    holds the distances from source s) and the number of Dijkstra passes.
+
+    Only edges among the k = ceil(4 ln n) lightest at either endpoint are
+    kept; under exponential weights shortest paths use only such edges
+    (Janson 1999).  Let ecc(x) be the largest distance to x over all sources
+    in the pruned table, inf if some source cannot reach x.  The pruned table
+    is certified when every dropped edge (x, y) has w >= max(ecc(x), ecc(y)).
+    It is then bit-identical to Dijkstra on the whole graph, not just close:
+    a dropped edge offers y the candidate fl(d(s, x) + w) >= w >= d(s, y)
+    (rounding is monotone and d(s, x) >= 0), so it never undercuts a value
+    already found.  The pruned table therefore meets the whole graph's
+    Bellman equations d(s, y) = min over edges of fl(d(s, x) + w), with each
+    value attained along a predecessor tree, and two tables that do so are
+    equal (compare them at the smallest value where they differ).  Edges that
+    fail the check are added back and Dijkstra reruns.  When pruning would
+    keep at least half the edges (2kn >= m), all edges are kept and one pass
+    certifies trivially.
+    """
+    m = len(w)
+    k = math.ceil(4 * math.log(n))
+    if 2 * k * n >= m:
+        keep = np.ones(m, dtype=bool)
+    else:
+        table = np.full((n, n), np.inf)
+        table[u, v] = w
+        table[v, u] = w
+        table.partition(k - 1, axis=1)
+        kth = table[:, k - 1]  # inf where a vertex has fewer than k edges
+        del table
+        keep = (w <= kth[u]) | (w <= kth[v])
+    passes = 0
+    while True:
+        passes += 1
+        mat = csr_matrix((w[keep], (u[keep], v[keep])), shape=(n, n))
+        dist = dijkstra(mat, directed=False)
+        ecc = dist.max(axis=0)
+        bad = ~keep & (w < np.maximum(ecc[u], ecc[v]))
+        if not bad.any():
+            return dist, passes
+        keep |= bad
 
 
 def count_axiom_violations(metric: Metric, tol: float = 1e-12) -> int:
@@ -149,17 +194,15 @@ def tau_profile(metric: Metric, graph: Graph, v: int) -> TauProfile:
     row = metric.dist[v - 1]
     order0 = np.lexsort((np.arange(n), row))
     taus = row[order0].copy()
-    adj = graph.adjacency()
-    inside = np.zeros(n, dtype=bool)
-    chis = np.zeros(max(n - 1, 0), dtype=np.int64)
-    cut = 0
-    for k0, x in enumerate(order0):
-        newly_cut = len(adj[x]) - 2 * sum(1 for y in adj[x] if inside[y])
-        cut += newly_cut
-        inside[x] = True
-        if k0 < n - 1:
-            chis[k0] = cut
-    return TauProfile(center=v, taus=taus, chis=chis, order=order0 + 1)
+    # cut of a prefix = its degree sum - 2 * its inside edges, and an edge is
+    # inside from the position of its later endpoint on
+    edges = graph.edge_array
+    pos = np.empty(n + 1, dtype=np.int64)  # pos[x] = position of 1-based vertex x
+    pos[order0 + 1] = np.arange(n)
+    degree = np.bincount(edges.ravel(), minlength=n + 1)[1:]
+    closing = np.bincount(np.maximum(pos[edges[:, 0]], pos[edges[:, 1]]), minlength=n)
+    cuts = np.cumsum(degree[order0]) - 2 * np.cumsum(closing)
+    return TauProfile(center=v, taus=taus, chis=cuts[: n - 1], order=order0 + 1)
 
 
 def ball(metric: Metric, v: int, delta: float) -> frozenset[int]:

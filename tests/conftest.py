@@ -6,7 +6,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rspmetric import Metric, Seed, build_metric, complete_graph, draw_weights
+from rspmetric import (
+    Metric,
+    Seed,
+    build_metric,
+    complete_graph,
+    draw_weights,
+    generate_erdos_renyi,
+    is_connected,
+)
 
 
 @pytest.fixture
@@ -21,3 +29,32 @@ def rsp_instance(n, seed):
     graph = complete_graph(n)
     wg = draw_weights(graph, Seed(seed))
     return graph, wg, build_metric(wg)
+
+
+def er_metric(n, seed):
+    """Shortest-path metric on the first connected G(n, 1/2) draw from the seed."""
+    s = Seed(seed)
+    while True:
+        s = s.child(0)
+        g = generate_erdos_renyi(n, 0.5, s)
+        if is_connected(g):
+            return build_metric(draw_weights(g, s.child(1)))
+
+
+def points_on_line(n):
+    pos = np.arange(n, dtype=float)
+    return Metric(np.abs(pos[:, None] - pos[None, :]))
+
+
+def all_ones_metric(n):
+    return Metric(np.ones((n, n)) - np.eye(n))
+
+
+def small_integer_metric(n, seed):
+    """Shortest-path closure of symmetric weights drawn from {1, 2, 3}."""
+    w = np.random.default_rng(seed).integers(1, 4, size=(n, n)).astype(float)
+    d = np.triu(w, 1)
+    d = d + d.T
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return Metric(d)

@@ -5,7 +5,10 @@ enumerated without the complement-symmetry shortcut, shortest paths come
 from Floyd-Warshall instead of per-source label setting, and matchings and
 tours are enumerated outright.  The per-mask subset DPs are the reference
 versions of the library's vectorized exact baselines: same recurrences and
-tie rules, one mask at a time.
+tie rules, one mask at a time.  Likewise the loop versions at the end are the
+references of the library's whole-array kernels (full-graph Dijkstra, tau
+profiles, greedy matching, insertion and 2-opt): same arithmetic, summation
+order and tie rules, one element at a time.
 """
 
 import itertools
@@ -162,3 +165,173 @@ def pairing_dp_per_mask(dist):
     pairs.sort()
     cost = math.fsum(d[a - 1][b - 1] for a, b in pairs)
     return tuple(pairs), cost
+
+
+# -- reference versions of the library's whole-array kernels --------------------
+
+
+def dijkstra_full(wg):
+    """Raw all-pairs table of scipy Dijkstra on every edge (row = source)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = wg.graph.n
+    rows = [u - 1 for u, _ in wg.graph.edges]
+    cols = [v - 1 for _, v in wg.graph.edges]
+    mat = csr_matrix((np.asarray(wg.weights, dtype=float), (rows, cols)), shape=(n, n))
+    return dijkstra(mat, directed=False)
+
+
+def tau_profile_loop(dist, graph, v):
+    """(taus, chis, order) of vertex v by growing the prefix one vertex at a time."""
+    n = dist.shape[0]
+    row = dist[v - 1]
+    order0 = np.lexsort((np.arange(n), row))
+    adj = graph.adjacency()
+    inside = np.zeros(n, dtype=bool)
+    chis = np.zeros(max(n - 1, 0), dtype=np.int64)
+    cut = 0
+    for k0, x in enumerate(order0):
+        cut += len(adj[x]) - 2 * sum(1 for y in adj[x] if inside[y])
+        inside[x] = True
+        if k0 < n - 1:
+            chis[k0] = cut
+    return row[order0], chis, order0 + 1
+
+
+def tour_cost_loop(dist, order):
+    n = len(order)
+    return math.fsum(dist[order[i] - 1, order[(i + 1) % n] - 1] for i in range(n))
+
+
+def greedy_matching_scan(dist):
+    """(pairs, cost): scan all pairs sorted by (weight, u, v), matching free pairs."""
+    d = np.asarray(dist)
+    n = d.shape[0]
+    iu, iv = np.triu_indices(n, 1)
+    order = np.lexsort((iv, iu, d[iu, iv]))
+    matched = np.zeros(n, dtype=bool)
+    pairs = []
+    for idx in order:
+        a, b = int(iu[idx]), int(iv[idx])
+        if not matched[a] and not matched[b]:
+            matched[a] = matched[b] = True
+            pairs.append((a + 1, b + 1))
+    cost = math.fsum(d[a - 1, b - 1] for a, b in pairs)
+    return tuple(pairs), cost
+
+
+def insertion_loop(dist, rule, seed=None):
+    """(order, cost) of insertion: the rule's next vertex at its cheapest position."""
+    from rspmetric.rng import UniformStream
+
+    d = np.asarray(dist)
+    n = d.shape[0]
+    stream = UniformStream(seed) if seed is not None else None
+    if rule == "nearest":
+        by = np.lexsort((np.arange(n), d[0]))
+        order = [0, int(by[1]), int(by[2])]
+    elif rule == "farthest":
+        by = np.lexsort((np.arange(n), -d[0]))
+        order = [0] + [int(x) for x in by if x != 0][:2]
+    elif rule == "cheapest":
+        best = None
+        for i, j, k in itertools.combinations(range(n), 3):
+            per = d[i, j] + d[j, k] + d[i, k]
+            if best is None or per < best[0]:
+                best = (per, [i, j, k])
+        order = best[1]
+    else:
+        remaining = list(range(n))
+        order = sorted(remaining.pop(stream.integer_below(len(remaining))) for _ in range(3))
+    in_tour = np.zeros(n, dtype=bool)
+    in_tour[order] = True
+
+    def increase(x, i):
+        nxt = order[(i + 1) % len(order)]
+        return d[order[i], x] + d[x, nxt] - d[order[i], nxt]
+
+    while len(order) < n:
+        out = np.flatnonzero(~in_tour)
+        if rule in ("nearest", "farthest"):
+            dmin = d[np.ix_(out, order)].min(axis=1)
+            pick = int(out[np.argmin(dmin)] if rule == "nearest" else out[np.argmax(dmin)])
+        elif rule == "cheapest":
+            best = None
+            for x in out:
+                inc = min(increase(x, i) for i in range(len(order)))
+                if best is None or inc < best[0]:
+                    best = (inc, int(x))
+            pick = best[1]
+        else:
+            pick = int(out[stream.integer_below(len(out))])
+        pos = int(np.argmin([increase(pick, i) for i in range(len(order))]))
+        order.insert(pos + 1, pick)
+        in_tour[pick] = True
+    order_t = tuple(x + 1 for x in order)
+    return order_t, tour_cost_loop(d, order_t)
+
+
+def _exchange_pairs(n):
+    return [(i, j) for i in range(n - 1) for j in range(i + 2, n) if not (i == 0 and j == n - 1)]
+
+
+def _improving_delta(d, order, i, j, cost):
+    """The pair's delta if its exchange improves (screen and fsum), else None."""
+    n = len(order)
+    a, b, c, e = order[i], order[i + 1], order[j], order[(j + 1) % n]
+    delta = d[a][c] + d[b][e] - d[a][b] - d[c][e]
+    if not cost + delta < cost:
+        return None
+    new = order[: i + 1] + order[i + 1 : j + 1][::-1] + order[j + 1 :]
+    if not math.fsum(d[new[k]][new[(k + 1) % n]] for k in range(n)) < cost:
+        return None
+    return delta
+
+
+def two_opt_loop(dist, start_order, pivot="first"):
+    """(order, costs) of 2-opt, one position pair at a time."""
+    d = np.asarray(dist).tolist()
+    n = len(start_order)
+    order = [v - 1 for v in start_order]
+
+    def cost_of(o):
+        return math.fsum(d[o[k]][o[(k + 1) % n]] for k in range(n))
+
+    cost = cost_of(order)
+    costs = [cost]
+    pairs = _exchange_pairs(n)
+    if pivot == "first":
+        pos = stale = 0
+        while stale < len(pairs):
+            i, j = pairs[pos % len(pairs)]
+            if _improving_delta(d, order, i, j, cost) is not None:
+                order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
+                cost = cost_of(order)
+                costs.append(cost)
+                stale = 0
+            else:
+                stale += 1
+            pos += 1
+    else:
+        while True:
+            best = None
+            for i, j in pairs:
+                delta = _improving_delta(d, order, i, j, cost)
+                if delta is not None and (best is None or delta < best[0]):
+                    best = (delta, i, j)
+            if best is None:
+                break
+            _, i, j = best
+            order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
+            cost = cost_of(order)
+            costs.append(cost)
+    return tuple(v + 1 for v in order), tuple(costs)
+
+
+def has_improving_exchange_loop(dist, tour_order):
+    d = np.asarray(dist).tolist()
+    order = [v - 1 for v in tour_order]
+    n = len(order)
+    cost = math.fsum(d[order[k]][order[(k + 1) % n]] for k in range(n))
+    return any(_improving_delta(d, order, i, j, cost) is not None for i, j in _exchange_pairs(n))

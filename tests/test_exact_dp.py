@@ -6,59 +6,29 @@ pairings are compared for equality, not just their costs.
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from rspmetric import (
     ConfigInvalidError,
     ExperimentConfig,
-    Metric,
-    Seed,
     SizeCapExceededError,
-    build_metric,
     complete_graph,
     cut_parameters_exact,
-    draw_weights,
     exact_kmedian,
     exact_matching,
     exact_tsp,
-    generate_erdos_renyi,
-    is_connected,
 )
 from rspmetric.graphs import CUT_PARAMETER_CAP
 from rspmetric.heuristics import MATCHING_CAP, TSP_CAP
 from rspmetric.lab import validate_config
-from conftest import rsp_instance
+from conftest import (
+    all_ones_metric,
+    er_metric,
+    points_on_line,
+    rsp_instance,
+    small_integer_metric,
+)
 from oracles import held_karp_per_mask, pairing_dp_per_mask
-
-
-def er_metric(n, seed):
-    """Shortest-path metric on the first connected G(n, 1/2) draw from the seed."""
-    s = Seed(seed)
-    while True:
-        s = s.child(0)
-        g = generate_erdos_renyi(n, 0.5, s)
-        if is_connected(g):
-            return build_metric(draw_weights(g, s.child(1)))
-
-
-def points_on_line(n):
-    pos = np.arange(n, dtype=float)
-    return Metric(np.abs(pos[:, None] - pos[None, :]))
-
-
-def all_ones_metric(n):
-    return Metric(np.ones((n, n)) - np.eye(n))
-
-
-def small_integer_metric(n, seed):
-    """Shortest-path closure of symmetric weights drawn from {1, 2, 3}."""
-    w = np.random.default_rng(seed).integers(1, 4, size=(n, n)).astype(float)
-    d = np.triu(w, 1)
-    d = d + d.T
-    for k in range(n):
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    return Metric(d)
 
 
 def assert_same_tour(metric):

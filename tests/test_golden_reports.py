@@ -147,9 +147,11 @@ DIGESTS = {
         "d905c442e56f04c6ad97818feb99d47525c0bd708263a0368d8f2e4dc9fea3c9",
         "50ba4d1e15f4f9d9763acc21eed1fb5f02ed4cb7168d2c9dfe5fb110ccf3cae7",
     ),
+    # trial 6 turns locally_optimal 0 -> 1: a tie exchange (delta -2.2e-16)
+    # whose tour is not strictly cheaper no longer counts as improving
     "two-opt-er": (
-        "6cf2b8909dada427e96107d201c529c5bfd3141df1c1e5e74c94b2164f2f801e",
-        "bf174fb8ead698d8c9c9c9163bed4fc9e952919efc8148cf4708f98fb27f220c",
+        "ab6b75a860d14a3019d2cdaa8668c71ca921801fd545c46c23cfe14bbedec5ec",
+        "3705a2ec30a8e2ddb6971a37ad47986c126a8ca692132a8dc9b93f6c57fdaa5e",
     ),
     "two-opt-er-beyond-cut-cap": (
         "73fb05ba4686e219cc776c8f217fa889d3d094ef418fa4ef38fc1cf597e3f7fe",

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -53,10 +54,22 @@ def test_weighted_graph_needs_positive_weights_per_edge():
     g = path_graph(3)
     with pytest.raises(ValueError):
         WeightedGraph(g, (0.5,))
-    with pytest.raises(ValueError):
-        WeightedGraph(g, (0.5, 0.0))
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            WeightedGraph(g, (0.5, bad))
     wg = WeightedGraph(g, (0.5, 0.25))
     assert wg.weight_map() == {(1, 2): 0.5, (2, 3): 0.25}
+    assert WeightedGraph(g, np.array([1, 2])).weights == (1.0, 2.0)
+
+
+def test_edge_array_is_a_cached_read_only_view_of_the_edges():
+    g = Graph(4, ((3, 1), (2, 4), (1, 2)))
+    assert g.edge_array.tolist() == [list(e) for e in g.edges]
+    assert g.edge_array.dtype == np.int32 and not g.edge_array.flags.writeable
+    assert g.edge_array is g.edge_array
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and not copy.edge_array.flags.writeable
+    assert Graph(3, ()).edge_array.shape == (0, 2)
 
 
 # -- generators ---------------------------------------------------------------

@@ -1,0 +1,198 @@
+"""Whole-array kernels against their one-element-at-a-time references.
+
+Shortest paths, tau profiles, greedy matching, insertion and 2-opt run as
+numpy passes; ``tests/oracles.py`` keeps the loop versions with the same
+arithmetic and tie rules.  Outputs are compared with ``==``: tours, pairs,
+cost sequences, exchange counts and prefix cuts, and whole distance tables
+with ``np.array_equal``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rspmetric import (
+    Seed,
+    WeightedGraph,
+    build_metric,
+    complete_graph,
+    draw_weights,
+    generate_erdos_renyi,
+    greedy_matching,
+    has_improving_exchange,
+    insertion_tour,
+    is_connected,
+    nearest_neighbor_tour,
+    tau_profile,
+    two_opt,
+)
+from rspmetric.heuristics import Tour
+from rspmetric.metric import _certified_apsp
+from conftest import all_ones_metric, points_on_line, rsp_instance, small_integer_metric
+from oracles import (
+    dijkstra_full,
+    greedy_matching_scan,
+    has_improving_exchange_loop,
+    insertion_loop,
+    tau_profile_loop,
+    two_opt_loop,
+)
+
+RULES = ("nearest", "farthest", "cheapest", "random")
+
+
+def assert_same_greedy(metric):
+    got = greedy_matching(metric)
+    assert (got.pairs, got.cost) == greedy_matching_scan(metric.dist)
+
+
+def assert_same_insertion(metric, rules=RULES):
+    for rule in rules:
+        seed = Seed(metric.n) if rule == "random" else None
+        got = insertion_tour(metric, rule, seed)
+        assert (got.order, got.cost) == insertion_loop(metric.dist, rule, seed), rule
+
+
+def assert_same_two_opt(metric, pivots=("first", "best")):
+    starts = [tuple(range(1, metric.n + 1)), nearest_neighbor_tour(metric).order]
+    for start in starts:
+        for pivot in pivots:
+            got = two_opt(metric, start, pivot)
+            order, costs = two_opt_loop(metric.dist, start, pivot)
+            assert (got.final.order, got.costs, got.iterations) == (order, costs, len(costs) - 1)
+            assert got.final.cost == costs[-1]
+            assert not has_improving_exchange(metric, got.final)
+        assert has_improving_exchange(metric, Tour(start, 0.0)) == (
+            has_improving_exchange_loop(metric.dist, start)
+        )
+
+
+def assert_same_profiles(metric, graph):
+    for v in sorted({1, graph.n // 2 + 1, graph.n}):
+        got = tau_profile(metric, graph, v)
+        taus, chis, order = tau_profile_loop(metric.dist, graph, v)
+        assert np.array_equal(got.taus, taus)
+        assert np.array_equal(got.chis, chis) and got.chis.dtype == chis.dtype
+        assert np.array_equal(got.order, order)
+
+
+def assert_same_table(wg):
+    raw = dijkstra_full(wg)
+    assert np.array_equal(build_metric(wg).dist, np.minimum(raw, raw.T))
+
+
+def connected_er(n, p, seed):
+    s = Seed(seed)
+    while True:
+        s = s.child(0)
+        g = generate_erdos_renyi(n, p, s)
+        if is_connected(g):
+            return g, draw_weights(g, s.child(1))
+
+
+# -- seeded complete graphs -----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_kernels_match_loops_on_complete_graphs(n):
+    graph, wg, metric = rsp_instance(n, seed=3000 + n)
+    assert_same_table(wg)
+    assert_same_profiles(metric, graph)
+    if n % 2 == 0:
+        assert_same_greedy(metric)
+    assert_same_insertion(metric)
+    assert_same_two_opt(metric, pivots=("first", "best") if n <= 30 else ("first",))
+
+
+def test_kernels_match_loops_on_k200():
+    graph, wg, metric = rsp_instance(200, seed=200)
+    assert_same_table(wg)
+    assert_same_profiles(metric, graph)
+    assert_same_greedy(metric)
+    assert_same_insertion(metric, rules=("nearest", "farthest", "random"))
+    assert_same_two_opt(metric, pivots=("first",))
+
+
+# -- Erdos-Renyi graphs ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, p", [(12, 0.3), (20, 0.2), (40, 0.1), (60, 0.5)])
+def test_kernels_match_loops_on_connected_er_graphs(n, p):
+    for seed in range(2):
+        graph, wg = connected_er(n, p, seed=100 * n + seed)
+        metric = build_metric(wg)
+        assert_same_table(wg)
+        assert_same_profiles(metric, graph)
+        assert_same_greedy(metric)
+        assert_same_insertion(metric)
+        assert_same_two_opt(metric, pivots=("first",))
+
+
+@pytest.mark.parametrize("n, p", [(10, 0.1), (30, 0.05), (80, 0.02)])
+def test_table_and_profiles_match_on_disconnected_er_graphs(n, p):
+    graph = generate_erdos_renyi(n, p, Seed(n))
+    assert not is_connected(graph)
+    wg = draw_weights(graph, Seed(n + 1))
+    assert_same_table(wg)
+    assert_same_profiles(build_metric(wg), graph)
+
+
+# -- tie-heavy metrics ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", (4, 7, 10, 16, 31))
+def test_kernels_match_loops_on_tie_heavy_metrics(n):
+    metrics = [points_on_line(n), all_ones_metric(n)]
+    metrics += [small_integer_metric(n, s) for s in range(3)]
+    graph = complete_graph(n)
+    for metric in metrics:
+        assert_same_profiles(metric, graph)
+        if n % 2 == 0:
+            assert_same_greedy(metric)
+        assert_same_insertion(metric)
+        assert_same_two_opt(metric)
+
+
+def test_tables_match_with_tied_integer_weights():
+    graph = complete_graph(100)
+    w = np.random.default_rng(5).integers(1, 4, size=graph.m).astype(float)
+    assert_same_table(WeightedGraph(graph, w))
+
+
+# -- the certified shortest-path table -----------------------------------------
+
+
+def _raw_tables(wg):
+    edges0 = wg.graph.edge_array - 1
+    got, passes = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], np.asarray(wg.weights))
+    return got, passes, dijkstra_full(wg)
+
+
+@pytest.mark.parametrize("n", (100, 400))
+def test_certified_table_equals_full_dijkstra_on_complete_graphs(n):
+    got, _, want = _raw_tables(draw_weights(complete_graph(n), Seed(n)))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, p", [(150, 0.5), (300, 0.2)])
+def test_certified_table_equals_full_dijkstra_on_er_graphs(n, p):
+    graph, wg = connected_er(n, p, seed=n)
+    got, _, want = _raw_tables(wg)
+    assert np.array_equal(got, want)
+
+
+def test_failed_certificate_reruns_with_the_offending_edges():
+    # a line whose far pairs share one flat weight of 50: each vertex keeps
+    # only its short edges, on which vertex 100 lies 99 from vertex 1, so the
+    # dropped direct edge of weight 50 fails the certificate
+    n = 100
+    graph = complete_graph(n)
+    gaps = np.abs(np.diff(graph.edge_array, axis=1)[:, 0]).astype(float)
+    wg = WeightedGraph(graph, np.minimum(gaps, 50.0))
+    k = math.ceil(4 * math.log(n))
+    assert 2 * k * n < graph.m  # the pruned path is taken
+    got, passes, want = _raw_tables(wg)
+    assert passes == 2
+    assert np.array_equal(got, want)
+    assert build_metric(wg).d(1, n) == 50.0  # only the dropped direct edge gives 50

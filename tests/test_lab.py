@@ -112,6 +112,9 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         dict(suite="two-opt", two_opt_init="warp"),
         dict(suite="tau", trials=0),
         dict(suite="tau", n=12, tau_ks=(13,)),
+        dict(suite="tau", n=6, tau_ks=(3, 3)),  # would give two tau_3 columns
+        dict(suite="cdf", n=6, tau_ks=(2, 5, 2)),
+        dict(suite="structure", n=6, structure_checks=("chi", "chi")),  # two chi checks
     ],
 )
 def test_validate_config_rejects(kwargs):
@@ -213,6 +216,17 @@ def test_two_opt_suite_nn_start():
     )
     report = run_suite(cfg)
     assert report.passed
+
+
+def test_two_opt_suite_final_tours_are_local_optima_under_tie_exchanges():
+    # trial 6 ends at a tour whose one remaining exchange has delta -2.2e-16
+    # and the same fsum cost: it must not count as improving
+    cfg = ExperimentConfig(
+        suite="two-opt", model="er", n=8, p=0.35, trials=8, seed=113, two_opt_init="nn"
+    )
+    report = run_suite(cfg)
+    assert all(r.values["locally_optimal"] for r in report.records if r.values["connected"])
+    assert {c.name: c.passed for c in report.checks}["local-optimum"]
 
 
 def test_concentration_suite_p_one_is_exact():
