@@ -119,8 +119,7 @@ def greedy_matching(metric: Metric) -> Matching:
     alive = np.arange(n)  # unmatched vertices, ascending
     partner = np.zeros(n, dtype=np.intp)
     stale = alive
-    first: list[np.ndarray] = []
-    second: list[np.ndarray] = []
+    lows = [alive[:0]]  # the lower vertex of each matched pair, by round
     while len(alive):
         for lo in range(0, len(stale), _ROW_BLOCK):
             rows = stale[lo : lo + _ROW_BLOCK]
@@ -128,14 +127,13 @@ def greedy_matching(metric: Metric) -> Matching:
             block[np.arange(len(rows)), np.searchsorted(alive, rows)] = np.inf
             partner[rows] = alive[np.argmin(block, axis=1)]
         mutual = alive[partner[partner[alive]] == alive]
-        low = mutual[mutual < partner[mutual]]
-        first.append(low)
-        second.append(partner[low])
+        lows.append(mutual[mutual < partner[mutual]])
         matched = np.zeros(n, dtype=bool)
         matched[mutual] = True
         alive = alive[~matched[alive]]
         stale = alive[matched[partner[alive]]]
-    a, b = np.concatenate(first), np.concatenate(second)
+    a = np.concatenate(lows)
+    b = partner[a]  # rows of matched vertices are never recomputed
     by = np.lexsort((b, a, d[a, b]))
     pairs = tuple(zip((a[by] + 1).tolist(), (b[by] + 1).tolist()))
     cost = math.fsum(d[a, b].tolist())
