@@ -52,7 +52,6 @@ from .graphs import (
     star_graph,
     sum_lightest_edges,
     write_graph,
-    write_weighted_graph,
 )
 from .heuristics import (
     KMEDIAN_CAP,

@@ -1,17 +1,16 @@
 """Graph construction, random edge weights, and exact cut parameters.
 
-Vertices are labelled 1..n throughout.  Edges are unordered pairs stored as
-(u, v) with u < v in lexicographic order; the weight stream is tied to that
-order, so the same seed produces the same weights no matter how the edge set
-was built.
+Vertices are labelled 1..n throughout.  A graph's edges are one read-only
+``(m, 2)`` int32 array of 1-based pairs (u, v) with u < v, rows in
+lexicographic order; its weights are one read-only float64 array aligned with
+those rows.  The weight stream is tied to that order, so the same seed
+produces the same weights no matter how the edge set was built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,76 +26,91 @@ from .rng import Seed, UniformStream
 CUT_PARAMETER_CAP = 24
 
 
-@dataclass(frozen=True)
+def _normalized_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Validated pairs on 1..n as sorted (u < v) rows, and ``perm``: row i is input pair perm[i]."""
+    arr = np.asarray(edges)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iuf":
+        raise ValueError("edges must be an (m, 2) array of vertex pairs")
+    if not (arr == np.round(arr)).all():
+        raise ValueError("vertex ids must be integers")
+    loops = np.flatnonzero(arr[:, 0] == arr[:, 1])
+    if len(loops):
+        raise ValueError(f"self-loop at vertex {arr[loops[0], 0]}")
+    outside = np.flatnonzero(((arr < 1) | (arr > n)).any(axis=1))
+    if len(outside):
+        u, v = arr[outside[0]]
+        raise ValueError(f"edge ({u}, {v}) leaves vertex range 1..{n}")
+    arr = arr.astype(np.int32)
+    lo, hi = arr.min(axis=1), arr.max(axis=1)
+    perm = np.lexsort((hi, lo))
+    out = np.column_stack((lo[perm], hi[perm]))
+    dup = np.flatnonzero((out[1:] == out[:-1]).all(axis=1))
+    if len(dup):
+        raise ValueError(f"duplicate edge {tuple(out[dup[0]].tolist())}")
+    return out, perm
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph: vertex count plus a set of unordered pairs."""
+    """Simple undirected graph on vertices 1..n.
+
+    ``edges`` takes any ``(m, 2)`` array-like of integral vertex pairs and is
+    stored as a read-only int32 array of rows (u, v), u < v, in lexicographic
+    order.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
-        normalized = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) leaves vertex range 1..{self.n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            normalized.append(e)
-        normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
+        edges, _ = _normalized_edges(self.n, self.edges)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only ``(m, 2)`` int32 array, 1-based, built on first use."""
-        flat = itertools.chain.from_iterable(self.edges)
-        arr = np.fromiter(flat, dtype=np.int32, count=2 * self.m).reshape(self.m, 2)
-        arr.setflags(write=False)
-        return arr
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
 
-    def __getstate__(self):
-        # leave the cached edge_array out: unpickled arrays come back writable
-        return {"n": self.n, "edges": self.edges}
-
-    def adjacency(self) -> list[list[int]]:
-        """0-based adjacency lists (index v-1 holds neighbors as 0-based ids)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u - 1].append(v - 1)
-            adj[v - 1].append(u - 1)
-        return adj
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """A graph plus one strictly positive weight per edge.
+    """A graph plus one strictly positive, finite weight per edge.
 
-    ``weights[i]`` belongs to ``graph.edges[i]`` (lexicographic order).
+    ``weights`` is stored as a read-only float64 copy; ``weights[i]`` belongs
+    to ``graph.edges[i]``.
     """
 
     graph: Graph
-    weights: tuple[float, ...]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.weights) != self.graph.m:
+        w = np.array(self.weights, dtype=np.float64)
+        if w.shape != (self.graph.m,):
             raise ValueError("need exactly one weight per edge")
-        w = np.asarray(self.weights, dtype=np.float64)
         if not (np.isfinite(w) & (w > 0)).all():
             raise ValueError("edge weights must be strictly positive and finite")
-        object.__setattr__(self, "weights", tuple(w.tolist()))
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
-    def weight_map(self) -> dict[tuple[int, int], float]:
-        return dict(zip(self.graph.edges, self.weights))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self.weights, other.weights)
+
+    def __reduce__(self):
+        return WeightedGraph, (self.graph, self.weights)
 
 
 @dataclass(frozen=True)
@@ -113,7 +127,7 @@ class CutParameters:
 
 def complete_graph(n: int) -> Graph:
     """All n(n-1)/2 edges present."""
-    return Graph(n, tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)) + 1)
 
 
 def path_graph(n: int) -> Graph:
@@ -145,8 +159,7 @@ def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
     iu, iv = np.triu_indices(n, 1)
     u = UniformStream(seed).u01_block(len(iu))
     keep = u < p
-    edges = tuple((int(a) + 1, int(b) + 1) for a, b in zip(iu[keep], iv[keep]))
-    return Graph(n, edges)
+    return Graph(n, np.column_stack((iu[keep], iv[keep])) + 1)
 
 
 def draw_weights(graph: Graph, seed: Seed) -> WeightedGraph:
@@ -156,12 +169,13 @@ def draw_weights(graph: Graph, seed: Seed) -> WeightedGraph:
 
 
 def is_connected(graph: Graph) -> bool:
-    if graph.n == 1:
-        return True
-    adj = graph.adjacency()
-    seen = [False] * graph.n
-    stack = [0]
-    seen[0] = True
+    adj: list[list[int]] = [[] for _ in range(graph.n + 1)]
+    for u, v in graph.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * (graph.n + 1)
+    stack = [1]
+    seen[1] = True
     count = 1
     while stack:
         x = stack.pop()
@@ -188,7 +202,7 @@ def cut_parameters_exact(graph: Graph, cap: int = CUT_PARAMETER_CAP) -> CutParam
     if n > cap:
         raise SizeCapExceededError(f"n={n} exceeds the subset enumeration cap {cap}")
 
-    edges0 = [(u - 1, v - 1) for u, v in graph.edges]
+    edges0 = (graph.edges - 1).tolist()
     alpha = math.inf
     beta = -math.inf
     total = (1 << (n - 1)) - 1  # proper subsets containing vertex 1
@@ -218,26 +232,23 @@ def sum_lightest_edges(wg: WeightedGraph, m: int) -> float:
         raise ValueError("m must be nonnegative")
     if m > wg.graph.m:
         raise NotEnoughEdgesError(f"asked for {m} edges, graph has {wg.graph.m}")
-    if m == 0:
-        return 0.0
-    return float(np.sort(np.asarray(wg.weights))[:m].sum())
+    return float(np.sort(wg.weights)[:m].sum())
 
 
-def write_graph(path: str, graph: Graph, weights: tuple[float, ...] | None = None) -> None:
-    """Write `n m` then one `u v [w]` line per edge (1-based, 17 sig digits)."""
-    lines = [f"{graph.n} {graph.m}"]
-    if weights is None:
-        lines += [f"{u} {v}" for u, v in graph.edges]
+def write_graph(path: str, graph: Graph | WeightedGraph) -> None:
+    """Write `n m` then one `u v [w]` line per edge (1-based, 17 sig digits).
+
+    Weights are written for a WeightedGraph; ``read_graph`` reads either back.
+    """
+    weighted = isinstance(graph, WeightedGraph)
+    g = graph.graph if weighted else graph
+    lines = [f"{g.n} {g.m}"]
+    if weighted:
+        lines += [f"{u} {v} {w:.17g}" for (u, v), w in zip(g.edges.tolist(), graph.weights.tolist())]
     else:
-        if len(weights) != graph.m:
-            raise ValueError("need exactly one weight per edge")
-        lines += [f"{u} {v} {w:.17g}" for (u, v), w in zip(graph.edges, weights)]
+        lines += [f"{u} {v}" for u, v in g.edges.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_weighted_graph(path: str, wg: WeightedGraph) -> None:
-    write_graph(path, wg.graph, wg.weights)
 
 
 def read_graph(path: str) -> Graph | WeightedGraph:
@@ -254,20 +265,15 @@ def read_graph(path: str) -> Graph | WeightedGraph:
     if len(rows) != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows)}")
     for row in rows:
-        if len(row) == 2:
-            edges.append((int(row[0]), int(row[1])))
-        elif len(row) == 3:
-            edges.append((int(row[0]), int(row[1])))
-            weights.append(float(row[2]))
-        else:
+        if len(row) not in (2, 3):
             raise ValueError(f"bad edge line: {' '.join(row)}")
+        edges.append((int(row[0]), int(row[1])))
+        if len(row) == 3:
+            weights.append(float(row[2]))
     if weights and len(weights) != len(edges):
         raise ValueError("either all edge lines carry a weight or none do")
-    graph = Graph(n, tuple(edges))
+    sorted_edges, perm = _normalized_edges(n, edges)
+    graph = Graph(n, sorted_edges)
     if not weights:
         return graph
-    # reorder weights to the normalized lexicographic edge order
-    wmap = {}
-    for (u, v), w in zip(edges, weights):
-        wmap[(u, v) if u < v else (v, u)] = w
-    return WeightedGraph(graph, tuple(wmap[e] for e in graph.edges))
+    return WeightedGraph(graph, np.asarray(weights)[perm])

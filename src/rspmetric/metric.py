@@ -54,12 +54,8 @@ class Metric:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self._dist).all())
 
-    def __getstate__(self):
-        return {"dist": np.asarray(self._dist)}
-
-    def __setstate__(self, state):
-        self._dist = np.asarray(state["dist"])
-        self._dist.setflags(write=False)
+    def __reduce__(self):
+        return Metric, (self._dist,)
 
 
 @dataclass(frozen=True)
@@ -105,13 +101,8 @@ class Partition:
 
 def build_metric(wg: WeightedGraph) -> Metric:
     """All-pairs shortest-path distances under the drawn weights."""
-    n = wg.graph.n
-    if wg.graph.m == 0:
-        dist = np.full((n, n), np.inf)
-        np.fill_diagonal(dist, 0.0)
-        return Metric(dist)
-    edges0 = wg.graph.edge_array - 1
-    dist, _ = _certified_apsp(n, edges0[:, 0], edges0[:, 1], np.asarray(wg.weights))
+    edges0 = wg.graph.edges - 1
+    dist, _ = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
     # dijkstra from u and from v may round the same path differently; take the
     # smaller of the two so the table is exactly symmetric
     return Metric(np.minimum(dist, dist.T))
@@ -127,19 +118,21 @@ def _certified_apsp(
 
     Only edges among the k = ceil(4 ln n) lightest at either endpoint are
     kept; under exponential weights shortest paths use only such edges
-    (Janson 1999).  Let ecc(x) be the largest distance to x over all sources
-    in the pruned table, inf if some source cannot reach x.  The pruned table
-    is certified when every dropped edge (x, y) has w >= max(ecc(x), ecc(y)).
-    It is then bit-identical to Dijkstra on the whole graph, not just close:
-    a dropped edge offers y the candidate fl(d(s, x) + w) >= w >= d(s, y)
-    (rounding is monotone and d(s, x) >= 0), so it never undercuts a value
-    already found.  The pruned table therefore meets the whole graph's
-    Bellman equations d(s, y) = min over edges of fl(d(s, x) + w), with each
-    value attained along a predecessor tree, and two tables that do so are
-    equal (compare them at the smallest value where they differ).  Edges that
-    fail the check are added back and Dijkstra reruns.  When pruning would
-    keep at least half the edges (2kn >= m), all edges are kept and one pass
-    certifies trivially.
+    (Janson 1999).  Let ecc(x) be the largest finite distance to x over all
+    sources in the pruned table, i.e. over x's pruned component.  The pruned
+    table is certified when every dropped edge (x, y) has finite d(x, y) and
+    w >= max(ecc(x), ecc(y)).  It is then bit-identical to Dijkstra on the
+    whole graph, not just close.  No dropped edge joins two components, so
+    the components and the infinite entries agree.  A source outside the
+    edge's component gets inf from it, and a source s inside gets
+    fl(d(s, x) + w) >= w >= d(s, y) (rounding is monotone and d(s, x) >= 0),
+    so no value found is undercut.  The pruned table thus meets the whole
+    graph's Bellman equations, with each finite value attained along a
+    predecessor tree, and two tables that do so are equal (compare them at
+    the smallest value where they differ).  Edges that fail the check are
+    added back and Dijkstra reruns.  When pruning would keep at least half
+    the edges (2kn >= m), all edges are kept and one pass certifies
+    trivially.
     """
     m = len(w)
     k = math.ceil(4 * math.log(n))
@@ -158,8 +151,8 @@ def _certified_apsp(
         passes += 1
         mat = csr_matrix((w[keep], (u[keep], v[keep])), shape=(n, n))
         dist = dijkstra(mat, directed=False)
-        ecc = dist.max(axis=0)
-        bad = ~keep & (w < np.maximum(ecc[u], ecc[v]))
+        ecc = dist.max(axis=0, where=np.isfinite(dist), initial=0.0)
+        bad = ~keep & (np.isinf(dist[u, v]) | (w < np.maximum(ecc[u], ecc[v])))
         if not bad.any():
             return dist, passes
         keep |= bad
@@ -196,7 +189,7 @@ def tau_profile(metric: Metric, graph: Graph, v: int) -> TauProfile:
     taus = row[order0].copy()
     # cut of a prefix = its degree sum - 2 * its inside edges, and an edge is
     # inside from the position of its later endpoint on
-    edges = graph.edge_array
+    edges = graph.edges
     pos = np.empty(n + 1, dtype=np.int64)  # pos[x] = position of 1-based vertex x
     pos[order0 + 1] = np.arange(n)
     degree = np.bincount(edges.ravel(), minlength=n + 1)[1:]

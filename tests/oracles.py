@@ -25,7 +25,7 @@ def cut_parameters_brute(graph):
     for size in range(1, n):
         for combo in itertools.combinations(range(1, n + 1), size):
             inside = set(combo)
-            cut = sum(1 for u, v in graph.edges if (u in inside) != (v in inside))
+            cut = sum(1 for u, v in graph.edges.tolist() if (u in inside) != (v in inside))
             if cut == 0:
                 return None  # disconnected
             ratio = Fraction(cut, size * (n - size))
@@ -39,7 +39,7 @@ def floyd_warshall(wg):
     n = wg.graph.n
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
-    for (u, v), w in zip(wg.graph.edges, wg.weights):
+    for (u, v), w in zip(wg.graph.edges.tolist(), wg.weights.tolist()):
         d[u - 1, v - 1] = d[v - 1, u - 1] = w
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
@@ -78,7 +78,7 @@ def min_tsp_brute(dist):
 def prefix_cut_brute(graph, prefix):
     """Cut size of a vertex prefix (1-based labels) by direct edge counting."""
     inside = set(prefix)
-    return sum(1 for u, v in graph.edges if (u in inside) != (v in inside))
+    return sum(1 for u, v in graph.edges.tolist() if (u in inside) != (v in inside))
 
 
 def held_karp_per_mask(dist):
@@ -176,9 +176,9 @@ def dijkstra_full(wg):
     from scipy.sparse.csgraph import dijkstra
 
     n = wg.graph.n
-    rows = [u - 1 for u, _ in wg.graph.edges]
-    cols = [v - 1 for _, v in wg.graph.edges]
-    mat = csr_matrix((np.asarray(wg.weights, dtype=float), (rows, cols)), shape=(n, n))
+    rows = [u - 1 for u, _ in wg.graph.edges.tolist()]
+    cols = [v - 1 for _, v in wg.graph.edges.tolist()]
+    mat = csr_matrix((wg.weights, (rows, cols)), shape=(n, n))
     return dijkstra(mat, directed=False)
 
 
@@ -187,7 +187,10 @@ def tau_profile_loop(dist, graph, v):
     n = dist.shape[0]
     row = dist[v - 1]
     order0 = np.lexsort((np.arange(n), row))
-    adj = graph.adjacency()
+    adj = [[] for _ in range(n)]  # 0-based neighbour lists
+    for u, v in graph.edges.tolist():
+        adj[u - 1].append(v - 1)
+        adj[v - 1].append(u - 1)
     inside = np.zeros(n, dtype=bool)
     chis = np.zeros(max(n - 1, 0), dtype=np.int64)
     cut = 0

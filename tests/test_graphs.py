@@ -26,7 +26,6 @@ from rspmetric import (
     star_graph,
     sum_lightest_edges,
     write_graph,
-    write_weighted_graph,
 )
 from oracles import cut_parameters_brute
 
@@ -38,12 +37,15 @@ Z99 = 2.5758293035489004
 
 def test_graph_normalizes_edge_order():
     g = Graph(3, ((3, 1), (2, 1)))
-    assert g.edges == ((1, 2), (1, 3))
+    assert g.edges.tolist() == [[1, 2], [1, 3]]
+    assert Graph(3, np.array([[3, 1], [2, 1]])) == g
+    assert Graph(3, np.array([[3.0, 1.0], [2.0, 1.0]])) == g
 
 
 @pytest.mark.parametrize(
     "n,edges",
-    [(3, ((1, 1),)), (3, ((1, 2), (2, 1))), (3, ((1, 4),)), (3, ((0, 1),)), (0, ())],
+    [(3, ((1, 1),)), (3, ((1, 2), (2, 1))), (3, ((1, 4),)), (3, ((0, 1),)), (0, ()),
+     (3, ((1.5, 3), (2, 3))), (3, (1, 2)), (3, ((1, 2, 3),))],
 )
 def test_graph_rejects_invalid_input(n, edges):
     with pytest.raises(ValueError):
@@ -57,19 +59,22 @@ def test_weighted_graph_needs_positive_weights_per_edge():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             WeightedGraph(g, (0.5, bad))
-    wg = WeightedGraph(g, (0.5, 0.25))
-    assert wg.weight_map() == {(1, 2): 0.5, (2, 3): 0.25}
-    assert WeightedGraph(g, np.array([1, 2])).weights == (1.0, 2.0)
+    source = np.array([1, 2])
+    wg = WeightedGraph(g, source)
+    source[0] = 7  # the graph owns a copy
+    assert wg.weights.tolist() == [1.0, 2.0]
+    assert wg.weights.dtype == np.float64 and not wg.weights.flags.writeable
 
 
-def test_edge_array_is_a_cached_read_only_view_of_the_edges():
+def test_edges_are_a_read_only_int32_array_and_survive_pickling():
     g = Graph(4, ((3, 1), (2, 4), (1, 2)))
-    assert g.edge_array.tolist() == [list(e) for e in g.edges]
-    assert g.edge_array.dtype == np.int32 and not g.edge_array.flags.writeable
-    assert g.edge_array is g.edge_array
-    copy = pickle.loads(pickle.dumps(g))
-    assert copy == g and not copy.edge_array.flags.writeable
-    assert Graph(3, ()).edge_array.shape == (0, 2)
+    assert g.edges.tolist() == [[1, 2], [1, 3], [2, 4]]
+    assert g.edges.dtype == np.int32 and not g.edges.flags.writeable
+    assert Graph(3, ()).edges.shape == (0, 2)
+    wg = WeightedGraph(g, (0.5, 0.25, 2.0))
+    copy = pickle.loads(pickle.dumps(wg))
+    assert copy == wg and copy.graph == g
+    assert not copy.graph.edges.flags.writeable and not copy.weights.flags.writeable
 
 
 # -- generators ---------------------------------------------------------------
@@ -79,12 +84,12 @@ def test_edge_array_is_a_cached_read_only_view_of_the_edges():
 def test_complete_graph_edge_count(n, m):
     g = complete_graph(n)
     assert g.m == m
-    assert set(g.edges) == {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)}
+    assert set(map(tuple, g.edges.tolist())) == {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)}
 
 
 def test_named_graphs():
-    assert path_graph(3).edges == ((1, 2), (2, 3))
-    assert star_graph(4).edges == ((1, 2), (1, 3), (1, 4))
+    assert path_graph(3).edges.tolist() == [[1, 2], [2, 3]]
+    assert star_graph(4).edges.tolist() == [[1, 2], [1, 3], [1, 4]]
     assert cycle_graph(4).m == 4
 
 
@@ -112,7 +117,7 @@ def test_erdos_renyi_mean_edge_count():
 
 def test_draw_weights_is_bit_deterministic():
     g = complete_graph(12)
-    assert draw_weights(g, Seed(5)).weights == draw_weights(g, Seed(5)).weights
+    assert draw_weights(g, Seed(5)).weights.tolist() == draw_weights(g, Seed(5)).weights.tolist()
 
 
 def test_draw_weights_ignores_edge_construction_order():
@@ -122,7 +127,7 @@ def test_draw_weights_ignores_edge_construction_order():
 
 
 def test_draw_weights_empty_graph():
-    assert draw_weights(Graph(4, ()), Seed(1)).weights == ()
+    assert draw_weights(Graph(4, ()), Seed(1)).weights.tolist() == []
 
 
 def test_pooled_weight_mean_is_one():
@@ -184,7 +189,7 @@ def test_cut_bounds_hold_for_every_subset():
     for size in range(1, n):
         for combo in itertools.combinations(range(1, n + 1), size):
             inside = set(combo)
-            c = sum(1 for u, v in g.edges if (u in inside) != (v in inside))
+            c = sum(1 for u, v in g.edges.tolist() if (u in inside) != (v in inside))
             mu = size * (n - size)
             assert cut.alpha * mu <= c + 1e-9
             assert c <= cut.beta * mu + 1e-9
@@ -225,9 +230,12 @@ def test_graph_file_round_trip(tmp_path):
 def test_weighted_graph_file_round_trip(tmp_path):
     wg = draw_weights(generate_erdos_renyi(9, 0.5, Seed(18)), Seed(19))
     path = str(tmp_path / "g.txt")
-    write_weighted_graph(path, wg)
+    write_graph(path, wg)
     back = read_graph(path)
     assert back == wg  # 17 significant digits round-trip doubles exactly
+    (tmp_path / "unsorted.txt").write_text("3 2\n3 2 0.5\n2 1 0.25\n")
+    back = read_graph(str(tmp_path / "unsorted.txt"))
+    assert back == WeightedGraph(path_graph(3), (0.25, 0.5))
 
 
 def test_read_graph_rejects_malformed(tmp_path):

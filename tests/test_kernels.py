@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rspmetric import (
+    Graph,
     Seed,
     WeightedGraph,
     build_metric,
@@ -164,8 +165,8 @@ def test_tables_match_with_tied_integer_weights():
 
 
 def _raw_tables(wg):
-    edges0 = wg.graph.edge_array - 1
-    got, passes = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], np.asarray(wg.weights))
+    edges0 = wg.graph.edges - 1
+    got, passes = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
     return got, passes, dijkstra_full(wg)
 
 
@@ -188,7 +189,7 @@ def test_failed_certificate_reruns_with_the_offending_edges():
     # dropped direct edge of weight 50 fails the certificate
     n = 100
     graph = complete_graph(n)
-    gaps = np.abs(np.diff(graph.edge_array, axis=1)[:, 0]).astype(float)
+    gaps = np.abs(np.diff(graph.edges, axis=1)[:, 0]).astype(float)
     wg = WeightedGraph(graph, np.minimum(gaps, 50.0))
     k = math.ceil(4 * math.log(n))
     assert 2 * k * n < graph.m  # the pruned path is taken
@@ -196,3 +197,15 @@ def test_failed_certificate_reruns_with_the_offending_edges():
     assert passes == 2
     assert np.array_equal(got, want)
     assert build_metric(wg).d(1, n) == 50.0  # only the dropped direct edge gives 50
+
+
+def test_disconnected_graph_is_certified_in_one_pass():
+    # two disjoint K_200: every vertex has a source it cannot reach, which
+    # must not fail the certificate of the dropped edges inside each clique
+    half = complete_graph(200).edges
+    graph = Graph(400, np.concatenate([half, half + 200]))
+    k = math.ceil(4 * math.log(graph.n))
+    assert 2 * k * graph.n < graph.m  # the pruned path is taken
+    got, passes, want = _raw_tables(draw_weights(graph, Seed(2)))
+    assert passes == 1
+    assert np.array_equal(got, want)

@@ -144,8 +144,14 @@ def test_trials_are_reproducible():
     assert run_trials(cfg) == run_trials(cfg)
 
 
-def test_parallel_equals_serial():
-    base = dict(suite="structure", model="er", p=0.7, n=8, trials=16, seed=11)
+@pytest.mark.parametrize(
+    "base",
+    [dict(suite="structure", model="er", p=0.7, n=8, trials=16, seed=11),
+     # a frozen graph travels to the workers pickled inside the trial context
+     dict(suite="structure", model="complete", n=8, trials=16, seed=11)],
+    ids=["er", "complete"],
+)
+def test_parallel_equals_serial(base):
     serial = run_suite(ExperimentConfig(**base, workers=1))
     parallel = run_suite(ExperimentConfig(**base, workers=3))
     assert serial.to_csv() == parallel.to_csv()

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -95,6 +96,12 @@ def test_table_is_exactly_symmetric():
 def test_constructor_validates(bad):
     with pytest.raises(ValueError):
         Metric(bad)
+
+
+def test_metric_survives_pickling_read_only():
+    _, _, m = rsp_instance(6, seed=4)
+    copy = pickle.loads(pickle.dumps(m))
+    assert np.array_equal(copy.dist, m.dist) and not copy.dist.flags.writeable
 
 
 # -- tau profile --------------------------------------------------------------
