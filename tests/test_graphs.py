@@ -45,11 +45,18 @@ def test_graph_normalizes_edge_order():
 @pytest.mark.parametrize(
     "n,edges",
     [(3, ((1, 1),)), (3, ((1, 2), (2, 1))), (3, ((1, 4),)), (3, ((0, 1),)), (0, ()),
-     (3, ((1.5, 3), (2, 3))), (3, (1, 2)), (3, ((1, 2, 3),))],
+     (3, ((1.5, 3), (2, 3))), (3, (1, 2)), (3, ((1, 2, 3),)), (3.5, ((1, 2), (2, 3)))],
 )
 def test_graph_rejects_invalid_input(n, edges):
     with pytest.raises(ValueError):
         Graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [4.0, np.int64(4), np.float64(4.0)], ids=["float", "int64", "float64"])
+def test_graph_accepts_an_integral_vertex_count_and_stores_an_int(n):
+    g = Graph(n, ((1, 2), (2, 3), (3, 4)))
+    assert type(g.n) is int and g == path_graph(4)
+    assert cut_parameters_exact(g) == cut_parameters_exact(path_graph(4))
 
 
 def test_weighted_graph_needs_positive_weights_per_edge():

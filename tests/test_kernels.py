@@ -1,23 +1,27 @@
 """Whole-array kernels against their one-element-at-a-time references.
 
-Shortest paths, tau profiles, greedy matching, insertion and 2-opt run as
-numpy passes; ``tests/oracles.py`` keeps the loop versions with the same
-arithmetic and tie rules.  Outputs are compared with ``==``: tours, pairs,
-cost sequences, exchange counts and prefix cuts, and whole distance tables
-with ``np.array_equal``.
+Shortest paths, tau profiles, greedy matching, insertion, 2-opt and the cut
+parameters run as numpy passes; ``tests/oracles.py`` keeps the loop versions
+with the same arithmetic and tie rules.  Outputs are compared with ``==``:
+tours, pairs, cost sequences, exchange counts, prefix cuts and (alpha, beta),
+and whole distance tables with ``np.array_equal``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rspmetric import (
+    DisconnectedGraphError,
     Graph,
     Seed,
     WeightedGraph,
     build_metric,
     complete_graph,
+    cut_parameters_exact,
+    cycle_graph,
     draw_weights,
     generate_erdos_renyi,
     greedy_matching,
@@ -25,13 +29,17 @@ from rspmetric import (
     insertion_tour,
     is_connected,
     nearest_neighbor_tour,
+    path_graph,
+    star_graph,
     tau_profile,
     two_opt,
 )
+from rspmetric.graphs import CUT_PARAMETER_CAP, _split_bit_rows
 from rspmetric.heuristics import Tour
 from rspmetric.metric import _certified_apsp
 from conftest import all_ones_metric, points_on_line, rsp_instance, small_integer_metric
 from oracles import (
+    cut_parameters_enum,
     dijkstra_full,
     greedy_matching_scan,
     has_improving_exchange_loop,
@@ -209,3 +217,78 @@ def test_disconnected_graph_is_certified_in_one_pass():
     got, passes, want = _raw_tables(draw_weights(graph, Seed(2)))
     assert passes == 1
     assert np.array_equal(got, want)
+
+
+# -- exact cut parameters ---------------------------------------------------------
+
+
+def assert_same_cut_parameters(graph):
+    want = cut_parameters_enum(graph)
+    if want is None:
+        with pytest.raises(DisconnectedGraphError):
+            cut_parameters_exact(graph)
+    else:
+        got = cut_parameters_exact(graph)
+        assert (got.alpha, got.beta) == want
+
+
+def row_blocks(n):
+    xl, _, xht, _ = _split_bit_rows(n)
+    return math.ceil(len(xl) / ((1 << 20) // xht.shape[1]))
+
+
+@pytest.mark.parametrize("p", (0.3, 0.5, 0.8))
+@pytest.mark.parametrize("n", range(2, 21))
+def test_cut_parameters_equal_enumeration_on_er_graphs(n, p):
+    assert_same_cut_parameters(generate_erdos_renyi(n, p, Seed(7 * n)))
+    assert_same_cut_parameters(connected_er(n, p, seed=n)[0])
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_cut_parameters_equal_enumeration_on_named_graphs(n):
+    for graph in (path_graph(n), star_graph(n), complete_graph(n)):
+        assert_same_cut_parameters(graph)
+    if n >= 3:
+        assert_same_cut_parameters(cycle_graph(n))
+
+
+def test_cut_parameters_equal_enumeration_across_row_blocks():
+    assert row_blocks(22) > 1
+    assert_same_cut_parameters(connected_er(22, 0.5, seed=22)[0])
+
+
+@pytest.mark.parametrize("isolated", range(1, 23))
+def test_an_isolated_vertex_is_caught_in_any_row_block(isolated):
+    # K_21 on the other vertices: the only empty cut among the subsets holding
+    # vertex 1 is V - {isolated}, or {1} when isolated = 1; it falls in the
+    # first row block for vertices 1 and 11 and in the second for the rest
+    n = 22
+    assert row_blocks(n) > 1
+    rest = np.array([v for v in range(1, n + 1) if v != isolated])
+    graph = Graph(n, rest[complete_graph(n - 1).edges - 1])
+    with pytest.raises(DisconnectedGraphError):
+        cut_parameters_exact(graph)
+
+
+def test_two_vertices_without_an_edge_are_disconnected():
+    with pytest.raises(DisconnectedGraphError):
+        cut_parameters_exact(Graph(2, ()))
+
+
+@pytest.mark.parametrize("n", range(2, CUT_PARAMETER_CAP + 1))
+def test_the_full_set_is_never_an_empty_cut(n):
+    # a path has exactly one cut edge per prefix, so alpha = 1 / max |U|(n-|U|);
+    # U = V (cut 0) must be left out, not rejected as a disconnection
+    assert cut_parameters_exact(path_graph(n)).alpha == 1 / ((n // 2) * (n - n // 2))
+
+
+def test_cut_parameters_at_the_cap_run_in_row_blocks():
+    graph = connected_er(CUT_PARAMETER_CAP, 0.5, seed=24)[0]
+    tracemalloc.start()
+    try:
+        cut_parameters_exact(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one row block of cuts is 8 MB; the whole 2^23-entry table would be 64 MB
+    assert peak < 32 << 20
