@@ -96,6 +96,7 @@ from .metric import (
     diameter,
     read_metric,
     tau_profile,
+    tau_profiles,
     write_metric,
 )
 from .rng import Seed, UniformStream

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
@@ -57,7 +58,14 @@ from .heuristics import (
     trivial_kmedian,
     two_opt,
 )
-from .metric import Metric, build_metric, cluster_partition, diameter, tau_profile
+from .metric import (
+    Metric,
+    build_metric,
+    cluster_partition,
+    diameter,
+    tau_profile,
+    tau_profiles,
+)
 from .rng import Seed, UniformStream
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -162,7 +170,21 @@ class ExperimentConfig:
     format: str = "csv"
     out: str | None = None
 
+    def __post_init__(self) -> None:
+        # integer fields hold plain ints (numpy integers break Seed and the
+        # JSON report); values that are no integer are left to validate_config
+        for name in _INT_FIELDS:
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                pass
 
+
+_INT_FIELDS = {  # integer config field -> whether it may be None
+    name: f.type == "int | None"
+    for name, f in ExperimentConfig.__dataclass_fields__.items()
+    if f.type in ("int", "int | None")
+}
 _SCALARS = {"int": int, "float": float, "str": str}
 
 
@@ -212,6 +234,12 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 def validate_config(config: ExperimentConfig) -> None:
     """Raise one ConfigInvalidError that names every problem of the config."""
     c = config
+    not_int = [
+        name for name, optional in _INT_FIELDS.items()
+        if not isinstance(getattr(c, name), int) and not (optional and getattr(c, name) is None)
+    ]
+    if not_int:  # the rules below compare these fields as numbers
+        raise ConfigInvalidError(f"fields must be integers: {', '.join(not_int)}")
     kind = c.kind if c.suite == "ratio" else None
     checks = set(c.structure_checks) if c.suite == "structure" else set()
     unknown = sorted(checks - {"chi", "cluster", "sandwich"})
@@ -537,10 +565,9 @@ def _chi_stats(x: _Instance) -> dict:
     # containment alpha <= chi/mu <= beta is exact, no tolerance needed
     n = x.graph.n
     ks = np.arange(1, n)
-    bad = 0
-    for v in range(1, n + 1):
-        ratios = tau_profile(x.metric, x.graph, v).chis / (ks * (n - ks))
-        bad += int(np.count_nonzero((ratios < x.cut.alpha) | (ratios > x.cut.beta)))
+    _, chis, _ = tau_profiles(x.metric, x.graph)  # one row per vertex
+    ratios = chis / (ks * (n - ks))
+    bad = int(np.count_nonzero((ratios < x.cut.alpha) | (ratios > x.cut.beta)))
     return {"chi_violations": bad}
 
 

@@ -5,11 +5,17 @@ weights; vertices in different components sit at infinite distance.  On top
 of it live the growth profile around a vertex (distance to the k-th closest
 vertex and the cut size of each prefix ball), radius balls, the diameter,
 and the bounded-diameter clustering used by the structural analysis.
+
+``tau_profiles`` computes the growth profiles of many centres at once, one
+row per centre; ``tau_profile`` is its one-row view.  The closest-first
+order breaks ties between equidistant vertices by vertex index (a stable
+sort of the distance row).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,31 +137,49 @@ def _certified_apsp(
     predecessor tree, and two tables that do so are equal (compare them at
     the smallest value where they differ).  Edges that fail the check are
     added back and Dijkstra reruns.  When pruning would keep at least half
-    the edges (2kn >= m), all edges are kept and one pass certifies
-    trivially.
+    the edges (2kn >= m), all edges are kept and one pass is exact.
+
+    Each pass runs directed Dijkstra on a CSR that holds both arcs of every
+    kept edge, which relaxes the same arcs as undirected Dijkstra, possibly
+    in another order; since the table meeting the Bellman equations is
+    unique, the order cannot change a value, and the table is the same bit
+    for bit.
     """
     m = len(w)
     k = math.ceil(4 * math.log(n))
     if 2 * k * n >= m:
-        keep = np.ones(m, dtype=bool)
-    else:
-        table = np.full((n, n), np.inf)
-        table[u, v] = w
-        table[v, u] = w
-        table.partition(k - 1, axis=1)
-        kth = table[:, k - 1]  # inf where a vertex has fewer than k edges
-        del table
-        keep = (w <= kth[u]) | (w <= kth[v])
+        return dijkstra(_symmetric_csr(n, u, v, w), directed=True), 1
+    table = np.full((n, n), np.inf)
+    table[u, v] = w
+    table[v, u] = w
+    table.partition(k - 1, axis=1)
+    kth = table[:, k - 1]  # inf where a vertex has fewer than k edges
+    del table
+    keep = (w <= kth[u]) | (w <= kth[v])
     passes = 0
     while True:
         passes += 1
-        mat = csr_matrix((w[keep], (u[keep], v[keep])), shape=(n, n))
-        dist = dijkstra(mat, directed=False)
+        dist = dijkstra(_symmetric_csr(n, u[keep], v[keep], w[keep]), directed=True)
         ecc = dist.max(axis=0, where=np.isfinite(dist), initial=0.0)
         bad = ~keep & (np.isinf(dist[u, v]) | (w < np.maximum(ecc[u], ecc[v])))
         if not bad.any():
             return dist, passes
         keep |= bad
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_matrix:
+    """Both arcs of every edge (u[i] < v[i], lexicographically sorted) as an n x n CSR.
+
+    Row x lists its lower neighbours (arcs of edges (y, x)) before its higher
+    ones (edges (x, y)), so a stable sort by tail keeps each row's columns
+    ascending.
+    """
+    tails = np.concatenate((v, u))
+    order = np.argsort(tails, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(tails, minlength=n))
+    indices = np.concatenate((u, v)).astype(np.int32, copy=False)[order]
+    return csr_matrix((np.concatenate((w, w))[order], indices, indptr), shape=(n, n))
 
 
 def count_axiom_violations(metric: Metric, tol: float = 1e-12) -> int:
@@ -177,25 +201,63 @@ def count_axiom_violations(metric: Metric, tol: float = 1e-12) -> int:
     return violations
 
 
-def tau_profile(metric: Metric, graph: Graph, v: int) -> TauProfile:
-    """Closest-first growth profile of vertex v (distances and prefix cut sizes)."""
+PROFILE_BLOCK = 1 << 20  # at most this many (centre, edge) entries per row block of tau_profiles
+
+
+def tau_profiles(
+    metric: Metric, graph: Graph, centers=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closest-first growth profiles of many centres, one row per centre.
+
+    Returns ``(taus, chis, order)``, the fields of :class:`TauProfile` as
+    rows, for ``centers`` (1-based; default all n vertices, ascending).  One
+    stable row-wise sort orders every row.  Prefix cuts are built in row
+    blocks of at most ``PROFILE_BLOCK`` (centre, edge) entries, so memory
+    stays bounded on dense graphs.
+    """
     n = metric.n
     if graph.n != n:
         raise ValueError("graph and metric disagree on vertex count")
-    if not 1 <= v <= n:
-        raise ValueError(f"vertex {v} out of range")
-    row = metric.dist[v - 1]
-    order0 = np.lexsort((np.arange(n), row))
-    taus = row[order0].copy()
+    if centers is None:
+        rows = metric.dist
+    else:
+        centers = np.array([operator.index(c) for c in centers], dtype=np.int64)
+        if ((centers < 1) | (centers > n)).any():
+            raise ValueError(f"centers must lie in 1..{n}")
+        rows = metric.dist[centers - 1]
+    count = len(rows)
+    order0 = np.argsort(rows, axis=1, kind="stable")  # ties by vertex index
+    # row-wise gathers and scatters index the flattened arrays: cheaper than
+    # take/put_along_axis on the small rows of the structure suite
+    taus = rows.ravel()[order0 + np.arange(0, count * n, n)[:, None]]
     # cut of a prefix = its degree sum - 2 * its inside edges, and an edge is
     # inside from the position of its later endpoint on
     edges = graph.edges
-    pos = np.empty(n + 1, dtype=np.int64)  # pos[x] = position of 1-based vertex x
-    pos[order0 + 1] = np.arange(n)
     degree = np.bincount(edges.ravel(), minlength=n + 1)[1:]
-    closing = np.bincount(np.maximum(pos[edges[:, 0]], pos[edges[:, 1]]), minlength=n)
-    cuts = np.cumsum(degree[order0]) - 2 * np.cumsum(closing)
-    return TauProfile(center=v, taus=taus, chis=cuts[: n - 1], order=order0 + 1)
+    chis = np.empty((count, max(n - 1, 0)), dtype=np.int64)
+    step = max(1, PROFILE_BLOCK // max(graph.m, n + 1))
+    for lo in range(0, count, step):
+        block = order0[lo : lo + step]
+        r = len(block)
+        # pos[i, x] = position of 1-based vertex x around the block's centre
+        # i, plus i*n, so that one bincount counts every row's closing edges
+        pos = np.empty((r, n + 1), dtype=np.int64)
+        flat = block + np.arange(1, r * (n + 1), n + 1)[:, None]
+        pos.ravel()[flat] = np.arange(r * n).reshape(r, n)
+        # plain indexing, not np.take: take copies the int32 edge columns to
+        # intp, an extra m-sized array that raised peak RSS at n = 1000
+        later = pos[:, edges[:, 0]]
+        np.maximum(later, pos[:, edges[:, 1]], out=later)
+        closing = np.bincount(later.ravel(), minlength=r * n).reshape(r, n)
+        cuts = np.cumsum(degree[block], axis=1) - 2 * np.cumsum(closing, axis=1)
+        chis[lo : lo + r] = cuts[:, : n - 1]
+    return taus, chis, order0 + 1
+
+
+def tau_profile(metric: Metric, graph: Graph, v: int) -> TauProfile:
+    """Closest-first growth profile of vertex v (distances and prefix cut sizes)."""
+    taus, chis, order = tau_profiles(metric, graph, [v])
+    return TauProfile(center=v, taus=taus[0], chis=chis[0], order=order[0])
 
 
 def ball(metric: Metric, v: int, delta: float) -> frozenset[int]:

@@ -7,9 +7,12 @@ generator: the i-th raw value of a stream is a pure function of (key, i), so
 streams can be split into independent children and addressed at any counter
 without shared state.
 
-Uniform variates are the midpoints ``(r + 0.5) * 2**-53`` of the 53-bit grid,
-which keeps them inside the open interval (0, 1).  Exponential variates use
-the inverse transform ``-log(1 - u)``; because u is never exactly 0 or 1 the
+Uniform variates are ``(r + 0.5) * 2**-53`` for the top 53 bits r of a raw
+value.  Below 1/2 that is the exact midpoint of r's grid cell; above 1/2,
+``r + 0.5`` needs 54 bits and rounds to even, and for r = 2**53 - 1 it
+would round up to exactly 1, so the variates are clamped at ``1 - 2**-53``.
+They thus lie in the open interval (0, 1).  Exponential variates use the
+inverse transform ``-log(1 - u)``; because u is never exactly 0 or 1 the
 draws are strictly positive and finite.
 """
 
@@ -22,6 +25,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 counter increment
 _U53 = 2.0**-53
+_U_MAX = 1.0 - _U53  # largest double below 1
 
 
 def _mix64(z: int) -> int:
@@ -78,8 +82,8 @@ class UniformStream:
     """Sequential view over the counter-addressed uniforms of a :class:`Seed`.
 
     ``u01()`` and ``u01_block(k)`` consume counters in order; the value at
-    counter i is ``(mix64(key + (i+1)*GAMMA) >> 11 + 0.5) * 2**-53`` and does
-    not depend on how preceding values were consumed (scalar or block).
+    counter i is ``min((mix64(key + (i+1)*GAMMA) >> 11 + 0.5) * 2**-53, 1 - 2**-53)``
+    and does not depend on how preceding values were consumed (scalar or block).
     """
 
     def __init__(self, seed: Seed):
@@ -92,7 +96,7 @@ class UniformStream:
     def u01(self) -> float:
         u = ((self._raw(self._counter) >> 11) + 0.5) * _U53
         self._counter += 1
-        return u
+        return min(u, _U_MAX)
 
     def u01_block(self, count: int) -> np.ndarray:
         if count < 0:
@@ -100,7 +104,8 @@ class UniformStream:
         counters = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         raw = _mix64_np(np.uint64(self._key) + counters * np.uint64(_GAMMA))
         self._counter += count
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+        return np.minimum(u, _U_MAX, out=u)
 
     def exponential_block(self, count: int) -> np.ndarray:
         return -np.log1p(-self.u01_block(count))

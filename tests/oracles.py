@@ -221,19 +221,17 @@ def tau_profile_loop(dist, graph, v):
     n = dist.shape[0]
     row = dist[v - 1]
     order0 = np.lexsort((np.arange(n), row))
-    adj = [[] for _ in range(n)]  # 0-based neighbour lists
-    for u, v in graph.edges.tolist():
-        adj[u - 1].append(v - 1)
-        adj[v - 1].append(u - 1)
-    inside = np.zeros(n, dtype=bool)
-    chis = np.zeros(max(n - 1, 0), dtype=np.int64)
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[tuple((graph.edges - 1).T)] = True
+    adj = [np.flatnonzero(a).tolist() for a in adjacent | adjacent.T]  # 0-based neighbour lists
+    inside = [False] * n
+    cuts = []
     cut = 0
-    for k0, x in enumerate(order0):
-        cut += len(adj[x]) - 2 * sum(1 for y in adj[x] if inside[y])
+    for x in order0.tolist():
+        cut += len(adj[x]) - 2 * sum(map(inside.__getitem__, adj[x]))
         inside[x] = True
-        if k0 < n - 1:
-            chis[k0] = cut
-    return row[order0], chis, order0 + 1
+        cuts.append(cut)
+    return row[order0], np.array(cuts[: n - 1], dtype=np.int64), order0 + 1
 
 
 def tour_cost_loop(dist, order):

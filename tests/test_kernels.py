@@ -32,11 +32,12 @@ from rspmetric import (
     path_graph,
     star_graph,
     tau_profile,
+    tau_profiles,
     two_opt,
 )
 from rspmetric.graphs import CUT_PARAMETER_CAP, _split_bit_rows
 from rspmetric.heuristics import Tour
-from rspmetric.metric import _certified_apsp
+from rspmetric.metric import PROFILE_BLOCK, _certified_apsp
 from conftest import all_ones_metric, points_on_line, rsp_instance, small_integer_metric
 from oracles import (
     cut_parameters_enum,
@@ -78,12 +79,18 @@ def assert_same_two_opt(metric, pivots=("first", "best")):
 
 
 def assert_same_profiles(metric, graph):
-    for v in sorted({1, graph.n // 2 + 1, graph.n}):
-        got = tau_profile(metric, graph, v)
+    # every centre: the stable-sort tie rule is checked only here, since any
+    # order of an (alpha, beta) graph keeps chi/(k(n-k)) inside [alpha, beta]
+    rows = tau_profiles(metric, graph)
+    assert [a.shape for a in rows] == [(graph.n, graph.n), (graph.n, graph.n - 1), (graph.n, graph.n)]
+    for v in range(1, graph.n + 1):
         taus, chis, order = tau_profile_loop(metric.dist, graph, v)
-        assert np.array_equal(got.taus, taus)
-        assert np.array_equal(got.chis, chis) and got.chis.dtype == chis.dtype
-        assert np.array_equal(got.order, order)
+        assert np.array_equal(rows[0][v - 1], taus)
+        assert np.array_equal(rows[1][v - 1], chis) and rows[1].dtype == chis.dtype
+        assert np.array_equal(rows[2][v - 1], order)
+    one = tau_profile(metric, graph, graph.n)
+    assert np.array_equal(one.taus, rows[0][-1]) and np.array_equal(one.chis, rows[1][-1])
+    assert np.array_equal(one.order, rows[2][-1])
 
 
 def assert_same_table(wg):
@@ -161,6 +168,45 @@ def test_kernels_match_loops_on_tie_heavy_metrics(n):
             assert_same_greedy(metric)
         assert_same_insertion(metric)
         assert_same_two_opt(metric)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [complete_graph(1), complete_graph(2), Graph(2, ())],
+    ids=["K1", "K2", "two-isolated"],
+)
+def test_profiles_match_loops_on_one_and_two_vertices(graph):
+    wg = draw_weights(graph, Seed(graph.m + 1))
+    assert_same_table(wg)
+    assert_same_profiles(build_metric(wg), graph)
+
+
+def test_profiles_of_chosen_centres_are_rows_of_all_centres():
+    graph, _, metric = rsp_instance(20, seed=20)
+    everyone = tau_profiles(metric, graph)
+    centers = [20, 3, 3, 1]
+    got = tau_profiles(metric, graph, centers)
+    for a, b in zip(got, everyone):
+        assert np.array_equal(a, b[np.array(centers) - 1])
+    assert [a.shape[0] for a in tau_profiles(metric, graph, [])] == [0, 0, 0]
+    for bad, error in (([0], ValueError), ([21], ValueError), ([1.5], TypeError)):
+        with pytest.raises(error):
+            tau_profiles(metric, graph, bad)
+    with pytest.raises(ValueError):
+        tau_profile(metric, graph, 0)
+
+
+def test_all_centre_profiles_on_k400_run_in_row_blocks():
+    graph, _, metric = rsp_instance(400, seed=400)
+    assert graph.m * graph.n > PROFILE_BLOCK  # more than one row block
+    tracemalloc.start()
+    try:
+        tau_profiles(metric, graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block is about 16 MB; one unblocked 400 x 79800 int64 array is 255 MB
+    assert peak < 64 << 20
 
 
 def test_tables_match_with_tied_integer_weights():

@@ -115,11 +115,23 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         dict(suite="tau", n=6, tau_ks=(3, 3)),  # would give two tau_3 columns
         dict(suite="cdf", n=6, tau_ks=(2, 5, 2)),
         dict(suite="structure", n=6, structure_checks=("chi", "chi")),  # two chi checks
+        dict(suite="ratio", kind="nn", n=6, trials=2.0),  # integer fields take integers only
+        dict(suite="ratio", kind="nn", n="6"),
+        dict(suite="ratio", kind="kmedian", n=6, k=2.5),
+        dict(suite="tau", seed=None),
     ],
 )
 def test_validate_config_rejects(kwargs):
     with pytest.raises(ConfigInvalidError):
         validate_config(ExperimentConfig(**kwargs))
+
+
+def test_numpy_integers_in_a_config_become_plain_ints():
+    base = dict(suite="ratio", kind="nn", n=6, trials=2)
+    cfg = ExperimentConfig(**base, seed=np.int64(3), workers=np.int32(1))
+    assert type(cfg.seed) is int and type(cfg.workers) is int
+    validate_config(cfg)
+    assert run_suite(cfg).to_json() == run_suite(ExperimentConfig(**base, seed=3)).to_json()
 
 
 # -- run_trials -----------------------------------------------------------------

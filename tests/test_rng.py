@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rspmetric.rng import Seed, UniformStream
+from rspmetric import Graph, draw_weights
+from rspmetric.rng import _GAMMA, _MASK64, Seed, UniformStream, _mix64
 
 
 def test_child_is_deterministic():
@@ -63,3 +64,29 @@ def test_integer_below_is_in_range():
     assert len(set(draws)) == 7  # all residues show up over 1000 draws
     with pytest.raises(ValueError):
         stream.integer_below(0)
+
+
+def _unshift_xor(z, shift):
+    """Inverse of z ^ (z >> shift) on 64 bits."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix64(z):
+    """Inverse of the splitmix64 finalizer (a bijection on 64-bit integers)."""
+    z = _unshift_xor(z, 31)
+    z = _unshift_xor(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    return _unshift_xor(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+
+
+def test_an_all_ones_raw_value_stays_below_one():
+    # the seed whose first raw value has all 64 bits set: (2^53 - 1 + 0.5) * 2^-53
+    # rounds to exactly 1.0, which would make the exponential draw infinite
+    seed = Seed((_unmix64(_MASK64) - _GAMMA) & _MASK64)
+    assert _mix64((seed.master + _GAMMA) & _MASK64) == _MASK64
+    assert UniformStream(seed).u01() == UniformStream(seed).u01_block(1)[0] == 1 - 2.0**-53
+    assert np.isfinite(UniformStream(seed).exponential_block(1)).all()
+    wg = draw_weights(Graph(2, [(1, 2)]), seed)
+    assert wg.weights[0] == -math.log1p(-(1 - 2.0**-53))
