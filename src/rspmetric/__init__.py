@@ -12,6 +12,7 @@ from .bounds import (
     BoundValue,
     ball_tail,
     cluster_scale,
+    density_threshold,
     diameter_tail,
     evaluate,
     exp_sum_cdf,
@@ -92,7 +93,6 @@ from .metric import (
     build_metric,
     cluster_partition,
     count_axiom_violations,
-    density_threshold,
     diameter,
     read_metric,
     tau_profile,

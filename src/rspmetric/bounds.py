@@ -20,11 +20,11 @@ log = logging.getLogger(__name__)
 EULER_GAMMA = 0.5772156649015329
 
 
-def _exp_capped(rate: float, cap: float) -> float:
-    """min(e^rate, cap) without overflowing for large rates."""
-    if rate >= math.log(cap):
-        return cap
-    return math.exp(rate)
+def density_threshold(delta: float, n: int, alpha: float) -> float:
+    """min{exp(alpha*delta*n/5), (n+1)/2}: balls at least this large are dense."""
+    rate = alpha * delta * n / 5.0
+    cap = (n + 1) / 2.0
+    return cap if rate >= math.log(cap) else math.exp(rate)  # no overflow at large rates
 
 
 def _clamp01(value: float, formula_id: str) -> float:
@@ -114,17 +114,16 @@ def ball_tail(delta: float, n: int, alpha: float) -> tuple[float, float]:
     """
     if n < 5:
         raise NTooSmallError("ball tail bound needs n >= 5")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
-    rate = alpha * delta * n / 5.0
-    return (_exp_capped(rate, (n + 1) / 2.0), math.exp(-rate))
+    return (density_threshold(delta, n, alpha), math.exp(-alpha * delta * n / 5.0))
 
 
 def cluster_scale(delta: float, n: int, alpha: float) -> tuple[float, float]:
     """(s_delta, n / s_delta): density threshold and cluster-count scale."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
-    s = _exp_capped(alpha * delta * n / 5.0, (n + 1) / 2.0)
+    s = density_threshold(delta, n, alpha)
     return (s, n / s)
 
 

@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cut = sub.add_parser("cutparams", help="exact cut parameters of a graph file")
     p_cut.add_argument("--graph", required=True)
-    p_cut.add_argument("--cap", type=int, default=g.CUT_PARAMETER_CAP)
 
     p_metric = sub.add_parser("metric", help="build the shortest-path metric")
     p_metric.add_argument("--graph", required=True)
@@ -111,7 +110,7 @@ def _cmd_gen(args) -> int:
 def _cmd_cutparams(args) -> int:
     loaded = g.read_graph(args.graph)
     graph = loaded.graph if isinstance(loaded, g.WeightedGraph) else loaded
-    cut = g.cut_parameters_exact(graph, args.cap)
+    cut = g.cut_parameters_exact(graph)
     print(json.dumps({"alpha": cut.alpha, "beta": cut.beta}, sort_keys=True))
     return 0
 

@@ -14,7 +14,7 @@ class DisconnectedGraphError(RspMetricError):
 
 
 class SizeCapExceededError(RspMetricError):
-    """Instance is larger than the exact algorithm's configured cap."""
+    """Instance is larger than the exact algorithm's hard size ceiling."""
 
 
 class NotEnoughEdgesError(RspMetricError):

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .rng import Seed, UniformStream
 
-# Hard ceiling: a ``cap`` argument can only lower it.  At 24 the 2^23 cuts are
+# Hard ceiling, the only size bound of the cut table.  At 24 the 2^23 cuts are
 # built in row blocks of 2^20 entries: about 35 ms, 17 MB traced peak and
 # 19 MB of extra resident memory on one Xeon core.
 CUT_PARAMETER_CAP = 24
@@ -221,7 +221,7 @@ def _split_bit_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return xl, sl, xht, starts
 
 
-def cut_parameters_exact(graph: Graph, cap: int = CUT_PARAMETER_CAP) -> CutParameters:
+def cut_parameters_exact(graph: Graph) -> CutParameters:
     """Exact min and max of |cut(U)| / (|U|(n-|U|)) over every U holding vertex 1.
 
     U and its complement induce the same cut, so the 2^(n-1)-1 proper subsets
@@ -249,9 +249,8 @@ def cut_parameters_exact(graph: Graph, cap: int = CUT_PARAMETER_CAP) -> CutParam
     n = graph.n
     if n < 2:
         raise ValueError("cut parameters need at least two vertices")
-    cap = min(cap, CUT_PARAMETER_CAP)
-    if n > cap:
-        raise SizeCapExceededError(f"n={n} exceeds the subset enumeration cap {cap}")
+    if n > CUT_PARAMETER_CAP:
+        raise SizeCapExceededError(f"n={n} exceeds the cut table cap {CUT_PARAMETER_CAP}")
 
     adj = np.zeros((n, n))
     u, v = (graph.edges - 1).T

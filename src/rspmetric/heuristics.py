@@ -5,9 +5,10 @@ breaking is by lowest vertex index (and earliest position for insertions) so
 runs are reproducible on crafted metrics; ties are a measure-zero event under
 continuous random weights.
 
-Exact baselines are capped dynamic programs / enumerations, not
-approximations: past the cap they raise instead of degrading.  The two subset
-DPs run as whole-array numpy passes, never one mask at a time:
+Exact baselines are dynamic programs / enumerations, not approximations,
+bounded only by the hard ceilings ``TSP_CAP``, ``MATCHING_CAP`` and
+``KMEDIAN_CAP``: past a ceiling they raise before allocating any table.  The
+two subset DPs run as whole-array numpy passes, never one mask at a time:
 
 - ``exact_tsp`` (Held-Karp) anchors the tour at vertex 1 and keeps a
   ``(2^(n-1), n-1)`` table over subsets of the other vertices, filled one
@@ -43,7 +44,7 @@ from .errors import (
 from .metric import Metric
 from .rng import Seed, UniformStream
 
-# Hard ceilings: a ``cap`` argument or config key can only lower them.
+# Hard ceilings, the only size bound of the exact baselines.
 TSP_CAP = 18        # Held-Karp tables 2^17 x 17: ~18 MB float64 + ~2 MB int8 at 18
 MATCHING_CAP = 20   # pairing DP table 2^20 float64: ~8 MB at 20
 KMEDIAN_CAP = 10**6  # number of center sets enumerated
@@ -140,7 +141,7 @@ def greedy_matching(metric: Metric) -> Matching:
     return Matching(pairs=pairs, cost=cost)
 
 
-def exact_matching(metric: Metric, cap: int = MATCHING_CAP) -> Matching:
+def exact_matching(metric: Metric) -> Matching:
     """Minimum-cost perfect matching by DP over vertex subsets.
 
     ``dp[mask]`` is the cheapest perfect matching of ``mask``, whose lowest
@@ -151,9 +152,8 @@ def exact_matching(metric: Metric, cap: int = MATCHING_CAP) -> Matching:
     n = metric.n
     if n % 2:
         raise OddVertexCountError(f"n={n} is odd; perfect matchings need even n")
-    cap = min(cap, MATCHING_CAP)
-    if n > cap:
-        raise SizeCapExceededError(f"n={n} exceeds the matching DP cap {cap}")
+    if n > MATCHING_CAP:
+        raise SizeCapExceededError(f"n={n} exceeds the matching DP cap {MATCHING_CAP}")
     _require_finite(metric)
     d = metric.dist
     dp = np.full(1 << n, np.inf)
@@ -334,27 +334,19 @@ def _improving_in_row(d, o, legs, cost, i, lo, hi):
     return None
 
 
-def two_opt(
-    metric: Metric,
-    initial: Tour | tuple[int, ...] | None = None,
-    pivot: str = "first",
-) -> TwoOptTrace:
-    """Apply improving 2-exchanges until a local optimum.
+def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> TwoOptTrace:
+    """Apply improving 2-exchanges until a local optimum (first-improvement pivot).
 
-    ``pivot="first"`` scans position pairs lexicographically, resuming right
-    after the last applied exchange, and stops after a full cycle of pairs
-    without one; ``pivot="best"`` applies the improving exchange with the
-    least delta (the first such pair on ties) each round.  An exchange
-    improves iff it passes the screen ``cost + delta < cost``, where ``cost``
-    is the current tour's ``tour_cost``, and the exchanged tour's
-    ``tour_cost`` is strictly lower.  ``costs`` holds each tour's
-    ``tour_cost``, so it falls strictly and the loop ends, and
+    Position pairs are scanned lexicographically, resuming right after the
+    last applied exchange; the run stops after a full cycle of pairs without
+    one.  An exchange improves iff it passes the screen ``cost + delta <
+    cost``, where ``cost`` is the current tour's ``tour_cost``, and the
+    exchanged tour's ``tour_cost`` is strictly lower.  ``costs`` holds each
+    tour's ``tour_cost``, so it falls strictly and the loop ends, and
     :func:`has_improving_exchange` uses the same predicate.  Each row of
     pairs (i, j) for one i is screened as one numpy pass.
     """
     _require_finite(metric)
-    if pivot not in ("first", "best"):
-        raise ValueError("pivot must be 'first' or 'best'")
     n = metric.n
     if initial is None:
         start_order = tuple(range(1, n + 1))
@@ -368,37 +360,22 @@ def two_opt(
     costs = [cost]
     rows = _exchange_rows(n)
     npairs = sum(hi - lo for _, lo, hi in rows)
-    if pivot == "first":
-        r, j, stale = 0, 2, 0  # scan position: row rows[r], pair (rows[r][0], j)
-        while stale < npairs:
-            i, _, hi = rows[r]
-            hi = min(hi, j + npairs - stale)  # stop after a full cycle of pairs
-            found = _improving_in_row(d, o, legs, cost, i, j, hi)
-            if found is None:
-                stale += hi - j
-                j = hi
-            else:
-                j, (o, legs, cost) = found
-                costs.append(cost)
-                stale = 0
-                j += 1
-            if j == rows[r][2]:
-                r = (r + 1) % len(rows)
-                j = rows[r][1]
-    elif npairs:
-        pi = np.repeat([i for i, _, _ in rows], [hi - lo for _, lo, hi in rows])
-        pj = np.concatenate([np.arange(lo, hi) for _, lo, hi in rows])
-        while True:
-            deltas = np.concatenate([_row_deltas(d, o, legs, *row) for row in rows])
-            screened = np.flatnonzero(cost + deltas < cost)
-            for p in screened[np.argsort(deltas[screened], kind="stable")]:
-                exchanged = _exchange(d, o, int(pi[p]), int(pj[p]), cost)
-                if exchanged is not None:
-                    break
-            else:
-                break
-            o, legs, cost = exchanged
+    r, j, stale = 0, 2, 0  # scan position: row rows[r], pair (rows[r][0], j)
+    while stale < npairs:
+        i, _, hi = rows[r]
+        hi = min(hi, j + npairs - stale)  # stop after a full cycle of pairs
+        found = _improving_in_row(d, o, legs, cost, i, j, hi)
+        if found is None:
+            stale += hi - j
+            j = hi
+        else:
+            j, (o, legs, cost) = found
             costs.append(cost)
+            stale = 0
+            j += 1
+        if j == rows[r][2]:
+            r = (r + 1) % len(rows)
+            j = rows[r][1]
     final_order = tuple((o[:-1] + 1).tolist())
     final = Tour(order=final_order, cost=cost)
     return TwoOptTrace(final=final, iterations=len(costs) - 1, costs=tuple(costs))
@@ -414,7 +391,7 @@ def has_improving_exchange(metric: Metric, tour: Tour) -> bool:
     )
 
 
-def exact_tsp(metric: Metric, cap: int = TSP_CAP) -> Tour:
+def exact_tsp(metric: Metric) -> Tour:
     """Optimal tour by the Held-Karp subset dynamic program.
 
     Tours are anchored at vertex 1.  ``dp[S, j]`` is the cheapest path from
@@ -424,9 +401,8 @@ def exact_tsp(metric: Metric, cap: int = TSP_CAP) -> Tour:
     n = metric.n
     if n < 3:
         raise TooFewVerticesError("a tour needs at least 3 vertices")
-    cap = min(cap, TSP_CAP)
-    if n > cap:
-        raise SizeCapExceededError(f"n={n} exceeds the TSP DP cap {cap}")
+    if n > TSP_CAP:
+        raise SizeCapExceededError(f"n={n} exceeds the TSP DP cap {TSP_CAP}")
     _require_finite(metric)
     d = metric.dist
     m = n - 1
@@ -477,14 +453,13 @@ def first_k_centers(k: int) -> tuple[int, ...]:
     return tuple(range(1, k + 1))
 
 
-def exact_kmedian(metric: Metric, k: int, cap: int = KMEDIAN_CAP) -> MedianSolution:
+def exact_kmedian(metric: Metric, k: int) -> MedianSolution:
     """Optimal k-median by enumerating all size-k center sets."""
     n = metric.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    cap = min(cap, KMEDIAN_CAP)
-    if math.comb(n, k) > cap:
-        raise SizeCapExceededError(f"C({n},{k}) exceeds the enumeration cap {cap}")
+    if math.comb(n, k) > KMEDIAN_CAP:
+        raise SizeCapExceededError(f"C({n},{k}) exceeds the enumeration cap {KMEDIAN_CAP}")
     _require_finite(metric)
     d = metric.dist
     best_cost = math.inf

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
@@ -157,10 +158,6 @@ class ExperimentConfig:
     delta_fractions: tuple[float, ...] = (0.0, 0.125, 0.25, 0.5)
     two_opt_init: str = "identity"
     graph_file: str | None = None
-    tsp_cap: int = TSP_CAP
-    matching_cap: int = MATCHING_CAP
-    kmedian_cap: int = KMEDIAN_CAP
-    cutparam_cap: int = CUT_PARAMETER_CAP
     cdf_c: float = 1.0
     cdf_terms: int = 1
     samples: int = 100_000
@@ -245,12 +242,8 @@ def validate_config(config: ExperimentConfig) -> None:
     unknown = sorted(checks - {"chi", "cluster", "sandwich"})
     matching = kind == "matching" or "sandwich" in checks  # runs exact_matching
     tsp = kind in ("nn", "insertion") or "sandwich" in checks  # runs exact_tsp
-    exact_cut = c.suite in ("tau", "concentration", "cdf") or bool({"chi", "cluster"} & checks)
+    exact_cut = c.suite in _SUITES and _SUITES[c.suite].needs_cut(c)
     k_ok = c.k is not None and 1 <= c.k <= c.n - 1
-    ceilings = (
-        ("tsp_cap", TSP_CAP), ("matching_cap", MATCHING_CAP),
-        ("kmedian_cap", KMEDIAN_CAP), ("cutparam_cap", CUT_PARAMETER_CAP),
-    )
     rules = [
         (c.suite not in SUITES, f"suite must be one of {SUITES}"),
         (c.model not in MODELS, f"model must be one of {MODELS}"),
@@ -261,13 +254,10 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.format not in ("csv", "json"), "format must be csv or json"),
         (c.model == "er" and (c.p is None or not 0.0 <= c.p <= 1.0), "er model needs p in [0, 1]"),
         (c.model == "imported" and not c.graph_file, "imported model needs graph_file"),
-        (any(f < 0 for f in c.delta_fractions), "delta_fractions must be nonnegative"),
+        (any(not f >= 0 for f in c.delta_fractions), "delta_fractions must be nonnegative"),
         (not 1 <= c.start <= c.n, "start must lie in 1..n"),
-    ]
-    rules += [(getattr(c, key) > top, f"{key} may not exceed {top}") for key, top in ceilings]
-    rules += [
-        (exact_cut and c.model != "complete" and c.n > c.cutparam_cap,
-         f"suite {c.suite} needs exact cut parameters: n <= {c.cutparam_cap}"),
+        (exact_cut and c.model != "complete" and c.n > CUT_PARAMETER_CAP,
+         f"suite {c.suite} needs exact cut parameters: n <= {CUT_PARAMETER_CAP}"),
         (c.suite in ("tau", "cdf", "concentration") and c.n < 2, f"suite {c.suite} needs n >= 2"),
         (c.suite in ("tau", "cdf") and any(not 1 <= k <= c.n for k in c.tau_ks),
          "tau_ks must lie in 1..n"),
@@ -276,14 +266,14 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.suite == "ratio" and kind not in RATIO_KINDS,
          f"ratio suite needs kind in {RATIO_KINDS}"),
         (matching and c.n % 2, "perfect matchings need even n"),
-        (matching and c.n > c.matching_cap, f"matching baseline capped at n <= {c.matching_cap}"),
+        (matching and c.n > MATCHING_CAP, f"matching baseline capped at n <= {MATCHING_CAP}"),
         ((tsp or c.suite == "two-opt") and c.n < 3, "tours need n >= 3"),
-        (tsp and c.n > c.tsp_cap, f"TSP baseline capped at n <= {c.tsp_cap}"),
+        (tsp and c.n > TSP_CAP, f"TSP baseline capped at n <= {TSP_CAP}"),
         (kind == "insertion" and c.rule not in INSERTION_RULES,
          f"rule must be one of {INSERTION_RULES}"),
         (kind == "kmedian" and not k_ok, "kmedian needs 1 <= k <= n-1 (k = n is degenerate)"),
-        (kind == "kmedian" and k_ok and math.comb(c.n, c.k) > c.kmedian_cap,
-         f"C(n,k) exceeds kmedian cap {c.kmedian_cap}"),
+        (kind == "kmedian" and k_ok and math.comb(c.n, c.k) > KMEDIAN_CAP,
+         f"C(n,k) exceeds kmedian cap {KMEDIAN_CAP}"),
         (c.suite == "two-opt" and c.two_opt_init not in ("identity", "nn"),
          "two_opt_init must be identity or nn"),
         (c.suite == "concentration" and c.model != "er", "concentration suite needs the er model"),
@@ -293,7 +283,8 @@ def validate_config(config: ExperimentConfig) -> None:
          "structure_checks may not repeat an entry"),
         (c.suite == "structure" and not checks, "structure suite needs at least one check"),
         (c.suite == "cdf" and c.cdf_terms < 1, "cdf_terms must be >= 1"),
-        (c.suite == "cdf" and c.cdf_c <= 0, "cdf_c must be positive"),
+        (c.suite == "cdf" and not c.cdf_c > 0, "cdf_c must be positive"),
+        (c.suite == "cdf" and not 0 < c.cdf_tol <= 1, "cdf_tol must lie in (0, 1]"),
         (c.suite == "cdf" and c.samples < 1, "samples must be >= 1"),
     ]
     problems = [message for broken, message in rules if broken]
@@ -439,11 +430,11 @@ def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
 
 
 def _cut_for(config: ExperimentConfig, graph: Graph) -> CutParameters | None:
-    if not _SUITES[config.suite].needs_cut(config, graph):
+    if not _SUITES[config.suite].needs_cut(config):
         return None
     if _is_complete(graph):  # known exactly; skip the enumeration
         return CutParameters(1.0, 1.0)
-    return cut_parameters_exact(graph, config.cutparam_cap)
+    return cut_parameters_exact(graph)
 
 
 def make_context(config: ExperimentConfig) -> _Context:
@@ -470,15 +461,20 @@ def _trial(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
 
 
 def run_trials(config: ExperimentConfig, context: _Context | None = None) -> list[TrialRecord]:
-    """Run all trials; records are identical for any worker count."""
+    """Run all trials; records are identical for any worker count.
+
+    At most one process per trial and per CPU is started: on fork, the pool
+    starts all of its ``max_workers`` at once.
+    """
     if context is None:
         validate_config(config)
         context = make_context(config)
     trial = partial(_trial, config, context)
-    if config.workers <= 1:
+    workers = min(config.workers, config.trials, os.cpu_count() or 1)
+    if workers <= 1:
         return [trial(i) for i in range(config.trials)]
-    chunk = max(1, config.trials // (4 * config.workers))
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    chunk = max(1, config.trials // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial, range(config.trials), chunksize=chunk))
 
 
@@ -520,15 +516,13 @@ def _tau_stats(x: _Instance) -> dict:
 def _ratio_stats(x: _Instance) -> dict:
     c, metric = x.config, x.metric
     if c.kind == "matching":
-        heur, exact = greedy_matching(metric), exact_matching(metric, c.matching_cap)
+        heur, exact = greedy_matching(metric), exact_matching(metric)
     elif c.kind == "nn":
-        heur, exact = nearest_neighbor_tour(metric, c.start), exact_tsp(metric, c.tsp_cap)
+        heur, exact = nearest_neighbor_tour(metric, c.start), exact_tsp(metric)
     elif c.kind == "insertion":
-        heur = insertion_tour(metric, c.rule, x.seed.child(0, "rule"))
-        exact = exact_tsp(metric, c.tsp_cap)
+        heur, exact = insertion_tour(metric, c.rule, x.seed.child(0, "rule")), exact_tsp(metric)
     else:  # kmedian
-        heur = trivial_kmedian(metric, first_k_centers(c.k))
-        exact = exact_kmedian(metric, c.k, c.kmedian_cap)
+        heur, exact = trivial_kmedian(metric, first_k_centers(c.k)), exact_kmedian(metric, c.k)
     return {"heuristic": heur.cost, "exact": exact.cost, "ratio": heur.cost / exact.cost}
 
 
@@ -536,17 +530,13 @@ def _two_opt_stats(x: _Instance) -> dict:
     c, metric = x.config, x.metric
     initial = nearest_neighbor_tour(metric, c.start) if c.two_opt_init == "nn" else None
     trace = two_opt(metric, initial)
-    values = {
+    return {
         "iterations": trace.iterations,
         "initial_cost": trace.costs[0],
         "final_cost": trace.final.cost,
         "strictly_decreasing": int(all(b < a for a, b in zip(trace.costs, trace.costs[1:]))),
         "locally_optimal": int(not has_improving_exchange(metric, trace.final)),
     }
-    if x.cut is not None:
-        scale = c.n**8 * math.log(c.n) ** 3 * x.cut.beta / x.cut.alpha
-        values.update(iteration_scale=scale, within_scale=int(trace.iterations <= scale))
-    return values
 
 
 def _concentration_stats(x: _Instance) -> dict:
@@ -588,8 +578,8 @@ def _cluster_stats(x: _Instance) -> dict:
 
 def _sandwich_stats(x: _Instance) -> dict:
     s_half = sum_lightest_edges(x.weighted, x.graph.n // 2)
-    mm = exact_matching(x.metric, x.config.matching_cap).cost
-    tsp = exact_tsp(x.metric, x.config.tsp_cap).cost
+    mm = exact_matching(x.metric).cost
+    tsp = exact_tsp(x.metric).cost
     bad = int(tsp < mm - FLOAT_SLACK) + int(mm < s_half - FLOAT_SLACK)
     return {"s_half": s_half, "mm": mm, "tsp": tsp, "sandwich_violations": bad}
 
@@ -706,7 +696,7 @@ class _Suite:
     stats: Callable[[_Instance], dict]
     columns: Callable[[ExperimentConfig], tuple[str, ...]]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
-    needs_cut: Callable[[ExperimentConfig, Graph], bool] = lambda c, g: True
+    needs_cut: Callable[[ExperimentConfig], bool] = lambda c: True  # exact cut parameters
     summaries: Callable[[ExperimentConfig], tuple[str, ...]] | None = None  # None: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
     finish: Callable = lambda config, ctx, records, summaries: ([], {})
@@ -722,7 +712,7 @@ _SUITES = {
     "ratio": _Suite(
         stats=_ratio_stats,
         columns=lambda c: ("heuristic", "exact", "ratio"),
-        needs_cut=lambda c, g: False,
+        needs_cut=lambda c: False,
         counts=lambda c: (
             ("ratio-floor", "ratio", lambda r: r < 1 - FLOAT_SLACK,
              "{bad} of {count} ratios below 1"),
@@ -731,19 +721,15 @@ _SUITES = {
     "two-opt": _Suite(
         stats=_two_opt_stats,
         columns=lambda c: (
-            "iterations", "initial_cost", "final_cost", "strictly_decreasing",
-            "locally_optimal", "iteration_scale", "within_scale",
+            "iterations", "initial_cost", "final_cost", "strictly_decreasing", "locally_optimal",
         ),
-        # a frozen complete graph has known cut parameters at any n
-        needs_cut=lambda c, g: c.n <= c.cutparam_cap or (c.model != "er" and _is_complete(g)),
+        needs_cut=lambda c: False,
         summaries=lambda c: ("iterations", "final_cost"),
         counts=lambda c: (
             ("monotone-decrease", "strictly_decreasing", lambda ok: not ok,
              "{bad} of {count} traces not strictly decreasing"),
             ("local-optimum", "locally_optimal", lambda ok: not ok,
              "{bad} of {count} final tours admit an improvement"),
-            ("iteration-scale", "within_scale", lambda ok: not ok,
-             "{bad} of {count} runs beyond the polynomial scale"),
         ),
     ),
     "concentration": _Suite(
@@ -755,7 +741,7 @@ _SUITES = {
     "structure": _Suite(
         stats=_structure_stats,
         columns=_structure_columns,
-        needs_cut=lambda c, g: bool({"chi", "cluster"} & set(c.structure_checks)),
+        needs_cut=lambda c: bool({"chi", "cluster"} & set(c.structure_checks)),
         summaries=lambda c: tuple(
             col for col in _structure_columns(c) if not col.startswith("delta_")
         ),

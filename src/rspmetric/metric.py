@@ -22,6 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from .bounds import density_threshold
 from .errors import DisconnectedGraphError
 from .graphs import Graph, WeightedGraph
 
@@ -262,7 +263,7 @@ def tau_profile(metric: Metric, graph: Graph, v: int) -> TauProfile:
 
 def ball(metric: Metric, v: int, delta: float) -> frozenset[int]:
     """Vertices within distance delta of v (always contains v)."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     row = metric.dist[v - 1]
     return frozenset(int(i) + 1 for i in np.flatnonzero(row <= delta))
@@ -271,13 +272,6 @@ def ball(metric: Metric, v: int, delta: float) -> frozenset[int]:
 def diameter(metric: Metric) -> float:
     """Largest pairwise distance; infinite iff the source graph was disconnected."""
     return float(metric.dist.max())
-
-
-def density_threshold(delta: float, n: int, alpha: float) -> float:
-    """min{exp(alpha*delta*n/5), (n+1)/2}: balls at least this large are dense."""
-    rate = alpha * delta * n / 5.0
-    cap = (n + 1) / 2.0
-    return cap if rate >= math.log(cap) else math.exp(rate)
 
 
 def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
@@ -289,7 +283,7 @@ def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
     vertex index; every other dense vertex joins the lowest-index center
     whose ball meets its own.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")

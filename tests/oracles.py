@@ -324,8 +324,8 @@ def _improving_delta(d, order, i, j, cost):
     return delta
 
 
-def two_opt_loop(dist, start_order, pivot="first"):
-    """(order, costs) of 2-opt, one position pair at a time."""
+def two_opt_loop(dist, start_order):
+    """(order, costs) of first-improvement 2-opt, one position pair at a time."""
     d = np.asarray(dist).tolist()
     n = len(start_order)
     order = [v - 1 for v in start_order]
@@ -336,31 +336,17 @@ def two_opt_loop(dist, start_order, pivot="first"):
     cost = cost_of(order)
     costs = [cost]
     pairs = _exchange_pairs(n)
-    if pivot == "first":
-        pos = stale = 0
-        while stale < len(pairs):
-            i, j = pairs[pos % len(pairs)]
-            if _improving_delta(d, order, i, j, cost) is not None:
-                order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
-                cost = cost_of(order)
-                costs.append(cost)
-                stale = 0
-            else:
-                stale += 1
-            pos += 1
-    else:
-        while True:
-            best = None
-            for i, j in pairs:
-                delta = _improving_delta(d, order, i, j, cost)
-                if delta is not None and (best is None or delta < best[0]):
-                    best = (delta, i, j)
-            if best is None:
-                break
-            _, i, j = best
+    pos = stale = 0
+    while stale < len(pairs):
+        i, j = pairs[pos % len(pairs)]
+        if _improving_delta(d, order, i, j, cost) is not None:
             order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
             cost = cost_of(order)
             costs.append(cost)
+            stale = 0
+        else:
+            stale += 1
+        pos += 1
     return tuple(v + 1 for v in order), tuple(costs)
 
 

@@ -140,6 +140,14 @@ def test_ball_tail_needs_five_vertices():
         ball_tail(0.5, 4, 1.0)
 
 
+@pytest.mark.parametrize("delta", [-0.5, math.nan])
+def test_ball_tail_and_cluster_scale_reject_bad_radii(delta):
+    with pytest.raises(ValueError):
+        ball_tail(delta, 10, 1.0)
+    with pytest.raises(ValueError):
+        cluster_scale(delta, 10, 1.0)
+
+
 def test_cluster_scale_examples():
     assert cluster_scale(0.0, 10, 0.5) == (1.0, 10.0)
     s, scale = cluster_scale(1000.0, 10, 0.5)

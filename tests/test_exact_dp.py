@@ -20,7 +20,7 @@ from rspmetric import (
 )
 from rspmetric.graphs import CUT_PARAMETER_CAP
 from rspmetric.heuristics import MATCHING_CAP, TSP_CAP
-from rspmetric.lab import validate_config
+from rspmetric.lab import config_from_mapping, validate_config
 from conftest import (
     all_ones_metric,
     er_metric,
@@ -90,20 +90,20 @@ def test_matching_matches_per_mask_dp_on_tie_heavy_metrics(n):
 # -- size ceilings --------------------------------------------------------------
 
 
-def test_cap_argument_cannot_raise_the_ceiling():
+def test_over_ceiling_sizes_are_rejected_before_any_table():
     big_tsp = rsp_instance(TSP_CAP + 1, seed=1)[2]
     big_matching = rsp_instance(MATCHING_CAP + 2, seed=1)[2]
     k30 = rsp_instance(30, seed=1)[2]  # C(30, 15) center sets exceed KMEDIAN_CAP
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapExceededError):
-            exact_tsp(big_tsp, cap=40)
+            exact_tsp(big_tsp)
         with pytest.raises(SizeCapExceededError):
-            exact_matching(big_matching, cap=40)
+            exact_matching(big_matching)
         with pytest.raises(SizeCapExceededError):
-            cut_parameters_exact(complete_graph(CUT_PARAMETER_CAP + 1), cap=40)
+            cut_parameters_exact(complete_graph(CUT_PARAMETER_CAP + 1))
         with pytest.raises(SizeCapExceededError):
-            exact_kmedian(k30, 15, cap=10**12)
+            exact_kmedian(k30, 15)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -113,19 +113,27 @@ def test_cap_argument_cannot_raise_the_ceiling():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(suite="ratio", kind="nn", n=30, tsp_cap=40),
-        dict(suite="ratio", kind="matching", n=22, matching_cap=22),
-        dict(suite="tau", model="er", n=26, p=0.5, cutparam_cap=30),
-        dict(suite="ratio", kind="nn", n=12, tsp_cap=TSP_CAP + 1),  # n fits, cap does not
-        dict(suite="ratio", kind="kmedian", n=40, k=20, kmedian_cap=10**12),
+        dict(suite="ratio", kind="nn", n=TSP_CAP + 1),
+        dict(suite="ratio", kind="matching", n=MATCHING_CAP + 2),
+        dict(suite="tau", model="er", n=CUT_PARAMETER_CAP + 1, p=0.5),
+        dict(suite="structure", model="er", n=CUT_PARAMETER_CAP + 2, p=0.5,
+             structure_checks=("chi",)),
+        dict(suite="ratio", kind="kmedian", n=40, k=20),
     ],
 )
 def test_config_cap_above_ceiling_is_rejected(kwargs):
-    with pytest.raises(ConfigInvalidError, match="may not exceed"):
+    # the hard ceilings are the only bound: a config has no key to move them
+    with pytest.raises(ConfigInvalidError, match=r"n <= \d+|cap \d+"):
         validate_config(ExperimentConfig(**kwargs))
 
 
-def test_config_cap_may_lower_the_ceiling():
-    validate_config(ExperimentConfig(suite="ratio", kind="nn", n=10, tsp_cap=10))
-    with pytest.raises(ConfigInvalidError):
-        validate_config(ExperimentConfig(suite="ratio", kind="nn", n=11, tsp_cap=10))
+def test_config_files_have_no_cap_keys():
+    with pytest.raises(ConfigInvalidError, match="unknown config key"):
+        config_from_mapping({"suite": "ratio", "kind": "nn", "tsp_cap": "10"})
+
+
+def test_config_at_the_ceiling_is_accepted():
+    validate_config(ExperimentConfig(suite="ratio", kind="nn", n=TSP_CAP))
+    validate_config(ExperimentConfig(suite="ratio", kind="matching", n=MATCHING_CAP))
+    validate_config(ExperimentConfig(suite="tau", model="er", n=CUT_PARAMETER_CAP, p=0.5))
+    validate_config(ExperimentConfig(suite="two-opt", model="er", n=60, p=0.5))

@@ -7,6 +7,7 @@ update the digests here.  The ``imported`` model is left out because its
 JSON embeds the graph file's path.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -70,92 +71,96 @@ CASES = {
 }
 
 # case -> (sha256 of to_csv(), sha256 of to_json())
+# Every JSON digest moved when the config lost its four *_cap keys, and the
+# three two-opt CSV digests when the iteration_scale and within_scale columns
+# and the iteration-scale check were deleted.  Dropping those from the earlier
+# reports gives the new ones exactly; the other 18 CSVs are byte-identical.
 DIGESTS = {
     "cdf-complete": (
         "fdc8c1cef4e4f7a90ad970a5888bc7ece47a7ef92070430555acbb7ea981380e",
-        "3165fa235a44338cae060cd92b283b6f5651a906d5f4785666e59b374c9084ee",
+        "4ded94f673c5cee58a72dc1dc334e77e2adff60cc999d6f63dfef9a86723b960",
     ),
     "cdf-er": (
         "cea460374eeb2552a80304bd2419ef8bdb0c9a71d00734b65a6bf9ca0144d902",
-        "39ba8b761883894d848a5fd424d49574b3aaf372ac71dab83811da113a863ac5",
+        "21b7a6f612369ee1fa317c34c543eb5e7e34918d0a22ffe5d299cdcce4efbbab",
     ),
     "concentration-er": (
         "40b691c4692e61c9209ec1f6a6996481294ac3d91425ed1178aee01b991f0f0c",
-        "929b3cac97b63f3671f15dd570eb4b1bc4064c637866788f4fdf2a9b303ec50c",
+        "ad1f4271a90bbe47938097075e10b50ebed59a1e75421e24ef7e5cfa72353a80",
     ),
     "concentration-er-none-eligible": (
         "77a5f11ec9920a85b53ad3a3b0a5da7d948f8afa9b8503192e5ce662087045bd",
-        "f37f00e6bf61dc3d19473e7bd59f84f76dfcb53c0d867653fa5a7e56193dcf68",
+        "d0b1613f5ec7077888225e5a89dd5ff49fbd124f124c9bcbed5780ac8f759d3e",
     ),
     "ratio-er-none-eligible": (
         "7acc23ff637570dc961e6a052acf72524dd85f18daf3848656a3807663836fb4",
-        "86e0e5c0cebba909166c101b47a9f5b1569408ecf4592adbd514e8839fb896b6",
+        "f2e8696c4ada5d9370cf79c48c3a6876ca54e3f0a088986d0efbbd77d5acdfae",
     ),
     "ratio-insertion-complete": (
         "20801c4c4c1364ca07ceca54d1516d88a39415b1f0ed6d659bfae937f95b1dfb",
-        "1949d83e3a9dfe31ea7969a502029a23b41dac449e00eeb0e7fceda2815245bd",
+        "0bb57feb66e80d803e30c247e3f3f755e3fa44fb23a061f9a8c35837c2820895",
     ),
     "ratio-insertion-er": (
         "bae5c882573acb25db3fac36f88742d34f48fae00eee3df245a3ce1d6c6d2a56",
-        "d7eae0913d7f742944d01a0c54746e8cbad9217aa9371805ae74316e7503c826",
+        "34b9c1698329282c5cc9f8aef224c8d5076c6594434b41bb8afb93e98cfab116",
     ),
     "ratio-kmedian-complete": (
         "ed338a0d77b57db72c9c0692409b77004dc197f2dcfff943fa57834823022702",
-        "3d66ce66d8a2d3f673edc0f276bf8517f9006258d01ba0fbd599cae449767553",
+        "a60f7d1080861fbf213b49a7a43aff2ec6ea2de143f74ca22f83b9233f060f5e",
     ),
     "ratio-kmedian-er": (
         "092543bbcf98f93a842b95f791bca4f292d0798bd78fcb6237751d6b6f86c48a",
-        "67bd5f74144676696ef669f7606c1193b2f751cf372c3360055418afb999d80d",
+        "6e0a939bce808fa88adcdcd3b9178946bc823fd700a2c09afa8dde3ef51874fd",
     ),
     "ratio-matching-complete": (
         "6b4a4708dca44006194853fdab11b0a3880a97a0ff0b31f69fd48275e41c9a8e",
-        "0880679bdb7aec643a772898e97d49ad979c2fbb7fa44add54880bfc581deb62",
+        "01997eb793f3006ad7badbe2376864f27d2786ae23a5bf278312634f4b08f151",
     ),
     "ratio-matching-er": (
         "5576c51e1b0e3c19d458ad2d8dcdb46e6a27769e8ac647eeb1daeef09fba22d4",
-        "287fe7936a25fb9d9b184d2bcfed57b4b529c5ed5e83383f1109f7b2b96898b6",
+        "764593d49828d25c33dfccb066148c652763915c06e9aaa2f8e3437081b9ea87",
     ),
     "ratio-nn-complete": (
         "10326b63ba2c78ed23e3ef239cb62e30ce4d8ed4ab5a30c449973ae1f306668c",
-        "a2f55965bd6e9f62e0648803da6a762980e046053f8038ed71cdc5c6b41ed6f3",
+        "1084d54cb8eff3f55382deb50ebcf76bd1825f069f76a5f3ae8788f79ddb048e",
     ),
     "ratio-nn-er": (
         "3c2b466d38aeae0fb0578276d0ecec0e44ac062bd56144b8c4ded3ea17ac2ac9",
-        "4386f9914f40a4399525ca030101adea8f16a19518291398edf2c371e0051932",
+        "37fe677bd630ce3bfb5c67a8a8001f9d31cb70a6d9c411ead4599710b1b5fdc5",
     ),
     "structure-complete": (
         "3efb1973f6b8f60423eef4ce251373bd86cb718f8565280889e36e294750d909",
-        "ae1d202f35a33346b46a788466a1670630fc35c8d7201398732a3a7181cebd0c",
+        "20ce5fda5924c92a77ad7074931e92d08bdd795718fd6cbecfa8f89507256744",
     ),
     "structure-er": (
         "595a2403e80b562b725c23f166865d9e00e163a319d0a51710441d9e8154ce29",
-        "b033c0033ed0b374c3900a442987f29bcb3710e7785a6a1c701391a15e517f7a",
+        "f0f2ac3d31a026aa8e277c1ba637266dd29a50f57faf4da15f6777428a336d3b",
     ),
     "structure-er-workers-2": (
         "95a7607e6dcd895ba9a1c6ee240d265170c56e145b9a74aa731d89ee451ed8ca",
-        "50b818c15e7cf87b547f854e48d0fbfd3f6ef60166e7694a94d918ac06ca7f78",
+        "a41637e250175026bac40c28666697063310fca5db59f54943805976780ba224",
     ),
     "tau-complete": (
         "c6c520f3a9323d7b52a4f68041ca1ee0f2e147fbcd2d7d7b74771c763117bc46",
-        "b9cf3a3ff40d4163e94687a36c48ab22c48de1b2013d341955d6deb34d542c11",
+        "db602b7a17cf8775b588be7065b7c7e8e336eaff32fcca464a6848c6c2902c97",
     ),
     "tau-er": (
         "eea0a0d1a9a476c6d0dde6e9867d63e13bb3538c45e139941e16d68d71eb4b48",
-        "bdd0ae4000dd3f25d374300b2538581f518d7f1c2ea29817c45cfd27cd25d236",
+        "5e6cd2e8f2839107a6e0249a19bfb35a64706f7b56f7018ed2c3024960169e39",
     ),
     "two-opt-complete": (
-        "d905c442e56f04c6ad97818feb99d47525c0bd708263a0368d8f2e4dc9fea3c9",
-        "50ba4d1e15f4f9d9763acc21eed1fb5f02ed4cb7168d2c9dfe5fb110ccf3cae7",
+        "c1aa358618c45f397e14a7c57fb1814706f56d0656e6904ca7c103d0bca4b22b",
+        "1f0dd929e9d769a030f0cbb35d09e514f0d107e0b2deb1fcc03c7901945711b4",
     ),
     # trial 6 turns locally_optimal 0 -> 1: a tie exchange (delta -2.2e-16)
     # whose tour is not strictly cheaper no longer counts as improving
     "two-opt-er": (
-        "ab6b75a860d14a3019d2cdaa8668c71ca921801fd545c46c23cfe14bbedec5ec",
-        "3705a2ec30a8e2ddb6971a37ad47986c126a8ca692132a8dc9b93f6c57fdaa5e",
+        "c1e3afd45ef75b24c5b593bce5442b357017f7f5d998e41289f2bfd94fb995d8",
+        "abe30fcd153c3558d847829b091716ae8130023ceaf984cb8345d2095d4c922a",
     ),
     "two-opt-er-beyond-cut-cap": (
-        "73fb05ba4686e219cc776c8f217fa889d3d094ef418fa4ef38fc1cf597e3f7fe",
-        "dee2ed6f3636d3d4dc743b428fbb3bfc2ca0ebd0edae407e05ef25aa3a6a8082",
+        "9b48c150be41c3a270c9360dc6033df179c8ac919f8f0de0faf42b770ad84799",
+        "5a16ab54a3ca0f8e56cf02bf047f5945a4d63cfcb68f968d2112df191f50d4df",
     ),
 }
 
@@ -164,7 +169,20 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _report(case):
+    return run_suite(ExperimentConfig(**CASES[case]))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_digests_match(case):
-    report = run_suite(ExperimentConfig(**CASES[case]))
+    report = _report(case)
     assert (_sha(report.to_csv()), _sha(report.to_json())) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_record_keys_equal_report_columns(case):
+    # a suite lists its columns apart from the dict its statistics return
+    report = _report(case)
+    eligible = [r for r in report.records if r.values.get("connected", 1) == 1]
+    assert all(tuple(r.values) == report.columns for r in eligible)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspmetric import (
+    CUT_PARAMETER_CAP,
     CutParameters,
     DisconnectedGraphError,
     Graph,
@@ -171,7 +172,7 @@ def test_cut_parameters_reject_disconnected():
 
 def test_cut_parameters_cap():
     with pytest.raises(SizeCapExceededError):
-        cut_parameters_exact(complete_graph(12), cap=10)
+        cut_parameters_exact(complete_graph(CUT_PARAMETER_CAP + 1))
 
 
 def test_cut_parameters_match_oracle_on_random_graphs():

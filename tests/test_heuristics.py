@@ -26,7 +26,8 @@ from rspmetric import (
     trivial_kmedian,
     two_opt,
 )
-from conftest import rsp_instance
+from rspmetric.heuristics import MATCHING_CAP, TSP_CAP
+from conftest import all_ones_metric, rsp_instance
 from oracles import min_matching_brute, min_tsp_brute
 
 RULES = ("nearest", "farthest", "cheapest", "random")
@@ -71,7 +72,7 @@ def test_matching_errors(line_metric):
     with pytest.raises(OddVertexCountError):
         exact_matching(odd)
     with pytest.raises(SizeCapExceededError):
-        exact_matching(line_metric, cap=2)
+        exact_matching(all_ones_metric(MATCHING_CAP + 2))
     with pytest.raises(InfiniteDistanceError):
         greedy_matching(infinite_metric())
     with pytest.raises(InfiniteDistanceError):
@@ -193,19 +194,9 @@ def test_two_opt_invariants_on_random_instances():
         assert sorted(trace.final.order) == list(range(1, 12))
 
 
-def test_two_opt_best_improvement_pivot():
-    for seed in (1, 2):
-        _, _, m = rsp_instance(10, seed=seed)
-        trace = two_opt(m, pivot="best")
-        assert not has_improving_exchange(m, trace.final)
-        assert all(b < a for a, b in zip(trace.costs, trace.costs[1:]))
-
-
 def test_two_opt_validates_input(line_metric):
     with pytest.raises(ValueError):
         two_opt(line_metric, (1, 2, 3))
-    with pytest.raises(ValueError):
-        two_opt(line_metric, pivot="steepest")
     with pytest.raises(InfiniteDistanceError):
         two_opt(infinite_metric())
 
@@ -236,7 +227,7 @@ def test_tsp_errors(line_metric):
     with pytest.raises(TooFewVerticesError):
         exact_tsp(Metric([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SizeCapExceededError):
-        exact_tsp(line_metric, cap=3)
+        exact_tsp(all_ones_metric(TSP_CAP + 1))
     with pytest.raises(InfiniteDistanceError):
         exact_tsp(infinite_metric())
 
@@ -281,7 +272,7 @@ def test_kmedian_errors(line_metric):
     with pytest.raises(ValueError):
         exact_kmedian(line_metric, 0)
     with pytest.raises(SizeCapExceededError):
-        exact_kmedian(rsp_instance(12, 1)[2], 6, cap=100)
+        exact_kmedian(all_ones_metric(30), 15)  # C(30, 15) > KMEDIAN_CAP
     with pytest.raises(InfiniteDistanceError):
         trivial_kmedian(infinite_metric(), (1,))
 

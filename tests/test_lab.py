@@ -16,6 +16,7 @@ from rspmetric import (
     summarize,
     summarize_values,
 )
+from rspmetric import lab
 from rspmetric.lab import TrialRecord, Z99, make_context, validate_config
 
 
@@ -119,6 +120,11 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         dict(suite="ratio", kind="nn", n="6"),
         dict(suite="ratio", kind="kmedian", n=6, k=2.5),
         dict(suite="tau", seed=None),
+        dict(suite="structure", n=6, delta_fractions=(math.nan,)),  # a NaN radius
+        dict(suite="cdf", n=6, cdf_c=math.nan),
+        dict(suite="cdf", n=6, cdf_tol=math.nan),  # no tolerance could pass exp-sum-ks
+        dict(suite="cdf", n=6, cdf_tol=0.0),
+        dict(suite="cdf", n=6, cdf_tol=-1.0),
     ],
 )
 def test_validate_config_rejects(kwargs):
@@ -170,6 +176,35 @@ def test_parallel_equals_serial(base):
     a, b = json.loads(serial.to_json()), json.loads(parallel.to_json())
     assert a["records"] == b["records"]
     assert a["summary"] == b["summary"]
+
+
+def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
+    started = []
+
+    class RecordingPool:  # maps in this process: no process is started
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: 8)
+    base = dict(suite="ratio", kind="nn", model="complete", n=6, seed=5)
+    pooled = run_trials(ExperimentConfig(**base, trials=3, workers=64))
+    assert started == [3]
+    assert pooled == run_trials(ExperimentConfig(**base, trials=3))
+    run_trials(ExperimentConfig(**base, trials=20, workers=64))
+    assert started == [3, 8]
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: None)  # unknown: run serially
+    run_trials(ExperimentConfig(**base, trials=20, workers=64))
+    assert started == [3, 8]
 
 
 def test_disconnected_draws_are_flagged_and_skipped():
@@ -224,8 +259,18 @@ def test_two_opt_suite_invariants():
     report = run_suite(cfg)
     assert report.passed
     names = {c.name for c in report.checks}
-    assert {"monotone-decrease", "local-optimum", "iteration-scale"} <= names
+    assert names == {"monotone-decrease", "local-optimum"}
     assert report.summaries["iterations"].minimum >= 0
+
+
+def test_fresh_two_opt_trials_need_no_cut_parameters(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("two-opt computed cut parameters")
+
+    monkeypatch.setattr(lab, "cut_parameters_exact", refuse)
+    cfg = ExperimentConfig(suite="two-opt", model="er", n=12, p=0.5, trials=3, seed=37)
+    report = run_suite(cfg)
+    assert report.passed and report.notes["eligible"] == 3
 
 
 def test_two_opt_suite_nn_start():

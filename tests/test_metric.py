@@ -248,6 +248,15 @@ def test_cluster_partition_rejects_disconnected():
         cluster_partition(build_metric(wg), 0.5, alpha=0.5)
 
 
+@pytest.mark.parametrize("delta", [-0.5, math.nan])
+def test_negative_or_nan_radius_is_rejected(delta):
+    _, _, m = rsp_instance(6, seed=2)
+    with pytest.raises(ValueError):
+        ball(m, 3, delta)
+    with pytest.raises(ValueError):
+        cluster_partition(m, delta, 1.0)
+
+
 def test_density_threshold_clamps():
     assert density_threshold(0.0, 10, 0.5) == 1.0
     assert density_threshold(100.0, 10, 0.5) == 5.5
