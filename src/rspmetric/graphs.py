@@ -244,11 +244,14 @@ def cut_parameters_exact(graph: Graph) -> CutParameters:
     correctly rounded division by a fixed positive divisor is monotone, so
     the min (max) of the quotients is the quotient of the min (max) cut.
     Disconnected graphs are rejected: an empty cut would force the minimum
-    to 0, which the definition excludes.
+    to 0, which the definition excludes.  K_n needs no table at any n: each
+    cut has exactly |U|(n-|U|) edges.
     """
     n = graph.n
     if n < 2:
         raise ValueError("cut parameters need at least two vertices")
+    if graph.m == n * (n - 1) // 2:
+        return CutParameters(1.0, 1.0)
     if n > CUT_PARAMETER_CAP:
         raise SizeCapExceededError(f"n={n} exceeds the cut table cap {CUT_PARAMETER_CAP}")
 

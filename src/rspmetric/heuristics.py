@@ -13,8 +13,8 @@ two subset DPs run as whole-array numpy passes, never one mask at a time:
 - ``exact_tsp`` (Held-Karp) anchors the tour at vertex 1 and keeps a
   ``(2^(n-1), n-1)`` table over subsets of the other vertices, filled one
   popcount layer at a time with one gather and one ``argmin`` per end vertex.
-  ``argmin`` returns the lowest predecessor, and the closing step the lowest
-  last vertex.
+  The walk back keeps no table: it recomputes each step's sums and takes the
+  lowest predecessor by ``argmin``, as the closing step the lowest last vertex.
 - ``exact_matching`` always matches the lowest vertex i of a subset.  The
   subsets with lowest vertex i form a strided slice of the ``2^n`` table,
   updated from the slice of subsets with lowest vertex above i by one
@@ -45,7 +45,7 @@ from .metric import Metric
 from .rng import Seed, UniformStream
 
 # Hard ceilings, the only size bound of the exact baselines.
-TSP_CAP = 18        # Held-Karp tables 2^17 x 17: ~18 MB float64 + ~2 MB int8 at 18
+TSP_CAP = 18        # Held-Karp table 2^17 x 17 float64: ~18 MB at 18
 MATCHING_CAP = 20   # pairing DP table 2^20 float64: ~8 MB at 20
 KMEDIAN_CAP = 10**6  # number of center sets enumerated
 
@@ -91,9 +91,7 @@ def _require_finite(metric: Metric) -> None:
 
 
 def tour_cost(metric: Metric, order: tuple[int, ...]) -> float:
-    d = metric.dist
-    legs = [d[order[i] - 1, order[(i + 1) % len(order)] - 1] for i in range(len(order))]
-    return math.fsum(legs)
+    return _closed_tour(metric.dist, order)[2]
 
 
 def _check_tour(metric: Metric, order: tuple[int, ...]) -> None:
@@ -411,25 +409,24 @@ def exact_tsp(metric: Metric) -> Tour:
     for b in range(m):
         popcount += (masks >> b) & 1
     dp = np.full((1 << m, m), np.inf)
-    par = np.zeros((1 << m, m), dtype=np.int8)
     dp[1 << np.arange(m), np.arange(m)] = d[0, 1:]
     for k in range(2, m + 1):
         layer = masks[popcount == k]
         for j in range(m):
             ends = layer[(layer >> j) & 1 == 1]
             cand = dp[ends ^ (1 << j)] + d[1:, j + 1]
-            arg = np.argmin(cand, axis=1)  # lowest predecessor on ties
-            dp[ends, j] = cand[np.arange(len(ends)), arg]
-            par[ends, j] = arg
-    full = (1 << m) - 1
-    cur = int(np.argmin(dp[full] + d[1:, 0]))  # lowest last vertex on ties
-    path = []
-    mask = full
+            # argmin and a gather beat .min(axis=1) on rows this short
+            dp[ends, j] = cand[np.arange(len(ends)), cand.argmin(axis=1)]
+    # walk back from the lowest last vertex, each time to the lowest
+    # predecessor whose recomputed sum attains the table entry
+    mask = (1 << m) - 1
+    cur = int(np.argmin(dp[mask] + d[1:, 0]))
+    path = [cur + 2]
+    mask ^= 1 << cur
     while mask:
+        cur = int(np.argmin(dp[mask] + d[1:, cur + 1]))
         path.append(cur + 2)
-        prev = int(par[mask, cur])
         mask ^= 1 << cur
-        cur = prev
     order = tuple([1] + path[::-1])
     return Tour(order=order, cost=tour_cost(metric, order))
 
@@ -477,7 +474,4 @@ def exact_kmedian(metric: Metric, k: int) -> MedianSolution:
             best_cost = float(costs[j])
             best_combo = block[j]
     assert best_combo is not None
-    centers = tuple(c + 1 for c in best_combo)
-    cols = [c - 1 for c in centers]
-    cost = math.fsum(d[:, cols].min(axis=1).tolist())
-    return MedianSolution(centers=centers, cost=cost)
+    return trivial_kmedian(metric, tuple(c + 1 for c in best_combo))

@@ -12,8 +12,10 @@ Every suite runs one pipeline, :func:`run_suite`:
    records are identical at any worker count.
 4. One epilogue summarizes the eligible records (99% confidence intervals)
    and runs the entry's checks.  Deterministic invariants must have zero
-   violations; statistical statements pass when the predicted bracket
-   intersects the confidence interval, never on point estimates.
+   violations.  A bracket on a mean passes when it meets the confidence
+   interval, never on point estimates; a band on a CDF passes when the
+   empirical CDF of N samples leaves it by at most the DKW-Massart slack
+   sqrt(ln(2/0.01) / 2N).
 """
 
 from __future__ import annotations
@@ -64,13 +66,15 @@ from .metric import (
     build_metric,
     cluster_partition,
     diameter,
-    tau_profile,
     tau_profiles,
 )
 from .rng import Seed, UniformStream
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 FLOAT_SLACK = 1e-12  # absolute slack for comparisons between float sums
+# Hard ceiling on the cdf suite's samples x cdf_terms exponential draws, all
+# drawn and sorted at once: a run at the ceiling peaks below 64 MB traced.
+CDF_DRAW_CAP = 10**6
 
 SUITES = ("tau", "ratio", "two-opt", "concentration", "structure", "cdf")
 RATIO_KINDS = ("matching", "nn", "insertion", "kmedian")
@@ -161,7 +165,6 @@ class ExperimentConfig:
     cdf_c: float = 1.0
     cdf_terms: int = 1
     samples: int = 100_000
-    cdf_tol: float = 0.02
     structure_checks: tuple[str, ...] = ("chi", "cluster", "sandwich")
     tau_ks: tuple[int, ...] = ()
     format: str = "csv"
@@ -256,7 +259,7 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.model == "imported" and not c.graph_file, "imported model needs graph_file"),
         (any(not f >= 0 for f in c.delta_fractions), "delta_fractions must be nonnegative"),
         (not 1 <= c.start <= c.n, "start must lie in 1..n"),
-        (exact_cut and c.model != "complete" and c.n > CUT_PARAMETER_CAP,
+        (exact_cut and c.model == "er" and c.n > CUT_PARAMETER_CAP,
          f"suite {c.suite} needs exact cut parameters: n <= {CUT_PARAMETER_CAP}"),
         (c.suite in ("tau", "cdf", "concentration") and c.n < 2, f"suite {c.suite} needs n >= 2"),
         (c.suite in ("tau", "cdf") and any(not 1 <= k <= c.n for k in c.tau_ks),
@@ -284,8 +287,9 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.suite == "structure" and not checks, "structure suite needs at least one check"),
         (c.suite == "cdf" and c.cdf_terms < 1, "cdf_terms must be >= 1"),
         (c.suite == "cdf" and not c.cdf_c > 0, "cdf_c must be positive"),
-        (c.suite == "cdf" and not 0 < c.cdf_tol <= 1, "cdf_tol must lie in (0, 1]"),
         (c.suite == "cdf" and c.samples < 1, "samples must be >= 1"),
+        (c.suite == "cdf" and c.samples * c.cdf_terms > CDF_DRAW_CAP,
+         f"samples * cdf_terms exceeds the cdf draw cap {CDF_DRAW_CAP}"),
     ]
     problems = [message for broken, message in rules if broken]
     if problems:
@@ -406,10 +410,6 @@ class _Instance:
         return build_metric(self.weighted)
 
 
-def _is_complete(graph: Graph) -> bool:
-    return graph.m == graph.n * (graph.n - 1) // 2
-
-
 def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
     if config.model == "complete":
         return complete_graph(config.n), -1
@@ -430,11 +430,7 @@ def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
 
 
 def _cut_for(config: ExperimentConfig, graph: Graph) -> CutParameters | None:
-    if not _SUITES[config.suite].needs_cut(config):
-        return None
-    if _is_complete(graph):  # known exactly; skip the enumeration
-        return CutParameters(1.0, 1.0)
-    return cut_parameters_exact(graph)
+    return cut_parameters_exact(graph) if _SUITES[config.suite].needs_cut(config) else None
 
 
 def make_context(config: ExperimentConfig) -> _Context:
@@ -496,8 +492,8 @@ def _tau_columns(config: ExperimentConfig) -> tuple[str, ...]:
 
 
 def _taus(x: _Instance) -> dict:
-    profile = tau_profile(x.metric, x.graph, 1)
-    return {f"tau_{k}": profile.tau(k) for k in _tau_ks(x.config)}
+    taus = np.sort(x.metric.dist[0])  # distances from vertex 1, closest first
+    return {f"tau_{k}": float(taus[k - 1]) for k in _tau_ks(x.config)}
 
 
 def _random_pair(stream: UniformStream, n: int) -> tuple[int, int]:
@@ -630,40 +626,53 @@ def _tau_checks(config, ctx, records, summaries):
     return checks, {}
 
 
-def _cdf_checks(config, ctx, records, summaries):
-    """Monte Carlo CDFs versus the closed forms.
+def _dkw_slack(count: int) -> float:
+    """DKW-Massart bound at level 0.01 on sup|F_N - F| over N = ``count`` samples."""
+    return math.sqrt(math.log(2.0 / 0.01) / (2.0 * count))
 
-    Part (a): the exact CDF of a sum of independent exponentials with rates
-    c, 2c, ..., against its empirical CDF (sup difference).  Part (b): the
-    empirical CDF of the distance to the k-th closest vertex against its
-    bracket, up to DKW slack.
+
+def _band_breach(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Exact sup over x of max(lo(x) - F_N(x), F_N(x) - hi(x)), at least 0.
+
+    At the i-th of the sorted ``samples``, ``lo`` holds the lower band's left
+    limit, met by F_N's left limit (i-1)/N, and ``hi`` the upper band, met by
+    F_N = i/N.  Both bands are nondecreasing, so per index this is exact, ties too.
+    """
+    grid = np.arange(len(samples) + 1) / len(samples)
+    return max(0.0, float(np.max(np.maximum(lo - grid[:-1], grid[1:] - hi))))
+
+
+def _cdf_checks(config, ctx, records, summaries):
+    """Monte Carlo CDFs versus closed forms: a part passes iff its band breach <= DKW slack.
+
+    ``exp-sum-ks``: sums of exponentials with rates c, 2c, ..., against their
+    exact CDF (1 - e^{-cx})^terms, so the breach is the Kolmogorov-Smirnov
+    distance.  ``tau_k-cdf-bracket``: the trials' tau_k against its bracket.
     """
     c, terms, count = config.cdf_c, config.cdf_terms, config.samples
     stream = UniformStream(Seed(config.seed).child(0, "expsum"))
     draws = stream.exponential_block(count * terms).reshape(count, terms)
     xs = np.sort((draws / (c * np.arange(1, terms + 1))).sum(axis=1))
     cdf = (-np.expm1(-c * xs)) ** terms
-    grid = np.arange(count + 1) / count
-    sup_diff = float(np.max(np.maximum(np.abs(grid[1:] - cdf), np.abs(cdf - grid[:-1]))))
+    sup_diff = _band_breach(xs, cdf, cdf)
+    slack = _dkw_slack(count)
     checks = [CheckResult(
         name="exp-sum-ks",
-        passed=sup_diff < config.cdf_tol,
-        detail=f"sup|ecdf - cdf| = {sup_diff:.5f} over {count} samples (tol {config.cdf_tol})",
+        passed=sup_diff <= slack,
+        detail=f"sup|ecdf - cdf| = {sup_diff:.5f} over {count} samples (DKW slack {slack:.5f})",
     )]
 
-    slack = math.sqrt(math.log(2.0 / 0.01) / (2.0 * len(records)))  # DKW at level 0.01
+    slack = _dkw_slack(len(records))
     for k in _tau_ks(config):
         samples = np.sort([r.values[f"tau_{k}"] for r in records])
-        top = float(samples[-1])
-        worst = 0.0
-        for x in np.linspace(0.0, top * 1.05 if top > 0 else 1.0, 25)[1:]:
-            ecdf = float(np.searchsorted(samples, x, side="right")) / len(samples)
-            lo, hi = bounds.tau_cdf_bounds(float(x), config.n, k, ctx.cut.alpha, ctx.cut.beta)
-            worst = max(worst, max(lo - slack - ecdf, ecdf - hi - slack))
+        lo, hi = np.array([bounds.tau_cdf_bounds(x, config.n, k, ctx.cut.alpha, ctx.cut.beta)
+                           for x in samples.tolist()]).T
+        lo[samples <= 0] = 0.0  # P(tau_k <= x) = 0 left of 0, even where lo(0) = 1
+        breach = _band_breach(samples, lo, hi)
         checks.append(CheckResult(
             name=f"tau_{k}-cdf-bracket",
-            passed=worst <= 0,
-            detail=f"max bracket breach {worst:.5f} (slack {slack:.5f})",
+            passed=breach <= slack,
+            detail=f"max bracket breach {breach:.5f} (DKW slack {slack:.5f})",
         ))
     return checks, {"exp_sum_sup_diff": sup_diff, "exp_sum_samples": count}
 

@@ -56,6 +56,14 @@ def test_cutparams_on_complete_graph(tmp_path, capsys):
     assert json.loads(out) == {"alpha": 1.0, "beta": 1.0}
 
 
+def test_cutparams_on_complete_graph_beyond_the_cut_cap(tmp_path, capsys):
+    path = str(tmp_path / "k30.txt")
+    run_cli(capsys, "gen", "--model", "complete", "--n", "30", "--out", path)
+    code, out, _ = run_cli(capsys, "cutparams", "--graph", path)
+    assert code == 0
+    assert json.loads(out) == {"alpha": 1.0, "beta": 1.0}
+
+
 def test_cutparams_disconnected_is_error(tmp_path, capsys):
     path = tmp_path / "disc.txt"
     path.write_text("4 2\n1 2\n3 4\n")
@@ -166,13 +174,13 @@ def test_suite_pass_exit_zero(tmp_path, capsys):
 
 
 def test_suite_failure_exit_one(tmp_path, capsys):
+    # p = 0 never draws a connected graph, so the eligible-trials check fails
     cfg = write_config(
-        tmp_path, suite="cdf", model="complete", n=6, trials=20, seed=5,
-        samples=1000, cdf_tol="1e-9",
+        tmp_path, suite="ratio", kind="matching", model="er", n=6, p=0, trials=3, seed=5
     )
-    code, out, _ = run_cli(capsys, "suite", "cdf", "--config", cfg)
+    code, out, _ = run_cli(capsys, "suite", "ratio", "--config", cfg)
     assert code == 1
-    assert "passed=false" in out
+    assert "check:eligible-trials,passed=false" in out
 
 
 def test_suite_name_mismatch_is_usage_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from rspmetric import (
     ConfigInvalidError,
     ExperimentConfig,
+    Graph,
     SizeCapExceededError,
     complete_graph,
     cut_parameters_exact,
@@ -94,6 +95,8 @@ def test_over_ceiling_sizes_are_rejected_before_any_table():
     big_tsp = rsp_instance(TSP_CAP + 1, seed=1)[2]
     big_matching = rsp_instance(MATCHING_CAP + 2, seed=1)[2]
     k30 = rsp_instance(30, seed=1)[2]  # C(30, 15) center sets exceed KMEDIAN_CAP
+    n = CUT_PARAMETER_CAP + 1
+    big_cut = Graph(n, complete_graph(n).edges[1:])  # not complete, so it needs the table
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapExceededError):
@@ -101,7 +104,7 @@ def test_over_ceiling_sizes_are_rejected_before_any_table():
         with pytest.raises(SizeCapExceededError):
             exact_matching(big_matching)
         with pytest.raises(SizeCapExceededError):
-            cut_parameters_exact(complete_graph(CUT_PARAMETER_CAP + 1))
+            cut_parameters_exact(big_cut)
         with pytest.raises(SizeCapExceededError):
             exact_kmedian(k30, 15)
         _, peak = tracemalloc.get_traced_memory()
@@ -119,6 +122,8 @@ def test_over_ceiling_sizes_are_rejected_before_any_table():
         dict(suite="structure", model="er", n=CUT_PARAMETER_CAP + 2, p=0.5,
              structure_checks=("chi",)),
         dict(suite="ratio", kind="kmedian", n=40, k=20),
+        # the rule reads the model: even p = 1, which draws K_n, is rejected
+        dict(suite="cdf", model="er", n=CUT_PARAMETER_CAP + 1, p=1.0),
     ],
 )
 def test_config_cap_above_ceiling_is_rejected(kwargs):

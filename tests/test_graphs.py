@@ -171,8 +171,16 @@ def test_cut_parameters_reject_disconnected():
 
 
 def test_cut_parameters_cap():
+    # K_n less one edge: complete graphs need no table at any n
+    n = CUT_PARAMETER_CAP + 1
     with pytest.raises(SizeCapExceededError):
-        cut_parameters_exact(complete_graph(CUT_PARAMETER_CAP + 1))
+        cut_parameters_exact(Graph(n, complete_graph(n).edges[1:]))
+
+
+@pytest.mark.parametrize("n", (CUT_PARAMETER_CAP + 1, 30, 200))
+def test_complete_graph_cut_parameters_beyond_the_cap(n):
+    # every cut of K_n has |U|(n - |U|) edges, so no table is built
+    assert cut_parameters_exact(complete_graph(n)) == CutParameters(1.0, 1.0)
 
 
 def test_cut_parameters_match_oracle_on_random_graphs():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rspmetric import (
     summarize,
     summarize_values,
 )
-from rspmetric import lab
+from rspmetric import bounds, lab
 from rspmetric.lab import TrialRecord, Z99, make_context, validate_config
 
 
@@ -94,6 +95,14 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config_file(str(path))
 
 
+def test_cdf_tol_is_no_config_key(tmp_path):
+    # the cdf suite's pass rule is the DKW slack of each part's sample count
+    path = tmp_path / "cfg.txt"
+    path.write_text("suite=cdf\ncdf_tol=0.02\n")
+    with pytest.raises(ConfigInvalidError, match="unknown config key"):
+        parse_config_file(str(path))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -122,9 +131,9 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         dict(suite="tau", seed=None),
         dict(suite="structure", n=6, delta_fractions=(math.nan,)),  # a NaN radius
         dict(suite="cdf", n=6, cdf_c=math.nan),
-        dict(suite="cdf", n=6, cdf_tol=math.nan),  # no tolerance could pass exp-sum-ks
-        dict(suite="cdf", n=6, cdf_tol=0.0),
-        dict(suite="cdf", n=6, cdf_tol=-1.0),
+        dict(suite="cdf", n=6, samples=lab.CDF_DRAW_CAP + 1),  # beyond the draw ceiling
+        dict(suite="cdf", n=6, samples=lab.CDF_DRAW_CAP // 4 + 1, cdf_terms=4),
+        dict(suite="cdf", n=6, samples=10**8, cdf_terms=4),  # about 12 GB of draws
     ],
 )
 def test_validate_config_rejects(kwargs):
@@ -343,12 +352,69 @@ def test_cdf_suite_passes_and_reports_sup_diff():
     assert any(c.name.endswith("cdf-bracket") for c in report.checks)
 
 
-def test_cdf_suite_can_fail_on_tight_tolerance():
-    cfg = ExperimentConfig(
-        suite="cdf", model="complete", n=6, trials=50, seed=59, samples=2000, cdf_tol=1e-9
-    )
+def test_cdf_tau_1_passes_although_its_band_jumps_at_zero():
+    # tau_1 = 0 always; its bracket is [1, 1] from x = 0 on and 0 left of it
+    cfg = ExperimentConfig(suite="cdf", model="complete", n=6, trials=40, seed=5, tau_ks=(1, 6))
     report = run_suite(cfg)
-    assert not report.passed
+    assert report.passed
+    tau_1 = next(c for c in report.checks if c.name == "tau_1-cdf-bracket")
+    assert tau_1.detail.startswith("max bracket breach 0.00000 ")
+
+
+def test_exp_sum_ks_false_failures_stay_rare_across_seeds():
+    # correct code at DKW level 0.01: at most about 2 failures expected in 200 seeds
+    failed = 0
+    for seed in range(200):
+        report = run_suite(ExperimentConfig(suite="cdf", n=2, trials=1, seed=seed, samples=500))
+        failed += not next(c for c in report.checks if c.name == "exp-sum-ks").passed
+    assert failed <= 6
+
+
+_WRONG_BAND = dict(suite="cdf", model="complete", n=8, trials=200, seed=59, samples=2000,
+                   tau_ks=(2, 4, 8))
+
+
+def test_exp_sum_ks_fails_on_samples_at_the_wrong_rate(monkeypatch):
+    class SlowStream(UniformStream):  # every draw 1.2 times too long
+        def exponential_block(self, count):
+            return 1.2 * super().exponential_block(count)
+
+    monkeypatch.setattr(lab, "UniformStream", SlowStream)
+    report = run_suite(ExperimentConfig(**_WRONG_BAND))
+    assert [c.name for c in report.checks if not c.passed] == ["exp-sum-ks"]
+
+
+def test_tau_cdf_bracket_fails_on_a_wrong_band(monkeypatch):
+    real = bounds.tau_cdf_bounds
+    # the bracket of distances a third as long as the metric's
+    monkeypatch.setattr(bounds, "tau_cdf_bounds", lambda x, *rest: real(3.0 * x, *rest))
+    report = run_suite(ExperimentConfig(**_WRONG_BAND))
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["tau_2-cdf-bracket", "tau_4-cdf-bracket", "tau_8-cdf-bracket"]
+
+
+def test_band_breach_is_exact_with_ties():
+    samples = np.array([1.0, 1.0, 2.0, 2.0])
+    # F_N is 0 left of 1, 1/2 on [1, 2) and 1 from 2 on
+    assert lab._band_breach(samples, np.full(4, 0.5), np.full(4, 0.5)) == 0.5
+    assert lab._band_breach(samples, np.array([0.0, 0.0, 0.75, 0.75]), np.ones(4)) == 0.25
+    assert lab._band_breach(samples, np.zeros(4), np.array([0.25, 0.25, 1.0, 1.0])) == 0.25
+    assert lab._band_breach(samples, np.zeros(4), np.ones(4)) == 0.0
+
+
+@pytest.mark.parametrize("terms", (1, 4))
+def test_cdf_run_at_the_draw_ceiling_stays_below_64_mb(terms):
+    cfg = ExperimentConfig(
+        suite="cdf", n=2, trials=1, seed=3, samples=lab.CDF_DRAW_CAP // terms, cdf_terms=terms
+    )
+    validate_config(cfg)
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 10**6
 
 
 # -- report rendering -------------------------------------------------------------
@@ -402,6 +468,39 @@ def test_imported_model_uses_graph_file(tmp_path):
     assert report.passed
     ctx = make_context(cfg)
     assert ctx.graph == g
+
+
+@pytest.mark.parametrize("suite", ["tau", "cdf"])
+def test_imported_complete_graph_beyond_the_cut_cap_runs(tmp_path, suite):
+    from rspmetric import complete_graph, write_graph
+
+    path = tmp_path / "k30.txt"
+    write_graph(str(path), complete_graph(30))
+    cfg = ExperimentConfig(
+        suite=suite, model="imported", graph_file=str(path), n=30, trials=5, seed=3,
+        samples=1000, tau_ks=(1, 2, 30),
+    )
+    validate_config(cfg)
+    report = run_suite(cfg)
+    assert (report.notes["alpha"], report.notes["beta"]) == (1.0, 1.0)
+    assert len(report.records) == 5
+
+
+def test_imported_graph_beyond_the_cut_cap_fails_before_any_trial(tmp_path, monkeypatch):
+    from rspmetric import Graph, SizeCapExceededError, complete_graph, write_graph
+
+    n = lab.CUT_PARAMETER_CAP + 1
+    path = tmp_path / "g.txt"
+    write_graph(str(path), Graph(n, complete_graph(n).edges[1:]))  # K_n less one edge
+    cfg = ExperimentConfig(suite="tau", model="imported", graph_file=str(path), n=n, trials=2)
+    validate_config(cfg)
+    trials = []
+    monkeypatch.setattr(lab, "_trial", lambda *args: trials.append(args))
+    with pytest.raises(SizeCapExceededError):
+        make_context(cfg)
+    with pytest.raises(SizeCapExceededError):
+        run_suite(cfg)
+    assert trials == []
 
 
 @pytest.mark.parametrize("n", [4, 12])
