@@ -92,7 +92,6 @@ from .metric import (
     ball,
     build_metric,
     cluster_partition,
-    count_axiom_violations,
     diameter,
     read_metric,
     tau_profile,

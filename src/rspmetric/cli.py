@@ -56,10 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_heur.add_argument("--graph", required=True)
     p_heur.add_argument("--seed", type=int, default=0)
-    p_heur.add_argument("--rule", choices=lab.INSERTION_RULES, default="nearest")
+    p_heur.add_argument("--rule", choices=h.INSERTION_RULES, default="nearest")
     p_heur.add_argument("--k", type=int, default=None)
     p_heur.add_argument("--start", type=int, default=1)
-    p_heur.add_argument("--init", choices=("identity", "nn"), default="identity")
+    p_heur.add_argument("--init", choices=h.TWO_OPT_INITS, default="identity")
     p_heur.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_suite = sub.add_parser("suite", help="run a verification suite")

@@ -199,6 +199,9 @@ def nearest_neighbor_tour(metric: Metric, start: int = 1) -> Tour:
     return Tour(order=order_t, cost=tour_cost(metric, order_t))
 
 
+INSERTION_RULES = ("nearest", "farthest", "cheapest", "random")
+
+
 def _initial_triple(metric: Metric, rule: str, stream: UniformStream | None) -> list[int]:
     """First three vertices (0-based), chosen by the insertion rule itself."""
     n = metric.n
@@ -330,6 +333,10 @@ def _improving_in_row(d, o, legs, cost, i, lo, hi):
         if exchanged is not None:
             return lo + int(t), exchanged
     return None
+
+
+# starts of a 2-opt run: the identity tour, or nearest_neighbor_tour
+TWO_OPT_INITS = ("identity", "nn")
 
 
 def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> TwoOptTrace:

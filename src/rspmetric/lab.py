@@ -2,8 +2,12 @@
 
 Every suite runs one pipeline, :func:`run_suite`:
 
-1. Validate the config once; :func:`make_context` builds what all trials
-   share, a frozen graph and its exact cut parameters.
+1. Validate the config once.  Its ``_SUITES`` entry says what an instance
+   computes, its ``needs``: exact cut parameters (``cut``: n >= 2, and
+   n <= CUT_PARAMETER_CAP on G(n, p) with p < 1), a tour (``tour``: n >= 3)
+   and the exact baselines (``tsp``, ``matching``, ``kmedian``: their size
+   ceilings; even n for a matching).  :func:`make_context` builds what all
+   trials share, a frozen graph and its exact cut parameters.
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
    ends the trial at ``connected=0``.  Weights and metric are drawn on use.
@@ -47,9 +51,11 @@ from .graphs import (
     sum_lightest_edges,
 )
 from .heuristics import (
+    INSERTION_RULES,
     KMEDIAN_CAP,
     MATCHING_CAP,
     TSP_CAP,
+    TWO_OPT_INITS,
     exact_kmedian,
     exact_matching,
     exact_tsp,
@@ -76,10 +82,7 @@ FLOAT_SLACK = 1e-12  # absolute slack for comparisons between float sums
 # drawn and sorted at once: a run at the ceiling peaks below 64 MB traced.
 CDF_DRAW_CAP = 10**6
 
-SUITES = ("tau", "ratio", "two-opt", "concentration", "structure", "cdf")
-RATIO_KINDS = ("matching", "nn", "insertion", "kmedian")
 MODELS = ("complete", "er", "imported")
-INSERTION_RULES = ("nearest", "farthest", "cheapest", "random")
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +132,9 @@ def summarize_values(values, violations: int = 0) -> SummaryStats:
     )
 
 
-def summarize(records, selector, violations: int = 0) -> SummaryStats:
-    """Summarize one statistic over trial records.
-
-    ``selector`` is a value key or a callable on records; records that do not
-    carry the statistic (the callable returns None) are skipped.
-    """
-    vals = [selector(r) if callable(selector) else r.values.get(selector) for r in records]
+def summarize(records, key: str, violations: int = 0) -> SummaryStats:
+    """Summarize one value key over trial records; records without it are skipped."""
+    vals = [r.values.get(key) for r in records]
     return summarize_values([v for v in vals if v is not None], violations)
 
 
@@ -162,7 +161,6 @@ class ExperimentConfig:
     delta_fractions: tuple[float, ...] = (0.0, 0.125, 0.25, 0.5)
     two_opt_init: str = "identity"
     graph_file: str | None = None
-    cdf_c: float = 1.0
     cdf_terms: int = 1
     samples: int = 100_000
     structure_checks: tuple[str, ...] = ("chi", "cluster", "sandwich")
@@ -240,12 +238,10 @@ def validate_config(config: ExperimentConfig) -> None:
     ]
     if not_int:  # the rules below compare these fields as numbers
         raise ConfigInvalidError(f"fields must be integers: {', '.join(not_int)}")
-    kind = c.kind if c.suite == "ratio" else None
+    suite = _SUITES.get(c.suite)
+    needs = suite.needs(c) if suite else frozenset()
     checks = set(c.structure_checks) if c.suite == "structure" else set()
-    unknown = sorted(checks - {"chi", "cluster", "sandwich"})
-    matching = kind == "matching" or "sandwich" in checks  # runs exact_matching
-    tsp = kind in ("nn", "insertion") or "sandwich" in checks  # runs exact_tsp
-    exact_cut = c.suite in _SUITES and _SUITES[c.suite].needs_cut(c)
+    unknown = sorted(checks - set(_STRUCTURE_PARTS))
     k_ok = c.k is not None and 1 <= c.k <= c.n - 1
     rules = [
         (c.suite not in SUITES, f"suite must be one of {SUITES}"),
@@ -259,26 +255,27 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.model == "imported" and not c.graph_file, "imported model needs graph_file"),
         (any(not f >= 0 for f in c.delta_fractions), "delta_fractions must be nonnegative"),
         (not 1 <= c.start <= c.n, "start must lie in 1..n"),
-        (exact_cut and c.model == "er" and c.n > CUT_PARAMETER_CAP,
+        ("cut" in needs and c.model == "er" and c.p != 1 and c.n > CUT_PARAMETER_CAP,
          f"suite {c.suite} needs exact cut parameters: n <= {CUT_PARAMETER_CAP}"),
-        (c.suite in ("tau", "cdf", "concentration") and c.n < 2, f"suite {c.suite} needs n >= 2"),
+        ("cut" in needs and c.n < 2, f"suite {c.suite} needs n >= 2"),
         (c.suite in ("tau", "cdf") and any(not 1 <= k <= c.n for k in c.tau_ks),
          "tau_ks must lie in 1..n"),
         (c.suite in ("tau", "cdf") and len(set(c.tau_ks)) < len(c.tau_ks),
          "tau_ks may not repeat an entry"),
-        (c.suite == "ratio" and kind not in RATIO_KINDS,
+        (c.suite == "ratio" and c.kind not in RATIO_KINDS,
          f"ratio suite needs kind in {RATIO_KINDS}"),
-        (matching and c.n % 2, "perfect matchings need even n"),
-        (matching and c.n > MATCHING_CAP, f"matching baseline capped at n <= {MATCHING_CAP}"),
-        ((tsp or c.suite == "two-opt") and c.n < 3, "tours need n >= 3"),
-        (tsp and c.n > TSP_CAP, f"TSP baseline capped at n <= {TSP_CAP}"),
-        (kind == "insertion" and c.rule not in INSERTION_RULES,
+        ("matching" in needs and c.n % 2, "perfect matchings need even n"),
+        ("matching" in needs and c.n > MATCHING_CAP,
+         f"matching baseline capped at n <= {MATCHING_CAP}"),
+        ("tour" in needs and c.n < 3, "tours need n >= 3"),
+        ("tsp" in needs and c.n > TSP_CAP, f"TSP baseline capped at n <= {TSP_CAP}"),
+        (c.suite == "ratio" and c.kind == "insertion" and c.rule not in INSERTION_RULES,
          f"rule must be one of {INSERTION_RULES}"),
-        (kind == "kmedian" and not k_ok, "kmedian needs 1 <= k <= n-1 (k = n is degenerate)"),
-        (kind == "kmedian" and k_ok and math.comb(c.n, c.k) > KMEDIAN_CAP,
+        ("kmedian" in needs and not k_ok, "kmedian needs 1 <= k <= n-1 (k = n is degenerate)"),
+        ("kmedian" in needs and k_ok and math.comb(c.n, c.k) > KMEDIAN_CAP,
          f"C(n,k) exceeds kmedian cap {KMEDIAN_CAP}"),
-        (c.suite == "two-opt" and c.two_opt_init not in ("identity", "nn"),
-         "two_opt_init must be identity or nn"),
+        (c.suite == "two-opt" and c.two_opt_init not in TWO_OPT_INITS,
+         f"two_opt_init must be {' or '.join(TWO_OPT_INITS)}"),
         (c.suite == "concentration" and c.model != "er", "concentration suite needs the er model"),
         (c.suite == "concentration" and not 0 < c.epsilon < 1, "epsilon must lie in (0, 1)"),
         (bool(unknown), f"unknown structure checks: {unknown}"),
@@ -286,7 +283,6 @@ def validate_config(config: ExperimentConfig) -> None:
          "structure_checks may not repeat an entry"),
         (c.suite == "structure" and not checks, "structure suite needs at least one check"),
         (c.suite == "cdf" and c.cdf_terms < 1, "cdf_terms must be >= 1"),
-        (c.suite == "cdf" and not c.cdf_c > 0, "cdf_c must be positive"),
         (c.suite == "cdf" and c.samples < 1, "samples must be >= 1"),
         (c.suite == "cdf" and c.samples * c.cdf_terms > CDF_DRAW_CAP,
          f"samples * cdf_terms exceeds the cdf draw cap {CDF_DRAW_CAP}"),
@@ -430,7 +426,7 @@ def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
 
 
 def _cut_for(config: ExperimentConfig, graph: Graph) -> CutParameters | None:
-    return cut_parameters_exact(graph) if _SUITES[config.suite].needs_cut(config) else None
+    return cut_parameters_exact(graph) if "cut" in _SUITES[config.suite].needs(config) else None
 
 
 def make_context(config: ExperimentConfig) -> _Context:
@@ -456,15 +452,13 @@ def _trial(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
     return TrialRecord(index=i, seed=ts.hex(), values=values)
 
 
-def run_trials(config: ExperimentConfig, context: _Context | None = None) -> list[TrialRecord]:
-    """Run all trials; records are identical for any worker count.
+def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]:
+    """Run all trials of a valid config on its context; records are identical
+    for any worker count.
 
     At most one process per trial and per CPU is started: on fork, the pool
     starts all of its ``max_workers`` at once.
     """
-    if context is None:
-        validate_config(config)
-        context = make_context(config)
     trial = partial(_trial, config, context)
     workers = min(config.workers, config.trials, os.cpu_count() or 1)
     if workers <= 1:
@@ -509,16 +503,22 @@ def _tau_stats(x: _Instance) -> dict:
     return {**_taus(x), "pair_dist": x.metric.d(u, v)}
 
 
+_RATIO_KINDS = {  # kind -> (needs, (heuristic, exact) solutions of an instance)
+    "matching": (frozenset({"matching"}),
+                 lambda x: (greedy_matching(x.metric), exact_matching(x.metric))),
+    "nn": (frozenset({"tsp", "tour"}),
+           lambda x: (nearest_neighbor_tour(x.metric, x.config.start), exact_tsp(x.metric))),
+    "insertion": (frozenset({"tsp", "tour"}), lambda x: (
+        insertion_tour(x.metric, x.config.rule, x.seed.child(0, "rule")), exact_tsp(x.metric))),
+    "kmedian": (frozenset({"kmedian"}), lambda x: (
+        trivial_kmedian(x.metric, first_k_centers(x.config.k)),
+        exact_kmedian(x.metric, x.config.k))),
+}
+RATIO_KINDS = tuple(_RATIO_KINDS)
+
+
 def _ratio_stats(x: _Instance) -> dict:
-    c, metric = x.config, x.metric
-    if c.kind == "matching":
-        heur, exact = greedy_matching(metric), exact_matching(metric)
-    elif c.kind == "nn":
-        heur, exact = nearest_neighbor_tour(metric, c.start), exact_tsp(metric)
-    elif c.kind == "insertion":
-        heur, exact = insertion_tour(metric, c.rule, x.seed.child(0, "rule")), exact_tsp(metric)
-    else:  # kmedian
-        heur, exact = trivial_kmedian(metric, first_k_centers(c.k)), exact_kmedian(metric, c.k)
+    heur, exact = _RATIO_KINDS[x.config.kind][1](x)
     return {"heuristic": heur.cost, "exact": exact.cost, "ratio": heur.cost / exact.cost}
 
 
@@ -580,27 +580,33 @@ def _sandwich_stats(x: _Instance) -> dict:
     return {"s_half": s_half, "mm": mm, "tsp": tsp, "sandwich_violations": bad}
 
 
-_STRUCTURE_PARTS = {  # check -> (statistics, columns of the config)
-    "chi": (_chi_stats, lambda c: ("chi_violations",)),
+_STRUCTURE_PARTS = {  # check -> (statistics, columns of the config, needs)
+    "chi": (_chi_stats, lambda c: ("chi_violations",), frozenset({"cut"})),
     "cluster": (_cluster_stats, lambda c: tuple(
         f"{name}_{gi}" for gi in range(len(c.delta_fractions))
         for name in ("delta", "clusters", "scale")
-    ) + ("cluster_violations",)),
-    "sandwich": (_sandwich_stats, lambda c: ("s_half", "mm", "tsp", "sandwich_violations")),
+    ) + ("cluster_violations",), frozenset({"cut"})),
+    "sandwich": (_sandwich_stats, lambda c: ("s_half", "mm", "tsp", "sandwich_violations"),
+                 frozenset({"matching", "tsp", "tour"})),
 }
 
 
 def _structure_stats(x: _Instance) -> dict:
     values: dict = {}
-    for check, (stats, _) in _STRUCTURE_PARTS.items():
+    for check, (stats, _, _) in _STRUCTURE_PARTS.items():
         if check in x.config.structure_checks:
             values.update(stats(x))
     return values
 
 
 def _structure_columns(config: ExperimentConfig) -> tuple[str, ...]:
-    return tuple(col for check, (_, columns) in _STRUCTURE_PARTS.items()
+    return tuple(col for check, (_, columns, _) in _STRUCTURE_PARTS.items()
                  if check in config.structure_checks for col in columns(config))
+
+
+def _structure_needs(config: ExperimentConfig) -> frozenset:
+    return frozenset().union(*(needs for check, (_, _, needs) in _STRUCTURE_PARTS.items()
+                               if check in config.structure_checks))
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +651,17 @@ def _band_breach(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
 def _cdf_checks(config, ctx, records, summaries):
     """Monte Carlo CDFs versus closed forms: a part passes iff its band breach <= DKW slack.
 
-    ``exp-sum-ks``: sums of exponentials with rates c, 2c, ..., against their
-    exact CDF (1 - e^{-cx})^terms, so the breach is the Kolmogorov-Smirnov
-    distance.  ``tau_k-cdf-bracket``: the trials' tau_k against its bracket.
+    ``exp-sum-ks``: sums of exponentials with rates 1, 2, ..., terms against
+    their exact CDF (1 - e^{-x})^terms, so the breach is the Kolmogorov-Smirnov
+    distance.  Scaling every rate by c would scale the samples and the CDF's
+    argument alike, which leaves the distance as it is.
+    ``tau_k-cdf-bracket``: the trials' tau_k against its bracket.
     """
-    c, terms, count = config.cdf_c, config.cdf_terms, config.samples
+    terms, count = config.cdf_terms, config.samples
     stream = UniformStream(Seed(config.seed).child(0, "expsum"))
     draws = stream.exponential_block(count * terms).reshape(count, terms)
-    xs = np.sort((draws / (c * np.arange(1, terms + 1))).sum(axis=1))
-    cdf = (-np.expm1(-c * xs)) ** terms
+    xs = np.sort((draws / np.arange(1, terms + 1)).sum(axis=1))
+    cdf = (-np.expm1(-xs)) ** terms
     sup_diff = _band_breach(xs, cdf, cdf)
     slack = _dkw_slack(count)
     checks = [CheckResult(
@@ -705,7 +713,10 @@ class _Suite:
     stats: Callable[[_Instance], dict]
     columns: Callable[[ExperimentConfig], tuple[str, ...]]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
-    needs_cut: Callable[[ExperimentConfig], bool] = lambda c: True  # exact cut parameters
+    # what an instance computes beyond its metric: exact cut parameters
+    # ("cut"), a tour ("tour") and the exact baselines ("tsp", "matching",
+    # "kmedian"); validate_config derives every size rule from it
+    needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[ExperimentConfig], tuple[str, ...]] | None = None  # None: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
     finish: Callable = lambda config, ctx, records, summaries: ([], {})
@@ -721,7 +732,7 @@ _SUITES = {
     "ratio": _Suite(
         stats=_ratio_stats,
         columns=lambda c: ("heuristic", "exact", "ratio"),
-        needs_cut=lambda c: False,
+        needs=lambda c: _RATIO_KINDS.get(c.kind, (frozenset(),))[0],
         counts=lambda c: (
             ("ratio-floor", "ratio", lambda r: r < 1 - FLOAT_SLACK,
              "{bad} of {count} ratios below 1"),
@@ -732,7 +743,7 @@ _SUITES = {
         columns=lambda c: (
             "iterations", "initial_cost", "final_cost", "strictly_decreasing", "locally_optimal",
         ),
-        needs_cut=lambda c: False,
+        needs=lambda c: frozenset({"tour"}),
         summaries=lambda c: ("iterations", "final_cost"),
         counts=lambda c: (
             ("monotone-decrease", "strictly_decreasing", lambda ok: not ok,
@@ -750,7 +761,7 @@ _SUITES = {
     "structure": _Suite(
         stats=_structure_stats,
         columns=_structure_columns,
-        needs_cut=lambda c: bool({"chi", "cluster"} & set(c.structure_checks)),
+        needs=_structure_needs,
         summaries=lambda c: tuple(
             col for col in _structure_columns(c) if not col.startswith("delta_")
         ),
@@ -767,6 +778,7 @@ _SUITES = {
         finish=_cdf_checks,
     ),
 }
+SUITES = tuple(_SUITES)
 
 
 def run_suite(config: ExperimentConfig) -> Report:

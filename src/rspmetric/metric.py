@@ -183,25 +183,6 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_m
     return csr_matrix((np.concatenate((w, w))[order], indices, indptr), shape=(n, n))
 
 
-def count_axiom_violations(metric: Metric, tol: float = 1e-12) -> int:
-    """Number of (symmetry, diagonal, triangle) violations beyond tol.
-
-    Infinity absorbs: an infinite right-hand side never counts against the
-    triangle inequality.
-    """
-    d = metric.dist
-    n = metric.n
-    violations = int((np.diagonal(d) != 0).sum())
-    violations += int((d != d.T).sum())
-    for k in range(n):
-        rhs = d[:, k, None] + d[None, k, :]
-        with np.errstate(invalid="ignore"):
-            bad = d > rhs + tol
-        bad &= ~np.isinf(rhs)
-        violations += int(bad.sum())
-    return violations
-
-
 PROFILE_BLOCK = 1 << 20  # at most this many (centre, edge) entries per row block of tau_profiles
 
 

@@ -80,6 +80,18 @@ def floyd_warshall(wg):
     return d
 
 
+def triangle_violations(dist, tol=1e-12):
+    """Number of triples (i, k, j) with d[i, j] > d[i, k] + d[k, j] + tol.
+
+    An infinite right-hand side never counts against the inequality.
+    """
+    violations = 0
+    for k in range(dist.shape[0]):
+        rhs = dist[:, k, None] + dist[None, k, :]
+        violations += int(((dist > rhs + tol) & ~np.isinf(rhs)).sum())
+    return violations
+
+
 def min_matching_brute(dist):
     """Minimum perfect matching cost by enumerating all pairings."""
     n = dist.shape[0]

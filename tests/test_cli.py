@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from rspmetric import Metric, read_graph, read_metric
-from rspmetric.cli import main
+from rspmetric import Metric, heuristics, lab, read_graph, read_metric
+from rspmetric.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +195,26 @@ def test_suite_invalid_config_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "suite", "ratio", "--config", cfg)
     assert code == 2
     assert "even" in err
+
+
+@pytest.mark.parametrize("model", [{"model": "complete"}, {"model": "er", "p": 0.5}],
+                         ids=["complete", "er"])
+@pytest.mark.parametrize("check", ["chi", "cluster"])
+def test_suite_cut_parameters_of_one_vertex_is_usage_error(tmp_path, capsys, model, check):
+    cfg = write_config(tmp_path, suite="structure", n=1, trials=2, structure_checks=check, **model)
+    code, _, err = run_cli(capsys, "suite", "structure", "--config", cfg)
+    assert code == 2
+    assert "needs n >= 2" in err
+
+
+def test_choices_are_the_lab_and_heuristics_tables():
+    def choices(command, dest):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+    assert choices("suite", "name") == lab.SUITES == tuple(lab._SUITES)
+    assert choices("heur", "rule") == heuristics.INSERTION_RULES
+    assert choices("heur", "init") == heuristics.TWO_OPT_INITS
 
 
 def test_suite_writes_output_file_deterministically(tmp_path, capsys):

@@ -117,13 +117,15 @@ def test_over_ceiling_sizes_are_rejected_before_any_table():
     "kwargs",
     [
         dict(suite="ratio", kind="nn", n=TSP_CAP + 1),
+        dict(suite="ratio", kind="insertion", n=TSP_CAP + 2),
+        dict(suite="structure", n=TSP_CAP + 2, structure_checks=("sandwich",)),
         dict(suite="ratio", kind="matching", n=MATCHING_CAP + 2),
         dict(suite="tau", model="er", n=CUT_PARAMETER_CAP + 1, p=0.5),
         dict(suite="structure", model="er", n=CUT_PARAMETER_CAP + 2, p=0.5,
              structure_checks=("chi",)),
         dict(suite="ratio", kind="kmedian", n=40, k=20),
-        # the rule reads the model: even p = 1, which draws K_n, is rejected
-        dict(suite="cdf", model="er", n=CUT_PARAMETER_CAP + 1, p=1.0),
+        # below p = 1 a draw need not be complete; p = 1 always draws K_n and runs
+        dict(suite="cdf", model="er", n=CUT_PARAMETER_CAP + 1, p=0.99),
     ],
 )
 def test_config_cap_above_ceiling_is_rejected(kwargs):

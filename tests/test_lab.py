@@ -49,7 +49,7 @@ def test_summarize_empty_selection():
 def test_summarize_selector_forms():
     records = [TrialRecord(i, "00", {"x": float(i)}) for i in range(5)]
     assert summarize(records, "x").mean == 2.0
-    assert summarize(records, lambda r: r.values["x"] * 2).mean == 4.0
+    assert summarize(records + [TrialRecord(5, "00", {"y": 1.0})], "x").count == 5
 
 
 def test_ci_covers_unit_exponential_mean():
@@ -95,10 +95,12 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config_file(str(path))
 
 
-def test_cdf_tol_is_no_config_key(tmp_path):
-    # the cdf suite's pass rule is the DKW slack of each part's sample count
+@pytest.mark.parametrize("key", ["cdf_tol", "cdf_c"])
+def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
+    # cdf_tol: the cdf suite's pass rule is the DKW slack of each part's
+    # sample count; cdf_c: a common rate scale leaves the KS distance as it is
     path = tmp_path / "cfg.txt"
-    path.write_text("suite=cdf\ncdf_tol=0.02\n")
+    path.write_text(f"suite=cdf\n{key}=0.02\n")
     with pytest.raises(ConfigInvalidError, match="unknown config key"):
         parse_config_file(str(path))
 
@@ -130,10 +132,15 @@ def test_cdf_tol_is_no_config_key(tmp_path):
         dict(suite="ratio", kind="kmedian", n=6, k=2.5),
         dict(suite="tau", seed=None),
         dict(suite="structure", n=6, delta_fractions=(math.nan,)),  # a NaN radius
-        dict(suite="cdf", n=6, cdf_c=math.nan),
+        dict(suite="structure", n=1, structure_checks=("chi",)),  # cut parameters need n >= 2
         dict(suite="cdf", n=6, samples=lab.CDF_DRAW_CAP + 1),  # beyond the draw ceiling
         dict(suite="cdf", n=6, samples=lab.CDF_DRAW_CAP // 4 + 1, cdf_terms=4),
         dict(suite="cdf", n=6, samples=10**8, cdf_terms=4),  # about 12 GB of draws
+        dict(suite="structure", n=1, structure_checks=("cluster",)),
+        dict(suite="ratio", kind="bogus"),  # an unknown kind needs nothing, and is rejected
+        dict(suite="ratio", kind="nn", n=2),  # every tour needs n >= 3
+        dict(suite="two-opt", n=2),
+        dict(suite="concentration", model="er", p=0.5, n=1),  # cut parameters need n >= 2
     ],
 )
 def test_validate_config_rejects(kwargs):
@@ -149,26 +156,44 @@ def test_numpy_integers_in_a_config_become_plain_ints():
     assert run_suite(cfg).to_json() == run_suite(ExperimentConfig(**base, seed=3)).to_json()
 
 
+@pytest.mark.parametrize("suite", ["tau", "structure"])
+def test_er_at_p_one_runs_beyond_the_cut_cap(monkeypatch, suite):
+    # every G(30, 1) draw is K_30, whose cut parameters need no enumeration
+    real, cuts = lab.cut_parameters_exact, []
+    monkeypatch.setattr(lab, "cut_parameters_exact", lambda g: cuts.append(real(g)) or cuts[-1])
+    cfg = ExperimentConfig(
+        suite=suite, model="er", p=1.0, n=30, trials=3, seed=7, structure_checks=("chi",)
+    )
+    validate_config(cfg)
+    report = run_suite(cfg)
+    assert len(cuts) == (3 if suite == "structure" else 1)
+    assert {(cut.alpha, cut.beta) for cut in cuts} == {(1.0, 1.0)}
+    if suite == "structure":
+        assert report.passed and report.notes["eligible"] == 3
+    else:
+        assert (report.notes["alpha"], report.notes["beta"]) == (1.0, 1.0)
+
+
 # -- run_trials -----------------------------------------------------------------
 
 
 def test_single_trial():
     cfg = ExperimentConfig(suite="tau", model="complete", n=4, trials=1, seed=3)
-    records = run_trials(cfg)
+    records = run_trials(cfg, make_context(cfg))
     assert len(records) == 1
     assert records[0].index == 0
 
 
 def test_complete_model_trials_all_connected():
     cfg = ExperimentConfig(suite="ratio", kind="matching", model="complete", n=8, trials=20, seed=5)
-    records = run_trials(cfg)
+    records = run_trials(cfg, make_context(cfg))
     assert len(records) == 20
     assert all(r.values["connected"] == 1 for r in records)
 
 
 def test_trials_are_reproducible():
     cfg = ExperimentConfig(suite="two-opt", model="complete", n=8, trials=10, seed=7)
-    assert run_trials(cfg) == run_trials(cfg)
+    assert run_trials(cfg, make_context(cfg)) == run_trials(cfg, make_context(cfg))
 
 
 @pytest.mark.parametrize(
@@ -205,14 +230,18 @@ def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(lab.os, "cpu_count", lambda: 8)
-    base = dict(suite="ratio", kind="nn", model="complete", n=6, seed=5)
-    pooled = run_trials(ExperimentConfig(**base, trials=3, workers=64))
+
+    def trials(**kwargs):
+        cfg = ExperimentConfig(suite="ratio", kind="nn", model="complete", n=6, seed=5, **kwargs)
+        return run_trials(cfg, make_context(cfg))
+
+    pooled = trials(trials=3, workers=64)
     assert started == [3]
-    assert pooled == run_trials(ExperimentConfig(**base, trials=3))
-    run_trials(ExperimentConfig(**base, trials=20, workers=64))
+    assert pooled == trials(trials=3)
+    trials(trials=20, workers=64)
     assert started == [3, 8]
     monkeypatch.setattr(lab.os, "cpu_count", lambda: None)  # unknown: run serially
-    run_trials(ExperimentConfig(**base, trials=20, workers=64))
+    trials(trials=20, workers=64)
     assert started == [3, 8]
 
 
@@ -343,7 +372,7 @@ def test_structure_suite_subset_of_checks():
 def test_cdf_suite_passes_and_reports_sup_diff():
     cfg = ExperimentConfig(
         suite="cdf", model="complete", n=8, trials=300, seed=53,
-        cdf_c=2.0, cdf_terms=3, samples=50_000,
+        cdf_terms=3, samples=50_000,
     )
     report = run_suite(cfg)
     assert report.passed
