@@ -17,8 +17,6 @@ from .bounds import (
     evaluate,
     exp_sum_cdf,
     harmonic,
-    janson_lower_tail,
-    kmedian_order_pdf,
     sm_tail,
     tau_cdf_bounds,
     tau_expectation_bounds,
@@ -39,6 +37,7 @@ from .errors import (
 )
 from .graphs import (
     CUT_PARAMETER_CAP,
+    VERTEX_CAP,
     CutParameters,
     Graph,
     WeightedGraph,

@@ -2,9 +2,9 @@
 
 These are comparison curves for the Monte Carlo suites: exact harmonic-sum
 brackets for the growth process, CDF brackets, and the tail bounds for the
-diameter, ball sizes, light edge sums, and k-median order statistics.
-Probability-valued results are clamped to [0, 1]; a clamp means the bound is
-vacuous at those parameters and is logged.
+diameter, ball sizes and light edge sums.  Probability-valued results are
+clamped to [0, 1]; a clamp means the bound is vacuous at those parameters
+and is logged.
 """
 
 from __future__ import annotations
@@ -21,7 +21,15 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def density_threshold(delta: float, n: int, alpha: float) -> float:
-    """min{exp(alpha*delta*n/5), (n+1)/2}: balls at least this large are dense."""
+    """min{exp(alpha*delta*n/5), (n+1)/2}: balls at least this large are dense.
+
+    The one check of the radius and the cut parameter for the ball and
+    clustering bounds: delta >= 0 and alpha in (0, 1], NaN failing both.
+    """
+    if not delta >= 0:
+        raise ValueError("delta must be nonnegative")
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
     rate = alpha * delta * n / 5.0
     cap = (n + 1) / 2.0
     return cap if rate >= math.log(cap) else math.exp(rate)  # no overflow at large rates
@@ -58,11 +66,11 @@ def harmonic(n: int) -> float:
 
 def exp_sum_cdf(c: float, n: int, a: float) -> float:
     """P(X <= a) = (1 - e^{-ca})^n for X a sum of exponentials with rates c, 2c, ..., nc."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if a < 0:
+    if not a >= 0:
         raise ValueError("a must be nonnegative")
     return (-math.expm1(-c * a)) ** n
 
@@ -87,7 +95,7 @@ def tau_cdf_bounds(x: float, n: int, k: int, alpha: float, beta: float) -> tuple
     (1 - e^{-alpha(n-k)x})^{k-1} and (1 - e^{-alpha n x / 4})^n.  Upper bound
     is (1 - e^{-beta n x})^{k-1}.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -101,6 +109,8 @@ def tau_cdf_bounds(x: float, n: int, k: int, alpha: float, beta: float) -> tuple
 
 def diameter_tail(c: float, n: int) -> float:
     """Bound on P(diameter > c ln(n) / (alpha n)): min{1, n^{2 - c/4}}."""
+    if not c > 0:
+        raise ValueError("c must be positive")
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _clamp01(float(n) ** (2.0 - c / 4.0), "diameter-tail")
@@ -114,30 +124,13 @@ def ball_tail(delta: float, n: int, alpha: float) -> tuple[float, float]:
     """
     if n < 5:
         raise NTooSmallError("ball tail bound needs n >= 5")
-    if not delta >= 0:
-        raise ValueError("delta must be nonnegative")
     return (density_threshold(delta, n, alpha), math.exp(-alpha * delta * n / 5.0))
 
 
 def cluster_scale(delta: float, n: int, alpha: float) -> tuple[float, float]:
     """(s_delta, n / s_delta): density threshold and cluster-count scale."""
-    if not delta >= 0:
-        raise ValueError("delta must be nonnegative")
     s = density_threshold(delta, n, alpha)
     return (s, n / s)
-
-
-def janson_lower_tail(lam: float, mu: float, a_star: float) -> float:
-    """Lower-tail bound for sums of independent exponentials.
-
-    P(X <= lam * mu) <= exp(-a_* mu (lam - 1 - ln lam)) for lam in (0, 1],
-    where mu = E[X] and a_* is the smallest rate.
-    """
-    if not 0 < lam <= 1:
-        raise ParameterOutOfRangeError("lambda must lie in (0, 1]")
-    if mu <= 0 or a_star <= 0:
-        raise ValueError("mu and a_star must be positive")
-    return _clamp01(math.exp(-a_star * mu * (lam - 1.0 - math.log(lam))), "janson-lower-tail")
 
 
 def sm_tail(phi: float, c: float, n: int) -> float:
@@ -153,30 +146,6 @@ def sm_tail(phi: float, c: float, n: int) -> float:
     if not 0 < c <= 2.0 * phi * phi / math.e:
         raise ParameterOutOfRangeError(f"c must lie in (0, {2.0 * phi * phi / math.e:.6g}]")
     return _clamp01(math.exp(phi * n * (2.0 + math.log(c / (2.0 * phi * phi)))), "sm-tail")
-
-
-def kmedian_order_pdf(x: float, n: int, k: int, beta: float) -> float:
-    """Density of the stochastic lower bound on the trivial k-median cost.
-
-    beta k C(n-1, k) e^{-beta k x} (1 - e^{-beta x})^{n-k-1}; this is the
-    (n-k)-th smallest of n-1 independent rate-beta exponentials.  The
-    binomial coefficient is kept in log space.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    log_binom = math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
-    t = -math.expm1(-beta * x)
-    if n - k - 1 == 0:
-        tail = 0.0
-    elif t == 0.0:
-        return 0.0
-    else:
-        tail = (n - k - 1) * math.log(t)
-    return math.exp(math.log(beta * k) + log_binom - beta * k * x + tail)
 
 
 @dataclass(frozen=True)
@@ -198,9 +167,7 @@ FORMULAS: dict[str, tuple] = {
     "diameter-tail": (diameter_tail, ("c", "n")),
     "ball-tail": (ball_tail, ("delta", "n", "alpha")),
     "cluster-scale": (cluster_scale, ("delta", "n", "alpha")),
-    "janson-lower-tail": (janson_lower_tail, ("lam", "mu", "a_star")),
     "sm-tail": (sm_tail, ("phi", "c", "n")),
-    "kmedian-order-pdf": (kmedian_order_pdf, ("x", "n", "k", "beta")),
 }
 
 

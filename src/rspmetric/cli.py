@@ -190,11 +190,7 @@ def _cmd_bounds(args) -> int:
                 return 2
             key, _, value = pair.partition("=")
             params[key.strip()] = value.strip()
-    try:
-        result = bounds_mod.evaluate(args.formula, **params)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = bounds_mod.evaluate(args.formula, **params)
     print(
         json.dumps(
             {"formula": result.formula_id, "inputs": result.inputs, "value": result.value},

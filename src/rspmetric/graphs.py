@@ -25,6 +25,17 @@ from .rng import Seed, UniformStream
 # built in row blocks of 2^20 entries: about 35 ms, 17 MB traced peak and
 # 19 MB of extra resident memory on one Xeon core.
 CUT_PARAMETER_CAP = 24
+# Hard ceiling on n wherever an n x n table or all n(n-1)/2 pairs are built.
+# At 2048 on one Xeon core, with one process per step:
+# generate_erdos_renyi(2048, 1.0) then is_connected peaked at 442 MB RSS in
+# 3-3.6 s; complete_graph then build_metric peaked at 241 MB in 4.1-4.2 s.
+VERTEX_CAP = 2048
+
+
+def check_vertex_cap(n: int) -> None:
+    """Raise SizeCapExceededError if n is above ``VERTEX_CAP``."""
+    if n > VERTEX_CAP:
+        raise SizeCapExceededError(f"n={n} exceeds the vertex cap {VERTEX_CAP}")
 
 
 def _normalized_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -135,6 +146,7 @@ class CutParameters:
 
 def complete_graph(n: int) -> Graph:
     """All n(n-1)/2 edges present."""
+    check_vertex_cap(n)
     return Graph(n, np.column_stack(np.triu_indices(n, 1)) + 1)
 
 
@@ -164,6 +176,7 @@ def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    check_vertex_cap(n)
     iu, iv = np.triu_indices(n, 1)
     u = UniformStream(seed).u01_block(len(iu))
     keep = u < p

@@ -2,12 +2,13 @@
 
 Every suite runs one pipeline, :func:`run_suite`:
 
-1. Validate the config once.  Its ``_SUITES`` entry says what an instance
-   computes, its ``needs``: exact cut parameters (``cut``: n >= 2, and
-   n <= CUT_PARAMETER_CAP on G(n, p) with p < 1), a tour (``tour``: n >= 3)
-   and the exact baselines (``tsp``, ``matching``, ``kmedian``: their size
-   ceilings; even n for a matching).  :func:`make_context` builds what all
-   trials share, a frozen graph and its exact cut parameters.
+1. Validate the config once.  Every suite needs n <= VERTEX_CAP.  Its
+   ``_SUITES`` entry says what an instance computes, its ``needs``: exact
+   cut parameters (``cut``: n >= 2, and n <= CUT_PARAMETER_CAP on G(n, p)
+   with p < 1), a tour (``tour``: n >= 3) and the exact baselines (``tsp``,
+   ``matching``, ``kmedian``: their size ceilings; even n for a matching).
+   :func:`make_context` builds what all trials share, a frozen graph and
+   its exact cut parameters.
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
    ends the trial at ``connected=0``.  Weights and metric are drawn on use.
@@ -39,6 +40,7 @@ from . import bounds
 from .errors import ConfigInvalidError, EmptySelectionError
 from .graphs import (
     CUT_PARAMETER_CAP,
+    VERTEX_CAP,
     CutParameters,
     Graph,
     WeightedGraph,
@@ -248,6 +250,7 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.model not in MODELS, f"model must be one of {MODELS}"),
         (c.trials < 1, "trials must be >= 1"),
         (c.n < 1, "n must be >= 1"),
+        (c.n > VERTEX_CAP, f"n exceeds the vertex cap {VERTEX_CAP}"),
         (c.workers < 1, "workers must be >= 1"),
         (not 0 <= c.seed <= (1 << 64) - 1, "seed must be a 64-bit unsigned integer"),
         (c.format not in ("csv", "json"), "format must be csv or json"),

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .bounds import density_threshold
 from .errors import DisconnectedGraphError
-from .graphs import Graph, WeightedGraph
+from .graphs import Graph, WeightedGraph, check_vertex_cap
 
 
 class Metric:
@@ -91,23 +91,21 @@ class TauProfile:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint vertex clusters with per-cluster diameters.
+    """Disjoint vertex clusters, lowest member first, with per-cluster diameters.
 
-    Extra diagnostics: the density threshold ``s_delta`` in force, the set of
-    sparse vertices (ball smaller than the threshold), and the independent
-    ball centers the dense clusters grew from.
+    ``s_delta`` is the density threshold in force: a vertex whose ball is
+    smaller is a singleton cluster.  Each dense cluster is grown around its
+    centre, which is also its lowest member (see :func:`cluster_partition`).
     """
 
     clusters: tuple[frozenset[int], ...]
-    delta: float
     diameters: tuple[float, ...]
     s_delta: float
-    sparse: frozenset[int]
-    mis: tuple[int, ...]
 
 
 def build_metric(wg: WeightedGraph) -> Metric:
     """All-pairs shortest-path distances under the drawn weights."""
+    check_vertex_cap(wg.graph.n)
     edges0 = wg.graph.edges - 1
     dist, _ = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
     # dijkstra from u and from v may round the same path differently; take the
@@ -258,32 +256,26 @@ def diameter(metric: Metric) -> float:
 def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
     """Partition into clusters of diameter at most 4*delta.
 
-    Vertices whose delta-ball is smaller than the density threshold become
-    singletons.  The dense vertices are clustered around a maximal
-    independent set of the ball-intersection graph, greedily by ascending
-    vertex index; every other dense vertex joins the lowest-index center
-    whose ball meets its own.
+    Vertices whose delta-ball is smaller than the density threshold are
+    sparse and own themselves.  The dense vertices are clustered around a
+    maximal independent set of the ball-intersection graph, chosen greedily
+    by ascending vertex index: the centres.  Each dense vertex is owned by
+    the lowest centre whose ball meets its own, so a centre owns itself
+    (centres' balls are pairwise disjoint).  A centre is the lowest member of
+    its cluster: a dense non-centre was blocked at its turn by a lower centre
+    that meets it, so its owner lies below it.  One stable sort by owner thus
+    lists the clusters in the order of their lowest members.
     """
-    if not delta >= 0:
-        raise ValueError("delta must be nonnegative")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    s_delta = density_threshold(delta, metric.n, alpha)
     if not metric.is_finite():
         raise DisconnectedGraphError("clustering needs a connected (finite) metric")
-    n = metric.n
     d = metric.dist
-    s_delta = density_threshold(delta, n, alpha)
     in_ball = d <= delta
-    sizes = in_ball.sum(axis=1)
-    dense0 = np.flatnonzero(sizes >= s_delta)
-    sparse0 = np.flatnonzero(sizes < s_delta)
-
-    clusters: list[list[int]] = [[int(s)] for s in sparse0]
-    mis: list[int] = []
+    dense0 = np.flatnonzero(in_ball.sum(axis=1) >= s_delta)
+    owner = np.arange(metric.n)
     if len(dense0):
-        balls = in_ball[dense0]
         # shared-member counts; float32 is exact below 2^24 (uint8 would wrap at 256)
-        fb = balls.astype(np.float32)
+        fb = in_ball[dense0].astype(np.float32)
         meets = (fb @ fb.T) > 0
         chosen: list[int] = []
         blocked = np.zeros(len(dense0), dtype=bool)
@@ -291,30 +283,18 @@ def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
             if not blocked[i]:
                 chosen.append(i)
                 blocked |= meets[i]
-        mis = [int(dense0[i]) for i in chosen]
-        members: dict[int, list[int]] = {i: [int(dense0[i])] for i in chosen}
-        chosen_set = set(chosen)
-        for i in range(len(dense0)):
-            if i in chosen_set:
-                continue
-            for c in chosen:  # ascending vertex index
-                if meets[c, i]:
-                    members[c].append(int(dense0[i]))
-                    break
-        clusters.extend(members[c] for c in chosen)
-
-    clusters.sort(key=min)
-    frozen = tuple(frozenset(x + 1 for x in cl) for cl in clusters)
-    diameters = tuple(
-        float(d[np.ix_(cl, cl)].max()) if len(cl) > 1 else 0.0 for cl in clusters
-    )
+        owner[dense0] = dense0[chosen][meets[chosen].argmax(axis=0)]
+    order = np.argsort(owner, kind="stable")
+    starts = np.flatnonzero(np.diff(owner[order], prepend=-1))
+    # the max over each cluster's block of d: singletons get their 0 diagonal
+    rows = d.max(axis=1, where=owner[:, None] == owner, initial=0.0)
+    diameters = np.maximum.reduceat(rows[order], starts)
+    members = (order + 1).tolist()
+    cuts = starts.tolist() + [metric.n]
     return Partition(
-        clusters=frozen,
-        delta=float(delta),
-        diameters=diameters,
+        clusters=tuple(frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])),
+        diameters=tuple(diameters.tolist()),
         s_delta=float(s_delta),
-        sparse=frozenset(int(x) + 1 for x in sparse0),
-        mis=tuple(x + 1 for x in mis),
     )
 
 

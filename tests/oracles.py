@@ -10,7 +10,7 @@ the split bilinear form behind ``cut_parameters_exact``: one XOR per edge
 over every subset holding vertex 1, with the same float division.
 Likewise the loop versions at the end are the references of the library's
 whole-array kernels (full-graph Dijkstra, tau profiles, greedy matching,
-insertion and 2-opt): same arithmetic, summation order and tie rules, one
+insertion, 2-opt and the clustering): same arithmetic, summation order and tie rules, one
 element at a time.
 """
 
@@ -368,3 +368,44 @@ def has_improving_exchange_loop(dist, tour_order):
     n = len(order)
     cost = math.fsum(d[order[k]][order[(k + 1) % n]] for k in range(n))
     return any(_improving_delta(d, order, i, j, cost) is not None for i, j in _exchange_pairs(n))
+
+
+def cluster_partition_loop(dist, delta, alpha):
+    """(clusters, diameters, s_delta) of the bounded-diameter clustering, vertex by vertex.
+
+    Same greedy centre scan as ``cluster_partition``; each dense non-centre
+    then tries the centres in ascending order and joins the first whose ball
+    meets its own.  Clusters are sorted by their lowest member, and each
+    diameter is the max over the cluster's own block of the table.
+    """
+    from rspmetric.bounds import density_threshold
+
+    n = dist.shape[0]
+    s_delta = density_threshold(delta, n, alpha)
+    in_ball = dist <= delta
+    sizes = in_ball.sum(axis=1)
+    dense0 = [v for v in range(n) if sizes[v] >= s_delta]
+    clusters = [[v] for v in range(n) if sizes[v] < s_delta]
+    shared = in_ball[dense0].astype(np.int64) @ in_ball[dense0].T.astype(np.int64)
+    meets = shared > 0
+    chosen = []
+    blocked = [False] * len(dense0)
+    for i in range(len(dense0)):
+        if not blocked[i]:
+            chosen.append(i)
+            for j in range(len(dense0)):
+                blocked[j] = blocked[j] or bool(meets[i, j])
+    members = {c: [dense0[c]] for c in chosen}
+    for i in range(len(dense0)):
+        if i in members:
+            continue
+        for c in chosen:
+            if meets[c, i]:
+                members[c].append(dense0[i])
+                break
+    clusters.extend(members[c] for c in chosen)
+    clusters.sort(key=min)
+    diameters = tuple(
+        float(dist[np.ix_(cl, cl)].max()) if len(cl) > 1 else 0.0 for cl in clusters
+    )
+    return tuple(frozenset(x + 1 for x in cl) for cl in clusters), diameters, float(s_delta)

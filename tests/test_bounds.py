@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from rspmetric import (
     NTooSmallError,
@@ -13,8 +12,6 @@ from rspmetric import (
     evaluate,
     exp_sum_cdf,
     harmonic,
-    janson_lower_tail,
-    kmedian_order_pdf,
     sm_tail,
     tau_cdf_bounds,
     tau_expectation_bounds,
@@ -73,7 +70,8 @@ def test_exp_sum_cdf_is_a_distribution():
 
 
 def test_exp_sum_cdf_validates():
-    for bad in [(0.0, 1, 1.0), (1.0, 0, 1.0), (1.0, 1, -0.5)]:
+    nan = math.nan
+    for bad in [(0.0, 1, 1.0), (1.0, 0, 1.0), (1.0, 1, -0.5), (nan, 1, 1.0), (1.0, 1, nan)]:
         with pytest.raises(ValueError):
             exp_sum_cdf(*bad)
 
@@ -105,6 +103,9 @@ def test_tau_cdf_bounds_examples():
     lo, hi = tau_cdf_bounds(0.5, 10, 5, 0.5, 1.0)
     assert lo == pytest.approx(0.25915776787768136, abs=1e-15)
     assert hi == pytest.approx(0.9733193900341046, abs=1e-15)
+    for x in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            tau_cdf_bounds(x, 10, 5, 0.5, 1.0)
 
 
 def test_tau_cdf_lower_never_exceeds_upper():
@@ -123,6 +124,9 @@ def test_diameter_tail_examples():
     assert diameter_tail(8.0, 50) == 1.0  # exponent 0, clamped
     assert diameter_tail(12.0, 10) == pytest.approx(0.1, abs=1e-15)
     assert diameter_tail(16.0, 10) == pytest.approx(0.01, abs=1e-15)
+    for c in (0.0, -10000.0, math.nan):  # c = -10000 used to overflow
+        with pytest.raises(ValueError):
+            diameter_tail(c, 10)
 
 
 def test_ball_tail_examples():
@@ -146,6 +150,11 @@ def test_ball_tail_and_cluster_scale_reject_bad_radii(delta):
         ball_tail(delta, 10, 1.0)
     with pytest.raises(ValueError):
         cluster_scale(delta, 10, 1.0)
+    for alpha in (0.0, -2.0, -1000.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            ball_tail(1.0, 10, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            cluster_scale(1.0, 10, alpha)
 
 
 def test_cluster_scale_examples():
@@ -155,16 +164,6 @@ def test_cluster_scale_examples():
     s, scale = cluster_scale(1.0, 20, 0.5)
     assert s == pytest.approx(math.exp(2.0), abs=1e-12)
     assert scale == pytest.approx(20 / math.exp(2.0), abs=1e-12)
-
-
-def test_janson_lower_tail():
-    assert janson_lower_tail(1.0, 5.0, 2.0) == 1.0
-    assert janson_lower_tail(0.5, 5.0, 2.0) == pytest.approx(0.14493472568611, abs=1e-15)
-    assert janson_lower_tail(1e-9, 5.0, 2.0) < 1e-30
-    with pytest.raises(ParameterOutOfRangeError):
-        janson_lower_tail(1.5, 5.0, 2.0)
-    with pytest.raises(ParameterOutOfRangeError):
-        janson_lower_tail(0.0, 5.0, 2.0)
 
 
 def test_sm_tail():
@@ -182,32 +181,6 @@ def test_sm_tail_clamps_in_vacuous_regime():
     phi = 0.5
     c_max = 2 * phi**2 / math.e
     assert sm_tail(phi, c_max, 20) == 1.0
-
-
-# -- k-median order statistic density --------------------------------------------
-
-
-def test_kmedian_order_pdf_reduces_to_unit_exponential():
-    assert kmedian_order_pdf(0.0, 2, 1, 1.0) == pytest.approx(1.0, abs=1e-15)
-    for x in (0.1, 0.8, 2.5):
-        assert kmedian_order_pdf(x, 2, 1, 1.0) == pytest.approx(math.exp(-x), rel=1e-12)
-
-
-@pytest.mark.parametrize("n,k,beta", [(10, 3, 0.5), (8, 1, 1.0), (12, 6, 0.25), (15, 14, 2.0)])
-def test_kmedian_order_pdf_integrates_to_one(n, k, beta):
-    total, err = quad(lambda x: kmedian_order_pdf(x, n, k, beta), 0.0, np.inf, limit=200)
-    assert err < 1e-8
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_kmedian_order_pdf_nonnegative_and_validated():
-    assert all(
-        kmedian_order_pdf(x, 9, 4, 0.7) >= 0.0 for x in np.linspace(0.0, 30.0, 50)
-    )
-    with pytest.raises(ValueError):
-        kmedian_order_pdf(1.0, 9, 9, 0.7)
-    with pytest.raises(ValueError):
-        kmedian_order_pdf(-1.0, 9, 4, 0.7)
 
 
 # -- registry --------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rspmetric import Metric, heuristics, lab, read_graph, read_metric
+from rspmetric import VERTEX_CAP, Metric, heuristics, lab, read_graph, read_metric
 from rspmetric.cli import _build_parser, main
 
 
@@ -43,6 +43,15 @@ def test_gen_er_without_p_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "needs --p" in err
+
+
+def test_gen_above_the_vertex_cap_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "k.txt"
+    n = str(VERTEX_CAP + 1)
+    code, _, err = run_cli(capsys, "gen", "--model", "complete", "--n", n, "--out", str(path))
+    assert code == 2
+    assert "vertex cap" in err
+    assert not path.exists()
 
 
 # -- cutparams / metric -----------------------------------------------------------
@@ -276,6 +285,29 @@ def test_bounds_eval_bad_params(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "bounds", "eval", "harmonic", "--params", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "formula, params",
+    [
+        ("diameter-tail", "c=-10000,n=10"),  # used to overflow
+        ("ball-tail", "delta=1,n=10,alpha=-1000"),  # used to overflow
+        ("cluster-scale", "delta=1,n=10,alpha=-2"),  # used to give s_delta < 1
+        ("exp-sum-cdf", "c=1,n=3,a=nan"),  # used to print NaN
+        ("tau-cdf", "x=nan,n=10,k=5,alpha=0.5,beta=1"),
+    ],
+)
+def test_bounds_eval_out_of_range_is_usage_error(capsys, formula, params):
+    code, out, err = run_cli(capsys, "bounds", "eval", formula, "--params", params)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bounds_eval_of_a_deleted_formula_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "eval", "janson-lower-tail", "--params", "lam=0.5,mu=1,a_star=1"])
+    assert exc.value.code == 2
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

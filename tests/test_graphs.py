@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rspmetric import (
     CUT_PARAMETER_CAP,
+    VERTEX_CAP,
     CutParameters,
     DisconnectedGraphError,
     Graph,
@@ -16,6 +17,7 @@ from rspmetric import (
     Seed,
     SizeCapExceededError,
     WeightedGraph,
+    build_metric,
     complete_graph,
     cut_parameters_exact,
     cycle_graph,
@@ -175,6 +177,16 @@ def test_cut_parameters_cap():
     n = CUT_PARAMETER_CAP + 1
     with pytest.raises(SizeCapExceededError):
         cut_parameters_exact(Graph(n, complete_graph(n).edges[1:]))
+
+
+def test_vertex_cap_fires_before_any_pair_is_built():
+    n = VERTEX_CAP + 1
+    with pytest.raises(SizeCapExceededError):
+        complete_graph(n)
+    with pytest.raises(SizeCapExceededError):
+        generate_erdos_renyi(n, 1.0, Seed(1))
+    with pytest.raises(SizeCapExceededError):
+        build_metric(draw_weights(Graph(n, ()), Seed(1)))  # an imported graph
 
 
 @pytest.mark.parametrize("n", (CUT_PARAMETER_CAP + 1, 30, 200))

@@ -1,10 +1,11 @@
 """Whole-array kernels against their one-element-at-a-time references.
 
-Shortest paths, tau profiles, greedy matching, insertion, 2-opt and the cut
-parameters run as numpy passes; ``tests/oracles.py`` keeps the loop versions
-with the same arithmetic and tie rules.  Outputs are compared with ``==``:
-tours, pairs, cost sequences, exchange counts, prefix cuts and (alpha, beta),
-and whole distance tables with ``np.array_equal``.
+Shortest paths, tau profiles, greedy matching, insertion, 2-opt, the
+clustering and the cut parameters run as numpy passes; ``tests/oracles.py``
+keeps the loop versions with the same arithmetic and tie rules.  Outputs are
+compared with ``==``: tours, pairs, cost sequences, exchange counts, prefix
+cuts, clusters with their diameters and (alpha, beta), and whole distance
+tables with ``np.array_equal``.
 """
 
 import math
@@ -19,9 +20,11 @@ from rspmetric import (
     Seed,
     WeightedGraph,
     build_metric,
+    cluster_partition,
     complete_graph,
     cut_parameters_exact,
     cycle_graph,
+    diameter,
     draw_weights,
     generate_erdos_renyi,
     greedy_matching,
@@ -40,6 +43,7 @@ from rspmetric.heuristics import Tour
 from rspmetric.metric import PROFILE_BLOCK, _certified_apsp
 from conftest import all_ones_metric, points_on_line, rsp_instance, small_integer_metric
 from oracles import (
+    cluster_partition_loop,
     cut_parameters_enum,
     dijkstra_full,
     greedy_matching_scan,
@@ -92,6 +96,15 @@ def assert_same_profiles(metric, graph):
     assert np.array_equal(one.order, rows[2][-1])
 
 
+def assert_same_clusters(metric):
+    dmax = diameter(metric)
+    for frac in (0.0, 0.05, 0.125, 0.25, 0.5, 1.0):
+        for alpha in (1.0, 0.3, 0.05):
+            got = cluster_partition(metric, frac * dmax, alpha)
+            want = cluster_partition_loop(metric.dist, frac * dmax, alpha)
+            assert (got.clusters, got.diameters, got.s_delta) == want, (frac, alpha)
+
+
 def assert_same_table(wg):
     raw = dijkstra_full(wg)
     assert np.array_equal(build_metric(wg).dist, np.minimum(raw, raw.T))
@@ -114,6 +127,7 @@ def test_kernels_match_loops_on_complete_graphs(n):
     graph, wg, metric = rsp_instance(n, seed=3000 + n)
     assert_same_table(wg)
     assert_same_profiles(metric, graph)
+    assert_same_clusters(metric)
     if n % 2 == 0:
         assert_same_greedy(metric)
     assert_same_insertion(metric)
@@ -124,6 +138,7 @@ def test_kernels_match_loops_on_k200():
     graph, wg, metric = rsp_instance(200, seed=200)
     assert_same_table(wg)
     assert_same_profiles(metric, graph)
+    assert_same_clusters(metric)
     assert_same_greedy(metric)
     assert_same_insertion(metric, rules=("nearest", "farthest", "random"))
     assert_same_two_opt(metric)
@@ -139,6 +154,7 @@ def test_kernels_match_loops_on_connected_er_graphs(n, p):
         metric = build_metric(wg)
         assert_same_table(wg)
         assert_same_profiles(metric, graph)
+        assert_same_clusters(metric)
         assert_same_greedy(metric)
         assert_same_insertion(metric)
         assert_same_two_opt(metric)
@@ -163,6 +179,7 @@ def test_kernels_match_loops_on_tie_heavy_metrics(n):
     graph = complete_graph(n)
     for metric in metrics:
         assert_same_profiles(metric, graph)
+        assert_same_clusters(metric)
         if n % 2 == 0:
             assert_same_greedy(metric)
         assert_same_insertion(metric)

@@ -11,6 +11,7 @@ from rspmetric import (
     ExperimentConfig,
     Seed,
     UniformStream,
+    VERTEX_CAP,
     parse_config_file,
     run_suite,
     run_trials,
@@ -141,6 +142,9 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="ratio", kind="nn", n=2),  # every tour needs n >= 3
         dict(suite="two-opt", n=2),
         dict(suite="concentration", model="er", p=0.5, n=1),  # cut parameters need n >= 2
+        dict(suite="tau", n=VERTEX_CAP + 1),  # every suite builds an n x n table or all pairs
+        dict(suite="two-opt", n=VERTEX_CAP + 1),
+        dict(suite="concentration", model="er", p=1.0, n=VERTEX_CAP + 1),
     ],
 )
 def test_validate_config_rejects(kwargs):
