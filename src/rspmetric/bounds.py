@@ -181,4 +181,8 @@ def evaluate(formula_id: str, **params) -> BoundValue:
     if missing or extra:
         raise ValueError(f"{formula_id} takes {names}; missing {missing}, extra {extra}")
     args = {p: int(params[p]) if p in _INT_PARAMS else float(params[p]) for p in names}
-    return BoundValue(formula_id=formula_id, value=fn(**args), inputs=args)
+    try:
+        value = fn(**args)
+    except OverflowError as exc:  # an integer parameter beyond the float range
+        raise ValueError(f"{formula_id}: a parameter is out of float range ({exc})") from exc
+    return BoundValue(formula_id=formula_id, value=value, inputs=args)

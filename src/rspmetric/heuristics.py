@@ -8,22 +8,30 @@ continuous random weights.
 Exact baselines are dynamic programs / enumerations, not approximations,
 bounded only by the hard ceilings ``TSP_CAP``, ``MATCHING_CAP`` and
 ``KMEDIAN_CAP``: past a ceiling they raise before allocating any table.  The
-two subset DPs run as whole-array numpy passes, never one mask at a time:
+two subset DPs never visit one mask at a time.  Each reads a per-size index
+plan, built once per process by an ``lru_cache`` and kept read-only, that
+says which table entries every entry is the minimum over:
 
-- ``exact_tsp`` (Held-Karp) anchors the tour at vertex 1 and keeps a
-  ``(2^(n-1), n-1)`` table over subsets of the other vertices, filled one
-  popcount layer at a time with one gather and one ``argmin`` per end vertex.
+- ``exact_tsp`` (Held-Karp) anchors the tour at vertex 1 and keeps a table
+  over the subsets of the other n-1 vertices and the end vertex.
+  :func:`_tsp_plan` lists, per popcount layer and end vertex j, each subset's
+  predecessor without j, so a layer is one gather, one add and one minimum.
   The walk back keeps no table: it recomputes each step's sums and takes the
   lowest predecessor by ``argmin``, as the closing step the lowest last vertex.
-- ``exact_matching`` always matches the lowest vertex i of a subset.  The
-  subsets with lowest vertex i form a strided slice of the ``2^n`` table,
-  updated from the slice of subsets with lowest vertex above i by one
-  ``np.minimum`` per partner j.  Pairs are recovered by taking the lowest j
-  whose recomputed sum equals the table entry.
+- ``exact_matching`` always matches the lowest vertex i of a subset, so from
+  the full set it reaches only F(n+1) (Fibonacci) subsets, 10,946 of the 2^20
+  at n = 20.  :func:`_matching_plan` lists those by size with their
+  predecessors and pair distances, so a size is one gather, one add and one
+  minimum.  Pairs are recovered by taking the lowest j whose recomputed sum
+  equals the table entry.
 
 Both keep the lowest-index tie rule of a per-mask DP scanning candidates in
 ascending order (the reference versions live in ``tests/oracles.py``), so they
-return the same tours and pairings, not just the same costs.
+return the same tours and pairings, not just the same costs.  The tables are
+bit-identical to the per-mask ones too: every entry is the minimum over the
+same set of IEEE sums ``dp[prev] + d[., .]``, each one rounding of the same two
+operands, and the minimum of non-NaN floats does not depend on the order in
+which they are compared.  The walk backs then see the same entries.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,10 +54,13 @@ from .metric import Metric
 from .rng import Seed, UniformStream
 
 # Hard ceilings, the only size bound of the exact baselines.
-TSP_CAP = 18        # Held-Karp table 2^17 x 17 float64: ~18 MB at 18
-MATCHING_CAP = 20   # pairing DP table 2^20 float64: ~8 MB at 20
+# At 18 the Held-Karp table is 17 x 2^17 float64, about 18 MB, and its cached
+# plan 4.5 MB of int32.  At 20 the pairing DP keeps 10,946 states.
+TSP_CAP = 18
+MATCHING_CAP = 20
 KMEDIAN_CAP = 10**6  # number of center sets enumerated
 
+_DP_BLOCK = 1 << 20  # at most this many candidate sums per Held-Karp gather
 _ROW_BLOCK = 128  # rows of the distance table copied at once by greedy_matching
 
 
@@ -139,13 +151,50 @@ def greedy_matching(metric: Metric) -> Matching:
     return Matching(pairs=pairs, cost=cost)
 
 
+@lru_cache(maxsize=None)  # one entry per even n <= MATCHING_CAP
+def _matching_plan(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+    """Index plan of the pairing DP on n vertices: only the reachable subsets.
+
+    Matching the lowest vertex i of a subset to a partner j and recursing on
+    the rest reaches F(n+1) (Fibonacci) of the 2^n subsets from the full set.
+    Returns ``masks``, those subsets in ascending order (the state of mask
+    ``masks[t]`` is t, so the empty set is state 0), and one layer per even
+    size s = 2, 4, ..., n: ``(target, pred, pair)`` with ``target`` the states
+    of size s, ``pred[r, c]`` the state of ``target[r]`` minus i and its c-th
+    partner j in ascending order, and ``pair[r, c] = i * n + j`` the flat index
+    of d[i, j].  Every subset of size s has exactly s - 1 partners, so the rows
+    need no padding.
+    """
+    states = np.array([(1 << n) - 1])
+    steps = []
+    while states[0]:  # down to the empty set, one size at a time
+        bits = (states[:, None] >> np.arange(n)) & 1 == 1
+        i = bits.argmax(axis=1)  # the lowest vertex of each subset
+        bits[np.arange(len(states)), i] = False
+        js = np.nonzero(bits)[1].reshape(len(states), -1)  # its partners, ascending
+        rest = states[:, None] ^ (1 << i)[:, None] ^ (1 << js)
+        steps.append((states, rest, i[:, None] * n + js))
+        states = np.unique(rest)
+    masks = np.sort(np.concatenate([s for s, _, _ in steps] + [states]))
+    layers = tuple(
+        tuple(a.astype(np.int32) for a in (np.searchsorted(masks, s), np.searchsorted(masks, r), p))
+        for s, r, p in reversed(steps)
+    )
+    for a in (masks, *(a for layer in layers for a in layer)):
+        a.setflags(write=False)
+    return masks, layers
+
+
 def exact_matching(metric: Metric) -> Matching:
     """Minimum-cost perfect matching by DP over vertex subsets.
 
     ``dp[mask]`` is the cheapest perfect matching of ``mask``, whose lowest
-    vertex i is always the one matched.  Masks with lowest bit i are the
-    strided slice ``dp[1 << i :: 2 << i]``; they draw from the masks with
-    lowest bit above i, ``dp[:: 2 << i]``, so i runs from n-1 down to 0.
+    vertex i is always the one matched:
+    ``dp[mask] = min_j dp[mask - {i, j}] + d[i, j]``.  Only the F(n+1)
+    subsets that this recursion reaches from the full set are kept; the
+    cached plan of :func:`_matching_plan` lists them by size, and each size
+    is filled by one gather, one add and one row-wise minimum.  Pairs are
+    recovered by taking the lowest j whose recomputed sum equals the entry.
     """
     n = metric.n
     if n % 2:
@@ -154,15 +203,13 @@ def exact_matching(metric: Metric) -> Matching:
         raise SizeCapExceededError(f"n={n} exceeds the matching DP cap {MATCHING_CAP}")
     _require_finite(metric)
     d = metric.dist
-    dp = np.full(1 << n, np.inf)
+    masks, layers = _matching_plan(n)
+    dp = np.empty(len(masks))
     dp[0] = 0.0
-    for i in range(n - 1, -1, -1):
-        src = dp[:: 2 << i]  # index t <-> mask t << (i+1)
-        dst = dp[1 << i :: 2 << i]  # index t <-> mask (t << (i+1)) | (1 << i)
-        for j in range(i + 1, n):
-            half = 1 << (j - i - 1)  # bit j of the mask is this bit of t
-            with_j = dst.reshape(-1, 2, half)[:, 1, :]
-            np.minimum(with_j, src.reshape(-1, 2, half)[:, 0, :] + d[i, j], out=with_j)
+    for target, pred, pair in layers:
+        cand = dp[pred]
+        cand += np.take(d, pair)
+        dp[target] = np.minimum.reduce(cand, axis=1)
     # walk back, matching i to the lowest j whose sum attains dp[mask]
     pairs = []
     mask = (1 << n) - 1
@@ -170,7 +217,8 @@ def exact_matching(metric: Metric) -> Matching:
         i = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << i)
         js = np.flatnonzero((rest >> np.arange(n)) & 1)
-        j = int(js[np.argmax(dp[rest ^ (1 << js)] + d[i, js] == dp[mask])])
+        sums = dp[np.searchsorted(masks, rest ^ (1 << js))] + d[i, js]
+        j = int(js[np.argmax(sums == dp[np.searchsorted(masks, mask)])])
         pairs.append((i + 1, j + 1))
         mask = rest ^ (1 << j)
     pairs.sort()
@@ -396,12 +444,40 @@ def has_improving_exchange(metric: Metric, tour: Tour) -> bool:
     )
 
 
+@lru_cache(maxsize=None)  # one entry per m < TSP_CAP
+def _tsp_plan(m: int) -> tuple[np.ndarray, ...]:
+    """Index plan of Held-Karp over the subsets of m end vertices.
+
+    One read-only int32 array per popcount layer k = 2..m:
+    ``prev[j, c] = S ^ (1 << j)`` for the c-th subset S of size k that holds
+    bit j, in ascending order of S.  Every bit lies in C(m-1, k-1) such
+    subsets, so the rows have one length.
+    """
+    masks = np.arange(1 << m, dtype=np.int32)
+    popcount = np.zeros(1 << m, dtype=np.int8)
+    for b in range(m):
+        popcount += (masks >> b) & 1
+    bit = np.arange(m, dtype=np.int32)[:, None]
+    plan = []
+    for k in range(2, m + 1):
+        layer = masks[popcount == k]
+        holds = (layer >> bit) & 1 == 1  # holds[j, c]: the c-th subset holds bit j
+        prev = np.broadcast_to(layer, holds.shape)[holds].reshape(m, -1) ^ (1 << bit)
+        prev.setflags(write=False)
+        plan.append(prev)
+    return tuple(plan)
+
+
 def exact_tsp(metric: Metric) -> Tour:
     """Optimal tour by the Held-Karp subset dynamic program.
 
     Tours are anchored at vertex 1.  ``dp[S, j]`` is the cheapest path from
     vertex 1 through the set S of other vertices, ending at vertex j+2 (bit
-    j); S runs over the 2^(n-1) subsets one popcount layer at a time.
+    j): ``dp[S, j] = min_p dp[S - {j}, p] + d[p+2, j+2]``.  The table is kept
+    end-major, ``dT[p, S] = dp[S, p]``, and filled one popcount layer at a
+    time from the cached plan of :func:`_tsp_plan`: one gather of every
+    candidate ``dT[p, prev[j, c]]``, one add of ``d[p+2, j+2]`` and one
+    minimum over p, in blocks of at most ``_DP_BLOCK`` candidates.
     """
     n = metric.n
     if n < 3:
@@ -411,19 +487,20 @@ def exact_tsp(metric: Metric) -> Tour:
     _require_finite(metric)
     d = metric.dist
     m = n - 1
-    masks = np.arange(1 << m)
-    popcount = np.zeros(1 << m, dtype=np.int8)
-    for b in range(m):
-        popcount += (masks >> b) & 1
-    dp = np.full((1 << m, m), np.inf)
-    dp[1 << np.arange(m), np.arange(m)] = d[0, 1:]
-    for k in range(2, m + 1):
-        layer = masks[popcount == k]
-        for j in range(m):
-            ends = layer[(layer >> j) & 1 == 1]
-            cand = dp[ends ^ (1 << j)] + d[1:, j + 1]
-            # argmin and a gather beat .min(axis=1) on rows this short
-            dp[ends, j] = cand[np.arange(len(ends)), cand.argmin(axis=1)]
+    ends = np.arange(m)
+    end_bits = 1 << ends
+    dT = np.full((m, 1 << m), np.inf)
+    dT[ends, end_bits] = d[0, 1:]
+    legs = d[1:, 1:, None]  # legs[p, j] = d[p+2, j+2]
+    for prev in _tsp_plan(m):
+        width = max(1, _DP_BLOCK // (m * prev.shape[1]))  # end vertices per block
+        for lo in range(0, m, width):
+            j = slice(lo, lo + width)
+            cand = np.take(dT, prev[j], axis=1)  # (p, j, c)
+            cand += legs[:, j]
+            dT[ends[j, None], prev[j] | end_bits[j, None]] = np.minimum.reduce(cand, axis=0)
+            del cand  # before the next block's gather, so one block is held at a time
+    dp = dT.T
     # walk back from the lowest last vertex, each time to the lowest
     # predecessor whose recomputed sum attains the table entry
     mask = (1 << m) - 1

@@ -287,6 +287,9 @@ def test_bounds_eval_bad_params(capsys):
     assert code == 2
 
 
+HUGE_N = 10**399 + 7  # 400 digits, above the largest float
+
+
 @pytest.mark.parametrize(
     "formula, params",
     [
@@ -295,6 +298,14 @@ def test_bounds_eval_bad_params(capsys):
         ("cluster-scale", "delta=1,n=10,alpha=-2"),  # used to give s_delta < 1
         ("exp-sum-cdf", "c=1,n=3,a=nan"),  # used to print NaN
         ("tau-cdf", "x=nan,n=10,k=5,alpha=0.5,beta=1"),
+        # an n beyond the float range used to die with an OverflowError traceback
+        pytest.param("ball-tail", f"delta=1,n={HUGE_N},alpha=1", id="ball-tail-huge-n"),
+        pytest.param("tau-expectation", f"n={HUGE_N},k=3,alpha=1,beta=1", id="tau-expectation-huge-n"),
+        pytest.param("exp-sum-cdf", f"c=1,n={HUGE_N},a=1", id="exp-sum-cdf-huge-n"),
+        pytest.param("diameter-tail", f"c=10,n={HUGE_N}", id="diameter-tail-huge-n"),
+        pytest.param("sm-tail", f"phi=0.5,c=0.1,n={HUGE_N}", id="sm-tail-huge-n"),
+        pytest.param("tau-cdf", f"x=1,n={HUGE_N},k=3,alpha=1,beta=1", id="tau-cdf-huge-n"),
+        pytest.param("cluster-scale", f"delta=1,n={HUGE_N},alpha=1", id="cluster-scale-huge-n"),
     ],
 )
 def test_bounds_eval_out_of_range_is_usage_error(capsys, formula, params):
@@ -302,6 +313,8 @@ def test_bounds_eval_out_of_range_is_usage_error(capsys, formula, params):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # the harmonic sum takes the same huge n: its asymptotic series needs no float n
+    assert run_cli(capsys, "bounds", "eval", "harmonic", "--params", f"n={HUGE_N}")[0] == 0
 
 
 def test_bounds_eval_of_a_deleted_formula_is_usage_error(capsys):

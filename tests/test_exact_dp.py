@@ -1,4 +1,5 @@
-"""Exact subset DPs against the per-mask reference DPs, and their size ceilings.
+"""Exact subset DPs against the per-mask reference DPs, their cached index
+plans, and their size ceilings.
 
 The vectorized DPs must reproduce the reference tie rules, so tours and
 pairings are compared for equality, not just their costs.
@@ -20,7 +21,8 @@ from rspmetric import (
     exact_tsp,
 )
 from rspmetric.graphs import CUT_PARAMETER_CAP
-from rspmetric.heuristics import MATCHING_CAP, TSP_CAP
+from rspmetric import heuristics
+from rspmetric.heuristics import MATCHING_CAP, TSP_CAP, _matching_plan, _tsp_plan
 from rspmetric.lab import config_from_mapping, validate_config
 from conftest import (
     all_ones_metric,
@@ -65,6 +67,18 @@ def test_tsp_matches_per_mask_dp_on_tie_heavy_metrics(n):
         assert_same_tour(small_integer_metric(n, seed))
 
 
+@pytest.mark.parametrize("block", (16, 1000))
+@pytest.mark.parametrize("n", (5, 9, 12))
+def test_tsp_matches_per_mask_dp_with_layers_split_over_end_vertices(monkeypatch, n, block):
+    # at the real block size layers split only from n = 17 on; 16 holds one end
+    # vertex per block, 1000 gives blocks of several ends and a shorter last one
+    monkeypatch.setattr(heuristics, "_DP_BLOCK", block)
+    assert_same_tour(rsp_instance(n, seed=3000 + n)[2])
+    assert_same_tour(er_metric(n, seed=55 * n))
+    assert_same_tour(points_on_line(n))
+    assert_same_tour(small_integer_metric(n, seed=n))
+
+
 # -- differential: pairing DP ---------------------------------------------------
 
 
@@ -86,6 +100,54 @@ def test_matching_matches_per_mask_dp_on_tie_heavy_metrics(n):
     assert_same_matching(all_ones_metric(n))
     for seed in range(3):
         assert_same_matching(small_integer_metric(n, seed))
+
+
+# -- index plans ----------------------------------------------------------------
+
+
+def test_matching_plan_keeps_only_the_fibonacci_many_reachable_subsets():
+    fib = [0, 1]
+    while len(fib) <= MATCHING_CAP + 1:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(2, MATCHING_CAP + 1, 2):
+        masks, layers = _matching_plan(n)
+        assert len(masks) == fib[n + 1]
+        assert masks[0] == 0 and masks[-1] == (1 << n) - 1
+        assert sum(len(target) for target, _, _ in layers) == len(masks) - 1
+
+
+def test_plan_arrays_are_read_only():
+    masks, layers = _matching_plan(8)
+    for a in _tsp_plan(7) + (masks,) + tuple(a for layer in layers for a in layer):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+def test_calls_interleaved_across_sizes_match_fresh_calls():
+    sizes = (12, 16, 12, 14)
+    metrics = [rsp_instance(n, seed=4000 + i)[2] for i, n in enumerate(sizes)]
+    interleaved = [(exact_tsp(x), exact_matching(x)) for x in metrics]
+    for x, got in zip(metrics, interleaved):
+        _tsp_plan.cache_clear()
+        _matching_plan.cache_clear()
+        assert got == (exact_tsp(x), exact_matching(x))
+
+
+@pytest.mark.parametrize(
+    "solve, plan, n, limit_mb",
+    [(exact_tsp, _tsp_plan, TSP_CAP, 32), (exact_matching, _matching_plan, MATCHING_CAP, 4)],
+)
+def test_exact_dp_peak_memory_at_the_ceiling(solve, plan, n, limit_mb):
+    metric = rsp_instance(n, seed=5)[2]
+    plan.cache_clear()  # so that building the plan counts
+    tracemalloc.start()
+    try:
+        solve(metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb << 20
 
 
 # -- size ceilings --------------------------------------------------------------
