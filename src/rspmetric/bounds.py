@@ -185,4 +185,6 @@ def evaluate(formula_id: str, **params) -> BoundValue:
         value = fn(**args)
     except OverflowError as exc:  # an integer parameter beyond the float range
         raise ValueError(f"{formula_id}: a parameter is out of float range ({exc})") from exc
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        raise ValueError(f"{formula_id}: value out of float range")  # JSON has no inf or NaN
     return BoundValue(formula_id=formula_id, value=value, inputs=args)

@@ -124,7 +124,7 @@ def _cmd_metric(args) -> int:
             {
                 "n": metric.n,
                 "connected": metric.is_finite(),
-                "diameter": metric_mod.diameter(metric),
+                "diameter": metric_mod.diameter(metric) if metric.is_finite() else None,
                 "exported": args.export,
             },
             sort_keys=True,

@@ -106,11 +106,6 @@ def tour_cost(metric: Metric, order: tuple[int, ...]) -> float:
     return _closed_tour(metric.dist, order)[2]
 
 
-def _check_tour(metric: Metric, order: tuple[int, ...]) -> None:
-    if sorted(order) != list(range(1, metric.n + 1)):
-        raise ValueError("tour must be a permutation of 1..n")
-
-
 def greedy_matching(metric: Metric) -> Matching:
     """Repeatedly match the closest unmatched pair (ties lexicographic).
 
@@ -364,6 +359,8 @@ def _exchange(d: np.ndarray, o: np.ndarray, i: int, j: int, cost: float):
 
 def _closed_tour(d: np.ndarray, order: tuple[int, ...]):
     """0-based closed tour of a 1-based order, its legs and its cost."""
+    if sorted(order) != list(range(1, len(d) + 1)):
+        raise ValueError("tour must be a permutation of 1..n")
     o = np.array([v - 1 for v in order] + [order[0] - 1])
     legs = d[o[:-1], o[1:]]
     return o, legs, math.fsum(legs.tolist())
@@ -407,7 +404,6 @@ def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> Tw
         start_order = initial.order
     else:
         start_order = tuple(initial)
-    _check_tour(metric, start_order)
     d = metric.dist
     o, legs, cost = _closed_tour(d, start_order)
     costs = [cost]

@@ -484,10 +484,6 @@ def _tau_ks(config: ExperimentConfig) -> tuple[int, ...]:
     return tuple(sorted({2, (n + 1) // 2, n} - {1}))  # n >= 2 is validated
 
 
-def _tau_columns(config: ExperimentConfig) -> tuple[str, ...]:
-    return tuple(f"tau_{k}" for k in _tau_ks(config))
-
-
 def _taus(x: _Instance) -> dict:
     taus = np.sort(x.metric.dist[0])  # distances from vertex 1, closest first
     return {f"tau_{k}": float(taus[k - 1]) for k in _tau_ks(x.config)}
@@ -583,32 +579,23 @@ def _sandwich_stats(x: _Instance) -> dict:
     return {"s_half": s_half, "mm": mm, "tsp": tsp, "sandwich_violations": bad}
 
 
-_STRUCTURE_PARTS = {  # check -> (statistics, columns of the config, needs)
-    "chi": (_chi_stats, lambda c: ("chi_violations",), frozenset({"cut"})),
-    "cluster": (_cluster_stats, lambda c: tuple(
-        f"{name}_{gi}" for gi in range(len(c.delta_fractions))
-        for name in ("delta", "clusters", "scale")
-    ) + ("cluster_violations",), frozenset({"cut"})),
-    "sandwich": (_sandwich_stats, lambda c: ("s_half", "mm", "tsp", "sandwich_violations"),
-                 frozenset({"matching", "tsp", "tour"})),
+_STRUCTURE_PARTS = {  # check -> (statistics, needs)
+    "chi": (_chi_stats, frozenset({"cut"})),
+    "cluster": (_cluster_stats, frozenset({"cut"})),
+    "sandwich": (_sandwich_stats, frozenset({"matching", "tsp", "tour"})),
 }
 
 
 def _structure_stats(x: _Instance) -> dict:
     values: dict = {}
-    for check, (stats, _, _) in _STRUCTURE_PARTS.items():
+    for check, (stats, _) in _STRUCTURE_PARTS.items():
         if check in x.config.structure_checks:
             values.update(stats(x))
     return values
 
 
-def _structure_columns(config: ExperimentConfig) -> tuple[str, ...]:
-    return tuple(col for check, (_, columns, _) in _STRUCTURE_PARTS.items()
-                 if check in config.structure_checks for col in columns(config))
-
-
 def _structure_needs(config: ExperimentConfig) -> frozenset:
-    return frozenset().union(*(needs for check, (_, _, needs) in _STRUCTURE_PARTS.items()
+    return frozenset().union(*(needs for check, (_, needs) in _STRUCTURE_PARTS.items()
                                if check in config.structure_checks))
 
 
@@ -706,6 +693,12 @@ def _concentration_notes(config, ctx, records, summaries):
 class _Suite:
     """How one suite measures an instance and judges the records.
 
+    A report's columns are the keys its trials record, in order: every
+    eligible record of a config carries the same keys, and a fresh draw puts
+    ``connected`` first.  A fresh-draw run with no connected draw has only
+    ``connected``.  ``summaries`` picks the summarized columns from the
+    others (default: all of them).
+
     ``counts`` rows are ``(check name, value key, badness, detail)``: the
     check sums ``badness(value)`` over the eligible records that carry the
     key, passes iff the sum is 0, and is left out when no record carries
@@ -714,27 +707,20 @@ class _Suite:
     """
 
     stats: Callable[[_Instance], dict]
-    columns: Callable[[ExperimentConfig], tuple[str, ...]]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
     # what an instance computes beyond its metric: exact cut parameters
     # ("cut"), a tour ("tour") and the exact baselines ("tsp", "matching",
     # "kmedian"); validate_config derives every size rule from it
     needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
-    summaries: Callable[[ExperimentConfig], tuple[str, ...]] | None = None  # None: columns
+    summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
     finish: Callable = lambda config, ctx, records, summaries: ([], {})
 
 
 _SUITES = {
-    "tau": _Suite(
-        stats=_tau_stats,
-        columns=lambda c: _tau_columns(c) + ("pair_dist",),
-        fresh=False,
-        finish=_tau_checks,
-    ),
+    "tau": _Suite(stats=_tau_stats, fresh=False, finish=_tau_checks),
     "ratio": _Suite(
         stats=_ratio_stats,
-        columns=lambda c: ("heuristic", "exact", "ratio"),
         needs=lambda c: _RATIO_KINDS.get(c.kind, (frozenset(),))[0],
         counts=lambda c: (
             ("ratio-floor", "ratio", lambda r: r < 1 - FLOAT_SLACK,
@@ -743,11 +729,8 @@ _SUITES = {
     ),
     "two-opt": _Suite(
         stats=_two_opt_stats,
-        columns=lambda c: (
-            "iterations", "initial_cost", "final_cost", "strictly_decreasing", "locally_optimal",
-        ),
         needs=lambda c: frozenset({"tour"}),
-        summaries=lambda c: ("iterations", "final_cost"),
+        summaries=lambda columns: ("iterations", "final_cost"),
         counts=lambda c: (
             ("monotone-decrease", "strictly_decreasing", lambda ok: not ok,
              "{bad} of {count} traces not strictly decreasing"),
@@ -757,29 +740,20 @@ _SUITES = {
     ),
     "concentration": _Suite(
         stats=_concentration_stats,
-        columns=lambda c: ("alpha", "beta", "alpha_over_p", "beta_over_p", "within_bracket"),
-        summaries=lambda c: ("alpha_over_p", "beta_over_p", "within_bracket"),
+        summaries=lambda columns: ("alpha_over_p", "beta_over_p", "within_bracket"),
         finish=_concentration_notes,
     ),
     "structure": _Suite(
         stats=_structure_stats,
-        columns=_structure_columns,
         needs=_structure_needs,
-        summaries=lambda c: tuple(
-            col for col in _structure_columns(c) if not col.startswith("delta_")
-        ),
+        summaries=lambda columns: tuple(col for col in columns if not col.startswith("delta_")),
         counts=lambda c: tuple(
             (f"{check}-invariant", f"{check}_violations", int,
              "{bad} violations over {count} instances")
             for check in c.structure_checks
         ),
     ),
-    "cdf": _Suite(
-        stats=_taus,
-        columns=_tau_columns,
-        fresh=False,
-        finish=_cdf_checks,
-    ),
+    "cdf": _Suite(stats=_taus, fresh=False, finish=_cdf_checks),
 }
 SUITES = tuple(_SUITES)
 
@@ -790,10 +764,9 @@ def run_suite(config: ExperimentConfig) -> Report:
     ctx = make_context(config)
     records = run_trials(config, ctx)
     suite = _SUITES[config.suite]
-    columns = suite.columns(config)
     eligible = [r for r in records if r.values.get("connected", 1) == 1]
+    columns = tuple(eligible[0].values) if eligible else ("connected",)
     if suite.fresh:
-        columns = ("connected",) + columns
         notes = {"eligible": len(eligible), "skipped_disconnected": len(records) - len(eligible)}
     else:
         notes = {
@@ -810,7 +783,7 @@ def run_suite(config: ExperimentConfig) -> Report:
                 bad = violations[key] = sum(scores)
                 text = detail.format(bad=bad, count=len(scores))
                 checks.append(CheckResult(name, bad == 0, text))
-        for col in (suite.summaries or suite.columns)(config):
+        for col in suite.summaries(tuple(c for c in columns if c != "connected")):
             summaries[col] = summarize(eligible, col, violations.get(col, 0))
     elif counts:
         checks.append(CheckResult("eligible-trials", False, "no connected instances"))

@@ -56,6 +56,9 @@ class Metric:
         return self._dist
 
     def d(self, u: int, v: int) -> float:
+        n = self.n
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"vertices must lie in 1..{n}")
         return float(self._dist[u - 1, v - 1])
 
     def is_finite(self) -> bool:
@@ -244,6 +247,8 @@ def ball(metric: Metric, v: int, delta: float) -> frozenset[int]:
     """Vertices within distance delta of v (always contains v)."""
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
+    if not 1 <= v <= metric.n:
+        raise ValueError(f"vertices must lie in 1..{metric.n}")
     row = metric.dist[v - 1]
     return frozenset(int(i) + 1 for i in np.flatnonzero(row <= delta))
 

@@ -194,6 +194,11 @@ def test_evaluate_round_trips_formula():
     assert out.value[0] == pytest.approx(0.25915776787768136)
 
 
+def test_evaluate_rejects_values_beyond_the_float_range():
+    with pytest.raises(ValueError, match="value out of float range"):
+        evaluate("tau-expectation", n="6", k="3", alpha="1e-320", beta="1")
+
+
 def test_evaluate_rejects_bad_requests():
     with pytest.raises(ValueError):
         evaluate("no-such-formula", n=1)

@@ -16,6 +16,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """Parse JSON that holds no Infinity, -Infinity or NaN."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 # -- gen ------------------------------------------------------------------------
 
 
@@ -79,6 +86,15 @@ def test_cutparams_disconnected_is_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "cutparams", "--graph", str(path))
     assert code == 2
     assert "cut" in err
+
+
+def test_metric_of_a_disconnected_graph_prints_strict_json(tmp_path, capsys):
+    # the infinite diameter used to print as Infinity, which is no JSON
+    path = tmp_path / "disc.txt"
+    path.write_text("4 2\n1 2\n3 4\n")
+    code, out, _ = run_cli(capsys, "metric", "--graph", str(path))
+    assert code == 0
+    assert strict_json(out) == {"connected": False, "diameter": None, "exported": None, "n": 4}
 
 
 def test_metric_export_round_trip(tmp_path, capsys):
@@ -275,7 +291,7 @@ def test_bounds_eval_pair_output(capsys):
         capsys, "bounds", "eval", "ball-tail", "--params", "delta=0.5,n=20,alpha=1"
     )
     assert code == 0
-    lo, hi = json.loads(out)["value"]
+    lo, hi = strict_json(out)["value"]
     assert lo == pytest.approx(7.38905609893065)
     assert hi == pytest.approx(0.1353352832366127)
 
@@ -298,6 +314,8 @@ HUGE_N = 10**399 + 7  # 400 digits, above the largest float
         ("cluster-scale", "delta=1,n=10,alpha=-2"),  # used to give s_delta < 1
         ("exp-sum-cdf", "c=1,n=3,a=nan"),  # used to print NaN
         ("tau-cdf", "x=nan,n=10,k=5,alpha=0.5,beta=1"),
+        # an infinite bracket end used to print as Infinity, which is no JSON
+        ("tau-expectation", "n=6,k=3,alpha=1e-320,beta=1"),
         # an n beyond the float range used to die with an OverflowError traceback
         pytest.param("ball-tail", f"delta=1,n={HUGE_N},alpha=1", id="ball-tail-huge-n"),
         pytest.param("tau-expectation", f"n={HUGE_N},k=3,alpha=1,beta=1", id="tau-expectation-huge-n"),

@@ -12,6 +12,7 @@ from rspmetric import (
     Seed,
     SizeCapExceededError,
     TooFewVerticesError,
+    Tour,
     WeightedGraph,
     Graph,
     exact_kmedian,
@@ -199,6 +200,22 @@ def test_two_opt_validates_input(line_metric):
         two_opt(line_metric, (1, 2, 3))
     with pytest.raises(InfiniteDistanceError):
         two_opt(infinite_metric())
+
+
+@pytest.mark.parametrize(
+    "order", [(0, 1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 1, 2, 3, 4)]
+)
+def test_tour_cost_rejects_non_tours(order):
+    # a 0 used to wrap around to vertex n: (0, 1, 2, 3, 4) cost as (5, 1, 2, 3, 4)
+    _, _, m = rsp_instance(5, seed=3)
+    with pytest.raises(ValueError, match="permutation"):
+        tour_cost(m, order)
+
+
+def test_has_improving_exchange_rejects_non_tours():
+    _, _, m = rsp_instance(5, seed=3)
+    with pytest.raises(ValueError, match="permutation"):
+        has_improving_exchange(m, Tour((1, 1, 1, 1, 1), 0.0))
 
 
 # -- exact TSP ----------------------------------------------------------------

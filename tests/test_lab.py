@@ -476,6 +476,33 @@ def test_json_shape():
     assert payload["config"]["n"] == 6
 
 
+def test_run_with_no_connected_draw_has_only_the_connected_column():
+    cfg = ExperimentConfig(
+        suite="ratio", kind="matching", model="er", n=6, p=0.0, trials=3, seed=71
+    )
+    report = run_suite(cfg)
+    assert report.columns == ("connected",)
+    header, *rows = report.to_csv().split("\n")[:4]
+    assert header == "trial,seed,connected"
+    assert [row.split(",")[2:] for row in rows] == [["0"]] * 3
+
+
+def test_disconnected_rows_leave_one_empty_cell_per_stat_column():
+    cfg = ExperimentConfig(
+        suite="two-opt", model="er", n=8, p=0.35, trials=8, seed=113, two_opt_init="nn"
+    )
+    report = run_suite(cfg)
+    assert report.columns == (
+        "connected", "iterations", "initial_cost", "final_cost", "strictly_decreasing",
+        "locally_optimal",
+    )
+    rows = [line.split(",") for line in report.to_csv().split("\n")[1:9]]
+    disconnected = [cells for cells in rows if cells[2] == "0"]
+    assert len(disconnected) == 3
+    assert all(cells[3:] == [""] * 5 for cells in disconnected)
+    assert all("" not in cells for cells in rows if cells[2] == "1")
+
+
 def test_report_write_to_file(tmp_path):
     out = tmp_path / "report.csv"
     cfg = ExperimentConfig(

@@ -63,6 +63,17 @@ def test_disconnected_components_are_infinitely_far():
     assert not m.is_finite()
 
 
+def k5_metric():
+    return build_metric(draw_weights(complete_graph(5), Seed(3)))
+
+
+@pytest.mark.parametrize("u, v", [(0, 1), (1, 0), (6, 1), (1, 6), (-1, 2), (2, -1)])
+def test_distance_rejects_vertices_outside_1_to_n(u, v):
+    # 0-based or negative arguments used to wrap around to vertex n
+    with pytest.raises(ValueError, match=r"1\.\.5"):
+        k5_metric().d(u, v)
+
+
 def test_matches_floyd_warshall_oracle():
     for seed in range(8):
         g = generate_erdos_renyi(20, 0.3, Seed(seed))
@@ -160,6 +171,19 @@ def test_birth_process_increments_rescale_to_unit_mean():
 
 
 # -- ball / diameter ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("v", [0, 6, -1])
+def test_ball_rejects_vertices_outside_1_to_n(v):
+    with pytest.raises(ValueError, match=r"1\.\.5"):
+        ball(k5_metric(), v, 0.0)
+
+
+def test_vertex_n_keeps_its_distances_and_ball():
+    m = k5_metric()
+    assert m.d(5, 1) == m.d(1, 5) == float(m.dist[4, 0]) > 0
+    assert m.d(5, 5) == 0.0
+    assert ball(m, 5, 0.0) == {5}
 
 
 def test_ball_examples():
