@@ -329,12 +329,6 @@ def insertion_tour(metric: Metric, rule: str = "nearest", seed: Seed | None = No
     return Tour(order=order_t, cost=tour_cost(metric, order_t))
 
 
-def _exchange_rows(n: int) -> list[tuple[int, int, int]]:
-    """Rows (i, lo, hi) of the position pairs (i, j), lo <= j < hi, whose tour
-    edges are disjoint; read in order they list the pairs lexicographically."""
-    return [(i, i + 2, n - 1 if i == 0 else n) for i in range(n - 2)]
-
-
 def _row_deltas(
     d: np.ndarray, o: np.ndarray, legs: np.ndarray, i: int, lo: int, hi: int
 ) -> np.ndarray:
@@ -366,17 +360,27 @@ def _closed_tour(d: np.ndarray, order: tuple[int, ...]):
     return o, legs, math.fsum(legs.tolist())
 
 
-def _improving_in_row(d, o, legs, cost, i, lo, hi):
-    """First j in lo..hi-1 whose exchange with edge i improves, and its result.
+def _first_improvement(d, o, legs, cost, i, j):
+    """First improving exchange in cyclic lexicographic pair order from (i, j).
 
-    An exchange improves iff ``cost + delta < cost`` for its row delta and the
-    exchanged tour's ``fsum`` cost is strictly below ``cost``.
+    The position pairs (r, s) are those whose tour edges are disjoint:
+    r + 2 <= s <= n - 1, and s <= n - 2 when r = 0.  The scan reads row i
+    from s = j on, then rows i+1, ..., n-3, 0, ..., i-1, then row i up to
+    j - 1, so it reads every pair once; each row is screened as one numpy
+    pass.  An exchange improves iff ``cost + delta < cost`` for its row delta
+    and the exchanged tour's ``fsum`` cost is strictly below ``cost``.
+    Returns the pair and :func:`_exchange`'s result, or None.
     """
-    deltas = _row_deltas(d, o, legs, i, lo, hi)
-    for t in (cost + deltas < cost).nonzero()[0]:
-        exchanged = _exchange(d, o, i, lo + int(t), cost)
-        if exchanged is not None:
-            return lo + int(t), exchanged
+    n = len(legs)
+    rows = [*range(i, n - 2), *range(i + 1)]  # row i first and last
+    for k, r in enumerate(rows):
+        lo = j if k == 0 else r + 2
+        hi = j if k == len(rows) - 1 else (n - 1 if r == 0 else n)
+        deltas = _row_deltas(d, o, legs, r, lo, hi)
+        for t in (cost + deltas < cost).nonzero()[0]:
+            exchanged = _exchange(d, o, r, lo + int(t), cost)
+            if exchanged is not None:
+                return r, lo + int(t), exchanged
     return None
 
 
@@ -385,21 +389,18 @@ TWO_OPT_INITS = ("identity", "nn")
 
 
 def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> TwoOptTrace:
-    """Apply improving 2-exchanges until a local optimum (first-improvement pivot).
+    """Apply improving 2-exchanges until a local optimum.
 
-    Position pairs are scanned lexicographically, resuming right after the
-    last applied exchange; the run stops after a full cycle of pairs without
-    one.  An exchange improves iff it passes the screen ``cost + delta <
-    cost``, where ``cost`` is the current tour's ``tour_cost``, and the
-    exchanged tour's ``tour_cost`` is strictly lower.  ``costs`` holds each
-    tour's ``tour_cost``, so it falls strictly and the loop ends, and
-    :func:`has_improving_exchange` uses the same predicate.  Each row of
-    pairs (i, j) for one i is screened as one numpy pass.
+    The pivot rule is first improvement: position pairs (i, j) are read
+    lexicographically and cyclically, starting at (0, 2) and after each
+    exchange at the pair right after it, and the run stops after a full
+    cycle of pairs without one (see :func:`_first_improvement`).  That stop
+    is exactly :func:`has_improving_exchange` failing.  ``costs`` holds each
+    tour's ``tour_cost``, so it falls strictly and the loop ends.
     """
     _require_finite(metric)
-    n = metric.n
     if initial is None:
-        start_order = tuple(range(1, n + 1))
+        start_order = tuple(range(1, metric.n + 1))
     elif isinstance(initial, Tour):
         start_order = initial.order
     else:
@@ -407,24 +408,11 @@ def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> Tw
     d = metric.dist
     o, legs, cost = _closed_tour(d, start_order)
     costs = [cost]
-    rows = _exchange_rows(n)
-    npairs = sum(hi - lo for _, lo, hi in rows)
-    r, j, stale = 0, 2, 0  # scan position: row rows[r], pair (rows[r][0], j)
-    while stale < npairs:
-        i, _, hi = rows[r]
-        hi = min(hi, j + npairs - stale)  # stop after a full cycle of pairs
-        found = _improving_in_row(d, o, legs, cost, i, j, hi)
-        if found is None:
-            stale += hi - j
-            j = hi
-        else:
-            j, (o, legs, cost) = found
-            costs.append(cost)
-            stale = 0
-            j += 1
-        if j == rows[r][2]:
-            r = (r + 1) % len(rows)
-            j = rows[r][1]
+    i, j = 0, 2
+    while (found := _first_improvement(d, o, legs, cost, i, j)) is not None:
+        i, j, (o, legs, cost) = found
+        costs.append(cost)
+        j += 1
     final_order = tuple((o[:-1] + 1).tolist())
     final = Tour(order=final_order, cost=cost)
     return TwoOptTrace(final=final, iterations=len(costs) - 1, costs=tuple(costs))
@@ -434,10 +422,7 @@ def has_improving_exchange(metric: Metric, tour: Tour) -> bool:
     """Full rescan: does any 2-exchange improve the tour, as :func:`two_opt` decides?"""
     d = metric.dist
     o, legs, cost = _closed_tour(d, tour.order)
-    return any(
-        _improving_in_row(d, o, legs, cost, i, lo, hi) is not None
-        for i, lo, hi in _exchange_rows(metric.n)
-    )
+    return _first_improvement(d, o, legs, cost, 0, 2) is not None
 
 
 @lru_cache(maxsize=None)  # one entry per m < TSP_CAP

@@ -222,7 +222,10 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
             value = value.strip()
             if value == "":
                 continue
-            value = _parse_value(fields[key].type, value)
+            try:
+                value = _parse_value(fields[key].type, value)
+            except ValueError:
+                raise ConfigInvalidError(f"config key {key!r}: cannot parse {value!r}") from None
         kwargs[key] = value
     if kwargs.get("model") == "erdos-renyi":
         kwargs["model"] = "er"
@@ -256,7 +259,8 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.format not in ("csv", "json"), "format must be csv or json"),
         (c.model == "er" and (c.p is None or not 0.0 <= c.p <= 1.0), "er model needs p in [0, 1]"),
         (c.model == "imported" and not c.graph_file, "imported model needs graph_file"),
-        (any(not f >= 0 for f in c.delta_fractions), "delta_fractions must be nonnegative"),
+        (any(not 0 <= f < math.inf for f in c.delta_fractions),
+         "delta_fractions must be finite and nonnegative"),
         (not 1 <= c.start <= c.n, "start must lie in 1..n"),
         ("cut" in needs and c.model == "er" and c.p != 1 and c.n > CUT_PARAMETER_CAP,
          f"suite {c.suite} needs exact cut parameters: n <= {CUT_PARAMETER_CAP}"),

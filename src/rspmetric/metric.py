@@ -86,9 +86,13 @@ class TauProfile:
     order: np.ndarray
 
     def tau(self, k: int) -> float:
+        if not 1 <= k <= len(self.taus):
+            raise ValueError(f"tau_k needs k in 1..{len(self.taus)}, got {k}")
         return float(self.taus[k - 1])
 
     def chi(self, k: int) -> int:
+        if not 1 <= k <= len(self.chis):
+            raise ValueError(f"chi_k needs k in 1..{len(self.chis)}, got {k}")
         return int(self.chis[k - 1])
 
 

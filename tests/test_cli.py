@@ -222,6 +222,15 @@ def test_suite_invalid_config_is_usage_error(tmp_path, capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("key, text", [("n", "12.0"), ("tau_ks", "2,x")])
+def test_suite_unparsable_config_value_is_usage_error(tmp_path, capsys, key, text):
+    cfg = write_config(tmp_path, suite="tau", **{key: text})
+    code, out, err = run_cli(capsys, "suite", "tau", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config key {key!r}: cannot parse {text!r}\n"
+
+
 @pytest.mark.parametrize("model", [{"model": "complete"}, {"model": "er", "p": 0.5}],
                          ids=["complete", "er"])
 @pytest.mark.parametrize("check", ["chi", "cluster"])

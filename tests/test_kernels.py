@@ -8,6 +8,7 @@ cuts, clusters with their diameters and (alpha, beta), and whole distance
 tables with ``np.array_equal``.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -167,6 +168,21 @@ def test_table_and_profiles_match_on_disconnected_er_graphs(n, p):
     wg = draw_weights(graph, Seed(n + 1))
     assert_same_table(wg)
     assert_same_profiles(build_metric(wg), graph)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_two_opt_without_position_pairs_keeps_every_start_tour(n):
+    # below 4 vertices no two tour edges are disjoint: the scan reads no pair
+    metric = rsp_instance(n, seed=n)[2]
+    assert two_opt(metric).final.order == tuple(range(1, n + 1))
+    for start in itertools.permutations(range(1, n + 1)):
+        got = two_opt(metric, start)
+        order, costs = two_opt_loop(metric.dist, start)
+        assert (got.final.order, got.iterations, len(got.costs)) == (start, 0, 1)
+        assert (got.final.order, got.costs) == (order, costs)
+        assert got.final.cost == costs[0]
+        assert not has_improving_exchange(metric, got.final)
+        assert not has_improving_exchange_loop(metric.dist, start)
 
 
 # -- tie-heavy metrics ----------------------------------------------------------

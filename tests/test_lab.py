@@ -96,6 +96,22 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "key, text", [("n", "12.0"), ("tau_ks", "2,x"), ("p", "half"), ("delta_fractions", "0,1/2")]
+)
+def test_unparsable_config_value_names_its_key(key, text):
+    with pytest.raises(ConfigInvalidError, match=f"{key!r}: cannot parse {text!r}"):
+        lab.config_from_mapping({"suite": "tau", key: text})
+
+
+def test_finite_nonnegative_delta_fractions_are_accepted():
+    cfg = lab.config_from_mapping(
+        {"suite": "structure", "n": "6", "structure_checks": "cluster", "delta_fractions": "0,1.0"}
+    )
+    assert cfg.delta_fractions == (0.0, 1.0)
+    validate_config(cfg)
+
+
 @pytest.mark.parametrize("key", ["cdf_tol", "cdf_c"])
 def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
     # cdf_tol: the cdf suite's pass rule is the DKW slack of each part's
@@ -145,6 +161,8 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="tau", n=VERTEX_CAP + 1),  # every suite builds an n x n table or all pairs
         dict(suite="two-opt", n=VERTEX_CAP + 1),
         dict(suite="concentration", model="er", p=1.0, n=VERTEX_CAP + 1),
+        dict(suite="structure", n=6, delta_fractions=(0.0, math.inf)),  # JSON has no Infinity
+        dict(suite="structure", n=6, delta_fractions=(-0.5,)),
     ],
 )
 def test_validate_config_rejects(kwargs):

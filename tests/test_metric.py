@@ -132,6 +132,16 @@ def test_single_edge_profile():
     assert prof.chi(1) == 1
 
 
+def test_profile_lookups_reject_k_out_of_range():
+    # k = 0 used to wrap around to the last entry, k past the end to raise IndexError
+    g, _, m = rsp_instance(5, seed=3)
+    prof = tau_profile(m, g, 1)
+    assert prof.tau(5) == prof.taus[-1] and prof.chi(4) == prof.chis[-1]
+    for lookup, k in ((prof.tau, 0), (prof.tau, 6), (prof.chi, 0), (prof.chi, 5), (prof.tau, -1)):
+        with pytest.raises(ValueError, match="needs k in"):
+            lookup(k)
+
+
 def test_path_profile_by_hand():
     g, wg = path_instance()
     prof = tau_profile(build_metric(wg), g, 1)
