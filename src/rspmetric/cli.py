@@ -158,6 +158,8 @@ def _cmd_heur(args) -> int:
         if args.k is None:
             print("kmedian needs --k", file=sys.stderr)
             return 2
+        if not 1 <= args.k <= metric.n:  # before building a k-element center tuple
+            raise ValueError(f"k={args.k} out of range 1..{metric.n}")
         sol = h.trivial_kmedian(metric, h.first_k_centers(args.k))
         result = {"cost": sol.cost, "centers": " ".join(map(str, sol.centers))}
     _emit(result, args.format)

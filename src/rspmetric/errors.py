@@ -25,8 +25,13 @@ class OddVertexCountError(RspMetricError):
     """Perfect matchings need an even number of vertices."""
 
 
-class InfiniteDistanceError(RspMetricError):
-    """Heuristics and exact baselines refuse metrics with infinite entries."""
+class InfiniteDistanceError(DisconnectedGraphError):
+    """The metric has infinite entries, so its source graph was disconnected.
+
+    Raised by ``Metric.finite_dist``, the one gate through which the
+    heuristics, the exact baselines and the clustering read the table.  A
+    subclass of :class:`DisconnectedGraphError`, so handlers of either catch it.
+    """
 
 
 class TooFewVerticesError(RspMetricError):

@@ -1,6 +1,9 @@
 """Matching, TSP, and k-median heuristics with their exact baselines.
 
-Everything operates on a finite :class:`~rspmetric.metric.Metric`.  All tie
+Everything operates on a finite :class:`~rspmetric.metric.Metric`: each
+function that needs one reads the table through ``Metric.finite_dist``, the
+one gate, which raises :class:`~rspmetric.errors.InfiniteDistanceError` (a
+``DisconnectedGraphError``) when the metric has infinite entries.  All tie
 breaking is by lowest vertex index (and earliest position for insertions) so
 runs are reproducible on crafted metrics; ties are a measure-zero event under
 continuous random weights.
@@ -45,7 +48,6 @@ import numpy as np
 
 from .errors import (
     EmptyCenterSetError,
-    InfiniteDistanceError,
     OddVertexCountError,
     SizeCapExceededError,
     TooFewVerticesError,
@@ -97,11 +99,6 @@ class MedianSolution:
     cost: float
 
 
-def _require_finite(metric: Metric) -> None:
-    if not metric.is_finite():
-        raise InfiniteDistanceError("metric has infinite distances (disconnected source)")
-
-
 def tour_cost(metric: Metric, order: tuple[int, ...]) -> float:
     return _closed_tour(metric.dist, order)[2]
 
@@ -120,8 +117,7 @@ def greedy_matching(metric: Metric) -> Matching:
     n = metric.n
     if n % 2:
         raise OddVertexCountError(f"n={n} is odd; perfect matchings need even n")
-    _require_finite(metric)
-    d = metric.dist
+    d = metric.finite_dist
     alive = np.arange(n)  # unmatched vertices, ascending
     partner = np.zeros(n, dtype=np.intp)
     stale = alive
@@ -196,8 +192,7 @@ def exact_matching(metric: Metric) -> Matching:
         raise OddVertexCountError(f"n={n} is odd; perfect matchings need even n")
     if n > MATCHING_CAP:
         raise SizeCapExceededError(f"n={n} exceeds the matching DP cap {MATCHING_CAP}")
-    _require_finite(metric)
-    d = metric.dist
+    d = metric.finite_dist
     masks, layers = _matching_plan(n)
     dp = np.empty(len(masks))
     dp[0] = 0.0
@@ -226,8 +221,7 @@ def nearest_neighbor_tour(metric: Metric, start: int = 1) -> Tour:
     n = metric.n
     if not 1 <= start <= n:
         raise ValueError(f"start vertex {start} out of range")
-    _require_finite(metric)
-    d = metric.dist
+    d = metric.finite_dist
     unvisited = np.ones(n, dtype=bool)
     order = [start]
     unvisited[start - 1] = False
@@ -245,10 +239,9 @@ def nearest_neighbor_tour(metric: Metric, start: int = 1) -> Tour:
 INSERTION_RULES = ("nearest", "farthest", "cheapest", "random")
 
 
-def _initial_triple(metric: Metric, rule: str, stream: UniformStream | None) -> list[int]:
+def _initial_triple(d: np.ndarray, rule: str, stream: UniformStream | None) -> list[int]:
     """First three vertices (0-based), chosen by the insertion rule itself."""
-    n = metric.n
-    d = metric.dist
+    n = len(d)
     if rule == "nearest":
         by = np.lexsort((np.arange(n), d[0]))
         return [0, int(by[1]), int(by[2])]
@@ -287,12 +280,11 @@ def insertion_tour(metric: Metric, rule: str = "nearest", seed: Seed | None = No
     n = metric.n
     if n < 3:
         raise TooFewVerticesError("insertion needs at least 3 vertices")
-    _require_finite(metric)
+    d = metric.finite_dist
     if rule == "random" and seed is None:
         raise ValueError("random rule needs a seed")
-    d = metric.dist
     stream = UniformStream(seed) if seed is not None else None
-    order = _initial_triple(metric, rule, stream)
+    order = _initial_triple(d, rule, stream)
     in_tour = np.zeros(n, dtype=bool)
     in_tour[order] = True
     dmin = d[order].min(axis=0)  # distance of each vertex to the tour
@@ -398,14 +390,13 @@ def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> Tw
     is exactly :func:`has_improving_exchange` failing.  ``costs`` holds each
     tour's ``tour_cost``, so it falls strictly and the loop ends.
     """
-    _require_finite(metric)
+    d = metric.finite_dist
     if initial is None:
         start_order = tuple(range(1, metric.n + 1))
     elif isinstance(initial, Tour):
         start_order = initial.order
     else:
         start_order = tuple(initial)
-    d = metric.dist
     o, legs, cost = _closed_tour(d, start_order)
     costs = [cost]
     i, j = 0, 2
@@ -420,7 +411,7 @@ def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> Tw
 
 def has_improving_exchange(metric: Metric, tour: Tour) -> bool:
     """Full rescan: does any 2-exchange improve the tour, as :func:`two_opt` decides?"""
-    d = metric.dist
+    d = metric.finite_dist
     o, legs, cost = _closed_tour(d, tour.order)
     return _first_improvement(d, o, legs, cost, 0, 2) is not None
 
@@ -465,8 +456,7 @@ def exact_tsp(metric: Metric) -> Tour:
         raise TooFewVerticesError("a tour needs at least 3 vertices")
     if n > TSP_CAP:
         raise SizeCapExceededError(f"n={n} exceeds the TSP DP cap {TSP_CAP}")
-    _require_finite(metric)
-    d = metric.dist
+    d = metric.finite_dist
     m = n - 1
     ends = np.arange(m)
     end_bits = 1 << ends
@@ -504,9 +494,8 @@ def trivial_kmedian(metric: Metric, centers: tuple[int, ...] | frozenset[int]) -
     n = metric.n
     if centers_t[0] < 1 or centers_t[-1] > n:
         raise ValueError("center out of vertex range")
-    _require_finite(metric)
     cols = [c - 1 for c in centers_t]
-    mins = metric.dist[:, cols].min(axis=1)
+    mins = metric.finite_dist[:, cols].min(axis=1)
     return MedianSolution(centers=centers_t, cost=math.fsum(mins.tolist()))
 
 
@@ -522,8 +511,7 @@ def exact_kmedian(metric: Metric, k: int) -> MedianSolution:
         raise ValueError(f"k={k} out of range 1..{n}")
     if math.comb(n, k) > KMEDIAN_CAP:
         raise SizeCapExceededError(f"C({n},{k}) exceeds the enumeration cap {KMEDIAN_CAP}")
-    _require_finite(metric)
-    d = metric.dist
+    d = metric.finite_dist
     best_cost = math.inf
     best_combo: tuple[int, ...] | None = None
     batch = 8192

@@ -259,8 +259,7 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.format not in ("csv", "json"), "format must be csv or json"),
         (c.model == "er" and (c.p is None or not 0.0 <= c.p <= 1.0), "er model needs p in [0, 1]"),
         (c.model == "imported" and not c.graph_file, "imported model needs graph_file"),
-        (any(not 0 <= f < math.inf for f in c.delta_fractions),
-         "delta_fractions must be finite and nonnegative"),
+        (any(not 0 <= f <= 1 for f in c.delta_fractions), "delta_fractions must lie in [0, 1]"),
         (not 1 <= c.start <= c.n, "start must lie in 1..n"),
         ("cut" in needs and c.model == "er" and c.p != 1 and c.n > CUT_PARAMETER_CAP,
          f"suite {c.suite} needs exact cut parameters: n <= {CUT_PARAMETER_CAP}"),

@@ -23,21 +23,25 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .bounds import density_threshold
-from .errors import DisconnectedGraphError
+from .errors import InfiniteDistanceError
 from .graphs import Graph, WeightedGraph, check_vertex_cap
 
 
 class Metric:
     """Symmetric n x n distance table with an infinity sentinel.
 
-    Immutable once built; share freely across threads.
+    Immutable once built; share freely across threads.  Whether every entry
+    is finite is decided once, at construction: ``is_finite()`` returns that
+    answer, and ``finite_dist`` is the only gated read of the table.  The
+    heuristics, the exact baselines and the clustering read it there, so on
+    a disconnected source each raises :class:`InfiniteDistanceError`.
     """
 
     def __init__(self, dist: np.ndarray):
         dist = np.asarray(dist, dtype=np.float64)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValueError("distance table must be square")
-        if np.isnan(dist).any() or (dist < 0).any():
+        if not (dist >= 0).all():  # NaN fails too
             raise ValueError("distances must be nonnegative (inf allowed)")
         if (np.diagonal(dist) != 0).any():
             raise ValueError("diagonal must be zero")
@@ -45,6 +49,7 @@ class Metric:
             raise ValueError("distance table must be symmetric")
         self._dist = dist.copy()
         self._dist.setflags(write=False)
+        self._finite = bool(np.isfinite(dist).all())
 
     @property
     def n(self) -> int:
@@ -55,6 +60,13 @@ class Metric:
         """The raw table, 0-based: dist[u-1, v-1] = d(u, v)."""
         return self._dist
 
+    @property
+    def finite_dist(self) -> np.ndarray:
+        """The raw table of a finite metric; InfiniteDistanceError otherwise."""
+        if not self._finite:
+            raise InfiniteDistanceError("metric has infinite distances (disconnected source)")
+        return self._dist
+
     def d(self, u: int, v: int) -> float:
         n = self.n
         if not (1 <= u <= n and 1 <= v <= n):
@@ -62,7 +74,7 @@ class Metric:
         return float(self._dist[u - 1, v - 1])
 
     def is_finite(self) -> bool:
-        return bool(np.isfinite(self._dist).all())
+        return self._finite
 
     def __reduce__(self):
         return Metric, (self._dist,)
@@ -273,12 +285,11 @@ def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
     (centres' balls are pairwise disjoint).  A centre is the lowest member of
     its cluster: a dense non-centre was blocked at its turn by a lower centre
     that meets it, so its owner lies below it.  One stable sort by owner thus
-    lists the clusters in the order of their lowest members.
+    lists the clusters in the order of their lowest members.  The table is
+    read through ``Metric.finite_dist``, so a disconnected source raises.
     """
     s_delta = density_threshold(delta, metric.n, alpha)
-    if not metric.is_finite():
-        raise DisconnectedGraphError("clustering needs a connected (finite) metric")
-    d = metric.dist
+    d = metric.finite_dist
     in_ball = d <= delta
     dense0 = np.flatnonzero(in_ball.sum(axis=1) >= s_delta)
     owner = np.arange(metric.n)

@@ -10,7 +10,7 @@ the split bilinear form behind ``cut_parameters_exact``: one XOR per edge
 over every subset holding vertex 1, with the same float division.
 Likewise the loop versions at the end are the references of the library's
 whole-array kernels (full-graph Dijkstra, tau profiles, greedy matching,
-insertion, 2-opt and the clustering): same arithmetic, summation order and tie rules, one
+nearest neighbour, insertion, 2-opt and the clustering): same arithmetic, summation order and tie rules, one
 element at a time.
 """
 
@@ -266,6 +266,20 @@ def greedy_matching_scan(dist):
             pairs.append((a + 1, b + 1))
     cost = math.fsum(d[a - 1, b - 1] for a, b in pairs)
     return tuple(pairs), cost
+
+
+def nearest_neighbor_loop(dist, start):
+    """(order, cost) of nearest neighbour from ``start``: each step scans the
+    unvisited vertices in ascending order and keeps the first closest one."""
+    rows = np.asarray(dist).tolist()
+    unvisited = [x for x in range(len(rows)) if x != start - 1]
+    order = [start - 1]
+    while unvisited:
+        nxt = min(unvisited, key=rows[order[-1]].__getitem__)  # lowest index on ties
+        unvisited.remove(nxt)
+        order.append(nxt)
+    order_t = tuple(x + 1 for x in order)
+    return order_t, tour_cost_loop(np.asarray(dist), order_t)
 
 
 def insertion_loop(dist, rule, seed=None):

@@ -169,6 +169,23 @@ def test_heur_kmedian(weighted_file, capsys):
     assert "--k" in err
 
 
+def test_heur_kmedian_checks_k_before_building_the_centres(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "k12.txt")
+    assert run_cli(capsys, "gen", "--model", "complete", "--n", "12", "--out", path)[0] == 0
+
+    def refuse(k):
+        raise AssertionError(f"first_k_centers({k}) called with k out of range")
+
+    monkeypatch.setattr(heuristics, "first_k_centers", refuse)
+    for k in ("13", "0"):
+        code, out, err = run_cli(capsys, "heur", "kmedian", "--graph", path, "--k", k)
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1 and f"k={k}" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "heur", "kmedian", "--graph", path, "--k", "12")
+    assert code == 0 and json.loads(out)["cost"] == 0.0  # k = n: every vertex serves itself
+
+
 def test_heur_csv_format(weighted_file, capsys):
     code, out, _ = run_cli(
         capsys, "heur", "nn", "--graph", weighted_file, "--format", "csv"

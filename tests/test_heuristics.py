@@ -1,10 +1,12 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from rspmetric import (
+    DisconnectedGraphError,
     EmptyCenterSetError,
     InfiniteDistanceError,
     Metric,
@@ -15,6 +17,7 @@ from rspmetric import (
     Tour,
     WeightedGraph,
     Graph,
+    cluster_partition,
     exact_kmedian,
     exact_matching,
     exact_tsp,
@@ -41,6 +44,33 @@ def infinite_metric():
          [math.inf, math.inf, 0.0, 1.0],
          [math.inf, math.inf, 1.0, 0.0]]
     )
+
+
+# every function that needs a finite metric, called on the two-component one
+FINITE_ONLY = {
+    "greedy_matching": greedy_matching,
+    "exact_matching": exact_matching,
+    "nearest_neighbor_tour": nearest_neighbor_tour,
+    **{f"insertion_tour-{rule}": lambda m, rule=rule: insertion_tour(m, rule, Seed(1))
+       for rule in RULES},
+    "two_opt": two_opt,
+    "has_improving_exchange": lambda m: has_improving_exchange(m, Tour((1, 3, 2, 4), 0.0)),
+    "exact_tsp": exact_tsp,
+    "trivial_kmedian": lambda m: trivial_kmedian(m, (1, 3)),
+    "exact_kmedian": lambda m: exact_kmedian(m, 2),
+    "cluster_partition": lambda m: cluster_partition(m, 0.5, alpha=1.0),
+}
+
+
+@pytest.mark.parametrize("call", FINITE_ONLY.values(), ids=FINITE_ONLY)
+@pytest.mark.parametrize("pickled", [False, True], ids=["built", "unpickled"])
+def test_infinite_metric_is_refused_at_the_finite_gate(call, pickled):
+    # a metric unpickled on a worker (through Metric.__reduce__) keeps its answer
+    m = pickle.loads(pickle.dumps(infinite_metric())) if pickled else infinite_metric()
+    assert not m.is_finite()
+    with pytest.raises(InfiniteDistanceError) as info:
+        call(m)
+    assert isinstance(info.value, DisconnectedGraphError)
 
 
 # -- matchings ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Whole-array kernels against their one-element-at-a-time references.
 
-Shortest paths, tau profiles, greedy matching, insertion, 2-opt, the
-clustering and the cut parameters run as numpy passes; ``tests/oracles.py``
+Shortest paths, tau profiles, greedy matching, nearest neighbour,
+insertion, 2-opt, the clustering and the cut parameters run as numpy passes; ``tests/oracles.py``
 keeps the loop versions with the same arithmetic and tie rules.  Outputs are
 compared with ``==``: tours, pairs, cost sequences, exchange counts, prefix
 cuts, clusters with their diameters and (alpha, beta), and whole distance
@@ -50,6 +50,7 @@ from oracles import (
     greedy_matching_scan,
     has_improving_exchange_loop,
     insertion_loop,
+    nearest_neighbor_loop,
     tau_profile_loop,
     two_opt_loop,
 )
@@ -60,6 +61,12 @@ RULES = ("nearest", "farthest", "cheapest", "random")
 def assert_same_greedy(metric):
     got = greedy_matching(metric)
     assert (got.pairs, got.cost) == greedy_matching_scan(metric.dist)
+
+
+def assert_same_nn(metric):
+    for start in range(1, metric.n + 1):
+        got = nearest_neighbor_tour(metric, start)
+        assert (got.order, got.cost) == nearest_neighbor_loop(metric.dist, start), start
 
 
 def assert_same_insertion(metric, rules=RULES):
@@ -131,6 +138,7 @@ def test_kernels_match_loops_on_complete_graphs(n):
     assert_same_clusters(metric)
     if n % 2 == 0:
         assert_same_greedy(metric)
+    assert_same_nn(metric)
     assert_same_insertion(metric)
     assert_same_two_opt(metric)
 
@@ -141,6 +149,7 @@ def test_kernels_match_loops_on_k200():
     assert_same_profiles(metric, graph)
     assert_same_clusters(metric)
     assert_same_greedy(metric)
+    assert_same_nn(metric)
     assert_same_insertion(metric, rules=("nearest", "farthest", "random"))
     assert_same_two_opt(metric)
 
@@ -157,6 +166,7 @@ def test_kernels_match_loops_on_connected_er_graphs(n, p):
         assert_same_profiles(metric, graph)
         assert_same_clusters(metric)
         assert_same_greedy(metric)
+        assert_same_nn(metric)
         assert_same_insertion(metric)
         assert_same_two_opt(metric)
 
@@ -198,6 +208,7 @@ def test_kernels_match_loops_on_tie_heavy_metrics(n):
         assert_same_clusters(metric)
         if n % 2 == 0:
             assert_same_greedy(metric)
+        assert_same_nn(metric)
         assert_same_insertion(metric)
         assert_same_two_opt(metric)
 

@@ -163,6 +163,8 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="concentration", model="er", p=1.0, n=VERTEX_CAP + 1),
         dict(suite="structure", n=6, delta_fractions=(0.0, math.inf)),  # JSON has no Infinity
         dict(suite="structure", n=6, delta_fractions=(-0.5,)),
+        dict(suite="structure", n=6, delta_fractions=(0.0, 1.7e308)),  # f * diameter overflows
+        dict(suite="structure", n=6, delta_fractions=(1.5,)),  # beyond f = 1, the whole set
     ],
 )
 def test_validate_config_rejects(kwargs):

@@ -114,6 +114,7 @@ def test_metric_survives_pickling_read_only():
     _, _, m = rsp_instance(6, seed=4)
     copy = pickle.loads(pickle.dumps(m))
     assert np.array_equal(copy.dist, m.dist) and not copy.dist.flags.writeable
+    assert copy.is_finite() and copy.finite_dist is copy.dist
 
 
 # -- tau profile --------------------------------------------------------------
