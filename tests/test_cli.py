@@ -41,7 +41,7 @@ def test_gen_er_is_seeded(tmp_path, capsys):
             capsys, "gen", "--model", "er", "--n", "12", "--p", "0.5", "--seed", "9", "--out", path
         )
         assert code == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_gen_er_without_p_is_usage_error(tmp_path, capsys):
@@ -166,7 +166,7 @@ def test_heur_kmedian(weighted_file, capsys):
     assert json.loads(out)["cost"] == pytest.approx(7.6, rel=1e-12)
     code, _, err = run_cli(capsys, "heur", "kmedian", "--graph", weighted_file)
     assert code == 2
-    assert "--k" in err
+    assert err == "error: kmedian needs --k\n"
 
 
 def test_heur_kmedian_checks_k_before_building_the_centres(tmp_path, capsys, monkeypatch):
@@ -276,7 +276,7 @@ def test_suite_writes_output_file_deterministically(tmp_path, capsys):
         )
         code, _, _ = run_cli(capsys, "suite", "two-opt", "--config", cfg)
         assert code == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_suite_json_format(tmp_path, capsys):
@@ -320,6 +320,21 @@ def test_bounds_eval_pair_output(capsys):
     lo, hi = strict_json(out)["value"]
     assert lo == pytest.approx(7.38905609893065)
     assert hi == pytest.approx(0.1353352832366127)
+
+
+def test_usage_errors_print_one_error_line(tmp_path, weighted_file, capsys):
+    # each of these used to print its message without the "error:" prefix
+    cfg = write_config(tmp_path, suite="tau", n=6)
+    cases = [
+        (("gen", "--model", "er", "--n", "5", "--out", str(tmp_path / "x.txt")), "needs --p"),
+        (("heur", "kmedian", "--graph", weighted_file), "needs --k"),
+        (("suite", "ratio", "--config", cfg), "suite=tau"),
+        (("bounds", "eval", "harmonic", "--params", "nonsense"), "'nonsense'"),
+    ]
+    for argv, words in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err, err
 
 
 def test_bounds_eval_bad_params(capsys):

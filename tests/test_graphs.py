@@ -108,6 +108,15 @@ def test_erdos_renyi_extremes():
     assert generate_erdos_renyi(5, 0.0, Seed(1)).m == 0
 
 
+@pytest.mark.parametrize("seed", [None, 7, "7"], ids=["None", "int", "str"])
+def test_random_draws_need_a_seed_object(seed):
+    # None used to raise AttributeError from inside the stream
+    with pytest.raises(TypeError, match="Seed"):
+        generate_erdos_renyi(5, 0.5, seed)
+    with pytest.raises(TypeError, match="Seed"):
+        draw_weights(complete_graph(5), seed)
+
+
 def test_erdos_renyi_is_deterministic():
     assert generate_erdos_renyi(30, 0.4, Seed(99)) == generate_erdos_renyi(30, 0.4, Seed(99))
     assert generate_erdos_renyi(30, 0.4, Seed(99)) != generate_erdos_renyi(30, 0.4, Seed(100))
@@ -251,7 +260,8 @@ def test_graph_file_round_trip(tmp_path):
     path = str(tmp_path / "g.txt")
     write_graph(path, g)
     assert read_graph(path) == g
-    first = open(path).readline().split()
+    with open(path) as fh:
+        first = fh.readline().split()
     assert first == [str(g.n), str(g.m)]
 
 

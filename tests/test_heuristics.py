@@ -142,6 +142,24 @@ def test_nn_two_vertices():
     assert nearest_neighbor_tour(m, 1).cost == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("start", [1.5, 1.0, None])
+def test_nn_start_must_be_an_integer(line_metric, start):
+    with pytest.raises(TypeError):
+        nearest_neighbor_tour(line_metric, start)
+
+
+@pytest.mark.parametrize("start", [0, 5, -1])
+def test_nn_start_must_lie_in_1_to_n(line_metric, start):
+    with pytest.raises(ValueError, match=r"1\.\.4"):
+        nearest_neighbor_tour(line_metric, start)
+
+
+def test_nn_start_true_is_vertex_1(line_metric):
+    got = nearest_neighbor_tour(line_metric, True)
+    assert [type(v) for v in got.order] == [int] * 4
+    assert got == nearest_neighbor_tour(line_metric, 1)
+
+
 def test_nn_line_example(line_metric):
     got = nearest_neighbor_tour(line_metric, start=1)
     assert got.order == (1, 2, 3, 4)
@@ -240,6 +258,19 @@ def test_tour_cost_rejects_non_tours(order):
     _, _, m = rsp_instance(5, seed=3)
     with pytest.raises(ValueError, match="permutation"):
         tour_cost(m, order)
+
+
+@pytest.mark.parametrize("order", [(1.0, 2, 3, 4, 5), (1, 2, 3, 4, 4.5), (1, 2, None, 4, 5)])
+def test_tour_cost_rejects_non_integer_vertices(order):
+    _, _, m = rsp_instance(5, seed=3)
+    with pytest.raises(TypeError):
+        tour_cost(m, order)
+
+
+def test_trivial_kmedian_rejects_non_integer_centres(line_metric):
+    with pytest.raises(TypeError):
+        trivial_kmedian(line_metric, (1.5,))
+    assert trivial_kmedian(line_metric, (np.int64(1),)) == trivial_kmedian(line_metric, (1,))
 
 
 def test_has_improving_exchange_rejects_non_tours():

@@ -41,7 +41,7 @@ from rspmetric import (
 )
 from rspmetric.graphs import CUT_PARAMETER_CAP, _split_bit_rows
 from rspmetric.heuristics import Tour
-from rspmetric.metric import PROFILE_BLOCK, _certified_apsp
+from rspmetric.metric import PROFILE_BLOCK, _certified_apsp, prune_width
 from conftest import all_ones_metric, points_on_line, rsp_instance, small_integer_metric
 from oracles import (
     cluster_partition_loop,
@@ -262,9 +262,26 @@ def test_tables_match_with_tied_integer_weights():
 
 
 def _raw_tables(wg):
+    """The certified table, its sources per Dijkstra pass, and the whole-graph table."""
     edges0 = wg.graph.edges - 1
-    got, passes = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
-    return got, passes, dijkstra_full(wg)
+    got, runs = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
+    return got, runs, dijkstra_full(wg)
+
+
+def _pruned(graph):
+    return prune_width(graph.n, graph.m) is not None
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [complete_graph(12), complete_graph(16), generate_erdos_renyi(16, 0.5, Seed(16))],
+    ids=["K12", "K16", "G(16, 1/2)"],
+)
+def test_the_exact_dp_and_structure_graphs_take_one_pass(graph):
+    assert not _pruned(graph)
+    got, runs, want = _raw_tables(draw_weights(graph, Seed(graph.m)))
+    assert runs == [graph.n]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", (100, 400))
@@ -280,20 +297,35 @@ def test_certified_table_equals_full_dijkstra_on_er_graphs(n, p):
     assert np.array_equal(got, want)
 
 
-def test_failed_certificate_reruns_with_the_offending_edges():
-    # a line whose far pairs share one flat weight of 50: each vertex keeps
-    # only its short edges, on which vertex 100 lies 99 from vertex 1, so the
-    # dropped direct edge of weight 50 fails the certificate
-    n = 100
+def line_with_flat_far_pairs(n, flat):
+    """K_n weighted |i - j|, capped at ``flat``: each vertex keeps only its short edges."""
     graph = complete_graph(n)
     gaps = np.abs(np.diff(graph.edges, axis=1)[:, 0]).astype(float)
-    wg = WeightedGraph(graph, np.minimum(gaps, 50.0))
-    k = math.ceil(4 * math.log(n))
-    assert 2 * k * n < graph.m  # the pruned path is taken
-    got, passes, want = _raw_tables(wg)
-    assert passes == 2
+    return WeightedGraph(graph, np.minimum(gaps, flat))
+
+
+def test_failed_certificate_reruns_with_the_offending_edges():
+    # on the kept short edges vertex 100 lies 99 from vertex 1, so the
+    # dropped direct edge of weight 50 fails the certificate
+    n = 100
+    wg = line_with_flat_far_pairs(n, 50.0)
+    assert _pruned(wg.graph)
+    got, runs, want = _raw_tables(wg)
+    assert len(runs) == 2
     assert np.array_equal(got, want)
     assert build_metric(wg).d(1, n) == 50.0  # only the dropped direct edge gives 50
+
+
+def test_only_the_sources_that_fail_are_rerun():
+    # with far pairs at 90 only a source within 9 of either end has a vertex
+    # more than 90 away along the line: 18 of the 100 rows fail
+    n = 100
+    wg = line_with_flat_far_pairs(n, 90.0)
+    assert _pruned(wg.graph)
+    got, runs, want = _raw_tables(wg)
+    assert runs == [n, 18]
+    assert np.array_equal(got, want)
+    assert build_metric(wg).d(1, n) == 90.0
 
 
 def test_disconnected_graph_is_certified_in_one_pass():
@@ -301,10 +333,33 @@ def test_disconnected_graph_is_certified_in_one_pass():
     # must not fail the certificate of the dropped edges inside each clique
     half = complete_graph(200).edges
     graph = Graph(400, np.concatenate([half, half + 200]))
-    k = math.ceil(4 * math.log(graph.n))
-    assert 2 * k * graph.n < graph.m  # the pruned path is taken
-    got, passes, want = _raw_tables(draw_weights(graph, Seed(2)))
-    assert passes == 1
+    assert _pruned(graph)
+    got, runs, want = _raw_tables(draw_weights(graph, Seed(2)))
+    assert runs == [graph.n]
+    assert np.array_equal(got, want)
+
+
+def test_a_heavy_bridge_dropped_by_pruning_is_added_back():
+    # two K_200 joined by one edge heavier than any other: the kept edges
+    # form two components, so every source sees a finite and an infinite
+    # end of the bridge, and every row is rerun with the bridge kept
+    half = complete_graph(200).edges
+    graph = Graph(400, np.concatenate([half, half + 200, [[200, 201]]]))
+    assert _pruned(graph)
+    w = draw_weights(graph, Seed(3)).weights.copy()
+    w[graph.edges.tolist().index([200, 201])] = 100.0
+    got, runs, want = _raw_tables(WeightedGraph(graph, w))
+    assert runs == [graph.n, graph.n]
+    assert np.array_equal(got, want)
+    assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("n, top", [(60, 2), (100, 3), (150, 4), (250, 10)])
+def test_certified_table_equals_full_dijkstra_with_tied_integer_weights(n, top):
+    graph = complete_graph(n)
+    assert _pruned(graph)
+    w = np.random.default_rng(n).integers(1, top + 1, size=graph.m).astype(float)
+    got, _, want = _raw_tables(WeightedGraph(graph, w))
     assert np.array_equal(got, want)
 
 

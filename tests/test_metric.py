@@ -103,6 +103,7 @@ def test_table_is_exactly_symmetric():
         [[0.5, 1.0], [1.0, 0.0]],          # nonzero diagonal
         [[0.0, -1.0], [-1.0, 0.0]],        # negative
         [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]],  # not square
+        np.zeros((0, 0)),                  # no vertex: its diameter would be undefined
     ],
 )
 def test_constructor_validates(bad):
@@ -188,6 +189,26 @@ def test_birth_process_increments_rescale_to_unit_mean():
 def test_ball_rejects_vertices_outside_1_to_n(v):
     with pytest.raises(ValueError, match=r"1\.\.5"):
         ball(k5_metric(), v, 0.0)
+
+
+@pytest.mark.parametrize("v", [1.5, 1.0, "1", None])
+def test_vertex_arguments_must_be_integers(v):
+    # a float used to pass the range check and fail as an IndexError
+    g, _, m = rsp_instance(5, seed=3)
+    for call in (lambda: m.d(v, 1), lambda: m.d(1, v), lambda: ball(m, v, 0.5),
+                 lambda: tau_profile(m, g, v)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_integer_like_vertices_become_plain_ints():
+    g, _, m = rsp_instance(5, seed=3)
+    for v, want in ((True, 1), (np.int64(5), 5), (np.uint8(2), 2)):
+        profile = tau_profile(m, g, v)
+        assert type(profile.center) is int and profile.center == want
+        assert profile.order[0] == want
+        assert ball(m, v, 0.0) == {want}
+        assert m.d(v, 1) == m.d(want, 1)
 
 
 def test_vertex_n_keeps_its_distances_and_ball():
@@ -305,4 +326,5 @@ def test_metric_file_round_trip(tmp_path):
     write_metric(path, m)
     back = read_metric(path)
     assert np.array_equal(back.dist, m.dist)
-    assert open(path).readline().strip() == "3"
+    with open(path) as fh:
+        assert fh.readline().strip() == "3"
