@@ -181,6 +181,11 @@ def evaluate(formula_id: str, **params) -> BoundValue:
     if missing or extra:
         raise ValueError(f"{formula_id} takes {names}; missing {missing}, extra {extra}")
     args = {p: int(params[p]) if p in _INT_PARAMS else float(params[p]) for p in names}
+    for p, x in args.items():
+        if p in _INT_PARAMS and x < 1:
+            raise ValueError(f"{formula_id}: {p}={x} must be >= 1")
+        if p not in _INT_PARAMS and not math.isfinite(x):  # inputs are echoed as strict JSON
+            raise ValueError(f"{formula_id}: {p}={x} must be finite")
     try:
         value = fn(**args)
     except OverflowError as exc:  # an integer parameter beyond the float range

@@ -18,15 +18,17 @@ says which table entries every entry is the minimum over:
 - ``exact_tsp`` (Held-Karp) anchors the tour at vertex 1 and keeps a table
   over the subsets of the other n-1 vertices and the end vertex.
   :func:`_tsp_plan` lists, per popcount layer and end vertex j, each subset's
-  predecessor without j, so a layer is one gather, one add and one minimum.
-  The walk back keeps no table: it recomputes each step's sums and takes the
-  lowest predecessor by ``argmin``, as the closing step the lowest last vertex.
+  predecessor without j, so a layer is one gather, one add, one minimum and
+  one write through flat table indices.  The walk back keeps no table: it
+  recomputes each step's sums and takes the lowest predecessor by ``argmin``,
+  as the closing step the lowest last vertex.
 - ``exact_matching`` always matches the lowest vertex i of a subset, so from
   the full set it reaches only F(n+1) (Fibonacci) subsets, 10,946 of the 2^20
   at n = 20.  :func:`_matching_plan` lists those by size with their
   predecessors and pair distances, so a size is one gather, one add and one
-  minimum.  Pairs are recovered by taking the lowest j whose recomputed sum
-  equals the table entry.
+  first-minimum ``argmin`` per subset.  The fill keeps where in its plan row
+  each subset's minimum lies, so the walk back reads the pair and the subset
+  left after it there: n/2 steps that recompute nothing.
 
 Both keep the lowest-index tie rule of a per-mask DP scanning candidates in
 ascending order (the reference versions live in ``tests/oracles.py``), so they
@@ -34,7 +36,9 @@ return the same tours and pairings, not just the same costs.  The tables are
 bit-identical to the per-mask ones too: every entry is the minimum over the
 same set of IEEE sums ``dp[prev] + d[., .]``, each one rounding of the same two
 operands, and the minimum of non-NaN floats does not depend on the order in
-which they are compared.  The walk backs then see the same entries.
+which they are compared.  The walk backs then see the same entries, and
+``argmin`` picks the first of equal minima, the lowest index, as the
+per-mask scans do.
 """
 
 from __future__ import annotations
@@ -186,8 +190,11 @@ def exact_matching(metric: Metric) -> Matching:
     ``dp[mask] = min_j dp[mask - {i, j}] + d[i, j]``.  Only the F(n+1)
     subsets that this recursion reaches from the full set are kept; the
     cached plan of :func:`_matching_plan` lists them by size, and each size
-    is filled by one gather, one add and one row-wise minimum.  Pairs are
-    recovered by taking the lowest j whose recomputed sum equals the entry.
+    is filled by one gather, one add and one row-wise ``argmin``, whose first
+    minimum is the lowest partner j attaining it.  Its flat position in the
+    layer's plan rows is kept per state, and there the walk back from the full
+    set reads the pair (i, j) and the state of the subset left after it, one
+    layer down per step: n/2 steps that recompute nothing.
     """
     n = metric.n
     if n % 2:
@@ -198,21 +205,23 @@ def exact_matching(metric: Metric) -> Matching:
     masks, layers = _matching_plan(n)
     dp = np.empty(len(masks))
     dp[0] = 0.0
+    at_of = np.empty(len(masks), dtype=np.intp)  # each state's choice, flat in its layer
     for target, pred, pair in layers:
         cand = dp[pred]
         cand += np.take(d, pair)
-        dp[target] = np.minimum.reduce(cand, axis=1)
-    # walk back, matching i to the lowest j whose sum attains dp[mask]
+        # the first minimum of each row: the lowest j attaining it
+        at = cand.argmin(axis=1)
+        at += np.arange(0, cand.size, cand.shape[1])
+        dp[target] = cand.ravel()[at]
+        at_of[target] = at
+    # walk back from the full set, one layer down per pair
     pairs = []
-    mask = (1 << n) - 1
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        js = np.flatnonzero((rest >> np.arange(n)) & 1)
-        sums = dp[np.searchsorted(masks, rest ^ (1 << js))] + d[i, js]
-        j = int(js[np.argmax(sums == dp[np.searchsorted(masks, mask)])])
+    state = len(masks) - 1
+    for _, pred, pair in reversed(layers):
+        at = at_of[state]
+        i, j = divmod(int(pair.flat[at]), n)
         pairs.append((i + 1, j + 1))
-        mask = rest ^ (1 << j)
+        state = int(pred.flat[at])
     pairs.sort()
     cost = math.fsum(d[a - 1, b - 1] for a, b in pairs)
     return Matching(pairs=tuple(pairs), cost=cost)
@@ -452,7 +461,11 @@ def exact_tsp(metric: Metric) -> Tour:
     end-major, ``dT[p, S] = dp[S, p]``, and filled one popcount layer at a
     time from the cached plan of :func:`_tsp_plan`: one gather of every
     candidate ``dT[p, prev[j, c]]``, one add of ``d[p+2, j+2]`` and one
-    minimum over p, in blocks of at most ``_DP_BLOCK`` candidates.
+    minimum over p, in blocks of at most ``_DP_BLOCK`` candidates.  The
+    minima are written through ``dT.ravel()`` at the flat indices
+    ``(j << m) | prev[j, c] | (1 << j)``, computed per block.  The walk back
+    recomputes each step's sums and takes the lowest predecessor attaining
+    the entry, as the closing step the lowest last vertex.
     """
     n = metric.n
     if n < 3:
@@ -461,10 +474,12 @@ def exact_tsp(metric: Metric) -> Tour:
         raise SizeCapExceededError(f"n={n} exceeds the TSP DP cap {TSP_CAP}")
     d = metric.finite_dist
     m = n - 1
+    # dT[j, S] is entry (j << m) | S of dT.ravel(), and S = prev | (1 << j)
     ends = np.arange(m)
-    end_bits = 1 << ends
+    at_end = (ends << m) | (1 << ends)  # the flat entries of S = {j}
     dT = np.full((m, 1 << m), np.inf)
-    dT[ends, end_bits] = d[0, 1:]
+    flat = dT.ravel()
+    flat[at_end] = d[0, 1:]
     legs = d[1:, 1:, None]  # legs[p, j] = d[p+2, j+2]
     for prev in _tsp_plan(m):
         width = max(1, _DP_BLOCK // (m * prev.shape[1]))  # end vertices per block
@@ -472,7 +487,7 @@ def exact_tsp(metric: Metric) -> Tour:
             j = slice(lo, lo + width)
             cand = np.take(dT, prev[j], axis=1)  # (p, j, c)
             cand += legs[:, j]
-            dT[ends[j, None], prev[j] | end_bits[j, None]] = np.minimum.reduce(cand, axis=0)
+            flat[prev[j] | at_end[j, None]] = np.minimum.reduce(cand, axis=0)
             del cand  # before the next block's gather, so one block is held at a time
     dp = dT.T
     # walk back from the lowest last vertex, each time to the lowest

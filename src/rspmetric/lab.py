@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -186,15 +187,39 @@ _INT_FIELDS = {  # integer config field -> whether it may be None
     if f.type in ("int", "int | None")
 }
 _SCALARS = {"int": int, "float": float, "str": str}
+# what a config value of each annotated kind may be; the built-in types come first,
+# since an isinstance check against a numbers ABC takes about 1 us
+_KINDS = {"int": (int, numbers.Integral), "float": (float, int, numbers.Real), "str": str}
+
+
+@lru_cache(maxsize=None)  # one entry per distinct annotation
+def _kind(annotation: str) -> tuple[str, bool, bool]:
+    """A field's scalar type name, whether it is a tuple of them, and whether
+    None is allowed, from its annotation, e.g. ``tuple[int, ...]``."""
+    base = annotation.removesuffix(" | None")
+    is_tuple = base.startswith("tuple[")
+    scalar = base[len("tuple["):].split(",")[0] if is_tuple else base
+    return scalar, is_tuple, base != annotation
 
 
 def _parse_value(annotation: str, text: str):
-    """Parse one config value by its field's annotation, e.g. ``tuple[int, ...]``."""
-    base = annotation.removesuffix(" | None")
-    if base.startswith("tuple["):
-        item = _SCALARS[base[len("tuple["):].split(",")[0]]
+    """Parse one config value by its field's annotation."""
+    scalar, is_tuple, _ = _kind(annotation)
+    item = _SCALARS[scalar]
+    if is_tuple:
         return tuple(item(x.strip()) for x in text.split(",") if x.strip())
-    return _SCALARS[base](text)
+    return item(text)
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether a config value has its field's type; a tuple field takes a tuple or
+    list, never a str."""
+    scalar, is_tuple, optional = _kind(annotation)
+    if value is None:
+        return optional
+    if is_tuple:
+        return isinstance(value, (tuple, list)) and all(isinstance(x, _KINDS[scalar]) for x in value)
+    return isinstance(value, _KINDS[scalar])
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -237,12 +262,13 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 def validate_config(config: ExperimentConfig) -> None:
     """Raise one ConfigInvalidError that names every problem of the config."""
     c = config
-    not_int = [
-        name for name, optional in _INT_FIELDS.items()
-        if not isinstance(getattr(c, name), int) and not (optional and getattr(c, name) is None)
+    mistyped = [
+        f"{name} must be {f.type}"
+        for name, f in ExperimentConfig.__dataclass_fields__.items()
+        if not _fits(f.type, getattr(c, name))
     ]
-    if not_int:  # the rules below compare these fields as numbers
-        raise ConfigInvalidError(f"fields must be integers: {', '.join(not_int)}")
+    if mistyped:  # the rules below compare and iterate these fields
+        raise ConfigInvalidError("; ".join(mistyped))
     suite = _SUITES.get(c.suite)
     needs = suite.needs(c) if suite else frozenset()
     checks = set(c.structure_checks) if c.suite == "structure" else set()

@@ -37,7 +37,16 @@ class Metric:
     """
 
     def __init__(self, dist: np.ndarray):
-        dist = np.asarray(dist, dtype=np.float64)
+        self._own(np.array(dist, dtype=np.float64))  # a private copy of the caller's table
+
+    @classmethod
+    def _of_fresh_table(cls, table: np.ndarray) -> Metric:
+        """A metric that takes over ``table``, a float64 array no one else holds."""
+        metric = cls.__new__(cls)
+        metric._own(table)
+        return metric
+
+    def _own(self, dist: np.ndarray) -> None:
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValueError("distance table must be square")
         if not len(dist):
@@ -48,8 +57,8 @@ class Metric:
             raise ValueError("diagonal must be zero")
         if not np.array_equal(dist, dist.T):
             raise ValueError("distance table must be symmetric")
-        self._dist = dist.copy()
-        self._dist.setflags(write=False)
+        dist.setflags(write=False)
+        self._dist = dist
         self._finite = bool(np.isfinite(dist).all())
 
     @property
@@ -128,8 +137,8 @@ def build_metric(wg: WeightedGraph) -> Metric:
     # dijkstra from u and from v may round the same path differently; take the
     # smaller of the two so the table is exactly symmetric
     table = np.minimum(dist, dist.T)
-    del dist  # one n x n table fewer while Metric copies its own
-    return Metric(table)
+    del dist  # one n x n table fewer while Metric checks the table
+    return Metric._of_fresh_table(table)
 
 
 CHECK_BLOCK = 1 << 18  # at most this many (source, edge) entries per block of the Bellman check
@@ -363,7 +372,8 @@ def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
                 blocked |= meets[i]
         owner[dense0] = dense0[chosen][meets[chosen].argmax(axis=0)]
     order = np.argsort(owner, kind="stable")
-    starts = np.flatnonzero(np.diff(owner[order], prepend=-1))
+    # a cluster's block starts at its lowest member, the one vertex in it that owns itself
+    starts = np.flatnonzero(owner[order] == order)
     # the max over each cluster's block of d: singletons get their 0 diagonal
     rows = d.max(axis=1, where=owner[:, None] == owner, initial=0.0)
     diameters = np.maximum.reduceat(rows[order], starts)

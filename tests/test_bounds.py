@@ -199,6 +199,23 @@ def test_evaluate_rejects_values_beyond_the_float_range():
         evaluate("tau-expectation", n="6", k="3", alpha="1e-320", beta="1")
 
 
+@pytest.mark.parametrize(
+    "formula, params, name",
+    [
+        ("ball-tail", dict(delta="inf", n="10", alpha="1"), "delta"),  # printed as Infinity
+        ("ball-tail", dict(delta="1", n="10", alpha="nan"), "alpha"),
+        ("cluster-scale", dict(delta="1", n="0", alpha="1"), "n"),  # gave [0.5, 0.0]
+        ("cluster-scale", dict(delta="1", n="-3", alpha="1"), "n"),  # a math domain error
+        ("tau-expectation", dict(n="6", k="0", alpha="1", beta="1"), "k"),
+        ("harmonic", dict(n="0"), "n"),
+        ("exp-sum-cdf", dict(c="-inf", n="3", a="1"), "c"),
+    ],
+)
+def test_evaluate_checks_its_inputs(formula, params, name):
+    with pytest.raises(ValueError, match=f"{formula}: {name}="):
+        evaluate(formula, **params)
+
+
 def test_evaluate_rejects_bad_requests():
     with pytest.raises(ValueError):
         evaluate("no-such-formula", n=1)

@@ -365,6 +365,11 @@ HUGE_N = 10**399 + 7  # 400 digits, above the largest float
         pytest.param("sm-tail", f"phi=0.5,c=0.1,n={HUGE_N}", id="sm-tail-huge-n"),
         pytest.param("tau-cdf", f"x=1,n={HUGE_N},k=3,alpha=1,beta=1", id="tau-cdf-huge-n"),
         pytest.param("cluster-scale", f"delta=1,n={HUGE_N},alpha=1", id="cluster-scale-huge-n"),
+        # an infinite input used to be echoed as Infinity, n=0 to give [0.5, 0.0], and
+        # n=-3 to die with a math domain error
+        pytest.param("ball-tail", "delta=inf,n=10,alpha=1", id="ball-tail-inf-delta"),
+        pytest.param("cluster-scale", "delta=1,n=0,alpha=1", id="cluster-scale-n-0"),
+        pytest.param("cluster-scale", "delta=1,n=-3,alpha=1", id="cluster-scale-n-negative"),
     ],
 )
 def test_bounds_eval_out_of_range_is_usage_error(capsys, formula, params):

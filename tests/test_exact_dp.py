@@ -7,6 +7,7 @@ pairings are compared for equality, not just their costs.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rspmetric import (
@@ -94,7 +95,7 @@ def test_matching_matches_per_mask_dp_on_er_graphs(n):
         assert_same_matching(er_metric(n, seed=91 * n + seed))
 
 
-@pytest.mark.parametrize("n", (2, 6, 10, 14))
+@pytest.mark.parametrize("n", (2, 6, 10, 14, 16, 18))
 def test_matching_matches_per_mask_dp_on_tie_heavy_metrics(n):
     assert_same_matching(points_on_line(n))
     assert_same_matching(all_ones_metric(n))
@@ -116,12 +117,23 @@ def test_matching_plan_keeps_only_the_fibonacci_many_reachable_subsets():
         assert sum(len(target) for target, _, _ in layers) == len(masks) - 1
 
 
+def _leaves(plan):
+    """Every item a plan holds, through its nested tuples."""
+    if isinstance(plan, tuple):
+        return [a for item in plan for a in _leaves(item)]
+    return [plan]
+
+
 def test_plan_arrays_are_read_only():
-    masks, layers = _matching_plan(8)
-    for a in _tsp_plan(7) + (masks,) + tuple(a for layer in layers for a in layer):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a.flat[0] = 0
+    plans = [_matching_plan(n) for n in (2, 8, MATCHING_CAP)]
+    plans += [_tsp_plan(m) for m in (2, 7, TSP_CAP - 1)]
+    for plan in plans:
+        leaves = _leaves(plan)
+        assert leaves
+        for a in leaves:
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
 
 
 def test_calls_interleaved_across_sizes_match_fresh_calls():

@@ -172,6 +172,37 @@ def test_validate_config_rejects(kwargs):
         validate_config(ExperimentConfig(**kwargs))
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("p", "0.5"),
+        ("epsilon", None),
+        ("epsilon", "x"),
+        ("delta_fractions", "0.1"),
+        ("delta_fractions", 0.1),
+        ("delta_fractions", (0.0, "0.5")),
+        ("structure_checks", "chi"),
+        ("tau_ks", (2, 2.5)),
+        ("tau_ks", 3),
+        ("graph_file", 3),
+        ("trials", 2.0),
+    ],
+)
+def test_validate_config_names_a_mistyped_field(name, value):
+    # p="0.5" and delta_fractions="0.1" used to raise a bare TypeError, and
+    # structure_checks="chi" to be read as the checks 'c', 'h' and 'i'
+    base = dict(suite="structure", model="er", p=0.5, n=6)
+    with pytest.raises(ConfigInvalidError, match=f"^{name} must be "):
+        validate_config(ExperimentConfig(**{**base, name: value}))
+
+
+def test_tuple_fields_take_lists_and_numpy_items():
+    validate_config(ExperimentConfig(
+        suite="tau", n=6, tau_ks=[np.int64(2), 5], delta_fractions=[0, np.float32(0.5)],
+        structure_checks=["chi"],
+    ))
+
+
 def test_numpy_integers_in_a_config_become_plain_ints():
     base = dict(suite="ratio", kind="nn", n=6, trials=2)
     cfg = ExperimentConfig(**base, seed=np.int64(3), workers=np.int32(1))

@@ -111,6 +111,29 @@ def test_constructor_validates(bad):
         Metric(bad)
 
 
+def test_metric_from_a_callers_array_does_not_alias_it():
+    table = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    m = Metric(table)
+    assert not np.shares_memory(m.dist, table)
+    assert table.flags.writeable and not m.dist.flags.writeable
+    table[0, 2] = table[2, 0] = 5.0
+    assert m.d(1, 3) == 2.0
+    frozen = m.dist  # a read-only table is copied too
+    assert not np.shares_memory(Metric(frozen).dist, frozen)
+
+
+def test_build_metric_hands_over_its_table_without_a_copy(monkeypatch):
+    _, wg, m = rsp_instance(6, seed=4)
+
+    def copying(self, dist):
+        raise AssertionError("build_metric went through the copying constructor")
+
+    monkeypatch.setattr(Metric, "__init__", copying)
+    again = build_metric(wg)
+    assert np.array_equal(again.dist, m.dist) and not again.dist.flags.writeable
+    assert again.is_finite() and again.finite_dist is again.dist
+
+
 def test_metric_survives_pickling_read_only():
     _, _, m = rsp_instance(6, seed=4)
     copy = pickle.loads(pickle.dumps(m))
