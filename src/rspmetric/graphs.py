@@ -27,9 +27,13 @@ from .rng import Seed, UniformStream
 # 19 MB of extra resident memory on one Xeon core.
 CUT_PARAMETER_CAP = 24
 # Hard ceiling on n wherever an n x n table or all n(n-1)/2 pairs are built.
-# At 2048 on one Xeon core, with one process per step:
+# At 2048 on Xeon cores, with one process per step:
 # generate_erdos_renyi(2048, 1.0) then is_connected peaked at 442 MB RSS in
-# 3-3.6 s; complete_graph then build_metric peaked at 225 MB in 2.9-3.2 s.
+# 3-3.6 s on one core.  complete_graph then build_metric peaked at 225 MB in
+# 2.8-3.3 s on one core (taskset -c 0) and in 1.7-2.6 s on two, where its
+# first Dijkstra pass forks one child.  The child's peak RSS is 189 MB; all but
+# about 18 MB of it (its half of the rows) are the parent's pages, shared
+# copy-on-write.
 VERTEX_CAP = 2048
 
 

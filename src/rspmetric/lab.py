@@ -29,7 +29,6 @@ import json
 import math
 import numbers
 import operator
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -76,6 +75,7 @@ from .metric import (
     cluster_partition,
     diameter,
     tau_profiles,
+    usable_cpus,
 )
 from .rng import Seed, UniformStream
 
@@ -488,11 +488,11 @@ def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]
     """Run all trials of a valid config on its context; records are identical
     for any worker count.
 
-    At most one process per trial and per CPU is started: on fork, the pool
-    starts all of its ``max_workers`` at once.
+    At most one process per trial and per usable CPU is started: on fork, the
+    pool starts all of its ``max_workers`` at once.
     """
     trial = partial(_trial, config, context)
-    workers = min(config.workers, config.trials, os.cpu_count() or 1)
+    workers = min(config.workers, config.trials, usable_cpus())
     if workers <= 1:
         return [trial(i) for i in range(config.trials)]
     chunk = max(1, config.trials // (4 * workers))

@@ -8,15 +8,21 @@ cuts, clusters with their diameters and (alpha, beta), and whole distance
 tables with ``np.array_equal``.
 """
 
+import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from rspmetric import (
     DisconnectedGraphError,
+    ExperimentConfig,
     Graph,
     Seed,
     WeightedGraph,
@@ -34,14 +40,25 @@ from rspmetric import (
     is_connected,
     nearest_neighbor_tour,
     path_graph,
+    run_suite,
     star_graph,
     tau_profile,
     tau_profiles,
     two_opt,
 )
+from scipy.sparse.csgraph import dijkstra
+
+from rspmetric import lab, metric as metric_module
 from rspmetric.graphs import CUT_PARAMETER_CAP, _split_bit_rows
 from rspmetric.heuristics import Tour
-from rspmetric.metric import PROFILE_BLOCK, _certified_apsp, prune_width
+from rspmetric.metric import (
+    PROFILE_BLOCK,
+    _certified_apsp,
+    _dijkstra_rows,
+    _symmetric_csr,
+    prune_width,
+    usable_cpus,
+)
 from conftest import all_ones_metric, points_on_line, rsp_instance, small_integer_metric
 from oracles import (
     cluster_partition_loop,
@@ -361,6 +378,183 @@ def test_certified_table_equals_full_dijkstra_with_tied_integer_weights(n, top):
     w = np.random.default_rng(n).integers(1, top + 1, size=graph.m).astype(float)
     got, _, want = _raw_tables(WeightedGraph(graph, w))
     assert np.array_equal(got, want)
+
+
+# -- Dijkstra rows split over forked processes ------------------------------------
+
+
+def record_forks(monkeypatch):
+    """The pids of the children that os.fork starts from now on."""
+    children = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return children
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Split every Dijkstra call of two or more sources over up to three
+    processes; the list collects the pid of each child forked."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the Dijkstra pass forks only on Linux")
+    monkeypatch.setattr(metric_module, "SPLIT_WORK", 1)
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 3)
+    return record_forks(monkeypatch)
+
+
+def no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def csr_of(wg):
+    edges0 = wg.graph.edges - 1
+    return _symmetric_csr(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def k60_csr():
+    return csr_of(draw_weights(complete_graph(60), Seed(60)))
+
+
+def two_k30_csr():
+    half = complete_graph(30).edges
+    return csr_of(draw_weights(Graph(60, np.concatenate([half, half + 30])), Seed(4)))
+
+
+@pytest.mark.parametrize(
+    "make_csr",
+    [k60_csr, lambda: csr_of(connected_er(80, 0.2, seed=80)[1]), two_k30_csr],
+    ids=["K60", "G(80, 0.2)", "two K30"],
+)
+def test_split_rows_equal_one_process_dijkstra(split, make_csr):
+    csr = make_csr()
+    n = csr.shape[0]
+    want = dijkstra(csr, directed=True)
+    assert np.array_equal(_dijkstra_rows(csr, None), want)
+    assert len(split) == 2  # three parts: the parent and two children
+    sources = np.array([n - 1, 0, 7, 3, 7])  # any order, repeats allowed
+    assert np.array_equal(_dijkstra_rows(csr, sources), want[sources])
+    assert len(split) == 4
+    assert np.array_equal(_dijkstra_rows(csr, sources[:2]), want[sources[:2]])  # one child
+    assert len(split) == 5
+    assert_no_child_left()
+
+
+def test_split_rows_serve_the_pruned_rerun(split):
+    # the rerun of test_only_the_sources_that_fail_are_rerun, split as well
+    wg = line_with_flat_far_pairs(100, 90.0)
+    got, runs, want = _raw_tables(wg)
+    assert runs == [100, 18]
+    assert np.array_equal(got, want)
+    assert len(split) == 4  # two children per pass
+    assert np.array_equal(build_metric(wg).dist, np.minimum(want, want.T))
+    assert_no_child_left()
+
+
+def test_one_source_is_never_split(split):
+    csr = k60_csr()
+    assert np.array_equal(_dijkstra_rows(csr, np.array([5])), dijkstra(csr, directed=True, indices=[5]))
+    assert split == []
+
+
+def test_a_failing_child_makes_the_parent_raise(split, monkeypatch):
+    parent = os.getpid()
+
+    def fails_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise ValueError("child")
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(metric_module, "dijkstra", fails_in_a_child)
+    with pytest.raises(RuntimeError, match="child process failed"):
+        _dijkstra_rows(k60_csr(), None)
+    assert len(split) == 2
+    assert_no_child_left()
+
+
+def test_a_failing_parent_still_reaps_its_children(split, monkeypatch):
+    parent = os.getpid()
+
+    def fails_in_the_parent(*args, **kwargs):
+        if os.getpid() == parent:
+            raise ValueError("parent")
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(metric_module, "dijkstra", fails_in_the_parent)
+    with pytest.raises(ValueError, match="parent"):
+        _dijkstra_rows(k60_csr(), None)
+    assert len(split) == 2
+    assert_no_child_left()
+
+
+def test_no_fork_while_a_second_thread_runs(split, monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork)
+    csr = k60_csr()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        got = _dijkstra_rows(csr, None)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert np.array_equal(got, dijkstra(csr, directed=True))
+
+
+def rows_without_fork_in_a_pool_worker():
+    """In a pool worker: split-size rules forced, os.fork disabled; the rows equal one-process rows."""
+    metric_module.SPLIT_WORK = 1
+    metric_module.usable_cpus = lambda: 3
+    os.fork = no_fork
+    csr = k60_csr()
+    return multiprocessing.parent_process() is not None and np.array_equal(
+        _dijkstra_rows(csr, None), dijkstra(csr, directed=True)
+    )
+
+
+def test_no_fork_in_a_pool_worker():
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(rows_without_fork_in_a_pool_worker).result(timeout=120)
+
+
+def test_records_equal_at_one_and_two_workers_across_the_split_size(monkeypatch):
+    # K_400 at the real split size: each trial's first Dijkstra pass (about
+    # 2.39 million units of work, against 2 * SPLIT_WORK = 2.10 million) splits
+    # in two in the parent at workers=1, and runs whole in each pool worker at
+    # workers=2
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the Dijkstra pass forks only on Linux")
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
+    children = record_forks(monkeypatch)
+    cfg = ExperimentConfig(suite="cdf", model="complete", n=400, trials=3, seed=9, samples=200)
+    serial = run_suite(cfg)
+    assert len(children) == cfg.trials
+    pooled = run_suite(dataclasses.replace(cfg, workers=2))
+    assert serial.records == pooled.records
+    assert serial.render() == pooled.render()
+
+
+def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
 
 
 # -- exact cut parameters ---------------------------------------------------------

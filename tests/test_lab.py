@@ -284,7 +284,7 @@ def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(lab.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(lab, "usable_cpus", lambda: 8)
 
     def trials(**kwargs):
         cfg = ExperimentConfig(suite="ratio", kind="nn", model="complete", n=6, seed=5, **kwargs)
@@ -295,7 +295,7 @@ def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
     assert pooled == trials(trials=3)
     trials(trials=20, workers=64)
     assert started == [3, 8]
-    monkeypatch.setattr(lab.os, "cpu_count", lambda: None)  # unknown: run serially
+    monkeypatch.setattr(lab, "usable_cpus", lambda: 1)  # one CPU: run serially
     trials(trials=20, workers=64)
     assert started == [3, 8]
 
