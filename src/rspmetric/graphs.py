@@ -9,6 +9,7 @@ produces the same weights no matter how the edge set was built.
 
 from __future__ import annotations
 
+import io
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -339,29 +340,35 @@ def write_graph(path: str, graph: Graph | WeightedGraph) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_rows(fh) -> np.ndarray:
+    """The rest of an open text file as a float64 table, one row per nonblank line.
+
+    ValueError on a field that is no number, ``#`` included, or on rows of
+    unequal length.
+    """
+    text = fh.read()
+    if not text or text.isspace():  # loadtxt would warn "input contained no data"
+        return np.empty((0, 0))
+    return np.loadtxt(io.StringIO(text), ndmin=2, comments=None)
+
+
 def read_graph(path: str) -> Graph | WeightedGraph:
-    """Read the `n m` / `u v [w]` format; returns a WeightedGraph if weights present."""
+    """Read the `n m` / `u v [w]` format; returns a WeightedGraph if weights present.
+
+    Vertex ids are read as numbers: ``1.0`` is vertex 1, ``1.5`` is refused.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    header = tokens[0].split()
-    if len(header) != 2:
-        raise ValueError("first line must be `n m`")
-    n, m = int(header[0]), int(header[1])
-    edges = []
-    weights = []
-    rows = [line.split() for line in tokens[1:] if line.strip()]
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError("first line must be `n m`")
+        n, m = int(header[0]), int(header[1])
+        rows = read_rows(fh)
     if len(rows) != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows)}")
-    for row in rows:
-        if len(row) not in (2, 3):
-            raise ValueError(f"bad edge line: {' '.join(row)}")
-        edges.append((int(row[0]), int(row[1])))
-        if len(row) == 3:
-            weights.append(float(row[2]))
-    if weights and len(weights) != len(edges):
-        raise ValueError("either all edge lines carry a weight or none do")
-    sorted_edges, perm = _normalized_edges(n, edges)
+    if m and rows.shape[1] not in (2, 3):
+        raise ValueError(f"edge lines need 2 or 3 fields, found {rows.shape[1]}")
+    sorted_edges, perm = _normalized_edges(n, rows[:, :2])
     graph = Graph(n, sorted_edges)
-    if not weights:
+    if rows.shape[1] < 3:
         return graph
-    return WeightedGraph(graph, np.asarray(weights)[perm])
+    return WeightedGraph(graph, rows[perm, 2])

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -172,24 +170,20 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        # integer fields hold plain ints (numpy integers break Seed and the
-        # JSON report); values that are no integer are left to validate_config
-        for name in _INT_FIELDS:
+        # every field holds a plain Python value of its annotated type: numpy
+        # scalars break Seed and the JSON report, and a list breaks hashing and ==
+        mistyped = []
+        for f in self.__dataclass_fields__.values():
             try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                object.__setattr__(self, f.name, _plain(f.type, getattr(self, f.name)))
             except TypeError:
-                pass
+                mistyped.append(f"{f.name} must be {f.type}")
+        if mistyped:
+            raise ConfigInvalidError("; ".join(mistyped))
 
 
-_INT_FIELDS = {  # integer config field -> whether it may be None
-    name: f.type == "int | None"
-    for name, f in ExperimentConfig.__dataclass_fields__.items()
-    if f.type in ("int", "int | None")
-}
 _SCALARS = {"int": int, "float": float, "str": str}
-# what a config value of each annotated kind may be; the built-in types come first,
-# since an isinstance check against a numbers ABC takes about 1 us
-_KINDS = {"int": (int, numbers.Integral), "float": (float, int, numbers.Real), "str": str}
+_KINDS = {"int": int, "float": (float, int), "str": str}  # what a value of each kind may be
 
 
 @lru_cache(maxsize=None)  # one entry per distinct annotation
@@ -211,15 +205,22 @@ def _parse_value(annotation: str, text: str):
     return item(text)
 
 
-def _fits(annotation: str, value) -> bool:
-    """Whether a config value has its field's type; a tuple field takes a tuple or
-    list, never a str."""
+def _plain(annotation: str, value):
+    """A config value as a plain Python value of its field's type, else TypeError.
+
+    A numpy scalar becomes its ``.item()``, a bool its int, a list a tuple (a
+    tuple field never takes a str), and an int in a float field stays an int.
+    """
     scalar, is_tuple, optional = _kind(annotation)
-    if value is None:
-        return optional
-    if is_tuple:
-        return isinstance(value, (tuple, list)) and all(isinstance(x, _KINDS[scalar]) for x in value)
-    return isinstance(value, _KINDS[scalar])
+    if value is None and optional:
+        return None
+    if is_tuple and isinstance(value, (tuple, list)):
+        return tuple(_plain(scalar, x) for x in value)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if is_tuple or not isinstance(value, _KINDS[scalar]):
+        raise TypeError(annotation)
+    return int(value) if isinstance(value, int) else value
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -261,14 +262,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 
 def validate_config(config: ExperimentConfig) -> None:
     """Raise one ConfigInvalidError that names every problem of the config."""
-    c = config
-    mistyped = [
-        f"{name} must be {f.type}"
-        for name, f in ExperimentConfig.__dataclass_fields__.items()
-        if not _fits(f.type, getattr(c, name))
-    ]
-    if mistyped:  # the rules below compare and iterate these fields
-        raise ConfigInvalidError("; ".join(mistyped))
+    c = config  # its fields have their types: see ExperimentConfig.__post_init__
     suite = _SUITES.get(c.suite)
     needs = suite.needs(c) if suite else frozenset()
     checks = set(c.structure_checks) if c.suite == "structure" else set()
@@ -443,7 +437,7 @@ def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
         return complete_graph(config.n), -1
     if config.model == "imported":
         loaded = read_graph(config.graph_file)
-        graph = loaded.graph if hasattr(loaded, "graph") else loaded
+        graph = loaded.graph if isinstance(loaded, WeightedGraph) else loaded
         if graph.n != config.n:
             raise ConfigInvalidError(f"imported graph has {graph.n} vertices but n={config.n}")
         if not is_connected(graph):

@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .bounds import density_threshold
 from .errors import InfiniteDistanceError
-from .graphs import Graph, WeightedGraph, check_vertex, check_vertex_cap
+from .graphs import Graph, WeightedGraph, check_vertex, check_vertex_cap, read_rows
 
 
 class Metric:
@@ -472,18 +472,14 @@ def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
 
 def write_metric(path: str, metric: Metric) -> None:
     """Write n, then n rows of n distances (17 sig digits, `inf` sentinel)."""
-    rows = [str(metric.n)]
-    for i in range(metric.n):
-        rows.append(" ".join("inf" if math.isinf(x) else f"{x:.17g}" for x in metric.dist[i]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(rows) + "\n")
+    np.savetxt(path, metric.dist, fmt="%.17g", header=str(metric.n), comments="")
 
 
 def read_metric(path: str) -> Metric:
+    """Read the format ``write_metric`` writes: n on the first line, then n rows."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} distance rows, found {len(lines) - 1}")
-    dist = np.array([[float(x) for x in ln.split()] for ln in lines[1:]], dtype=np.float64)
-    return Metric(dist)
+        n = int(fh.readline())
+        dist = read_rows(fh)
+    if len(dist) != n:
+        raise ValueError(f"expected {n} distance rows, found {len(dist)}")
+    return Metric._of_fresh_table(dist)

@@ -11,7 +11,9 @@ over every subset holding vertex 1, with the same float division.
 Likewise the loop versions at the end are the references of the library's
 whole-array kernels (full-graph Dijkstra, tau profiles, greedy matching,
 nearest neighbour, insertion, 2-opt and the clustering): same arithmetic, summation order and tie rules, one
-element at a time.
+element at a time.  Last come the references of the graph and metric file
+readers and of the metric writer: ``int()``, ``float()`` and ``format`` one
+line or one entry at a time.
 """
 
 import itertools
@@ -423,3 +425,56 @@ def cluster_partition_loop(dist, delta, alpha):
         float(dist[np.ix_(cl, cl)].max()) if len(cl) > 1 else 0.0 for cl in clusters
     )
     return tuple(frozenset(x + 1 for x in cl) for cl in clusters), diameters, float(s_delta)
+
+
+# -- file formats, one line or one float at a time ---------------------------------
+
+
+def read_graph_lines(path):
+    """The `n m` / `u v [w]` graph file, parsed one line at a time with int() and float()."""
+    from rspmetric import Graph, WeightedGraph
+
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError("first line must be `n m`")
+    n, m = int(header[0]), int(header[1])
+    rows = [line.split() for line in lines[1:] if line.strip()]
+    if len(rows) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(rows)}")
+    edges, weights = [], []
+    for row in rows:
+        if len(row) not in (2, 3):
+            raise ValueError(f"bad edge line: {' '.join(row)}")
+        edges.append((int(row[0]), int(row[1])))
+        if len(row) == 3:
+            weights.append(float(row[2]))
+    if weights and len(weights) != len(edges):
+        raise ValueError("either all edge lines carry a weight or none do")
+    graph = Graph(n, edges)
+    if not weights:
+        return graph
+    weight_of = {(min(e), max(e)): w for e, w in zip(edges, weights)}
+    return WeightedGraph(graph, [weight_of[u, v] for u, v in graph.edges.tolist()])
+
+
+def read_metric_lines(path):
+    """The `n` / n rows of distances metric file, one float() per entry."""
+    from rspmetric import Metric
+
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+    n = int(lines[0])
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} distance rows, found {len(lines) - 1}")
+    return Metric(np.array([[float(x) for x in ln.split()] for ln in lines[1:]], dtype=np.float64))
+
+
+def write_metric_lines(path, metric):
+    """The metric file, each distance formatted on its own (17 sig digits, `inf`)."""
+    rows = [str(metric.n)]
+    for i in range(metric.n):
+        rows.append(" ".join("inf" if math.isinf(x) else f"{x:.17g}" for x in metric.dist[i]))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(rows) + "\n")

@@ -325,7 +325,10 @@ def test_bounds_eval_pair_output(capsys):
 def test_usage_errors_print_one_error_line(tmp_path, weighted_file, capsys):
     # each of these used to print its message without the "error:" prefix
     cfg = write_config(tmp_path, suite="tau", n=6)
+    commented = tmp_path / "commented.txt"
+    commented.write_text("3 1\n1 2 # the only edge\n")  # the graph file has no comments
     cases = [
+        (("metric", "--graph", str(commented)), "'#'"),
         (("gen", "--model", "er", "--n", "5", "--out", str(tmp_path / "x.txt")), "needs --p"),
         (("heur", "kmedian", "--graph", weighted_file), "needs --k"),
         (("suite", "ratio", "--config", cfg), "suite=tau"),

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -284,3 +285,22 @@ def test_read_graph_rejects_malformed(tmp_path):
     path.write_text("2 2\n1 2\n")
     with pytest.raises(ValueError):
         read_graph(str(path))
+
+
+def test_read_graph_takes_integral_float_ids(tmp_path):
+    # ids are read as numbers: 1.0 and 2e0 are vertices 1 and 2; 1.5 is refused
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n1.0 2\n3 2e0\n")
+    assert read_graph(str(path)) == path_graph(3)
+
+
+def test_read_graph_of_no_edges_raises_no_warning(tmp_path):
+    path = tmp_path / "g.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when loadtxt finds no data
+        for text in ("3 0", "3 0\n", "3 0\n\n \t\n"):
+            path.write_text(text)
+            assert read_graph(str(path)) == Graph(3, ())
+        path.write_text("3 1\n\n")
+        with pytest.raises(ValueError, match="expected 1 edge lines, found 0"):
+            read_graph(str(path))

@@ -5,7 +5,9 @@ insertion, 2-opt, the clustering and the cut parameters run as numpy passes; ``t
 keeps the loop versions with the same arithmetic and tie rules.  Outputs are
 compared with ``==``: tours, pairs, cost sequences, exchange counts, prefix
 cuts, clusters with their diameters and (alpha, beta), and whole distance
-tables with ``np.array_equal``.
+tables with ``np.array_equal``.  The graph and metric files are read and
+written by numpy's text I/O; the per-line readers and the per-entry writer
+there must give equal graphs, equal tables and the same bytes.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -40,11 +43,15 @@ from rspmetric import (
     is_connected,
     nearest_neighbor_tour,
     path_graph,
+    read_graph,
+    read_metric,
     run_suite,
     star_graph,
     tau_profile,
     tau_profiles,
     two_opt,
+    write_graph,
+    write_metric,
 )
 from scipy.sparse.csgraph import dijkstra
 
@@ -68,8 +75,11 @@ from oracles import (
     has_improving_exchange_loop,
     insertion_loop,
     nearest_neighbor_loop,
+    read_graph_lines,
+    read_metric_lines,
     tau_profile_loop,
     two_opt_loop,
+    write_metric_lines,
 )
 
 RULES = ("nearest", "farthest", "cheapest", "random")
@@ -513,6 +523,19 @@ def test_no_fork_while_a_second_thread_runs(split, monkeypatch):
     assert np.array_equal(got, dijkstra(csr, directed=True))
 
 
+def test_forks_raise_no_fork_with_threads_warning(split):
+    # CPython 3.12+ warns when os.fork() copies a process with more than one
+    # OS thread; -W error::DeprecationWarning cannot fail on it there, since the
+    # interpreter clears the error after the fork, but a recording block sees it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _dijkstra_rows(k60_csr(), None)
+        build_metric(draw_weights(complete_graph(60), Seed(61)))
+    assert len(split) >= 4  # two children for the rows, two or more for the build
+    assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
+    assert_no_child_left()
+
+
 def rows_without_fork_in_a_pool_worker():
     """In a pool worker: split-size rules forced, os.fork disabled; the rows equal one-process rows."""
     metric_module.SPLIT_WORK = 1
@@ -630,3 +653,74 @@ def test_cut_parameters_at_the_cap_run_in_row_blocks():
         tracemalloc.stop()
     # one row block of cuts is 8 MB; the whole 2^23-entry table would be 64 MB
     assert peak < 32 << 20
+
+
+# -- graph and metric files against the per-line readers ---------------------------
+
+
+def messy_copy(path, rng):
+    """The graph file at ``path`` with its edge lines shuffled, the ends of about
+    half the edges swapped, and blank or whitespace-only lines put in between."""
+    header, *lines = path.read_text().splitlines()
+    out = [header]
+    for i in rng.permutation(len(lines)):
+        u, v, *w = lines[i].split()
+        out.append(" ".join([v, u, *w] if rng.random() < 0.5 else [u, v, *w]))
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "  ", "\t"]))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_read_graph_matches_the_line_reader(tmp_path, n):
+    rng = np.random.default_rng(n)
+    graph = generate_erdos_renyi(n, (n % 4) / 4, Seed(n))  # p = 0 at n = 4, 8, ...: no edges
+    path = tmp_path / "g.txt"
+    for source in (graph, draw_weights(graph, Seed(n + 1))):
+        want = source if graph.m else graph  # a file without edges carries no weights
+        write_graph(str(path), source)
+        for text in (path.read_text(), messy_copy(path, rng)):
+            path.write_text(text)
+            got = read_graph(str(path))
+            assert type(got) is type(want)
+            assert got == read_graph_lines(str(path)) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 1\n1 2 0.5 9\n",  # four fields
+        "2 2\n1 2\n",  # fewer edge lines than m
+        "3 1\n1\n",  # one field
+        "3 2\n1 2\n2 3 0.5\n",  # weighted and unweighted lines mixed
+        "3 2\n1 2 0.5\n2 3\n",
+        "3 1\n1 x\n",  # no number
+        "3 1\n1 2 # the only edge\n",  # no comments
+        "3 2\n# two edges\n1 2\n2 3\n",
+        "3 1\n1 2\n2 3\n",  # more edge lines than m
+        "3 0\n1 2\n",
+        "3 1\n1.5 2\n",  # no integer id
+        "3 1\n1 2 0\n",  # no positive weight
+        "3\n1 2\n",  # no `n m` header
+    ],
+)
+def test_both_graph_readers_refuse_a_malformed_file(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for reader in (read_graph, read_graph_lines):
+        with pytest.raises(ValueError):
+            reader(str(path))
+
+
+@pytest.mark.parametrize(
+    "n, p, finite", [(1, 0.0, True), (5, 0.3, False), (9, 0.1, False), (30, 0.08, False), (40, 0.5, True)]
+)
+def test_metric_files_match_the_per_entry_writer_and_reader(tmp_path, n, p, finite):
+    metric = build_metric(draw_weights(generate_erdos_renyi(n, p, Seed(n)), Seed(n + 1)))
+    assert metric.is_finite() is finite  # the others hold inf entries
+    ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
+    write_metric(str(ours), metric)
+    write_metric_lines(str(theirs), metric)
+    assert ours.read_bytes() == theirs.read_bytes()
+    for reader in (read_metric, read_metric_lines):
+        assert np.array_equal(reader(str(ours)).dist, metric.dist)

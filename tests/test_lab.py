@@ -196,11 +196,26 @@ def test_validate_config_names_a_mistyped_field(name, value):
         validate_config(ExperimentConfig(**{**base, name: value}))
 
 
-def test_tuple_fields_take_lists_and_numpy_items():
-    validate_config(ExperimentConfig(
-        suite="tau", n=6, tau_ks=[np.int64(2), 5], delta_fractions=[0, np.float32(0.5)],
-        structure_checks=["chi"],
-    ))
+@pytest.mark.parametrize(
+    "numpy_items, plain_items",
+    [
+        (dict(tau_ks=[np.int64(2), 5]), dict(tau_ks=(2, 5))),
+        (dict(epsilon=np.float32(0.5)), dict(epsilon=0.5)),
+        (dict(delta_fractions=[0, np.float32(0.5)], structure_checks=["chi"]),
+         dict(delta_fractions=(0, 0.5), structure_checks=("chi",))),
+    ],
+    ids=["tau_ks", "epsilon", "delta_fractions"],
+)
+def test_configs_hold_plain_python_values(numpy_items, plain_items):
+    # numpy scalars used to reach the JSON report ("Object of type int64 is not
+    # JSON serializable"), and a list made the config unhashable and unequal to
+    # its tuple twin
+    base = dict(suite="tau", n=6, trials=2, format="json")
+    cfg, twin = ExperimentConfig(**base, **numpy_items), ExperimentConfig(**base, **plain_items)
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert [type(x) for x in cfg.delta_fractions] == [type(x) for x in twin.delta_fractions]
+    validate_config(cfg)
+    assert run_suite(cfg).render() == run_suite(twin).render()
 
 
 def test_numpy_integers_in_a_config_become_plain_ints():
