@@ -90,6 +90,7 @@ from .metric import (
     TauProfile,
     ball,
     build_metric,
+    build_metrics,
     cluster_partition,
     diameter,
     read_metric,

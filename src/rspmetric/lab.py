@@ -11,7 +11,9 @@ Every suite runs one pipeline, :func:`run_suite`:
    its exact cut parameters.
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
-   ends the trial at ``connected=0``.  Weights and metric are drawn on use.
+   ends the trial at ``connected=0``.  Weights are drawn on use; the metrics
+   of consecutive trials are built together, in one ``build_metrics`` call,
+   when the suite reads them.
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
    records are identical at any worker count.
@@ -68,8 +70,9 @@ from .heuristics import (
     two_opt,
 )
 from .metric import (
+    BATCH_VERTICES,
     Metric,
-    build_metric,
+    build_metrics,
     cluster_partition,
     diameter,
     tau_profiles,
@@ -416,20 +419,19 @@ class _Context:
 
 @dataclass
 class _Instance:
-    """One trial's connected graph; weights and metric are drawn on first use."""
+    """One trial's connected graph; weights are drawn on first use, and the
+    trial's window (see ``_run_chunk``) sets the metric of a suite that reads it."""
 
     config: ExperimentConfig
+    index: int
     seed: Seed
     graph: Graph
     cut: CutParameters | None
+    metric: Metric | None = None
 
     @cached_property
     def weighted(self) -> WeightedGraph:
         return draw_weights(self.graph, self.seed.child(0, "weights"))
-
-    @cached_property
-    def metric(self) -> Metric:
-        return build_metric(self.weighted)
 
 
 def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
@@ -462,36 +464,66 @@ def make_context(config: ExperimentConfig) -> _Context:
     return _Context(graph=graph, cut=_cut_for(config, graph), frozen_index=idx)
 
 
-def _trial(config: ExperimentConfig, ctx: _Context, i: int) -> TrialRecord:
-    # module level so that process pools can pickle it
+def _trial(config: ExperimentConfig, ctx: _Context, i: int) -> _Instance | TrialRecord:
+    """Trial i's seed, graph and cut parameters; the record of a disconnected draw."""
     ts = Seed(config.seed).child(i, "trial")
-    suite = _SUITES[config.suite]
     graph, cut = ctx.graph, ctx.cut
     if graph is None:  # a frozen graph is connected by construction
         graph = generate_erdos_renyi(config.n, config.p, ts.child(0, "graph"))
         if not is_connected(graph):
             return TrialRecord(index=i, seed=ts.hex(), values={"connected": 0})
         cut = _cut_for(config, graph)
-    values = suite.stats(_Instance(config, ts, graph, cut))
-    if suite.fresh:
-        values = {"connected": 1, **values}
-    return TrialRecord(index=i, seed=ts.hex(), values=values)
+    return _Instance(config, i, ts, graph, cut)
+
+
+def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[TrialRecord]:
+    """Records of a range of trials, in windows of ``BATCH_VERTICES // n`` trials (at least one).
+
+    A window runs in three stages: each trial's prologue (``_trial``); one
+    ``build_metrics`` call over its connected instances, if the suite reads
+    the metric; each instance's statistics.  A metric does not depend on the
+    batch it was built in, so neither do the records.  Windows, not whole
+    chunks, bound memory: a window holds about one batch of weights and
+    metrics, where a chunk of large graphs would hold one per trial.
+    """
+    # module level so that process pools can pickle it
+    suite = _SUITES[config.suite]
+    step = max(1, BATCH_VERTICES // config.n)
+    records: list[TrialRecord] = []
+    for lo in range(trials.start, trials.stop, step):
+        window = [_trial(config, ctx, i) for i in range(lo, min(lo + step, trials.stop))]
+        instances = [x for x in window if isinstance(x, _Instance)]
+        if suite.reads_metric:
+            for x, metric in zip(instances, build_metrics([x.weighted for x in instances])):
+                x.metric = metric
+        for x in window:
+            if isinstance(x, TrialRecord):
+                records.append(x)
+                continue
+            values = suite.stats(x)
+            if suite.fresh:
+                values = {"connected": 1, **values}
+            records.append(TrialRecord(index=x.index, seed=x.seed.hex(), values=values))
+    return records
 
 
 def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]:
     """Run all trials of a valid config on its context; records are identical
     for any worker count.
 
-    At most one process per trial and per usable CPU is started: on fork, the
-    pool starts all of its ``max_workers`` at once.
+    Serially, all trials are one chunk (see ``_run_chunk``); a pool runs one
+    chunk of consecutive trials per task.  At most one process per trial and
+    per usable CPU is started: on fork, the pool starts all of its
+    ``max_workers`` at once.
     """
-    trial = partial(_trial, config, context)
+    run = partial(_run_chunk, config, context)
     workers = min(config.workers, config.trials, usable_cpus())
     if workers <= 1:
-        return [trial(i) for i in range(config.trials)]
+        return run(range(config.trials))
     chunk = max(1, config.trials // (4 * workers))
+    chunks = [range(lo, min(lo + chunk, config.trials)) for lo in range(0, config.trials, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial, range(config.trials), chunksize=chunk))
+        return [r for records in pool.map(run, chunks, chunksize=1) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +763,7 @@ class _Suite:
 
     stats: Callable[[_Instance], dict]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
+    reads_metric: bool = True  # stats read the metric, so each window builds it
     # what an instance computes beyond its metric: exact cut parameters
     # ("cut"), a tour ("tour") and the exact baselines ("tsp", "matching",
     # "kmedian"); validate_config derives every size rule from it
@@ -763,6 +796,7 @@ _SUITES = {
     ),
     "concentration": _Suite(
         stats=_concentration_stats,
+        reads_metric=False,
         summaries=lambda columns: ("alpha_over_p", "beta_over_p", "within_bracket"),
         finish=_concentration_notes,
     ),

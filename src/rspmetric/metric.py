@@ -6,6 +6,12 @@ of it live the growth profile around a vertex (distance to the k-th closest
 vertex and the cut size of each prefix ball), radius balls, the diameter,
 and the bounded-diameter clustering used by the structural analysis.
 
+``build_metrics`` builds many metrics at once: small graphs share one
+Dijkstra call over their disjoint union, in groups of at most
+``BATCH_VERTICES`` vertices, and a graph large enough to prune its edges
+is certified alone.  Each table is the one ``build_metric`` gives the graph
+alone, bit for bit, so records do not depend on how trials are batched.
+
 ``tau_profiles`` computes the growth profiles of many centres at once, one
 row per centre; ``tau_profile`` is its one-row view.  The closest-first
 order breaks ties between equidistant vertices by vertex index (a stable
@@ -133,16 +139,76 @@ class Partition:
     s_delta: float
 
 
+BATCH_VERTICES = 256  # most vertices per one-pass Dijkstra call of build_metrics
+# Measured on one Xeon core, per connected G(16, 1/2) draw in build_metrics:
+# 170 us in groups of one graph; over 25 draws 96, 88, 87 and 88 us at 128,
+# 256, 512 and no bound; over 100 draws 94, 75, 99 and 93 us (medians of
+# seven).  Each source initialises a row over the whole union, so groups
+# far past 256 vertices cost more than the calls they save.
+
+
 def build_metric(wg: WeightedGraph) -> Metric:
     """All-pairs shortest-path distances under the drawn weights."""
-    check_vertex_cap(wg.graph.n)
-    edges0 = wg.graph.edges - 1
-    dist, _ = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
-    # dijkstra from u and from v may round the same path differently; take the
-    # smaller of the two so the table is exactly symmetric
-    table = np.minimum(dist, dist.T)
-    del dist  # one n x n table fewer while Metric checks the table
-    return Metric._of_fresh_table(table)
+    return build_metrics([wg])[0]
+
+
+def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
+    """The metric of each weighted graph, in input order.
+
+    A graph that ``prune_width`` prunes goes alone through
+    ``_certified_apsp``.  The others are packed, in input order, into groups
+    of at most ``BATCH_VERTICES`` vertices (a larger graph is a group of its
+    own), and each group takes one Dijkstra call over the disjoint union of
+    its graphs (``_one_pass_tables``).  Every table is the graph's own, bit
+    for bit, whatever the grouping.
+    """
+    tables: list[np.ndarray | None] = [None] * len(wgs)
+    groups: list[list[int]] = []
+    size = 0
+    for i, wg in enumerate(wgs):
+        n = wg.graph.n
+        check_vertex_cap(n)
+        if prune_width(n, wg.graph.m) is not None:
+            edges0 = wg.graph.edges - 1
+            dist, _ = _certified_apsp(n, edges0[:, 0], edges0[:, 1], wg.weights)
+            # dijkstra from u and from v may round the same path differently;
+            # the smaller of the two makes the table exactly symmetric
+            tables[i] = np.minimum(dist, dist.T)
+            del dist  # one n x n table fewer while Metric checks the tables
+            continue
+        if not groups or size + n > BATCH_VERTICES:
+            groups.append([])
+            size = 0
+        groups[-1].append(i)
+        size += n
+    for group in groups:
+        for i, block in zip(group, _one_pass_tables([wgs[i] for i in group])):
+            tables[i] = np.minimum(block, block.T)
+    return [Metric._of_fresh_table(table) for table in tables]
+
+
+def _one_pass_tables(wgs: list[WeightedGraph]) -> list[np.ndarray]:
+    """Raw Dijkstra tables of the graphs, from one call over their disjoint union.
+
+    Graph j's vertices follow those of graphs 0..j-1, so the union's edges
+    stay in lexicographic order, and graph j's table (row s holds the
+    distances from source s) is its diagonal block of the union's rows: the
+    graph's own table, bit for bit (see ``_certified_apsp``).
+
+    Each source initialises a row over the whole union but relaxes only its
+    own graph's arcs, so the work passed to ``_dijkstra_rows`` is the sum of
+    n_j x (arcs_j + N) over the graphs, N the union's vertex count.
+    """
+    sizes = np.array([wg.graph.n for wg in wgs])
+    counts = np.array([wg.graph.m for wg in wgs])
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    total = int(starts[-1])
+    edges = np.concatenate([wg.graph.edges for wg in wgs])
+    edges += np.repeat(starts[:-1] - 1, counts).astype(np.int32)[:, None]  # 0-based union ids
+    weights = np.concatenate([wg.weights for wg in wgs])
+    csr = _symmetric_csr(total, edges[:, 0], edges[:, 1], weights)
+    rows = _dijkstra_rows(csr, None, int(sizes @ (2 * counts + total)))
+    return [rows[a:b, a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 CHECK_BLOCK = 1 << 18  # at most this many (source, edge) entries per block of the Bellman check
@@ -168,9 +234,9 @@ def _certified_apsp(
 ) -> tuple[np.ndarray, list[int]]:
     """Dijkstra from every source on each vertex's lightest edges, certified row by row.
 
-    Edges (u[i], v[i]) are 0-based with u < v.  Returns the raw table (row s
-    holds the distances from source s) and, per Dijkstra pass, the number of
-    sources it ran from.
+    For a graph that ``prune_width`` prunes.  Edges (u[i], v[i]) are 0-based
+    with u < v.  Returns the raw table (row s holds the distances from
+    source s) and, per Dijkstra pass, the number of sources it ran from.
 
     The first pass keeps only the edges among the k = ``prune_width(n, m)``
     lightest at either endpoint; under exponential weights shortest paths use
@@ -204,10 +270,12 @@ def _certified_apsp(
     edge, which relaxes the same arcs as undirected Dijkstra, possibly in
     another order; since the row meeting the Bellman equations is unique,
     the order cannot change a value, and the table is the same bit for bit.
+    The same holds for the graphs that ``build_metrics`` runs in one call
+    over their disjoint union: a source reaches only its own component, so
+    its row, read on its own graph's vertices, meets that graph's Bellman
+    equations and is that graph's own row, bit for bit.
     """
     k = prune_width(n, len(w))
-    if k is None:
-        return _dijkstra_rows(_symmetric_csr(n, u, v, w), None), [n]
     table = np.full((n, n), np.inf)
     table[u, v] = w
     table[v, u] = w
@@ -259,7 +327,9 @@ def _may_fork() -> bool:
     )
 
 
-def _dijkstra_rows(csr: csr_matrix, sources: np.ndarray | None) -> np.ndarray:
+def _dijkstra_rows(
+    csr: csr_matrix, sources: np.ndarray | None, work: int | None = None
+) -> np.ndarray:
     """Rows of scipy's directed Dijkstra on ``csr`` from each of ``sources`` (None: every vertex).
 
     Dijkstra runs from each source on its own, and scipy holds the GIL
@@ -269,17 +339,19 @@ def _dijkstra_rows(csr: csr_matrix, sources: np.ndarray | None) -> np.ndarray:
     Each row is still scipy's row from that source, bit for bit.
 
     The part count is min(usable CPUs, work // ``SPLIT_WORK``, sources), with
-    work = sources x (arcs + n).  On two Xeon cores, fork and wait took 4.4 ms
-    in a 92 MB process, and ``SPLIT_WORK`` is about 28 ms of Dijkstra there:
-    two parts took 41.8 against 56.6 ms on 120 sources of the pruned K_1000,
-    and 271 against 480 ms on all 1000.  Forking is skipped off Linux, with a
+    work = sources x (arcs + n) unless the caller passes it (a disjoint union
+    relaxes only each source's own block).  On two Xeon cores, fork and wait
+    took 4.4 ms in a 92 MB process, and ``SPLIT_WORK`` is about 28 ms of
+    Dijkstra there: two parts took 41.8 against 56.6 ms on 120 sources of the
+    pruned K_1000, and 271 against 480 ms on all 1000.  Forking is skipped off Linux, with a
     second Python thread alive (OpenBLAS parks its own pool around a fork),
     and in a ``multiprocessing`` child.  Every child is reaped before this
     returns or raises, and RuntimeError reports a child that failed.
     """
     n = csr.shape[0]
     count = n if sources is None else len(sources)
-    work = count * (csr.nnz + n)
+    if work is None:
+        work = count * (csr.nnz + n)
     parts = 1
     if work >= 2 * SPLIT_WORK and _may_fork():
         parts = min(usable_cpus(), work // SPLIT_WORK, count)

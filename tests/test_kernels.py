@@ -30,6 +30,7 @@ from rspmetric import (
     Seed,
     WeightedGraph,
     build_metric,
+    build_metrics,
     cluster_partition,
     complete_graph,
     cut_parameters_exact,
@@ -62,6 +63,7 @@ from rspmetric.metric import (
     PROFILE_BLOCK,
     _certified_apsp,
     _dijkstra_rows,
+    _one_pass_tables,
     _symmetric_csr,
     prune_width,
     usable_cpus,
@@ -289,7 +291,10 @@ def test_tables_match_with_tied_integer_weights():
 
 
 def _raw_tables(wg):
-    """The certified table, its sources per Dijkstra pass, and the whole-graph table."""
+    """The table build_metric symmetrises, its sources per Dijkstra pass, and the
+    whole-graph table: a pruned graph's is certified, another's takes one pass."""
+    if not _pruned(wg.graph):
+        return _one_pass_tables([wg])[0], [wg.graph.n], dijkstra_full(wg)
     edges0 = wg.graph.edges - 1
     got, runs = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
     return got, runs, dijkstra_full(wg)
@@ -304,11 +309,21 @@ def _pruned(graph):
     [complete_graph(12), complete_graph(16), generate_erdos_renyi(16, 0.5, Seed(16))],
     ids=["K12", "K16", "G(16, 1/2)"],
 )
-def test_the_exact_dp_and_structure_graphs_take_one_pass(graph):
+def test_the_exact_dp_and_structure_graphs_take_one_pass(graph, monkeypatch):
     assert not _pruned(graph)
-    got, runs, want = _raw_tables(draw_weights(graph, Seed(graph.m)))
-    assert runs == [graph.n]
-    assert np.array_equal(got, want)
+    wg = draw_weights(graph, Seed(graph.m))
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(metric_module, "_certified_apsp", lambda *args: calls.append("certified"))
+    monkeypatch.setattr(metric_module, "dijkstra", recording)
+    got = build_metric(wg).dist
+    assert calls == [{"directed": True, "indices": None}]  # one pass from every source
+    want = dijkstra_full(wg)
+    assert np.array_equal(got, np.minimum(want, want.T))
 
 
 @pytest.mark.parametrize("n", (100, 400))
@@ -578,6 +593,87 @@ def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert usable_cpus() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cpus() == 1
+
+
+# -- many metrics in one Dijkstra call --------------------------------------------
+
+
+def mixed_batch():
+    """Weighted graphs of many sizes and shapes, in one list; the pruned K_60 sits mid-batch."""
+    ties = np.random.default_rng(20)
+    disconnected = generate_erdos_renyi(30, 0.05, Seed(30))
+    er40 = generate_erdos_renyi(40, 0.3, Seed(40))
+    return [
+        draw_weights(complete_graph(12), Seed(1)),
+        draw_weights(generate_erdos_renyi(16, 0.5, Seed(2)), Seed(3)),
+        draw_weights(disconnected, Seed(4)),
+        draw_weights(Graph(7, ()), Seed(5)),  # m = 0
+        draw_weights(Graph(1, ()), Seed(6)),  # n = 1
+        WeightedGraph(complete_graph(20), ties.integers(1, 3, size=190).astype(float)),
+        draw_weights(complete_graph(60), Seed(60)),
+        draw_weights(cycle_graph(9), Seed(7)),
+        WeightedGraph(er40, ties.integers(1, 4, size=er40.m).astype(float)),
+        draw_weights(generate_erdos_renyi(10, 0.1, Seed(10)), Seed(8)),
+    ]
+
+
+def assert_same_tables(metrics, wgs):
+    assert len(metrics) == len(wgs)
+    for metric, wg in zip(metrics, wgs):
+        raw = dijkstra_full(wg)
+        assert np.array_equal(metric.dist, np.minimum(raw, raw.T))
+
+
+@pytest.mark.parametrize("bound", [1, 17, metric_module.BATCH_VERTICES])
+def test_batched_tables_equal_full_dijkstra(bound, monkeypatch):
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
+    wgs = mixed_batch()
+    assert [_pruned(wg.graph) for wg in wgs].count(True) == 1 and _pruned(wgs[6].graph)
+    assert not is_connected(wgs[2].graph) and not is_connected(wgs[-1].graph)
+    assert_same_tables(build_metrics(wgs), wgs)
+    assert_same_tables(build_metrics(wgs[::-1]), wgs[::-1])
+    assert build_metrics([]) == []
+
+
+@pytest.mark.parametrize(
+    "bound, groups",
+    [(1, [[12], [16], [30], [7], [1], [20], [9], [40], [10]]),
+     (17, [[12], [16], [30], [7, 1], [20], [9], [40], [10]]),
+     (256, [[12, 16, 30, 7, 1, 20, 9, 40, 10]])],
+)
+def test_one_pass_graphs_are_grouped_in_order_up_to_the_bound(bound, groups, monkeypatch):
+    seen = []
+
+    def recording(wgs):
+        seen.append([wg.graph.n for wg in wgs])
+        return _one_pass_tables(wgs)
+
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
+    monkeypatch.setattr(metric_module, "_one_pass_tables", recording)
+    build_metrics(mixed_batch())
+    assert seen == groups
+
+
+def test_batched_tables_split_over_processes(split):
+    wgs = mixed_batch()
+    assert_same_tables(build_metrics(wgs), wgs)
+    assert split  # the one-pass group and the pruned K_60 each split
+    for pid in split:  # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_full_group_of_small_graphs_does_not_fork(monkeypatch):
+    # five one-pass K_49, 245 vertices: sources x (arcs + n) over the union
+    # would be 2.94 million, past 2 * SPLIT_WORK, but each source relaxes only
+    # its own K_49: the sum of 49 x (arcs + 245) is 0.64 million
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    wgs = [draw_weights(complete_graph(49), Seed(s)) for s in range(5)]
+    assert not _pruned(wgs[0].graph)
+    assert 245 * (5 * 2 * wgs[0].graph.m + 245) >= 2 * metric_module.SPLIT_WORK
+    assert 5 * 49 <= metric_module.BATCH_VERTICES
+    assert_same_tables(build_metrics(wgs), wgs)
 
 
 # -- exact cut parameters ---------------------------------------------------------

@@ -18,7 +18,7 @@ from rspmetric import (
     summarize,
     summarize_values,
 )
-from rspmetric import bounds, lab
+from rspmetric import bounds, lab, metric as metric_module
 from rspmetric.lab import TrialRecord, Z99, make_context, validate_config
 
 
@@ -280,6 +280,48 @@ def test_parallel_equals_serial(base):
     a, b = json.loads(serial.to_json()), json.loads(parallel.to_json())
     assert a["records"] == b["records"]
     assert a["summary"] == b["summary"]
+
+
+BATCHED = {  # configs whose records must not depend on workers or batch size
+    "structure-er": dict(suite="structure", model="er", n=10, p=0.3, trials=24, seed=4,
+                         structure_checks=("chi", "cluster", "sandwich")),
+    "ratio-nn": dict(suite="ratio", kind="nn", model="complete", n=9, trials=20, seed=5),
+    "ratio-matching": dict(suite="ratio", kind="matching", model="er", n=10, p=0.5, trials=20,
+                           seed=6),
+    "tau-K12": dict(suite="tau", model="complete", n=12, trials=30, seed=7),
+    "cdf-K12": dict(suite="cdf", model="complete", n=12, trials=30, seed=8, samples=500),
+    # pruned: each K_400 is certified alone
+    "tau-K400": dict(suite="tau", model="complete", n=400, trials=3, seed=9, tau_ks=(1, 2, 400)),
+    "cdf-K400": dict(suite="cdf", model="complete", n=400, trials=3, seed=10, samples=200),
+    "two-opt-er": dict(suite="two-opt", model="er", n=9, p=0.5, trials=20, seed=11),
+    "concentration": dict(suite="concentration", model="er", n=8, p=0.5, trials=20, seed=12),
+}
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
+    cfg = ExperimentConfig(**BATCHED[name])
+    serial = run_suite(cfg)
+    if name == "structure-er":
+        assert serial.notes["skipped_disconnected"] > 0
+    monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
+    pooled = run_suite(ExperimentConfig(**BATCHED[name], workers=2))
+    monkeypatch.setattr(lab, "BATCH_VERTICES", 1)  # one trial per window
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)  # one graph per Dijkstra call
+    alone = run_suite(cfg)
+    assert serial.records == pooled.records == alone.records
+    assert serial.to_csv() == pooled.to_csv() == alone.to_csv()
+
+
+def test_concentration_never_draws_weights(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("concentration drew weights")
+
+    monkeypatch.setattr(lab, "draw_weights", refuse)
+    monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
+    for workers in (1, 2):
+        cfg = ExperimentConfig(**BATCHED["concentration"], workers=workers)
+        assert run_suite(cfg).notes["eligible"] > 0
 
 
 def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
