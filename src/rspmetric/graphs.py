@@ -38,10 +38,24 @@ CUT_PARAMETER_CAP = 24
 VERTEX_CAP = 2048
 
 
-def check_vertex_cap(n: int) -> None:
-    """Raise SizeCapExceededError if n is above ``VERTEX_CAP``."""
+def check_count(value, name: str) -> int:
+    """A count as a plain int: TypeError naming ``name`` unless it is an
+    integer (``operator.index``) other than a bool."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_vertex_cap(n) -> int:
+    """The vertex count n as a plain int (``check_count``); SizeCapExceededError
+    if it is above ``VERTEX_CAP``."""
+    n = check_count(n, "n")
     if n > VERTEX_CAP:
         raise SizeCapExceededError(f"n={n} exceeds the vertex cap {VERTEX_CAP}")
+    return n
 
 
 def check_vertex(v, n: int) -> int:
@@ -164,21 +178,24 @@ class CutParameters:
 
 def complete_graph(n: int) -> Graph:
     """All n(n-1)/2 edges present."""
-    check_vertex_cap(n)
+    n = check_vertex_cap(n)
     return Graph(n, np.column_stack(np.triu_indices(n, 1)) + 1)
 
 
 def path_graph(n: int) -> Graph:
     """Vertices chained 1-2-...-n."""
+    n = check_count(n, "n")
     return Graph(n, tuple((v, v + 1) for v in range(1, n)))
 
 
 def star_graph(n: int) -> Graph:
     """Vertex 1 joined to every other vertex."""
+    n = check_count(n, "n")
     return Graph(n, tuple((1, v) for v in range(2, n + 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = check_count(n, "n")
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return Graph(n, tuple((v, v + 1) for v in range(1, n)) + ((1, n),))
@@ -190,11 +207,11 @@ def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
     One uniform is consumed per pair in lexicographic order, so the result is
     a pure function of (n, p, seed).
     """
+    n = check_vertex_cap(n)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    check_vertex_cap(n)
     iu, iv = np.triu_indices(n, 1)
     u = UniformStream(seed).u01_block(len(iu))
     keep = u < p
@@ -317,6 +334,7 @@ def cut_parameters_exact(graph: Graph) -> CutParameters:
 
 def sum_lightest_edges(wg: WeightedGraph, m: int) -> float:
     """Sum of the m smallest edge weights."""
+    m = check_count(m, "m")
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > wg.graph.m:

@@ -82,9 +82,6 @@ from .rng import Seed, UniformStream
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 FLOAT_SLACK = 1e-12  # absolute slack for comparisons between float sums
-# Hard ceiling on the cdf suite's samples x cdf_terms exponential draws, all
-# drawn and sorted at once: a run at the ceiling peaks below 64 MB traced.
-CDF_DRAW_CAP = 10**6
 
 MODELS = ("complete", "er", "imported")
 
@@ -165,8 +162,6 @@ class ExperimentConfig:
     delta_fractions: tuple[float, ...] = (0.0, 0.125, 0.25, 0.5)
     two_opt_init: str = "identity"
     graph_file: str | None = None
-    cdf_terms: int = 1
-    samples: int = 100_000
     structure_checks: tuple[str, ...] = ("chi", "cluster", "sandwich")
     tau_ks: tuple[int, ...] = ()
     format: str = "csv"
@@ -287,9 +282,9 @@ def validate_config(config: ExperimentConfig) -> None:
         ("cut" in needs and c.model == "er" and c.p != 1 and c.n > CUT_PARAMETER_CAP,
          f"suite {c.suite} needs exact cut parameters: n <= {CUT_PARAMETER_CAP}"),
         ("cut" in needs and c.n < 2, f"suite {c.suite} needs n >= 2"),
-        (c.suite in ("tau", "cdf") and any(not 1 <= k <= c.n for k in c.tau_ks),
+        (c.suite == "tau" and any(not 1 <= k <= c.n for k in c.tau_ks),
          "tau_ks must lie in 1..n"),
-        (c.suite in ("tau", "cdf") and len(set(c.tau_ks)) < len(c.tau_ks),
+        (c.suite == "tau" and len(set(c.tau_ks)) < len(c.tau_ks),
          "tau_ks may not repeat an entry"),
         (c.suite == "ratio" and c.kind not in RATIO_KINDS,
          f"ratio suite needs kind in {RATIO_KINDS}"),
@@ -311,10 +306,6 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.suite == "structure" and len(checks) < len(c.structure_checks),
          "structure_checks may not repeat an entry"),
         (c.suite == "structure" and not checks, "structure suite needs at least one check"),
-        (c.suite == "cdf" and c.cdf_terms < 1, "cdf_terms must be >= 1"),
-        (c.suite == "cdf" and c.samples < 1, "samples must be >= 1"),
-        (c.suite == "cdf" and c.samples * c.cdf_terms > CDF_DRAW_CAP,
-         f"samples * cdf_terms exceeds the cdf draw cap {CDF_DRAW_CAP}"),
     ]
     problems = [message for broken, message in rules if broken]
     if problems:
@@ -531,17 +522,7 @@ def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]
 
 
 def _tau_ks(config: ExperimentConfig) -> tuple[int, ...]:
-    n = config.n
-    if config.tau_ks:
-        return config.tau_ks
-    if config.suite == "tau":
-        return tuple(range(1, n + 1))
-    return tuple(sorted({2, (n + 1) // 2, n} - {1}))  # n >= 2 is validated
-
-
-def _taus(x: _Instance) -> dict:
-    taus = np.sort(x.metric.dist[0])  # distances from vertex 1, closest first
-    return {f"tau_{k}": float(taus[k - 1]) for k in _tau_ks(x.config)}
+    return config.tau_ks or tuple(range(1, config.n + 1))
 
 
 def _random_pair(stream: UniformStream, n: int) -> tuple[int, int]:
@@ -553,8 +534,10 @@ def _random_pair(stream: UniformStream, n: int) -> tuple[int, int]:
 
 
 def _tau_stats(x: _Instance) -> dict:
+    taus = np.sort(x.metric.dist[0])  # distances from vertex 1, closest first
     u, v = _random_pair(UniformStream(x.seed.child(0, "aux")), x.config.n)
-    return {**_taus(x), "pair_dist": x.metric.d(u, v)}
+    return {**{f"tau_{k}": float(taus[k - 1]) for k in _tau_ks(x.config)},
+            "pair_dist": x.metric.d(u, v)}
 
 
 _RATIO_KINDS = {  # kind -> (needs, (heuristic, exact) solutions of an instance)
@@ -630,7 +613,8 @@ def _sandwich_stats(x: _Instance) -> dict:
     s_half = sum_lightest_edges(x.weighted, x.graph.n // 2)
     mm = exact_matching(x.metric).cost
     tsp = exact_tsp(x.metric).cost
-    bad = int(tsp < mm - FLOAT_SLACK) + int(mm < s_half - FLOAT_SLACK)
+    # n is even, so a tour is the union of two perfect matchings: tsp >= 2 mm
+    bad = int(tsp < 2 * mm - FLOAT_SLACK) + int(mm < s_half - FLOAT_SLACK)
     return {"s_half": s_half, "mm": mm, "tsp": tsp, "sandwich_violations": bad}
 
 
@@ -658,25 +642,6 @@ def _structure_needs(config: ExperimentConfig) -> frozenset:
 # checks beyond violation counts: brackets and closed forms
 
 
-def _tau_checks(config, ctx, records, summaries):
-    """Mean distances to the k-th closest vertex versus the harmonic brackets."""
-    n, alpha, beta = config.n, ctx.cut.alpha, ctx.cut.beta
-    brackets = [
-        (f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta)) for k in _tau_ks(config)
-    ]
-    h = bounds.harmonic(n - 1)
-    brackets.append(("pair_dist", (h / (beta * (n - 1)), h / (alpha * (n - 1)))))
-    checks = []
-    for col, (lo, hi) in brackets:
-        s = summaries[col]
-        checks.append(CheckResult(
-            name=f"{col}-bracket",
-            passed=lo <= s.ci_high and hi >= s.ci_low,
-            detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{s.ci_low:.6g}; {s.ci_high:.6g}]",
-        ))
-    return checks, {}
-
-
 def _dkw_slack(count: int) -> float:
     """DKW-Massart bound at level 0.01 on sup|F_N - F| over N = ``count`` samples."""
     return math.sqrt(math.log(2.0 / 0.01) / (2.0 * count))
@@ -693,32 +658,31 @@ def _band_breach(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     return max(0.0, float(np.max(np.maximum(lo - grid[:-1], grid[1:] - hi))))
 
 
-def _cdf_checks(config, ctx, records, summaries):
-    """Monte Carlo CDFs versus closed forms: a part passes iff its band breach <= DKW slack.
+def _tau_checks(config, ctx, records, summaries):
+    """The distances to the k-th closest vertex versus the paper's brackets.
 
-    ``exp-sum-ks``: sums of exponentials with rates 1, 2, ..., terms against
-    their exact CDF (1 - e^{-x})^terms, so the breach is the Kolmogorov-Smirnov
-    distance.  Scaling every rate by c would scale the samples and the CDF's
-    argument alike, which leaves the distance as it is.
-    ``tau_k-cdf-bracket``: the trials' tau_k against its bracket.
+    ``tau_k-bracket`` and ``pair_dist-bracket``: the mean's CI meets the
+    harmonic bracket.  ``tau_k-cdf-bracket``: the trials' empirical CDF of
+    tau_k leaves the pointwise bracket on P(tau_k <= x) by at most the DKW slack.
     """
-    terms, count = config.cdf_terms, config.samples
-    stream = UniformStream(Seed(config.seed).child(0, "expsum"))
-    draws = stream.exponential_block(count * terms).reshape(count, terms)
-    xs = np.sort((draws / np.arange(1, terms + 1)).sum(axis=1))
-    cdf = (-np.expm1(-xs)) ** terms
-    sup_diff = _band_breach(xs, cdf, cdf)
-    slack = _dkw_slack(count)
-    checks = [CheckResult(
-        name="exp-sum-ks",
-        passed=sup_diff <= slack,
-        detail=f"sup|ecdf - cdf| = {sup_diff:.5f} over {count} samples (DKW slack {slack:.5f})",
-    )]
-
+    n, alpha, beta = config.n, ctx.cut.alpha, ctx.cut.beta
+    brackets = [
+        (f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta)) for k in _tau_ks(config)
+    ]
+    h = bounds.harmonic(n - 1)
+    brackets.append(("pair_dist", (h / (beta * (n - 1)), h / (alpha * (n - 1)))))
+    checks = []
+    for col, (lo, hi) in brackets:
+        s = summaries[col]
+        checks.append(CheckResult(
+            name=f"{col}-bracket",
+            passed=lo <= s.ci_high and hi >= s.ci_low,
+            detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{s.ci_low:.6g}; {s.ci_high:.6g}]",
+        ))
     slack = _dkw_slack(len(records))
     for k in _tau_ks(config):
         samples = np.sort([r.values[f"tau_{k}"] for r in records])
-        lo, hi = np.array([bounds.tau_cdf_bounds(x, config.n, k, ctx.cut.alpha, ctx.cut.beta)
+        lo, hi = np.array([bounds.tau_cdf_bounds(x, n, k, alpha, beta)
                            for x in samples.tolist()]).T
         lo[samples <= 0] = 0.0  # P(tau_k <= x) = 0 left of 0, even where lo(0) = 1
         breach = _band_breach(samples, lo, hi)
@@ -727,7 +691,7 @@ def _cdf_checks(config, ctx, records, summaries):
             passed=breach <= slack,
             detail=f"max bracket breach {breach:.5f} (DKW slack {slack:.5f})",
         ))
-    return checks, {"exp_sum_sup_diff": sup_diff, "exp_sum_samples": count}
+    return checks, {}
 
 
 def _concentration_notes(config, ctx, records, summaries):
@@ -810,7 +774,6 @@ _SUITES = {
             for check in c.structure_checks
         ),
     ),
-    "cdf": _Suite(stats=_taus, fresh=False, finish=_cdf_checks),
 }
 SUITES = tuple(_SUITES)
 

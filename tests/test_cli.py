@@ -239,6 +239,19 @@ def test_suite_invalid_config_is_usage_error(tmp_path, capsys):
     assert "even" in err
 
 
+def test_suite_cdf_is_usage_error(tmp_path, capsys):
+    # its CDF brackets run in every tau report, its exponential-sum check is an RNG test
+    cfg = write_config(tmp_path, suite="cdf", n=6, trials=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "cdf", "--config", cfg])
+    assert exc.value.code == 2
+    code, _, err = run_cli(capsys, "suite", "tau", "--config", cfg)
+    assert code == 2
+    assert "suite=cdf" in err
+    with pytest.raises(lab.ConfigInvalidError, match=r"suite must be one of \(.*'tau'"):
+        lab.run_suite(lab.parse_config_file(cfg))
+
+
 @pytest.mark.parametrize("key, text", [("n", "12.0"), ("tau_ks", "2,x")])
 def test_suite_unparsable_config_value_is_usage_error(tmp_path, capsys, key, text):
     cfg = write_config(tmp_path, suite="tau", **{key: text})

@@ -199,7 +199,7 @@ def test_over_ceiling_sizes_are_rejected_before_any_table():
              structure_checks=("chi",)),
         dict(suite="ratio", kind="kmedian", n=40, k=20),
         # below p = 1 a draw need not be complete; p = 1 always draws K_n and runs
-        dict(suite="cdf", model="er", n=CUT_PARAMETER_CAP + 1, p=0.99),
+        dict(suite="tau", model="er", n=CUT_PARAMETER_CAP + 1, p=0.99),
     ],
 )
 def test_config_cap_above_ceiling_is_rejected(kwargs):

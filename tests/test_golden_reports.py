@@ -62,12 +62,7 @@ CASES = {
         suite="structure", model="er", n=8, p=0.5, trials=6, seed=117, workers=2,
         structure_checks=("cluster", "chi"), delta_fractions=(0.0, 0.3),
     ),
-    "cdf-complete": dict(
-        suite="cdf", model="complete", n=6, trials=20, seed=118, samples=500, cdf_terms=2
-    ),
-    "cdf-er": dict(
-        suite="cdf", model="er", n=7, p=0.7, trials=20, seed=119, samples=500, tau_ks=(3, 7)
-    ),
+    "tau-er-k3-k7": dict(suite="tau", model="er", n=7, p=0.7, trials=20, seed=119, tau_ks=(3, 7)),
 }
 
 # case -> (sha256 of to_csv(), sha256 of to_json())
@@ -87,92 +82,95 @@ CASES = {
 # from the records: with no connected draw it is `trial,seed,connected`, and
 # each row drops its trailing empty stat cells.  Nothing else in them changed,
 # and all 21 JSON digests are unchanged, since the JSON carries no column list.
+# Every JSON digest moved again when the cdf suite folded into tau and the
+# config lost its samples and cdf_terms keys: dropping those two keys from the
+# earlier JSON gives the new one exactly for the 17 cases that are no tau run,
+# whose CSVs are byte-identical.  tau-complete and tau-er moved in their check
+# lines too: dropping their new tau_k-cdf-bracket checks (all passing) gives
+# the earlier CSV and JSON.  tau-er-k3-k7 replaces the two cdf cases: it is
+# cdf-er's config run as tau, with cdf-er's tau_k values and bracket details.
 DIGESTS = {
-    "cdf-complete": (
-        "b68f9bd0a257769113c20e337a0a914c45e449233ea41aa5db3332cef6a294b0",
-        "20f04ad9d48b52cb149c397660f596d9e11e51e527f4012a72042a5e52833043",
-    ),
-    "cdf-er": (
-        "3bf885cb234738cb5b5c2bd0ddde07a29f4b4b0e56386732cbdd7f19735bb5df",
-        "42a7e7fe9af9d7b56b2e182f4e4f829f093faf5d5b4ee652eecd74876d18d420",
-    ),
     "concentration-er": (
         "40b691c4692e61c9209ec1f6a6996481294ac3d91425ed1178aee01b991f0f0c",
-        "216ffb2f9098091efe2ea2d13461e392ef4085d7fa8f49289f685ccd1e46d264",
+        "2066c2c32f84225703bf8d0d49a3c4e5947ee1c44ad4813236a68380d7be0cc0",
     ),
     "concentration-er-none-eligible": (
         "9f4c508b691475669115d4df2c69379edf92886469562ced07550e67f33a5395",
-        "6e7c6ae0d5ce807f7f5a9ee6244415a20883a386e094aa267ae9bd583549ba9b",
+        "00a7053bdef7287359fdbb404d53181d6cb5a9de37b51fe935344c10823a58b1",
     ),
     "ratio-er-none-eligible": (
         "ab394d5285614c3adee601680a0a3c6ec5205ccfcb425455a7a834ec5a133425",
-        "35d8d3c6a4ffeffc7eabecb1867ed7c2216229b6f94a92256d58464a52ee91ce",
+        "1f5fce2a3f0c478f509a893f2d76df9f6bfb94db73523fcfd41ab9f8fef83f38",
     ),
     "ratio-insertion-complete": (
         "20801c4c4c1364ca07ceca54d1516d88a39415b1f0ed6d659bfae937f95b1dfb",
-        "e5f234d09ec0033b0162fcb2ad8851aeb2e18e0e652b26e3ab869fecb82a118f",
+        "050458f605bce80c8fd998428b158068cf3cd11e9eeb311db0607ffd92211e5a",
     ),
     "ratio-insertion-er": (
         "bae5c882573acb25db3fac36f88742d34f48fae00eee3df245a3ce1d6c6d2a56",
-        "180b1944c515cf3c621c9fc5dfad53feceee7b944143c5c9ccff124b2bcf63cc",
+        "4bb852037f7350cf4d8350a1df8080fc2caa5fa028edd4bd79979da0edf58ed1",
     ),
     "ratio-kmedian-complete": (
         "ed338a0d77b57db72c9c0692409b77004dc197f2dcfff943fa57834823022702",
-        "1758ec495633fd14ce2e7b5f6180cf29cc102e7eb660d418773b86d4fdac3127",
+        "f15141e047013b4f423c51639ff2a9da4cab47cd8c05e8d9ed73774f52313299",
     ),
     "ratio-kmedian-er": (
         "092543bbcf98f93a842b95f791bca4f292d0798bd78fcb6237751d6b6f86c48a",
-        "29d20057559aee1084890327b8afa9da6e87b46ca6ba8b4d2624eda5454f0c34",
+        "f8ac4d0202ed917825eb426e35359b51b810d033187a36b3ee22d53298bc408a",
     ),
     "ratio-matching-complete": (
         "6b4a4708dca44006194853fdab11b0a3880a97a0ff0b31f69fd48275e41c9a8e",
-        "f06974adf94c0843500cfcd683d77eb4cb191aeb479c43bdb8f99c355c56bd06",
+        "e2dedf3815e6ae4bacf1ca8a40d039191afbd95c0a99ecfaf0163c3ade210e90",
     ),
     "ratio-matching-er": (
         "5576c51e1b0e3c19d458ad2d8dcdb46e6a27769e8ac647eeb1daeef09fba22d4",
-        "b1da6e1d960502eff615f57d8c299c0cbbd100346fb9a95d92226d13f9ff1888",
+        "d2a9db5e03658a8613a237913b769c213c38fe2461f89b718a6ed319d1786b7e",
     ),
     "ratio-nn-complete": (
         "10326b63ba2c78ed23e3ef239cb62e30ce4d8ed4ab5a30c449973ae1f306668c",
-        "3ee06a3b60ccbfc5480261b833c3beaca94614dc1231dbedd8271113600e35d6",
+        "0482222719106953f6f88d0eb4c7b542305f74e9de0323ba02372af4ee1bb607",
     ),
     "ratio-nn-er": (
         "3c2b466d38aeae0fb0578276d0ecec0e44ac062bd56144b8c4ded3ea17ac2ac9",
-        "993d17ceb0b4b3524da998c2f9f1c2240f012c333ec991f72e182bc64a417849",
+        "35d4acb56eb4a0890035ddbbf7fcae614521e765bb18bb3551476982926f0be7",
     ),
     "structure-complete": (
         "3efb1973f6b8f60423eef4ce251373bd86cb718f8565280889e36e294750d909",
-        "ce9fbef60a3c84884990aca28af9695a9108f684cbafe58b790b37ed50c75d8f",
+        "94e8e43027899d46555e5b59af1c993eaf08a9aec2db87f540faf4970474be83",
     ),
     "structure-er": (
         "595a2403e80b562b725c23f166865d9e00e163a319d0a51710441d9e8154ce29",
-        "25cde979fbbe34ae53820591efd9ce1e6fa967191d8daa85997b2d9e78c7f53d",
+        "21cf3c9e53d568377de49bff4cd617c46693a571a53ab455f0276a96bb959fee",
     ),
     "structure-er-workers-2": (
         "95a7607e6dcd895ba9a1c6ee240d265170c56e145b9a74aa731d89ee451ed8ca",
-        "88e3f63339122d6015910a35a41497eab5f85d9643f2d8c693cbea0f8d9235ba",
+        "d286b35f8a69b70d867ae209507639d7a79a42d69ba60afb76b8d26218072940",
     ),
     "tau-complete": (
-        "c6c520f3a9323d7b52a4f68041ca1ee0f2e147fbcd2d7d7b74771c763117bc46",
-        "09c4d2997fbbe26865a93d4b0c6989c6dc03cb7a6a3e1be61e2748252811c431",
+        "1dba89f65b0136994f393622056197bef52e9a029ef9dde08b30c7a248a30e01",
+        "05a6e8d18f22ad8ee8cbbaa43d12d2e43568469ce1c33caafe7d97bbf9a34bad",
     ),
     "tau-er": (
-        "eea0a0d1a9a476c6d0dde6e9867d63e13bb3538c45e139941e16d68d71eb4b48",
-        "70febebc43b0df76553df5b2caba232d047fac47f9e5e1129bec7827724bb8bd",
+        "c46c78fa9eb0ecd67a349686ac64cde656bb1210fde6e77ade0ffb0f1d0ae6fc",
+        "ac23c1b5a931b28eae2f3f721a1fc39136b3615f8c2d78ded35e23027288e6b3",
+    ),
+    "tau-er-k3-k7": (
+        "5bf58b7b2fda8c20c94350c14daa17575328c1389ba8b0cd2debb5986a4357cf",
+        "c8a46c64b46259b8e797164ee182b31ccfa66e1c64f555548dc6a605abce9a44",
     ),
     "two-opt-complete": (
         "c1aa358618c45f397e14a7c57fb1814706f56d0656e6904ca7c103d0bca4b22b",
-        "29bd9b892ab5c3ac61ceb08c725c0390550d9c41a51e3667e8e519c25e78436e",
+        "459c0230e6878f74c6395f1d6954a4bf8f3f5baddf601add9e13ce39b9a00ed6",
     ),
     # trial 6 turns locally_optimal 0 -> 1: a tie exchange (delta -2.2e-16)
     # whose tour is not strictly cheaper no longer counts as improving
     "two-opt-er": (
         "c1e3afd45ef75b24c5b593bce5442b357017f7f5d998e41289f2bfd94fb995d8",
-        "c5297309bd8522f8eb46f0aae0fe2e95fd3570d82e482c5b3c15b30948577f75",
+        "f6a44365b8107ac37bea5dd72a4d70c7dccb047389d415a28f57c868b7338e75",
     ),
     "two-opt-er-beyond-cut-cap": (
         "9b48c150be41c3a270c9360dc6033df179c8ac919f8f0de0faf42b770ad84799",
-        "7b250b903b40e41e9f2077283c359c0c03d1087dfb9f0d8018a1b76153fd0c04",
+        "e4a0d8cdcf0271c5cfffb05c011a836fea2171619feb90fff136023f0340cc5b",
     ),
 }
 

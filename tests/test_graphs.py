@@ -118,6 +118,23 @@ def test_random_draws_need_a_seed_object(seed):
         draw_weights(complete_graph(5), seed)
 
 
+GENERATORS = [complete_graph, path_graph, star_graph, cycle_graph,
+              lambda n: generate_erdos_renyi(n, 0.5, Seed(1))]
+
+
+@pytest.mark.parametrize("make", GENERATORS, ids=["complete", "path", "star", "cycle", "er"])
+@pytest.mark.parametrize("n", [True, 3.0, 1.5, np.float64(3.0), "4"])
+def test_vertex_counts_must_be_integers(make, n):
+    # True used to build K_1 and a one-vertex path, and 3.0 K_3
+    with pytest.raises(TypeError, match="n must be an integer"):
+        make(n)
+
+
+@pytest.mark.parametrize("make", GENERATORS, ids=["complete", "path", "star", "cycle", "er"])
+def test_vertex_counts_may_be_numpy_integers(make):
+    assert make(np.int64(4)) == make(4)
+
+
 def test_erdos_renyi_is_deterministic():
     assert generate_erdos_renyi(30, 0.4, Seed(99)) == generate_erdos_renyi(30, 0.4, Seed(99))
     assert generate_erdos_renyi(30, 0.4, Seed(99)) != generate_erdos_renyi(30, 0.4, Seed(100))
@@ -243,6 +260,15 @@ def test_sum_lightest_edges_examples():
     assert sum_lightest_edges(wg, 3) == pytest.approx(2.0)
     with pytest.raises(NotEnoughEdgesError):
         sum_lightest_edges(wg, 4)
+
+
+@pytest.mark.parametrize("m", [1.5, True, np.True_, 2.0])
+def test_sum_lightest_edges_count_must_be_an_integer(m):
+    # 1.5 used to leak numpy's slice-index TypeError, and True to sum one edge
+    wg = WeightedGraph(path_graph(4), (0.5, 1.2, 0.3))
+    with pytest.raises(TypeError, match="m must be an integer"):
+        sum_lightest_edges(wg, m)
+    assert sum_lightest_edges(wg, np.int64(2)) == sum_lightest_edges(wg, 2)
 
 
 @given(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=9))

@@ -443,9 +443,12 @@ def csr_of(wg):
     return _symmetric_csr(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def assert_no_child_left(children):
+    """Every recorded child has been reaped (other children, such as a spawn
+    pool's resource tracker, are not the split's)."""
+    for pid in children:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def k60_csr():
@@ -473,7 +476,7 @@ def test_split_rows_equal_one_process_dijkstra(split, make_csr):
     assert len(split) == 4
     assert np.array_equal(_dijkstra_rows(csr, sources[:2]), want[sources[:2]])  # one child
     assert len(split) == 5
-    assert_no_child_left()
+    assert_no_child_left(split)
 
 
 def test_split_rows_serve_the_pruned_rerun(split):
@@ -484,7 +487,7 @@ def test_split_rows_serve_the_pruned_rerun(split):
     assert np.array_equal(got, want)
     assert len(split) == 4  # two children per pass
     assert np.array_equal(build_metric(wg).dist, np.minimum(want, want.T))
-    assert_no_child_left()
+    assert_no_child_left(split)
 
 
 def test_one_source_is_never_split(split):
@@ -505,7 +508,7 @@ def test_a_failing_child_makes_the_parent_raise(split, monkeypatch):
     with pytest.raises(RuntimeError, match="child process failed"):
         _dijkstra_rows(k60_csr(), None)
     assert len(split) == 2
-    assert_no_child_left()
+    assert_no_child_left(split)
 
 
 def test_a_failing_parent_still_reaps_its_children(split, monkeypatch):
@@ -520,7 +523,7 @@ def test_a_failing_parent_still_reaps_its_children(split, monkeypatch):
     with pytest.raises(ValueError, match="parent"):
         _dijkstra_rows(k60_csr(), None)
     assert len(split) == 2
-    assert_no_child_left()
+    assert_no_child_left(split)
 
 
 def test_no_fork_while_a_second_thread_runs(split, monkeypatch):
@@ -548,7 +551,7 @@ def test_forks_raise_no_fork_with_threads_warning(split):
         build_metric(draw_weights(complete_graph(60), Seed(61)))
     assert len(split) >= 4  # two children for the rows, two or more for the build
     assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
-    assert_no_child_left()
+    assert_no_child_left(split)
 
 
 def rows_without_fork_in_a_pool_worker():
@@ -577,7 +580,8 @@ def test_records_equal_at_one_and_two_workers_across_the_split_size(monkeypatch)
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
     children = record_forks(monkeypatch)
-    cfg = ExperimentConfig(suite="cdf", model="complete", n=400, trials=3, seed=9, samples=200)
+    cfg = ExperimentConfig(suite="tau", model="complete", n=400, trials=3, seed=9,
+                           tau_ks=(2, 200, 400))
     serial = run_suite(cfg)
     assert len(children) == cfg.trials
     pooled = run_suite(dataclasses.replace(cfg, workers=2))
@@ -658,9 +662,7 @@ def test_batched_tables_split_over_processes(split):
     wgs = mixed_batch()
     assert_same_tables(build_metrics(wgs), wgs)
     assert split  # the one-pass group and the pruned K_60 each split
-    for pid in split:  # every child was reaped
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    assert_no_child_left(split)
 
 
 def test_a_full_group_of_small_graphs_does_not_fork(monkeypatch):

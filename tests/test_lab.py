@@ -1,6 +1,6 @@
 import json
 import math
-import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -112,12 +112,13 @@ def test_finite_nonnegative_delta_fractions_are_accepted():
     validate_config(cfg)
 
 
-@pytest.mark.parametrize("key", ["cdf_tol", "cdf_c"])
+@pytest.mark.parametrize("key", ["cdf_tol", "cdf_c", "samples", "cdf_terms"])
 def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
-    # cdf_tol: the cdf suite's pass rule is the DKW slack of each part's
-    # sample count; cdf_c: a common rate scale leaves the KS distance as it is
+    # cdf_tol: a CDF part's pass rule is the DKW slack of its sample count;
+    # cdf_c: a common rate scale leaves the KS distance as it is; samples and
+    # cdf_terms: the exponential-sum check is an RNG test, not a suite part
     path = tmp_path / "cfg.txt"
-    path.write_text(f"suite=cdf\n{key}=0.02\n")
+    path.write_text(f"suite=tau\n{key}=2\n")
     with pytest.raises(ConfigInvalidError, match="unknown config key"):
         parse_config_file(str(path))
 
@@ -137,12 +138,12 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="concentration", model="er", n=10, p=0.5, epsilon=1.5),
         dict(suite="structure", n=9),  # sandwich needs even n
         dict(suite="structure", structure_checks=("nope",)),
-        dict(suite="cdf", n=8, cdf_terms=0),
+        dict(suite="cdf", n=8),  # its CDF brackets run in every tau report
         dict(suite="two-opt", two_opt_init="warp"),
         dict(suite="tau", trials=0),
         dict(suite="tau", n=12, tau_ks=(13,)),
         dict(suite="tau", n=6, tau_ks=(3, 3)),  # would give two tau_3 columns
-        dict(suite="cdf", n=6, tau_ks=(2, 5, 2)),
+        dict(suite="tau", n=6, tau_ks=(2, 5, 2)),
         dict(suite="structure", n=6, structure_checks=("chi", "chi")),  # two chi checks
         dict(suite="ratio", kind="nn", n=6, trials=2.0),  # integer fields take integers only
         dict(suite="ratio", kind="nn", n="6"),
@@ -150,9 +151,9 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="tau", seed=None),
         dict(suite="structure", n=6, delta_fractions=(math.nan,)),  # a NaN radius
         dict(suite="structure", n=1, structure_checks=("chi",)),  # cut parameters need n >= 2
-        dict(suite="cdf", n=6, samples=lab.CDF_DRAW_CAP + 1),  # beyond the draw ceiling
-        dict(suite="cdf", n=6, samples=lab.CDF_DRAW_CAP // 4 + 1, cdf_terms=4),
-        dict(suite="cdf", n=6, samples=10**8, cdf_terms=4),  # about 12 GB of draws
+        dict(suite="tau", n=6, tau_ks=(0, 2)),
+        dict(suite="tau", n=6, workers=0),
+        dict(suite="tau", n=6, format="xml"),
         dict(suite="structure", n=1, structure_checks=("cluster",)),
         dict(suite="ratio", kind="bogus"),  # an unknown kind needs nothing, and is rejected
         dict(suite="ratio", kind="nn", n=2),  # every tour needs n >= 3
@@ -289,10 +290,12 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
     "ratio-matching": dict(suite="ratio", kind="matching", model="er", n=10, p=0.5, trials=20,
                            seed=6),
     "tau-K12": dict(suite="tau", model="complete", n=12, trials=30, seed=7),
-    "cdf-K12": dict(suite="cdf", model="complete", n=12, trials=30, seed=8, samples=500),
+    "tau-K12-ks-2-6-12": dict(suite="tau", model="complete", n=12, trials=30, seed=8,
+                              tau_ks=(2, 6, 12)),
     # pruned: each K_400 is certified alone
     "tau-K400": dict(suite="tau", model="complete", n=400, trials=3, seed=9, tau_ks=(1, 2, 400)),
-    "cdf-K400": dict(suite="cdf", model="complete", n=400, trials=3, seed=10, samples=200),
+    "tau-K400-ks-2-200-400": dict(suite="tau", model="complete", n=400, trials=3, seed=10,
+                                  tau_ks=(2, 200, 400)),
     "two-opt-er": dict(suite="two-opt", model="er", n=9, p=0.5, trials=20, seed=11),
     "concentration": dict(suite="concentration", model="er", n=8, p=0.5, trials=20, seed=12),
 }
@@ -481,56 +484,56 @@ def test_structure_suite_subset_of_checks():
     assert "sandwich_violations" not in report.summaries
 
 
-def test_cdf_suite_passes_and_reports_sup_diff():
-    cfg = ExperimentConfig(
-        suite="cdf", model="complete", n=8, trials=300, seed=53,
-        cdf_terms=3, samples=50_000,
-    )
+def test_sandwich_fails_on_a_tour_cheaper_than_two_matchings(monkeypatch):
+    # on even n a tour is the union of two perfect matchings, so tsp >= 2 mm;
+    # a "tour" of 1.5 mm still passes the weaker tsp >= mm
+    def short_tour(metric):
+        return types.SimpleNamespace(cost=1.5 * lab.exact_matching(metric).cost)
+
+    monkeypatch.setattr(lab, "exact_tsp", short_tour)
+    cfg = ExperimentConfig(suite="structure", model="complete", n=8, trials=4, seed=43,
+                           structure_checks=("sandwich",))
     report = run_suite(cfg)
-    assert report.passed
-    assert report.notes["exp_sum_sup_diff"] < 0.02
-    assert any(c.name == "exp-sum-ks" for c in report.checks)
-    assert any(c.name.endswith("cdf-bracket") for c in report.checks)
+    assert [c.name for c in report.checks if not c.passed] == ["sandwich-invariant"]
+    assert report.summaries["sandwich_violations"].violations == 4
+
+
+def test_tau_suite_checks_the_cdf_of_every_tau_k():
+    cfg = ExperimentConfig(suite="tau", model="complete", n=8, trials=300, seed=53)
+    report = run_suite(cfg)
+    cdf_checks = [c for c in report.checks if c.name.endswith("-cdf-bracket")]
+    assert [c.name for c in cdf_checks] == [f"tau_{k}-cdf-bracket" for k in range(1, 9)]
+    assert all(c.passed for c in cdf_checks)
+    # they follow the mean brackets, pair_dist's last
+    names = [c.name for c in report.checks]
+    assert names.index("pair_dist-bracket") == names.index("tau_1-cdf-bracket") - 1
+
+
+def test_tau_cdf_brackets_on_a_frozen_er_graph():
+    cfg = ExperimentConfig(suite="tau", model="er", n=7, p=0.7, trials=20, seed=119, tau_ks=(3, 7))
+    details = {c.name: c.detail for c in run_suite(cfg).checks}
+    assert details["tau_3-cdf-bracket"] == "max bracket breach 0.01238 (DKW slack 0.36395)"
+    assert details["tau_7-cdf-bracket"] == "max bracket breach 0.00014 (DKW slack 0.36395)"
 
 
 def test_cdf_tau_1_passes_although_its_band_jumps_at_zero():
     # tau_1 = 0 always; its bracket is [1, 1] from x = 0 on and 0 left of it
-    cfg = ExperimentConfig(suite="cdf", model="complete", n=6, trials=40, seed=5, tau_ks=(1, 6))
+    cfg = ExperimentConfig(suite="tau", model="complete", n=6, trials=40, seed=5, tau_ks=(1, 6))
     report = run_suite(cfg)
     assert report.passed
     tau_1 = next(c for c in report.checks if c.name == "tau_1-cdf-bracket")
     assert tau_1.detail.startswith("max bracket breach 0.00000 ")
 
 
-def test_exp_sum_ks_false_failures_stay_rare_across_seeds():
-    # correct code at DKW level 0.01: at most about 2 failures expected in 200 seeds
-    failed = 0
-    for seed in range(200):
-        report = run_suite(ExperimentConfig(suite="cdf", n=2, trials=1, seed=seed, samples=500))
-        failed += not next(c for c in report.checks if c.name == "exp-sum-ks").passed
-    assert failed <= 6
-
-
-_WRONG_BAND = dict(suite="cdf", model="complete", n=8, trials=200, seed=59, samples=2000,
-                   tau_ks=(2, 4, 8))
-
-
-def test_exp_sum_ks_fails_on_samples_at_the_wrong_rate(monkeypatch):
-    class SlowStream(UniformStream):  # every draw 1.2 times too long
-        def exponential_block(self, count):
-            return 1.2 * super().exponential_block(count)
-
-    monkeypatch.setattr(lab, "UniformStream", SlowStream)
-    report = run_suite(ExperimentConfig(**_WRONG_BAND))
-    assert [c.name for c in report.checks if not c.passed] == ["exp-sum-ks"]
-
-
 def test_tau_cdf_bracket_fails_on_a_wrong_band(monkeypatch):
     real = bounds.tau_cdf_bounds
     # the bracket of distances a third as long as the metric's
     monkeypatch.setattr(bounds, "tau_cdf_bounds", lambda x, *rest: real(3.0 * x, *rest))
-    report = run_suite(ExperimentConfig(**_WRONG_BAND))
-    failed = [c.name for c in report.checks if not c.passed]
+    cfg = ExperimentConfig(suite="tau", model="complete", n=8, trials=200, seed=59,
+                           tau_ks=(2, 4, 8))
+    report = run_suite(cfg)
+    # the mean brackets may fail on their own, so only the CDF parts are read
+    failed = [c.name for c in report.checks if not c.passed and c.name.endswith("-cdf-bracket")]
     assert failed == ["tau_2-cdf-bracket", "tau_4-cdf-bracket", "tau_8-cdf-bracket"]
 
 
@@ -541,21 +544,6 @@ def test_band_breach_is_exact_with_ties():
     assert lab._band_breach(samples, np.array([0.0, 0.0, 0.75, 0.75]), np.ones(4)) == 0.25
     assert lab._band_breach(samples, np.zeros(4), np.array([0.25, 0.25, 1.0, 1.0])) == 0.25
     assert lab._band_breach(samples, np.zeros(4), np.ones(4)) == 0.0
-
-
-@pytest.mark.parametrize("terms", (1, 4))
-def test_cdf_run_at_the_draw_ceiling_stays_below_64_mb(terms):
-    cfg = ExperimentConfig(
-        suite="cdf", n=2, trials=1, seed=3, samples=lab.CDF_DRAW_CAP // terms, cdf_terms=terms
-    )
-    validate_config(cfg)
-    tracemalloc.start()
-    try:
-        run_suite(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 10**6
 
 
 # -- report rendering -------------------------------------------------------------
@@ -638,15 +626,14 @@ def test_imported_model_uses_graph_file(tmp_path):
     assert ctx.graph == g
 
 
-@pytest.mark.parametrize("suite", ["tau", "cdf"])
-def test_imported_complete_graph_beyond_the_cut_cap_runs(tmp_path, suite):
+def test_imported_complete_graph_beyond_the_cut_cap_runs(tmp_path):
     from rspmetric import complete_graph, write_graph
 
     path = tmp_path / "k30.txt"
     write_graph(str(path), complete_graph(30))
     cfg = ExperimentConfig(
-        suite=suite, model="imported", graph_file=str(path), n=30, trials=5, seed=3,
-        samples=1000, tau_ks=(1, 2, 30),
+        suite="tau", model="imported", graph_file=str(path), n=30, trials=5, seed=3,
+        tau_ks=(1, 2, 30),
     )
     validate_config(cfg)
     report = run_suite(cfg)

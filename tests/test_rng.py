@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rspmetric import Graph, draw_weights
+from rspmetric.bounds import exp_sum_cdf
+from rspmetric.lab import _band_breach, _dkw_slack
 from rspmetric.rng import _GAMMA, _MASK64, Seed, UniformStream, _mix64
 
 
@@ -48,6 +50,42 @@ def test_exponentials_are_strictly_positive():
     x = UniformStream(Seed(9)).exponential_block(10_000)
     assert (x > 0).all()
     assert np.isfinite(x).all()
+
+
+def exp_sum_ks(stream, terms, count):
+    """Kolmogorov-Smirnov distance of ``count`` sums of exponentials at rates
+    1, 2, ..., ``terms`` from their exact CDF, and its DKW-Massart slack at
+    level 0.01 (Massart 1990)."""
+    draws = stream.exponential_block(count * terms).reshape(count, terms)
+    xs = np.sort((draws / np.arange(1, terms + 1)).sum(axis=1))
+    cdf = np.array([exp_sum_cdf(1.0, terms, x) for x in xs.tolist()])
+    return _band_breach(xs, cdf, cdf), _dkw_slack(count)
+
+
+def test_exp_sum_ks_passes_on_many_samples():
+    distance, slack = exp_sum_ks(UniformStream(Seed(53)), 3, 50_000)
+    assert distance < min(0.02, slack)
+
+
+def test_exp_sum_ks_false_failures_stay_rare_across_seeds():
+    # correct draws at DKW level 0.01: about 2 failures expected in 200 seeds
+    failed = 0
+    for seed in range(200):
+        distance, slack = exp_sum_ks(UniformStream(Seed(seed)), 1 + seed % 4, 500)
+        failed += distance > slack
+    assert failed <= 6
+
+
+def test_exp_sum_ks_fails_on_samples_at_the_wrong_rate():
+    class SlowStream(UniformStream):  # every draw 1.2 times too long
+        def exponential_block(self, count):
+            return 1.2 * super().exponential_block(count)
+
+    for terms in (1, 3):
+        distance, slack = exp_sum_ks(UniformStream(Seed(59)), terms, 2000)
+        assert distance <= slack
+        distance, slack = exp_sum_ks(SlowStream(Seed(59)), terms, 2000)
+        assert distance > slack
 
 
 def test_uniform_mean_is_half():
