@@ -6,11 +6,10 @@ of it live the growth profile around a vertex (distance to the k-th closest
 vertex and the cut size of each prefix ball), radius balls, the diameter,
 and the bounded-diameter clustering used by the structural analysis.
 
-``build_metrics`` builds many metrics at once: small graphs share one
-Dijkstra call over their disjoint union, in groups of at most
-``BATCH_VERTICES`` vertices, and a graph large enough to prune its edges
-is certified alone.  Each table is the one ``build_metric`` gives the graph
-alone, bit for bit, so records do not depend on how trials are batched.
+``build_metrics`` builds many metrics at once, on one path: each group of
+graphs takes one ``_certified_apsp`` call over its disjoint union.  Each
+table is the one ``build_metric`` gives the graph alone, bit for bit, so
+records do not depend on how trials are batched.
 
 ``tau_profiles`` computes the growth profiles of many centres at once, one
 row per centre; ``tau_profile`` is its one-row view.  The closest-first
@@ -139,7 +138,7 @@ class Partition:
     s_delta: float
 
 
-BATCH_VERTICES = 256  # most vertices per one-pass Dijkstra call of build_metrics
+BATCH_VERTICES = 256  # most vertices per group, one union, of build_metrics
 # Measured on one Xeon core, per connected G(16, 1/2) draw in build_metrics:
 # 170 us in groups of one graph; over 25 draws 96, 88, 87 and 88 us at 128,
 # 256, 512 and no bound; over 100 draws 94, 75, 99 and 93 us (medians of
@@ -155,60 +154,36 @@ def build_metric(wg: WeightedGraph) -> Metric:
 def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
     """The metric of each weighted graph, in input order.
 
-    A graph that ``prune_width`` prunes goes alone through
-    ``_certified_apsp``.  The others are packed, in input order, into groups
-    of at most ``BATCH_VERTICES`` vertices (a larger graph is a group of its
-    own), and each group takes one Dijkstra call over the disjoint union of
-    its graphs (``_one_pass_tables``).  Every table is the graph's own, bit
-    for bit, whatever the grouping.
+    Graphs are packed in input order into groups of at most ``BATCH_VERTICES``
+    vertices (a graph that ``prune_width`` prunes, or a larger one, is a group
+    of its own), and each group takes one ``_certified_apsp`` over its
+    disjoint union.  Graph j's vertices follow those of graphs 0..j-1, so the
+    union's edges stay sorted, and its table is the union's diagonal block j.
     """
-    tables: list[np.ndarray | None] = [None] * len(wgs)
-    groups: list[list[int]] = []
-    size = 0
-    for i, wg in enumerate(wgs):
-        n = wg.graph.n
-        check_vertex_cap(n)
-        if prune_width(n, wg.graph.m) is not None:
-            edges0 = wg.graph.edges - 1
-            dist, _ = _certified_apsp(n, edges0[:, 0], edges0[:, 1], wg.weights)
-            # dijkstra from u and from v may round the same path differently;
-            # the smaller of the two makes the table exactly symmetric
-            tables[i] = np.minimum(dist, dist.T)
-            del dist  # one n x n table fewer while Metric checks the tables
-            continue
-        if not groups or size + n > BATCH_VERTICES:
+    groups, size = [], math.inf  # a full group before the first graph
+    for wg in wgs:
+        n = check_vertex_cap(wg.graph.n)
+        span = n if prune_width(n, wg.graph.m) is None else math.inf  # a pruned graph fills a group
+        if size + span > BATCH_VERTICES:
             groups.append([])
             size = 0
-        groups[-1].append(i)
-        size += n
+        groups[-1].append(wg)
+        size += span
+    tables: list[np.ndarray] = []
     for group in groups:
-        for i, block in zip(group, _one_pass_tables([wgs[i] for i in group])):
-            tables[i] = np.minimum(block, block.T)
+        starts = np.cumsum([0] + [wg.graph.n for wg in group]).tolist()
+        cuts = np.cumsum([0] + [wg.graph.m for wg in group]).tolist()
+        edges = np.concatenate([wg.graph.edges for wg in group])
+        for a, lo, hi in zip(starts, cuts, cuts[1:]):
+            edges[lo:hi] += a - 1  # 0-based union ids: a Python int offset keeps them int32
+        # one graph's weights go in as they are: a copy would be held through the APSP
+        weights = group[0].weights if len(group) == 1 else np.concatenate([wg.weights for wg in group])
+        dist, _ = _certified_apsp(starts[-1], edges[:, 0], edges[:, 1], weights)
+        # dijkstra from u and from v may round the same path differently;
+        # the smaller of the two makes the table exactly symmetric
+        tables += [np.minimum(dist[a:b, a:b], dist[a:b, a:b].T) for a, b in zip(starts, starts[1:])]
+        del dist  # one n x n table fewer while Metric checks the tables
     return [Metric._of_fresh_table(table) for table in tables]
-
-
-def _one_pass_tables(wgs: list[WeightedGraph]) -> list[np.ndarray]:
-    """Raw Dijkstra tables of the graphs, from one call over their disjoint union.
-
-    Graph j's vertices follow those of graphs 0..j-1, so the union's edges
-    stay in lexicographic order, and graph j's table (row s holds the
-    distances from source s) is its diagonal block of the union's rows: the
-    graph's own table, bit for bit (see ``_certified_apsp``).
-
-    Each source initialises a row over the whole union but relaxes only its
-    own graph's arcs, so the work passed to ``_dijkstra_rows`` is the sum of
-    n_j x (arcs_j + N) over the graphs, N the union's vertex count.
-    """
-    sizes = np.array([wg.graph.n for wg in wgs])
-    counts = np.array([wg.graph.m for wg in wgs])
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(starts[-1])
-    edges = np.concatenate([wg.graph.edges for wg in wgs])
-    edges += np.repeat(starts[:-1] - 1, counts).astype(np.int32)[:, None]  # 0-based union ids
-    weights = np.concatenate([wg.weights for wg in wgs])
-    csr = _symmetric_csr(total, edges[:, 0], edges[:, 1], weights)
-    rows = _dijkstra_rows(csr, None, int(sizes @ (2 * counts + total)))
-    return [rows[a:b, a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 CHECK_BLOCK = 1 << 18  # at most this many (source, edge) entries per block of the Bellman check
@@ -232,13 +207,14 @@ def prune_width(n: int, m: int) -> int | None:
 def _certified_apsp(
     n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
-    """Dijkstra from every source on each vertex's lightest edges, certified row by row.
+    """Dijkstra from every source, on each vertex's lightest edges if ``prune_width`` prunes.
 
-    For a graph that ``prune_width`` prunes.  Edges (u[i], v[i]) are 0-based
-    with u < v.  Returns the raw table (row s holds the distances from
-    source s) and, per Dijkstra pass, the number of sources it ran from.
+    Edges (u[i], v[i]) are 0-based with u < v, lexicographically sorted.
+    Returns the raw table (row s holds the distances from source s) and, per
+    Dijkstra pass, the number of sources it ran from.  Unpruned, one pass on
+    all edges drops nothing, so nothing needs a certificate.
 
-    The first pass keeps only the edges among the k = ``prune_width(n, m)``
+    Pruned, the first pass keeps only the edges among the k = ``prune_width``
     lightest at either endpoint; under exponential weights shortest paths use
     only O(log n) such edges per vertex (Janson 1999).  A row passes its
     certificate when both arcs of every dropped edge (x, y) meet the Bellman
@@ -258,27 +234,27 @@ def _certified_apsp(
     where ecc(x) is the largest finite d(s, x) over the rows being
     certified, then in each row either both ends are infinite, or
     fl(d(s, x) + w) >= w >= ecc(y) >= d(s, y).  Only the edges the screen
-    lets through are checked row by row, in column blocks of at most
-    ``CHECK_BLOCK`` entries.  The edges that fail in some row are added
-    back, and Dijkstra reruns from the failing sources only.  Those rows are
-    certified again against every edge that is still dropped, with the
-    screen rebuilt from the new components and their own eccentricities,
-    until no row fails.  Each pass keeps more edges, so this ends.
+    lets through are checked row by row (``_bellman_failures``).  The edges
+    that fail in some row are added back, and Dijkstra reruns from the
+    failing sources only.  Those rows are certified again against every
+    edge still dropped, with the screen rebuilt from the new components and
+    their own eccentricities, until no row fails.  Each pass keeps more
+    edges, so this ends.
 
-    Each pass runs directed Dijkstra (``_dijkstra_rows``, which may split the
-    sources over processes) on a CSR that holds both arcs of every kept
-    edge, which relaxes the same arcs as undirected Dijkstra, possibly in
-    another order; since the row meeting the Bellman equations is unique,
-    the order cannot change a value, and the table is the same bit for bit.
-    The same holds for the graphs that ``build_metrics`` runs in one call
-    over their disjoint union: a source reaches only its own component, so
-    its row, read on its own graph's vertices, meets that graph's Bellman
-    equations and is that graph's own row, bit for bit.
+    Each pass runs directed Dijkstra (``_dijkstra_rows``) on a CSR holding
+    both arcs of every kept edge: the arcs of undirected Dijkstra, maybe in
+    another order, which cannot change a value, since the row meeting the
+    Bellman equations is unique.  On a disjoint union from ``build_metrics``
+    a source reaches only its own graph, so its row there meets that graph's
+    Bellman equations: it is the graph's own row, bit for bit.  A union of
+    graphs that do not prune does not prune either: each has m_j <= 3 k(n_j)
+    n_j <= 3 k(N) n_j, so m <= 3 k(N) N.
     """
     k = prune_width(n, len(w))
+    if k is None:
+        return _dijkstra_rows(_symmetric_csr(n, u, v, w), None), [n]
     table = np.full((n, n), np.inf)
-    table[u, v] = w
-    table[v, u] = w
+    table[u, v] = table[v, u] = w
     table.partition(k - 1, axis=1)
     kth = table[:, k - 1]  # inf where a vertex has fewer than k edges
     del table
@@ -308,7 +284,7 @@ def _certified_apsp(
         sources = sources[failed_rows]
 
 
-SPLIT_WORK = 1 << 20  # Dijkstra work, sources x (arcs + n), worth one more process
+SPLIT_WORK = 1 << 20  # Dijkstra work, about sources x (arcs + n), worth one more process
 
 
 def usable_cpus() -> int:
@@ -327,9 +303,7 @@ def _may_fork() -> bool:
     )
 
 
-def _dijkstra_rows(
-    csr: csr_matrix, sources: np.ndarray | None, work: int | None = None
-) -> np.ndarray:
+def _dijkstra_rows(csr: csr_matrix, sources: np.ndarray | None) -> np.ndarray:
     """Rows of scipy's directed Dijkstra on ``csr`` from each of ``sources`` (None: every vertex).
 
     Dijkstra runs from each source on its own, and scipy holds the GIL
@@ -338,22 +312,26 @@ def _dijkstra_rows(
     each of the others, and every block lands in one anonymous shared table.
     Each row is still scipy's row from that source, bit for bit.
 
-    The part count is min(usable CPUs, work // ``SPLIT_WORK``, sources), with
-    work = sources x (arcs + n) unless the caller passes it (a disjoint union
-    relaxes only each source's own block).  On two Xeon cores, fork and wait
-    took 4.4 ms in a 92 MB process, and ``SPLIT_WORK`` is about 28 ms of
-    Dijkstra there: two parts took 41.8 against 56.6 ms on 120 sources of the
-    pruned K_1000, and 271 against 480 ms on all 1000.  Forking is skipped off Linux, with a
-    second Python thread alive (OpenBLAS parks its own pool around a fork),
-    and in a ``multiprocessing`` child.  Every child is reaped before this
-    returns or raises, and RuntimeError reports a child that failed.
+    The part count is min(usable CPUs, work // ``SPLIT_WORK``, sources).  A
+    source fills a row of n but relaxes only its own component's arcs, so
+    work sums (component arcs + n) over the sources.  It is counted only once
+    sources x (arcs + n), its value on a connected graph, reaches twice
+    ``SPLIT_WORK``: ten disjoint K_45 count 1.09 million, not 9.1, and stay in
+    one process.  On two Xeon cores, fork and wait took 4.4 ms in a 92 MB
+    process, and ``SPLIT_WORK`` is about 28 ms of Dijkstra there: two parts
+    took 41.8 against 56.6 ms on 120 sources of the pruned K_1000, and 271
+    against 480 ms on all 1000.  Forking is skipped off Linux, with a second
+    Python thread alive (OpenBLAS parks its own pool around a fork), and in a
+    ``multiprocessing`` child.  Every child is reaped before this returns or
+    raises, and RuntimeError reports a child that failed.
     """
     n = csr.shape[0]
     count = n if sources is None else len(sources)
-    if work is None:
-        work = count * (csr.nnz + n)
     parts = 1
-    if work >= 2 * SPLIT_WORK and _may_fork():
+    if count * (csr.nnz + n) >= 2 * SPLIT_WORK and _may_fork():
+        _, comp = connected_components(csr, directed=False)
+        arcs = np.bincount(comp, np.diff(csr.indptr))  # arcs per component
+        work = int(arcs[comp if sources is None else comp[sources]].sum()) + count * n
         parts = min(usable_cpus(), work // SPLIT_WORK, count)
     if parts < 2:
         return dijkstra(csr, directed=True, indices=sources)

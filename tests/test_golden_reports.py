@@ -63,6 +63,11 @@ CASES = {
         structure_checks=("cluster", "chi"), delta_fractions=(0.0, 0.3),
     ),
     "tau-er-k3-k7": dict(suite="tau", model="er", n=7, p=0.7, trials=20, seed=119, tau_ks=(3, 7)),
+    # K_60 and K_50 prune their edges: their metrics come through the certified path
+    "two-opt-complete-pruned": dict(suite="two-opt", model="complete", n=60, trials=4, seed=121),
+    "ratio-kmedian-complete-pruned": dict(
+        suite="ratio", kind="kmedian", model="complete", n=50, k=2, trials=4, seed=122
+    ),
 }
 
 # case -> (sha256 of to_csv(), sha256 of to_json())
@@ -89,6 +94,8 @@ CASES = {
 # lines too: dropping their new tau_k-cdf-bracket checks (all passing) gives
 # the earlier CSV and JSON.  tau-er-k3-k7 replaces the two cdf cases: it is
 # cdf-er's config run as tau, with cdf-er's tau_k values and bracket details.
+# The two -pruned cases were captured before small and pruned graphs shared
+# one shortest-path route; they pin reports whose metrics are certified.
 DIGESTS = {
     "concentration-er": (
         "40b691c4692e61c9209ec1f6a6996481294ac3d91425ed1178aee01b991f0f0c",
@@ -113,6 +120,10 @@ DIGESTS = {
     "ratio-kmedian-complete": (
         "ed338a0d77b57db72c9c0692409b77004dc197f2dcfff943fa57834823022702",
         "f15141e047013b4f423c51639ff2a9da4cab47cd8c05e8d9ed73774f52313299",
+    ),
+    "ratio-kmedian-complete-pruned": (
+        "d283d25cd97977937ac13030bdcb55aa5f0c0da52e6b27d19ac06f045e5cc87b",
+        "bc669b5fbe2af6e6e44c2e33ee91d4509c12a2e888dd42b4e0344159e77b6706",
     ),
     "ratio-kmedian-er": (
         "092543bbcf98f93a842b95f791bca4f292d0798bd78fcb6237751d6b6f86c48a",
@@ -161,6 +172,10 @@ DIGESTS = {
     "two-opt-complete": (
         "c1aa358618c45f397e14a7c57fb1814706f56d0656e6904ca7c103d0bca4b22b",
         "459c0230e6878f74c6395f1d6954a4bf8f3f5baddf601add9e13ce39b9a00ed6",
+    ),
+    "two-opt-complete-pruned": (
+        "e237fcb7b6f0b07c152eb0a2123d60287a8905fbbd22d286aa9756556c7302c9",
+        "03cdb21b27b1544ddc837825f1b9f22aa4d192e78df4df265d2579f04a2e18c5",
     ),
     # trial 6 turns locally_optimal 0 -> 1: a tie exchange (delta -2.2e-16)
     # whose tour is not strictly cheaper no longer counts as improving

@@ -22,6 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rspmetric import (
     DisconnectedGraphError,
@@ -60,10 +62,10 @@ from rspmetric import lab, metric as metric_module
 from rspmetric.graphs import CUT_PARAMETER_CAP, _split_bit_rows
 from rspmetric.heuristics import Tour
 from rspmetric.metric import (
+    BATCH_VERTICES,
     PROFILE_BLOCK,
     _certified_apsp,
     _dijkstra_rows,
-    _one_pass_tables,
     _symmetric_csr,
     prune_width,
     usable_cpus,
@@ -293,8 +295,6 @@ def test_tables_match_with_tied_integer_weights():
 def _raw_tables(wg):
     """The table build_metric symmetrises, its sources per Dijkstra pass, and the
     whole-graph table: a pruned graph's is certified, another's takes one pass."""
-    if not _pruned(wg.graph):
-        return _one_pass_tables([wg])[0], [wg.graph.n], dijkstra_full(wg)
     edges0 = wg.graph.edges - 1
     got, runs = _certified_apsp(wg.graph.n, edges0[:, 0], edges0[:, 1], wg.weights)
     return got, runs, dijkstra_full(wg)
@@ -318,10 +318,21 @@ def test_the_exact_dp_and_structure_graphs_take_one_pass(graph, monkeypatch):
         calls.append(kwargs)
         return dijkstra(*args, **kwargs)
 
-    monkeypatch.setattr(metric_module, "_certified_apsp", lambda *args: calls.append("certified"))
+    def no_certificate(*args):
+        raise AssertionError("a one-pass table was certified")
+
+    widths = []
+
+    def recording_width(n, m):
+        widths.append(prune_width(n, m))
+        return widths[-1]
+
+    monkeypatch.setattr(metric_module, "prune_width", recording_width)
+    monkeypatch.setattr(metric_module, "_bellman_failures", no_certificate)
     monkeypatch.setattr(metric_module, "dijkstra", recording)
     got = build_metric(wg).dist
     assert calls == [{"directed": True, "indices": None}]  # one pass from every source
+    assert widths and set(widths) == {None}  # no edge partition: every edge is kept
     want = dijkstra_full(wg)
     assert np.array_equal(got, np.minimum(want, want.T))
 
@@ -641,21 +652,23 @@ def test_batched_tables_equal_full_dijkstra(bound, monkeypatch):
 
 @pytest.mark.parametrize(
     "bound, groups",
-    [(1, [[12], [16], [30], [7], [1], [20], [9], [40], [10]]),
-     (17, [[12], [16], [30], [7, 1], [20], [9], [40], [10]]),
-     (256, [[12, 16, 30, 7, 1, 20, 9, 40, 10]])],
+    [(1, [[12], [16], [30], [7], [1], [20], [60], [9], [40], [10]]),
+     (17, [[12], [16], [30], [7, 1], [20], [60], [9], [40], [10]]),
+     (256, [[12, 16, 30, 7, 1, 20], [60], [9, 40, 10]])],
 )
 def test_one_pass_graphs_are_grouped_in_order_up_to_the_bound(bound, groups, monkeypatch):
+    # the vertex count of each union that _certified_apsp gets: the pruned
+    # K_60 is a group of its own at every bound
     seen = []
 
-    def recording(wgs):
-        seen.append([wg.graph.n for wg in wgs])
-        return _one_pass_tables(wgs)
+    def recording(n, u, v, w):
+        seen.append(n)
+        return _certified_apsp(n, u, v, w)
 
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
-    monkeypatch.setattr(metric_module, "_one_pass_tables", recording)
+    monkeypatch.setattr(metric_module, "_certified_apsp", recording)
     build_metrics(mixed_batch())
-    assert seen == groups
+    assert seen == [sum(group) for group in groups]
 
 
 def test_batched_tables_split_over_processes(split):
@@ -676,6 +689,58 @@ def test_a_full_group_of_small_graphs_does_not_fork(monkeypatch):
     assert 245 * (5 * 2 * wgs[0].graph.m + 245) >= 2 * metric_module.SPLIT_WORK
     assert 5 * 49 <= metric_module.BATCH_VERTICES
     assert_same_tables(build_metrics(wgs), wgs)
+
+
+def test_the_split_counts_each_sources_own_component(monkeypatch):
+    # ten disjoint K_45 in one graph, not pruned: sources x (arcs + n) is
+    # 450 x (19,800 + 450) = 9.1 million, past 2 * SPLIT_WORK, but each source
+    # relaxes only its own K_45: 450 x 450 + 450 x 1,980 = 1.09 million
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    clique = complete_graph(45).edges
+    graph = Graph(450, np.concatenate([clique + 45 * i for i in range(10)]))
+    assert not _pruned(graph) and graph.m == 9900
+    assert 450 * (2 * graph.m + 450) >= 2 * metric_module.SPLIT_WORK
+    assert 450 * 450 + 450 * 2 * complete_graph(45).m < 2 * metric_module.SPLIT_WORK
+    wg = draw_weights(graph, Seed(45))
+    want = dijkstra_full(wg)
+    assert np.array_equal(build_metric(wg).dist, np.minimum(want, want.T))
+
+
+@st.composite
+def small_weighted_graphs(draw):
+    """A complete graph, a G(n, p) draw or two disjoint cliques, on 1 to 70 vertices."""
+    n = draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(["complete", "er", "two cliques"]))
+    seed = draw(st.integers(0, 1 << 32))
+    if kind == "er":
+        graph = generate_erdos_renyi(n, draw(st.sampled_from([0.02, 0.1, 0.3, 0.7])), Seed(seed))
+    elif kind == "two cliques" and n >= 2:
+        a = draw(st.integers(1, n - 1))
+        graph = Graph(n, np.concatenate([complete_graph(a).edges, complete_graph(n - a).edges + a]))
+    else:
+        graph = complete_graph(n)
+    return draw_weights(graph, Seed(seed + 1))
+
+
+PRUNED_CLIQUES = [n for n in range(50, 71) if _pruned(complete_graph(n))]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.lists(small_weighted_graphs(), max_size=8),
+    st.sampled_from(PRUNED_CLIQUES),
+    st.integers(0, 8),
+    st.integers(0, 1 << 32),
+)
+def test_build_metrics_equals_full_dijkstra_at_any_batch_bound(wgs, n, at, seed):
+    wgs.insert(at, draw_weights(complete_graph(n), Seed(seed)))  # at least one pruned graph
+    try:
+        for bound in (1, 17, 64, 256):
+            metric_module.BATCH_VERTICES = bound
+            assert_same_tables(build_metrics(wgs), wgs)
+    finally:
+        metric_module.BATCH_VERTICES = BATCH_VERTICES
 
 
 # -- exact cut parameters ---------------------------------------------------------
