@@ -17,6 +17,7 @@ from .bounds import (
     evaluate,
     exp_sum_cdf,
     harmonic,
+    pair_distance_bounds,
     sm_tail,
     tau_cdf_bounds,
     tau_expectation_bounds,

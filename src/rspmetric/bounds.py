@@ -9,9 +9,12 @@ and is logged.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NTooSmallError, ParameterOutOfRangeError
 
@@ -36,12 +39,10 @@ def density_threshold(delta: float, n: int, alpha: float) -> float:
 
 
 def _clamp01(value: float, formula_id: str) -> float:
+    # every clamped formula is a power or an exponential, so value >= 0
     if value > 1.0:
         log.info("%s evaluated to %.6g; clamped to 1 (vacuous regime)", formula_id, value)
         return 1.0
-    if value < 0.0:
-        log.info("%s evaluated to %.6g; clamped to 0", formula_id, value)
-        return 0.0
     return value
 
 
@@ -75,36 +76,47 @@ def exp_sum_cdf(c: float, n: int, a: float) -> float:
     return (-math.expm1(-c * a)) ** n
 
 
+def _check_growth(n: int, k: int, alpha: float, beta: float) -> None:
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    if not 0 < alpha <= beta <= 1:
+        raise ValueError("need 0 < alpha <= beta <= 1")
+
+
 def tau_expectation_bounds(n: int, k: int, alpha: float, beta: float) -> tuple[float, float]:
     """Bracket on the expected distance to the k-th closest vertex.
 
     (H_{k-1} + H_{n-1} - H_{n-k}) / (beta n) below, the same over alpha above.
     """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if not 0 < alpha <= beta <= 1:
-        raise ValueError("need 0 < alpha <= beta <= 1")
+    _check_growth(n, k, alpha, beta)
     num = harmonic(k - 1) + harmonic(n - 1) - harmonic(n - k)
     return (num / (beta * n), num / (alpha * n))
 
 
-def tau_cdf_bounds(x: float, n: int, k: int, alpha: float, beta: float) -> tuple[float, float]:
-    """Pointwise bracket on P(tau_k(v) <= x).
+def pair_distance_bounds(n: int, alpha: float, beta: float) -> tuple[float, float]:
+    """Bracket on the mean distance of two vertices: H_{n-1} / (beta (n-1)), or over alpha."""
+    _check_growth(n, 2, alpha, beta)  # a pair needs n >= 2
+    h = harmonic(n - 1)
+    return (h / (beta * (n - 1)), h / (alpha * (n - 1)))
 
-    Lower bound is the better of the two known bounds at each point:
-    (1 - e^{-alpha(n-k)x})^{k-1} and (1 - e^{-alpha n x / 4})^n.  Upper bound
-    is (1 - e^{-beta n x})^{k-1}.
+
+def tau_cdf_bounds(x: float | np.ndarray, n: int, k: int, alpha: float, beta: float) -> tuple:
+    """Pointwise bracket on P(tau_k(v) <= x), at a float x or at each entry of an array x.
+
+    Lower bound is the better of (1 - e^{-alpha(n-k)x})^{k-1} and
+    (1 - e^{-alpha n x / 4})^n; upper bound is (1 - e^{-beta n x})^{k-1}.
+    A float runs the same array code, so entry i of an array call is the call at x[i].
     """
-    if not x >= 0:
+    xs = np.array(x, dtype=np.float64, ndmin=1)
+    if not (xs >= 0).all():
         raise ValueError("x must be nonnegative")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if not 0 < alpha <= beta <= 1:
-        raise ValueError("need 0 < alpha <= beta <= 1")
-    lower_a = (-math.expm1(-alpha * (n - k) * x)) ** (k - 1)
-    lower_b = (-math.expm1(-alpha * n * x / 4.0)) ** n
-    upper = (-math.expm1(-beta * n * x)) ** (k - 1)
-    return (max(lower_a, lower_b), upper)
+    _check_growth(n, k, alpha, beta)
+    # silent as Python floats: a huge x overflows to inf (e^-inf = 0), 0 * inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.maximum((-np.expm1(-alpha * (n - k) * xs)) ** (k - 1),
+                           (-np.expm1(-alpha * n * xs / 4.0)) ** n)
+        upper = (-np.expm1(-beta * n * xs)) ** (k - 1)
+    return (lower, upper) if np.ndim(x) else (float(lower[0]), float(upper[0]))
 
 
 def diameter_tail(c: float, n: int) -> float:
@@ -157,17 +169,17 @@ class BoundValue:
     inputs: dict
 
 
-_INT_PARAMS = {"n", "k"}
-
-FORMULAS: dict[str, tuple] = {
-    "harmonic": (harmonic, ("n",)),
-    "exp-sum-cdf": (exp_sum_cdf, ("c", "n", "a")),
-    "tau-expectation": (tau_expectation_bounds, ("n", "k", "alpha", "beta")),
-    "tau-cdf": (tau_cdf_bounds, ("x", "n", "k", "alpha", "beta")),
-    "diameter-tail": (diameter_tail, ("c", "n")),
-    "ball-tail": (ball_tail, ("delta", "n", "alpha")),
-    "cluster-scale": (cluster_scale, ("delta", "n", "alpha")),
-    "sm-tail": (sm_tail, ("phi", "c", "n")),
+# formula id -> function; ``evaluate`` takes the parameter names, in order, from
+# the signature, and an ``int`` annotation marks a count
+FORMULAS = {
+    "harmonic": harmonic,
+    "exp-sum-cdf": exp_sum_cdf,
+    "tau-expectation": tau_expectation_bounds,
+    "tau-cdf": tau_cdf_bounds,
+    "diameter-tail": diameter_tail,
+    "ball-tail": ball_tail,
+    "cluster-scale": cluster_scale,
+    "sm-tail": sm_tail,
 }
 
 
@@ -175,19 +187,19 @@ def evaluate(formula_id: str, **params) -> BoundValue:
     """Evaluate a formula by identifier; used by the CLI."""
     if formula_id not in FORMULAS:
         raise ValueError(f"unknown formula {formula_id!r}; know {sorted(FORMULAS)}")
-    fn, names = FORMULAS[formula_id]
-    missing = [p for p in names if p not in params]
-    extra = [p for p in params if p not in names]
+    signature = inspect.signature(FORMULAS[formula_id], eval_str=True).parameters
+    missing = [p for p in signature if p not in params]
+    extra = [p for p in params if p not in signature]
     if missing or extra:
-        raise ValueError(f"{formula_id} takes {names}; missing {missing}, extra {extra}")
-    args = {p: int(params[p]) if p in _INT_PARAMS else float(params[p]) for p in names}
+        raise ValueError(f"{formula_id} takes {tuple(signature)}; missing {missing}, extra {extra}")
+    args = {p: (int if q.annotation is int else float)(params[p]) for p, q in signature.items()}
     for p, x in args.items():
-        if p in _INT_PARAMS and x < 1:
+        if isinstance(x, int) and x < 1:
             raise ValueError(f"{formula_id}: {p}={x} must be >= 1")
-        if p not in _INT_PARAMS and not math.isfinite(x):  # inputs are echoed as strict JSON
+        if isinstance(x, float) and not math.isfinite(x):  # inputs are echoed as strict JSON
             raise ValueError(f"{formula_id}: {p}={x} must be finite")
     try:
-        value = fn(**args)
+        value = FORMULAS[formula_id](**args)
     except OverflowError as exc:  # an integer parameter beyond the float range
         raise ValueError(f"{formula_id}: a parameter is out of float range ({exc})") from exc
     if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):

@@ -186,12 +186,8 @@ def _cmd_bounds(args) -> int:
             key, _, value = pair.partition("=")
             params[key.strip()] = value.strip()
     result = bounds_mod.evaluate(args.formula, **params)
-    print(
-        json.dumps(
-            {"formula": result.formula_id, "inputs": result.inputs, "value": result.value},
-            sort_keys=True,
-        )
-    )
+    print(json.dumps({"formula": result.formula_id, "inputs": result.inputs,
+                      "value": result.value}, sort_keys=True))
     return 0
 
 

@@ -29,12 +29,13 @@ from .rng import Seed, UniformStream
 CUT_PARAMETER_CAP = 24
 # Hard ceiling on n wherever an n x n table or all n(n-1)/2 pairs are built.
 # At 2048 on Xeon cores, with one process per step:
-# generate_erdos_renyi(2048, 1.0) then is_connected peaked at 442 MB RSS in
-# 3-3.6 s on one core.  complete_graph then build_metric peaked at 225 MB in
-# 2.8-3.3 s on one core (taskset -c 0) and in 1.7-2.6 s on two, where its
-# first Dijkstra pass forks one child.  The child's peak RSS is 189 MB; all but
-# about 18 MB of it (its half of the rows) are the parent's pages, shared
-# copy-on-write.
+# generate_erdos_renyi(2048, 1.0) then is_connected peaked at 232 MB RSS in
+# 0.4-0.5 s on one core (is_connected answers K_n from its edge count; its
+# search took 1.8-2.2 s and raised the peak to 442 MB).  complete_graph then
+# build_metric peaked at 225 MB in 3.2-3.5 s on one core (taskset -c 0) and
+# in 2.0-2.5 s on two, where its first Dijkstra pass forks one child.  The
+# child's peak RSS is 189 MB; all but about 18 MB of it (its half of the rows)
+# are the parent's pages, shared copy-on-write.
 VERTEX_CAP = 2048
 
 
@@ -225,6 +226,8 @@ def draw_weights(graph: Graph, seed: Seed) -> WeightedGraph:
 
 
 def is_connected(graph: Graph) -> bool:
+    if graph.m == graph.n * (graph.n - 1) // 2:  # K_n, the test of cut_parameters_exact
+        return True
     adj: list[list[int]] = [[] for _ in range(graph.n + 1)]
     for u, v in graph.edges.tolist():
         adj[u].append(v)

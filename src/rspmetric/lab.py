@@ -666,11 +666,9 @@ def _tau_checks(config, ctx, records, summaries):
     tau_k leaves the pointwise bracket on P(tau_k <= x) by at most the DKW slack.
     """
     n, alpha, beta = config.n, ctx.cut.alpha, ctx.cut.beta
-    brackets = [
-        (f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta)) for k in _tau_ks(config)
-    ]
-    h = bounds.harmonic(n - 1)
-    brackets.append(("pair_dist", (h / (beta * (n - 1)), h / (alpha * (n - 1)))))
+    brackets = [(f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta))
+                for k in _tau_ks(config)]
+    brackets.append(("pair_dist", bounds.pair_distance_bounds(n, alpha, beta)))
     checks = []
     for col, (lo, hi) in brackets:
         s = summaries[col]
@@ -682,8 +680,7 @@ def _tau_checks(config, ctx, records, summaries):
     slack = _dkw_slack(len(records))
     for k in _tau_ks(config):
         samples = np.sort([r.values[f"tau_{k}"] for r in records])
-        lo, hi = np.array([bounds.tau_cdf_bounds(x, n, k, alpha, beta)
-                           for x in samples.tolist()]).T
+        lo, hi = bounds.tau_cdf_bounds(samples, n, k, alpha, beta)
         lo[samples <= 0] = 0.0  # P(tau_k <= x) = 0 left of 0, even where lo(0) = 1
         breach = _band_breach(samples, lo, hi)
         checks.append(CheckResult(

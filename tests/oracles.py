@@ -11,9 +11,11 @@ over every subset holding vertex 1, with the same float division.
 Likewise the loop versions at the end are the references of the library's
 whole-array kernels (full-graph Dijkstra, tau profiles, greedy matching,
 nearest neighbour, insertion, 2-opt and the clustering): same arithmetic, summation order and tie rules, one
-element at a time.  Last come the references of the graph and metric file
+element at a time.  Then come the references of the graph and metric file
 readers and of the metric writer: ``int()``, ``float()`` and ``format`` one
-line or one entry at a time.
+line or one entry at a time.  Last, the `tau` suite's checks with each
+bracket written out and the CDF bracket evaluated one sample at a time in
+``math``, the reference of the array form in ``bounds``.
 """
 
 import itertools
@@ -478,3 +480,47 @@ def write_metric_lines(path, metric):
         rows.append(" ".join("inf" if math.isinf(x) else f"{x:.17g}" for x in metric.dist[i]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
+
+
+# -- the tau suite's brackets, one sample at a time -------------------------------
+
+
+def tau_cdf_bounds_math(x, n, k, alpha, beta):
+    """The pointwise bracket on P(tau_k <= x) at one float, in ``math`` arithmetic."""
+    lower_a = (-math.expm1(-alpha * (n - k) * x)) ** (k - 1)
+    lower_b = (-math.expm1(-alpha * n * x / 4.0)) ** n
+    upper = (-math.expm1(-beta * n * x)) ** (k - 1)
+    return (max(lower_a, lower_b), upper)
+
+
+def tau_checks_loop(config, ctx, records, summaries):
+    """The checks of the `tau` suite with every bracket written out: the pair
+    bracket H_{n-1}/(beta(n-1)) inline and the CDF bracket per sample in ``math``."""
+    from rspmetric import bounds, lab
+
+    n, alpha, beta = config.n, ctx.cut.alpha, ctx.cut.beta
+    ks = lab._tau_ks(config)
+    brackets = [(f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta)) for k in ks]
+    h = bounds.harmonic(n - 1)
+    brackets.append(("pair_dist", (h / (beta * (n - 1)), h / (alpha * (n - 1)))))
+    checks = []
+    for col, (lo, hi) in brackets:
+        s = summaries[col]
+        checks.append(lab.CheckResult(
+            name=f"{col}-bracket",
+            passed=lo <= s.ci_high and hi >= s.ci_low,
+            detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{s.ci_low:.6g}; {s.ci_high:.6g}]",
+        ))
+    slack = lab._dkw_slack(len(records))
+    for k in ks:
+        samples = sorted(r.values[f"tau_{k}"] for r in records)
+        band = [tau_cdf_bounds_math(x, n, k, alpha, beta) for x in samples]
+        lo = np.array([0.0 if x <= 0 else low for x, (low, _) in zip(samples, band)])
+        hi = np.array([high for _, high in band])
+        breach = lab._band_breach(np.array(samples), lo, hi)
+        checks.append(lab.CheckResult(
+            name=f"tau_{k}-cdf-bracket",
+            passed=breach <= slack,
+            detail=f"max bracket breach {breach:.5f} (DKW slack {slack:.5f})",
+        ))
+    return checks

@@ -1,4 +1,6 @@
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from rspmetric import (
     evaluate,
     exp_sum_cdf,
     harmonic,
+    pair_distance_bounds,
     sm_tail,
     tau_cdf_bounds,
     tau_expectation_bounds,
 )
-from rspmetric.bounds import HARMONIC_DIRECT_BELOW
+from rspmetric.bounds import FORMULAS, HARMONIC_DIRECT_BELOW
+
+from oracles import tau_cdf_bounds_math
 
 
 # -- harmonic -----------------------------------------------------------------
@@ -117,6 +122,76 @@ def test_tau_cdf_lower_never_exceeds_upper():
                     assert 0.0 <= lo <= hi <= 1.0
 
 
+# x = 0, the least subnormal and a huge x whose rates overflow to inf, at (n, k,
+# alpha, beta, expected bracket at each x); the values are those of math arithmetic
+EXTREME_X = (0.0, 5e-324, 1e308)
+EXTREME_CASES = [
+    ((10, 5, 0.5, 1.0), [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]),
+    ((10, 1, 0.5, 1.0), [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]),
+    ((10, 10, 0.5, 1.0), [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]),
+    ((2, 2, 1.0, 1.0), [(0.0, 0.0), (0.0, 1e-323), (1.0, 1.0)]),
+]
+
+
+@pytest.mark.parametrize("params, expected", EXTREME_CASES)
+def test_tau_cdf_bounds_at_extreme_x_warn_of_nothing(params, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, pair in zip(EXTREME_X, expected):
+            assert tau_cdf_bounds(x, *params) == pair
+            assert tau_cdf_bounds_math(x, *params) == pair
+        lo, hi = tau_cdf_bounds(np.array(EXTREME_X), *params)
+    assert list(zip(lo.tolist(), hi.tolist())) == expected
+
+
+def test_tau_cdf_bounds_of_an_array_are_its_scalar_calls():
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 12, 40, 200):
+        x = np.concatenate([EXTREME_X, rng.exponential(2 * math.log(n) / n, 300)])
+        for k in sorted({1, 2, n // 2, n}):
+            for alpha, beta in ((0.3, 0.9), (0.5, 0.5), (1.0, 1.0)):
+                lo, hi = tau_cdf_bounds(x, n, k, alpha, beta)
+                assert lo.shape == hi.shape == x.shape
+                for i, xi in enumerate(x.tolist()):
+                    pair = tau_cdf_bounds(xi, n, k, alpha, beta)
+                    assert type(pair[0]) is type(pair[1]) is float
+                    assert pair == (lo[i], hi[i])
+                    # numpy's expm1 and power may round apart from math's in the last digits
+                    assert pair == pytest.approx(tau_cdf_bounds_math(xi, n, k, alpha, beta),
+                                                 rel=1e-12, abs=1e-300)
+
+
+def test_tau_cdf_bounds_check_every_entry():
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            tau_cdf_bounds(np.array([0.0, 1.0, bad]), 10, 5, 0.5, 1.0)
+    for n, k, alpha, beta in ((10, 0, 0.5, 1.0), (10, 11, 0.5, 1.0), (10, 5, 0.9, 0.5),
+                              (10, 5, 0.0, 1.0), (10, 5, 0.5, math.nan)):
+        with pytest.raises(ValueError, match="need"):
+            tau_cdf_bounds(np.ones(3), n, k, alpha, beta)
+    lo, hi = tau_cdf_bounds(np.array([]), 10, 5, 0.5, 1.0)
+    assert lo.shape == hi.shape == (0,)
+
+
+# -- pair distance bracket --------------------------------------------------------
+
+
+def test_pair_distance_bounds_examples():
+    assert pair_distance_bounds(2, 1.0, 1.0) == (1.0, 1.0)
+    for n, alpha, beta in ((5, 0.5, 1.0), (12, 1.0, 1.0), (16, 0.2667, 0.75), (2048, 0.9, 1.0)):
+        h = harmonic(n - 1)
+        assert pair_distance_bounds(n, alpha, beta) == (h / (beta * (n - 1)), h / (alpha * (n - 1)))
+    lo, hi = pair_distance_bounds(5, 0.5, 1.0)
+    assert lo == pytest.approx(25 / 48, abs=1e-15) and hi == pytest.approx(25 / 24, abs=1e-15)
+
+
+def test_pair_distance_bounds_validate():
+    for n, alpha, beta in ((1, 1.0, 1.0), (5, 0.9, 0.5), (5, 0.0, 1.0), (5, 0.5, 1.5),
+                           (5, math.nan, 1.0)):
+        with pytest.raises(ValueError, match="need"):
+            pair_distance_bounds(n, alpha, beta)
+
+
 # -- tail bounds ----------------------------------------------------------------
 
 
@@ -214,6 +289,22 @@ def test_evaluate_rejects_values_beyond_the_float_range():
 def test_evaluate_checks_its_inputs(formula, params, name):
     with pytest.raises(ValueError, match=f"{formula}: {name}="):
         evaluate(formula, **params)
+
+
+def test_evaluate_reads_each_formulas_signature():
+    for formula_id, fn in FORMULAS.items():
+        names = tuple(inspect.signature(fn).parameters)
+        with pytest.raises(ValueError) as info:
+            evaluate(formula_id)
+        assert str(info.value) == f"{formula_id} takes {names}; missing {list(names)}, extra []"
+    out = evaluate("tau-cdf", x="1e308", n="10", k="5", alpha="0.5", beta="1")
+    assert out.value == (1.0, 1.0)
+    assert out.inputs == {"x": 1e308, "n": 10, "k": 5, "alpha": 0.5, "beta": 1.0}
+    assert [type(v) for v in out.inputs.values()] == [float, int, int, float, float]
+    with pytest.raises(ValueError, match="tau-cdf: k=0 must be >= 1"):
+        evaluate("tau-cdf", x="1", n="10", k="0", alpha="0.5", beta="1")
+    with pytest.raises(ValueError, match="sm-tail: c=inf must be finite"):
+        evaluate("sm-tail", phi="0.5", c="inf", n="10")
 
 
 def test_evaluate_rejects_bad_requests():

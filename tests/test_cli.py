@@ -313,6 +313,16 @@ def test_bounds_eval(capsys):
     assert payload["value"] == pytest.approx(25 / 12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bounds_eval_tau_cdf_at_a_huge_x_is_one_silent_json_line(capsys):
+    # its rates overflow to inf, which must not surface as a numpy warning
+    code, out, err = run_cli(capsys, "bounds", "eval", "tau-cdf",
+                             "--params", "x=1e308,n=10,k=5,alpha=0.5,beta=1")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
+    assert strict_json(out)["value"] == [1.0, 1.0]
+
+
 def test_bounds_eval_harmonic_huge_n_returns_promptly():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))

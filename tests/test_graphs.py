@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -192,6 +193,23 @@ def test_path_and_star_match_oracle():
         assert (lo, hi) == expected
         assert cut.alpha == pytest.approx(float(lo), abs=1e-15)
         assert cut.beta == pytest.approx(float(hi), abs=1e-15)
+
+
+def test_is_connected_takes_a_complete_graph_at_its_edge_count():
+    # n(n-1)/2 edges, the most a simple graph has, is K_n: no search is built
+    graph = complete_graph(1500)
+    tracemalloc.start()
+    try:
+        assert is_connected(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert all(is_connected(complete_graph(n)) for n in (1, 2, 3, 7))
+    k6 = complete_graph(6).edges
+    assert is_connected(Graph(6, k6[1:]))  # one edge short of K_6: searched
+    assert not is_connected(Graph(6, k6[k6[:, 0] != 1]))  # K_5 on 2..6, vertex 1 alone
+    assert not is_connected(Graph(2, []))
 
 
 def test_cut_parameters_reject_disconnected():

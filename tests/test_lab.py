@@ -21,6 +21,8 @@ from rspmetric import (
 from rspmetric import bounds, lab, metric as metric_module
 from rspmetric.lab import TrialRecord, Z99, make_context, validate_config
 
+import oracles
+
 
 # -- summarize ------------------------------------------------------------------
 
@@ -535,6 +537,21 @@ def test_tau_cdf_bracket_fails_on_a_wrong_band(monkeypatch):
     # the mean brackets may fail on their own, so only the CDF parts are read
     failed = [c.name for c in report.checks if not c.passed and c.name.endswith("-cdf-bracket")]
     assert failed == ["tau_2-cdf-bracket", "tau_4-cdf-bracket", "tau_8-cdf-bracket"]
+
+
+@pytest.mark.parametrize("model, n, p", [("complete", 12, 1.0), ("complete", 30, 1.0),
+                                         ("er", 16, 0.5), ("er", 20, 0.3)])
+def test_tau_checks_equal_the_per_sample_oracle(model, n, p):
+    # the array brackets of bounds give the same verdicts and details, to the
+    # last printed digit, as the brackets written out one sample at a time
+    for seed in range(20):
+        cfg = ExperimentConfig(suite="tau", model=model, n=n, p=p, trials=60, seed=seed,
+                               tau_ks=(1, 2, n // 2, n))
+        report = run_suite(cfg)
+        expected = oracles.tau_checks_loop(cfg, make_context(cfg), report.records,
+                                           report.summaries)
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == \
+            [(c.name, c.passed, c.detail) for c in expected]
 
 
 def test_band_breach_is_exact_with_ties():
