@@ -111,10 +111,12 @@ def tau_cdf_bounds(x: float | np.ndarray, n: int, k: int, alpha: float, beta: fl
     if not (xs >= 0).all():
         raise ValueError("x must be nonnegative")
     _check_growth(n, k, alpha, beta)
-    # silent as Python floats: a huge x overflows to inf (e^-inf = 0), 0 * inf is NaN
+    # silent as Python floats: a huge x overflows to inf (e^-inf = 0), 0 * inf is NaN.
+    # Only the first term's zero rate (k = n) meets x = inf: fmax then takes the
+    # second term, which is 1 there.
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = np.maximum((-np.expm1(-alpha * (n - k) * xs)) ** (k - 1),
-                           (-np.expm1(-alpha * n * xs / 4.0)) ** n)
+        lower = np.fmax((-np.expm1(-alpha * (n - k) * xs)) ** (k - 1),
+                        (-np.expm1(-alpha * n * xs / 4.0)) ** n)
         upper = (-np.expm1(-beta * n * xs)) ** (k - 1)
     return (lower, upper) if np.ndim(x) else (float(lower[0]), float(upper[0]))
 

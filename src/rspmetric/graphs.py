@@ -28,14 +28,14 @@ from .rng import Seed, UniformStream
 # 19 MB of extra resident memory on one Xeon core.
 CUT_PARAMETER_CAP = 24
 # Hard ceiling on n wherever an n x n table or all n(n-1)/2 pairs are built.
-# At 2048 on Xeon cores, with one process per step:
-# generate_erdos_renyi(2048, 1.0) then is_connected peaked at 232 MB RSS in
-# 0.4-0.5 s on one core (is_connected answers K_n from its edge count; its
-# search took 1.8-2.2 s and raised the peak to 442 MB).  complete_graph then
-# build_metric peaked at 225 MB in 3.2-3.5 s on one core (taskset -c 0) and
-# in 2.0-2.5 s on two, where its first Dijkstra pass forks one child.  The
-# child's peak RSS is 189 MB; all but about 18 MB of it (its half of the rows)
-# are the parent's pages, shared copy-on-write.
+# At 2048 on a 2-core Xeon host, with one process per step:
+# generate_erdos_renyi(2048, 1.0) then is_connected peaked at 170 MB RSS in
+# 0.12-0.21 s (is_connected answers K_n from its edge count; its search took
+# 1.8-2.2 s and raised the peak to 442 MB).  complete_graph then build_metric
+# peaked at 227 MB in 2.0-2.9 s on one core (taskset -c 0) and in 1.5-1.8 s
+# on two, where its first Dijkstra pass forks one child.  The child's peak
+# RSS is 176 MB; all but about 18 MB of it (its half of the rows) are the
+# parent's pages, shared copy-on-write.
 VERTEX_CAP = 2048
 
 
@@ -72,29 +72,44 @@ def check_vertex(v, n: int) -> int:
 
 
 def _normalized_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Validated pairs on 1..n as sorted (u < v) rows, and ``perm``: row i is input pair perm[i]."""
+    """Validated pairs on 1..n as sorted (u < v) int32 rows, and ``perm``: row i is input pair perm[i].
+
+    O(m) passes over the two columns.  Row (u, v) gets the int64 key
+    min(u, v) * (n + 1) + max(u, v), whose order is the rows' lexicographic
+    order; n is at most the int32 maximum, so ids fit int32 and keys stay
+    below 2^62.  Keys that already increase strictly are rows in order with no
+    duplicate, kept in their order with ``perm = arange(m)``; otherwise
+    ``perm`` is the argsort of the keys, unique on valid input.
+    """
     arr = np.asarray(edges)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iuf":
         raise ValueError("edges must be an (m, 2) array of vertex pairs")
-    if not (arr == np.round(arr)).all():
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"n={n} exceeds {np.iinfo(np.int32).max}, the largest int32 vertex id")
+    u, v = arr.T
+    if arr.dtype.kind == "f" and not ((u == np.round(u)).all() and (v == np.round(v)).all()):
         raise ValueError("vertex ids must be integers")
-    loops = np.flatnonzero(arr[:, 0] == arr[:, 1])
-    if len(loops):
-        raise ValueError(f"self-loop at vertex {arr[loops[0], 0]}")
-    outside = np.flatnonzero(((arr < 1) | (arr > n)).any(axis=1))
-    if len(outside):
-        u, v = arr[outside[0]]
-        raise ValueError(f"edge ({u}, {v}) leaves vertex range 1..{n}")
-    arr = arr.astype(np.int32)
-    lo, hi = arr.min(axis=1), arr.max(axis=1)
-    perm = np.lexsort((hi, lo))
-    out = np.column_stack((lo[perm], hi[perm]))
-    dup = np.flatnonzero((out[1:] == out[:-1]).all(axis=1))
+    loops = u == v
+    if loops.any():
+        raise ValueError(f"self-loop at vertex {u[loops.argmax()]}")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if len(lo) and (lo.min() < 1 or hi.max() > n):
+        i = np.flatnonzero((lo < 1) | (hi > n))[0]
+        raise ValueError(f"edge ({u[i]}, {v[i]}) leaves vertex range 1..{n}")
+    lo, hi = lo.astype(np.int32, copy=False), hi.astype(np.int32, copy=False)  # exact in 1..n
+    key = lo.astype(np.int64)
+    key *= n + 1
+    key += hi
+    if (key[1:] > key[:-1]).all():
+        return np.column_stack((lo, hi)), np.arange(len(key))
+    perm = np.argsort(key)
+    key = key[perm]
+    dup = np.flatnonzero(key[1:] == key[:-1])
     if len(dup):
-        raise ValueError(f"duplicate edge {tuple(out[dup[0]].tolist())}")
-    return out, perm
+        raise ValueError(f"duplicate edge {divmod(int(key[dup[0]]), n + 1)}")
+    return np.column_stack((lo[perm], hi[perm])), perm
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +118,7 @@ class Graph:
 
     ``edges`` takes any ``(m, 2)`` array-like of integral vertex pairs and is
     stored as a read-only int32 array of rows (u, v), u < v, in lexicographic
-    order.
+    order; n may be at most 2^31 - 1, the largest int32 id.
     """
 
     n: int
@@ -177,10 +192,23 @@ class CutParameters:
             raise ValueError("cut parameters must satisfy 0 < alpha <= beta <= 1")
 
 
+def _all_pairs(n: int) -> np.ndarray:
+    """The n(n-1)/2 pairs u < v of 1..n as int32 rows in lexicographic order."""
+    size = np.arange(n - 1, 0, -1)  # row u = 1..n-1 holds u's n - u pairs
+    pairs = np.empty((n * (n - 1) // 2, 2), dtype=np.int32)
+    pairs[:, 0] = np.repeat(np.arange(1, n, dtype=np.int32), size)
+    # v counts up by 1 from 2, and falls back from n to u + 1 where row u > 1 starts
+    step = np.ones(len(pairs), dtype=np.int32)
+    step[np.cumsum(size) - size] = np.arange(2, n + 1) - n
+    step[:1] = 2  # row 1 starts from 0
+    np.cumsum(step, out=pairs[:, 1])
+    return pairs
+
+
 def complete_graph(n: int) -> Graph:
     """All n(n-1)/2 edges present."""
     n = check_vertex_cap(n)
-    return Graph(n, np.column_stack(np.triu_indices(n, 1)) + 1)
+    return Graph(n, _all_pairs(n))
 
 
 def path_graph(n: int) -> Graph:
@@ -213,10 +241,8 @@ def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    iu, iv = np.triu_indices(n, 1)
-    u = UniformStream(seed).u01_block(len(iu))
-    keep = u < p
-    return Graph(n, np.column_stack((iu[keep], iv[keep])) + 1)
+    pairs = _all_pairs(n)
+    return Graph(n, pairs[UniformStream(seed).u01_block(len(pairs)) < p])
 
 
 def draw_weights(graph: Graph, seed: Seed) -> WeightedGraph:

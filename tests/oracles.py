@@ -10,11 +10,14 @@ the split bilinear form behind ``cut_parameters_exact``: one XOR per edge
 over every subset holding vertex 1, with the same float division.
 Likewise the loop versions at the end are the references of the library's
 whole-array kernels (full-graph Dijkstra, tau profiles, greedy matching,
-nearest neighbour, insertion, 2-opt and the clustering): same arithmetic, summation order and tie rules, one
-element at a time.  Then come the references of the graph and metric file
-readers and of the metric writer: ``int()``, ``float()`` and ``format`` one
-line or one entry at a time.  Last, the `tau` suite's checks with each
-bracket written out and the CDF bracket evaluated one sample at a time in
+nearest neighbour, insertion, 2-opt and the clustering): same arithmetic,
+summation order and tie rules, one element at a time.
+``normalized_edges_lexsort`` is the reference of the edge validation behind
+``Graph``: row reductions and a lexsort in place of column passes over one
+int64 key.  Then come the references of the graph and metric file readers
+and of the metric writer: ``int()``, ``float()`` and ``format`` one line or
+one entry at a time.  Last, the `tau` suite's checks with each bracket
+written out and the CDF bracket evaluated one sample at a time in
 ``math``, the reference of the array form in ``bounds``.
 """
 
@@ -427,6 +430,38 @@ def cluster_partition_loop(dist, delta, alpha):
         float(dist[np.ix_(cl, cl)].max()) if len(cl) > 1 else 0.0 for cl in clusters
     )
     return tuple(frozenset(x + 1 for x in cl) for cl in clusters), diameters, float(s_delta)
+
+
+# -- edge validation by row reductions and a lexsort --------------------------------
+
+
+def normalized_edges_lexsort(n, edges):
+    """Validated pairs on 1..n as sorted (u < v) int32 rows, and the permutation
+    ``perm`` (row i is input pair perm[i]), by axis-1 reductions over the (m, 2)
+    array and a two-key ``lexsort``: the reference of ``graphs._normalized_edges``
+    for n up to the int32 limit."""
+    arr = np.asarray(edges)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iuf":
+        raise ValueError("edges must be an (m, 2) array of vertex pairs")
+    if not (arr == np.round(arr)).all():
+        raise ValueError("vertex ids must be integers")
+    loops = np.flatnonzero(arr[:, 0] == arr[:, 1])
+    if len(loops):
+        raise ValueError(f"self-loop at vertex {arr[loops[0], 0]}")
+    outside = np.flatnonzero(((arr < 1) | (arr > n)).any(axis=1))
+    if len(outside):
+        u, v = arr[outside[0]]
+        raise ValueError(f"edge ({u}, {v}) leaves vertex range 1..{n}")
+    arr = arr.astype(np.int32)
+    lo, hi = arr.min(axis=1), arr.max(axis=1)
+    perm = np.lexsort((hi, lo))
+    out = np.column_stack((lo[perm], hi[perm]))
+    dup = np.flatnonzero((out[1:] == out[:-1]).all(axis=1))
+    if len(dup):
+        raise ValueError(f"duplicate edge {tuple(out[dup[0]].tolist())}")
+    return out, perm
 
 
 # -- file formats, one line or one float at a time ---------------------------------

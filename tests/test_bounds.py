@@ -144,6 +144,19 @@ def test_tau_cdf_bounds_at_extreme_x_warn_of_nothing(params, expected):
     assert list(zip(lo.tolist(), hi.tolist())) == expected
 
 
+@pytest.mark.parametrize("params", [(10, 10, 0.5, 1.0), (2, 2, 1.0, 1.0), (10, 5, 0.5, 1.0),
+                                    (10, 1, 0.5, 1.0), (1, 1, 1.0, 1.0)])
+def test_tau_cdf_bounds_at_infinity_are_one(params):
+    # with k = n the first lower term has rate 0, and 0 * inf made the lower bound NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tau_cdf_bounds(math.inf, *params) == (1.0, 1.0)
+        x = np.array([0.0, 0.5, math.inf, 3.0])
+        lo, hi = tau_cdf_bounds(x, *params)
+        assert list(zip(lo.tolist(), hi.tolist())) == [tau_cdf_bounds(xi, *params) for xi in x.tolist()]
+    assert (lo[2], hi[2]) == (1.0, 1.0)
+
+
 def test_tau_cdf_bounds_of_an_array_are_its_scalar_calls():
     rng = np.random.default_rng(7)
     for n in (2, 5, 12, 40, 200):

@@ -350,8 +350,11 @@ def test_usage_errors_print_one_error_line(tmp_path, weighted_file, capsys):
     cfg = write_config(tmp_path, suite="tau", n=6)
     commented = tmp_path / "commented.txt"
     commented.write_text("3 1\n1 2 # the only edge\n")  # the graph file has no comments
+    huge = tmp_path / "huge.txt"
+    huge.write_text("3000000000 1\n1 2999999999\n")  # ids beyond int32
     cases = [
         (("metric", "--graph", str(commented)), "'#'"),
+        (("metric", "--graph", str(huge)), "largest int32 vertex id"),
         (("gen", "--model", "er", "--n", "5", "--out", str(tmp_path / "x.txt")), "needs --p"),
         (("heur", "kmedian", "--graph", weighted_file), "needs --k"),
         (("suite", "ratio", "--config", cfg), "suite=tau"),

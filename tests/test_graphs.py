@@ -32,7 +32,8 @@ from rspmetric import (
     sum_lightest_edges,
     write_graph,
 )
-from oracles import cut_parameters_brute
+from rspmetric.graphs import _normalized_edges
+from oracles import cut_parameters_brute, normalized_edges_lexsort
 
 Z99 = 2.5758293035489004
 
@@ -87,6 +88,94 @@ def test_edges_are_a_read_only_int32_array_and_survive_pickling():
     copy = pickle.loads(pickle.dumps(wg))
     assert copy == wg and copy.graph == g
     assert not copy.graph.edges.flags.writeable and not copy.weights.flags.writeable
+
+
+EDGE_DTYPES = [np.int32, np.int64, np.uint16, np.uint64, np.float32, np.float64]
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges): distinct pairs sorted, shuffled or with swapped ends, in one of
+    EDGE_DTYPES, sometimes with a duplicate, a loop, an id out of range, a
+    non-integral id, NaN or inf written into one entry."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    rows = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    order = draw(st.sampled_from(["sorted", "shuffled", "swapped"]))
+    if order == "sorted":
+        rows.sort()
+    elif order == "swapped":
+        rows = [(v, u) if draw(st.booleans()) else (u, v) for u, v in rows]
+    dtype = np.dtype(draw(st.sampled_from(EDGE_DTYPES)))
+    arr = np.array(rows, dtype=np.float64).reshape(-1, 2)
+    flaws = ["none", "duplicate", "loop", "outside"] + (["fraction", "nan", "inf"] if dtype.kind == "f" else [])
+    flaw = draw(st.sampled_from(flaws))
+    if flaw == "duplicate" and len(arr):
+        i = draw(st.integers(0, len(arr) - 1))
+        arr = np.insert(arr, draw(st.integers(0, len(arr))), arr[i][::draw(st.sampled_from([1, -1]))], axis=0)
+    elif flaw == "loop":
+        at = draw(st.integers(0, len(arr)))
+        arr = np.insert(arr, at, draw(st.integers(0, n + 1)), axis=0)
+    elif flaw != "none" and len(arr):
+        outside = [0, n + 1, n + 1000] + ([-1] if dtype.kind != "u" else [])
+        value = {"outside": draw(st.sampled_from(outside)), "fraction": draw(st.integers(1, n)) + 0.5,
+                 "nan": np.nan, "inf": draw(st.sampled_from([np.inf, -np.inf]))}[flaw]
+        arr[draw(st.integers(0, len(arr) - 1)), draw(st.integers(0, 1))] = value
+    return n, arr.astype(dtype)
+
+
+@given(edge_inputs())
+@settings(max_examples=600, deadline=None)
+def test_normalized_edges_equal_the_lexsort_oracle(case):
+    n, edges = case
+    try:
+        expected = normalized_edges_lexsort(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _normalized_edges(n, edges)
+        assert str(got.value) == str(exc)
+        return
+    out, perm = _normalized_edges(n, edges)
+    for got, want in zip((out, perm), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 400])
+def test_rows_in_order_are_kept_with_the_identity_permutation(n):
+    edges = complete_graph(n).edges
+    for rows in (edges, edges[::3], edges.astype(np.float64), edges.tolist()):
+        out, perm = _normalized_edges(n, rows)
+        want, want_perm = normalized_edges_lexsort(n, rows)
+        assert np.array_equal(out, want) and np.array_equal(perm, want_perm)
+        assert np.array_equal(perm, np.arange(len(out)))
+    shuffled = np.random.default_rng(n).permutation(edges)[:, ::-1]
+    out, perm = _normalized_edges(n, shuffled)
+    assert np.array_equal(out, edges) and np.array_equal(shuffled[perm][:, ::-1], edges)
+
+
+def test_vertex_ids_beyond_int32_are_refused():
+    # 3e9 used to be accepted, its edge stored as [[-1294967297, 1]]
+    limit = np.iinfo(np.int32).max
+    with pytest.raises(ValueError, match=f"exceeds {limit}"):
+        Graph(3_000_000_000, [(1, 2_999_999_999)])
+    with pytest.raises(ValueError, match=f"exceeds {limit}"):
+        Graph(limit + 1, ())
+    g = Graph(limit, [(limit, 1), (2, limit - 1)])
+    assert g.edges.tolist() == [[1, limit], [2, limit - 1]]
+
+
+def test_complete_graph_is_built_below_the_old_peak():
+    # row reductions, a lexsort and int64 triu_indices peaked at 26.7 MiB here
+    complete_graph(1000)
+    tracemalloc.start()
+    try:
+        graph = complete_graph(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.m == 499_500
+    assert peak < 24 << 20
 
 
 # -- generators ---------------------------------------------------------------
@@ -336,6 +425,13 @@ def test_read_graph_takes_integral_float_ids(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3 2\n1.0 2\n3 2e0\n")
     assert read_graph(str(path)) == path_graph(3)
+
+
+def test_read_graph_refuses_vertex_ids_beyond_int32(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("3000000000 1\n1 2999999999\n")
+    with pytest.raises(ValueError, match=f"exceeds {np.iinfo(np.int32).max}"):
+        read_graph(str(path))
 
 
 def test_read_graph_of_no_edges_raises_no_warning(tmp_path):
