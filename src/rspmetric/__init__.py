@@ -15,7 +15,6 @@ from .bounds import (
     density_threshold,
     diameter_tail,
     evaluate,
-    exp_sum_cdf,
     harmonic,
     pair_distance_bounds,
     sm_tail,

@@ -65,17 +65,6 @@ def harmonic(n: int) -> float:
     return math.log(n) + EULER_GAMMA + inv / 2 - inv2 / 12 + inv2 * inv2 / 120
 
 
-def exp_sum_cdf(c: float, n: int, a: float) -> float:
-    """P(X <= a) = (1 - e^{-ca})^n for X a sum of exponentials with rates c, 2c, ..., nc."""
-    if not c > 0:
-        raise ValueError("c must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not a >= 0:
-        raise ValueError("a must be nonnegative")
-    return (-math.expm1(-c * a)) ** n
-
-
 def _check_growth(n: int, k: int, alpha: float, beta: float) -> None:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -175,7 +164,6 @@ class BoundValue:
 # the signature, and an ``int`` annotation marks a count
 FORMULAS = {
     "harmonic": harmonic,
-    "exp-sum-cdf": exp_sum_cdf,
     "tau-expectation": tau_expectation_bounds,
     "tau-cdf": tau_cdf_bounds,
     "diameter-tail": diameter_tail,

@@ -12,8 +12,7 @@ Every suite runs one pipeline, :func:`run_suite`:
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
    ends the trial at ``connected=0``.  Weights are drawn on use; the metrics
-   of consecutive trials are built together, in one ``build_metrics`` call,
-   when the suite reads them.
+   of consecutive trials are built together, in one ``build_metrics`` call.
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
    records are identical at any worker count.
@@ -82,6 +81,13 @@ from .rng import Seed, UniformStream
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 FLOAT_SLACK = 1e-12  # absolute slack for comparisons between float sums
+# Ceiling on trials x (n + 3 len(delta_fractions) + 16), which bounds a run's
+# record cells, trial and seed included: n + 3 for tau, 3 len(delta_fractions)
+# + 9 for structure, at most 8 otherwise.  A report holds its records, and its
+# rendered text, all at once: under tracemalloc (CPython 3.11) a cell cost
+# 80-170 bytes for a CSV report and 300-380 for a JSON one, so a run at the
+# ceiling peaks at about 0.9 GB (CSV) or 1.9 GB (JSON).
+RECORD_CELL_CAP = 5 * 10**6
 
 MODELS = ("complete", "er", "imported")
 
@@ -158,7 +164,6 @@ class ExperimentConfig:
     rule: str = "nearest"
     k: int | None = None
     start: int = 1
-    epsilon: float = 0.5
     delta_fractions: tuple[float, ...] = (0.0, 0.125, 0.25, 0.5)
     two_opt_init: str = "identity"
     graph_file: str | None = None
@@ -272,6 +277,9 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.trials < 1, "trials must be >= 1"),
         (c.n < 1, "n must be >= 1"),
         (c.n > VERTEX_CAP, f"n exceeds the vertex cap {VERTEX_CAP}"),
+        (c.trials * (c.n + 3 * len(c.delta_fractions) + 16) > RECORD_CELL_CAP,
+         "trials x (n + 3 len(delta_fractions) + 16) exceeds the record cell cap "
+         f"{RECORD_CELL_CAP}"),
         (c.workers < 1, "workers must be >= 1"),
         (not 0 <= c.seed <= (1 << 64) - 1, "seed must be a 64-bit unsigned integer"),
         (c.format not in ("csv", "json"), "format must be csv or json"),
@@ -300,8 +308,6 @@ def validate_config(config: ExperimentConfig) -> None:
          f"C(n,k) exceeds kmedian cap {KMEDIAN_CAP}"),
         (c.suite == "two-opt" and c.two_opt_init not in TWO_OPT_INITS,
          f"two_opt_init must be {' or '.join(TWO_OPT_INITS)}"),
-        (c.suite == "concentration" and c.model != "er", "concentration suite needs the er model"),
-        (c.suite == "concentration" and not 0 < c.epsilon < 1, "epsilon must lie in (0, 1)"),
         (bool(unknown), f"unknown structure checks: {unknown}"),
         (c.suite == "structure" and len(checks) < len(c.structure_checks),
          "structure_checks may not repeat an entry"),
@@ -411,7 +417,7 @@ class _Context:
 @dataclass
 class _Instance:
     """One trial's connected graph; weights are drawn on first use, and the
-    trial's window (see ``_run_chunk``) sets the metric of a suite that reads it."""
+    trial's window (see ``_run_chunk``) sets its metric."""
 
     config: ExperimentConfig
     index: int
@@ -471,11 +477,11 @@ def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[T
     """Records of a range of trials, in windows of ``BATCH_VERTICES // n`` trials (at least one).
 
     A window runs in three stages: each trial's prologue (``_trial``); one
-    ``build_metrics`` call over its connected instances, if the suite reads
-    the metric; each instance's statistics.  A metric does not depend on the
-    batch it was built in, so neither do the records.  Windows, not whole
-    chunks, bound memory: a window holds about one batch of weights and
-    metrics, where a chunk of large graphs would hold one per trial.
+    ``build_metrics`` call over its connected instances; each instance's
+    statistics.  A metric does not depend on the batch it was built in, so
+    neither do the records.  Windows, not whole chunks, bound memory: a
+    window holds about one batch of weights and metrics, where a chunk of
+    large graphs would hold one per trial.
     """
     # module level so that process pools can pickle it
     suite = _SUITES[config.suite]
@@ -484,9 +490,8 @@ def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[T
     for lo in range(trials.start, trials.stop, step):
         window = [_trial(config, ctx, i) for i in range(lo, min(lo + step, trials.stop))]
         instances = [x for x in window if isinstance(x, _Instance)]
-        if suite.reads_metric:
-            for x, metric in zip(instances, build_metrics([x.weighted for x in instances])):
-                x.metric = metric
+        for x, metric in zip(instances, build_metrics([x.weighted for x in instances])):
+            x.metric = metric
         for x in window:
             if isinstance(x, TrialRecord):
                 records.append(x)
@@ -569,17 +574,6 @@ def _two_opt_stats(x: _Instance) -> dict:
         "final_cost": trace.final.cost,
         "strictly_decreasing": int(all(b < a for a, b in zip(trace.costs, trace.costs[1:]))),
         "locally_optimal": int(not has_improving_exchange(metric, trace.final)),
-    }
-
-
-def _concentration_stats(x: _Instance) -> dict:
-    alpha, beta, p, eps = x.cut.alpha, x.cut.beta, x.config.p, x.config.epsilon
-    return {
-        "alpha": alpha,
-        "beta": beta,
-        "alpha_over_p": alpha / p,
-        "beta_over_p": beta / p,
-        "within_bracket": int((1 - eps) * p <= alpha and beta <= (1 + eps) * p),
     }
 
 
@@ -688,17 +682,7 @@ def _tau_checks(config, ctx, records, summaries):
             passed=breach <= slack,
             detail=f"max bracket breach {breach:.5f} (DKW slack {slack:.5f})",
         ))
-    return checks, {}
-
-
-def _concentration_notes(config, ctx, records, summaries):
-    """The share of draws inside the (1 +/- epsilon)p bracket, without a threshold.
-
-    Informational: the concentration statement is asymptotic, and desk-scale
-    n cannot meet its premises.
-    """
-    stats = summaries.get("within_bracket")
-    return [], {"bracket_fraction": stats.mean if stats else None}
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +703,18 @@ class _Suite:
     check sums ``badness(value)`` over the eligible records that carry the
     key, passes iff the sum is 0, and is left out when no record carries
     the key.  The sum is also the ``violations`` of that key's summary.
-    ``finish`` adds checks and notes that are not such counts.
+    ``finish`` adds the checks that are not such counts.
     """
 
     stats: Callable[[_Instance], dict]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
-    reads_metric: bool = True  # stats read the metric, so each window builds it
     # what an instance computes beyond its metric: exact cut parameters
     # ("cut"), a tour ("tour") and the exact baselines ("tsp", "matching",
     # "kmedian"); validate_config derives every size rule from it
     needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
-    finish: Callable = lambda config, ctx, records, summaries: ([], {})
+    finish: Callable = lambda config, ctx, records, summaries: []
 
 
 _SUITES = {
@@ -754,12 +737,6 @@ _SUITES = {
             ("local-optimum", "locally_optimal", lambda ok: not ok,
              "{bad} of {count} final tours admit an improvement"),
         ),
-    ),
-    "concentration": _Suite(
-        stats=_concentration_stats,
-        reads_metric=False,
-        summaries=lambda columns: ("alpha_over_p", "beta_over_p", "within_bracket"),
-        finish=_concentration_notes,
     ),
     "structure": _Suite(
         stats=_structure_stats,
@@ -804,7 +781,5 @@ def run_suite(config: ExperimentConfig) -> Report:
             summaries[col] = summarize(eligible, col, violations.get(col, 0))
     elif counts:
         checks.append(CheckResult("eligible-trials", False, "no connected instances"))
-    more_checks, more_notes = suite.finish(config, ctx, eligible, summaries)
-    checks += more_checks
-    notes.update(more_notes)
+    checks += suite.finish(config, ctx, eligible, summaries)
     return Report(config.suite, config, columns, records, summaries, checks, notes)

@@ -16,9 +16,10 @@ summation order and tie rules, one element at a time.
 ``Graph``: row reductions and a lexsort in place of column passes over one
 int64 key.  Then come the references of the graph and metric file readers
 and of the metric writer: ``int()``, ``float()`` and ``format`` one line or
-one entry at a time.  Last, the `tau` suite's checks with each bracket
-written out and the CDF bracket evaluated one sample at a time in
-``math``, the reference of the array form in ``bounds``.
+one entry at a time.  Then ``exp_sum_cdf``, the CDF of a sum of
+exponentials, which the RNG tests read.  Last, the `tau` suite's checks
+with each bracket written out and the CDF bracket evaluated one sample at a
+time in ``math``, the reference of the array form in ``bounds``.
 """
 
 import itertools
@@ -517,12 +518,31 @@ def write_metric_lines(path, metric):
         fh.write("\n".join(rows) + "\n")
 
 
+# -- closed forms that only the tests read ---------------------------------------
+
+
+def exp_sum_cdf(c, n, a):
+    """P(X <= a) = (1 - e^{-ca})^n for X a sum of exponentials with rates c, 2c, ..., nc."""
+    if not c > 0:
+        raise ValueError("c must be positive")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if not a >= 0:
+        raise ValueError("a must be nonnegative")
+    return (-math.expm1(-c * a)) ** n
+
+
 # -- the tau suite's brackets, one sample at a time -------------------------------
 
 
 def tau_cdf_bounds_math(x, n, k, alpha, beta):
-    """The pointwise bracket on P(tau_k <= x) at one float, in ``math`` arithmetic."""
-    lower_a = (-math.expm1(-alpha * (n - k) * x)) ** (k - 1)
+    """The pointwise bracket on P(tau_k <= x) at one float, in ``math`` arithmetic.
+
+    A zero rate (k = n) gives the term 0^(k-1) at every x, x = inf too, where
+    the product 0 * inf would be NaN.
+    """
+    rate = alpha * (n - k)
+    lower_a = (-math.expm1(-rate * x) if rate else 0.0) ** (k - 1)
     lower_b = (-math.expm1(-alpha * n * x / 4.0)) ** n
     upper = (-math.expm1(-beta * n * x)) ** (k - 1)
     return (max(lower_a, lower_b), upper)

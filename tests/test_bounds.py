@@ -12,7 +12,6 @@ from rspmetric import (
     cluster_scale,
     diameter_tail,
     evaluate,
-    exp_sum_cdf,
     harmonic,
     pair_distance_bounds,
     sm_tail,
@@ -21,7 +20,7 @@ from rspmetric import (
 )
 from rspmetric.bounds import FORMULAS, HARMONIC_DIRECT_BELOW
 
-from oracles import tau_cdf_bounds_math
+from oracles import exp_sum_cdf, tau_cdf_bounds_math
 
 
 # -- harmonic -----------------------------------------------------------------
@@ -50,7 +49,7 @@ def test_harmonic_rejects_negative():
         harmonic(-1)
 
 
-# -- exponential sum CDF -------------------------------------------------------
+# -- exponential sum CDF, the reference of the RNG tests in oracles.py ----------
 
 
 def test_exp_sum_cdf_examples():
@@ -155,6 +154,17 @@ def test_tau_cdf_bounds_at_infinity_are_one(params):
         lo, hi = tau_cdf_bounds(x, *params)
         assert list(zip(lo.tolist(), hi.tolist())) == [tau_cdf_bounds(xi, *params) for xi in x.tolist()]
     assert (lo[2], hi[2]) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 9, 10])
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1.0, 1e308, math.inf])
+def test_tau_cdf_bounds_equal_the_math_oracle_at_every_x(x, k):
+    # with k = n the oracle's first lower term used to be 0 * inf = NaN at x = inf,
+    # and Python's max keeps a NaN that comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = tau_cdf_bounds_math(x, 10, k, 0.5, 1.0)
+        assert tau_cdf_bounds(x, 10, k, 0.5, 1.0) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 def test_tau_cdf_bounds_of_an_array_are_its_scalar_calls():
@@ -296,7 +306,7 @@ def test_evaluate_rejects_values_beyond_the_float_range():
         ("cluster-scale", dict(delta="1", n="-3", alpha="1"), "n"),  # a math domain error
         ("tau-expectation", dict(n="6", k="0", alpha="1", beta="1"), "k"),
         ("harmonic", dict(n="0"), "n"),
-        ("exp-sum-cdf", dict(c="-inf", n="3", a="1"), "c"),
+        ("diameter-tail", dict(c="-inf", n="3"), "c"),
     ],
 )
 def test_evaluate_checks_its_inputs(formula, params, name):

@@ -382,14 +382,12 @@ HUGE_N = 10**399 + 7  # 400 digits, above the largest float
         ("diameter-tail", "c=-10000,n=10"),  # used to overflow
         ("ball-tail", "delta=1,n=10,alpha=-1000"),  # used to overflow
         ("cluster-scale", "delta=1,n=10,alpha=-2"),  # used to give s_delta < 1
-        ("exp-sum-cdf", "c=1,n=3,a=nan"),  # used to print NaN
-        ("tau-cdf", "x=nan,n=10,k=5,alpha=0.5,beta=1"),
+        ("tau-cdf", "x=nan,n=10,k=5,alpha=0.5,beta=1"),  # a NaN input used to print NaN
         # an infinite bracket end used to print as Infinity, which is no JSON
         ("tau-expectation", "n=6,k=3,alpha=1e-320,beta=1"),
         # an n beyond the float range used to die with an OverflowError traceback
         pytest.param("ball-tail", f"delta=1,n={HUGE_N},alpha=1", id="ball-tail-huge-n"),
         pytest.param("tau-expectation", f"n={HUGE_N},k=3,alpha=1,beta=1", id="tau-expectation-huge-n"),
-        pytest.param("exp-sum-cdf", f"c=1,n={HUGE_N},a=1", id="exp-sum-cdf-huge-n"),
         pytest.param("diameter-tail", f"c=10,n={HUGE_N}", id="diameter-tail-huge-n"),
         pytest.param("sm-tail", f"phi=0.5,c=0.1,n={HUGE_N}", id="sm-tail-huge-n"),
         pytest.param("tau-cdf", f"x=1,n={HUGE_N},k=3,alpha=1,beta=1", id="tau-cdf-huge-n"),
@@ -414,6 +412,19 @@ def test_bounds_eval_of_a_deleted_formula_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "eval", "janson-lower-tail", "--params", "lam=0.5,mu=1,a_star=1"])
     assert exc.value.code == 2
+
+
+def test_the_concentration_suite_its_key_and_exp_sum_cdf_are_usage_errors(tmp_path, capsys):
+    cfg = write_config(tmp_path, suite="concentration", model="er", n=8, p=0.5)
+    for argv in (["suite", "concentration", "--config", cfg],
+                 ["bounds", "eval", "exp-sum-cdf", "--params", "c=1,n=3,a=1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = write_config(tmp_path, suite="tau", n=6, trials=3, epsilon=0.5)
+    code, out, err = run_cli(capsys, "suite", "tau", "--config", cfg)
+    assert (code, out, err) == (2, "", "error: unknown config key 'epsilon'\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -50,12 +50,6 @@ CASES = {
     "two-opt-er-beyond-cut-cap": dict(
         suite="two-opt", model="er", n=26, p=0.5, trials=3, seed=120
     ),
-    "concentration-er": dict(
-        suite="concentration", model="er", n=7, p=0.5, trials=10, seed=114, epsilon=0.4
-    ),
-    "concentration-er-none-eligible": dict(
-        suite="concentration", model="er", n=6, p=0.0, trials=3, seed=115
-    ),
     "structure-complete": dict(suite="structure", model="complete", n=6, trials=4, seed=116),
     "structure-er": dict(suite="structure", model="er", n=8, p=0.4, trials=6, seed=117),
     "structure-er-workers-2": dict(
@@ -71,121 +65,102 @@ CASES = {
 }
 
 # case -> (sha256 of to_csv(), sha256 of to_json())
-# Every JSON digest moved when the config lost its cdf_tol key; dropping
-# that key from the earlier JSON gives the new one exactly for the 19 cases
-# that are no cdf run, whose CSVs are byte-identical.  The two cdf cases also
-# moved in their check lines: both parts now pass iff the band breach is at
-# most the DKW slack, and the tau_k parts report the exact breach over all x
-# instead of a 24-point grid.  Their records and exp_sum_sup_diff are
-# unchanged, and cdf-complete now passes (0.02825 against the old fixed
-# tolerance 0.02, against a slack of 0.07279 at 500 samples now).
-# Every JSON digest moved again when the config lost its cdf_c key (the
-# exp-sum rates are 1..cdf_terms; a common scale leaves the KS distance as it
-# is): dropping that key from the earlier JSON gives the new one exactly for
-# all 21 cases, and all 21 CSVs are byte-identical.
-# The CSVs of the two none-eligible cases moved when the header began to come
-# from the records: with no connected draw it is `trial,seed,connected`, and
-# each row drops its trailing empty stat cells.  Nothing else in them changed,
-# and all 21 JSON digests are unchanged, since the JSON carries no column list.
-# Every JSON digest moved again when the cdf suite folded into tau and the
-# config lost its samples and cdf_terms keys: dropping those two keys from the
-# earlier JSON gives the new one exactly for the 17 cases that are no tau run,
-# whose CSVs are byte-identical.  tau-complete and tau-er moved in their check
-# lines too: dropping their new tau_k-cdf-bracket checks (all passing) gives
-# the earlier CSV and JSON.  tau-er-k3-k7 replaces the two cdf cases: it is
-# cdf-er's config run as tau, with cdf-er's tau_k values and bracket details.
+# A digest moves only with a stated reason.  A key dropped from the config
+# (cdf_tol, then cdf_c, then samples and cdf_terms, then epsilon) moves every
+# JSON digest and no CSV one: dropping that key from the earlier JSON gives
+# the new one exactly.  The other moves:
+# - The none-eligible CSV lost its trailing empty stat cells when the header
+#   began to come from the records (`trial,seed,connected` with no draw).
+# - The cdf suite folded into tau: tau-complete and tau-er gained their
+#   tau_k-cdf-bracket checks (all passing; dropping them gives the earlier
+#   CSV and JSON), and tau-er-k3-k7, the old cdf-er config run as tau,
+#   replaced the two cdf cases.
+# - The concentration suite went, with its two cases: it sampled alpha and
+#   beta of G(n, p) draws against (1 +/- epsilon)p and had no check.
 # The two -pruned cases were captured before small and pruned graphs shared
 # one shortest-path route; they pin reports whose metrics are certified.
 DIGESTS = {
-    "concentration-er": (
-        "40b691c4692e61c9209ec1f6a6996481294ac3d91425ed1178aee01b991f0f0c",
-        "2066c2c32f84225703bf8d0d49a3c4e5947ee1c44ad4813236a68380d7be0cc0",
-    ),
-    "concentration-er-none-eligible": (
-        "9f4c508b691475669115d4df2c69379edf92886469562ced07550e67f33a5395",
-        "00a7053bdef7287359fdbb404d53181d6cb5a9de37b51fe935344c10823a58b1",
-    ),
     "ratio-er-none-eligible": (
         "ab394d5285614c3adee601680a0a3c6ec5205ccfcb425455a7a834ec5a133425",
-        "1f5fce2a3f0c478f509a893f2d76df9f6bfb94db73523fcfd41ab9f8fef83f38",
+        "0e1fdbe82e4a201d435917d5ef635ebacd942e76c1d824bda9c1677e268f373a",
     ),
     "ratio-insertion-complete": (
         "20801c4c4c1364ca07ceca54d1516d88a39415b1f0ed6d659bfae937f95b1dfb",
-        "050458f605bce80c8fd998428b158068cf3cd11e9eeb311db0607ffd92211e5a",
+        "f63379b635f4d7cbb44ccb4cc82e930125c800a4505653efcdb6b3168a8cca4f",
     ),
     "ratio-insertion-er": (
         "bae5c882573acb25db3fac36f88742d34f48fae00eee3df245a3ce1d6c6d2a56",
-        "4bb852037f7350cf4d8350a1df8080fc2caa5fa028edd4bd79979da0edf58ed1",
+        "dfa5d27ed9fb6e99fc0d5a3553d621a7e1b47c45314e4e68ef105650fef74b8f",
     ),
     "ratio-kmedian-complete": (
         "ed338a0d77b57db72c9c0692409b77004dc197f2dcfff943fa57834823022702",
-        "f15141e047013b4f423c51639ff2a9da4cab47cd8c05e8d9ed73774f52313299",
+        "78d9982cda1b6e38aa3ad0961842d14e946835cf78868defb7e85ff35781b7d4",
     ),
     "ratio-kmedian-complete-pruned": (
         "d283d25cd97977937ac13030bdcb55aa5f0c0da52e6b27d19ac06f045e5cc87b",
-        "bc669b5fbe2af6e6e44c2e33ee91d4509c12a2e888dd42b4e0344159e77b6706",
+        "b2fc9910bbc0192dc8f547e012c76154fb6e5fb00fe55a42b0ad219adf960c0c",
     ),
     "ratio-kmedian-er": (
         "092543bbcf98f93a842b95f791bca4f292d0798bd78fcb6237751d6b6f86c48a",
-        "f8ac4d0202ed917825eb426e35359b51b810d033187a36b3ee22d53298bc408a",
+        "be54d6e9b1bc36002f90d35a3e31ccb5fa1df1cc9d2a019bd4917ed3a5f66652",
     ),
     "ratio-matching-complete": (
         "6b4a4708dca44006194853fdab11b0a3880a97a0ff0b31f69fd48275e41c9a8e",
-        "e2dedf3815e6ae4bacf1ca8a40d039191afbd95c0a99ecfaf0163c3ade210e90",
+        "cedd83d4b43c6c2309e33be8fc4e70396d566bdadcb9cbb01b47b30f61d76327",
     ),
     "ratio-matching-er": (
         "5576c51e1b0e3c19d458ad2d8dcdb46e6a27769e8ac647eeb1daeef09fba22d4",
-        "d2a9db5e03658a8613a237913b769c213c38fe2461f89b718a6ed319d1786b7e",
+        "25eaf32ea909e7f75bf1905c696b0d9ee6f064bb4ab1f8d1e0cc8d98e837b01c",
     ),
     "ratio-nn-complete": (
         "10326b63ba2c78ed23e3ef239cb62e30ce4d8ed4ab5a30c449973ae1f306668c",
-        "0482222719106953f6f88d0eb4c7b542305f74e9de0323ba02372af4ee1bb607",
+        "ac875e3990eae8ffc5170fb2dd0f89b9097e7cdfb244bf16a2ac47e5a7f670f3",
     ),
     "ratio-nn-er": (
         "3c2b466d38aeae0fb0578276d0ecec0e44ac062bd56144b8c4ded3ea17ac2ac9",
-        "35d4acb56eb4a0890035ddbbf7fcae614521e765bb18bb3551476982926f0be7",
+        "6e205b02aedfe351631eaae98e29d4774c423e52219a2e84a9138b07d5ff8669",
     ),
     "structure-complete": (
         "3efb1973f6b8f60423eef4ce251373bd86cb718f8565280889e36e294750d909",
-        "94e8e43027899d46555e5b59af1c993eaf08a9aec2db87f540faf4970474be83",
+        "6519e246ded35209f53992e3e9482585baf2723e104938e7483e88826b948d32",
     ),
     "structure-er": (
         "595a2403e80b562b725c23f166865d9e00e163a319d0a51710441d9e8154ce29",
-        "21cf3c9e53d568377de49bff4cd617c46693a571a53ab455f0276a96bb959fee",
+        "e9a0435f3a04416f3aff5a2143ca08394a16f0b222a15037243af2f376abb4ca",
     ),
     "structure-er-workers-2": (
         "95a7607e6dcd895ba9a1c6ee240d265170c56e145b9a74aa731d89ee451ed8ca",
-        "d286b35f8a69b70d867ae209507639d7a79a42d69ba60afb76b8d26218072940",
+        "8eb49c73669ea234ac91fbe9ff86125042fbecf6398d0475303cd77aa2e95fcc",
     ),
     "tau-complete": (
         "1dba89f65b0136994f393622056197bef52e9a029ef9dde08b30c7a248a30e01",
-        "05a6e8d18f22ad8ee8cbbaa43d12d2e43568469ce1c33caafe7d97bbf9a34bad",
+        "ad2ec383d057483ac6e3edef67a8d6b5857b4eaeae2f778dba01b75165b332b1",
     ),
     "tau-er": (
         "c46c78fa9eb0ecd67a349686ac64cde656bb1210fde6e77ade0ffb0f1d0ae6fc",
-        "ac23c1b5a931b28eae2f3f721a1fc39136b3615f8c2d78ded35e23027288e6b3",
+        "ae9777284987599a425223c075f0437bf7b78322516103e89ef53a76cdcf2f23",
     ),
     "tau-er-k3-k7": (
         "5bf58b7b2fda8c20c94350c14daa17575328c1389ba8b0cd2debb5986a4357cf",
-        "c8a46c64b46259b8e797164ee182b31ccfa66e1c64f555548dc6a605abce9a44",
+        "f25d98c78ce96e68748cfbee150342b5a284832c4c6284d7a8888963809df92c",
     ),
     "two-opt-complete": (
         "c1aa358618c45f397e14a7c57fb1814706f56d0656e6904ca7c103d0bca4b22b",
-        "459c0230e6878f74c6395f1d6954a4bf8f3f5baddf601add9e13ce39b9a00ed6",
+        "15b1c8cdc504982be7db6332f8124ac2f4234af8475f2f46eaae7d060d077b38",
     ),
     "two-opt-complete-pruned": (
         "e237fcb7b6f0b07c152eb0a2123d60287a8905fbbd22d286aa9756556c7302c9",
-        "03cdb21b27b1544ddc837825f1b9f22aa4d192e78df4df265d2579f04a2e18c5",
+        "3d293fa6e095c3bcc63964a78237ecfa50b901a73c433d27e7b587877207f378",
     ),
     # trial 6 turns locally_optimal 0 -> 1: a tie exchange (delta -2.2e-16)
     # whose tour is not strictly cheaper no longer counts as improving
     "two-opt-er": (
         "c1e3afd45ef75b24c5b593bce5442b357017f7f5d998e41289f2bfd94fb995d8",
-        "f6a44365b8107ac37bea5dd72a4d70c7dccb047389d415a28f57c868b7338e75",
+        "ce5712040765ee5387de665763960068dba8b988757d31968939bd94a6125049",
     ),
     "two-opt-er-beyond-cut-cap": (
         "9b48c150be41c3a270c9360dc6033df179c8ac919f8f0de0faf42b770ad84799",
-        "e4a0d8cdcf0271c5cfffb05c011a836fea2171619feb90fff136023f0340cc5b",
+        "b3a64dcce8351fd5c41892ba522d3cecc2b07a42ec5a48ef3e1563ba464ee361",
     ),
 }
 

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import math
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from rspmetric import bounds, lab, metric as metric_module
 from rspmetric.lab import TrialRecord, Z99, make_context, validate_config
 
 import oracles
+from test_golden_reports import CASES
 
 
 # -- summarize ------------------------------------------------------------------
@@ -136,8 +140,8 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="ratio", kind="nn", n=40),  # beyond TSP cap
         dict(suite="tau", model="er", n=10),  # er without p
         dict(suite="tau", model="er", n=30, p=0.5),  # beyond cut cap
-        dict(suite="concentration", model="complete"),
-        dict(suite="concentration", model="er", n=10, p=0.5, epsilon=1.5),
+        dict(suite="tau", n=2048, trials=10_000_000),  # about 2e10 record cells
+        dict(suite="structure", n=6, trials=10**6, delta_fractions=(0.5,) * 40),
         dict(suite="structure", n=9),  # sandwich needs even n
         dict(suite="structure", structure_checks=("nope",)),
         dict(suite="cdf", n=8),  # its CDF brackets run in every tau report
@@ -160,10 +164,10 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="ratio", kind="bogus"),  # an unknown kind needs nothing, and is rejected
         dict(suite="ratio", kind="nn", n=2),  # every tour needs n >= 3
         dict(suite="two-opt", n=2),
-        dict(suite="concentration", model="er", p=0.5, n=1),  # cut parameters need n >= 2
+        dict(suite="tau", model="er", p=0.5, n=1),  # cut parameters need n >= 2
         dict(suite="tau", n=VERTEX_CAP + 1),  # every suite builds an n x n table or all pairs
         dict(suite="two-opt", n=VERTEX_CAP + 1),
-        dict(suite="concentration", model="er", p=1.0, n=VERTEX_CAP + 1),
+        dict(suite="structure", model="er", p=1.0, n=VERTEX_CAP + 1),
         dict(suite="structure", n=6, delta_fractions=(0.0, math.inf)),  # JSON has no Infinity
         dict(suite="structure", n=6, delta_fractions=(-0.5,)),
         dict(suite="structure", n=6, delta_fractions=(0.0, 1.7e308)),  # f * diameter overflows
@@ -175,12 +179,45 @@ def test_validate_config_rejects(kwargs):
         validate_config(ExperimentConfig(**kwargs))
 
 
+def _workflow_configs():
+    """Every config that the CI workflow writes with printf, as a key -> text mapping."""
+    text = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    found = re.findall(r"printf '(suite=[^']*)' > \S+\.cfg", text)
+    return [dict(line.split("=", 1) for line in body.split("\\n") if line) for body in found]
+
+
+def test_record_cells_are_bounded_and_every_shipped_config_fits(monkeypatch):
+    # about 2e10 cells; at 300 bytes a JSON cell that is 6 TB of records
+    probe = ExperimentConfig(suite="tau", n=2048, trials=10_000_000)
+    with pytest.raises(ConfigInvalidError, match=f"record cell cap {lab.RECORD_CELL_CAP}$"):
+        validate_config(probe)
+    validate_config(dataclasses.replace(probe, trials=lab.RECORD_CELL_CAP // (2048 + 12 + 16)))
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    shipped = [ExperimentConfig(**case) for case in CASES.values()]
+    shipped += [ExperimentConfig(**kwargs) for kwargs in BATCHED.values()]
+    shipped += [*workloads.ExactDP().configs, workloads.ERStructure().config]
+    for config in shipped:
+        validate_config(config)
+    configs = _workflow_configs()
+    assert len(configs) >= 10
+    too_large = []
+    for raw in configs:  # some are meant to be refused, two of them for their size
+        try:
+            validate_config(lab.config_from_mapping(raw))
+        except ConfigInvalidError as exc:
+            too_large += [raw] if "record cell cap" in str(exc) else []
+    # the second is past the vertex cap too
+    assert too_large == [dict(suite="tau", n="2048", trials="10000000"),
+                         dict(suite="tau", n="100000")]
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
         ("p", "0.5"),
-        ("epsilon", None),
-        ("epsilon", "x"),
+        ("start", None),
+        ("format", None),
         ("delta_fractions", "0.1"),
         ("delta_fractions", 0.1),
         ("delta_fractions", (0.0, "0.5")),
@@ -203,11 +240,11 @@ def test_validate_config_names_a_mistyped_field(name, value):
     "numpy_items, plain_items",
     [
         (dict(tau_ks=[np.int64(2), 5]), dict(tau_ks=(2, 5))),
-        (dict(epsilon=np.float32(0.5)), dict(epsilon=0.5)),
+        (dict(p=np.float32(0.5)), dict(p=0.5)),
         (dict(delta_fractions=[0, np.float32(0.5)], structure_checks=["chi"]),
          dict(delta_fractions=(0, 0.5), structure_checks=("chi",))),
     ],
-    ids=["tau_ks", "epsilon", "delta_fractions"],
+    ids=["tau_ks", "p", "delta_fractions"],
 )
 def test_configs_hold_plain_python_values(numpy_items, plain_items):
     # numpy scalars used to reach the JSON report ("Object of type int64 is not
@@ -299,7 +336,6 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
     "tau-K400-ks-2-200-400": dict(suite="tau", model="complete", n=400, trials=3, seed=10,
                                   tau_ks=(2, 200, 400)),
     "two-opt-er": dict(suite="two-opt", model="er", n=9, p=0.5, trials=20, seed=11),
-    "concentration": dict(suite="concentration", model="er", n=8, p=0.5, trials=20, seed=12),
 }
 
 
@@ -316,17 +352,6 @@ def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
     alone = run_suite(cfg)
     assert serial.records == pooled.records == alone.records
     assert serial.to_csv() == pooled.to_csv() == alone.to_csv()
-
-
-def test_concentration_never_draws_weights(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("concentration drew weights")
-
-    monkeypatch.setattr(lab, "draw_weights", refuse)
-    monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
-    for workers in (1, 2):
-        cfg = ExperimentConfig(**BATCHED["concentration"], workers=workers)
-        assert run_suite(cfg).notes["eligible"] > 0
 
 
 def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
@@ -445,25 +470,6 @@ def test_two_opt_suite_final_tours_are_local_optima_under_tie_exchanges():
     report = run_suite(cfg)
     assert all(r.values["locally_optimal"] for r in report.records if r.values["connected"])
     assert {c.name: c.passed for c in report.checks}["local-optimum"]
-
-
-def test_concentration_suite_p_one_is_exact():
-    cfg = ExperimentConfig(
-        suite="concentration", model="er", n=9, p=1.0, trials=10, seed=37, epsilon=0.3
-    )
-    report = run_suite(cfg)
-    assert report.notes["bracket_fraction"] == 1.0
-    assert report.summaries["alpha_over_p"].mean == 1.0
-    assert report.passed  # informational suite: no failing checks
-
-
-def test_concentration_suite_p_zero_reports_no_eligible_trials():
-    cfg = ExperimentConfig(
-        suite="concentration", model="er", n=6, p=0.0, trials=5, seed=41, epsilon=0.5
-    )
-    report = run_suite(cfg)
-    assert report.notes["eligible"] == 0
-    assert report.notes["bracket_fraction"] is None
 
 
 def test_structure_suite_zero_violations_on_k8():
