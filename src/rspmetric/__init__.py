@@ -92,6 +92,7 @@ from .metric import (
     build_metric,
     build_metrics,
     cluster_partition,
+    cluster_partitions,
     diameter,
     read_metric,
     tau_profile,

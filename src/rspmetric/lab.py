@@ -12,7 +12,8 @@ Every suite runs one pipeline, :func:`run_suite`:
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
    ends the trial at ``connected=0``.  Weights are drawn on use; the metrics
-   of consecutive trials are built together, in one ``build_metrics`` call.
+   of consecutive trials are built together, in one ``build_metrics`` call,
+   and so are their clusterings, in one ``cluster_partitions`` call.
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
    records are identical at any worker count.
@@ -71,8 +72,9 @@ from .heuristics import (
 from .metric import (
     BATCH_VERTICES,
     Metric,
+    Partition,
     build_metrics,
-    cluster_partition,
+    cluster_partitions,
     diameter,
     tau_profiles,
     usable_cpus,
@@ -417,7 +419,8 @@ class _Context:
 @dataclass
 class _Instance:
     """One trial's connected graph; weights are drawn on first use, and the
-    trial's window (see ``_run_chunk``) sets its metric."""
+    trial's window (see ``_run_chunk``) sets its metric and, when the suite
+    needs them, its clusterings at ``radii``."""
 
     config: ExperimentConfig
     index: int
@@ -425,10 +428,17 @@ class _Instance:
     graph: Graph
     cut: CutParameters | None
     metric: Metric | None = None
+    partitions: list[Partition] | None = None
 
     @cached_property
     def weighted(self) -> WeightedGraph:
         return draw_weights(self.graph, self.seed.child(0, "weights"))
+
+    @cached_property
+    def radii(self) -> list[float]:
+        """The clustering radii: each delta fraction times the metric's diameter."""
+        dmax = diameter(self.metric)
+        return [f * dmax for f in self.config.delta_fractions]
 
 
 def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
@@ -477,21 +487,31 @@ def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[T
     """Records of a range of trials, in windows of ``BATCH_VERTICES // n`` trials (at least one).
 
     A window runs in three stages: each trial's prologue (``_trial``); one
-    ``build_metrics`` call over its connected instances; each instance's
-    statistics.  A metric does not depend on the batch it was built in, so
-    neither do the records.  Windows, not whole chunks, bound memory: a
-    window holds about one batch of weights and metrics, where a chunk of
-    large graphs would hold one per trial.
+    ``build_metrics`` call over its connected instances, and when the suite
+    needs ``clusters``, one ``cluster_partitions`` call over their metrics
+    at their radii; each instance's statistics.  A metric or a partition
+    does not depend on the batch it was built in, so neither do the records.
+    Windows, not whole chunks, bound memory: a window holds about one batch
+    of weights and metrics, where a chunk of large graphs would hold one per
+    trial.
     """
     # module level so that process pools can pickle it
     suite = _SUITES[config.suite]
+    clusters = "clusters" in suite.needs(config)
     step = max(1, BATCH_VERTICES // config.n)
     records: list[TrialRecord] = []
     for lo in range(trials.start, trials.stop, step):
         window = [_trial(config, ctx, i) for i in range(lo, min(lo + step, trials.stop))]
         instances = [x for x in window if isinstance(x, _Instance)]
-        for x, metric in zip(instances, build_metrics([x.weighted for x in instances])):
+        metrics = build_metrics([x.weighted for x in instances])
+        for x, metric in zip(instances, metrics):
             x.metric = metric
+        if clusters and instances:
+            partitions = cluster_partitions(
+                metrics, [x.radii for x in instances], [x.cut.alpha for x in instances]
+            )
+            for x, parts in zip(instances, partitions):
+                x.partitions = parts
         for x in window:
             if isinstance(x, TrialRecord):
                 records.append(x)
@@ -589,12 +609,9 @@ def _chi_stats(x: _Instance) -> dict:
 
 
 def _cluster_stats(x: _Instance) -> dict:
-    dmax = diameter(x.metric)
     values: dict = {}
     bad = 0
-    for gi, f in enumerate(x.config.delta_fractions):
-        delta = f * dmax
-        part = cluster_partition(x.metric, delta, x.cut.alpha)
+    for gi, (delta, part) in enumerate(zip(x.radii, x.partitions)):
         bad += sum(1 for dia in part.diameters if dia > 4 * delta + FLOAT_SLACK)
         values[f"delta_{gi}"] = delta
         values[f"clusters_{gi}"] = len(part.clusters)
@@ -614,7 +631,7 @@ def _sandwich_stats(x: _Instance) -> dict:
 
 _STRUCTURE_PARTS = {  # check -> (statistics, needs)
     "chi": (_chi_stats, frozenset({"cut"})),
-    "cluster": (_cluster_stats, frozenset({"cut"})),
+    "cluster": (_cluster_stats, frozenset({"cut", "clusters"})),
     "sandwich": (_sandwich_stats, frozenset({"matching", "tsp", "tour"})),
 }
 
@@ -709,8 +726,9 @@ class _Suite:
     stats: Callable[[_Instance], dict]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
     # what an instance computes beyond its metric: exact cut parameters
-    # ("cut"), a tour ("tour") and the exact baselines ("tsp", "matching",
-    # "kmedian"); validate_config derives every size rule from it
+    # ("cut"), its clusterings ("clusters"), a tour ("tour") and the exact
+    # baselines ("tsp", "matching", "kmedian"); validate_config derives every
+    # size rule from it
     needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()

@@ -15,6 +15,10 @@ records do not depend on how trials are batched.
 row per centre; ``tau_profile`` is its one-row view.  The closest-first
 order breaks ties between equidistant vertices by vertex index (a stable
 sort of the distance row).
+
+``cluster_partitions`` clusters many metrics of one size at once, each at
+its own radii, with one greedy sweep per block of (metric, radius) pairs;
+``cluster_partition`` is its one-entry view.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ class Partition:
 
     ``s_delta`` is the density threshold in force: a vertex whose ball is
     smaller is a singleton cluster.  Each dense cluster is grown around its
-    centre, which is also its lowest member (see :func:`cluster_partition`).
+    centre, which is also its lowest member (see :func:`cluster_partitions`).
     """
 
     clusters: tuple[frozenset[int], ...]
@@ -465,8 +469,23 @@ def diameter(metric: Metric) -> float:
     return float(metric.dist.max())
 
 
+CLUSTER_BLOCK = 1 << 20  # at most this many (pair, vertex, vertex) entries per block of clusterings
+
+
 def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
-    """Partition into clusters of diameter at most 4*delta.
+    """Partition into clusters of diameter at most 4*delta (see :func:`cluster_partitions`)."""
+    return cluster_partitions([metric], [[delta]], [alpha])[0][0]
+
+
+def cluster_partitions(metrics: list[Metric], deltas, alphas) -> list[list[Partition]]:
+    """Clusterings of diameter at most 4*delta, for every metric at each of its radii.
+
+    All metrics have one size n; ``deltas[t]`` holds the radii of metric t,
+    the same count for every metric, and ``alphas[t]`` its cut parameter.
+    Entry [t][r] is the partition of metric t at radius ``deltas[t][r]``.
+    Every (metric, radius) pair is checked before any table work: the radius
+    and alpha by ``density_threshold``, then the table through
+    ``Metric.finite_dist``, so a disconnected source raises.
 
     Vertices whose delta-ball is smaller than the density threshold are
     sparse and own themselves.  The dense vertices are clustered around a
@@ -476,48 +495,91 @@ def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
     (centres' balls are pairwise disjoint).  A centre is the lowest member of
     its cluster: a dense non-centre was blocked at its turn by a lower centre
     that meets it, so its owner lies below it.  One stable sort by owner thus
-    lists the clusters in the order of their lowest members.  The table is
-    read through ``Metric.finite_dist``, so a disconnected source raises.
+    lists the clusters in the order of their lowest members.
+
+    The pairs are taken in blocks of at most ``CLUSTER_BLOCK`` (pair, vertex,
+    vertex) entries, and at least one pair: whole metrics with all their
+    radii, or radii of one metric.  A block stacks the ball masks of its
+    pairs and chooses the centres of all of them in one sweep over the
+    vertices.
     """
-    n = metric.n
-    s_delta = density_threshold(delta, n, alpha)
-    d = metric.finite_dist
-    in_ball = d <= delta
-    dense0 = np.flatnonzero(in_ball.sum(axis=1) >= s_delta)
-    owner = np.arange(n)
-    if len(dense0):
-        balls = in_ball[dense0]
-        # each dense ball as a Python int bitmask: the greedy scan tests one
-        # ball against the union of the centres' balls chosen so far
-        packed = np.packbits(balls, axis=1, bitorder="little")
-        width = packed.shape[1]
-        buf = packed.tobytes()
-        covered = 0
-        label = [n] * n  # the centre whose ball holds the vertex, n if none
-        for v, lo in zip(dense0.tolist(), range(0, len(buf), width)):
-            mask = int.from_bytes(buf[lo : lo + width], "little")
-            if not mask & covered:
-                covered |= mask
-                while mask:  # the centre's ball, one member per set bit
-                    low = mask & -mask
-                    label[low.bit_length() - 1] = v
-                    mask ^= low
-        # centres' balls are disjoint, so each vertex has at most one label,
-        # and the least label over a dense ball is the lowest centre meeting it
-        owner[dense0] = np.where(balls, np.array(label), n).min(axis=1)
-    order = np.argsort(owner, kind="stable")
-    # a cluster's block starts at its lowest member, the one vertex in it that owns itself
-    starts = np.flatnonzero(owner[order] == order)
+    if not metrics:
+        raise ValueError("cluster_partitions needs at least one metric")
+    if not len(deltas) == len(alphas) == len(metrics):
+        raise ValueError("need one list of radii and one alpha per metric")
+    n = metrics[0].n
+    if any(m.n != n for m in metrics):
+        raise ValueError("all metrics must have the same vertex count")
+    radii = len(deltas[0])
+    if any(len(row) != radii for row in deltas):
+        raise ValueError("every metric must have the same number of radii")
+    s_delta, tables = [], []
+    for metric, row, alpha in zip(metrics, deltas, alphas):
+        s_delta.append([density_threshold(delta, n, alpha) for delta in row])
+        tables.append(metric.finite_dist)
+    grid = np.array(deltas, dtype=np.float64)
+    s_grid = np.array(s_delta)
+    rb = max(1, min(radii, CLUSTER_BLOCK // (n * n)))  # radii per block
+    tb = max(1, CLUSTER_BLOCK // (n * n * rb)) if rb >= radii else 1  # metrics per block
+    out: list[list[Partition]] = [[] for _ in metrics]
+    for t0 in range(0, len(metrics), tb):
+        stack = tables[t0][None] if tb == 1 else np.stack(tables[t0 : t0 + tb])
+        for r0 in range(0, radii, rb):
+            block = (slice(t0, t0 + tb), slice(r0, r0 + rb))
+            parts = _cluster_block(stack, grid[block], s_grid[block])
+            for row, part in zip(out[t0 : t0 + tb], parts):
+                row += part
+    return out
+
+
+def _cluster_block(
+    tables: np.ndarray, deltas: np.ndarray, s_delta: np.ndarray
+) -> list[list[Partition]]:
+    """Partitions of T stacked n x n tables, each at its R radii; ``deltas`` and
+    ``s_delta`` are T x R."""
+    count, radii = deltas.shape
+    n = tables.shape[-1]
+    pairs = count * radii
+    balls = (tables[:, None] <= deltas[:, :, None, None]).reshape(pairs, n, n)
+    dense = balls.sum(axis=2) >= s_delta.reshape(pairs, 1)
+    # the greedy sweep: in each pair where v is dense and its ball misses the
+    # centres' balls taken so far, v is a centre and its ball is taken
+    centre = np.zeros((pairs, n), dtype=bool)
+    covered = np.zeros((pairs, n), dtype=bool)
+    for v in np.flatnonzero(dense.any(axis=0)).tolist():
+        ball = balls[:, v]
+        take = dense[:, v] > (ball & covered).any(axis=1)
+        centre[:, v] = take
+        np.logical_or(covered, ball, out=covered, where=take[:, None])
+    # min reductions over broadcast index rows build no (pair, vertex, vertex)
+    # integer array.  Centres' balls are disjoint, so a vertex has at most one
+    # label (n if none), and the least label over a dense ball is the lowest
+    # centre meeting it
+    vertex = np.arange(n)
+    label = np.min(np.broadcast_to(vertex[:, None], balls.shape), axis=1,
+                   where=centre[:, :, None] & balls, initial=n)
+    owner = np.min(np.broadcast_to(label[:, None, :], balls.shape), axis=2, where=balls, initial=n)
+    owner = np.where(dense, owner, vertex)
+    order = np.argsort(owner, axis=1, kind="stable")
+    # a cluster's block starts at its lowest member, the one vertex in it that
+    # owns itself; each pair's row starts a cluster, so one reduceat serves all
+    starts = np.flatnonzero(np.take_along_axis(owner, order, axis=1) == order)
     # the max over each cluster's block of d: singletons get their 0 diagonal
-    rows = d.max(axis=1, where=owner[:, None] == owner, initial=0.0)
-    diameters = np.maximum.reduceat(rows[order], starts)
-    members = (order + 1).tolist()
-    cuts = starts.tolist() + [n]
-    return Partition(
-        clusters=tuple(frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])),
-        diameters=tuple(diameters.tolist()),
-        s_delta=float(s_delta),
-    )
+    same = (owner[:, :, None] == owner[:, None, :]).reshape(count, radii, n, n)
+    rows = np.max(np.broadcast_to(tables[:, None], same.shape), axis=3, where=same, initial=0.0)
+    diameters = np.maximum.reduceat(
+        np.take_along_axis(rows.reshape(pairs, n), order, axis=1).ravel(), starts
+    ).tolist()
+    members = (order + 1).ravel().tolist()
+    cuts = starts.tolist() + [pairs * n]
+    clusters = [frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # pair p's clusters are those from ends[p - 1] (0 for p = 0) to ends[p]
+    ends = np.searchsorted(starts, np.arange(n, pairs * n + 1, n)).tolist()
+    parts = [
+        Partition(clusters=tuple(clusters[i:j]), diameters=tuple(diameters[i:j]), s_delta=s)
+        for i, j, s in zip([0] + ends, ends, s_delta.ravel().tolist())
+    ]
+    return [parts[t * radii : (t + 1) * radii] for t in range(count)]
 
 
 def write_metric(path: str, metric: Metric) -> None:

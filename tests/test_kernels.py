@@ -29,11 +29,13 @@ from rspmetric import (
     DisconnectedGraphError,
     ExperimentConfig,
     Graph,
+    Metric,
     Seed,
     WeightedGraph,
     build_metric,
     build_metrics,
     cluster_partition,
+    cluster_partitions,
     complete_graph,
     cut_parameters_exact,
     cycle_graph,
@@ -135,13 +137,21 @@ def assert_same_profiles(metric, graph):
     assert np.array_equal(one.order, rows[2][-1])
 
 
-def assert_same_clusters(metric):
-    dmax = diameter(metric)
-    for frac in (0.0, 0.05, 0.125, 0.25, 0.5, 1.0):
-        for alpha in (1.0, 0.3, 0.05):
-            got = cluster_partition(metric, frac * dmax, alpha)
-            want = cluster_partition_loop(metric.dist, frac * dmax, alpha)
-            assert (got.clusters, got.diameters, got.s_delta) == want, (frac, alpha)
+FRACTIONS = (0.0, 0.05, 0.125, 0.25, 0.5, 1.0)
+ALPHAS = (1.0, 0.3, 0.05)
+
+
+def assert_same_clusters(metrics):
+    """One ``cluster_partitions`` call over every metric at every alpha, each
+    at each fraction of its diameter, against the loop oracle."""
+    pairs = [(m, alpha) for m in metrics for alpha in ALPHAS]
+    deltas = [[f * diameter(m) for f in FRACTIONS] for m, _ in pairs]
+    got = cluster_partitions([m for m, _ in pairs], deltas, [alpha for _, alpha in pairs])
+    assert [len(row) for row in got] == [len(FRACTIONS)] * len(pairs)
+    for (m, alpha), row, parts in zip(pairs, deltas, got):
+        for delta, part in zip(row, parts):
+            want = cluster_partition_loop(m.dist, delta, alpha)
+            assert (part.clusters, part.diameters, part.s_delta) == want, (delta, alpha)
 
 
 def assert_same_table(wg):
@@ -166,7 +176,7 @@ def test_kernels_match_loops_on_complete_graphs(n):
     graph, wg, metric = rsp_instance(n, seed=3000 + n)
     assert_same_table(wg)
     assert_same_profiles(metric, graph)
-    assert_same_clusters(metric)
+    assert_same_clusters([metric])
     if n % 2 == 0:
         assert_same_greedy(metric)
     assert_same_nn(metric)
@@ -178,7 +188,7 @@ def test_kernels_match_loops_on_k200():
     graph, wg, metric = rsp_instance(200, seed=200)
     assert_same_table(wg)
     assert_same_profiles(metric, graph)
-    assert_same_clusters(metric)
+    assert_same_clusters([metric])
     assert_same_greedy(metric)
     assert_same_nn(metric)
     assert_same_insertion(metric, rules=("nearest", "farthest", "random"))
@@ -195,7 +205,7 @@ def test_kernels_match_loops_on_connected_er_graphs(n, p):
         metric = build_metric(wg)
         assert_same_table(wg)
         assert_same_profiles(metric, graph)
-        assert_same_clusters(metric)
+        assert_same_clusters([metric])
         assert_same_greedy(metric)
         assert_same_nn(metric)
         assert_same_insertion(metric)
@@ -234,14 +244,103 @@ def test_kernels_match_loops_on_tie_heavy_metrics(n):
     metrics = [points_on_line(n), all_ones_metric(n)]
     metrics += [small_integer_metric(n, s) for s in range(3)]
     graph = complete_graph(n)
+    assert_same_clusters(metrics)
     for metric in metrics:
         assert_same_profiles(metric, graph)
-        assert_same_clusters(metric)
         if n % 2 == 0:
             assert_same_greedy(metric)
         assert_same_nn(metric)
         assert_same_insertion(metric)
         assert_same_two_opt(metric)
+
+
+def ring_metric(n):
+    """Integer ring distances min(|i - j|, n - |i - j|): at every integer radius
+    below n/2 two vertices tie at the radius itself."""
+    gap = np.abs(np.arange(n)[:, None] - np.arange(n))
+    return Metric(np.minimum(gap, n - gap).astype(float))
+
+
+def test_clusters_match_the_loop_at_tied_radii_zero_and_past_the_diameter():
+    metrics = [ring_metric(12), small_integer_metric(12, 7)]
+    assert [diameter(m) for m in metrics] == [6.0, 3.0]
+    radii = [0.0, 1.0, 2.0, 3.0, 6.0, 7.0]
+    for alpha in ALPHAS + (0.25,):
+        got = cluster_partitions(metrics, [radii, radii], [alpha, alpha])
+        for m, parts in zip(metrics, got):
+            for delta, part in zip(radii, parts):
+                want = cluster_partition_loop(m.dist, delta, alpha)
+                assert (part.clusters, part.diameters, part.s_delta) == want, (delta, alpha)
+            # every ball is the whole vertex set, above the cap (n + 1)/2 of s_delta
+            assert parts[-1].clusters == (frozenset(range(1, 13)),)
+            assert parts[0].clusters == tuple(frozenset({v}) for v in range(1, 13))
+
+
+@pytest.mark.parametrize("pairs", [1, 4, 13])
+def test_partitions_do_not_depend_on_the_block_bound(pairs, monkeypatch):
+    # 10 x 10 tables at six radii: blocks of one pair, of four and two radii
+    # of one metric, and of two metrics with all their radii
+    metrics = [rsp_instance(10, seed=s)[2] for s in range(4)]
+    deltas = [[f * diameter(m) for f in FRACTIONS] for m in metrics]
+    alphas = [1.0, 0.3, 0.05, 0.5]
+    want = cluster_partitions(metrics, deltas, alphas)
+    monkeypatch.setattr(metric_module, "CLUSTER_BLOCK", pairs * 10 * 10)
+    assert cluster_partitions(metrics, deltas, alphas) == want
+
+
+def test_cluster_partitions_refuse_a_malformed_stack():
+    a, b, c = rsp_instance(6, seed=1)[2], rsp_instance(6, seed=2)[2], rsp_instance(7, seed=3)[2]
+    for metrics, deltas, alphas in [
+        ([], [], []),  # no metric
+        ([a, c], [[0.1], [0.1]], [1.0, 1.0]),  # mixed sizes
+        ([a, b], [[0.1, 0.2], [0.1]], [1.0, 1.0]),  # ragged radii
+        ([a, b], [[0.1], [0.1]], [1.0]),  # one alpha short
+        ([a, b], [[0.1]], [1.0, 1.0]),  # one list of radii short
+    ]:
+        with pytest.raises(ValueError):
+            cluster_partitions(metrics, deltas, alphas)
+
+
+def two_triangles():
+    d = np.full((6, 6), np.inf)
+    d[:3, :3] = d[3:, 3:] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return Metric(d)
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda m, delta, alpha: (two_triangles(), delta, alpha),
+        lambda m, delta, alpha: (m, math.nan, alpha),
+        lambda m, delta, alpha: (m, -0.5, alpha),
+        lambda m, delta, alpha: (m, delta, 0.0),
+        lambda m, delta, alpha: (m, delta, 1.5),
+        lambda m, delta, alpha: (two_triangles(), math.nan, alpha),  # the radius is checked first
+    ],
+    ids=["disconnected", "nan-radius", "negative-radius", "alpha-0", "alpha-above-1",
+         "disconnected-and-nan"],
+)
+def test_a_bad_pair_anywhere_in_the_stack_raises_as_the_single_call(bad, at):
+    metrics = [rsp_instance(6, seed=s)[2] for s in range(3)]
+    deltas = [[0.0, 0.1] for _ in metrics]
+    alphas = [1.0, 0.5, 1.0]
+    metrics[at], deltas[at][1], alphas[at] = bad(metrics[at], deltas[at][1], alphas[at])
+    with pytest.raises(Exception) as single:
+        cluster_partition(metrics[at], deltas[at][1], alphas[at])
+    assert issubclass(single.type, (ValueError, DisconnectedGraphError))
+    with pytest.raises(single.type) as stacked:
+        cluster_partitions(metrics, deltas, alphas)
+    assert stacked.type is single.type
+
+
+def test_the_first_bad_pair_of_the_stack_decides_the_error():
+    metrics = [two_triangles(), rsp_instance(6, seed=1)[2]]
+    with pytest.raises(DisconnectedGraphError):
+        cluster_partitions(metrics, [[0.1], [math.nan]], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        cluster_partitions(metrics[::-1], [[math.nan], [0.1]], [1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -405,6 +504,30 @@ def test_a_heavy_bridge_dropped_by_pruning_is_added_back():
     assert runs == [graph.n, graph.n]
     assert np.array_equal(got, want)
     assert np.isfinite(got).all()
+
+
+def test_a_certificate_slack_smaller_than_the_shortcut_shows():
+    # K_60 weighted by ring distance where it is at most 5, and 100 elsewhere:
+    # k = 9 keeps exactly the ring edges, on which every eccentricity is 30.
+    # Two dropped chords beat their kept paths by 2^-13: (1, 21) well inside
+    # the screen, and (16, 46) just below the eccentricity 30.  A certificate
+    # or a screen with an absolute slack of 1e-3 would pass both.
+    n, eps = 60, 2.0**-13
+    graph = complete_graph(n)
+    gap = np.abs(np.diff(graph.edges, axis=1)[:, 0])
+    ring = np.minimum(gap, n - gap).astype(float)
+    w = np.where(ring <= 5, ring, 100.0)
+    chords = {(1, 21): 20.0 - eps, (16, 46): 30.0 - eps}
+    edges = graph.edges.tolist()
+    for edge, weight in chords.items():
+        w[edges.index(list(edge))] = weight
+    wg = WeightedGraph(graph, w)
+    assert prune_width(n, graph.m) == 9
+    got, runs, want = _raw_tables(wg)
+    assert len(runs) == 2
+    assert np.array_equal(got, want)
+    for (x, y), weight in chords.items():
+        assert build_metric(wg).d(x, y) == weight
 
 
 @pytest.mark.parametrize("n, top", [(60, 2), (100, 3), (150, 4), (250, 10)])

@@ -354,6 +354,24 @@ def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
     assert serial.to_csv() == pooled.to_csv() == alone.to_csv()
 
 
+@pytest.mark.parametrize("checks, calls", [(("chi", "cluster"), 3), (("chi",), 0)])
+def test_each_window_clusters_its_instances_in_one_call(checks, calls, monkeypatch):
+    # 40 trials at n = 16 are windows of 16, 16 and 8 trials
+    sizes = []
+
+    def recording(metrics, deltas, alphas):
+        sizes.append((len(metrics), {len(row) for row in deltas}))
+        return metric_module.cluster_partitions(metrics, deltas, alphas)
+
+    monkeypatch.setattr(lab, "cluster_partitions", recording)
+    cfg = ExperimentConfig(suite="structure", model="er", n=16, p=0.5, trials=40, seed=3,
+                           structure_checks=checks)
+    report = run_suite(cfg)
+    assert len(sizes) == calls
+    assert sum(size for size, _ in sizes) == (report.notes["eligible"] if calls else 0)
+    assert all(radii == {4} for _, radii in sizes)
+
+
 def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
     started = []
 
