@@ -12,23 +12,32 @@ from __future__ import annotations
 import inspect
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NTooSmallError, ParameterOutOfRangeError
+from .errors import NTooSmallError, ParameterOutOfRangeError, check_count
 
 log = logging.getLogger(__name__)
 
 EULER_GAMMA = 0.5772156649015329
 
 
+def _count(n) -> int:
+    """n as a plain int (``check_count``); ValueError below 1 or past the float range."""
+    if not 1 <= (n := check_count(n, "n")) <= sys.float_info.max:
+        raise ValueError("n must be at least 1 and within the float range")
+    return n
+
+
 def density_threshold(delta: float, n: int, alpha: float) -> float:
     """min{exp(alpha*delta*n/5), (n+1)/2}: balls at least this large are dense.
 
-    The one check of the radius and the cut parameter for the ball and
-    clustering bounds: delta >= 0 and alpha in (0, 1], NaN failing both.
+    The one check of the radius, n and the cut parameter for the ball and
+    clustering bounds: delta >= 0, alpha in (0, 1], NaN failing both, n >= 1.
     """
+    n = _count(n)
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     if not 0 < alpha <= 1:
@@ -56,6 +65,7 @@ def harmonic(n: int) -> float:
     series ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4), whose truncation
     error (< 1/(252 n^6)) is far below one ulp there.
     """
+    n = check_count(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n < HARMONIC_DIRECT_BELOW:
@@ -66,7 +76,7 @@ def harmonic(n: int) -> float:
 
 
 def _check_growth(n: int, k: int, alpha: float, beta: float) -> None:
-    if not 1 <= k <= n:
+    if not _count(n) >= check_count(k, "k") >= 1:
         raise ValueError("need 1 <= k <= n")
     if not 0 < alpha <= beta <= 1:
         raise ValueError("need 0 < alpha <= beta <= 1")
@@ -114,9 +124,7 @@ def diameter_tail(c: float, n: int) -> float:
     """Bound on P(diameter > c ln(n) / (alpha n)): min{1, n^{2 - c/4}}."""
     if not c > 0:
         raise ValueError("c must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return _clamp01(float(n) ** (2.0 - c / 4.0), "diameter-tail")
+    return _clamp01(float(_count(n)) ** (2.0 - c / 4.0), "diameter-tail")
 
 
 def ball_tail(delta: float, n: int, alpha: float) -> tuple[float, float]:
@@ -125,7 +133,7 @@ def ball_tail(delta: float, n: int, alpha: float) -> tuple[float, float]:
     P(|B_delta(v)| < min{e^{alpha delta n/5}, (n+1)/2}) <= e^{-alpha delta n/5};
     stated only for n >= 5.
     """
-    if n < 5:
+    if _count(n) < 5:
         raise NTooSmallError("ball tail bound needs n >= 5")
     return (density_threshold(delta, n, alpha), math.exp(-alpha * delta * n / 5.0))
 
@@ -142,8 +150,7 @@ def sm_tail(phi: float, c: float, n: int) -> float:
     min{1, exp(phi n (2 + ln(c / (2 phi^2))))}, valid for 0 < phi <= (n-1)/n
     and 0 < c <= 2 phi^2 / e.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _count(n)
     if not 0 < phi <= (n - 1) / n:
         raise ParameterOutOfRangeError(f"phi must lie in (0, {(n - 1) / n:.6g}]")
     if not 0 < c <= 2.0 * phi * phi / math.e:
@@ -190,8 +197,8 @@ def evaluate(formula_id: str, **params) -> BoundValue:
             raise ValueError(f"{formula_id}: {p}={x} must be finite")
     try:
         value = FORMULAS[formula_id](**args)
-    except OverflowError as exc:  # an integer parameter beyond the float range
-        raise ValueError(f"{formula_id}: a parameter is out of float range ({exc})") from exc
+    except OverflowError as exc:  # a power or exponential beyond the float range
+        raise ValueError(f"{formula_id}: value out of float range ({exc})") from exc
     if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
         raise ValueError(f"{formula_id}: value out of float range")  # JSON has no inf or NaN
     return BoundValue(formula_id=formula_id, value=value, inputs=args)

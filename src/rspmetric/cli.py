@@ -78,10 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_instance(path: str, seed: int):
     """Metric from a graph file: stored weights if present, else drawn from the seed."""
     loaded = g.read_graph(path)
-    if isinstance(loaded, g.WeightedGraph):
-        wg = loaded
-    else:
-        wg = g.draw_weights(loaded, Seed(seed))
+    wg = loaded if isinstance(loaded, g.WeightedGraph) else g.draw_weights(loaded, Seed(seed))
     return wg, metric_mod.build_metric(wg)
 
 

@@ -1,8 +1,21 @@
-"""Typed errors raised by the library.
+"""Typed errors raised by the library, and its one rule for integer inputs.
 
 Every precondition failure maps to one of these, so callers (and the CLI)
 can distinguish usage problems from genuine bugs.
 """
+
+import operator
+
+import numpy as np
+
+
+def check_count(value, name: str) -> int:
+    """A count, bound, index or seed as a plain int, before any range check:
+    TypeError naming ``name`` unless it is an integer (``operator.index``)
+    other than a bool."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class RspMetricError(Exception):

@@ -20,6 +20,7 @@ from .errors import (
     DisconnectedGraphError,
     NotEnoughEdgesError,
     SizeCapExceededError,
+    check_count,
 )
 from .rng import Seed, UniformStream
 
@@ -37,17 +38,6 @@ CUT_PARAMETER_CAP = 24
 # RSS is 176 MB; all but about 18 MB of it (its half of the rows) are the
 # parent's pages, shared copy-on-write.
 VERTEX_CAP = 2048
-
-
-def check_count(value, name: str) -> int:
-    """A count as a plain int: TypeError naming ``name`` unless it is an
-    integer (``operator.index``) other than a bool."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_vertex_cap(n) -> int:

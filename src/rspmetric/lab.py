@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds
+from . import metric as metric_mod
 from .errors import ConfigInvalidError, EmptySelectionError
 from .graphs import (
     CUT_PARAMETER_CAP,
@@ -70,14 +71,12 @@ from .heuristics import (
     two_opt,
 )
 from .metric import (
-    BATCH_VERTICES,
     Metric,
     Partition,
     build_metrics,
     cluster_partitions,
     diameter,
     tau_profiles,
-    usable_cpus,
 )
 from .rng import Seed, UniformStream
 
@@ -498,7 +497,7 @@ def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[T
     # module level so that process pools can pickle it
     suite = _SUITES[config.suite]
     clusters = "clusters" in suite.needs(config)
-    step = max(1, BATCH_VERTICES // config.n)
+    step = max(1, metric_mod.BATCH_VERTICES // config.n)
     records: list[TrialRecord] = []
     for lo in range(trials.start, trials.stop, step):
         window = [_trial(config, ctx, i) for i in range(lo, min(lo + step, trials.stop))]
@@ -533,7 +532,7 @@ def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]
     ``max_workers`` at once.
     """
     run = partial(_run_chunk, config, context)
-    workers = min(config.workers, config.trials, usable_cpus())
+    workers = min(config.workers, config.trials, metric_mod.usable_cpus())
     if workers <= 1:
         return run(range(config.trials))
     chunk = max(1, config.trials // (4 * workers))

@@ -543,23 +543,18 @@ def _cluster_block(
     balls = (tables[:, None] <= deltas[:, :, None, None]).reshape(pairs, n, n)
     dense = balls.sum(axis=2) >= s_delta.reshape(pairs, 1)
     # the greedy sweep: in each pair where v is dense and its ball misses the
-    # centres' balls taken so far, v is a centre and its ball is taken
-    centre = np.zeros((pairs, n), dtype=bool)
+    # centres' balls taken so far, v is a centre, and its ball is taken and
+    # labelled v.  Centres' balls are disjoint, so each vertex keeps its one
+    # label (n: in no centre's ball), and the least label over a dense ball is
+    # the lowest centre meeting it
+    label = np.full((pairs, n), n, dtype=np.min_scalar_type(n))
     covered = np.zeros((pairs, n), dtype=bool)
     for v in np.flatnonzero(dense.any(axis=0)).tolist():
         ball = balls[:, v]
-        take = dense[:, v] > (ball & covered).any(axis=1)
-        centre[:, v] = take
-        np.logical_or(covered, ball, out=covered, where=take[:, None])
-    # min reductions over broadcast index rows build no (pair, vertex, vertex)
-    # integer array.  Centres' balls are disjoint, so a vertex has at most one
-    # label (n if none), and the least label over a dense ball is the lowest
-    # centre meeting it
-    vertex = np.arange(n)
-    label = np.min(np.broadcast_to(vertex[:, None], balls.shape), axis=1,
-                   where=centre[:, :, None] & balls, initial=n)
-    owner = np.min(np.broadcast_to(label[:, None, :], balls.shape), axis=2, where=balls, initial=n)
-    owner = np.where(dense, owner, vertex)
+        take = ball & (dense[:, v] > (ball & covered).any(axis=1))[:, None]
+        covered |= take
+        np.copyto(label, v, where=take)
+    owner = np.where(dense, np.where(balls, label[:, None, :], n).min(axis=2), np.arange(n))
     order = np.argsort(owner, axis=1, kind="stable")
     # a cluster's block starts at its lowest member, the one vertex in it that
     # owns itself; each pair's row starts a cluster, so one reduceat serves all

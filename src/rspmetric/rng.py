@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 counter increment
 _U53 = 2.0**-53
@@ -65,10 +67,12 @@ class Seed:
     master: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.master, int) or not 0 <= self.master <= _MASK64:
+        object.__setattr__(self, "master", check_count(self.master, "master seed"))
+        if not 0 <= self.master <= _MASK64:
             raise ValueError("master seed must be a 64-bit unsigned integer")
 
     def child(self, index: int, label: str = "") -> "Seed":
+        index = check_count(index, "child index")
         if index < 0:
             raise ValueError("child index must be nonnegative")
         keyed = _mix64(self.master ^ _label_hash(label))
@@ -92,15 +96,11 @@ class UniformStream:
         self._key = seed.master
         self._counter = 0
 
-    def _raw(self, counter: int) -> int:
-        return _mix64((self._key + (counter + 1) * _GAMMA) & _MASK64)
-
     def u01(self) -> float:
-        u = ((self._raw(self._counter) >> 11) + 0.5) * _U53
-        self._counter += 1
-        return min(u, _U_MAX)
+        return float(self.u01_block(1)[0])
 
     def u01_block(self, count: int) -> np.ndarray:
+        count = check_count(count, "count")
         if count < 0:
             raise ValueError("count must be nonnegative")
         counters = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
@@ -113,7 +113,8 @@ class UniformStream:
         return -np.log1p(-self.u01_block(count))
 
     def integer_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound); bound must be positive."""
+        """Uniform integer in [0, bound); bound must be a positive integer."""
+        bound = check_count(bound, "bound")
         if bound <= 0:
             raise ValueError("bound must be positive")
         return min(int(self.u01() * bound), bound - 1)

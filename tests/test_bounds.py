@@ -18,7 +18,7 @@ from rspmetric import (
     tau_cdf_bounds,
     tau_expectation_bounds,
 )
-from rspmetric.bounds import FORMULAS, HARMONIC_DIRECT_BELOW
+from rspmetric.bounds import FORMULAS, HARMONIC_DIRECT_BELOW, density_threshold
 
 from oracles import exp_sum_cdf, tau_cdf_bounds_math
 
@@ -337,3 +337,52 @@ def test_evaluate_rejects_bad_requests():
         evaluate("harmonic")
     with pytest.raises(ValueError):
         evaluate("harmonic", n=1, extra=2)
+
+
+# -- counts follow the package's rule: operator.index, no bool, a float-sized n ---
+
+
+def test_diameter_tail_refuses_an_n_past_the_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        diameter_tail(1.0, 10**400)  # used to raise OverflowError
+
+
+def test_sm_tail_refuses_an_n_past_the_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        sm_tail(0.5, 0.01, 10**400)  # used to raise OverflowError
+
+
+def test_cluster_scale_refuses_no_vertices():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            cluster_scale(1.0, n, 0.5)  # n = 0 used to return (0.5, 0.0)
+
+
+def test_density_threshold_refuses_a_non_integer_n():
+    for n in (math.nan, 16.0, True):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            density_threshold(1.0, n, 0.5)  # NaN used to return NaN
+    assert density_threshold(1.0, np.int64(16), 0.5) == density_threshold(1.0, 16, 0.5)
+
+
+def test_ball_tail_refuses_a_fractional_n():
+    for n in (5.5, True):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            ball_tail(1.0, n, 0.5)  # 5.5 used to return a value, True to raise NTooSmallError
+
+
+def test_harmonic_refuses_a_bool():
+    for n in (True, np.bool_(True), 4.0):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            harmonic(n)  # True used to return 1.0
+    assert harmonic(np.int64(4)) == harmonic(4)
+
+
+def test_growth_brackets_take_counts():
+    for n, k in ((True, 1), (6, 2.0), (6.0, 2), (5.0, 0)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            tau_expectation_bounds(n, k, 0.5, 1.0)
+    with pytest.raises(ValueError, match="float range"):
+        pair_distance_bounds(10**400, 0.5, 1.0)
+    bracket = tau_cdf_bounds(0.5, 10, 5, 0.5, 1.0)
+    assert tau_cdf_bounds(0.5, np.int64(10), np.int64(5), 0.5, 1.0) == bracket

@@ -60,7 +60,7 @@ from rspmetric import (
 )
 from scipy.sparse.csgraph import dijkstra
 
-from rspmetric import lab, metric as metric_module
+from rspmetric import metric as metric_module
 from rspmetric.graphs import CUT_PARAMETER_CAP, _split_bit_rows
 from rspmetric.heuristics import Tour
 from rspmetric.metric import (
@@ -712,7 +712,6 @@ def test_records_equal_at_one_and_two_workers_across_the_split_size(monkeypatch)
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("the Dijkstra pass forks only on Linux")
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
     children = record_forks(monkeypatch)
     cfg = ExperimentConfig(suite="tau", model="complete", n=400, trials=3, seed=9,
                            tau_ks=(2, 200, 400))

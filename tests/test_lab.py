@@ -345,10 +345,10 @@ def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
     serial = run_suite(cfg)
     if name == "structure-er":
         assert serial.notes["skipped_disconnected"] > 0
-    monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
     pooled = run_suite(ExperimentConfig(**BATCHED[name], workers=2))
-    monkeypatch.setattr(lab, "BATCH_VERTICES", 1)  # one trial per window
-    monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)  # one graph per Dijkstra call
+    # one trial per window, and one graph per Dijkstra call
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)
     alone = run_suite(cfg)
     assert serial.records == pooled.records == alone.records
     assert serial.to_csv() == pooled.to_csv() == alone.to_csv()
@@ -389,7 +389,7 @@ def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(lab, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 8)
 
     def trials(**kwargs):
         cfg = ExperimentConfig(suite="ratio", kind="nn", model="complete", n=6, seed=5, **kwargs)
@@ -400,7 +400,7 @@ def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
     assert pooled == trials(trials=3)
     trials(trials=20, workers=64)
     assert started == [3, 8]
-    monkeypatch.setattr(lab, "usable_cpus", lambda: 1)  # one CPU: run serially
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 1)  # one CPU: run serially
     trials(trials=20, workers=64)
     assert started == [3, 8]
 

@@ -11,21 +11,51 @@ for bit.  Clustering the doubled table at radius 2 delta with alpha / 2 asks
 the same questions: d <= delta iff 2d <= 2 delta, and the density threshold's
 rate alpha delta n / 5 is the same float.  So the clusters and s_delta come
 out the same, bit for bit, and every cluster diameter doubles.
+
+Scale by 2^j: the same holds for any power of two that stays clear of
+overflow and subnormals, so every heuristic and exact baseline compares the
+same sums in the same order and returns the same tour, pairs or centres,
+with every cost times 2^j.
+
+Relabel: renaming the vertices by a permutation, each weight carried with its
+edge, renames every shortest path.  The certified APSP's row is the unique
+solution of the Bellman equations, whose pruning keeps edges by weight alone,
+so the table permutes exactly; cut sizes and the cut parameters do not see
+names.  Where no two candidates tie, the closest-first order, the greedy
+matching and the nearest-neighbour walk from the renamed start map through
+the permutation, with the same distances and costs.  ``two_opt``, the
+insertion rules and the clustering read positions or vertex indices, so
+they are left out.
 """
 
 import numpy as np
 import pytest
 
 from rspmetric import (
+    Graph,
     Seed,
     WeightedGraph,
     build_metric,
     cluster_partitions,
     complete_graph,
+    cut_parameters_exact,
     diameter,
     draw_weights,
+    exact_kmedian,
+    exact_matching,
+    exact_tsp,
+    first_k_centers,
     generate_erdos_renyi,
+    greedy_matching,
+    insertion_tour,
+    is_connected,
+    nearest_neighbor_tour,
+    tau_profile,
+    trivial_kmedian,
+    two_opt,
 )
+from rspmetric.graphs import CUT_PARAMETER_CAP
+from rspmetric.heuristics import INSERTION_RULES
 from rspmetric.metric import prune_width
 
 SEEDS = range(5)
@@ -34,6 +64,7 @@ GRAPHS = {  # name -> (graph of a seed, whether build_metric prunes it)
     "K_60": (lambda s: complete_graph(60), True),
     "G(30, 0.3)": (lambda s: generate_erdos_renyi(30, 0.3, Seed(s).child(0, "graph")), False),
     "G(150, 0.08)": (lambda s: generate_erdos_renyi(150, 0.08, Seed(s).child(0, "graph")), False),
+    "G(16, 0.5)": (lambda s: generate_erdos_renyi(16, 0.5, Seed(s).child(0, "graph")), False),
 }
 
 
@@ -44,13 +75,13 @@ def _draw(name, seed):
     return draw_weights(graph, Seed(seed))
 
 
-def _doubled(wg):
-    return WeightedGraph(wg.graph, 2.0 * wg.weights)
+def _scaled(wg, j):
+    return WeightedGraph(wg.graph, 2.0**j * wg.weights)
 
 
 def _tables(wg):
     """The metric of a draw and of its doubled weights."""
-    return build_metric(wg), build_metric(_doubled(wg))
+    return build_metric(wg), build_metric(_scaled(wg, 1))
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +128,81 @@ def test_doubled_weights_at_twice_the_radius_and_half_alpha_double_the_diameters
 
 def test_doubled_weights_at_twice_the_radius_and_half_alpha_double_the_diameters_of_k1000(k1000):
     assert_doubled_clusters([k1000])
+
+
+def _solutions(metric, seed, exact):
+    """name -> (answer, costs) of each heuristic, and with ``exact`` of each exact baseline."""
+    nn, matching = nearest_neighbor_tour(metric), greedy_matching(metric)
+    out = {"nn": (nn.order, [nn.cost]), "greedy": (matching.pairs, [matching.cost])}
+    for rule in INSERTION_RULES:
+        tour = insertion_tour(metric, rule, Seed(seed))
+        out[rule] = (tour.order, [tour.cost])
+    for init, start in (("identity", None), ("nn", nn)):
+        trace = two_opt(metric, start)
+        out[f"2-opt from {init}"] = ((trace.final.order, trace.iterations),
+                                     [trace.final.cost, *trace.costs])
+    median = trivial_kmedian(metric, first_k_centers(3))
+    out["k-median"] = (median.centers, [median.cost])
+    if exact:
+        tsp, matching, median = exact_tsp(metric), exact_matching(metric), exact_kmedian(metric, 3)
+        out["tsp"] = (tsp.order, [tsp.cost])
+        out["matching"] = (matching.pairs, [matching.cost])
+        out["opt k-median"] = (median.centers, [median.cost])
+    return out
+
+
+SCALED = {"K_12": True, "G(16, 0.5)": False, "K_60": False}  # name -> run the exact baselines
+
+
+@pytest.mark.parametrize("j", [-3, 5])
+@pytest.mark.parametrize("name", SCALED)
+def test_weights_times_a_power_of_two_scale_every_cost_and_change_no_answer(name, j):
+    wg = _draw(name, 0)
+    metric, scaled = build_metric(wg), build_metric(_scaled(wg, j))
+    assert np.array_equal(scaled.dist, 2.0**j * metric.dist)
+    plain, times = _solutions(metric, 0, SCALED[name]), _solutions(scaled, 0, SCALED[name])
+    assert times.keys() == plain.keys()
+    for key, (answer, costs) in plain.items():
+        assert times[key] == (answer, [2.0**j * c for c in costs]), key
+    if SCALED[name]:  # so the approximation ratios are equal too
+        assert times["nn"][1][0] / times["tsp"][1][0] == plain["nn"][1][0] / plain["tsp"][1][0]
+
+
+def _relabelled(wg, perm):
+    """The draw with vertex v named perm[v - 1], each weight carried with its edge."""
+    ends = perm[wg.graph.edges - 1]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    order = np.lexsort((hi, lo))
+    return WeightedGraph(Graph(wg.graph.n, np.column_stack((lo, hi))[order]), wg.weights[order])
+
+
+RELABELLED = ("K_12", "G(16, 0.5)", "G(30, 0.3)", "K_60")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", RELABELLED)
+def test_renamed_vertices_rename_every_answer(name, seed):
+    wg = _draw(name, seed)
+    assert is_connected(wg.graph)
+    n = wg.graph.n
+    perm = np.random.default_rng(seed).permutation(n) + 1
+    renamed = _relabelled(wg, perm)
+    metric, metric_r = build_metric(wg), build_metric(renamed)
+    assert np.array_equal(metric_r.dist[np.ix_(perm - 1, perm - 1)], metric.dist)
+    if n <= CUT_PARAMETER_CAP:
+        assert cut_parameters_exact(renamed.graph) == cut_parameters_exact(wg.graph)
+    for v in (1, n // 2, n):
+        profile = tau_profile(metric, wg.graph, v)
+        profile_r = tau_profile(metric_r, renamed.graph, perm[v - 1])
+        assert np.array_equal(profile_r.taus, profile.taus)
+        assert np.array_equal(profile_r.chis, profile.chis)
+        assert np.array_equal(profile_r.order, perm[profile.order - 1])
+    matching, matching_r = greedy_matching(metric), greedy_matching(metric_r)
+    renamed_pairs = {frozenset(perm[[a - 1, b - 1]].tolist()) for a, b in matching.pairs}
+    assert {frozenset(p) for p in matching_r.pairs} == renamed_pairs
+    assert matching_r.cost == matching.cost
+    for start in (1, n):
+        tour = nearest_neighbor_tour(metric, start)
+        tour_r = nearest_neighbor_tour(metric_r, perm[start - 1])
+        assert tour_r.order == tuple(perm[np.array(tour.order) - 1].tolist())
+        assert tour_r.cost == tour.cost

@@ -129,3 +129,43 @@ def test_an_all_ones_raw_value_stays_below_one():
     assert np.isfinite(UniformStream(seed).exponential_block(1)).all()
     wg = draw_weights(Graph(2, [(1, 2)]), seed)
     assert wg.weights[0] == -math.log1p(-(1 - 2.0**-53))
+
+
+# -- integer inputs follow the package's rule: operator.index, no bool ----------
+
+
+def test_a_fractional_block_count_is_refused_and_leaves_the_counter():
+    stream = UniformStream(Seed(1))
+    with pytest.raises(TypeError, match="count must be an integer"):
+        stream.u01_block(2.5)  # used to draw three values and leave the counter at 2.5
+    assert stream.u01() == UniformStream(Seed(1)).u01()
+
+
+def test_a_fractional_exponential_count_is_refused():
+    with pytest.raises(TypeError, match="count must be an integer"):
+        UniformStream(Seed(1)).exponential_block(1.5)  # used to draw two values
+
+
+def test_a_fractional_bound_is_refused():
+    for seed in range(50):  # used to draw 0, 1 and the float 1.5
+        with pytest.raises(TypeError, match="bound must be an integer"):
+            UniformStream(Seed(seed)).integer_below(2.5)
+    draw = UniformStream(Seed(1)).integer_below(7)
+    assert UniformStream(Seed(1)).integer_below(np.int64(7)) == draw
+
+
+def test_a_numpy_child_index_is_the_same_child():
+    # (index + 1) * _GAMMA used to overflow int64
+    assert Seed(1).child(np.int64(3)) == Seed(1).child(3)
+    assert Seed(1).child(np.uint8(3), "w") == Seed(1).child(3, "w")
+    for index in (True, 3.0, 1.5, "3"):
+        with pytest.raises(TypeError, match="child index must be an integer"):
+            Seed(1).child(index)
+
+
+def test_a_bool_master_is_refused():
+    for master in (True, np.bool_(False), 1.0, 1.5, None):
+        with pytest.raises(TypeError, match="master seed must be an integer"):
+            Seed(master)
+    seed = Seed(np.uint64(_MASK64))
+    assert type(seed.master) is int and seed == Seed(_MASK64)
