@@ -45,12 +45,14 @@ from .graphs import (
     cut_parameters_exact,
     cycle_graph,
     draw_weights,
+    erdos_renyi_graphs,
     generate_erdos_renyi,
     is_connected,
     path_graph,
     read_graph,
     star_graph,
     sum_lightest_edges,
+    weighted_graphs,
     write_graph,
 )
 from .heuristics import (

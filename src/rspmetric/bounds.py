@@ -47,12 +47,11 @@ def density_threshold(delta: float, n: int, alpha: float) -> float:
     return cap if rate >= math.log(cap) else math.exp(rate)  # no overflow at large rates
 
 
-def _clamp01(value: float, formula_id: str) -> float:
-    # every clamped formula is a power or an exponential, so value >= 0
-    if value > 1.0:
-        log.info("%s evaluated to %.6g; clamped to 1 (vacuous regime)", formula_id, value)
-        return 1.0
-    return value
+def _vacuous(formula_id: str, exponent: float) -> float:
+    """1, for a min{1, e^exponent} bound whose exponent is positive; decided in
+    log space, so e^exponent is never formed and cannot overflow."""
+    log.info("%s is exp(%.6g) > 1; clamped to 1 (vacuous regime)", formula_id, exponent)
+    return 1.0
 
 
 HARMONIC_DIRECT_BELOW = 10**5
@@ -124,7 +123,9 @@ def diameter_tail(c: float, n: int) -> float:
     """Bound on P(diameter > c ln(n) / (alpha n)): min{1, n^{2 - c/4}}."""
     if not c > 0:
         raise ValueError("c must be positive")
-    return _clamp01(float(_count(n)) ** (2.0 - c / 4.0), "diameter-tail")
+    n, power = float(_count(n)), 2.0 - c / 4.0
+    exponent = power * math.log(n)
+    return _vacuous("diameter-tail", exponent) if exponent > 0 else n**power
 
 
 def ball_tail(delta: float, n: int, alpha: float) -> tuple[float, float]:
@@ -155,7 +156,8 @@ def sm_tail(phi: float, c: float, n: int) -> float:
         raise ParameterOutOfRangeError(f"phi must lie in (0, {(n - 1) / n:.6g}]")
     if not 0 < c <= 2.0 * phi * phi / math.e:
         raise ParameterOutOfRangeError(f"c must lie in (0, {2.0 * phi * phi / math.e:.6g}]")
-    return _clamp01(math.exp(phi * n * (2.0 + math.log(c / (2.0 * phi * phi)))), "sm-tail")
+    exponent = phi * n * (2.0 + math.log(c / (2.0 * phi * phi)))
+    return _vacuous("sm-tail", exponent) if exponent > 0 else math.exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -195,10 +197,7 @@ def evaluate(formula_id: str, **params) -> BoundValue:
             raise ValueError(f"{formula_id}: {p}={x} must be >= 1")
         if isinstance(x, float) and not math.isfinite(x):  # inputs are echoed as strict JSON
             raise ValueError(f"{formula_id}: {p}={x} must be finite")
-    try:
-        value = FORMULAS[formula_id](**args)
-    except OverflowError as exc:  # a power or exponential beyond the float range
-        raise ValueError(f"{formula_id}: value out of float range ({exc})") from exc
+    value = FORMULAS[formula_id](**args)
     if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
         raise ValueError(f"{formula_id}: value out of float range")  # JSON has no inf or NaN
     return BoundValue(formula_id=formula_id, value=value, inputs=args)

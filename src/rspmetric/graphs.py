@@ -10,7 +10,6 @@ produces the same weights no matter how the edge set was built.
 from __future__ import annotations
 
 import io
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +21,7 @@ from .errors import (
     SizeCapExceededError,
     check_count,
 )
-from .rng import Seed, UniformStream
+from .rng import Seed, exponential_rows, u01_rows
 
 # Hard ceiling, the only size bound of the cut table.  At 24 the 2^23 cuts are
 # built in row blocks of 2^20 entries: about 35 ms, 17 MB traced peak and
@@ -52,10 +51,10 @@ def check_vertex_cap(n) -> int:
 def check_vertex(v, n: int) -> int:
     """Vertex v of 1..n as a plain int.
 
-    TypeError unless v is an integer (``operator.index``: 1.5 and 1.0 are
-    refused, a bool becomes 0 or 1), ValueError outside 1..n.
+    TypeError unless v is an integer other than a bool (``check_count``: 1.5,
+    1.0 and True are refused), ValueError outside 1..n.
     """
-    v = operator.index(v)
+    v = check_count(v, "vertex")
     if not 1 <= v <= n:
         raise ValueError(f"vertices must lie in 1..{n}, got {v}")
     return v
@@ -220,25 +219,43 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, tuple((v, v + 1) for v in range(1, n)) + ((1, n),))
 
 
-def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
-    """G(n, p): each pair is an edge independently with probability p.
-
-    One uniform is consumed per pair in lexicographic order, so the result is
-    a pure function of (n, p, seed).
-    """
+def erdos_renyi_graphs(n: int, p: float, seeds) -> list[Graph]:
+    """One G(n, p) per seed, all from one kernel call: entry i is
+    ``generate_erdos_renyi(n, p, seeds[i])``."""
     n = check_vertex_cap(n)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     pairs = _all_pairs(n)
-    return Graph(n, pairs[UniformStream(seed).u01_block(len(pairs)) < p])
+    return [Graph(n, pairs[edge]) for edge in u01_rows(seeds, len(pairs)) < p]
+
+
+def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
+    """G(n, p): each pair is an edge independently with probability p.
+
+    One uniform is consumed per pair in lexicographic order, so the result is
+    a pure function of (n, p, seed).
+    """
+    return erdos_renyi_graphs(n, p, [seed])[0]
+
+
+def weighted_graphs(graphs, seeds) -> list[WeightedGraph]:
+    """Each graph with its own seed's weights, all from one kernel call: entry
+    i is ``draw_weights(graphs[i], seeds[i])``.
+
+    Every seed draws as many weights as the largest graph has edges, and
+    each graph keeps the first ones it needs.
+    """
+    if len(graphs) != len(seeds):
+        raise ValueError(f"need one seed per graph, got {len(seeds)} for {len(graphs)}")
+    w = exponential_rows(seeds, max((g.m for g in graphs), default=0))
+    return [WeightedGraph(g, row[:g.m]) for g, row in zip(graphs, w)]
 
 
 def draw_weights(graph: Graph, seed: Seed) -> WeightedGraph:
     """Independent rate-1 exponential weight per edge, in lexicographic edge order."""
-    w = UniformStream(seed).exponential_block(graph.m)
-    return WeightedGraph(graph, w)
+    return weighted_graphs([graph], [seed])[0]
 
 
 def is_connected(graph: Graph) -> bool:

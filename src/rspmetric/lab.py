@@ -11,9 +11,11 @@ Every suite runs one pipeline, :func:`run_suite`:
    its exact cut parameters.
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
-   ends the trial at ``connected=0``.  Weights are drawn on use; the metrics
-   of consecutive trials are built together, in one ``build_metrics`` call,
-   and so are their clusterings, in one ``cluster_partitions`` call.
+   ends the trial at ``connected=0``.  Consecutive trials form a window: its
+   fresh graphs are drawn in one call, and its weights in another, while
+   connectivity and cut parameters are found per graph; its metrics are
+   built in one ``build_metrics`` call, and its clusterings in one
+   ``cluster_partitions`` call.
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
    records are identical at any worker count.
@@ -47,11 +49,12 @@ from .graphs import (
     WeightedGraph,
     complete_graph,
     cut_parameters_exact,
-    draw_weights,
+    erdos_renyi_graphs,
     generate_erdos_renyi,
     is_connected,
     read_graph,
     sum_lightest_edges,
+    weighted_graphs,
 )
 from .heuristics import (
     INSERTION_RULES,
@@ -417,21 +420,18 @@ class _Context:
 
 @dataclass
 class _Instance:
-    """One trial's connected graph; weights are drawn on first use, and the
-    trial's window (see ``_run_chunk``) sets its metric and, when the suite
-    needs them, its clusterings at ``radii``."""
+    """One trial's connected graph; the trial's window (see ``_run_chunk``)
+    sets its weights, its metric and, when the suite needs them, its
+    clusterings at ``radii``."""
 
     config: ExperimentConfig
     index: int
     seed: Seed
     graph: Graph
     cut: CutParameters | None
+    weighted: WeightedGraph | None = None
     metric: Metric | None = None
     partitions: list[Partition] | None = None
-
-    @cached_property
-    def weighted(self) -> WeightedGraph:
-        return draw_weights(self.graph, self.seed.child(0, "weights"))
 
     @cached_property
     def radii(self) -> list[float]:
@@ -470,28 +470,48 @@ def make_context(config: ExperimentConfig) -> _Context:
     return _Context(graph=graph, cut=_cut_for(config, graph), frozen_index=idx)
 
 
-def _trial(config: ExperimentConfig, ctx: _Context, i: int) -> _Instance | TrialRecord:
-    """Trial i's seed, graph and cut parameters; the record of a disconnected draw."""
-    ts = Seed(config.seed).child(i, "trial")
-    graph, cut = ctx.graph, ctx.cut
-    if graph is None:  # a frozen graph is connected by construction
-        graph = generate_erdos_renyi(config.n, config.p, ts.child(0, "graph"))
-        if not is_connected(graph):
-            return TrialRecord(index=i, seed=ts.hex(), values={"connected": 0})
-        cut = _cut_for(config, graph)
-    return _Instance(config, i, ts, graph, cut)
+def _window(config: ExperimentConfig, ctx: _Context,
+            trials: range) -> list[_Instance | TrialRecord]:
+    """Each trial's instance, or the record of its disconnected draw.
+
+    The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
+    frozen graph is connected by construction), and every instance's
+    weights from one ``weighted_graphs`` call; connectivity and cut
+    parameters are found per graph.
+    """
+    master = Seed(config.seed)
+    seeds = [master.child(i, "trial") for i in trials]
+    if ctx.graph is None:
+        graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
+    else:
+        graphs = [ctx.graph] * len(seeds)
+    window: list[_Instance | TrialRecord] = []
+    for i, ts, graph in zip(trials, seeds, graphs):
+        if ctx.graph is not None:
+            window.append(_Instance(config, i, ts, graph, ctx.cut))
+        elif is_connected(graph):
+            window.append(_Instance(config, i, ts, graph, _cut_for(config, graph)))
+        else:
+            window.append(TrialRecord(index=i, seed=ts.hex(), values={"connected": 0}))
+    instances = [x for x in window if isinstance(x, _Instance)]
+    weighted = weighted_graphs([x.graph for x in instances],
+                               [x.seed.child(0, "weights") for x in instances])
+    for x, wg in zip(instances, weighted):
+        x.weighted = wg
+    return window
 
 
 def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[TrialRecord]:
     """Records of a range of trials, in windows of ``BATCH_VERTICES // n`` trials (at least one).
 
-    A window runs in three stages: each trial's prologue (``_trial``); one
-    ``build_metrics`` call over its connected instances, and when the suite
-    needs ``clusters``, one ``cluster_partitions`` call over their metrics
-    at their radii; each instance's statistics.  A metric or a partition
-    does not depend on the batch it was built in, so neither do the records.
-    Windows, not whole chunks, bound memory: a window holds about one batch
-    of weights and metrics, where a chunk of large graphs would hold one per
+    A window runs in three stages: its prologue (``_window``), which draws
+    its graphs and weights; one ``build_metrics`` call over its connected
+    instances, and when the suite needs ``clusters``, one
+    ``cluster_partitions`` call over their metrics at their radii; each
+    instance's statistics.  A draw, a metric or a partition does not depend
+    on the batch it was made in, so neither do the records.  Windows, not
+    whole chunks, bound memory: a window holds about one batch of graphs,
+    weights and metrics, where a chunk of large graphs would hold one per
     trial.
     """
     # module level so that process pools can pickle it
@@ -500,7 +520,7 @@ def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[T
     step = max(1, metric_mod.BATCH_VERTICES // config.n)
     records: list[TrialRecord] = []
     for lo in range(trials.start, trials.stop, step):
-        window = [_trial(config, ctx, i) for i in range(lo, min(lo + step, trials.stop))]
+        window = _window(config, ctx, range(lo, min(lo + step, trials.stop)))
         instances = [x for x in window if isinstance(x, _Instance)]
         metrics = build_metrics([x.weighted for x in instances])
         for x, metric in zip(instances, metrics):

@@ -39,12 +39,13 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (uint64 arithmetic wraps mod 2^64)."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized splitmix64 finalizer, in place (uint64 arithmetic wraps mod 2^64)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _label_hash(label: str) -> int:
@@ -82,35 +83,84 @@ class Seed:
         return f"{self.master:016x}"
 
 
+def _check_seed(seed) -> Seed:
+    if not isinstance(seed, Seed):
+        raise TypeError(f"seed must be a Seed, got {type(seed).__name__}")
+    return seed
+
+
+def _check_block(count) -> int:
+    count = check_count(count, "count")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return count
+
+
+def _u01_rows(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """The uniforms at counters start + 1 .. start + count of each uint64 key, one row per key.
+
+    The one counter kernel: every uniform of the library comes from here.
+    """
+    # the finalizer and the conversion work in place: beside the steps, at
+    # most two (len(keys), count) arrays live at once
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    raw = _mix64_np(keys[:, None] + steps)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= _U53
+    return np.minimum(u, _U_MAX, out=u)
+
+
+def _exponential(u: np.ndarray) -> np.ndarray:
+    """Rate-1 exponentials -log(1 - u) of uniforms u, which it overwrites."""
+    w = np.log1p(np.negative(u, out=u))
+    return np.negative(w, out=w)
+
+
+def u01_rows(seeds, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of each seed's stream, as one (len(seeds), count) array.
+
+    Row i equals ``UniformStream(seeds[i]).u01_block(count)``, but the many
+    streams cost one pass.  TypeError unless every seed is a :class:`Seed`.
+    """
+    keys = np.array([_check_seed(s).master for s in seeds], dtype=np.uint64)
+    return _u01_rows(keys, 0, _check_block(count))
+
+
+def exponential_rows(seeds, count: int) -> np.ndarray:
+    """The first ``count`` rate-1 exponentials of each seed's stream, one row per seed.
+
+    Row i equals ``UniformStream(seeds[i]).exponential_block(count)``.
+    """
+    return _exponential(u01_rows(seeds, count))
+
+
 class UniformStream:
     """Sequential view over the counter-addressed uniforms of a :class:`Seed`.
 
     ``u01()`` and ``u01_block(k)`` consume counters in order; the value at
     counter i is ``min((mix64(key + (i+1)*GAMMA) >> 11 + 0.5) * 2**-53, 1 - 2**-53)``
     and does not depend on how preceding values were consumed (scalar or block).
+    A block is one row of the counter kernel behind :func:`u01_rows`.
     """
 
     def __init__(self, seed: Seed):
-        if not isinstance(seed, Seed):
-            raise TypeError(f"seed must be a Seed, got {type(seed).__name__}")
-        self._key = seed.master
+        self._key = np.array([_check_seed(seed).master], dtype=np.uint64)
         self._counter = 0
 
     def u01(self) -> float:
         return float(self.u01_block(1)[0])
 
     def u01_block(self, count: int) -> np.ndarray:
-        count = check_count(count, "count")
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        counters = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
-        raw = _mix64_np(np.uint64(self._key) + counters * np.uint64(_GAMMA))
+        count = _check_block(count)
+        u = _u01_rows(self._key, self._counter, count)[0]
         self._counter += count
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-        return np.minimum(u, _U_MAX, out=u)
+        return u
 
     def exponential_block(self, count: int) -> np.ndarray:
-        return -np.log1p(-self.u01_block(count))
+        return _exponential(self.u01_block(count))
 
     def integer_below(self, bound: int) -> int:
         """Uniform integer in [0, bound); bound must be a positive integer."""

@@ -16,7 +16,9 @@ summation order and tie rules, one element at a time.
 ``Graph``: row reductions and a lexsort in place of column passes over one
 int64 key.  Then come the references of the graph and metric file readers
 and of the metric writer: ``int()``, ``float()`` and ``format`` one line or
-one entry at a time.  Then ``exp_sum_cdf``, the CDF of a sum of
+one entry at a time.  Then the counter stream one value at a time in
+Python integers, the reference of the RNG kernel, with the G(n, p) and
+weight draws read from it.  Then ``exp_sum_cdf``, the CDF of a sum of
 exponentials, which the RNG tests read.  Last, the `tau` suite's checks
 with each bracket written out and the CDF bracket evaluated one sample at a
 time in ``math``, the reference of the array form in ``bounds``.
@@ -516,6 +518,37 @@ def write_metric_lines(path, metric):
         rows.append(" ".join("inf" if math.isinf(x) else f"{x:.17g}" for x in metric.dist[i]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
+
+
+# -- the counter stream, one value at a time ---------------------------------------
+
+
+def stream_uniforms(master, start, count):
+    """Uniforms at counters start + 1 .. start + count of the stream keyed ``master``:
+    splitmix64 in Python integers, then the top 53 bits to the midpoint of
+    their cell, below 1."""
+    mask = (1 << 64) - 1
+    out = []
+    for i in range(start + 1, start + count + 1):
+        z = (master + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        out.append(min(((z >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
+    return out
+
+
+def erdos_renyi_pairs(n, p, master):
+    """The edges of G(n, p) as pairs: pair number i in lexicographic order is an
+    edge iff uniform i of the stream is below p."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return [pair for pair, u in zip(pairs, stream_uniforms(master, 0, len(pairs))) if u < p]
+
+
+def stream_exponentials(master, count):
+    """The first ``count`` weights -log1p(-u) of the stream, as one numpy vector
+    of its uniforms, as a single draw made them."""
+    return (-np.log1p(-np.array(stream_uniforms(master, 0, count)))).tolist()
 
 
 # -- closed forms that only the tests read ---------------------------------------

@@ -1,4 +1,5 @@
 import inspect
+import logging
 import math
 import warnings
 
@@ -281,6 +282,28 @@ def test_sm_tail_clamps_in_vacuous_regime():
     assert sm_tail(phi, c_max, 20) == 1.0
 
 
+@pytest.mark.parametrize("formula, call", [
+    ("diameter-tail", lambda: diameter_tail(1.0, 10**300)),  # n^(7/4) is 10^525
+    ("sm-tail", lambda: sm_tail(0.5, 0.18, 10**6)),  # exp(4.9e5)
+])
+def test_a_tail_past_the_float_range_clamps_to_one(formula, call, caplog):
+    # both used to raise OverflowError before the clamp to 1
+    with caplog.at_level(logging.INFO, logger="rspmetric.bounds"):
+        assert call() == 1.0
+    assert f"{formula} is exp(" in caplog.text and "clamped to 1" in caplog.text
+
+
+def test_tails_below_one_are_their_formula_bit_for_bit():
+    for c in (0.5, 4.0, 7.9, 8.0, 8.5, 12.0, 40.0):
+        for n in (1, 2, 5, 50, 10**6):
+            assert diameter_tail(c, n) == min(1.0, float(n) ** (2.0 - c / 4.0))
+    for phi in (0.05, 0.5, 0.9):
+        for c in (1e-12, 0.001, 2 * phi * phi / math.e):
+            for n in (20, 700):  # exp(phi n) below the float maximum
+                value = math.exp(phi * n * (2.0 + math.log(c / (2.0 * phi * phi))))
+                assert sm_tail(phi, c, n) == min(1.0, value)
+
+
 # -- registry --------------------------------------------------------------------
 
 
@@ -290,6 +313,11 @@ def test_evaluate_round_trips_formula():
     assert out.inputs == {"n": 4}
     out = evaluate("tau-cdf", x="0.5", n="10", k="5", alpha="0.5", beta="1")
     assert out.value[0] == pytest.approx(0.25915776787768136)
+
+
+def test_evaluate_returns_a_clamped_tail():
+    # the value n^(7/4) overflows: evaluate used to turn that into a ValueError
+    assert evaluate("diameter-tail", c="1", n=str(10**300)).value == 1.0
 
 
 def test_evaluate_rejects_values_beyond_the_float_range():

@@ -24,16 +24,23 @@ from rspmetric import (
     cut_parameters_exact,
     cycle_graph,
     draw_weights,
+    erdos_renyi_graphs,
     generate_erdos_renyi,
     is_connected,
     path_graph,
     read_graph,
     star_graph,
     sum_lightest_edges,
+    weighted_graphs,
     write_graph,
 )
 from rspmetric.graphs import _normalized_edges
-from oracles import cut_parameters_brute, normalized_edges_lexsort
+from oracles import (
+    cut_parameters_brute,
+    erdos_renyi_pairs,
+    normalized_edges_lexsort,
+    stream_exponentials,
+)
 
 Z99 = 2.5758293035489004
 
@@ -255,6 +262,67 @@ def test_draw_weights_ignores_edge_construction_order():
 
 def test_draw_weights_empty_graph():
     assert draw_weights(Graph(4, ()), Seed(1)).weights.tolist() == []
+
+
+# -- a window's draws: many seeds, one kernel call each ---------------------------
+
+WINDOW_GRAPH_SEEDS = [Seed(s).child(0, "graph") for s in range(20)]
+WINDOW_WEIGHT_SEEDS = [Seed(s).child(0, "weights") for s in range(20)]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
+def test_window_draws_are_the_per_seed_draws(n, p):
+    want_edges = [erdos_renyi_pairs(n, p, s.master) for s in WINDOW_GRAPH_SEEDS]
+    want_weights = [stream_exponentials(s.master, len(e))
+                    for s, e in zip(WINDOW_WEIGHT_SEEDS, want_edges)]
+    if p == 0.3 and n >= 5:  # windows of graphs with unequal m
+        assert len({len(e) for e in want_edges}) > 1
+    for size in (1, 3, 16):
+        for lo in range(0, 20, size):
+            window = slice(lo, lo + size)
+            seeds, weight_seeds = WINDOW_GRAPH_SEEDS[window], WINDOW_WEIGHT_SEEDS[window]
+            graphs = erdos_renyi_graphs(n, p, seeds)
+            assert [[tuple(e) for e in g.edges.tolist()] for g in graphs] == want_edges[window]
+            assert graphs == [generate_erdos_renyi(n, p, s) for s in seeds]
+            weights = [wg.weights.tolist() for wg in weighted_graphs(graphs, weight_seeds)]
+            assert weights == want_weights[window]
+            assert weights == [draw_weights(g, s).weights.tolist()
+                               for g, s in zip(graphs, weight_seeds)]
+
+
+def test_one_graph_draws_its_weights_below_the_old_peak():
+    # the kernel's steps out of place peaked at 15.2 MiB (CPython 3.11, numpy 2.4)
+    graph = complete_graph(1000)
+    draw_weights(graph, Seed(0))
+    tracemalloc.start()
+    try:
+        wg = draw_weights(graph, Seed(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(wg.weights) == 499_500
+    assert peak < 13 << 20
+
+
+def test_weights_of_unequal_graphs_are_each_graphs_own_draw():
+    graphs = [complete_graph(6), Graph(4, ()), path_graph(3), complete_graph(6)]
+    seeds = [Seed(s) for s in (1, 2, 3, 1)]
+    weighted = weighted_graphs(graphs, seeds)
+    assert [wg.graph for wg in weighted] == graphs
+    assert [wg.weights.tolist() for wg in weighted] == [
+        stream_exponentials(s.master, g.m) for g, s in zip(graphs, seeds)]
+    assert weighted_graphs([], []) == []
+    assert erdos_renyi_graphs(5, 0.5, []) == []
+
+
+def test_window_draws_refuse_a_non_seed_and_unmatched_lists():
+    with pytest.raises(TypeError, match="seed must be a Seed"):
+        erdos_renyi_graphs(5, 0.5, [Seed(1), 7])
+    with pytest.raises(TypeError, match="seed must be a Seed"):
+        weighted_graphs([path_graph(3), path_graph(3)], [Seed(1), None])
+    with pytest.raises(ValueError, match="one seed per graph"):
+        weighted_graphs([path_graph(3)], [Seed(1), Seed(2)])
 
 
 def test_pooled_weight_mean_is_one():

@@ -154,10 +154,13 @@ def test_nn_start_must_lie_in_1_to_n(line_metric, start):
         nearest_neighbor_tour(line_metric, start)
 
 
-def test_nn_start_true_is_vertex_1(line_metric):
-    got = nearest_neighbor_tour(line_metric, True)
-    assert [type(v) for v in got.order] == [int] * 4
-    assert got == nearest_neighbor_tour(line_metric, 1)
+def test_nn_start_refuses_a_bool(line_metric):
+    for start in (True, np.True_):  # True used to be vertex 1: the tour started there
+        with pytest.raises(TypeError, match="vertex must be an integer"):
+            nearest_neighbor_tour(line_metric, start)
+        with pytest.raises(TypeError, match="vertex must be an integer"):
+            trivial_kmedian(line_metric, (start,))
+    assert [type(v) for v in nearest_neighbor_tour(line_metric, np.int64(1)).order] == [int] * 4
 
 
 def test_nn_line_example(line_metric):

@@ -691,7 +691,7 @@ def test_imported_graph_beyond_the_cut_cap_fails_before_any_trial(tmp_path, monk
     cfg = ExperimentConfig(suite="tau", model="imported", graph_file=str(path), n=n, trials=2)
     validate_config(cfg)
     trials = []
-    monkeypatch.setattr(lab, "_trial", lambda *args: trials.append(args))
+    monkeypatch.setattr(lab, "_window", lambda *args: trials.append(args))
     with pytest.raises(SizeCapExceededError):
         make_context(cfg)
     with pytest.raises(SizeCapExceededError):

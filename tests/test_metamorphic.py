@@ -17,6 +17,10 @@ overflow and subnormals, so every heuristic and exact baseline compares the
 same sums in the same order and returns the same tour, pairs or centres,
 with every cost times 2^j.
 
+The same scaling, applied to every window's weight draw in ``lab``, scales
+every distance a suite records: each tau_k and ``pair_dist`` of ``tau``, and
+both costs of ``ratio``, whose ratio stays the same float.
+
 Relabel: renaming the vertices by a permutation, each weight carried with its
 edge, renames every shortest path.  The certified APSP's row is the unique
 solution of the Bellman equations, whose pruning keeps edges by weight alone,
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 
 from rspmetric import (
+    ExperimentConfig,
     Graph,
     Seed,
     WeightedGraph,
@@ -50,10 +55,12 @@ from rspmetric import (
     insertion_tour,
     is_connected,
     nearest_neighbor_tour,
+    run_suite,
     tau_profile,
     trivial_kmedian,
     two_opt,
 )
+from rspmetric import lab
 from rspmetric.graphs import CUT_PARAMETER_CAP
 from rspmetric.heuristics import INSERTION_RULES
 from rspmetric.metric import prune_width
@@ -166,6 +173,37 @@ def test_weights_times_a_power_of_two_scale_every_cost_and_change_no_answer(name
         assert times[key] == (answer, [2.0**j * c for c in costs]), key
     if SCALED[name]:  # so the approximation ratios are equal too
         assert times["nn"][1][0] / times["tsp"][1][0] == plain["nn"][1][0] / plain["tsp"][1][0]
+
+
+SUITE_RUNS = {  # name -> config, and the record keys that hold distances or costs
+    "tau K_12": (ExperimentConfig(suite="tau", n=12, trials=20, seed=3), None),
+    "tau G(16, 0.5)": (ExperimentConfig(suite="tau", model="er", n=16, p=0.5, trials=20,
+                                        seed=3), None),
+    "ratio nn K_12": (ExperimentConfig(suite="ratio", kind="nn", n=12, trials=8, seed=3),
+                      ("heuristic", "exact")),
+    "ratio nn G(12, 0.5)": (ExperimentConfig(suite="ratio", kind="nn", model="er", n=12, p=0.5,
+                                             trials=8, seed=3), ("heuristic", "exact")),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_RUNS)
+def test_window_weights_times_a_power_of_two_scale_every_recorded_distance(name, monkeypatch):
+    config, costs = SUITE_RUNS[name]
+    plain = run_suite(config).records
+    draw = lab.weighted_graphs
+    for j in (-3, 5):
+        with monkeypatch.context() as patch:
+            patch.setattr(lab, "weighted_graphs",
+                          lambda graphs, seeds: [_scaled(wg, j) for wg in draw(graphs, seeds)])
+            scaled = run_suite(config).records
+        assert [(r.index, r.seed) for r in scaled] == [(r.index, r.seed) for r in plain]
+        for record, times in zip(plain, scaled):
+            values = record.values
+            keys = costs or [k for k in values if k.startswith("tau_")] + ["pair_dist"]
+            if values.get("connected", 1):
+                assert {k: times.values[k] for k in keys} == {k: 2.0**j * values[k] for k in keys}
+            assert {k: v for k, v in times.values.items() if k not in keys} == {
+                k: v for k, v in values.items() if k not in keys}  # the ratio is the same float
 
 
 def _relabelled(wg, perm):

@@ -224,9 +224,19 @@ def test_vertex_arguments_must_be_integers(v):
             call()
 
 
+@pytest.mark.parametrize("v", [True, False, np.True_])
+def test_a_bool_vertex_is_refused(v):
+    # True used to be vertex 1: m.d(True, 2) returned d(1, 2)
+    g, _, m = rsp_instance(5, seed=3)
+    for call in (lambda: m.d(v, 2), lambda: m.d(2, v), lambda: ball(m, v, 0.5),
+                 lambda: tau_profile(m, g, v)):
+        with pytest.raises(TypeError, match="vertex must be an integer"):
+            call()
+
+
 def test_integer_like_vertices_become_plain_ints():
     g, _, m = rsp_instance(5, seed=3)
-    for v, want in ((True, 1), (np.int64(5), 5), (np.uint8(2), 2)):
+    for v, want in ((np.int64(5), 5), (np.uint8(2), 2)):  # a bool is refused
         profile = tau_profile(m, g, v)
         assert type(profile.center) is int and profile.center == want
         assert profile.order[0] == want

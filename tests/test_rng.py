@@ -5,9 +5,17 @@ import pytest
 
 from rspmetric import Graph, draw_weights
 from rspmetric.lab import _band_breach, _dkw_slack
-from rspmetric.rng import _GAMMA, _MASK64, Seed, UniformStream, _mix64
+from rspmetric.rng import (
+    _GAMMA,
+    _MASK64,
+    Seed,
+    UniformStream,
+    _mix64,
+    exponential_rows,
+    u01_rows,
+)
 
-from oracles import exp_sum_cdf
+from oracles import exp_sum_cdf, stream_uniforms
 
 
 def test_child_is_deterministic():
@@ -45,6 +53,37 @@ def test_block_matches_scalar_sequence():
     assert np.array_equal(np.array(first), block.u01_block(50))
     # interleaving block and scalar reads stays on the same counter sequence
     assert scalar.u01() == UniformStream(Seed(123)).u01_block(51)[-1]
+
+
+def test_kernel_rows_are_streams_read_in_any_blocks():
+    seeds = [Seed(s) for s in range(5)] + [Seed(_MASK64)]
+    rows = u01_rows(seeds, 30)
+    assert rows.shape == (6, 30)
+    for seed, row in zip(seeds, rows):
+        stream = UniformStream(seed)
+        parts = [stream.u01_block(7), [stream.u01()], stream.u01_block(0), stream.u01_block(22)]
+        assert np.concatenate(parts).tolist() == row.tolist() == stream_uniforms(seed.master, 0, 30)
+        # a stream continued after its blocks reads on from counter 31
+        assert stream.u01_block(3).tolist() == stream_uniforms(seed.master, 30, 3)
+    assert exponential_rows(seeds, 30).tolist() == [
+        UniformStream(s).exponential_block(30).tolist() for s in seeds]
+    assert u01_rows([], 4).shape == (0, 4)
+    assert u01_rows(seeds, 0).shape == (6, 0)
+
+
+@pytest.mark.parametrize("bad", [None, 7, "7", 7.0])
+def test_kernel_refuses_a_non_seed(bad):
+    for draw in (u01_rows, exponential_rows):
+        with pytest.raises(TypeError, match="seed must be a Seed"):
+            draw([Seed(1), bad], 3)
+
+
+def test_kernel_count_is_a_nonnegative_integer():
+    for draw in (u01_rows, exponential_rows):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            draw([Seed(1)], 2.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw([Seed(1)], -1)
 
 
 def test_exponentials_are_strictly_positive():
