@@ -46,6 +46,7 @@ from .graphs import (
     cycle_graph,
     draw_weights,
     erdos_renyi_graphs,
+    exact_cut_parameters,
     generate_erdos_renyi,
     is_connected,
     path_graph,

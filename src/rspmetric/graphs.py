@@ -23,9 +23,10 @@ from .errors import (
 )
 from .rng import Seed, exponential_rows, u01_rows
 
-# Hard ceiling, the only size bound of the cut table.  At 24 the 2^23 cuts are
-# built in row blocks of 2^20 entries: about 35 ms, 17 MB traced peak and
-# 19 MB of extra resident memory on one Xeon core.
+# Hard ceiling, the only size bound of the cut table.  At 24 the 2^23 cuts of
+# a graph are built in row blocks of 2^20 float32 entries: 8-11 ms per graph
+# in a window of ten G(24, 1/2) draws, a 4.9 MiB traced peak and about 6 MB
+# of extra resident memory on a 2-core Xeon host.
 CUT_PARAMETER_CAP = 24
 # Hard ceiling on n wherever an n x n table or all n(n-1)/2 pairs are built.
 # At 2048 on a 2-core Xeon host, with one process per step:
@@ -126,6 +127,16 @@ class Graph:
         edges, _ = _normalized_edges(n, self.edges)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _of_valid_rows(cls, n: int, edges: np.ndarray) -> Graph:
+        """A graph that takes over ``edges``, int32 rows (u, v) with
+        1 <= u < v <= n in lexicographic order, an array no one else holds."""
+        graph = cls.__new__(cls)
+        edges.setflags(write=False)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
 
     @property
     def m(self) -> int:
@@ -228,7 +239,8 @@ def erdos_renyi_graphs(n: int, p: float, seeds) -> list[Graph]:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     pairs = _all_pairs(n)
-    return [Graph(n, pairs[edge]) for edge in u01_rows(seeds, len(pairs)) < p]
+    # a mask's rows of the sorted pairs are in range, sorted and unique
+    return [Graph._of_valid_rows(n, pairs[edge]) for edge in u01_rows(seeds, len(pairs)) < p]
 
 
 def generate_erdos_renyi(n: int, p: float, seed: Seed) -> Graph:
@@ -279,34 +291,54 @@ def is_connected(graph: Graph) -> bool:
     return count == graph.n
 
 
+CUT_BLOCK = 1 << 20  # at most this many (row, graph, column) entries per block of cut tables
+
+
 @lru_cache(maxsize=CUT_PARAMETER_CAP)
 def _split_bit_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bit rows of the two vertex blocks that ``cut_parameters_exact`` splits n into.
+    """Float32 bit rows of the two vertex blocks that ``exact_cut_parameters`` splits n into.
 
-    Returns ``xl``, ``sl``, ``xht`` and ``starts``.  The low block L is vertex 1
-    plus the next (n-1)//2 vertices: ``xl`` holds its 0/1 rows that contain
-    vertex 1, in binary order (so the last row is all of L), and ``sl`` their
-    popcounts.  The high block H is the rest: ``xht`` holds all 2^|H| of its
-    rows as columns, sorted by popcount, so the columns of popcount b start at
-    ``starts[b]`` and the last column is all of H.
+    Returns ``xl``, ``groups``, ``xht`` and ``starts``.  The low block L is
+    vertex 1 plus the next (n-1)//2 vertices: ``xl`` holds its 0/1 rows that
+    contain vertex 1, sorted by popcount, so the rows of popcount a start at
+    ``groups[a - 1]`` and the last row is all of L.  The high block H is the
+    rest: the first |H| rows of ``xht`` hold all 2^|H| of its rows as columns,
+    sorted by popcount, so the columns of popcount b start at ``starts[b]``
+    and the last column is all of H; its last row is all ones.
     """
     low = 1 + (n - 1) // 2
     high = n - low
-    rows_l = np.arange(1, 1 << low, 2)
-    xl = ((rows_l[:, None] >> np.arange(low)) & 1).astype(np.float64)
+    xl = (np.arange(1, 1 << low, 2)[:, None] >> np.arange(low)) & 1
+    sl = xl.sum(axis=1)
+    order = np.argsort(sl, kind="stable")
+    xl = xl[order].astype(np.float32)
+    groups = np.searchsorted(sl[order], np.arange(1, low + 1))
     xh = (np.arange(1 << high)[:, None] >> np.arange(high)) & 1
     sh = xh.sum(axis=1)
     order = np.argsort(sh, kind="stable")
-    xht = np.ascontiguousarray(xh[order].T, dtype=np.float64)
+    xht = np.ones((high + 1, 1 << high), dtype=np.float32)
+    xht[:high] = xh[order].T
     starts = np.searchsorted(sh[order], np.arange(high + 1))
-    sl = xl.sum(axis=1)
-    for a in (xl, sl, xht, starts):
+    for a in (xl, groups, xht, starts):
         a.setflags(write=False)
-    return xl, sl, xht, starts
+    return xl, groups, xht, starts
 
 
 def cut_parameters_exact(graph: Graph) -> CutParameters:
-    """Exact min and max of |cut(U)| / (|U|(n-|U|)) over every U holding vertex 1.
+    """Exact min and max of |cut(U)| / (|U|(n-|U|)) over nonempty proper
+    subsets U: ``exact_cut_parameters`` of one graph."""
+    return exact_cut_parameters([graph])[0]
+
+
+def exact_cut_parameters(graphs) -> list[CutParameters]:
+    """The exact cut parameters of each graph, all on one n, in input order.
+
+    Each graph is checked in turn, and the first bad one raises: n < 2 is a
+    ValueError; K_n needs no table at any n, since each cut has exactly
+    |U|(n-|U|) edges; any other graph past ``CUT_PARAMETER_CAP`` raises
+    SizeCapExceededError, and one with an empty cut DisconnectedGraphError
+    (an empty cut would force the minimum to 0, which the definition
+    excludes).  Mixed n is a ValueError.
 
     U and its complement induce the same cut, so the 2^(n-1)-1 proper subsets
     that contain vertex 1 cover all of them.  With x the 0/1 indicator of U
@@ -317,55 +349,89 @@ def cut_parameters_exact(graph: Graph) -> CutParameters:
         |cut(U)| = f_L(x_L) + f_H(x_H) - 2 x_L' A[L, H] x_H,
 
     with f_B(x) = deg_B.x - x'A_BB x, so the cuts of every U form one table:
-    a row per L-part and a column per H-part, a matrix product over the
-    blocks' bit rows plus two vectors.  It is built in row blocks of at most
-    2^20 entries, and each block is reduced to the min and max cut of each
-    (row, |U cap H|) cell, in which |U| and hence the divisor are constant.
+    a row per L-part and a column per H-part.  The tables of the graphs other
+    than K_n are stacked as one float32 (row, graph, column) table, one
+    matrix product of each (row, graph)'s cross term and f_L with the H-parts
+    plus a row of ones, in blocks of at most ``CUT_BLOCK`` entries: whole
+    tables, or rows of one.  Each cell (|U cap L|, |U cap H|) has a constant
+    |U| and hence a constant divisor.  The rows are sorted by |U cap L|, so
+    each group of rows is reduced to its min and max cut per column by one
+    reduction over a contiguous slab (a group split over two blocks is folded
+    into its accumulator), f_H is added, and one ``reduceat`` over the
+    columns sorted by |U cap H| finishes each cell.
 
     The floats are those of dividing each cut by its |U|(n-|U|) one subset at
-    a time: every table entry and partial sum is an integer below n^2 in
-    magnitude, exact in float64 in whatever order the product sums, and
-    correctly rounded division by a fixed positive divisor is monotone, so
-    the min (max) of the quotients is the quotient of the min (max) cut.
-    Disconnected graphs are rejected: an empty cut would force the minimum
-    to 0, which the definition excludes.  K_n needs no table at any n: each
-    cut has exactly |U|(n-|U|) edges.
+    a time: every table entry and partial sum is an integer below n^2 < 2^24
+    in magnitude, exact in float32 in whatever order the product sums; the
+    cells are cast to float64 before the division, and correctly rounded
+    division by a fixed positive divisor is monotone, so the min (max) of the
+    quotients is the quotient of the min (max) cut.
     """
-    n = graph.n
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("all graphs must have the same vertex count")
     if n < 2:
         raise ValueError("cut parameters need at least two vertices")
-    if graph.m == n * (n - 1) // 2:
-        return CutParameters(1.0, 1.0)
+    complete = [g.m == n * (n - 1) // 2 for g in graphs]
+    tabled = [g for g, k in zip(graphs, complete) if not k]
+    if not tabled:
+        return [CutParameters(1.0, 1.0) for _ in graphs]
     if n > CUT_PARAMETER_CAP:
         raise SizeCapExceededError(f"n={n} exceeds the cut table cap {CUT_PARAMETER_CAP}")
-
-    adj = np.zeros((n, n))
-    u, v = (graph.edges - 1).T
-    adj[u, v] = adj[v, u] = 1.0
-    deg = adj.sum(axis=1)
-    xl, sl, xht, starts = _split_bit_rows(n)
-    low = xl.shape[1]
-    fl = xl @ deg[:low] - ((xl @ adj[:low, :low]) * xl).sum(axis=1)
-    fh = deg[low:] @ xht - ((adj[low:, low:] @ xht) * xht).sum(axis=0)
-    cross = -2.0 * (xl @ adj[:low, low:])
-    lo_cut = np.empty((len(xl), len(starts)))
-    hi_cut = np.empty_like(lo_cut)
-    step = (1 << 20) // xht.shape[1]  # 2^|H| <= 2^12 columns, so at least 256 rows
-    for lo in range(0, len(xl), step):
-        cuts = cross[lo:lo + step] @ xht
-        cuts += fh
-        lo_cut[lo:lo + step] = np.minimum.reduceat(cuts, starts, axis=1)
-        hi_cut[lo:lo + step] = np.maximum.reduceat(cuts, starts, axis=1)
-    lo_cut += fl[:, None]
-    hi_cut += fl[:, None]
-    sizes = sl[:, None] + np.arange(len(starts))
-    # the last cell holds U = V alone (all of L with all of H): drop it
-    lo_cut, hi_cut, sizes = (t.ravel()[:-1] for t in (lo_cut, hi_cut, sizes))
+    xl, _, xht, _ = _split_bit_rows(n)
+    step = max(1, CUT_BLOCK // (len(xl) * xht.shape[1]))  # graphs per block of whole tables
+    cells = [_cut_cells(tabled[i:i + step]) for i in range(0, len(tabled), step)]
+    lo_cut, hi_cut = (np.concatenate(c) for c in zip(*cells))
     if not lo_cut.all():
         raise DisconnectedGraphError("graph has an empty cut; cut parameters undefined")
-    divisors = sizes * (n - sizes)
-    return CutParameters(alpha=float((lo_cut / divisors).min()),
-                         beta=float((hi_cut / divisors).max()))
+    low = xl.shape[1]
+    sizes = (np.arange(1, low + 1)[:, None] + np.arange(n - low + 1)).ravel()[:-1]
+    divisors = (sizes * (n - sizes)).astype(np.float64)
+    cuts = iter(zip((lo_cut / divisors).min(axis=1).tolist(), (hi_cut / divisors).max(axis=1).tolist()))
+    return [CutParameters(1.0, 1.0) if k else CutParameters(*next(cuts)) for k in complete]
+
+
+def _cut_cells(graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max |cut(U)| of each graph in each (|U cap L|, |U cap H|) cell
+    but the last (U = V alone), as float64 (graph, cell) arrays, the cells
+    in row-major order (see ``exact_cut_parameters``)."""
+    n, count = graphs[0].n, len(graphs)
+    xl, groups, xht, starts = _split_bit_rows(n)
+    rows, cols = len(xl), xht.shape[1]
+    low, high = xl.shape[1], n - xl.shape[1]
+    adj = np.zeros((n, count, n), dtype=np.float32)  # adj[u, g, v]: edge (u, v) of graph g
+    u, v = (np.concatenate([g.edges for g in graphs]) - 1).T
+    g = np.repeat(np.arange(count), [graph.m for graph in graphs])
+    adj[u, g, v] = adj[v, g, u] = 1.0
+    deg = adj.sum(axis=2)
+    ax = (xl @ adj[:low].reshape(low, -1)).reshape(rows, count, n)  # x_L' A[L, :]
+    coef = np.empty((rows * count, high + 1), dtype=np.float32)  # (cross term, f_L) per (row, graph)
+    np.multiply(ax[:, :, low:].reshape(-1, high), -2.0, out=coef[:, :high])
+    coef[:, high] = ((deg[:low].T - ax[:, :, :low]) * xl[:, None]).sum(axis=2).ravel()
+    xh = xht[:high]
+    ah = (adj[low:, :, low:].reshape(-1, high) @ xh).reshape(high, count, cols)  # A_HH x_H
+    fh = ((deg[low:, :, None] - ah) * xh[:, None]).sum(axis=0)
+    lo_cut = np.full((low, count, cols), np.inf, dtype=np.float32)
+    hi_cut = np.full_like(lo_cut, -np.inf)
+    bounds = list(zip(groups.tolist(), groups[1:].tolist() + [rows]))
+    step = CUT_BLOCK // (count * cols)  # rows per block: count * cols <= 2^20 (see the caller)
+    for r0 in range(0, rows, step):
+        block = (coef[r0 * count:(r0 + step) * count] @ xht).reshape(-1, count, cols)
+        r1 = r0 + len(block)
+        for a, (lo, hi) in enumerate(bounds):
+            if lo < r1 and hi > r0:
+                part = block[max(lo, r0) - r0:min(hi, r1) - r0]
+                np.minimum(lo_cut[a], np.minimum.reduce(part, axis=0), out=lo_cut[a])
+                np.maximum(hi_cut[a], np.maximum.reduce(part, axis=0), out=hi_cut[a])
+        del block, part  # before the next block's product, so one block is held at a time
+    cells = []
+    for acc, op in ((lo_cut, np.minimum), (hi_cut, np.maximum)):
+        acc += fh
+        cell = op.reduceat(acc, starts, axis=2).transpose(1, 0, 2).reshape(count, -1)
+        cells.append(cell[:, :-1].astype(np.float64))
+    return cells[0], cells[1]
 
 
 def sum_lightest_edges(wg: WeightedGraph, m: int) -> float:

@@ -56,6 +56,7 @@ from .errors import (
     OddVertexCountError,
     SizeCapExceededError,
     TooFewVerticesError,
+    check_count,
 )
 from .graphs import check_vertex
 from .metric import Metric
@@ -516,12 +517,13 @@ def trivial_kmedian(metric: Metric, centers: tuple[int, ...] | frozenset[int]) -
 
 def first_k_centers(k: int) -> tuple[int, ...]:
     """The canonical metric-independent center choice: vertices 1..k."""
-    return tuple(range(1, k + 1))
+    return tuple(range(1, check_count(k, "k") + 1))
 
 
 def exact_kmedian(metric: Metric, k: int) -> MedianSolution:
     """Optimal k-median by enumerating all size-k center sets."""
     n = metric.n
+    k = check_count(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
     if math.comb(n, k) > KMEDIAN_CAP:

@@ -12,9 +12,10 @@ Every suite runs one pipeline, :func:`run_suite`:
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
    ends the trial at ``connected=0``.  Consecutive trials form a window: its
-   fresh graphs are drawn in one call, and its weights in another, while
-   connectivity and cut parameters are found per graph; its metrics are
-   built in one ``build_metrics`` call, and its clusterings in one
+   fresh graphs are drawn in one call, connectivity is found per graph, and
+   the connected draws' cut parameters come from one
+   ``exact_cut_parameters`` call; its weights are drawn in one call, its
+   metrics built in one ``build_metrics`` call, and its clusterings in one
    ``cluster_partitions`` call.
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
@@ -50,6 +51,7 @@ from .graphs import (
     complete_graph,
     cut_parameters_exact,
     erdos_renyi_graphs,
+    exact_cut_parameters,
     generate_erdos_renyi,
     is_connected,
     read_graph,
@@ -421,14 +423,14 @@ class _Context:
 @dataclass
 class _Instance:
     """One trial's connected graph; the trial's window (see ``_run_chunk``)
-    sets its weights, its metric and, when the suite needs them, its
-    clusterings at ``radii``."""
+    sets its weights, its metric and, when the suite needs them, its cut
+    parameters and its clusterings at ``radii``."""
 
     config: ExperimentConfig
     index: int
     seed: Seed
     graph: Graph
-    cut: CutParameters | None
+    cut: CutParameters | None = None
     weighted: WeightedGraph | None = None
     metric: Metric | None = None
     partitions: list[Partition] | None = None
@@ -459,15 +461,12 @@ def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
     raise ConfigInvalidError("no connected draw found in 10000 attempts; p too small?")
 
 
-def _cut_for(config: ExperimentConfig, graph: Graph) -> CutParameters | None:
-    return cut_parameters_exact(graph) if "cut" in _SUITES[config.suite].needs(config) else None
-
-
 def make_context(config: ExperimentConfig) -> _Context:
     if _SUITES[config.suite].fresh and config.model == "er":
         return _Context()  # fresh draw per trial
     graph, idx = _frozen_graph(config)
-    return _Context(graph=graph, cut=_cut_for(config, graph), frozen_index=idx)
+    cut = cut_parameters_exact(graph) if "cut" in _SUITES[config.suite].needs(config) else None
+    return _Context(graph=graph, cut=cut, frozen_index=idx)
 
 
 def _window(config: ExperimentConfig, ctx: _Context,
@@ -475,9 +474,10 @@ def _window(config: ExperimentConfig, ctx: _Context,
     """Each trial's instance, or the record of its disconnected draw.
 
     The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
-    frozen graph is connected by construction), and every instance's
-    weights from one ``weighted_graphs`` call; connectivity and cut
-    parameters are found per graph.
+    frozen graph is connected by construction), the cut parameters of its
+    connected draws, when the suite needs them, from one
+    ``exact_cut_parameters`` call, and every instance's weights from one
+    ``weighted_graphs`` call; connectivity is found per graph.
     """
     master = Seed(config.seed)
     seeds = [master.child(i, "trial") for i in trials]
@@ -490,10 +490,13 @@ def _window(config: ExperimentConfig, ctx: _Context,
         if ctx.graph is not None:
             window.append(_Instance(config, i, ts, graph, ctx.cut))
         elif is_connected(graph):
-            window.append(_Instance(config, i, ts, graph, _cut_for(config, graph)))
+            window.append(_Instance(config, i, ts, graph))
         else:
             window.append(TrialRecord(index=i, seed=ts.hex(), values={"connected": 0}))
     instances = [x for x in window if isinstance(x, _Instance)]
+    if ctx.graph is None and "cut" in _SUITES[config.suite].needs(config):
+        for x, cut in zip(instances, exact_cut_parameters([x.graph for x in instances])):
+            x.cut = cut
     weighted = weighted_graphs([x.graph for x in instances],
                                [x.seed.child(0, "weights") for x in instances])
     for x, wg in zip(instances, weighted):

@@ -291,6 +291,18 @@ def test_window_draws_are_the_per_seed_draws(n, p):
                                for g, s in zip(graphs, weight_seeds)]
 
 
+@pytest.mark.parametrize("p", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("n", (1, 2, 5, 16))
+def test_window_draws_hold_the_rows_a_checked_graph_holds(n, p):
+    # the draws skip Graph's row checks: their rows must be the ones it keeps
+    for graph in erdos_renyi_graphs(n, p, [Seed(s) for s in range(20)]):
+        assert graph == Graph(n, graph.edges)
+        assert type(graph.n) is int and graph.n == n
+        assert graph.edges.dtype == np.int32 and graph.edges.shape == (graph.m, 2)
+        assert not graph.edges.flags.writeable
+        assert graph.edges.flags.c_contiguous
+
+
 def test_one_graph_draws_its_weights_below_the_old_peak():
     # the kernel's steps out of place peaked at 15.2 MiB (CPython 3.11, numpy 2.4)
     graph = complete_graph(1000)

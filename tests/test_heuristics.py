@@ -360,3 +360,18 @@ def test_kmedian_errors(line_metric):
 
 def test_first_k_centers():
     assert first_k_centers(3) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 2.5])
+def test_exact_kmedian_takes_k_as_a_count(k):
+    # True was a 1-median; 2.0 and 2.5 failed inside itertools or math.comb
+    with pytest.raises(TypeError, match="k must be an integer"):
+        exact_kmedian(rsp_instance(6, seed=6)[2], k)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 2.5])
+def test_first_k_centers_takes_k_as_a_count(k):
+    # True was the centre set (1,)
+    with pytest.raises(TypeError, match="k must be an integer"):
+        first_k_centers(k)
+    assert first_k_centers(np.int64(2)) == (1, 2)

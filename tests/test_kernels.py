@@ -41,6 +41,7 @@ from rspmetric import (
     cycle_graph,
     diameter,
     draw_weights,
+    exact_cut_parameters,
     generate_erdos_renyi,
     greedy_matching,
     has_improving_exchange,
@@ -61,7 +62,8 @@ from rspmetric import (
 from scipy.sparse.csgraph import dijkstra
 
 from rspmetric import metric as metric_module
-from rspmetric.graphs import CUT_PARAMETER_CAP, _split_bit_rows
+from rspmetric.errors import SizeCapExceededError
+from rspmetric.graphs import CUT_BLOCK, CUT_PARAMETER_CAP, CutParameters, _split_bit_rows
 from rspmetric.heuristics import Tour
 from rspmetric.metric import (
     BATCH_VERTICES,
@@ -880,7 +882,14 @@ def assert_same_cut_parameters(graph):
 
 def row_blocks(n):
     xl, _, xht, _ = _split_bit_rows(n)
-    return math.ceil(len(xl) / ((1 << 20) // xht.shape[1]))
+    return math.ceil(len(xl) / (CUT_BLOCK // xht.shape[1]))
+
+
+def assert_windows_match(graphs, want):
+    # windows of one graph, of three and of all of them give each graph's entry
+    for size in (1, 3, len(graphs)):
+        windows = [exact_cut_parameters(graphs[i:i + size]) for i in range(0, len(graphs), size)]
+        assert [(c.alpha, c.beta) for window in windows for c in window] == want
 
 
 @pytest.mark.parametrize("p", (0.3, 0.5, 0.8))
@@ -898,9 +907,57 @@ def test_cut_parameters_equal_enumeration_on_named_graphs(n):
         assert_same_cut_parameters(cycle_graph(n))
 
 
+@pytest.mark.parametrize("n", range(2, 19))
+def test_cut_parameter_windows_equal_enumeration(n):
+    # connected G(n, p) draws, named graphs and K_n (the one entry without a
+    # table) at its middle; the groups of rows and of columns of graphs
+    # stacked in one table must not mix
+    graphs = [connected_er(n, p, seed=100 * n + i)[0] for p in (0.3, 0.5, 0.8) for i in range(4)]
+    graphs[6:6] = [complete_graph(n)]
+    graphs += [path_graph(n), star_graph(n), cycle_graph(n) if n >= 3 else path_graph(n)]
+    assert_windows_match(graphs, [cut_parameters_enum(g) for g in graphs])
+
+
 def test_cut_parameters_equal_enumeration_across_row_blocks():
-    assert row_blocks(22) > 1
-    assert_same_cut_parameters(connected_er(22, 0.5, seed=22)[0])
+    # at n = 22 each table is two row blocks, and the rows of |U cap L| = 6
+    # straddle them, so that group is folded into its accumulator
+    assert row_blocks(22) == 2
+    xl, groups, _, _ = _split_bit_rows(22)
+    assert groups[5] < len(xl) // 2 < groups[6]
+    graph = connected_er(22, 0.5, seed=22)[0]
+    want = cut_parameters_enum(graph)
+    assert_same_cut_parameters(graph)
+    assert_windows_match([graph, complete_graph(22), graph], [want, (1.0, 1.0), want])
+
+
+def test_cut_parameter_windows_at_the_cap_equal_enumeration():
+    # eight row blocks per table; the dense draw, with no affordable oracle,
+    # must give its one-graph entry in every window
+    assert row_blocks(CUT_PARAMETER_CAP) == 8
+    sparse = connected_er(CUT_PARAMETER_CAP, 0.2, seed=24)[0]
+    dense = connected_er(CUT_PARAMETER_CAP, 0.5, seed=24)[0]
+    alone = cut_parameters_exact(dense)
+    assert_windows_match([sparse, complete_graph(CUT_PARAMETER_CAP), dense],
+                         [cut_parameters_enum(sparse), (1.0, 1.0), (alone.alpha, alone.beta)])
+
+
+def test_complete_windows_need_no_table_at_any_n():
+    assert exact_cut_parameters([complete_graph(30)] * 3) == [CutParameters(1.0, 1.0)] * 3
+    assert exact_cut_parameters([]) == []
+
+
+def test_the_first_bad_graph_of_a_window_raises_the_one_graph_error():
+    n = CUT_PARAMETER_CAP + 1
+    split = Graph(n, complete_graph(n - 1).edges)  # disconnected, and past the cap
+    with pytest.raises(SizeCapExceededError):
+        exact_cut_parameters([complete_graph(n), split])
+    path, two = path_graph(6), Graph(6, ((1, 2), (2, 3), (4, 5), (5, 6)))
+    with pytest.raises(DisconnectedGraphError):
+        exact_cut_parameters([path, complete_graph(6), two, path])
+    with pytest.raises(ValueError, match="at least two vertices"):
+        exact_cut_parameters([Graph(1, ())] * 2)
+    with pytest.raises(ValueError, match="same vertex count"):
+        exact_cut_parameters([complete_graph(5), complete_graph(6)])
 
 
 @pytest.mark.parametrize("isolated", range(1, 23))
@@ -936,8 +993,19 @@ def test_cut_parameters_at_the_cap_run_in_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one row block of cuts is 8 MB; the whole 2^23-entry table would be 64 MB
-    assert peak < 32 << 20
+    # one row block of cuts is 4 MiB; the whole 2^23-entry table would be 32 MiB
+    assert peak < 8 << 20
+
+
+def test_a_window_at_the_cap_holds_one_row_block_at_a_time():
+    graphs = [connected_er(CUT_PARAMETER_CAP, 0.5, seed=s)[0] for s in range(10)]
+    tracemalloc.start()
+    try:
+        exact_cut_parameters(graphs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # -- graph and metric files against the per-line readers ---------------------------

@@ -15,6 +15,7 @@ from rspmetric import (
     Seed,
     UniformStream,
     VERTEX_CAP,
+    exact_cut_parameters,
     parse_config_file,
     run_suite,
     run_trials,
@@ -268,9 +269,11 @@ def test_numpy_integers_in_a_config_become_plain_ints():
 
 @pytest.mark.parametrize("suite", ["tau", "structure"])
 def test_er_at_p_one_runs_beyond_the_cut_cap(monkeypatch, suite):
-    # every G(30, 1) draw is K_30, whose cut parameters need no enumeration
-    real, cuts = lab.cut_parameters_exact, []
+    # every G(30, 1) draw is K_30, whose cut parameters need no enumeration;
+    # a frozen graph's come from the one-graph form, fresh draws' from the window form
+    real, window, cuts = lab.cut_parameters_exact, lab.exact_cut_parameters, []
     monkeypatch.setattr(lab, "cut_parameters_exact", lambda g: cuts.append(real(g)) or cuts[-1])
+    monkeypatch.setattr(lab, "exact_cut_parameters", lambda gs: cuts.extend(window(gs)) or cuts[-len(gs):])
     cfg = ExperimentConfig(
         suite=suite, model="er", p=1.0, n=30, trials=3, seed=7, structure_checks=("chi",)
     )
@@ -372,6 +375,24 @@ def test_each_window_clusters_its_instances_in_one_call(checks, calls, monkeypat
     assert all(radii == {4} for _, radii in sizes)
 
 
+@pytest.mark.parametrize("model, calls", [("er", 3), ("complete", 0)])
+def test_each_window_finds_its_cut_parameters_in_one_call(model, calls, monkeypatch):
+    # 40 trials at n = 16 are windows of 16, 16 and 8 trials; a frozen
+    # graph's cut parameters come from the context
+    sizes = []
+
+    def recording(graphs):
+        sizes.append(len(graphs))
+        return exact_cut_parameters(graphs)
+
+    monkeypatch.setattr(lab, "exact_cut_parameters", recording)
+    cfg = ExperimentConfig(suite="structure", model=model, n=16, p=0.5, trials=40, seed=3,
+                           structure_checks=("chi",))
+    report = run_suite(cfg)
+    assert len(sizes) == calls
+    assert sum(sizes) == (report.notes["eligible"] if calls else 0)
+
+
 def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
     started = []
 
@@ -466,6 +487,7 @@ def test_fresh_two_opt_trials_need_no_cut_parameters(monkeypatch):
         raise AssertionError("two-opt computed cut parameters")
 
     monkeypatch.setattr(lab, "cut_parameters_exact", refuse)
+    monkeypatch.setattr(lab, "exact_cut_parameters", refuse)
     cfg = ExperimentConfig(suite="two-opt", model="er", n=12, p=0.5, trials=3, seed=37)
     report = run_suite(cfg)
     assert report.passed and report.notes["eligible"] == 3

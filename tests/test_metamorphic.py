@@ -92,8 +92,13 @@ def _tables(wg):
 
 
 @pytest.fixture(scope="module")
-def k1000():
-    return _tables(draw_weights(complete_graph(1000), Seed(1000)))
+def k1000_draw():
+    return draw_weights(complete_graph(1000), Seed(1000))
+
+
+@pytest.fixture(scope="module")
+def k1000(k1000_draw):
+    return _tables(k1000_draw)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -244,3 +249,11 @@ def test_renamed_vertices_rename_every_answer(name, seed):
         tour_r = nearest_neighbor_tour(metric_r, perm[start - 1])
         assert tour_r.order == tuple(perm[np.array(tour.order) - 1].tolist())
         assert tour_r.cost == tour.cost
+
+
+def test_renamed_vertices_permute_the_table_of_k1000(k1000_draw, k1000):
+    # the pruned first pass, its certificate and the reruns at n = 1000
+    metric, _ = k1000
+    perm = np.random.default_rng(1000).permutation(1000) + 1
+    metric_r = build_metric(_relabelled(k1000_draw, perm))
+    assert np.array_equal(metric_r.dist[np.ix_(perm - 1, perm - 1)], metric.dist)
