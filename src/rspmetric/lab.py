@@ -11,12 +11,9 @@ Every suite runs one pipeline, :func:`run_suite`:
    its exact cut parameters.
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
-   ends the trial at ``connected=0``.  Consecutive trials form a window: its
-   fresh graphs are drawn in one call, connectivity is found per graph, and
-   the connected draws' cut parameters come from one
-   ``exact_cut_parameters`` call; its weights are drawn in one call, its
-   metrics built in one ``build_metrics`` call, and its clusterings in one
-   ``cluster_partitions`` call.
+   ends the trial at ``connected=0``.  Consecutive trials form a window, and
+   each row of ``_STAGES`` the suite needs runs once over the window's
+   connected instances (see ``_run_chunk``).
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
    records are identical at any worker count.
@@ -422,9 +419,9 @@ class _Context:
 
 @dataclass
 class _Instance:
-    """One trial's connected graph; the trial's window (see ``_run_chunk``)
-    sets its weights, its metric and, when the suite needs them, its cut
-    parameters and its clusterings at ``radii``."""
+    """One trial's connected graph; each row of ``_STAGES`` that the suite
+    needs sets the attribute it names (a frozen graph's ``cut`` comes from
+    the context)."""
 
     config: ExperimentConfig
     index: int
@@ -469,79 +466,77 @@ def make_context(config: ExperimentConfig) -> _Context:
     return _Context(graph=graph, cut=cut, frozen_index=idx)
 
 
-def _window(config: ExperimentConfig, ctx: _Context,
-            trials: range) -> list[_Instance | TrialRecord]:
-    """Each trial's instance, or the record of its disconnected draw.
+def _window_cuts(instances: list[_Instance]) -> list[CutParameters]:
+    return exact_cut_parameters([x.graph for x in instances])
 
-    The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
-    frozen graph is connected by construction), the cut parameters of its
-    connected draws, when the suite needs them, from one
-    ``exact_cut_parameters`` call, and every instance's weights from one
-    ``weighted_graphs`` call; connectivity is found per graph.
-    """
-    master = Seed(config.seed)
-    seeds = [master.child(i, "trial") for i in trials]
-    if ctx.graph is None:
-        graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
-    else:
-        graphs = [ctx.graph] * len(seeds)
-    window: list[_Instance | TrialRecord] = []
-    for i, ts, graph in zip(trials, seeds, graphs):
-        if ctx.graph is not None:
-            window.append(_Instance(config, i, ts, graph, ctx.cut))
-        elif is_connected(graph):
-            window.append(_Instance(config, i, ts, graph))
-        else:
-            window.append(TrialRecord(index=i, seed=ts.hex(), values={"connected": 0}))
-    instances = [x for x in window if isinstance(x, _Instance)]
-    if ctx.graph is None and "cut" in _SUITES[config.suite].needs(config):
-        for x, cut in zip(instances, exact_cut_parameters([x.graph for x in instances])):
-            x.cut = cut
-    weighted = weighted_graphs([x.graph for x in instances],
-                               [x.seed.child(0, "weights") for x in instances])
-    for x, wg in zip(instances, weighted):
-        x.weighted = wg
-    return window
+
+def _window_weights(instances: list[_Instance]) -> list[WeightedGraph]:
+    return weighted_graphs([x.graph for x in instances],
+                           [x.seed.child(0, "weights") for x in instances])
+
+
+def _window_metrics(instances: list[_Instance]) -> list[Metric]:
+    return build_metrics([x.weighted for x in instances])
+
+
+def _window_partitions(instances: list[_Instance]) -> list[list[Partition]]:
+    return cluster_partitions([x.metric for x in instances], [x.radii for x in instances],
+                              [x.cut.alpha for x in instances])
+
+
+# What a window computes for its connected instances, in order: (instance
+# attribute, the need that runs the row or None for every suite, the function
+# of the window's instances that returns one value per instance)
+_STAGES = (
+    ("cut", "cut", _window_cuts),
+    ("weighted", None, _window_weights),
+    ("metric", None, _window_metrics),
+    ("partitions", "clusters", _window_partitions),
+)
 
 
 def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[TrialRecord]:
     """Records of a range of trials, in windows of ``BATCH_VERTICES // n`` trials (at least one).
 
-    A window runs in three stages: its prologue (``_window``), which draws
-    its graphs and weights; one ``build_metrics`` call over its connected
-    instances, and when the suite needs ``clusters``, one
-    ``cluster_partitions`` call over their metrics at their radii; each
-    instance's statistics.  A draw, a metric or a partition does not depend
-    on the batch it was made in, so neither do the records.  Windows, not
-    whole chunks, bound memory: a window holds about one batch of graphs,
-    weights and metrics, where a chunk of large graphs would hold one per
-    trial.
+    A window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
+    frozen graph is connected by construction, and its cut parameters come
+    from the context); connectivity is found per graph.  Each row of
+    ``_STAGES`` the suite needs then runs once over the connected instances,
+    and each instance gives its statistics.  A draw, a metric or a partition
+    does not depend on the window it was made in, so neither do the records.
+    Windows, not whole chunks, bound memory: a window holds about one batch
+    of graphs, weights and metrics, where a chunk of large graphs would hold
+    one per trial.
     """
     # module level so that process pools can pickle it
     suite = _SUITES[config.suite]
-    clusters = "clusters" in suite.needs(config)
+    needs = suite.needs(config) - ({"cut"} if ctx.graph is not None else set())
+    stages = [(attr, stage) for attr, need, stage in _STAGES if need is None or need in needs]
+    master = Seed(config.seed)
     step = max(1, metric_mod.BATCH_VERTICES // config.n)
     records: list[TrialRecord] = []
     for lo in range(trials.start, trials.stop, step):
-        window = _window(config, ctx, range(lo, min(lo + step, trials.stop)))
-        instances = [x for x in window if isinstance(x, _Instance)]
-        metrics = build_metrics([x.weighted for x in instances])
-        for x, metric in zip(instances, metrics):
-            x.metric = metric
-        if clusters and instances:
-            partitions = cluster_partitions(
-                metrics, [x.radii for x in instances], [x.cut.alpha for x in instances]
-            )
-            for x, parts in zip(instances, partitions):
-                x.partitions = parts
-        for x in window:
-            if isinstance(x, TrialRecord):
-                records.append(x)
-                continue
-            values = suite.stats(x)
-            if suite.fresh:
-                values = {"connected": 1, **values}
-            records.append(TrialRecord(index=x.index, seed=x.seed.hex(), values=values))
+        window = range(lo, min(lo + step, trials.stop))
+        seeds = [master.child(i, "trial") for i in window]
+        if ctx.graph is None:
+            graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
+        else:
+            graphs = [ctx.graph] * len(seeds)
+        instances = [_Instance(config, i, ts, graph, ctx.cut)
+                     for i, ts, graph in zip(window, seeds, graphs)
+                     if ctx.graph is not None or is_connected(graph)]
+        for attr, stage in stages if instances else ():  # no row runs on an empty window
+            for x, value in zip(instances, stage(instances)):
+                setattr(x, attr, value)
+        stats = {x.index: suite.stats(x) for x in instances}
+        for i, ts in zip(window, seeds):
+            if i not in stats:
+                values = {"connected": 0}
+            elif suite.fresh:
+                values = {"connected": 1, **stats[i]}
+            else:
+                values = stats[i]
+            records.append(TrialRecord(index=i, seed=ts.hex(), values=values))
     return records
 
 
@@ -749,8 +744,9 @@ class _Suite:
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
     # what an instance computes beyond its metric: exact cut parameters
     # ("cut"), its clusterings ("clusters"), a tour ("tour") and the exact
-    # baselines ("tsp", "matching", "kmedian"); validate_config derives every
-    # size rule from it
+    # baselines ("tsp", "matching", "kmedian").  A need that names a row of
+    # _STAGES ("cut", "clusters") runs that row; the others only drive
+    # validate_config, which derives every size rule from the needs
     needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()

@@ -339,6 +339,8 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
     "tau-K400-ks-2-200-400": dict(suite="tau", model="complete", n=400, trials=3, seed=10,
                                   tau_ks=(2, 200, 400)),
     "two-opt-er": dict(suite="two-opt", model="er", n=9, p=0.5, trials=20, seed=11),
+    # a frozen G(16, 1/2) graph: its cut parameters come from the context, not a window
+    "tau-er": dict(suite="tau", model="er", n=16, p=0.5, trials=30, seed=12),
 }
 
 
@@ -391,6 +393,35 @@ def test_each_window_finds_its_cut_parameters_in_one_call(model, calls, monkeypa
     report = run_suite(cfg)
     assert len(sizes) == calls
     assert sum(sizes) == (report.notes["eligible"] if calls else 0)
+
+
+@pytest.mark.parametrize("row", lab._STAGES, ids=[attr for attr, _, _ in lab._STAGES])
+def test_each_needed_stage_row_runs_once_per_window_over_its_eligible_instances(
+        row, monkeypatch):
+    attr, _, stage = row
+    calls = []
+
+    def recording(instances):
+        calls.append([x.index for x in instances])
+        return stage(instances)
+
+    monkeypatch.setattr(lab, "_STAGES", tuple(
+        (a, need, recording if a == attr else fn) for a, need, fn in lab._STAGES))
+    # 40 trials at n = 16 are windows of 16, 16 and 8 trials
+    base = dict(suite="structure", model="er", n=16, p=0.5, trials=40, seed=3,
+                structure_checks=("chi", "cluster"))
+    report = run_suite(ExperimentConfig(**base))
+    eligible = [r.index for r in report.records if r.values["connected"] == 1]
+    assert [{i // 16 for i in window} for window in calls] == [{0}, {1}, {2}]
+    assert [i for window in calls for i in window] == eligible
+    # a row whose need is absent never runs: a frozen graph's cut parameters
+    # come from the context, and chi alone clusters nothing
+    absent = {"cut": dict(base, model="complete"),
+              "partitions": dict(base, structure_checks=("chi",))}
+    if attr in absent:
+        calls.clear()
+        run_suite(ExperimentConfig(**absent[attr]))
+        assert calls == []
 
 
 def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
@@ -713,7 +744,7 @@ def test_imported_graph_beyond_the_cut_cap_fails_before_any_trial(tmp_path, monk
     cfg = ExperimentConfig(suite="tau", model="imported", graph_file=str(path), n=n, trials=2)
     validate_config(cfg)
     trials = []
-    monkeypatch.setattr(lab, "_window", lambda *args: trials.append(args))
+    monkeypatch.setattr(lab, "_run_chunk", lambda *args: trials.append(args))
     with pytest.raises(SizeCapExceededError):
         make_context(cfg)
     with pytest.raises(SizeCapExceededError):
