@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,7 +68,7 @@ TSP_CAP = 18
 MATCHING_CAP = 20
 KMEDIAN_CAP = 10**6  # number of center sets enumerated
 
-_DP_BLOCK = 1 << 20  # at most this many candidate sums per Held-Karp gather
+_DP_BLOCK = 1 << 20  # at most this many entries per gather of a Held-Karp or k-median block
 _ROW_BLOCK = 128  # rows of the distance table copied at once by greedy_matching
 
 
@@ -356,8 +355,8 @@ def _exchange(d: np.ndarray, o: np.ndarray, i: int, j: int, cost: float):
 
 def _closed_tour(d: np.ndarray, order: tuple[int, ...]):
     """0-based closed tour of a 1-based order, its legs and its cost."""
-    # operator.index refuses 1.0 and 1.5; the permutation test is the range check
-    o = [operator.index(v) - 1 for v in order]
+    # the count rule refuses True, 1.0 and 1.5; the permutation test is the range check
+    o = [check_count(v, "vertex") - 1 for v in order]
     if sorted(o) != list(range(len(d))):
         raise ValueError("tour must be a permutation of 1..n")
     o = np.array(o + o[:1])
@@ -521,7 +520,8 @@ def first_k_centers(k: int) -> tuple[int, ...]:
 
 
 def exact_kmedian(metric: Metric, k: int) -> MedianSolution:
-    """Optimal k-median by enumerating all size-k center sets."""
+    """Optimal k-median by enumerating all size-k center sets, in blocks of
+    at most ``_DP_BLOCK`` gathered distances (at least one set)."""
     n = metric.n
     k = check_count(k, "k")
     if not 1 <= k <= n:
@@ -531,14 +531,11 @@ def exact_kmedian(metric: Metric, k: int) -> MedianSolution:
     d = metric.finite_dist
     best_cost = math.inf
     best_combo: tuple[int, ...] | None = None
-    batch = 8192
     combos = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(combos, batch))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.int64)  # (b, k)
-        costs = d[:, idx].min(axis=2).sum(axis=0)  # (b,)
+    # a set's cost sums one contiguous row of the (set, vertex) minima, so it
+    # does not depend on how many sets share a block
+    while block := list(itertools.islice(combos, max(1, _DP_BLOCK // (n * k)))):
+        costs = d[np.array(block)].min(axis=1).sum(axis=1)  # rows of the symmetric table
         j = int(np.argmin(costs))
         if costs[j] < best_cost:
             best_cost = float(costs[j])

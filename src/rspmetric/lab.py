@@ -11,9 +11,10 @@ Every suite runs one pipeline, :func:`run_suite`:
    its exact cut parameters.
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
-   ends the trial at ``connected=0``.  Consecutive trials form a window, and
-   each row of ``_STAGES`` the suite needs runs once over the window's
-   connected instances (see ``_run_chunk``).
+   ends the trial at ``connected=0``.  The trials are cut once into windows
+   of consecutive trials, and a pool runs whole windows; each row of
+   ``_STAGES`` the suite needs runs once over a window's connected instances
+   (see ``_run_window``).
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
    records are identical at any worker count.
@@ -495,48 +496,42 @@ _STAGES = (
 )
 
 
-def _run_chunk(config: ExperimentConfig, ctx: _Context, trials: range) -> list[TrialRecord]:
-    """Records of a range of trials, in windows of ``BATCH_VERTICES // n`` trials (at least one).
+def _run_window(config: ExperimentConfig, ctx: _Context, window: range) -> list[TrialRecord]:
+    """Records of one window of consecutive trials (see ``run_trials``).
 
-    A window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
+    The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
     frozen graph is connected by construction, and its cut parameters come
     from the context); connectivity is found per graph.  Each row of
     ``_STAGES`` the suite needs then runs once over the connected instances,
     and each instance gives its statistics.  A draw, a metric or a partition
     does not depend on the window it was made in, so neither do the records.
-    Windows, not whole chunks, bound memory: a window holds about one batch
-    of graphs, weights and metrics, where a chunk of large graphs would hold
-    one per trial.
     """
     # module level so that process pools can pickle it
     suite = _SUITES[config.suite]
     needs = suite.needs(config) - ({"cut"} if ctx.graph is not None else set())
-    stages = [(attr, stage) for attr, need, stage in _STAGES if need is None or need in needs]
     master = Seed(config.seed)
-    step = max(1, metric_mod.BATCH_VERTICES // config.n)
-    records: list[TrialRecord] = []
-    for lo in range(trials.start, trials.stop, step):
-        window = range(lo, min(lo + step, trials.stop))
-        seeds = [master.child(i, "trial") for i in window]
-        if ctx.graph is None:
-            graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
-        else:
-            graphs = [ctx.graph] * len(seeds)
-        instances = [_Instance(config, i, ts, graph, ctx.cut)
-                     for i, ts, graph in zip(window, seeds, graphs)
-                     if ctx.graph is not None or is_connected(graph)]
-        for attr, stage in stages if instances else ():  # no row runs on an empty window
+    seeds = [master.child(i, "trial") for i in window]
+    if ctx.graph is None:
+        graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
+    else:
+        graphs = [ctx.graph] * len(seeds)
+    instances = [_Instance(config, i, ts, graph, ctx.cut)
+                 for i, ts, graph in zip(window, seeds, graphs)
+                 if ctx.graph is not None or is_connected(graph)]
+    for attr, need, stage in _STAGES if instances else ():  # no row runs on an empty window
+        if need is None or need in needs:
             for x, value in zip(instances, stage(instances)):
                 setattr(x, attr, value)
-        stats = {x.index: suite.stats(x) for x in instances}
-        for i, ts in zip(window, seeds):
-            if i not in stats:
-                values = {"connected": 0}
-            elif suite.fresh:
-                values = {"connected": 1, **stats[i]}
-            else:
-                values = stats[i]
-            records.append(TrialRecord(index=i, seed=ts.hex(), values=values))
+    stats = {x.index: suite.stats(x) for x in instances}
+    records = []
+    for i, ts in zip(window, seeds):
+        if i not in stats:
+            values = {"connected": 0}
+        elif suite.fresh:
+            values = {"connected": 1, **stats[i]}
+        else:
+            values = stats[i]
+        records.append(TrialRecord(index=i, seed=ts.hex(), values=values))
     return records
 
 
@@ -544,19 +539,22 @@ def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]
     """Run all trials of a valid config on its context; records are identical
     for any worker count.
 
-    Serially, all trials are one chunk (see ``_run_chunk``); a pool runs one
-    chunk of consecutive trials per task.  At most one process per trial and
-    per usable CPU is started: on fork, the pool starts all of its
-    ``max_workers`` at once.
+    The trials are cut once into windows of ``BATCH_VERTICES // n``
+    consecutive trials (at least one), the only unit of work: serially they
+    run in order, and a pool maps whole windows, about ``4 * workers`` tasks
+    of consecutive windows.  So every batch call sees the same graphs at any
+    worker count.  At most one process per window and per usable CPU is
+    started: on fork, the pool starts all of its ``max_workers`` at once.
     """
-    run = partial(_run_chunk, config, context)
-    workers = min(config.workers, config.trials, metric_mod.usable_cpus())
+    step = max(1, metric_mod.BATCH_VERTICES // config.n)
+    windows = [range(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
+    run = partial(_run_window, config, context)
+    workers = min(config.workers, len(windows), metric_mod.usable_cpus())
     if workers <= 1:
-        return run(range(config.trials))
-    chunk = max(1, config.trials // (4 * workers))
-    chunks = [range(lo, min(lo + chunk, config.trials)) for lo in range(0, config.trials, chunk)]
+        return [r for window in windows for r in run(window)]
+    chunksize = max(1, len(windows) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for records in pool.map(run, chunks, chunksize=1) for r in records]
+        return [r for records in pool.map(run, windows, chunksize=chunksize) for r in records]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,32 @@ def test_matching_matches_per_mask_dp_on_tie_heavy_metrics(n):
         assert_same_matching(small_integer_metric(n, seed))
 
 
+# -- k-median enumeration -------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", (1, 2, 4))
+def test_kmedian_does_not_depend_on_the_sets_per_block(monkeypatch, k):
+    metrics = [rsp_instance(9, seed=4000 + s)[2] for s in range(3)]
+    metrics += [er_metric(10, seed=4100 + s) for s in range(3)]
+    default = [exact_kmedian(m, k) for m in metrics]
+    for sets in (1, 7):  # C(9, 2) = 36 sets are five blocks of 7 and one of 1
+        for m, want in zip(metrics, default):
+            monkeypatch.setattr(heuristics, "_DP_BLOCK", sets * m.n * k)
+            got = exact_kmedian(m, k)
+            assert (got.centers, got.cost) == (want.centers, want.cost)
+
+
+def test_kmedian_peak_memory_is_bounded_by_the_block():
+    metric = rsp_instance(400, seed=5)[2]  # a 2^20-entry block holds 1310 of C(400, 2) sets
+    tracemalloc.start()
+    try:
+        exact_kmedian(metric, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 # -- index plans ----------------------------------------------------------------
 
 

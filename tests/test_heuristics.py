@@ -270,6 +270,20 @@ def test_tour_cost_rejects_non_integer_vertices(order):
         tour_cost(m, order)
 
 
+@pytest.mark.parametrize("order", [(True, 2, 3, 4), (np.bool_(True), 2, 3, 4), (1.0, 2, 3, 4)])
+@pytest.mark.parametrize("call", [
+    tour_cost,
+    two_opt,
+    lambda m, order: has_improving_exchange(m, Tour(order, 0.0)),
+], ids=["tour_cost", "two_opt", "has_improving_exchange"])
+def test_tour_vertices_follow_the_count_rule(call, order):
+    # True was read as vertex 1, and 1.0 raised a message naming no vertex
+    m = rsp_instance(4, seed=3)[2]
+    with pytest.raises(TypeError, match="vertex must be an integer"):
+        call(m, order)
+    assert tour_cost(m, tuple(np.arange(1, 5))) == tour_cost(m, (1, 2, 3, 4))
+
+
 def test_trivial_kmedian_rejects_non_integer_centres(line_metric):
     with pytest.raises(TypeError):
         trivial_kmedian(line_metric, (1.5,))

@@ -424,10 +424,13 @@ def test_each_needed_stage_row_runs_once_per_window_over_its_eligible_instances(
         assert calls == []
 
 
-def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The ``max_workers`` of each process pool a run starts; the pool stand-in
+    maps in this process, so no process is started."""
     started = []
 
-    class RecordingPool:  # maps in this process: no process is started
+    class RecordingPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -441,20 +444,53 @@ def test_worker_processes_are_bounded_by_trials_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_windows_do_not_depend_on_the_worker_count(started_pools, monkeypatch):
+    calls = {attr: [] for attr, _, _ in lab._STAGES}
+
+    def recording(attr, stage):
+        def record(instances):
+            calls[attr].append([x.index for x in instances])
+            return stage(instances)
+        return record
+
+    monkeypatch.setattr(lab, "_STAGES", tuple(
+        (attr, need, recording(attr, stage)) for attr, need, stage in lab._STAGES))
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
+    seen = []
+    for workers in (1, 2):
+        for windows in calls.values():
+            windows.clear()
+        run_suite(ExperimentConfig(suite="structure", model="er", n=16, p=0.5, trials=25, seed=1,
+                                   structure_checks=("chi", "cluster"), workers=workers))
+        seen.append({attr: [list(window) for window in windows] for attr, windows in calls.items()})
+    assert started_pools == [2]
+    assert seen[0] == seen[1]
+    # 25 trials at n = 16 are windows of 16 and 9 trials, and every row runs on each
+    for windows in seen[0].values():
+        assert [{i // 16 for i in window} for window in windows] == [{0}, {1}]
+
+
+def test_worker_processes_are_bounded_by_windows_and_cpus(started_pools, monkeypatch):
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 8)
 
     def trials(**kwargs):
         cfg = ExperimentConfig(suite="ratio", kind="nn", model="complete", n=6, seed=5, **kwargs)
         return run_trials(cfg, make_context(cfg))
 
+    serial = trials(trials=20, workers=64)  # 20 trials at n = 6 are one window
+    assert started_pools == []
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", 6)  # one trial per window
     pooled = trials(trials=3, workers=64)
-    assert started == [3]
+    assert started_pools == [3]
     assert pooled == trials(trials=3)
-    trials(trials=20, workers=64)
-    assert started == [3, 8]
+    assert trials(trials=20, workers=64) == serial
+    assert started_pools == [3, 8]
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 1)  # one CPU: run serially
     trials(trials=20, workers=64)
-    assert started == [3, 8]
+    assert started_pools == [3, 8]
 
 
 def test_disconnected_draws_are_flagged_and_skipped():
@@ -744,7 +780,7 @@ def test_imported_graph_beyond_the_cut_cap_fails_before_any_trial(tmp_path, monk
     cfg = ExperimentConfig(suite="tau", model="imported", graph_file=str(path), n=n, trials=2)
     validate_config(cfg)
     trials = []
-    monkeypatch.setattr(lab, "_run_chunk", lambda *args: trials.append(args))
+    monkeypatch.setattr(lab, "_run_window", lambda *args: trials.append(args))
     with pytest.raises(SizeCapExceededError):
         make_context(cfg)
     with pytest.raises(SizeCapExceededError):
