@@ -94,9 +94,11 @@ from .metric import (
     ball,
     build_metric,
     build_metrics,
+    cluster_arrays,
     cluster_partition,
     cluster_partitions,
     diameter,
+    prefix_cuts,
     read_metric,
     tau_profile,
     tau_profiles,

@@ -171,6 +171,15 @@ class WeightedGraph:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _of_valid_weights(cls, graph: Graph, weights: np.ndarray) -> WeightedGraph:
+        """A weighted graph over ``weights``, a read-only float64 array of
+        ``graph.m`` strictly positive, finite weights."""
+        wg = cls.__new__(cls)
+        object.__setattr__(wg, "graph", graph)
+        object.__setattr__(wg, "weights", weights)
+        return wg
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
@@ -257,12 +266,17 @@ def weighted_graphs(graphs, seeds) -> list[WeightedGraph]:
     i is ``draw_weights(graphs[i], seeds[i])``.
 
     Every seed draws as many weights as the largest graph has edges, and
-    each graph keeps the first ones it needs.
+    each graph keeps the first ones it needs, a view of the one block of
+    draws.  The block is checked once: every weight must be finite and
+    positive (a uniform of exactly 0 would draw a weight of 0).
     """
     if len(graphs) != len(seeds):
         raise ValueError(f"need one seed per graph, got {len(seeds)} for {len(graphs)}")
     w = exponential_rows(seeds, max((g.m for g in graphs), default=0))
-    return [WeightedGraph(g, row[:g.m]) for g, row in zip(graphs, w)]
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise ValueError("edge weights must be strictly positive and finite")
+    w.setflags(write=False)
+    return [WeightedGraph._of_valid_weights(g, row[: g.m]) for g, row in zip(graphs, w)]
 
 
 def draw_weights(graph: Graph, seed: Seed) -> WeightedGraph:

@@ -75,11 +75,10 @@ from .heuristics import (
 )
 from .metric import (
     Metric,
-    Partition,
     build_metrics,
-    cluster_partitions,
+    cluster_arrays,
     diameter,
-    tau_profiles,
+    prefix_cuts,
 )
 from .rng import Seed, UniformStream
 
@@ -431,7 +430,8 @@ class _Instance:
     cut: CutParameters | None = None
     weighted: WeightedGraph | None = None
     metric: Metric | None = None
-    partitions: list[Partition] | None = None
+    chi: int | None = None
+    cluster: tuple[list[int], list[float], int] | None = None
 
     @cached_property
     def radii(self) -> list[float]:
@@ -480,19 +480,44 @@ def _window_metrics(instances: list[_Instance]) -> list[Metric]:
     return build_metrics([x.weighted for x in instances])
 
 
-def _window_partitions(instances: list[_Instance]) -> list[list[Partition]]:
-    return cluster_partitions([x.metric for x in instances], [x.radii for x in instances],
-                              [x.cut.alpha for x in instances])
+def _window_chis(instances: list[_Instance]) -> list[int]:
+    """Each instance's count of prefix cuts chi_k outside [alpha, beta] k(n - k)."""
+    # compare the same floating ratios the enumeration produced, so the
+    # containment alpha <= chi/mu <= beta is exact, no tolerance needed
+    n = instances[0].graph.n
+    ks = np.arange(1, n)
+    chis = prefix_cuts([x.metric for x in instances], [x.graph for x in instances])
+    ratios = chis / (ks * (n - ks))
+    alpha = np.array([x.cut.alpha for x in instances])[:, None, None]
+    beta = np.array([x.cut.beta for x in instances])[:, None, None]
+    return np.count_nonzero((ratios < alpha) | (ratios > beta), axis=(1, 2)).tolist()
+
+
+def _window_clusters(instances: list[_Instance]) -> list[tuple[list[int], list[float], int]]:
+    """Each instance's cluster count and density threshold at each radius, and
+    its count of clusters wider than 4 delta (see ``_cluster_stats``)."""
+    radii = [x.radii for x in instances]
+    pair, diameters, s_delta = cluster_arrays([x.metric for x in instances], radii,
+                                              [x.cut.alpha for x in instances])
+    # the float ops of the check per cluster: diameter > 4 delta + FLOAT_SLACK
+    limit = 4 * np.array(radii, dtype=np.float64) + FLOAT_SLACK
+    wide = pair[diameters > limit.ravel()[pair]]
+    counts = np.bincount(pair, minlength=limit.size).reshape(limit.shape)
+    bad = np.bincount(wide, minlength=limit.size).reshape(limit.shape).sum(axis=1)
+    return list(zip(counts.tolist(), s_delta.tolist(), bad.tolist()))
 
 
 # What a window computes for its connected instances, in order: (instance
 # attribute, the need that runs the row or None for every suite, the function
-# of the window's instances that returns one value per instance)
+# of the window's instances that returns one value per instance).  Each row
+# makes one batch call over the window; the chi and cluster rows hand each
+# instance plain counts, read by the structure part of the same name
 _STAGES = (
     ("cut", "cut", _window_cuts),
     ("weighted", None, _window_weights),
     ("metric", None, _window_metrics),
-    ("partitions", "clusters", _window_partitions),
+    ("chi", "profiles", _window_chis),
+    ("cluster", "clusters", _window_clusters),
 )
 
 
@@ -613,24 +638,16 @@ def _two_opt_stats(x: _Instance) -> dict:
 
 
 def _chi_stats(x: _Instance) -> dict:
-    # compare the same floating ratios the enumeration produced, so the
-    # containment alpha <= chi/mu <= beta is exact, no tolerance needed
-    n = x.graph.n
-    ks = np.arange(1, n)
-    _, chis, _ = tau_profiles(x.metric, x.graph)  # one row per vertex
-    ratios = chis / (ks * (n - ks))
-    bad = int(np.count_nonzero((ratios < x.cut.alpha) | (ratios > x.cut.beta)))
-    return {"chi_violations": bad}
+    return {"chi_violations": x.chi}
 
 
 def _cluster_stats(x: _Instance) -> dict:
+    counts, s_delta, bad = x.cluster
     values: dict = {}
-    bad = 0
-    for gi, (delta, part) in enumerate(zip(x.radii, x.partitions)):
-        bad += sum(1 for dia in part.diameters if dia > 4 * delta + FLOAT_SLACK)
+    for gi, (delta, count, s) in enumerate(zip(x.radii, counts, s_delta)):
         values[f"delta_{gi}"] = delta
-        values[f"clusters_{gi}"] = len(part.clusters)
-        values[f"scale_{gi}"] = x.graph.n / part.s_delta
+        values[f"clusters_{gi}"] = count
+        values[f"scale_{gi}"] = x.graph.n / s
     values["cluster_violations"] = bad
     return values
 
@@ -645,7 +662,7 @@ def _sandwich_stats(x: _Instance) -> dict:
 
 
 _STRUCTURE_PARTS = {  # check -> (statistics, needs)
-    "chi": (_chi_stats, frozenset({"cut"})),
+    "chi": (_chi_stats, frozenset({"cut", "profiles"})),
     "cluster": (_cluster_stats, frozenset({"cut", "clusters"})),
     "sandwich": (_sandwich_stats, frozenset({"matching", "tsp", "tour"})),
 }
@@ -741,9 +758,10 @@ class _Suite:
     stats: Callable[[_Instance], dict]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
     # what an instance computes beyond its metric: exact cut parameters
-    # ("cut"), its clusterings ("clusters"), a tour ("tour") and the exact
-    # baselines ("tsp", "matching", "kmedian").  A need that names a row of
-    # _STAGES ("cut", "clusters") runs that row; the others only drive
+    # ("cut"), its growth profiles ("profiles"), its clusterings
+    # ("clusters"), a tour ("tour") and the exact baselines ("tsp",
+    # "matching", "kmedian").  A need of a row of _STAGES ("cut",
+    # "profiles", "clusters") runs that row; the others only drive
     # validate_config, which derives every size rule from the needs
     needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns

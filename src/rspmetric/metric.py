@@ -7,22 +7,28 @@ vertex and the cut size of each prefix ball), radius balls, the diameter,
 and the bounded-diameter clustering used by the structural analysis.
 
 ``build_metrics`` builds many metrics at once, on one path: each group of
-graphs takes one ``_certified_apsp`` call over its disjoint union.  Each
-table is the one ``build_metric`` gives the graph alone, bit for bit, so
-records do not depend on how trials are batched.
+graphs takes one ``_certified_apsp`` call over its disjoint union, and the
+tables of each run of one size in it are checked as one stack.  Each table is the one
+``build_metric`` gives the graph alone, bit for bit, so records do not
+depend on how trials are batched.
 
-``tau_profiles`` computes the growth profiles of many centres at once, one
-row per centre; ``tau_profile`` is its one-row view.  The closest-first
-order breaks ties between equidistant vertices by vertex index (a stable
-sort of the distance row).
+``_growth_profiles`` is the one kernel of the growth profiles: the
+closest-first orders and prefix cuts of many centres in many metrics, from
+one stable sort of the stacked distance rows and one ``bincount`` of closing
+edges per block.  ``prefix_cuts`` gives every centre's prefix cuts of many
+metrics at once; ``tau_profiles`` is the one-metric view, one row per
+centre, and ``tau_profile`` its one-row view.  The closest-first order
+breaks ties between equidistant vertices by vertex index.
 
 ``cluster_partitions`` clusters many metrics of one size at once, each at
 its own radii, with one greedy sweep per block of (metric, radius) pairs;
-``cluster_partition`` is its one-entry view.
+``cluster_partition`` is its one-entry view, and ``cluster_arrays`` the same
+clusterings as per-cluster arrays, with no object per cluster.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import multiprocessing
@@ -59,20 +65,23 @@ class Metric:
         metric._own(table)
         return metric
 
+    @classmethod
+    def _of_checked_table(cls, table: np.ndarray, finite: bool) -> Metric:
+        """A metric over ``table``, a read-only table that passed ``_check_tables``."""
+        metric = cls.__new__(cls)
+        metric._dist = table
+        metric._finite = finite
+        return metric
+
     def _own(self, dist: np.ndarray) -> None:
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValueError("distance table must be square")
         if not len(dist):
             raise ValueError("a metric needs at least one vertex")
-        if not (dist >= 0).all():  # NaN fails too
-            raise ValueError("distances must be nonnegative (inf allowed)")
-        if (np.diagonal(dist) != 0).any():
-            raise ValueError("diagonal must be zero")
-        if not np.array_equal(dist, dist.T):
-            raise ValueError("distance table must be symmetric")
+        finite = bool(_check_tables(dist[None])[0])
         dist.setflags(write=False)
         self._dist = dist
-        self._finite = bool(np.isfinite(dist).all())
+        self._finite = finite
 
     @property
     def n(self) -> int:
@@ -98,6 +107,21 @@ class Metric:
 
     def __reduce__(self):
         return Metric, (self._dist,)
+
+
+def _check_tables(stack: np.ndarray) -> np.ndarray:
+    """Which tables of a T x n x n float64 stack have only finite entries.
+
+    Raises ValueError unless every table is nonnegative (NaN fails too), has
+    a zero diagonal and is symmetric; each check is one pass over the stack.
+    """
+    if not (stack >= 0).all():
+        raise ValueError("distances must be nonnegative (inf allowed)")
+    if (np.diagonal(stack, axis1=1, axis2=2) != 0).any():
+        raise ValueError("diagonal must be zero")
+    if not np.array_equal(stack, stack.swapaxes(1, 2)):
+        raise ValueError("distance table must be symmetric")
+    return np.isfinite(stack).all(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -163,6 +187,9 @@ def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
     of its own), and each group takes one ``_certified_apsp`` over its
     disjoint union.  Graph j's vertices follow those of graphs 0..j-1, so the
     union's edges stay sorted, and its table is the union's diagonal block j.
+    The tables of each run of consecutive graphs of one size n in a group,
+    such as a trial window's, are written into one T x n x n stack, which
+    ``_check_tables`` checks at once; each metric holds its layer.
     """
     groups, size = [], math.inf  # a full group before the first graph
     for wg in wgs:
@@ -173,9 +200,10 @@ def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
             size = 0
         groups[-1].append(wg)
         size += span
-    tables: list[np.ndarray] = []
+    metrics: list[Metric] = []
     for group in groups:
-        starts = np.cumsum([0] + [wg.graph.n for wg in group]).tolist()
+        sizes = [wg.graph.n for wg in group]
+        starts = np.cumsum([0] + sizes).tolist()
         cuts = np.cumsum([0] + [wg.graph.m for wg in group]).tolist()
         edges = np.concatenate([wg.graph.edges for wg in group])
         for a, lo, hi in zip(starts, cuts, cuts[1:]):
@@ -183,11 +211,22 @@ def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
         # one graph's weights go in as they are: a copy would be held through the APSP
         weights = group[0].weights if len(group) == 1 else np.concatenate([wg.weights for wg in group])
         dist, _ = _certified_apsp(starts[-1], edges[:, 0], edges[:, 1], weights)
-        # dijkstra from u and from v may round the same path differently;
-        # the smaller of the two makes the table exactly symmetric
-        tables += [np.minimum(dist[a:b, a:b], dist[a:b, a:b].T) for a, b in zip(starts, starts[1:])]
-        del dist  # one n x n table fewer while Metric checks the tables
-    return [Metric._of_fresh_table(table) for table in tables]
+        stacks, j = [], 0
+        for n, run in itertools.groupby(sizes):
+            count = len(list(run))
+            a, b = starts[j], starts[j + count]
+            # the run's diagonal blocks as one (count, n, n) view; dijkstra from
+            # u and from v may round the same path differently, and the smaller
+            # of the two makes each table exactly symmetric
+            blocks = dist[a:b, a:b].reshape(count, n, count, n).diagonal(axis1=0, axis2=2)
+            stacks.append(np.minimum(blocks.transpose(2, 0, 1), blocks.transpose(2, 1, 0)))
+            j += count
+        del blocks, dist  # one n x n table fewer while the stacks are checked
+        for stack in stacks:
+            finite = _check_tables(stack).tolist()
+            stack.setflags(write=False)
+            metrics += [Metric._of_checked_table(table, f) for table, f in zip(stack, finite)]
+    return metrics
 
 
 CHECK_BLOCK = 1 << 18  # at most this many (source, edge) entries per block of the Bellman check
@@ -399,7 +438,95 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_m
     return csr_matrix((np.concatenate((w, w))[order], indices, indptr), shape=(n, n))
 
 
-PROFILE_BLOCK = 1 << 20  # at most this many (centre, edge) entries per row block of tau_profiles
+PROFILE_BLOCK = 1 << 20  # at most this many (metric, centre, edge) entries per profile block
+
+
+def _growth_profiles(rows: np.ndarray, graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """Closest-first orders and prefix cuts of c centres in each of T metrics.
+
+    ``rows`` is a T x c x n stack: ``rows[t]`` holds the distance rows of c
+    centres in a metric of ``graphs[t]``, and every graph has n vertices.
+    Returns ``(order0, chis)``: the 0-based closest-first order of every row,
+    T x c x n, from one stable sort of the stack (ties by vertex index), and
+    the int64 cut in ``graphs[t]`` of each of its first n - 1 prefixes,
+    T x c x (n - 1).
+
+    The cut of a prefix is its degree sum minus twice its inside edges, and
+    an edge is inside from the position of its later endpoint on.  Vertex x
+    of metric t is slot t(n + 1) + x of one edge list, so one ``bincount``
+    finds every degree.  The rows go in blocks of at most ``PROFILE_BLOCK``
+    (metric, centre, edge) entries, a row of metric t counting
+    max(m_t, n + 1): whole metrics, or centre rows of one.  A block's closing
+    edges are counted by one more ``bincount``, so memory stays bounded on
+    dense graphs.
+    """
+    count, c, n = rows.shape
+    order0 = np.argsort(rows, axis=2, kind="stable")
+    ms = [g.m for g in graphs]
+    if count == 1:
+        edges = graphs[0].edges  # as it is: a copy is m-sized, 4 MB on K_1000
+    else:
+        edges = np.concatenate([g.edges for g in graphs])
+        edges += np.repeat(np.arange(0, count * (n + 1), n + 1, dtype=np.int32), ms)[:, None]
+    degree = np.bincount(edges.ravel(), minlength=count * (n + 1))
+    ends = np.cumsum([0] + ms).tolist()
+    chis = np.empty((count, c, max(n - 1, 0)), dtype=np.int64)
+    for t0, t1, lo, hi in _profile_blocks(ms, c, n):
+        k, r = t1 - t0, hi - lo
+        block = order0[t0:t1, lo:hi].swapaxes(0, 1)  # (centre, metric, position)
+        # pos[i, t, x]: the position of vertex x around centre lo + i of
+        # metric t0 + t, plus (i k + t) n, so that one bincount counts every
+        # row's closing edges
+        pos = np.empty((r, k, n + 1), dtype=np.int64)
+        np.put_along_axis(pos, block + 1, np.arange(r * k * n).reshape(r, k, n), axis=2)
+        pos = pos.reshape(r, k * (n + 1))
+        block_edges = edges[ends[t0] : ends[t1]]
+        if t0:
+            block_edges = block_edges - t0 * (n + 1)  # the block's own slots
+        # plain indexing, not np.take: take copies the int32 edge columns to
+        # intp, an extra m-sized array that raised peak RSS at n = 1000
+        later = pos[:, block_edges[:, 0]]
+        np.maximum(later, pos[:, block_edges[:, 1]], out=later)
+        closing = np.bincount(later.ravel(), minlength=r * k * n).reshape(r, k, n)
+        degrees = degree[block + np.arange(t0 * (n + 1) + 1, t1 * (n + 1), n + 1)[:, None]]
+        cuts = np.cumsum(degrees, axis=2) - 2 * np.cumsum(closing, axis=2)
+        chis[t0:t1, lo:hi] = cuts[:, :, : n - 1].swapaxes(0, 1)
+    return order0, chis
+
+
+def _profile_blocks(ms: list[int], c: int, n: int):
+    """The (t0, t1, lo, hi) blocks of ``_growth_profiles``: centres lo..hi-1
+    of metrics t0..t1-1, where metric t has ``ms[t]`` edges."""
+    t0 = 0
+    while t0 < len(ms):
+        width = max(ms[t0], n + 1)
+        if c * width > PROFILE_BLOCK:
+            step = max(1, PROFILE_BLOCK // width)
+            yield from ((t0, t0 + 1, lo, min(lo + step, c)) for lo in range(0, c, step))
+            t0 += 1
+            continue
+        t1, size = t0, 0
+        while t1 < len(ms) and size + c * max(ms[t1], n + 1) <= PROFILE_BLOCK:
+            size += c * max(ms[t1], n + 1)
+            t1 += 1
+        yield t0, t1, 0, c
+        t0 = t1
+
+
+def prefix_cuts(metrics: list[Metric], graphs: list[Graph]) -> np.ndarray:
+    """Prefix cuts around every centre of many metrics at once, T x n x (n - 1).
+
+    Entry [t, c - 1] is ``tau_profiles(metrics[t], graphs[t])[1][c - 1]``:
+    one ``_growth_profiles`` call over the stacked tables, all of one size.
+    """
+    if not metrics or len(metrics) != len(graphs):
+        raise ValueError("prefix_cuts needs one graph per metric, and at least one metric")
+    n = metrics[0].n
+    if any(m.n != n or g.n != n for m, g in zip(metrics, graphs)):
+        raise ValueError("graphs and metrics must all have the same vertex count")
+    # one table is a view: a stack of one would copy it
+    stack = metrics[0].dist[None] if len(metrics) == 1 else np.stack([m.dist for m in metrics])
+    return _growth_profiles(stack, list(graphs))[1]
 
 
 def tau_profiles(
@@ -408,10 +535,8 @@ def tau_profiles(
     """Closest-first growth profiles of many centres, one row per centre.
 
     Returns ``(taus, chis, order)``, the fields of :class:`TauProfile` as
-    rows, for ``centers`` (1-based; default all n vertices, ascending).  One
-    stable row-wise sort orders every row.  Prefix cuts are built in row
-    blocks of at most ``PROFILE_BLOCK`` (centre, edge) entries, so memory
-    stays bounded on dense graphs.
+    rows, for ``centers`` (1-based; default all n vertices, ascending): the
+    one-metric view of ``_growth_profiles``.
     """
     n = metric.n
     if graph.n != n:
@@ -420,33 +545,12 @@ def tau_profiles(
         rows = metric.dist
     else:
         rows = metric.dist[[check_vertex(c, n) - 1 for c in centers]]
-    count = len(rows)
-    order0 = np.argsort(rows, axis=1, kind="stable")  # ties by vertex index
-    # row-wise gathers and scatters index the flattened arrays: cheaper than
-    # take/put_along_axis on the small rows of the structure suite
-    taus = rows.ravel()[order0 + np.arange(0, count * n, n)[:, None]]
-    # cut of a prefix = its degree sum - 2 * its inside edges, and an edge is
-    # inside from the position of its later endpoint on
-    edges = graph.edges
-    degree = np.bincount(edges.ravel(), minlength=n + 1)[1:]
-    chis = np.empty((count, max(n - 1, 0)), dtype=np.int64)
-    step = max(1, PROFILE_BLOCK // max(graph.m, n + 1))
-    for lo in range(0, count, step):
-        block = order0[lo : lo + step]
-        r = len(block)
-        # pos[i, x] = position of 1-based vertex x around the block's centre
-        # i, plus i*n, so that one bincount counts every row's closing edges
-        pos = np.empty((r, n + 1), dtype=np.int64)
-        flat = block + np.arange(1, r * (n + 1), n + 1)[:, None]
-        pos.ravel()[flat] = np.arange(r * n).reshape(r, n)
-        # plain indexing, not np.take: take copies the int32 edge columns to
-        # intp, an extra m-sized array that raised peak RSS at n = 1000
-        later = pos[:, edges[:, 0]]
-        np.maximum(later, pos[:, edges[:, 1]], out=later)
-        closing = np.bincount(later.ravel(), minlength=r * n).reshape(r, n)
-        cuts = np.cumsum(degree[block], axis=1) - 2 * np.cumsum(closing, axis=1)
-        chis[lo : lo + r] = cuts[:, : n - 1]
-    return taus, chis, order0 + 1
+    order0, chis = _growth_profiles(rows[None], [graph])
+    order0 = order0[0]
+    # a row-wise gather indexes the flattened arrays: cheaper than
+    # take_along_axis on the small rows of the structure suite
+    taus = rows.ravel()[order0 + np.arange(0, len(rows) * n, n)[:, None]]
+    return taus, chis[0], order0 + 1
 
 
 def tau_profile(metric: Metric, graph: Graph, v: int) -> TauProfile:
@@ -501,7 +605,47 @@ def cluster_partitions(metrics: list[Metric], deltas, alphas) -> list[list[Parti
     vertex) entries, and at least one pair: whole metrics with all their
     radii, or radii of one metric.  A block stacks the ball masks of its
     pairs and chooses the centres of all of them in one sweep over the
-    vertices.
+    vertices.  The partitions are built from the arrays that
+    ``cluster_arrays`` returns.
+    """
+    s_grid, order, starts, diameters = _clusterings(metrics, deltas, alphas)
+    pairs, n = order.shape
+    members = (order + 1).ravel().tolist()
+    cuts = starts.tolist() + [pairs * n]
+    clusters = [frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # pair p's clusters are those from ends[p - 1] (0 for p = 0) to ends[p]
+    ends = np.searchsorted(starts, np.arange(n, pairs * n + 1, n)).tolist()
+    dia = diameters.tolist()
+    parts = [
+        Partition(clusters=tuple(clusters[i:j]), diameters=tuple(dia[i:j]), s_delta=s)
+        for i, j, s in zip([0] + ends, ends, s_grid.ravel().tolist())
+    ]
+    radii = s_grid.shape[1]
+    return [parts[t * radii : (t + 1) * radii] for t in range(len(metrics))]
+
+
+def cluster_arrays(
+    metrics: list[Metric], deltas, alphas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clusterings of :func:`cluster_partitions` as arrays, with no object per cluster.
+
+    Returns ``(pair, diameters, s_delta)``.  Cluster i, in the order of the
+    partitions (metric by metric, radius by radius, lowest member first),
+    belongs to the (metric t, radius r) pair ``pair[i]`` = t R + r and has
+    diameter ``diameters[i]``; ``s_delta`` is the T x R grid of density
+    thresholds.
+    """
+    s_grid, order, starts, diameters = _clusterings(metrics, deltas, alphas)
+    return starts // order.shape[1], diameters, s_grid
+
+
+def _clusterings(metrics, deltas, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The checks and blocks of :func:`cluster_partitions`.
+
+    Returns ``(s_delta, order, starts, diameters)``: the T x R thresholds;
+    for each of the T R pairs in turn, its vertices (0-based) sorted stably
+    by owner, one row each; the flat indices into those rows where each
+    cluster starts; and each cluster's diameter.
     """
     if not metrics:
         raise ValueError("cluster_partitions needs at least one metric")
@@ -518,25 +662,31 @@ def cluster_partitions(metrics: list[Metric], deltas, alphas) -> list[list[Parti
         s_delta.append([density_threshold(delta, n, alpha) for delta in row])
         tables.append(metric.finite_dist)
     grid = np.array(deltas, dtype=np.float64)
-    s_grid = np.array(s_delta)
+    s_grid = np.array(s_delta, dtype=np.float64)
     rb = max(1, min(radii, CLUSTER_BLOCK // (n * n)))  # radii per block
     tb = max(1, CLUSTER_BLOCK // (n * n * rb)) if rb >= radii else 1  # metrics per block
-    out: list[list[Partition]] = [[] for _ in metrics]
+    orders = [np.empty((0, n), dtype=np.intp)]
+    starts = [np.empty(0, dtype=np.intp)]
+    diameters = [np.empty(0)]
+    offset = 0  # entries of the pairs before the block
     for t0 in range(0, len(metrics), tb):
         stack = tables[t0][None] if tb == 1 else np.stack(tables[t0 : t0 + tb])
         for r0 in range(0, radii, rb):
             block = (slice(t0, t0 + tb), slice(r0, r0 + rb))
-            parts = _cluster_block(stack, grid[block], s_grid[block])
-            for row, part in zip(out[t0 : t0 + tb], parts):
-                row += part
-    return out
+            order, first, dia = _cluster_block(stack, grid[block], s_grid[block])
+            orders.append(order)
+            starts.append(first + offset)
+            diameters.append(dia)
+            offset += order.size
+    return s_grid, np.concatenate(orders), np.concatenate(starts), np.concatenate(diameters)
 
 
 def _cluster_block(
     tables: np.ndarray, deltas: np.ndarray, s_delta: np.ndarray
-) -> list[list[Partition]]:
-    """Partitions of T stacked n x n tables, each at its R radii; ``deltas`` and
-    ``s_delta`` are T x R."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clusterings of T stacked n x n tables, each at its R radii; ``deltas``
+    and ``s_delta`` are T x R.  Returns the arrays of ``_clusterings`` for
+    the block's T R pairs."""
     count, radii = deltas.shape
     n = tables.shape[-1]
     pairs = count * radii
@@ -564,17 +714,8 @@ def _cluster_block(
     rows = np.max(np.broadcast_to(tables[:, None], same.shape), axis=3, where=same, initial=0.0)
     diameters = np.maximum.reduceat(
         np.take_along_axis(rows.reshape(pairs, n), order, axis=1).ravel(), starts
-    ).tolist()
-    members = (order + 1).ravel().tolist()
-    cuts = starts.tolist() + [pairs * n]
-    clusters = [frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])]
-    # pair p's clusters are those from ends[p - 1] (0 for p = 0) to ends[p]
-    ends = np.searchsorted(starts, np.arange(n, pairs * n + 1, n)).tolist()
-    parts = [
-        Partition(clusters=tuple(clusters[i:j]), diameters=tuple(diameters[i:j]), s_delta=s)
-        for i, j, s in zip([0] + ends, ends, s_delta.ravel().tolist())
-    ]
-    return [parts[t * radii : (t + 1) * radii] for t in range(count)]
+    )
+    return order, starts, diameters
 
 
 def write_metric(path: str, metric: Metric) -> None:

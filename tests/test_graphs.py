@@ -34,6 +34,7 @@ from rspmetric import (
     weighted_graphs,
     write_graph,
 )
+from rspmetric import graphs as graphs_module
 from rspmetric.graphs import _normalized_edges
 from oracles import (
     cut_parameters_brute,
@@ -335,6 +336,28 @@ def test_window_draws_refuse_a_non_seed_and_unmatched_lists():
         weighted_graphs([path_graph(3), path_graph(3)], [Seed(1), None])
     with pytest.raises(ValueError, match="one seed per graph"):
         weighted_graphs([path_graph(3)], [Seed(1), Seed(2)])
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf], ids=["zero", "inf"])
+def test_a_bad_draw_in_one_row_of_a_window_raises_the_one_graph_error(bad, monkeypatch):
+    # the window's block of draws is checked once, not graph by graph
+    graphs = [complete_graph(5), path_graph(5), complete_graph(5)]
+    seeds = [Seed(s) for s in range(3)]
+    weighted = weighted_graphs(graphs, seeds)
+    assert not any(wg.weights.flags.writeable for wg in weighted)
+    real = graphs_module.exponential_rows
+
+    def corrupted(seeds, count):
+        w = real(seeds, count)
+        w[1, 2] = bad
+        return w
+
+    with pytest.raises(ValueError) as single:
+        WeightedGraph(graphs[1], np.where(np.arange(4) == 2, bad, 1.0))
+    monkeypatch.setattr(graphs_module, "exponential_rows", corrupted)
+    with pytest.raises(ValueError) as window:
+        weighted_graphs(graphs, seeds)
+    assert str(window.value) == str(single.value)
 
 
 def test_pooled_weight_mean_is_one():

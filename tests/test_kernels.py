@@ -34,6 +34,7 @@ from rspmetric import (
     WeightedGraph,
     build_metric,
     build_metrics,
+    cluster_arrays,
     cluster_partition,
     cluster_partitions,
     complete_graph,
@@ -49,6 +50,7 @@ from rspmetric import (
     is_connected,
     nearest_neighbor_tour,
     path_graph,
+    prefix_cuts,
     read_graph,
     read_metric,
     run_suite,
@@ -69,6 +71,7 @@ from rspmetric.metric import (
     BATCH_VERTICES,
     PROFILE_BLOCK,
     _certified_apsp,
+    _check_tables,
     _dijkstra_rows,
     _symmetric_csr,
     prune_width,
@@ -144,16 +147,26 @@ ALPHAS = (1.0, 0.3, 0.05)
 
 
 def assert_same_clusters(metrics):
-    """One ``cluster_partitions`` call over every metric at every alpha, each
-    at each fraction of its diameter, against the loop oracle."""
+    """One ``cluster_partitions`` call, and one ``cluster_arrays`` call, over
+    every metric at every alpha, each at each fraction of its diameter,
+    against the loop oracle."""
     pairs = [(m, alpha) for m in metrics for alpha in ALPHAS]
     deltas = [[f * diameter(m) for f in FRACTIONS] for m, _ in pairs]
     got = cluster_partitions([m for m, _ in pairs], deltas, [alpha for _, alpha in pairs])
+    pair, diameters, s_delta = cluster_arrays([m for m, _ in pairs], deltas,
+                                              [alpha for _, alpha in pairs])
     assert [len(row) for row in got] == [len(FRACTIONS)] * len(pairs)
-    for (m, alpha), row, parts in zip(pairs, deltas, got):
-        for delta, part in zip(row, parts):
+    assert s_delta.shape == (len(pairs), len(FRACTIONS))
+    assert np.all(np.diff(pair) >= 0)  # pair by pair, in order
+    for t, ((m, alpha), row, parts) in enumerate(zip(pairs, deltas, got)):
+        for r, (delta, part) in enumerate(zip(row, parts)):
             want = cluster_partition_loop(m.dist, delta, alpha)
             assert (part.clusters, part.diameters, part.s_delta) == want, (delta, alpha)
+            # the arrays the structure suite reads: the count, the diameters
+            # and the threshold of each pair
+            mine = pair == t * len(FRACTIONS) + r
+            assert (int(mine.sum()), diameters[mine].tolist(), s_delta[t, r]) == (
+                len(want[0]), list(want[1]), want[2]), (delta, alpha)
 
 
 def assert_same_table(wg):
@@ -382,6 +395,49 @@ def test_all_centre_profiles_on_k400_run_in_row_blocks():
         tracemalloc.stop()
     # one block is about 16 MB; one unblocked 400 x 79800 int64 array is 255 MB
     assert peak < 64 << 20
+
+
+def profile_window(n=12):
+    """(metric, graph) pairs of one size, as a trial window stacks them: G(n, p)
+    draws of unequal m, K_n, and tied metrics (integer distances, all ones)
+    on a G(n, p) draw and on K_n.  At n = 12 the first two pairs are sparse."""
+    pairs = []
+    for p, seed in ((0.2, 1), (0.5, 2), (0.8, 3)):
+        graph, wg = connected_er(n, p, seed=seed)
+        pairs.append((build_metric(wg), graph))
+    pairs.insert(1, (small_integer_metric(n, 5), generate_erdos_renyi(n, 0.3, Seed(7))))
+    graph, _, metric = rsp_instance(n, seed=n)
+    pairs.append((metric, graph))
+    pairs.append((all_ones_metric(n), complete_graph(n)))
+    return pairs
+
+
+@pytest.mark.parametrize("bound", [PROFILE_BLOCK, 1, 500], ids=["default", "one-row", "500"])
+def test_window_profiles_match_the_loop_at_any_block_bound(bound, monkeypatch):
+    pairs = profile_window()
+    metrics, graphs = [m for m, _ in pairs], [g for _, g in pairs]
+    n, ms = 12, [g.m for g in graphs]
+    assert len(set(ms)) >= 4
+    monkeypatch.setattr(metric_module, "PROFILE_BLOCK", bound)
+    blocks = list(metric_module._profile_blocks(ms, n, n))
+    if bound == 500:  # blocks of two whole metrics, and of centre rows inside one
+        assert any(t1 - t0 > 1 for t0, t1, _, _ in blocks)
+        assert any(hi - lo < n for _, _, lo, hi in blocks)
+    chis = prefix_cuts(metrics, graphs)
+    assert chis.shape == (len(pairs), n, n - 1) and chis.dtype == np.int64
+    for t, (metric, graph) in enumerate(pairs):
+        for v in range(1, n + 1):
+            assert np.array_equal(chis[t, v - 1], tau_profile_loop(metric.dist, graph, v)[1])
+        assert_same_profiles(metric, graph)  # the one-metric view, at the same bound
+
+
+def test_prefix_cuts_refuse_a_malformed_window():
+    graph, _, metric = rsp_instance(6, seed=1)
+    graph7, _, metric7 = rsp_instance(7, seed=2)
+    for metrics, graphs in [([], []), ([metric], []), ([metric, metric7], [graph, graph7]),
+                            ([metric], [graph7])]:
+        with pytest.raises(ValueError):
+            prefix_cuts(metrics, graphs)
 
 
 def test_tables_match_with_tied_integer_weights():
@@ -865,6 +921,96 @@ def test_build_metrics_equals_full_dijkstra_at_any_batch_bound(wgs, n, at, seed)
             assert_same_tables(build_metrics(wgs), wgs)
     finally:
         metric_module.BATCH_VERTICES = BATCH_VERTICES
+
+
+def test_runs_of_one_size_in_a_group_are_checked_as_one_stack(monkeypatch):
+    # one group of 54 vertices: runs of three 8s, two 10s, one 8 and two 1s
+    graphs = [complete_graph(8), generate_erdos_renyi(8, 0.2, Seed(1)), cycle_graph(8),
+              complete_graph(10), generate_erdos_renyi(10, 0.5, Seed(2)), path_graph(8),
+              Graph(1, ()), Graph(1, ())]
+    wgs = [draw_weights(g, Seed(10 + i)) for i, g in enumerate(graphs)]
+    assert not is_connected(graphs[1])
+    shapes = []
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return _check_tables(stack)
+
+    monkeypatch.setattr(metric_module, "_check_tables", recording)
+    metrics = build_metrics(wgs)
+    assert shapes == [(3, 8, 8), (2, 10, 10), (1, 8, 8), (2, 1, 1)]
+    assert_same_tables(metrics, wgs)
+    assert [m.is_finite() for m in metrics] == [is_connected(g) for g in graphs]
+    assert not any(m.dist.flags.writeable for m in metrics)
+    assert metrics[0].dist.base is metrics[2].dist.base  # layers of one stack
+
+
+def _corrupting(monkeypatch, corrupt):
+    """Let ``corrupt`` change the raw union table of every ``_certified_apsp`` call."""
+    def corrupted(n, u, v, w):
+        dist, runs = _certified_apsp(n, u, v, w)
+        corrupt(dist)
+        return dist, runs
+
+    monkeypatch.setattr(metric_module, "_certified_apsp", corrupted)
+
+
+CORRUPTIONS = {  # an entry of the table whose rows and columns start at a
+    "nan": lambda d, a: d.__setitem__((a + 1, a + 2), math.nan),
+    "negative": lambda d, a: d.__setitem__((a + 2, a + 1), -1.0),
+    "diagonal": lambda d, a: d.__setitem__((a + 1, a + 1), 0.5),
+}
+
+
+@pytest.mark.parametrize("count", [3, 1], ids=["3-graph-group", "1-graph-group"])
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_group_checks_raise_the_messages_of_the_metric_constructor(corruption, count, monkeypatch):
+    wgs = [draw_weights(complete_graph(8), Seed(s)) for s in range(count)]
+    at = count // 2  # the middle table of three, or the one table
+    table = build_metrics(wgs)[at].dist.copy()
+    CORRUPTIONS[corruption](table, 0)
+    with pytest.raises(ValueError) as single:
+        Metric(table)
+    _corrupting(monkeypatch, lambda d: CORRUPTIONS[corruption](d, 8 * at))
+    with pytest.raises(ValueError) as grouped:
+        build_metrics(wgs)
+    assert str(grouped.value) == str(single.value)
+
+
+@pytest.mark.parametrize("count", [3, 1], ids=["3-graph-group", "1-graph-group"])
+def test_an_asymmetric_raw_pair_is_made_symmetric_and_the_stack_check_refuses_one(
+        count, monkeypatch):
+    # min(d, d^T) makes every table symmetric, so the stack check on symmetry
+    # is met by the smaller of the two entries; a stack that is not symmetric
+    # is refused with the constructor's message
+    wgs = [draw_weights(complete_graph(8), Seed(s)) for s in range(count)]
+    at = count // 2
+    want = build_metrics(wgs)
+    _corrupting(monkeypatch, lambda d: d.__setitem__((8 * at + 1, 8 * at + 2), 7.0))
+    got = build_metrics(wgs)
+    assert all(np.array_equal(a.dist, b.dist) for a, b in zip(got, want))
+    stack = np.stack([m.dist for m in want])
+    stack[at, 1, 2] = 7.0
+    with pytest.raises(ValueError) as single:
+        Metric(stack[at])
+    with pytest.raises(ValueError) as grouped:
+        _check_tables(stack)
+    assert str(grouped.value) == str(single.value) == "distance table must be symmetric"
+
+
+def test_a_one_table_group_takes_no_extra_table():
+    # build_metric on the pruned K_400 peaked at 3.75 tables of 400 x 400
+    # float64 under tracemalloc (CPython 3.11, numpy 2.4); a stack copy of the
+    # table would add one more
+    wg = draw_weights(complete_graph(400), Seed(1))
+    build_metric(wg)
+    tracemalloc.start()
+    try:
+        build_metric(wg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * 400 * 400 * 8
 
 
 # -- exact cut parameters ---------------------------------------------------------

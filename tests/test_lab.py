@@ -352,6 +352,12 @@ def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
         assert serial.notes["skipped_disconnected"] > 0
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
     pooled = run_suite(ExperimentConfig(**BATCHED[name], workers=2))
+    if name == "structure-er":
+        # growth profiles in blocks of one centre row, of rows inside one
+        # metric, and of two whole metrics (c max(m, n + 1) is about 140)
+        for bound in (1, 100, 300):
+            monkeypatch.setattr(metric_module, "PROFILE_BLOCK", bound)
+            assert run_suite(cfg).to_csv() == serial.to_csv()
     # one trial per window, and one graph per Dijkstra call
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)
     alone = run_suite(cfg)
@@ -366,9 +372,9 @@ def test_each_window_clusters_its_instances_in_one_call(checks, calls, monkeypat
 
     def recording(metrics, deltas, alphas):
         sizes.append((len(metrics), {len(row) for row in deltas}))
-        return metric_module.cluster_partitions(metrics, deltas, alphas)
+        return metric_module.cluster_arrays(metrics, deltas, alphas)
 
-    monkeypatch.setattr(lab, "cluster_partitions", recording)
+    monkeypatch.setattr(lab, "cluster_arrays", recording)
     cfg = ExperimentConfig(suite="structure", model="er", n=16, p=0.5, trials=40, seed=3,
                            structure_checks=checks)
     report = run_suite(cfg)
@@ -415,9 +421,11 @@ def test_each_needed_stage_row_runs_once_per_window_over_its_eligible_instances(
     assert [{i // 16 for i in window} for window in calls] == [{0}, {1}, {2}]
     assert [i for window in calls for i in window] == eligible
     # a row whose need is absent never runs: a frozen graph's cut parameters
-    # come from the context, and chi alone clusters nothing
+    # come from the context, cluster alone profiles nothing, and chi alone
+    # clusters nothing
     absent = {"cut": dict(base, model="complete"),
-              "partitions": dict(base, structure_checks=("chi",))}
+              "chi": dict(base, structure_checks=("cluster",)),
+              "cluster": dict(base, structure_checks=("chi",))}
     if attr in absent:
         calls.clear()
         run_suite(ExperimentConfig(**absent[attr]))
