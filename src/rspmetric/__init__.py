@@ -96,12 +96,10 @@ from .metric import (
     build_metrics,
     cluster_arrays,
     cluster_partition,
-    cluster_partitions,
     diameter,
     prefix_cuts,
     read_metric,
     tau_profile,
-    tau_profiles,
     write_metric,
 )
 from .rng import Seed, UniformStream

@@ -153,7 +153,7 @@ def _cmd_heur(args) -> int:
     else:  # kmedian
         if args.k is None:
             raise ValueError("kmedian needs --k")
-        if not 1 <= args.k <= metric.n:  # before building a k-element center tuple
+        if not 1 <= args.k <= metric.n:  # first_k_centers knows no n: this message names it
             raise ValueError(f"k={args.k} out of range 1..{metric.n}")
         sol = h.trivial_kmedian(metric, h.first_k_centers(args.k))
         result = {"cost": sol.cost, "centers": " ".join(map(str, sol.centers))}

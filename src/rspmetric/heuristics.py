@@ -57,7 +57,7 @@ from .errors import (
     TooFewVerticesError,
     check_count,
 )
-from .graphs import check_vertex
+from .graphs import VERTEX_CAP, check_vertex
 from .metric import Metric
 from .rng import Seed, UniformStream
 
@@ -515,8 +515,13 @@ def trivial_kmedian(metric: Metric, centers: tuple[int, ...] | frozenset[int]) -
 
 
 def first_k_centers(k: int) -> tuple[int, ...]:
-    """The canonical metric-independent center choice: vertices 1..k."""
-    return tuple(range(1, check_count(k, "k") + 1))
+    """The canonical metric-independent center choice: vertices 1..k, k in 1..VERTEX_CAP."""
+    k = check_count(k, "k")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k > VERTEX_CAP:
+        raise SizeCapExceededError(f"k={k} exceeds the vertex cap {VERTEX_CAP}")
+    return tuple(range(1, k + 1))
 
 
 def exact_kmedian(metric: Metric, k: int) -> MedianSolution:

@@ -16,14 +16,14 @@ depend on how trials are batched.
 closest-first orders and prefix cuts of many centres in many metrics, from
 one stable sort of the stacked distance rows and one ``bincount`` of closing
 edges per block.  ``prefix_cuts`` gives every centre's prefix cuts of many
-metrics at once; ``tau_profiles`` is the one-metric view, one row per
-centre, and ``tau_profile`` its one-row view.  The closest-first order
-breaks ties between equidistant vertices by vertex index.
+metrics at once, and ``tau_profile`` the whole profile of one centre.  The
+closest-first order breaks ties between equidistant vertices by vertex index.
 
-``cluster_partitions`` clusters many metrics of one size at once, each at
-its own radii, with one greedy sweep per block of (metric, radius) pairs;
-``cluster_partition`` is its one-entry view, and ``cluster_arrays`` the same
-clusterings as per-cluster arrays, with no object per cluster.
+``_clusterings`` is the one kernel of the bounded-diameter clustering: many
+metrics of one size at once, each at its own radii, with one greedy sweep
+per block of (metric, radius) pairs.  ``cluster_arrays`` gives those
+clusterings as per-cluster arrays, with no object per cluster, and
+``cluster_partition`` one of them as a :class:`Partition`.
 """
 
 from __future__ import annotations
@@ -56,24 +56,7 @@ class Metric:
     """
 
     def __init__(self, dist: np.ndarray):
-        self._own(np.array(dist, dtype=np.float64))  # a private copy of the caller's table
-
-    @classmethod
-    def _of_fresh_table(cls, table: np.ndarray) -> Metric:
-        """A metric that takes over ``table``, a float64 array no one else holds."""
-        metric = cls.__new__(cls)
-        metric._own(table)
-        return metric
-
-    @classmethod
-    def _of_checked_table(cls, table: np.ndarray, finite: bool) -> Metric:
-        """A metric over ``table``, a read-only table that passed ``_check_tables``."""
-        metric = cls.__new__(cls)
-        metric._dist = table
-        metric._finite = finite
-        return metric
-
-    def _own(self, dist: np.ndarray) -> None:
+        dist = np.array(dist, dtype=np.float64)  # a private copy of the caller's table
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValueError("distance table must be square")
         if not len(dist):
@@ -82,6 +65,14 @@ class Metric:
         dist.setflags(write=False)
         self._dist = dist
         self._finite = finite
+
+    @classmethod
+    def _of_checked_table(cls, table: np.ndarray, finite: bool) -> Metric:
+        """A metric over ``table``, a read-only table that passed ``_check_tables``."""
+        metric = cls.__new__(cls)
+        metric._dist = table
+        metric._finite = finite
+        return metric
 
     @property
     def n(self) -> int:
@@ -158,7 +149,7 @@ class Partition:
 
     ``s_delta`` is the density threshold in force: a vertex whose ball is
     smaller is a singleton cluster.  Each dense cluster is grown around its
-    centre, which is also its lowest member (see :func:`cluster_partitions`).
+    centre, which is also its lowest member (see :func:`cluster_arrays`).
     """
 
     clusters: tuple[frozenset[int], ...]
@@ -516,8 +507,8 @@ def _profile_blocks(ms: list[int], c: int, n: int):
 def prefix_cuts(metrics: list[Metric], graphs: list[Graph]) -> np.ndarray:
     """Prefix cuts around every centre of many metrics at once, T x n x (n - 1).
 
-    Entry [t, c - 1] is ``tau_profiles(metrics[t], graphs[t])[1][c - 1]``:
-    one ``_growth_profiles`` call over the stacked tables, all of one size.
+    Entry [t, c - 1] is ``tau_profile(metrics[t], graphs[t], c).chis``: one
+    ``_growth_profiles`` call over the stacked tables, all of one size.
     """
     if not metrics or len(metrics) != len(graphs):
         raise ValueError("prefix_cuts needs one graph per metric, and at least one metric")
@@ -529,35 +520,14 @@ def prefix_cuts(metrics: list[Metric], graphs: list[Graph]) -> np.ndarray:
     return _growth_profiles(stack, list(graphs))[1]
 
 
-def tau_profiles(
-    metric: Metric, graph: Graph, centers=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closest-first growth profiles of many centres, one row per centre.
-
-    Returns ``(taus, chis, order)``, the fields of :class:`TauProfile` as
-    rows, for ``centers`` (1-based; default all n vertices, ascending): the
-    one-metric view of ``_growth_profiles``.
-    """
-    n = metric.n
-    if graph.n != n:
-        raise ValueError("graph and metric disagree on vertex count")
-    if centers is None:
-        rows = metric.dist
-    else:
-        rows = metric.dist[[check_vertex(c, n) - 1 for c in centers]]
-    order0, chis = _growth_profiles(rows[None], [graph])
-    order0 = order0[0]
-    # a row-wise gather indexes the flattened arrays: cheaper than
-    # take_along_axis on the small rows of the structure suite
-    taus = rows.ravel()[order0 + np.arange(0, len(rows) * n, n)[:, None]]
-    return taus, chis[0], order0 + 1
-
-
 def tau_profile(metric: Metric, graph: Graph, v: int) -> TauProfile:
-    """Closest-first growth profile of vertex v (distances and prefix cut sizes)."""
+    """Closest-first growth profile of vertex v: ``_growth_profiles`` on its one row."""
     v = check_vertex(v, metric.n)
-    taus, chis, order = tau_profiles(metric, graph, [v])
-    return TauProfile(center=v, taus=taus[0], chis=chis[0], order=order[0])
+    if graph.n != metric.n:
+        raise ValueError("graph and metric disagree on vertex count")
+    row = metric.dist[v - 1]
+    order0, chis = _growth_profiles(row[None, None], [graph])
+    return TauProfile(center=v, taus=row[order0[0, 0]], chis=chis[0, 0], order=order0[0, 0] + 1)
 
 
 def ball(metric: Metric, v: int, delta: float) -> frozenset[int]:
@@ -577,19 +547,27 @@ CLUSTER_BLOCK = 1 << 20  # at most this many (pair, vertex, vertex) entries per 
 
 
 def cluster_partition(metric: Metric, delta: float, alpha: float) -> Partition:
-    """Partition into clusters of diameter at most 4*delta (see :func:`cluster_partitions`)."""
-    return cluster_partitions([metric], [[delta]], [alpha])[0][0]
+    """Partition into clusters of diameter at most 4*delta (see :func:`cluster_arrays`)."""
+    s_delta, order, starts, diameters = _clusterings([metric], [[delta]], [alpha])
+    members, cuts = (order[0] + 1).tolist(), starts.tolist() + [metric.n]
+    clusters = tuple(frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return Partition(clusters, tuple(diameters.tolist()), float(s_delta[0, 0]))
 
 
-def cluster_partitions(metrics: list[Metric], deltas, alphas) -> list[list[Partition]]:
+def cluster_arrays(
+    metrics: list[Metric], deltas, alphas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clusterings of diameter at most 4*delta, for every metric at each of its radii.
 
     All metrics have one size n; ``deltas[t]`` holds the radii of metric t,
     the same count for every metric, and ``alphas[t]`` its cut parameter.
-    Entry [t][r] is the partition of metric t at radius ``deltas[t][r]``.
-    Every (metric, radius) pair is checked before any table work: the radius
-    and alpha by ``density_threshold``, then the table through
-    ``Metric.finite_dist``, so a disconnected source raises.
+    Returns ``(pair, diameters, s_delta)``.  Cluster i, metric by metric,
+    radius by radius and lowest member first, belongs to the (metric t,
+    radius r) pair ``pair[i]`` = t R + r and has diameter ``diameters[i]``;
+    ``s_delta`` is the T x R grid of density thresholds.  Every (metric,
+    radius) pair is checked before any table work: the radius and alpha by
+    ``density_threshold``, then the table through ``Metric.finite_dist``, so
+    a disconnected source raises.
 
     Vertices whose delta-ball is smaller than the density threshold are
     sparse and own themselves.  The dense vertices are clustered around a
@@ -605,42 +583,14 @@ def cluster_partitions(metrics: list[Metric], deltas, alphas) -> list[list[Parti
     vertex) entries, and at least one pair: whole metrics with all their
     radii, or radii of one metric.  A block stacks the ball masks of its
     pairs and chooses the centres of all of them in one sweep over the
-    vertices.  The partitions are built from the arrays that
-    ``cluster_arrays`` returns.
-    """
-    s_grid, order, starts, diameters = _clusterings(metrics, deltas, alphas)
-    pairs, n = order.shape
-    members = (order + 1).ravel().tolist()
-    cuts = starts.tolist() + [pairs * n]
-    clusters = [frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])]
-    # pair p's clusters are those from ends[p - 1] (0 for p = 0) to ends[p]
-    ends = np.searchsorted(starts, np.arange(n, pairs * n + 1, n)).tolist()
-    dia = diameters.tolist()
-    parts = [
-        Partition(clusters=tuple(clusters[i:j]), diameters=tuple(dia[i:j]), s_delta=s)
-        for i, j, s in zip([0] + ends, ends, s_grid.ravel().tolist())
-    ]
-    radii = s_grid.shape[1]
-    return [parts[t * radii : (t + 1) * radii] for t in range(len(metrics))]
-
-
-def cluster_arrays(
-    metrics: list[Metric], deltas, alphas
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The clusterings of :func:`cluster_partitions` as arrays, with no object per cluster.
-
-    Returns ``(pair, diameters, s_delta)``.  Cluster i, in the order of the
-    partitions (metric by metric, radius by radius, lowest member first),
-    belongs to the (metric t, radius r) pair ``pair[i]`` = t R + r and has
-    diameter ``diameters[i]``; ``s_delta`` is the T x R grid of density
-    thresholds.
+    vertices.
     """
     s_grid, order, starts, diameters = _clusterings(metrics, deltas, alphas)
     return starts // order.shape[1], diameters, s_grid
 
 
 def _clusterings(metrics, deltas, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The checks and blocks of :func:`cluster_partitions`.
+    """The checks and blocks of :func:`cluster_arrays`.
 
     Returns ``(s_delta, order, starts, diameters)``: the T x R thresholds;
     for each of the T R pairs in turn, its vertices (0-based) sorted stably
@@ -648,7 +598,7 @@ def _clusterings(metrics, deltas, alphas) -> tuple[np.ndarray, np.ndarray, np.nd
     cluster starts; and each cluster's diameter.
     """
     if not metrics:
-        raise ValueError("cluster_partitions needs at least one metric")
+        raise ValueError("cluster_arrays needs at least one metric")
     if not len(deltas) == len(alphas) == len(metrics):
         raise ValueError("need one list of radii and one alpha per metric")
     n = metrics[0].n
@@ -730,4 +680,4 @@ def read_metric(path: str) -> Metric:
         dist = read_rows(fh)
     if len(dist) != n:
         raise ValueError(f"expected {n} distance rows, found {len(dist)}")
-    return Metric._of_fresh_table(dist)
+    return Metric(dist)

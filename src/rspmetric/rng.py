@@ -163,8 +163,9 @@ class UniformStream:
         return _exponential(self.u01_block(count))
 
     def integer_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound); bound must be a positive integer."""
+        """Uniform integer in [0, bound), for an integer bound in 1..2^53: one
+        53-bit uniform cannot reach every integer below a larger bound."""
         bound = check_count(bound, "bound")
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 1 <= bound <= 1 << 53:
+            raise ValueError(f"bound must lie in 1..2^53, got {bound}")
         return min(int(self.u01() * bound), bound - 1)

@@ -10,11 +10,13 @@ from rspmetric import (
     Metric,
     Seed,
     build_metric,
+    cluster_arrays,
     complete_graph,
     draw_weights,
     generate_erdos_renyi,
     is_connected,
 )
+from rspmetric.metric import _clusterings
 
 
 @pytest.fixture
@@ -58,3 +60,23 @@ def small_integer_metric(n, seed):
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return Metric(d)
+
+
+def stacked_clusterings(metrics, deltas, alphas):
+    """(clusters, diameters, s_delta) of each (metric, radius) pair, entry
+    [t][r] as ``cluster_partition_loop`` gives them: one ``cluster_arrays``
+    call, with each cluster's members read from the ``order`` and ``starts``
+    of one ``_clusterings`` call on the same stack."""
+    pair, diameters, s_delta = cluster_arrays(metrics, deltas, alphas)
+    _, order, starts, _ = _clusterings(metrics, deltas, alphas)
+    assert np.array_equal(pair, starts // order.shape[1])
+    assert np.all(np.diff(pair) >= 0)  # pair by pair, in order
+    members = (order + 1).ravel().tolist()
+    cuts = starts.tolist() + [len(members)]
+    rows = [([], [], s) for s in s_delta.ravel().tolist()]
+    for p, a, b, d in zip(pair.tolist(), cuts, cuts[1:], diameters.tolist()):
+        rows[p][0].append(frozenset(members[a:b]))
+        rows[p][1].append(d)
+    radii = s_delta.shape[1]
+    return [[(tuple(c), tuple(d), s) for c, d, s in rows[t * radii : (t + 1) * radii]]
+            for t in range(len(metrics))]

@@ -30,6 +30,7 @@ from rspmetric import (
     trivial_kmedian,
     two_opt,
 )
+from rspmetric.graphs import VERTEX_CAP
 from rspmetric.heuristics import MATCHING_CAP, TSP_CAP
 from conftest import all_ones_metric, rsp_instance
 from oracles import min_matching_brute, min_tsp_brute
@@ -374,6 +375,13 @@ def test_kmedian_errors(line_metric):
 
 def test_first_k_centers():
     assert first_k_centers(3) == (1, 2, 3)
+    assert first_k_centers(VERTEX_CAP) == tuple(range(1, VERTEX_CAP + 1))
+    # k is checked before any tuple is built: 0 and -1 were the empty set
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            first_k_centers(k)
+    with pytest.raises(SizeCapExceededError):
+        first_k_centers(VERTEX_CAP + 1)
 
 
 @pytest.mark.parametrize("k", [True, 2.0, 2.5])

@@ -36,7 +36,6 @@ from rspmetric import (
     build_metrics,
     cluster_arrays,
     cluster_partition,
-    cluster_partitions,
     complete_graph,
     cut_parameters_exact,
     cycle_graph,
@@ -56,7 +55,6 @@ from rspmetric import (
     run_suite,
     star_graph,
     tau_profile,
-    tau_profiles,
     two_opt,
     write_graph,
     write_metric,
@@ -77,7 +75,13 @@ from rspmetric.metric import (
     prune_width,
     usable_cpus,
 )
-from conftest import all_ones_metric, points_on_line, rsp_instance, small_integer_metric
+from conftest import (
+    all_ones_metric,
+    points_on_line,
+    rsp_instance,
+    small_integer_metric,
+    stacked_clusterings,
+)
 from oracles import (
     cluster_partition_loop,
     cut_parameters_enum,
@@ -130,16 +134,15 @@ def assert_same_two_opt(metric):
 def assert_same_profiles(metric, graph):
     # every centre: the stable-sort tie rule is checked only here, since any
     # order of an (alpha, beta) graph keeps chi/(k(n-k)) inside [alpha, beta]
-    rows = tau_profiles(metric, graph)
-    assert [a.shape for a in rows] == [(graph.n, graph.n), (graph.n, graph.n - 1), (graph.n, graph.n)]
+    rows = prefix_cuts([metric], [graph])[0]
+    assert rows.shape == (graph.n, graph.n - 1)
     for v in range(1, graph.n + 1):
         taus, chis, order = tau_profile_loop(metric.dist, graph, v)
-        assert np.array_equal(rows[0][v - 1], taus)
-        assert np.array_equal(rows[1][v - 1], chis) and rows[1].dtype == chis.dtype
-        assert np.array_equal(rows[2][v - 1], order)
-    one = tau_profile(metric, graph, graph.n)
-    assert np.array_equal(one.taus, rows[0][-1]) and np.array_equal(one.chis, rows[1][-1])
-    assert np.array_equal(one.order, rows[2][-1])
+        one = tau_profile(metric, graph, v)
+        assert np.array_equal(one.taus, taus)
+        assert np.array_equal(one.chis, chis) and one.chis.dtype == chis.dtype
+        assert np.array_equal(one.order, order)
+        assert np.array_equal(rows[v - 1], chis) and rows.dtype == chis.dtype
 
 
 FRACTIONS = (0.0, 0.05, 0.125, 0.25, 0.5, 1.0)
@@ -147,26 +150,19 @@ ALPHAS = (1.0, 0.3, 0.05)
 
 
 def assert_same_clusters(metrics):
-    """One ``cluster_partitions`` call, and one ``cluster_arrays`` call, over
-    every metric at every alpha, each at each fraction of its diameter,
-    against the loop oracle."""
+    """One stacked clustering of every metric at every alpha, each at each
+    fraction of its diameter, and each pair's ``cluster_partition``, against
+    the loop oracle."""
     pairs = [(m, alpha) for m in metrics for alpha in ALPHAS]
     deltas = [[f * diameter(m) for f in FRACTIONS] for m, _ in pairs]
-    got = cluster_partitions([m for m, _ in pairs], deltas, [alpha for _, alpha in pairs])
-    pair, diameters, s_delta = cluster_arrays([m for m, _ in pairs], deltas,
-                                              [alpha for _, alpha in pairs])
+    got = stacked_clusterings([m for m, _ in pairs], deltas, [alpha for _, alpha in pairs])
     assert [len(row) for row in got] == [len(FRACTIONS)] * len(pairs)
-    assert s_delta.shape == (len(pairs), len(FRACTIONS))
-    assert np.all(np.diff(pair) >= 0)  # pair by pair, in order
-    for t, ((m, alpha), row, parts) in enumerate(zip(pairs, deltas, got)):
-        for r, (delta, part) in enumerate(zip(row, parts)):
+    for (m, alpha), row, parts in zip(pairs, deltas, got):
+        for delta, part in zip(row, parts):
             want = cluster_partition_loop(m.dist, delta, alpha)
-            assert (part.clusters, part.diameters, part.s_delta) == want, (delta, alpha)
-            # the arrays the structure suite reads: the count, the diameters
-            # and the threshold of each pair
-            mine = pair == t * len(FRACTIONS) + r
-            assert (int(mine.sum()), diameters[mine].tolist(), s_delta[t, r]) == (
-                len(want[0]), list(want[1]), want[2]), (delta, alpha)
+            assert part == want, (delta, alpha)
+            one = cluster_partition(m, delta, alpha)
+            assert (one.clusters, one.diameters, one.s_delta) == want, (delta, alpha)
 
 
 def assert_same_table(wg):
@@ -281,14 +277,13 @@ def test_clusters_match_the_loop_at_tied_radii_zero_and_past_the_diameter():
     assert [diameter(m) for m in metrics] == [6.0, 3.0]
     radii = [0.0, 1.0, 2.0, 3.0, 6.0, 7.0]
     for alpha in ALPHAS + (0.25,):
-        got = cluster_partitions(metrics, [radii, radii], [alpha, alpha])
+        got = stacked_clusterings(metrics, [radii, radii], [alpha, alpha])
         for m, parts in zip(metrics, got):
             for delta, part in zip(radii, parts):
-                want = cluster_partition_loop(m.dist, delta, alpha)
-                assert (part.clusters, part.diameters, part.s_delta) == want, (delta, alpha)
+                assert part == cluster_partition_loop(m.dist, delta, alpha), (delta, alpha)
             # every ball is the whole vertex set, above the cap (n + 1)/2 of s_delta
-            assert parts[-1].clusters == (frozenset(range(1, 13)),)
-            assert parts[0].clusters == tuple(frozenset({v}) for v in range(1, 13))
+            assert parts[-1][0] == (frozenset(range(1, 13)),)
+            assert parts[0][0] == tuple(frozenset({v}) for v in range(1, 13))
 
 
 @pytest.mark.parametrize("pairs", [1, 4, 13])
@@ -298,12 +293,12 @@ def test_partitions_do_not_depend_on_the_block_bound(pairs, monkeypatch):
     metrics = [rsp_instance(10, seed=s)[2] for s in range(4)]
     deltas = [[f * diameter(m) for f in FRACTIONS] for m in metrics]
     alphas = [1.0, 0.3, 0.05, 0.5]
-    want = cluster_partitions(metrics, deltas, alphas)
+    want = stacked_clusterings(metrics, deltas, alphas)
     monkeypatch.setattr(metric_module, "CLUSTER_BLOCK", pairs * 10 * 10)
-    assert cluster_partitions(metrics, deltas, alphas) == want
+    assert stacked_clusterings(metrics, deltas, alphas) == want
 
 
-def test_cluster_partitions_refuse_a_malformed_stack():
+def test_cluster_arrays_refuse_a_malformed_stack():
     a, b, c = rsp_instance(6, seed=1)[2], rsp_instance(6, seed=2)[2], rsp_instance(7, seed=3)[2]
     for metrics, deltas, alphas in [
         ([], [], []),  # no metric
@@ -313,7 +308,7 @@ def test_cluster_partitions_refuse_a_malformed_stack():
         ([a, b], [[0.1]], [1.0, 1.0]),  # one list of radii short
     ]:
         with pytest.raises(ValueError):
-            cluster_partitions(metrics, deltas, alphas)
+            cluster_arrays(metrics, deltas, alphas)
 
 
 def two_triangles():
@@ -346,16 +341,16 @@ def test_a_bad_pair_anywhere_in_the_stack_raises_as_the_single_call(bad, at):
         cluster_partition(metrics[at], deltas[at][1], alphas[at])
     assert issubclass(single.type, (ValueError, DisconnectedGraphError))
     with pytest.raises(single.type) as stacked:
-        cluster_partitions(metrics, deltas, alphas)
+        cluster_arrays(metrics, deltas, alphas)
     assert stacked.type is single.type
 
 
 def test_the_first_bad_pair_of_the_stack_decides_the_error():
     metrics = [two_triangles(), rsp_instance(6, seed=1)[2]]
     with pytest.raises(DisconnectedGraphError):
-        cluster_partitions(metrics, [[0.1], [math.nan]], [1.0, 1.0])
+        cluster_arrays(metrics, [[0.1], [math.nan]], [1.0, 1.0])
     with pytest.raises(ValueError):
-        cluster_partitions(metrics[::-1], [[math.nan], [0.1]], [1.0, 1.0])
+        cluster_arrays(metrics[::-1], [[math.nan], [0.1]], [1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -369,19 +364,11 @@ def test_profiles_match_loops_on_one_and_two_vertices(graph):
     assert_same_profiles(build_metric(wg), graph)
 
 
-def test_profiles_of_chosen_centres_are_rows_of_all_centres():
+def test_profile_refuses_a_centre_outside_the_vertices():
     graph, _, metric = rsp_instance(20, seed=20)
-    everyone = tau_profiles(metric, graph)
-    centers = [20, 3, 3, 1]
-    got = tau_profiles(metric, graph, centers)
-    for a, b in zip(got, everyone):
-        assert np.array_equal(a, b[np.array(centers) - 1])
-    assert [a.shape[0] for a in tau_profiles(metric, graph, [])] == [0, 0, 0]
-    for bad, error in (([0], ValueError), ([21], ValueError), ([1.5], TypeError)):
+    for bad, error in ((0, ValueError), (21, ValueError), (1.5, TypeError)):
         with pytest.raises(error):
-            tau_profiles(metric, graph, bad)
-    with pytest.raises(ValueError):
-        tau_profile(metric, graph, 0)
+            tau_profile(metric, graph, bad)
 
 
 def test_all_centre_profiles_on_k400_run_in_row_blocks():
@@ -389,7 +376,7 @@ def test_all_centre_profiles_on_k400_run_in_row_blocks():
     assert graph.m * graph.n > PROFILE_BLOCK  # more than one row block
     tracemalloc.start()
     try:
-        tau_profiles(metric, graph)
+        prefix_cuts([metric], [graph])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -428,7 +415,7 @@ def test_window_profiles_match_the_loop_at_any_block_bound(bound, monkeypatch):
     for t, (metric, graph) in enumerate(pairs):
         for v in range(1, n + 1):
             assert np.array_equal(chis[t, v - 1], tau_profile_loop(metric.dist, graph, v)[1])
-        assert_same_profiles(metric, graph)  # the one-metric view, at the same bound
+        assert_same_profiles(metric, graph)  # one metric, and one centre, at the same bound
 
 
 def test_prefix_cuts_refuse_a_malformed_window():

@@ -41,7 +41,6 @@ from rspmetric import (
     Seed,
     WeightedGraph,
     build_metric,
-    cluster_partitions,
     complete_graph,
     cut_parameters_exact,
     diameter,
@@ -64,6 +63,7 @@ from rspmetric import lab
 from rspmetric.graphs import CUT_PARAMETER_CAP
 from rspmetric.heuristics import INSERTION_RULES
 from rspmetric.metric import prune_width
+from conftest import stacked_clusterings
 
 SEEDS = range(5)
 GRAPHS = {  # name -> (graph of a seed, whether build_metric prunes it)
@@ -121,16 +121,14 @@ def assert_doubled_clusters(tables):
     """One stacked call per side: each (metric, doubled metric) pair at each alpha is one row."""
     rows = [(metric, doubled, alpha) for metric, doubled in tables for alpha in ALPHAS]
     deltas = [[f * diameter(metric) for f in FRACTIONS] for metric, _, _ in rows]
-    plain = cluster_partitions([m for m, _, _ in rows], deltas, [a for _, _, a in rows])
-    twice = cluster_partitions(
+    plain = stacked_clusterings([m for m, _, _ in rows], deltas, [a for _, _, a in rows])
+    twice = stacked_clusterings(
         [d for _, d, _ in rows], [[2.0 * x for x in row] for row in deltas],
         [a / 2.0 for _, _, a in rows],
     )
     for parts, doubled_parts in zip(plain, twice):
-        for part, doubled in zip(parts, doubled_parts):
-            assert doubled.clusters == part.clusters
-            assert doubled.s_delta == part.s_delta
-            assert doubled.diameters == tuple(2.0 * x for x in part.diameters)
+        for (clusters, diameters, s_delta), doubled in zip(parts, doubled_parts):
+            assert doubled == (clusters, tuple(2.0 * x for x in diameters), s_delta)
 
 
 @pytest.mark.parametrize("name", GRAPHS)

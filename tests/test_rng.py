@@ -142,6 +142,11 @@ def test_integer_below_is_in_range():
     assert len(set(draws)) == 7  # all residues show up over 1000 draws
     with pytest.raises(ValueError):
         stream.integer_below(0)
+    # one 53-bit uniform reaches every integer below 2^53, and no further
+    assert 0 <= stream.integer_below(2**53) < 2**53
+    for bound in (2**53 + 1, 2**70):
+        with pytest.raises(ValueError, match="2\\^53"):
+            stream.integer_below(bound)
 
 
 def _unshift_xor(z, shift):
