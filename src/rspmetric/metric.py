@@ -6,9 +6,12 @@ of it live the growth profile around a vertex (distance to the k-th closest
 vertex and the cut size of each prefix ball), radius balls, the diameter,
 and the bounded-diameter clustering used by the structural analysis.
 
-``build_metrics`` builds many metrics at once, on one path: each group of
-graphs takes one ``_certified_apsp`` call over its disjoint union, and the
-tables of each run of one size in it are checked as one stack.  Each table is the one
+``build_metrics`` builds many metrics at once.  Blocks of small graphs of
+one size with enough edges go through ``_dense_rows``: Dijkstra's array form
+on a (graphs, n, n) stack, one settle step for all rows at once.  The other
+graphs are packed into groups, and each group takes one ``_certified_apsp``
+call over its disjoint union.  The tables of a block, or of a run of one
+size in a group, are checked as one stack, and each table is the one
 ``build_metric`` gives the graph alone, bit for bit, so records do not
 depend on how trials are batched.
 
@@ -157,12 +160,37 @@ class Partition:
     s_delta: float
 
 
-BATCH_VERTICES = 256  # most vertices per group, one union, of build_metrics
-# Measured on one Xeon core, per connected G(16, 1/2) draw in build_metrics:
-# 170 us in groups of one graph; over 25 draws 96, 88, 87 and 88 us at 128,
-# 256, 512 and no bound; over 100 draws 94, 75, 99 and 93 us (medians of
-# seven).  Each source initialises a row over the whole union, so groups
-# far past 256 vertices cost more than the calls they save.
+BATCH_VERTICES = 256  # most vertices per dense-kernel block, or per union, of build_metrics
+# Measured on one Xeon core, per connected G(16, 1/2) draw in build_metrics
+# (medians of seven): over 25 draws 137, 53, 40, 31 and 29 us in kernel
+# blocks of at most 16, 64, 128, 256 and 512 vertices, and 26 us in one
+# block; over 100 draws 148, 54, 41, 32, 28 and 28 us.  In a union each
+# source initialises a row over the whole union, so groups far past 256
+# vertices cost more than the calls they save.  A suite window holds
+# BATCH_VERTICES // n trials too, so the bound also sizes every window
+# stage's arrays.
+
+DENSE_N = 100  # largest graph that build_metrics sends through _dense_rows
+# The kernel does n^3 work per graph whatever its edge count; scipy's
+# Dijkstra does about n (m + n log n) after some 90 us of set-up per call.
+# So a block takes the kernel only with n^2 / 12 edges per graph or more.
+# build_metrics' time on BATCH_VERTICES // n draws, as a share of its time
+# with one scipy call over their disjoint union (the only path before the
+# kernel), medians of four alternating process pairs on a 2-core Xeon host;
+# u marks blocks under n^2 / 12 edges per graph, which keep the union (the
+# same code before and after: their pairs spread by up to 0.3 either way):
+#   n                    16     32     48     64     80     100
+#   G(n, 1/2)            0.50   0.48   0.52   0.49   0.52   0.58
+#   G(n, 4 ln n / n)     0.48   0.50   0.60   0.69   0.70   0.88
+#   K_n                  0.44   0.38   0.37   pruned
+#   G(n, 1/6)            1.05u  1.02u  1.00u  0.74   0.80   0.87
+#   G(n, 1.2 ln n / n)   0.74   1.04u  0.99u  1.05u  0.97u  1.04u
+#   path P_n             1.00u  0.93u  0.92u  1.04u  1.04u  0.92u
+# Past 100, dense unpruned draws stop gaining: through the kernel,
+# G(n, 4 ln n / n) read 0.85-0.94 at n = 112 and 1.01-1.05 at 128, so the
+# bound is 100.  Sent through the kernel whatever their edges,
+# G(n, 1.2 ln n / n) draws read 1.37-1.60 at n = 80 and 1.41-1.96 at 100,
+# and paths 3-6 at n = 64 to 100.
 
 
 def build_metric(wg: WeightedGraph) -> Metric:
@@ -172,6 +200,44 @@ def build_metric(wg: WeightedGraph) -> Metric:
 
 def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
     """The metric of each weighted graph, in input order.
+
+    The graphs of one size n that ``_dense_size`` admits are cut, in input
+    order, into blocks of at most ``BATCH_VERTICES // n`` graphs (at least
+    one).  A block with at least n^2 / 12 edges per graph takes the dense
+    kernel, one ``_dense_rows`` call; its n^3 work per graph is no slower
+    than scipy's Dijkstra there.  Every other graph goes, in input order, to
+    ``_union_metrics``.  The smaller of d(u, v) and d(v, u) makes each table
+    exactly symmetric, and a block's tables form one T x n x n stack, which
+    ``_check_tables`` checks at once; each metric holds its layer.
+    """
+    sizes: dict[int, list[int]] = {}
+    rest: list[int] = []
+    for i, wg in enumerate(wgs):
+        n = _dense_size(wg)
+        (rest if n is None else sizes.setdefault(n, [])).append(i)
+    built: dict[int, Metric] = {}
+    for n, at in sizes.items():
+        step = max(1, BATCH_VERTICES // n)
+        for block in (at[lo : lo + step] for lo in range(0, len(at), step)):
+            if n * n * len(block) > 12 * sum(wgs[i].graph.m for i in block):
+                rest += block  # too sparse: scipy's Dijkstra is faster
+                continue
+            rows = _dense_rows([wgs[i] for i in block])
+            built.update(zip(block, _checked_metrics(np.minimum(rows, rows.swapaxes(1, 2)))))
+    rest.sort()
+    built.update(zip(rest, _union_metrics([wgs[i] for i in rest])))
+    return [built[i] for i in range(len(wgs))]
+
+
+def _dense_size(wg: WeightedGraph) -> int | None:
+    """The vertex count of a graph that ``_dense_rows`` may take: at most
+    ``DENSE_N`` vertices, and not pruned by ``prune_width``; None for others."""
+    n = check_vertex_cap(wg.graph.n)
+    return n if n <= DENSE_N and prune_width(n, wg.graph.m) is None else None
+
+
+def _union_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
+    """The metrics of graphs that the dense kernel does not take, from scipy's Dijkstra.
 
     Graphs are packed in input order into groups of at most ``BATCH_VERTICES``
     vertices (a graph that ``prune_width`` prunes, or a larger one, is a group
@@ -184,7 +250,7 @@ def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
     """
     groups, size = [], math.inf  # a full group before the first graph
     for wg in wgs:
-        n = check_vertex_cap(wg.graph.n)
+        n = wg.graph.n
         span = n if prune_width(n, wg.graph.m) is None else math.inf  # a pruned graph fills a group
         if size + span > BATCH_VERTICES:
             groups.append([])
@@ -214,10 +280,59 @@ def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
             j += count
         del blocks, dist  # one n x n table fewer while the stacks are checked
         for stack in stacks:
-            finite = _check_tables(stack).tolist()
-            stack.setflags(write=False)
-            metrics += [Metric._of_checked_table(table, f) for table, f in zip(stack, finite)]
+            metrics += _checked_metrics(stack)
     return metrics
+
+
+def _checked_metrics(stack: np.ndarray) -> list[Metric]:
+    """One metric per layer of a T x n x n stack, which ``_check_tables`` checks."""
+    finite = _check_tables(stack).tolist()
+    stack.setflags(write=False)
+    return [Metric._of_checked_table(table, f) for table, f in zip(stack, finite)]
+
+
+def _dense_rows(wgs: list[WeightedGraph]) -> np.ndarray:
+    """Raw Dijkstra rows of T graphs of one size n, T x n x n: [t, s] is from source s.
+
+    Dijkstra's O(n^2) array form, all T n rows at once.  The weights sit in
+    a T n x n table, inf where there is no edge, and row t n + x holds the
+    weights from vertex x of graph t.  Each of n - 1 settle steps takes, in
+    every row, the least entry not yet settled (settled entries read inf
+    through a penalty table), settles it, and relaxes its weight row:
+    d(s, y) = min(d(s, y), fl(d(s, x) + w(x, y))).  The last vertex of a
+    row holds its largest value, so relaxing it would improve nothing.
+
+    Weights are positive and rounding is monotone, so a settled value is
+    final, and each row meets the Bellman equations with every finite value
+    attained along a predecessor tree, from the same sums as scipy's
+    Dijkstra.  Such a row is unique (see ``_certified_apsp``), so every row
+    is scipy's row, bit for bit, however ties between unsettled entries go.
+    """
+    count, n = len(wgs), wgs[0].graph.n
+    edges = np.concatenate([wg.graph.edges for wg in wgs])
+    w = np.concatenate([wg.weights for wg in wgs])
+    # flat slot of entry (t, u, v) in the weight table, for 1-based u and v
+    base = np.repeat(np.arange(0, count * n * n, n * n), [wg.graph.m for wg in wgs]) - (n + 1)
+    weights = np.full(count * n * n, np.inf)
+    weights[base + edges[:, 0] * n + edges[:, 1]] = w
+    weights[base + edges[:, 1] * n + edges[:, 0]] = w
+    weights = weights.reshape(count * n, n)
+    dist = np.full((count * n, n), np.inf)
+    dist.reshape(count, n * n)[:, :: n + 1] = 0.0
+    penalty = np.zeros_like(dist)  # inf where a row's entry is settled
+    key = np.empty_like(dist)
+    rows = np.arange(count * n)
+    at = rows * n  # flat slot of each row's entry 0
+    graph_row = rows - rows % n  # the weight row of each row's vertex 0, t n
+    for _ in range(n - 1):
+        np.add(dist, penalty, out=key)
+        x = key.argmin(axis=1)
+        settled = at + x
+        penalty.ravel()[settled] = np.inf
+        relaxed = weights[graph_row + x]
+        relaxed += dist.ravel()[settled][:, None]
+        np.minimum(dist, relaxed, out=dist)
+    return dist.reshape(count, n, n)
 
 
 CHECK_BLOCK = 1 << 18  # at most this many (source, edge) entries per block of the Bellman check
@@ -278,7 +393,7 @@ def _certified_apsp(
     Each pass runs directed Dijkstra (``_dijkstra_rows``) on a CSR holding
     both arcs of every kept edge: the arcs of undirected Dijkstra, maybe in
     another order, which cannot change a value, since the row meeting the
-    Bellman equations is unique.  On a disjoint union from ``build_metrics``
+    Bellman equations is unique.  On a disjoint union from ``_union_metrics``
     a source reaches only its own graph, so its row there meets that graph's
     Bellman equations: it is the graph's own row, bit for bit.  A union of
     graphs that do not prune does not prune either: each has m_j <= 3 k(n_j)

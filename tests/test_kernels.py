@@ -41,6 +41,7 @@ from rspmetric import (
     cycle_graph,
     diameter,
     draw_weights,
+    erdos_renyi_graphs,
     exact_cut_parameters,
     generate_erdos_renyi,
     greedy_matching,
@@ -56,6 +57,7 @@ from rspmetric import (
     star_graph,
     tau_profile,
     two_opt,
+    weighted_graphs,
     write_graph,
     write_metric,
 )
@@ -67,9 +69,11 @@ from rspmetric.graphs import CUT_BLOCK, CUT_PARAMETER_CAP, CutParameters, _split
 from rspmetric.heuristics import Tour
 from rspmetric.metric import (
     BATCH_VERTICES,
+    DENSE_N,
     PROFILE_BLOCK,
     _certified_apsp,
     _check_tables,
+    _dense_rows,
     _dijkstra_rows,
     _symmetric_csr,
     prune_width,
@@ -454,29 +458,23 @@ def _pruned(graph):
     ids=["K12", "K16", "G(16, 1/2)"],
 )
 def test_the_exact_dp_and_structure_graphs_take_one_pass(graph, monkeypatch):
-    assert not _pruned(graph)
+    # one pass of the dense kernel: no scipy call, and nothing certified
+    assert not _pruned(graph) and graph.n <= metric_module.DENSE_N
     wg = draw_weights(graph, Seed(graph.m))
-    calls = []
+    blocks = []
 
-    def recording(*args, **kwargs):
-        calls.append(kwargs)
-        return dijkstra(*args, **kwargs)
+    def recording(wgs):
+        blocks.append(wgs)
+        return _dense_rows(wgs)
 
-    def no_certificate(*args):
-        raise AssertionError("a one-pass table was certified")
+    def refused(*args, **kwargs):
+        raise AssertionError("a graph of the dense kernel reached scipy or the certificate")
 
-    widths = []
-
-    def recording_width(n, m):
-        widths.append(prune_width(n, m))
-        return widths[-1]
-
-    monkeypatch.setattr(metric_module, "prune_width", recording_width)
-    monkeypatch.setattr(metric_module, "_bellman_failures", no_certificate)
-    monkeypatch.setattr(metric_module, "dijkstra", recording)
+    monkeypatch.setattr(metric_module, "_dense_rows", recording)
+    for name in ("dijkstra", "_certified_apsp", "_bellman_failures"):
+        monkeypatch.setattr(metric_module, name, refused)
     got = build_metric(wg).dist
-    assert calls == [{"directed": True, "indices": None}]  # one pass from every source
-    assert widths and set(widths) == {None}  # no edge partition: every edge is kept
+    assert blocks == [[wg]]
     want = dijkstra_full(wg)
     assert np.array_equal(got, np.minimum(want, want.T))
 
@@ -777,7 +775,59 @@ def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert usable_cpus() == 1
 
 
-# -- many metrics in one Dijkstra call --------------------------------------------
+# -- many metrics: the dense kernel and the certified path -------------------------
+
+
+@st.composite
+def dense_blocks(draw):
+    """One to four weighted graphs of one size n in 1..DENSE_N: complete graphs,
+    G(n, p) draws (disconnected ones too), two cliques, paths and no edges,
+    some with tied integer weights."""
+    n = draw(st.integers(1, DENSE_N))
+    wgs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["complete", "er", "two cliques", "path", "no edges"]))
+        seed = draw(st.integers(0, 1 << 32))
+        if kind == "er":
+            graph = generate_erdos_renyi(n, draw(st.sampled_from([0.02, 0.1, 0.5])), Seed(seed))
+        elif kind == "two cliques" and n >= 2:
+            a = draw(st.integers(1, n - 1))
+            graph = Graph(n, np.concatenate([complete_graph(a).edges, complete_graph(n - a).edges + a]))
+        elif kind == "path":
+            graph = path_graph(n)
+        elif kind == "no edges":
+            graph = Graph(n, ())
+        else:
+            graph = complete_graph(n)
+        if draw(st.booleans()):
+            ties = np.random.default_rng(seed).integers(1, 4, size=graph.m).astype(float)
+            wgs.append(WeightedGraph(graph, ties))
+        else:
+            wgs.append(draw_weights(graph, Seed(seed + 1)))
+    return wgs
+
+
+def assert_dense_rows_equal_full_dijkstra(wgs):
+    rows = _dense_rows(wgs)
+    n = wgs[0].graph.n
+    assert rows.shape == (len(wgs), n, n)
+    for layer, wg in zip(rows, wgs):
+        assert np.array_equal(layer, dijkstra_full(wg))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dense_blocks())
+def test_dense_rows_equal_full_dijkstra(wgs):
+    assert_dense_rows_equal_full_dijkstra(wgs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, DENSE_N])
+def test_dense_rows_equal_full_dijkstra_on_paths(n):
+    # a path settles its vertices in path order from an end, so a kernel
+    # that stopped a settle step short would leave the far end at inf
+    graph = path_graph(n)
+    assert_dense_rows_equal_full_dijkstra(
+        [draw_weights(graph, Seed(n)), WeightedGraph(graph, np.ones(graph.m))])
 
 
 def mixed_batch():
@@ -824,31 +874,134 @@ def test_batched_tables_equal_full_dijkstra(bound, monkeypatch):
      (256, [[12, 16, 30, 7, 1, 20], [60], [9, 40, 10]])],
 )
 def test_one_pass_graphs_are_grouped_in_order_up_to_the_bound(bound, groups, monkeypatch):
-    # the vertex count of each union that _certified_apsp gets: the pruned
-    # K_60 is a group of its own at every bound
+    # with the dense kernel off, the vertex count of each union that
+    # _certified_apsp gets: the pruned K_60 is a group of its own at every bound
     seen = []
 
     def recording(n, u, v, w):
         seen.append(n)
         return _certified_apsp(n, u, v, w)
 
+    monkeypatch.setattr(metric_module, "DENSE_N", 0)
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
     monkeypatch.setattr(metric_module, "_certified_apsp", recording)
     build_metrics(mixed_batch())
     assert seen == [sum(group) for group in groups]
 
 
+def routed_batch():
+    """Runs of G(8, 1/2) and G(5, 1/2) draws, with graphs the dense kernel does
+    not take between them: the pruned K_60, two paths of 16 (too sparse) and
+    a path one vertex past DENSE_N (too large)."""
+    graphs = ([generate_erdos_renyi(8, 0.5, Seed(s)) for s in range(3)]
+              + [complete_graph(60), path_graph(16)]
+              + [generate_erdos_renyi(8, 0.5, Seed(s)) for s in range(3, 5)]
+              + [path_graph(DENSE_N + 1)]
+              + [generate_erdos_renyi(5, 0.5, Seed(s)) for s in range(5, 10)]
+              + [path_graph(16)])
+    return [draw_weights(g, Seed(100 + i)) for i, g in enumerate(graphs)]
+
+
+@pytest.mark.parametrize(
+    "bound, blocks, unions",
+    [(1, [1] * 10, [60, 16, DENSE_N + 1, 16]),
+     (17, [2, 2, 1, 3, 2], [60, 16, DENSE_N + 1, 16]),
+     (256, [5, 5], [60, 16 + DENSE_N + 1 + 16])],
+)
+def test_graphs_take_the_kernel_or_a_union_in_input_order(bound, blocks, unions, monkeypatch):
+    # the graphs of one size n that the kernel takes go in input order, in
+    # blocks of bound // n graphs (at least one), across the graphs between
+    # them; the other graphs take _certified_apsp in unions packed in input
+    # order as before the kernel, and the lone K_60 goes in with its weights
+    # as they are
+    wgs = routed_batch()
+    dense = [wgs[i] for i in (0, 1, 2, 5, 6, 8, 9, 10, 11, 12)]
+    assert all(12 * wg.graph.m >= wg.graph.n ** 2 for wg in dense)
+    seen_blocks, seen_unions = [], []
+
+    def recording_blocks(block):
+        seen_blocks.append([id(wg) for wg in block])
+        return _dense_rows(block)
+
+    def recording_unions(n, u, v, w):
+        seen_unions.append((n, w))
+        return _certified_apsp(n, u, v, w)
+
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
+    monkeypatch.setattr(metric_module, "_dense_rows", recording_blocks)
+    monkeypatch.setattr(metric_module, "_certified_apsp", recording_unions)
+    assert_same_tables(build_metrics(wgs), wgs)
+    assert [len(block) for block in seen_blocks] == blocks
+    assert sum(seen_blocks, []) == [id(wg) for wg in dense]
+    assert [n for n, _ in seen_unions] == unions
+    assert seen_unions[0][1] is wgs[3].weights
+
+
+def test_a_block_takes_the_kernel_from_n_squared_over_12_edges_per_graph(monkeypatch):
+    # the kernel's n^3 work per graph loses to scipy's Dijkstra on sparser graphs
+    calls = []
+
+    def recording(block):
+        calls.append(len(block))
+        return _dense_rows(block)
+
+    monkeypatch.setattr(metric_module, "_dense_rows", recording)
+    for n in (16, 48, DENSE_N):
+        at = -(-n * n // 12)
+        for m, kernel in ((at, [1]), (at - 1, [])):
+            calls.clear()
+            wg = WeightedGraph(Graph(n, complete_graph(n).edges[:m]), np.ones(m))
+            assert_same_tables(build_metrics([wg]), [wg])
+            assert calls == kernel
+    # the edges of a whole block decide: 16 paths of 16 vertices have 240
+    # edges, under 16^3 / 12; with one swapped for K_16 they have 345
+    paths = [draw_weights(path_graph(16), Seed(s)) for s in range(16)]
+    for block, kernel in ((paths, []), (paths[1:] + [draw_weights(complete_graph(16), Seed(16))], [16])):
+        calls.clear()
+        assert_same_tables(build_metrics(block), block)
+        assert calls == kernel
+    # too large, or pruned: never a kernel block
+    assert metric_module._dense_size(draw_weights(path_graph(DENSE_N), Seed(1))) == DENSE_N
+    assert metric_module._dense_size(draw_weights(path_graph(DENSE_N + 1), Seed(1))) is None
+    assert metric_module._dense_size(draw_weights(complete_graph(60), Seed(1))) is None
+
+
+def test_a_thousand_draws_reach_the_kernel_in_bounded_blocks(monkeypatch):
+    # a library caller may pass any number of graphs: the kernel and the
+    # stack check see at most BATCH_VERTICES vertices at a time
+    seeds = [Seed(s) for s in range(1000)]
+    wgs = weighted_graphs(erdos_renyi_graphs(16, 0.5, seeds), [s.child(0, "w") for s in seeds])
+    blocks, shapes = [], []
+
+    def recording_blocks(block):
+        blocks.append(len(block))
+        return _dense_rows(block)
+
+    def recording_check(stack):
+        shapes.append(stack.shape)
+        return _check_tables(stack)
+
+    monkeypatch.setattr(metric_module, "_dense_rows", recording_blocks)
+    monkeypatch.setattr(metric_module, "_check_tables", recording_check)
+    metrics = build_metrics(wgs)
+    assert blocks == [BATCH_VERTICES // 16] * 62 + [8]
+    assert shapes == [(count, 16, 16) for count in blocks]
+    assert_same_tables(metrics[::97], wgs[::97])
+
+
 def test_batched_tables_split_over_processes(split):
     wgs = mixed_batch()
     assert_same_tables(build_metrics(wgs), wgs)
-    assert split  # the one-pass group and the pruned K_60 each split
+    assert split  # the one-pass union and the pruned K_60 each split
     assert_no_child_left(split)
 
 
 def test_a_full_group_of_small_graphs_does_not_fork(monkeypatch):
-    # five one-pass K_49, 245 vertices: sources x (arcs + n) over the union
-    # would be 2.94 million, past 2 * SPLIT_WORK, but each source relaxes only
-    # its own K_49: the sum of 49 x (arcs + 245) is 0.64 million
+    # with the dense kernel off, five one-pass K_49, 245 vertices: sources x
+    # (arcs + n) over the union would be 2.94 million, past 2 * SPLIT_WORK,
+    # but each source relaxes only its own K_49: the sum of 49 x (arcs + 245)
+    # is 0.64 million
+    monkeypatch.setattr(metric_module, "DENSE_N", 0)
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     wgs = [draw_weights(complete_graph(49), Seed(s)) for s in range(5)]
@@ -902,16 +1055,24 @@ PRUNED_CLIQUES = [n for n in range(50, 71) if _pruned(complete_graph(n))]
 )
 def test_build_metrics_equals_full_dijkstra_at_any_batch_bound(wgs, n, at, seed):
     wgs.insert(at, draw_weights(complete_graph(n), Seed(seed)))  # at least one pruned graph
+    want = [np.minimum(raw, raw.T) for raw in map(dijkstra_full, wgs)]
     try:
-        for bound in (1, 17, 64, 256):
-            metric_module.BATCH_VERTICES = bound
-            assert_same_tables(build_metrics(wgs), wgs)
+        # DENSE_N = 0: every graph takes scipy; 256: every block of unpruned
+        # graphs with n^2 / 12 edges per graph takes the kernel
+        for dense in (0, DENSE_N, 256):
+            metric_module.DENSE_N = dense
+            for bound in (1, 17, 64, 256):
+                metric_module.BATCH_VERTICES = bound
+                got = build_metrics(wgs)
+                assert all(np.array_equal(m.dist, table) for m, table in zip(got, want))
     finally:
         metric_module.BATCH_VERTICES = BATCH_VERTICES
+        metric_module.DENSE_N = DENSE_N
 
 
 def test_runs_of_one_size_in_a_group_are_checked_as_one_stack(monkeypatch):
-    # one group of 54 vertices: runs of three 8s, two 10s, one 8 and two 1s
+    # with the dense kernel off, one group of 54 vertices: runs of three 8s,
+    # two 10s, one 8 and two 1s
     graphs = [complete_graph(8), generate_erdos_renyi(8, 0.2, Seed(1)), cycle_graph(8),
               complete_graph(10), generate_erdos_renyi(10, 0.5, Seed(2)), path_graph(8),
               Graph(1, ()), Graph(1, ())]
@@ -923,6 +1084,7 @@ def test_runs_of_one_size_in_a_group_are_checked_as_one_stack(monkeypatch):
         shapes.append(stack.shape)
         return _check_tables(stack)
 
+    monkeypatch.setattr(metric_module, "DENSE_N", 0)
     monkeypatch.setattr(metric_module, "_check_tables", recording)
     metrics = build_metrics(wgs)
     assert shapes == [(3, 8, 8), (2, 10, 10), (1, 8, 8), (2, 1, 1)]
@@ -932,20 +1094,35 @@ def test_runs_of_one_size_in_a_group_are_checked_as_one_stack(monkeypatch):
     assert metrics[0].dist.base is metrics[2].dist.base  # layers of one stack
 
 
-def _corrupting(monkeypatch, corrupt):
-    """Let ``corrupt`` change the raw union table of every ``_certified_apsp`` call."""
-    def corrupted(n, u, v, w):
+ROUTES = ("kernel", "union")
+
+
+def _corrupting(monkeypatch, route, corrupt, at):
+    """Let ``corrupt`` change raw table ``at`` of a batch of K_8: a layer of
+    the dense kernel's rows or, with the kernel off, a diagonal block of the
+    union table of ``_certified_apsp``."""
+    if route == "kernel":
+        def corrupted_rows(wgs):
+            rows = _dense_rows(wgs)
+            corrupt(rows[at])
+            return rows
+
+        monkeypatch.setattr(metric_module, "_dense_rows", corrupted_rows)
+        return
+
+    def corrupted_union(n, u, v, w):
         dist, runs = _certified_apsp(n, u, v, w)
-        corrupt(dist)
+        corrupt(dist[8 * at : 8 * at + 8, 8 * at : 8 * at + 8])
         return dist, runs
 
-    monkeypatch.setattr(metric_module, "_certified_apsp", corrupted)
+    monkeypatch.setattr(metric_module, "DENSE_N", 0)
+    monkeypatch.setattr(metric_module, "_certified_apsp", corrupted_union)
 
 
-CORRUPTIONS = {  # an entry of the table whose rows and columns start at a
-    "nan": lambda d, a: d.__setitem__((a + 1, a + 2), math.nan),
-    "negative": lambda d, a: d.__setitem__((a + 2, a + 1), -1.0),
-    "diagonal": lambda d, a: d.__setitem__((a + 1, a + 1), 0.5),
+CORRUPTIONS = {  # an entry of one table
+    "nan": lambda d: d.__setitem__((1, 2), math.nan),
+    "negative": lambda d: d.__setitem__((2, 1), -1.0),
+    "diagonal": lambda d: d.__setitem__((1, 1), 0.5),
 }
 
 
@@ -955,13 +1132,15 @@ def test_group_checks_raise_the_messages_of_the_metric_constructor(corruption, c
     wgs = [draw_weights(complete_graph(8), Seed(s)) for s in range(count)]
     at = count // 2  # the middle table of three, or the one table
     table = build_metrics(wgs)[at].dist.copy()
-    CORRUPTIONS[corruption](table, 0)
+    CORRUPTIONS[corruption](table)
     with pytest.raises(ValueError) as single:
         Metric(table)
-    _corrupting(monkeypatch, lambda d: CORRUPTIONS[corruption](d, 8 * at))
-    with pytest.raises(ValueError) as grouped:
-        build_metrics(wgs)
-    assert str(grouped.value) == str(single.value)
+    for route in ROUTES:
+        with monkeypatch.context() as patch:
+            _corrupting(patch, route, CORRUPTIONS[corruption], at)
+            with pytest.raises(ValueError) as grouped:
+                build_metrics(wgs)
+        assert str(grouped.value) == str(single.value)
 
 
 @pytest.mark.parametrize("count", [3, 1], ids=["3-graph-group", "1-graph-group"])
@@ -973,9 +1152,11 @@ def test_an_asymmetric_raw_pair_is_made_symmetric_and_the_stack_check_refuses_on
     wgs = [draw_weights(complete_graph(8), Seed(s)) for s in range(count)]
     at = count // 2
     want = build_metrics(wgs)
-    _corrupting(monkeypatch, lambda d: d.__setitem__((8 * at + 1, 8 * at + 2), 7.0))
-    got = build_metrics(wgs)
-    assert all(np.array_equal(a.dist, b.dist) for a, b in zip(got, want))
+    for route in ROUTES:
+        with monkeypatch.context() as patch:
+            _corrupting(patch, route, lambda d: d.__setitem__((1, 2), 7.0), at)
+            got = build_metrics(wgs)
+        assert all(np.array_equal(a.dist, b.dist) for a, b in zip(got, want))
     stack = np.stack([m.dist for m in want])
     stack[at, 1, 2] = 7.0
     with pytest.raises(ValueError) as single:

@@ -358,11 +358,14 @@ def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
         for bound in (1, 100, 300):
             monkeypatch.setattr(metric_module, "PROFILE_BLOCK", bound)
             assert run_suite(cfg).to_csv() == serial.to_csv()
-    # one trial per window, and one graph per Dijkstra call
+    # one trial per window, and one graph per block of the dense kernel
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)
     alone = run_suite(cfg)
-    assert serial.records == pooled.records == alone.records
-    assert serial.to_csv() == pooled.to_csv() == alone.to_csv()
+    # every metric from scipy's Dijkstra, none from the dense kernel
+    monkeypatch.setattr(metric_module, "DENSE_N", 0)
+    scipy_built = run_suite(cfg)
+    assert serial.records == pooled.records == alone.records == scipy_built.records
+    assert serial.to_csv() == pooled.to_csv() == alone.to_csv() == scipy_built.to_csv()
 
 
 @pytest.mark.parametrize("checks, calls", [(("chi", "cluster"), 3), (("chi",), 0)])
