@@ -6,14 +6,12 @@ of it live the growth profile around a vertex (distance to the k-th closest
 vertex and the cut size of each prefix ball), radius balls, the diameter,
 and the bounded-diameter clustering used by the structural analysis.
 
-``build_metrics`` builds many metrics at once.  Blocks of small graphs of
-one size with enough edges go through ``_dense_rows``: Dijkstra's array form
-on a (graphs, n, n) stack, one settle step for all rows at once.  The other
-graphs are packed into groups, and each group takes one ``_certified_apsp``
-call over its disjoint union.  The tables of a block, or of a run of one
-size in a group, are checked as one stack, and each table is the one
-``build_metric`` gives the graph alone, bit for bit, so records do not
-depend on how trials are batched.
+``build_metrics`` builds many metrics at once, in blocks of graphs of one
+size, each through one of two row kernels: ``_dense_rows``, Dijkstra's array
+form on a (graphs, n, n) stack, for small blocks with enough edges, and
+``_union_rows``, one ``_certified_apsp`` call over the block's disjoint
+union.  Each table is the one ``build_metric`` gives the graph alone, bit
+for bit, so records do not depend on how trials are batched.
 
 ``_growth_profiles`` is the one kernel of the growth profiles: the
 closest-first orders and prefix cuts of many centres in many metrics, from
@@ -31,7 +29,6 @@ clusterings as per-cluster arrays, with no object per cluster, and
 
 from __future__ import annotations
 
-import itertools
 import math
 import mmap
 import multiprocessing
@@ -160,12 +157,12 @@ class Partition:
     s_delta: float
 
 
-BATCH_VERTICES = 256  # most vertices per dense-kernel block, or per union, of build_metrics
+BATCH_VERTICES = 256  # most vertices per block of build_metrics
 # Measured on one Xeon core, per connected G(16, 1/2) draw in build_metrics
 # (medians of seven): over 25 draws 137, 53, 40, 31 and 29 us in kernel
 # blocks of at most 16, 64, 128, 256 and 512 vertices, and 26 us in one
 # block; over 100 draws 148, 54, 41, 32, 28 and 28 us.  In a union each
-# source initialises a row over the whole union, so groups far past 256
+# source initialises a row over the whole union, so blocks far past 256
 # vertices cost more than the calls they save.  A suite window holds
 # BATCH_VERTICES // n trials too, so the bound also sizes every window
 # stage's arrays.
@@ -201,94 +198,61 @@ def build_metric(wg: WeightedGraph) -> Metric:
 def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
     """The metric of each weighted graph, in input order.
 
-    The graphs of one size n that ``_dense_size`` admits are cut, in input
-    order, into blocks of at most ``BATCH_VERTICES // n`` graphs (at least
-    one).  A block with at least n^2 / 12 edges per graph takes the dense
-    kernel, one ``_dense_rows`` call; its n^3 work per graph is no slower
-    than scipy's Dijkstra there.  Every other graph goes, in input order, to
-    ``_union_metrics``.  The smaller of d(u, v) and d(v, u) makes each table
-    exactly symmetric, and a block's tables form one T x n x n stack, which
-    ``_check_tables`` checks at once; each metric holds its layer.
+    The unpruned graphs of one size n go, in input order, into blocks of at
+    most ``BATCH_VERTICES // n`` (at least one); a graph that ``prune_width``
+    prunes is a block of its own.  An unpruned block with n <= ``DENSE_N``
+    and n^2 / 12 edges per graph takes ``_dense_rows``, no slower than
+    scipy's Dijkstra there, and every other block ``_union_rows``.
     """
-    sizes: dict[int, list[int]] = {}
-    rest: list[int] = []
+    blocks: list[tuple[list[int], bool]] = []  # each block, and whether its graphs are unpruned
+    filling: dict[int, list[int]] = {}  # the last unpruned block of each size
     for i, wg in enumerate(wgs):
-        n = _dense_size(wg)
-        (rest if n is None else sizes.setdefault(n, [])).append(i)
+        n = check_vertex_cap(wg.graph.n)
+        block = filling.get(n)
+        if prune_width(n, wg.graph.m) is not None:
+            blocks.append(([i], False))  # its pruning is decided on it alone
+        elif block is None or len(block) == max(1, BATCH_VERTICES // n):
+            filling[n] = [i]
+            blocks.append((filling[n], True))
+        else:
+            block.append(i)
     built: dict[int, Metric] = {}
-    for n, at in sizes.items():
-        step = max(1, BATCH_VERTICES // n)
-        for block in (at[lo : lo + step] for lo in range(0, len(at), step)):
-            if n * n * len(block) > 12 * sum(wgs[i].graph.m for i in block):
-                rest += block  # too sparse: scipy's Dijkstra is faster
-                continue
-            rows = _dense_rows([wgs[i] for i in block])
-            built.update(zip(block, _checked_metrics(np.minimum(rows, rows.swapaxes(1, 2)))))
-    rest.sort()
-    built.update(zip(rest, _union_metrics([wgs[i] for i in rest])))
+    for block, unpruned in blocks:
+        group = [wgs[i] for i in block]
+        n, m = group[0].graph.n, sum(wg.graph.m for wg in group)
+        dense = unpruned and n <= DENSE_N and n * n * len(group) <= 12 * m
+        built.update(zip(block, _checked_metrics((_dense_rows if dense else _union_rows)(group))))
     return [built[i] for i in range(len(wgs))]
 
 
-def _dense_size(wg: WeightedGraph) -> int | None:
-    """The vertex count of a graph that ``_dense_rows`` may take: at most
-    ``DENSE_N`` vertices, and not pruned by ``prune_width``; None for others."""
-    n = check_vertex_cap(wg.graph.n)
-    return n if n <= DENSE_N and prune_width(n, wg.graph.m) is None else None
-
-
-def _union_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
-    """The metrics of graphs that the dense kernel does not take, from scipy's Dijkstra.
-
-    Graphs are packed in input order into groups of at most ``BATCH_VERTICES``
-    vertices (a graph that ``prune_width`` prunes, or a larger one, is a group
-    of its own), and each group takes one ``_certified_apsp`` over its
-    disjoint union.  Graph j's vertices follow those of graphs 0..j-1, so the
-    union's edges stay sorted, and its table is the union's diagonal block j.
-    The tables of each run of consecutive graphs of one size n in a group,
-    such as a trial window's, are written into one T x n x n stack, which
-    ``_check_tables`` checks at once; each metric holds its layer.
-    """
-    groups, size = [], math.inf  # a full group before the first graph
-    for wg in wgs:
-        n = wg.graph.n
-        span = n if prune_width(n, wg.graph.m) is None else math.inf  # a pruned graph fills a group
-        if size + span > BATCH_VERTICES:
-            groups.append([])
-            size = 0
-        groups[-1].append(wg)
-        size += span
-    metrics: list[Metric] = []
-    for group in groups:
-        sizes = [wg.graph.n for wg in group]
-        starts = np.cumsum([0] + sizes).tolist()
-        cuts = np.cumsum([0] + [wg.graph.m for wg in group]).tolist()
-        edges = np.concatenate([wg.graph.edges for wg in group])
-        for a, lo, hi in zip(starts, cuts, cuts[1:]):
-            edges[lo:hi] += a - 1  # 0-based union ids: a Python int offset keeps them int32
-        # one graph's weights go in as they are: a copy would be held through the APSP
-        weights = group[0].weights if len(group) == 1 else np.concatenate([wg.weights for wg in group])
-        dist, _ = _certified_apsp(starts[-1], edges[:, 0], edges[:, 1], weights)
-        stacks, j = [], 0
-        for n, run in itertools.groupby(sizes):
-            count = len(list(run))
-            a, b = starts[j], starts[j + count]
-            # the run's diagonal blocks as one (count, n, n) view; dijkstra from
-            # u and from v may round the same path differently, and the smaller
-            # of the two makes each table exactly symmetric
-            blocks = dist[a:b, a:b].reshape(count, n, count, n).diagonal(axis1=0, axis2=2)
-            stacks.append(np.minimum(blocks.transpose(2, 0, 1), blocks.transpose(2, 1, 0)))
-            j += count
-        del blocks, dist  # one n x n table fewer while the stacks are checked
-        for stack in stacks:
-            metrics += _checked_metrics(stack)
-    return metrics
-
-
-def _checked_metrics(stack: np.ndarray) -> list[Metric]:
-    """One metric per layer of a T x n x n stack, which ``_check_tables`` checks."""
+def _checked_metrics(rows: np.ndarray) -> list[Metric]:
+    """One metric per table of a block's raw T x n x n rows, each holding its
+    layer of min(d, d^T), which ``_check_tables`` checks as one stack: Dijkstra
+    from u and from v may round the same path differently."""
+    stack = np.minimum(rows, rows.swapaxes(1, 2))
+    del rows  # one raw table fewer while the stack is checked
     finite = _check_tables(stack).tolist()
     stack.setflags(write=False)
     return [Metric._of_checked_table(table, f) for table, f in zip(stack, finite)]
+
+
+def _union_rows(wgs: list[WeightedGraph]) -> np.ndarray:
+    """Raw Dijkstra rows of T graphs of one size n, T x n x n: [t, s] is from source s.
+
+    One ``_certified_apsp`` over the disjoint union, graph t's vertices after
+    those of graphs 0..t-1 (the edges stay sorted).  A source reaches only its
+    own graph, so its rows are the union's diagonal block t, and the T blocks
+    are returned as one view of the union's table.
+    """
+    count, n = len(wgs), wgs[0].graph.n
+    edges = np.concatenate([wg.graph.edges for wg in wgs])
+    cuts = np.cumsum([0] + [wg.graph.m for wg in wgs]).tolist()
+    for t, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        edges[lo:hi] += t * n - 1  # 0-based union ids: a Python int offset keeps them int32
+    # one graph's weights go in as they are: a copy would be held through the APSP
+    weights = wgs[0].weights if count == 1 else np.concatenate([wg.weights for wg in wgs])
+    dist, _ = _certified_apsp(count * n, edges[:, 0], edges[:, 1], weights)
+    return dist.reshape(count, n, count, n).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
 
 
 def _dense_rows(wgs: list[WeightedGraph]) -> np.ndarray:
@@ -393,11 +357,11 @@ def _certified_apsp(
     Each pass runs directed Dijkstra (``_dijkstra_rows``) on a CSR holding
     both arcs of every kept edge: the arcs of undirected Dijkstra, maybe in
     another order, which cannot change a value, since the row meeting the
-    Bellman equations is unique.  On a disjoint union from ``_union_metrics``
-    a source reaches only its own graph, so its row there meets that graph's
+    Bellman equations is unique.  On a disjoint union from ``_union_rows`` a
+    source reaches only its own graph, so its row there meets that graph's
     Bellman equations: it is the graph's own row, bit for bit.  A union of
     graphs that do not prune does not prune either: each has m_j <= 3 k(n_j)
-    n_j <= 3 k(N) n_j, so m <= 3 k(N) N.
+    n_j <= 3 k(N) n_j, so m <= 3 k(N) N: only a pruned graph, alone, prunes.
     """
     k = prune_width(n, len(w))
     if k is None:
@@ -461,12 +425,12 @@ def _dijkstra_rows(csr: csr_matrix, sources: np.ndarray | None) -> np.ndarray:
     each of the others, and every block lands in one anonymous shared table.
     Each row is still scipy's row from that source, bit for bit.
 
-    The part count is min(usable CPUs, work // ``SPLIT_WORK``, sources).  A
-    source fills a row of n but relaxes only its own component's arcs, so
-    work sums (component arcs + n) over the sources.  It is counted only once
-    sources x (arcs + n), its value on a connected graph, reaches twice
-    ``SPLIT_WORK``: ten disjoint K_45 count 1.09 million, not 9.1, and stay in
-    one process.  On two Xeon cores, fork and wait took 4.4 ms in a 92 MB
+    The part count is min(usable CPUs, work // ``SPLIT_WORK``, sources), with
+    work counted as sources x (arcs + n).  In a union from ``_union_rows`` a
+    source relaxes only its own graph's arcs, so the count runs high there,
+    but such a union holds at most ``BATCH_VERTICES`` vertices: two unpruned
+    G(120, 0.4) count 2.8 million and split in two, in the same time as one
+    process.  On two Xeon cores, fork and wait took 4.4 ms in a 92 MB
     process, and ``SPLIT_WORK`` is about 28 ms of Dijkstra there: two parts
     took 41.8 against 56.6 ms on 120 sources of the pruned K_1000, and 271
     against 480 ms on all 1000.  Forking is skipped off Linux, with a second
@@ -476,13 +440,8 @@ def _dijkstra_rows(csr: csr_matrix, sources: np.ndarray | None) -> np.ndarray:
     """
     n = csr.shape[0]
     count = n if sources is None else len(sources)
-    parts = 1
-    if count * (csr.nnz + n) >= 2 * SPLIT_WORK and _may_fork():
-        _, comp = connected_components(csr, directed=False)
-        arcs = np.bincount(comp, np.diff(csr.indptr))  # arcs per component
-        work = int(arcs[comp if sources is None else comp[sources]].sum()) + count * n
-        parts = min(usable_cpus(), work // SPLIT_WORK, count)
-    if parts < 2:
+    parts = min(usable_cpus(), count * (csr.nnz + n) // SPLIT_WORK, count)
+    if parts < 2 or not _may_fork():
         return dijkstra(csr, directed=True, indices=sources)
     if sources is None:
         sources = np.arange(n)

@@ -76,6 +76,7 @@ from rspmetric.metric import (
     _dense_rows,
     _dijkstra_rows,
     _symmetric_csr,
+    _union_rows,
     prune_width,
     usable_cpus,
 )
@@ -807,8 +808,11 @@ def dense_blocks(draw):
     return wgs
 
 
-def assert_dense_rows_equal_full_dijkstra(wgs):
-    rows = _dense_rows(wgs)
+ROW_KERNELS = (_dense_rows, _union_rows)  # T graphs of one size n in, raw T x n x n rows out
+
+
+def assert_rows_equal_full_dijkstra(kernel, wgs):
+    rows = kernel(wgs)
     n = wgs[0].graph.n
     assert rows.shape == (len(wgs), n, n)
     for layer, wg in zip(rows, wgs):
@@ -818,7 +822,8 @@ def assert_dense_rows_equal_full_dijkstra(wgs):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(dense_blocks())
 def test_dense_rows_equal_full_dijkstra(wgs):
-    assert_dense_rows_equal_full_dijkstra(wgs)
+    for kernel in ROW_KERNELS:
+        assert_rows_equal_full_dijkstra(kernel, wgs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, DENSE_N])
@@ -826,8 +831,18 @@ def test_dense_rows_equal_full_dijkstra_on_paths(n):
     # a path settles its vertices in path order from an end, so a kernel
     # that stopped a settle step short would leave the far end at inf
     graph = path_graph(n)
-    assert_dense_rows_equal_full_dijkstra(
-        [draw_weights(graph, Seed(n)), WeightedGraph(graph, np.ones(graph.m))])
+    for kernel in ROW_KERNELS:
+        assert_rows_equal_full_dijkstra(
+            kernel, [draw_weights(graph, Seed(n)), WeightedGraph(graph, np.ones(graph.m))])
+
+
+@pytest.mark.parametrize(
+    "wgs",
+    [[draw_weights(path_graph(DENSE_N + 1), Seed(1))], [draw_weights(complete_graph(60), Seed(60))]],
+    ids=["path past DENSE_N", "pruned K60"],
+)
+def test_union_rows_equal_full_dijkstra_where_the_kernel_does_not_run(wgs):
+    assert_rows_equal_full_dijkstra(_union_rows, wgs)
 
 
 def mixed_batch():
@@ -869,13 +884,18 @@ def test_batched_tables_equal_full_dijkstra(bound, monkeypatch):
 
 @pytest.mark.parametrize(
     "bound, groups",
-    [(1, [[12], [16], [30], [7], [1], [20], [60], [9], [40], [10]]),
-     (17, [[12], [16], [30], [7, 1], [20], [60], [9], [40], [10]]),
-     (256, [[12, 16, 30, 7, 1, 20], [60], [9, 40, 10]])],
+    [(1, [[12], [16], [30], [7], [1], [20], [60], [9], [40], [10],
+          [10], [40], [9], [60], [20], [1], [7], [30], [16], [12]]),
+     (17, [[12], [16], [30], [7, 7], [1, 1], [20], [60], [9], [40], [10],
+           [10], [40], [9], [60], [20], [30], [16], [12]]),
+     (256, [[12, 12], [16, 16], [30, 30], [7, 7], [1, 1], [20, 20], [60], [9, 9], [40, 40],
+            [10, 10], [60]])],
 )
 def test_one_pass_graphs_are_grouped_in_order_up_to_the_bound(bound, groups, monkeypatch):
-    # with the dense kernel off, the vertex count of each union that
-    # _certified_apsp gets: the pruned K_60 is a group of its own at every bound
+    # with the dense kernel off, the vertex counts of each union that
+    # _certified_apsp gets, in the order of the unions' first graphs: graphs
+    # of one size only, at most bound // n of them (at least one), and the
+    # pruned K_60 is a group of its own at every bound
     seen = []
 
     def recording(n, u, v, w):
@@ -885,7 +905,8 @@ def test_one_pass_graphs_are_grouped_in_order_up_to_the_bound(bound, groups, mon
     monkeypatch.setattr(metric_module, "DENSE_N", 0)
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
     monkeypatch.setattr(metric_module, "_certified_apsp", recording)
-    build_metrics(mixed_batch())
+    wgs = mixed_batch() + mixed_batch()[::-1]
+    assert_same_tables(build_metrics(wgs), wgs)
     assert seen == [sum(group) for group in groups]
 
 
@@ -902,39 +923,62 @@ def routed_batch():
     return [draw_weights(g, Seed(100 + i)) for i, g in enumerate(graphs)]
 
 
+D, U = "_dense_rows", "_union_rows"
+
+
 @pytest.mark.parametrize(
     "bound, blocks, unions",
-    [(1, [1] * 10, [60, 16, DENSE_N + 1, 16]),
-     (17, [2, 2, 1, 3, 2], [60, 16, DENSE_N + 1, 16]),
-     (256, [5, 5], [60, 16 + DENSE_N + 1 + 16])],
+    [(1, [(D, [0]), (D, [1]), (D, [2]), (U, [3]), (U, [4]), (D, [5]), (D, [6]), (U, [7]),
+          (D, [8]), (D, [9]), (D, [10]), (D, [11]), (D, [12]), (U, [13])],
+      [60, 16, DENSE_N + 1, 16]),
+     (17, [(D, [0, 1]), (D, [2, 5]), (U, [3]), (U, [4]), (D, [6]), (U, [7]), (D, [8, 9, 10]),
+           (D, [11, 12]), (U, [13])],
+      [60, 16, DENSE_N + 1, 16]),
+     (256, [(D, [0, 1, 2, 5, 6]), (U, [3]), (U, [4, 13]), (U, [7]), (D, [8, 9, 10, 11, 12])],
+      [60, 32, DENSE_N + 1])],
 )
 def test_graphs_take_the_kernel_or_a_union_in_input_order(bound, blocks, unions, monkeypatch):
-    # the graphs of one size n that the kernel takes go in input order, in
-    # blocks of bound // n graphs (at least one), across the graphs between
-    # them; the other graphs take _certified_apsp in unions packed in input
-    # order as before the kernel, and the lone K_60 goes in with its weights
-    # as they are
+    # the unpruned graphs of one size go in input order, in blocks of
+    # bound // n graphs (at least one), across the graphs between them, and
+    # the pruned K_60 is a block of its own; each block takes one row kernel
+    # (blocks: the kernel and the batch indices of each block, in the order
+    # of their first graphs; unions: the vertex count of each _certified_apsp
+    # call), and _check_tables sees each block's tables as one stack
     wgs = routed_batch()
-    dense = [wgs[i] for i in (0, 1, 2, 5, 6, 8, 9, 10, 11, 12)]
+    dense = [wgs[i] for kernel, block in blocks if kernel == D for i in block]
     assert all(12 * wg.graph.m >= wg.graph.n ** 2 for wg in dense)
-    seen_blocks, seen_unions = [], []
+    at = {id(wg): i for i, wg in enumerate(wgs)}
+    seen, seen_unions, shapes = [], [], []
 
-    def recording_blocks(block):
-        seen_blocks.append([id(wg) for wg in block])
-        return _dense_rows(block)
+    def recording(kernel):
+        def rows(block):
+            seen.append((kernel.__name__, [at[id(wg)] for wg in block]))
+            return kernel(block)
+        return rows
 
     def recording_unions(n, u, v, w):
         seen_unions.append((n, w))
         return _certified_apsp(n, u, v, w)
 
+    def recording_check(stack):
+        shapes.append(stack.shape)
+        return _check_tables(stack)
+
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
-    monkeypatch.setattr(metric_module, "_dense_rows", recording_blocks)
+    for kernel in ROW_KERNELS:
+        monkeypatch.setattr(metric_module, kernel.__name__, recording(kernel))
     monkeypatch.setattr(metric_module, "_certified_apsp", recording_unions)
-    assert_same_tables(build_metrics(wgs), wgs)
-    assert [len(block) for block in seen_blocks] == blocks
-    assert sum(seen_blocks, []) == [id(wg) for wg in dense]
+    monkeypatch.setattr(metric_module, "_check_tables", recording_check)
+    metrics = build_metrics(wgs)
+    assert seen == blocks
     assert [n for n, _ in seen_unions] == unions
-    assert seen_unions[0][1] is wgs[3].weights
+    assert shapes == [(len(block), wgs[block[0]].graph.n, wgs[block[0]].graph.n) for _, block in blocks]
+    assert seen_unions[0][1] is wgs[3].weights  # the lone K_60's weights, not a copy
+    assert_same_tables(metrics, wgs)
+    assert [m.is_finite() for m in metrics] == [is_connected(wg.graph) for wg in wgs]
+    assert not any(m.dist.flags.writeable for m in metrics)
+    # each metric holds its layer of its block's stack
+    assert all(metrics[i].dist.base is metrics[block[0]].dist.base for _, block in blocks for i in block)
 
 
 def test_a_block_takes_the_kernel_from_n_squared_over_12_edges_per_graph(monkeypatch):
@@ -946,9 +990,9 @@ def test_a_block_takes_the_kernel_from_n_squared_over_12_edges_per_graph(monkeyp
         return _dense_rows(block)
 
     monkeypatch.setattr(metric_module, "_dense_rows", recording)
-    for n in (16, 48, DENSE_N):
+    for n in (16, 48, DENSE_N, DENSE_N + 1):
         at = -(-n * n // 12)
-        for m, kernel in ((at, [1]), (at - 1, [])):
+        for m, kernel in ((at, [1] if n <= DENSE_N else []), (at - 1, [])):
             calls.clear()
             wg = WeightedGraph(Graph(n, complete_graph(n).edges[:m]), np.ones(m))
             assert_same_tables(build_metrics([wg]), [wg])
@@ -960,10 +1004,12 @@ def test_a_block_takes_the_kernel_from_n_squared_over_12_edges_per_graph(monkeyp
         calls.clear()
         assert_same_tables(build_metrics(block), block)
         assert calls == kernel
-    # too large, or pruned: never a kernel block
-    assert metric_module._dense_size(draw_weights(path_graph(DENSE_N), Seed(1))) == DENSE_N
-    assert metric_module._dense_size(draw_weights(path_graph(DENSE_N + 1), Seed(1))) is None
-    assert metric_module._dense_size(draw_weights(complete_graph(60), Seed(1))) is None
+    # a pruned graph, with more than n^2 / 12 edges, is never a kernel block
+    calls.clear()
+    k60 = draw_weights(complete_graph(60), Seed(1))
+    assert _pruned(k60.graph)
+    assert_same_tables(build_metrics([k60, k60]), [k60, k60])
+    assert calls == []
 
 
 def test_a_thousand_draws_reach_the_kernel_in_bounded_blocks(monkeypatch):
@@ -992,39 +1038,8 @@ def test_a_thousand_draws_reach_the_kernel_in_bounded_blocks(monkeypatch):
 def test_batched_tables_split_over_processes(split):
     wgs = mixed_batch()
     assert_same_tables(build_metrics(wgs), wgs)
-    assert split  # the one-pass union and the pruned K_60 each split
+    assert split  # the one-pass unions and the pruned K_60 each split
     assert_no_child_left(split)
-
-
-def test_a_full_group_of_small_graphs_does_not_fork(monkeypatch):
-    # with the dense kernel off, five one-pass K_49, 245 vertices: sources x
-    # (arcs + n) over the union would be 2.94 million, past 2 * SPLIT_WORK,
-    # but each source relaxes only its own K_49: the sum of 49 x (arcs + 245)
-    # is 0.64 million
-    monkeypatch.setattr(metric_module, "DENSE_N", 0)
-    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", no_fork)
-    wgs = [draw_weights(complete_graph(49), Seed(s)) for s in range(5)]
-    assert not _pruned(wgs[0].graph)
-    assert 245 * (5 * 2 * wgs[0].graph.m + 245) >= 2 * metric_module.SPLIT_WORK
-    assert 5 * 49 <= metric_module.BATCH_VERTICES
-    assert_same_tables(build_metrics(wgs), wgs)
-
-
-def test_the_split_counts_each_sources_own_component(monkeypatch):
-    # ten disjoint K_45 in one graph, not pruned: sources x (arcs + n) is
-    # 450 x (19,800 + 450) = 9.1 million, past 2 * SPLIT_WORK, but each source
-    # relaxes only its own K_45: 450 x 450 + 450 x 1,980 = 1.09 million
-    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", no_fork)
-    clique = complete_graph(45).edges
-    graph = Graph(450, np.concatenate([clique + 45 * i for i in range(10)]))
-    assert not _pruned(graph) and graph.m == 9900
-    assert 450 * (2 * graph.m + 450) >= 2 * metric_module.SPLIT_WORK
-    assert 450 * 450 + 450 * 2 * complete_graph(45).m < 2 * metric_module.SPLIT_WORK
-    wg = draw_weights(graph, Seed(45))
-    want = dijkstra_full(wg)
-    assert np.array_equal(build_metric(wg).dist, np.minimum(want, want.T))
 
 
 @st.composite
@@ -1071,8 +1086,9 @@ def test_build_metrics_equals_full_dijkstra_at_any_batch_bound(wgs, n, at, seed)
 
 
 def test_runs_of_one_size_in_a_group_are_checked_as_one_stack(monkeypatch):
-    # with the dense kernel off, one group of 54 vertices: runs of three 8s,
-    # two 10s, one 8 and two 1s
+    # with the dense kernel off, graphs of sizes 8, 8, 8, 10, 10, 8, 1, 1: the
+    # four 8s, across the 10s between them, are one block, and so are the two
+    # 10s and the two 1s; each block's tables are checked as one stack
     graphs = [complete_graph(8), generate_erdos_renyi(8, 0.2, Seed(1)), cycle_graph(8),
               complete_graph(10), generate_erdos_renyi(10, 0.5, Seed(2)), path_graph(8),
               Graph(1, ()), Graph(1, ())]
@@ -1087,36 +1103,24 @@ def test_runs_of_one_size_in_a_group_are_checked_as_one_stack(monkeypatch):
     monkeypatch.setattr(metric_module, "DENSE_N", 0)
     monkeypatch.setattr(metric_module, "_check_tables", recording)
     metrics = build_metrics(wgs)
-    assert shapes == [(3, 8, 8), (2, 10, 10), (1, 8, 8), (2, 1, 1)]
+    assert shapes == [(4, 8, 8), (2, 10, 10), (2, 1, 1)]
     assert_same_tables(metrics, wgs)
     assert [m.is_finite() for m in metrics] == [is_connected(g) for g in graphs]
     assert not any(m.dist.flags.writeable for m in metrics)
-    assert metrics[0].dist.base is metrics[2].dist.base  # layers of one stack
+    assert all(metrics[i].dist.base is metrics[0].dist.base for i in (1, 2, 5))  # layers of one stack
 
 
-ROUTES = ("kernel", "union")
+def _corrupting(monkeypatch, kernel, corrupt, at):
+    """Let ``corrupt`` change raw table ``at`` of a block of K_8 in the rows of
+    ``kernel``; for ``_union_rows`` the dense kernel is turned off."""
+    def corrupted(wgs):
+        rows = np.array(kernel(wgs))  # writable: the union's rows are a read-only view
+        corrupt(rows[at])
+        return rows
 
-
-def _corrupting(monkeypatch, route, corrupt, at):
-    """Let ``corrupt`` change raw table ``at`` of a batch of K_8: a layer of
-    the dense kernel's rows or, with the kernel off, a diagonal block of the
-    union table of ``_certified_apsp``."""
-    if route == "kernel":
-        def corrupted_rows(wgs):
-            rows = _dense_rows(wgs)
-            corrupt(rows[at])
-            return rows
-
-        monkeypatch.setattr(metric_module, "_dense_rows", corrupted_rows)
-        return
-
-    def corrupted_union(n, u, v, w):
-        dist, runs = _certified_apsp(n, u, v, w)
-        corrupt(dist[8 * at : 8 * at + 8, 8 * at : 8 * at + 8])
-        return dist, runs
-
-    monkeypatch.setattr(metric_module, "DENSE_N", 0)
-    monkeypatch.setattr(metric_module, "_certified_apsp", corrupted_union)
+    if kernel is _union_rows:
+        monkeypatch.setattr(metric_module, "DENSE_N", 0)
+    monkeypatch.setattr(metric_module, kernel.__name__, corrupted)
 
 
 CORRUPTIONS = {  # an entry of one table
@@ -1135,9 +1139,9 @@ def test_group_checks_raise_the_messages_of_the_metric_constructor(corruption, c
     CORRUPTIONS[corruption](table)
     with pytest.raises(ValueError) as single:
         Metric(table)
-    for route in ROUTES:
+    for kernel in ROW_KERNELS:
         with monkeypatch.context() as patch:
-            _corrupting(patch, route, CORRUPTIONS[corruption], at)
+            _corrupting(patch, kernel, CORRUPTIONS[corruption], at)
             with pytest.raises(ValueError) as grouped:
                 build_metrics(wgs)
         assert str(grouped.value) == str(single.value)
@@ -1152,9 +1156,9 @@ def test_an_asymmetric_raw_pair_is_made_symmetric_and_the_stack_check_refuses_on
     wgs = [draw_weights(complete_graph(8), Seed(s)) for s in range(count)]
     at = count // 2
     want = build_metrics(wgs)
-    for route in ROUTES:
+    for kernel in ROW_KERNELS:
         with monkeypatch.context() as patch:
-            _corrupting(patch, route, lambda d: d.__setitem__((1, 2), 7.0), at)
+            _corrupting(patch, kernel, lambda d: d.__setitem__((1, 2), 7.0), at)
             got = build_metrics(wgs)
         assert all(np.array_equal(a.dist, b.dist) for a, b in zip(got, want))
     stack = np.stack([m.dist for m in want])

@@ -101,6 +101,21 @@ def k1000(k1000_draw):
     return _tables(k1000_draw)
 
 
+@pytest.fixture(scope="module")
+def g1000_draw():
+    # the sparse end: unpruned and past BATCH_VERTICES, so a block of its own
+    # through _union_rows, whose one Dijkstra pass on all edges (31 million
+    # units of work) splits over the usable CPUs
+    wg = draw_weights(generate_erdos_renyi(1000, 0.03, Seed(1001).child(0, "graph")), Seed(1001))
+    assert prune_width(wg.graph.n, wg.graph.m) is None and is_connected(wg.graph)
+    return wg
+
+
+@pytest.fixture(scope="module")
+def g1000(g1000_draw):
+    return _tables(g1000_draw)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", GRAPHS)
 def test_doubled_weights_double_the_table(name, seed):
@@ -110,6 +125,11 @@ def test_doubled_weights_double_the_table(name, seed):
 
 def test_doubled_weights_double_the_table_of_k1000(k1000):
     metric, doubled = k1000
+    assert np.array_equal(doubled.dist, 2.0 * metric.dist)
+
+
+def test_doubled_weights_double_the_table_of_sparse_g1000(g1000):
+    metric, doubled = g1000
     assert np.array_equal(doubled.dist, 2.0 * metric.dist)
 
 
@@ -254,4 +274,11 @@ def test_renamed_vertices_permute_the_table_of_k1000(k1000_draw, k1000):
     metric, _ = k1000
     perm = np.random.default_rng(1000).permutation(1000) + 1
     metric_r = build_metric(_relabelled(k1000_draw, perm))
+    assert np.array_equal(metric_r.dist[np.ix_(perm - 1, perm - 1)], metric.dist)
+
+
+def test_renamed_vertices_permute_the_table_of_sparse_g1000(g1000_draw, g1000):
+    metric, _ = g1000
+    perm = np.random.default_rng(1001).permutation(1000) + 1
+    metric_r = build_metric(_relabelled(g1000_draw, perm))
     assert np.array_equal(metric_r.dist[np.ix_(perm - 1, perm - 1)], metric.dist)
