@@ -10,8 +10,8 @@ and the bounded-diameter clustering used by the structural analysis.
 size, each through one of two row kernels: ``_dense_rows``, Dijkstra's array
 form on a (graphs, n, n) stack, for small blocks with enough edges, and
 ``_union_rows``, one ``_certified_apsp`` call over the block's disjoint
-union.  Each table is the one ``build_metric`` gives the graph alone, bit
-for bit, so records do not depend on how trials are batched.
+union, which alone decides whether to prune.  Each table is the one
+``build_metric`` gives the graph alone, bit for bit, whatever the batch.
 
 ``_growth_profiles`` is the one kernel of the growth profiles: the
 closest-first orders and prefix cuts of many centres in many metrics, from
@@ -175,11 +175,13 @@ DENSE_N = 100  # largest graph that build_metrics sends through _dense_rows
 # with one scipy call over their disjoint union (the only path before the
 # kernel), medians of four alternating process pairs on a 2-core Xeon host;
 # u marks blocks under n^2 / 12 edges per graph, which keep the union (the
-# same code before and after: their pairs spread by up to 0.3 either way):
+# same code before and after: their pairs spread by up to 0.3 either way).
+# K_n at 64 to 100 is against _union_rows (DENSE_N = 0), best of seven per
+# process; the union of 3 K_80 or 2 K_100 prunes and is certified:
 #   n                    16     32     48     64     80     100
 #   G(n, 1/2)            0.50   0.48   0.52   0.49   0.52   0.58
 #   G(n, 4 ln n / n)     0.48   0.50   0.60   0.69   0.70   0.88
-#   K_n                  0.44   0.38   0.37   pruned
+#   K_n                  0.44   0.38   0.37   0.34   0.72   0.79
 #   G(n, 1/6)            1.05u  1.02u  1.00u  0.74   0.80   0.87
 #   G(n, 1.2 ln n / n)   0.74   1.04u  0.99u  1.05u  0.97u  1.04u
 #   path P_n             1.00u  0.93u  0.92u  1.04u  1.04u  0.92u
@@ -198,29 +200,26 @@ def build_metric(wg: WeightedGraph) -> Metric:
 def build_metrics(wgs: list[WeightedGraph]) -> list[Metric]:
     """The metric of each weighted graph, in input order.
 
-    The unpruned graphs of one size n go, in input order, into blocks of at
-    most ``BATCH_VERTICES // n`` (at least one); a graph that ``prune_width``
-    prunes is a block of its own.  An unpruned block with n <= ``DENSE_N``
+    The graphs of one size n go, in input order, into blocks of at most
+    ``BATCH_VERTICES // n`` (at least one).  A block with n <= ``DENSE_N``
     and n^2 / 12 edges per graph takes ``_dense_rows``, no slower than
     scipy's Dijkstra there, and every other block ``_union_rows``.
     """
-    blocks: list[tuple[list[int], bool]] = []  # each block, and whether its graphs are unpruned
-    filling: dict[int, list[int]] = {}  # the last unpruned block of each size
+    blocks: list[list[int]] = []
+    filling: dict[int, list[int]] = {}  # the last block of each size
     for i, wg in enumerate(wgs):
         n = check_vertex_cap(wg.graph.n)
         block = filling.get(n)
-        if prune_width(n, wg.graph.m) is not None:
-            blocks.append(([i], False))  # its pruning is decided on it alone
-        elif block is None or len(block) == max(1, BATCH_VERTICES // n):
+        if block is None or len(block) == max(1, BATCH_VERTICES // n):
             filling[n] = [i]
-            blocks.append((filling[n], True))
+            blocks.append(filling[n])
         else:
             block.append(i)
     built: dict[int, Metric] = {}
-    for block, unpruned in blocks:
+    for block in blocks:
         group = [wgs[i] for i in block]
         n, m = group[0].graph.n, sum(wg.graph.m for wg in group)
-        dense = unpruned and n <= DENSE_N and n * n * len(group) <= 12 * m
+        dense = n <= DENSE_N and n * n * len(group) <= 12 * m
         built.update(zip(block, _checked_metrics((_dense_rows if dense else _union_rows)(group))))
     return [built[i] for i in range(len(wgs))]
 
@@ -357,11 +356,12 @@ def _certified_apsp(
     Each pass runs directed Dijkstra (``_dijkstra_rows``) on a CSR holding
     both arcs of every kept edge: the arcs of undirected Dijkstra, maybe in
     another order, which cannot change a value, since the row meeting the
-    Bellman equations is unique.  On a disjoint union from ``_union_rows`` a
-    source reaches only its own graph, so its row there meets that graph's
-    Bellman equations: it is the graph's own row, bit for bit.  A union of
-    graphs that do not prune does not prune either: each has m_j <= 3 k(n_j)
-    n_j <= 3 k(N) n_j, so m <= 3 k(N) N: only a pruned graph, alone, prunes.
+    Bellman equations is unique.  A disjoint union from ``_union_rows``
+    prunes or not as a whole.  A source reaches only its own graph, and an
+    edge of another graph, both ends infinite, passes its certificate, so
+    its row meets its own graph's Bellman equations: it is the graph's own
+    row, bit for bit.  A union of graphs that do not prune does not prune
+    either: each has m_j <= 3 k(n_j) n_j <= 3 k(N) n_j, so m <= 3 k(N) N.
     """
     k = prune_width(n, len(w))
     if k is None:

@@ -57,10 +57,14 @@ CASES = {
         structure_checks=("cluster", "chi"), delta_fractions=(0.0, 0.3),
     ),
     "tau-er-k3-k7": dict(suite="tau", model="er", n=7, p=0.7, trials=20, seed=119, tau_ks=(3, 7)),
-    # K_60 and K_50 prune their edges: their metrics come through the certified path
+    # K_60 and K_50 prune their edges but take the dense kernel; each window's
+    # two K_110 form one 220-vertex union, which prunes and is certified
     "two-opt-complete-pruned": dict(suite="two-opt", model="complete", n=60, trials=4, seed=121),
     "ratio-kmedian-complete-pruned": dict(
         suite="ratio", kind="kmedian", model="complete", n=50, k=2, trials=4, seed=122
+    ),
+    "two-opt-complete-pruned-union": dict(
+        suite="two-opt", model="complete", n=110, trials=4, seed=123
     ),
 }
 
@@ -77,8 +81,12 @@ CASES = {
 #   replaced the two cdf cases.
 # - The concentration suite went, with its two cases: it sampled alpha and
 #   beta of G(n, p) draws against (1 +/- epsilon)p and had no check.
-# The two -pruned cases were captured before small and pruned graphs shared
-# one shortest-path route; they pin reports whose metrics are certified.
+# The two -pruned cases were captured while each pruned graph was certified
+# on its own; their metrics now come from the dense kernel, so their digests
+# pin that both routes give the same tables.  The -pruned-union case was
+# captured while each K_110 was certified on its own (trial 2's certificate
+# reran 2 sources); it pins that certifying two of them as one union does not
+# change a table.
 DIGESTS = {
     "ratio-er-none-eligible": (
         "ab394d5285614c3adee601680a0a3c6ec5205ccfcb425455a7a834ec5a133425",
@@ -151,6 +159,10 @@ DIGESTS = {
     "two-opt-complete-pruned": (
         "e237fcb7b6f0b07c152eb0a2123d60287a8905fbbd22d286aa9756556c7302c9",
         "3d293fa6e095c3bcc63964a78237ecfa50b901a73c433d27e7b587877207f378",
+    ),
+    "two-opt-complete-pruned-union": (
+        "b2e0637516f9d646c990e74fe0bd68f62d123cf89750918432b739db37cca6f3",
+        "a28c2c67c86f172ec4857166944ed839ff32e4382de4a89dcdc2f0a12f0a0bba",
     ),
     # trial 6 turns locally_optimal 0 -> 1: a tie exchange (delta -2.2e-16)
     # whose tour is not strictly cheaper no longer counts as improving

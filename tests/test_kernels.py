@@ -726,7 +726,8 @@ def test_forks_raise_no_fork_with_threads_warning(split):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _dijkstra_rows(k60_csr(), None)
-        build_metric(draw_weights(complete_graph(60), Seed(61)))
+        # past DENSE_N, so the build is certified and its Dijkstra passes fork
+        build_metric(draw_weights(complete_graph(DENSE_N + 1), Seed(61)))
     assert len(split) >= 4  # two children for the rows, two or more for the build
     assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
     assert_no_child_left(split)
@@ -837,12 +838,29 @@ def test_dense_rows_equal_full_dijkstra_on_paths(n):
 
 
 @pytest.mark.parametrize(
-    "wgs",
-    [[draw_weights(path_graph(DENSE_N + 1), Seed(1))], [draw_weights(complete_graph(60), Seed(60))]],
-    ids=["path past DENSE_N", "pruned K60"],
+    "wgs, pruned",
+    [([draw_weights(path_graph(DENSE_N + 1), Seed(1))], False),
+     ([line_with_flat_far_pairs(110, 90.0), line_with_flat_far_pairs(110, 90.0)], True)],
+    ids=["path past DENSE_N", "two pruned K110"],
 )
-def test_union_rows_equal_full_dijkstra_where_the_kernel_does_not_run(wgs):
+def test_union_rows_equal_full_dijkstra_where_the_kernel_does_not_run(wgs, pruned, monkeypatch):
+    # the two K_110 prune as one 220-vertex union, and the sources near the
+    # ends of each line fail their certificate and rerun: a source reaches
+    # only its own graph, so its certified row is that graph's row
+    runs = []
+
+    def recording(n, u, v, w):
+        dist, passes = _certified_apsp(n, u, v, w)
+        runs.append(passes)
+        return dist, passes
+
+    monkeypatch.setattr(metric_module, "_certified_apsp", recording)
     assert_rows_equal_full_dijkstra(_union_rows, wgs)
+    size = sum(wg.graph.n for wg in wgs)
+    assert (prune_width(size, sum(wg.graph.m for wg in wgs)) is not None) == pruned
+    [passes] = runs
+    assert passes[0] == size
+    assert (len(passes) > 1 and 0 < passes[1] < size) == pruned  # some sources rerun
 
 
 def mixed_batch():
@@ -888,14 +906,15 @@ def test_batched_tables_equal_full_dijkstra(bound, monkeypatch):
           [10], [40], [9], [60], [20], [1], [7], [30], [16], [12]]),
      (17, [[12], [16], [30], [7, 7], [1, 1], [20], [60], [9], [40], [10],
            [10], [40], [9], [60], [20], [30], [16], [12]]),
-     (256, [[12, 12], [16, 16], [30, 30], [7, 7], [1, 1], [20, 20], [60], [9, 9], [40, 40],
-            [10, 10], [60]])],
+     (256, [[12, 12], [16, 16], [30, 30], [7, 7], [1, 1], [20, 20], [60, 60], [9, 9], [40, 40],
+            [10, 10]])],
 )
 def test_one_pass_graphs_are_grouped_in_order_up_to_the_bound(bound, groups, monkeypatch):
     # with the dense kernel off, the vertex counts of each union that
     # _certified_apsp gets, in the order of the unions' first graphs: graphs
-    # of one size only, at most bound // n of them (at least one), and the
-    # pruned K_60 is a group of its own at every bound
+    # of one size only, at most bound // n of them (at least one); at 256
+    # the two pruned K_60 form one union, which does not prune (3540 edges,
+    # under 3 k n = 3600 at n = 120)
     seen = []
 
     def recording(n, u, v, w):
@@ -911,9 +930,10 @@ def test_one_pass_graphs_are_grouped_in_order_up_to_the_bound(bound, groups, mon
 
 
 def routed_batch():
-    """Runs of G(8, 1/2) and G(5, 1/2) draws, with graphs the dense kernel does
-    not take between them: the pruned K_60, two paths of 16 (too sparse) and
-    a path one vertex past DENSE_N (too large)."""
+    """Runs of G(8, 1/2) and G(5, 1/2) draws, with other graphs between them:
+    the pruned K_60, which the dense kernel takes, and two graphs it does not
+    take, two paths of 16 (too sparse) and a path one vertex past DENSE_N (too
+    large)."""
     graphs = ([generate_erdos_renyi(8, 0.5, Seed(s)) for s in range(3)]
               + [complete_graph(60), path_graph(16)]
               + [generate_erdos_renyi(8, 0.5, Seed(s)) for s in range(3, 5)]
@@ -928,22 +948,22 @@ D, U = "_dense_rows", "_union_rows"
 
 @pytest.mark.parametrize(
     "bound, blocks, unions",
-    [(1, [(D, [0]), (D, [1]), (D, [2]), (U, [3]), (U, [4]), (D, [5]), (D, [6]), (U, [7]),
+    [(1, [(D, [0]), (D, [1]), (D, [2]), (D, [3]), (U, [4]), (D, [5]), (D, [6]), (U, [7]),
           (D, [8]), (D, [9]), (D, [10]), (D, [11]), (D, [12]), (U, [13])],
-      [60, 16, DENSE_N + 1, 16]),
-     (17, [(D, [0, 1]), (D, [2, 5]), (U, [3]), (U, [4]), (D, [6]), (U, [7]), (D, [8, 9, 10]),
+      [16, DENSE_N + 1, 16]),
+     (17, [(D, [0, 1]), (D, [2, 5]), (D, [3]), (U, [4]), (D, [6]), (U, [7]), (D, [8, 9, 10]),
            (D, [11, 12]), (U, [13])],
-      [60, 16, DENSE_N + 1, 16]),
-     (256, [(D, [0, 1, 2, 5, 6]), (U, [3]), (U, [4, 13]), (U, [7]), (D, [8, 9, 10, 11, 12])],
-      [60, 32, DENSE_N + 1])],
+      [16, DENSE_N + 1, 16]),
+     (256, [(D, [0, 1, 2, 5, 6]), (D, [3]), (U, [4, 13]), (U, [7]), (D, [8, 9, 10, 11, 12])],
+      [32, DENSE_N + 1])],
 )
 def test_graphs_take_the_kernel_or_a_union_in_input_order(bound, blocks, unions, monkeypatch):
-    # the unpruned graphs of one size go in input order, in blocks of
-    # bound // n graphs (at least one), across the graphs between them, and
-    # the pruned K_60 is a block of its own; each block takes one row kernel
-    # (blocks: the kernel and the batch indices of each block, in the order
-    # of their first graphs; unions: the vertex count of each _certified_apsp
-    # call), and _check_tables sees each block's tables as one stack
+    # the graphs of one size go in input order, in blocks of bound // n
+    # graphs (at least one), across the graphs between them, pruned or not;
+    # each block takes one row kernel (blocks: the kernel and the batch
+    # indices of each block, in the order of their first graphs; unions: the
+    # vertex count of each _certified_apsp call), and _check_tables sees each
+    # block's tables as one stack
     wgs = routed_batch()
     dense = [wgs[i] for kernel, block in blocks if kernel == D for i in block]
     assert all(12 * wg.graph.m >= wg.graph.n ** 2 for wg in dense)
@@ -973,7 +993,7 @@ def test_graphs_take_the_kernel_or_a_union_in_input_order(bound, blocks, unions,
     assert seen == blocks
     assert [n for n, _ in seen_unions] == unions
     assert shapes == [(len(block), wgs[block[0]].graph.n, wgs[block[0]].graph.n) for _, block in blocks]
-    assert seen_unions[0][1] is wgs[3].weights  # the lone K_60's weights, not a copy
+    assert seen_unions[1][1] is wgs[7].weights  # the lone long path's weights, not a copy
     assert_same_tables(metrics, wgs)
     assert [m.is_finite() for m in metrics] == [is_connected(wg.graph) for wg in wgs]
     assert not any(m.dist.flags.writeable for m in metrics)
@@ -1004,12 +1024,12 @@ def test_a_block_takes_the_kernel_from_n_squared_over_12_edges_per_graph(monkeyp
         calls.clear()
         assert_same_tables(build_metrics(block), block)
         assert calls == kernel
-    # a pruned graph, with more than n^2 / 12 edges, is never a kernel block
+    # whether a graph prunes does not matter: two pruned K_60 are one kernel block
     calls.clear()
     k60 = draw_weights(complete_graph(60), Seed(1))
     assert _pruned(k60.graph)
     assert_same_tables(build_metrics([k60, k60]), [k60, k60])
-    assert calls == []
+    assert calls == [2]
 
 
 def test_a_thousand_draws_reach_the_kernel_in_bounded_blocks(monkeypatch):
@@ -1038,7 +1058,7 @@ def test_a_thousand_draws_reach_the_kernel_in_bounded_blocks(monkeypatch):
 def test_batched_tables_split_over_processes(split):
     wgs = mixed_batch()
     assert_same_tables(build_metrics(wgs), wgs)
-    assert split  # the one-pass unions and the pruned K_60 each split
+    assert split  # the unions split; the pruned K_60 takes the kernel, which does not fork
     assert_no_child_left(split)
 
 
@@ -1072,8 +1092,8 @@ def test_build_metrics_equals_full_dijkstra_at_any_batch_bound(wgs, n, at, seed)
     wgs.insert(at, draw_weights(complete_graph(n), Seed(seed)))  # at least one pruned graph
     want = [np.minimum(raw, raw.T) for raw in map(dijkstra_full, wgs)]
     try:
-        # DENSE_N = 0: every graph takes scipy; 256: every block of unpruned
-        # graphs with n^2 / 12 edges per graph takes the kernel
+        # DENSE_N = 0: every graph takes scipy; 256: every block with
+        # n^2 / 12 edges per graph, pruned or not, takes the kernel
         for dense in (0, DENSE_N, 256):
             metric_module.DENSE_N = dense
             for bound in (1, 17, 64, 256):

@@ -339,6 +339,9 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
     "tau-K400-ks-2-200-400": dict(suite="tau", model="complete", n=400, trials=3, seed=10,
                                   tau_ks=(2, 200, 400)),
     "two-opt-er": dict(suite="two-opt", model="er", n=9, p=0.5, trials=20, seed=11),
+    # pruned K_60: serially kernel blocks of four; with the dense kernel off,
+    # each window's four K_60 are one 240-vertex union, which does not prune
+    "two-opt-K60": dict(suite="two-opt", model="complete", n=60, trials=8, seed=13),
     # a frozen G(16, 1/2) graph: its cut parameters come from the context, not a window
     "tau-er": dict(suite="tau", model="er", n=16, p=0.5, trials=30, seed=12),
 }
@@ -347,6 +350,7 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
 @pytest.mark.parametrize("name", BATCHED)
 def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
     cfg = ExperimentConfig(**BATCHED[name])
+    bound = metric_module.BATCH_VERTICES
     serial = run_suite(cfg)
     if name == "structure-er":
         assert serial.notes["skipped_disconnected"] > 0
@@ -361,10 +365,14 @@ def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
     # one trial per window, and one graph per block of the dense kernel
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)
     alone = run_suite(cfg)
-    # every metric from scipy's Dijkstra, none from the dense kernel
+    # every metric from scipy's Dijkstra, none from the dense kernel: one
+    # graph per union, then one union per window
     monkeypatch.setattr(metric_module, "DENSE_N", 0)
+    scipy_alone = run_suite(cfg)
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
     scipy_built = run_suite(cfg)
-    assert serial.records == pooled.records == alone.records == scipy_built.records
+    assert serial.records == pooled.records == alone.records == scipy_alone.records
+    assert serial.records == scipy_built.records
     assert serial.to_csv() == pooled.to_csv() == alone.to_csv() == scipy_built.to_csv()
 
 

@@ -66,7 +66,7 @@ from rspmetric.metric import prune_width
 from conftest import stacked_clusterings
 
 SEEDS = range(5)
-GRAPHS = {  # name -> (graph of a seed, whether build_metric prunes it)
+GRAPHS = {  # name -> (graph of a seed, whether prune_width prunes it alone)
     "K_12": (lambda s: complete_graph(12), False),
     "K_60": (lambda s: complete_graph(60), True),
     "G(30, 0.3)": (lambda s: generate_erdos_renyi(30, 0.3, Seed(s).child(0, "graph")), False),
