@@ -32,7 +32,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -430,14 +430,8 @@ class _Instance:
     cut: CutParameters | None = None
     weighted: WeightedGraph | None = None
     metric: Metric | None = None
-    chi: int | None = None
-    cluster: tuple[list[int], list[float], int] | None = None
-
-    @cached_property
-    def radii(self) -> list[float]:
-        """The clustering radii: each delta fraction times the metric's diameter."""
-        dmax = diameter(self.metric)
-        return [f * dmax for f in self.config.delta_fractions]
+    chi: dict | None = None
+    cluster: dict | None = None
 
 
 def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
@@ -480,8 +474,9 @@ def _window_metrics(instances: list[_Instance]) -> list[Metric]:
     return build_metrics([x.weighted for x in instances])
 
 
-def _window_chis(instances: list[_Instance]) -> list[int]:
-    """Each instance's count of prefix cuts chi_k outside [alpha, beta] k(n - k)."""
+def _window_chis(instances: list[_Instance]) -> list[dict]:
+    """Each instance's ``chi_violations``: its count of prefix cuts chi_k
+    outside [alpha, beta] k(n - k)."""
     # compare the same floating ratios the enumeration produced, so the
     # containment alpha <= chi/mu <= beta is exact, no tolerance needed
     n = instances[0].graph.n
@@ -490,34 +485,45 @@ def _window_chis(instances: list[_Instance]) -> list[int]:
     ratios = chis / (ks * (n - ks))
     alpha = np.array([x.cut.alpha for x in instances])[:, None, None]
     beta = np.array([x.cut.beta for x in instances])[:, None, None]
-    return np.count_nonzero((ratios < alpha) | (ratios > beta), axis=(1, 2)).tolist()
+    bad = np.count_nonzero((ratios < alpha) | (ratios > beta), axis=(1, 2)).tolist()
+    return [{"chi_violations": c} for c in bad]
 
 
-def _window_clusters(instances: list[_Instance]) -> list[tuple[list[int], list[float], int]]:
-    """Each instance's cluster count and density threshold at each radius, and
-    its count of clusters wider than 4 delta (see ``_cluster_stats``)."""
-    radii = [x.radii for x in instances]
-    pair, diameters, s_delta = cluster_arrays([x.metric for x in instances], radii,
-                                              [x.cut.alpha for x in instances])
+def _window_clusters(instances: list[_Instance]) -> list[dict]:
+    """Each instance's clustering values, radius by radius: ``delta_i``, the
+    i-th delta fraction times the metric's diameter, ``clusters_i``, the
+    cluster count there, and ``scale_i``, n over the density threshold; then
+    ``cluster_violations``, its count of clusters wider than 4 delta."""
+    n, fractions = instances[0].graph.n, instances[0].config.delta_fractions
+    metrics = [x.metric for x in instances]
+    radii = [[f * dmax for f in fractions] for dmax in map(diameter, metrics)]
+    pair, diameters, s_delta = cluster_arrays(metrics, radii, [x.cut.alpha for x in instances])
     # the float ops of the check per cluster: diameter > 4 delta + FLOAT_SLACK
     limit = 4 * np.array(radii, dtype=np.float64) + FLOAT_SLACK
     wide = pair[diameters > limit.ravel()[pair]]
     counts = np.bincount(pair, minlength=limit.size).reshape(limit.shape)
     bad = np.bincount(wide, minlength=limit.size).reshape(limit.shape).sum(axis=1)
-    return list(zip(counts.tolist(), s_delta.tolist(), bad.tolist()))
+    records = []
+    for deltas, row, s_row, b in zip(radii, counts.tolist(), s_delta.tolist(), bad.tolist()):
+        record: dict = {}
+        for i, (delta, count, s) in enumerate(zip(deltas, row, s_row)):
+            record.update({f"delta_{i}": delta, f"clusters_{i}": count, f"scale_{i}": n / s})
+        record["cluster_violations"] = b
+        records.append(record)
+    return records
 
 
 # What a window computes for its connected instances, in order: (instance
 # attribute, the need that runs the row or None for every suite, the function
 # of the window's instances that returns one value per instance).  Each row
 # makes one batch call over the window; the chi and cluster rows hand each
-# instance plain counts, read by the structure part of the same name
+# instance the record values of the structure part of the same name
 _STAGES = (
     ("cut", "cut", _window_cuts),
     ("weighted", None, _window_weights),
     ("metric", None, _window_metrics),
-    ("chi", "profiles", _window_chis),
-    ("cluster", "clusters", _window_clusters),
+    ("chi", "chi", _window_chis),
+    ("cluster", "cluster", _window_clusters),
 )
 
 
@@ -632,24 +638,8 @@ def _two_opt_stats(x: _Instance) -> dict:
         "iterations": trace.iterations,
         "initial_cost": trace.costs[0],
         "final_cost": trace.final.cost,
-        "strictly_decreasing": int(all(b < a for a, b in zip(trace.costs, trace.costs[1:]))),
         "locally_optimal": int(not has_improving_exchange(metric, trace.final)),
     }
-
-
-def _chi_stats(x: _Instance) -> dict:
-    return {"chi_violations": x.chi}
-
-
-def _cluster_stats(x: _Instance) -> dict:
-    counts, s_delta, bad = x.cluster
-    values: dict = {}
-    for gi, (delta, count, s) in enumerate(zip(x.radii, counts, s_delta)):
-        values[f"delta_{gi}"] = delta
-        values[f"clusters_{gi}"] = count
-        values[f"scale_{gi}"] = x.graph.n / s
-    values["cluster_violations"] = bad
-    return values
 
 
 def _sandwich_stats(x: _Instance) -> dict:
@@ -662,8 +652,8 @@ def _sandwich_stats(x: _Instance) -> dict:
 
 
 _STRUCTURE_PARTS = {  # check -> (statistics, needs)
-    "chi": (_chi_stats, frozenset({"cut", "profiles"})),
-    "cluster": (_cluster_stats, frozenset({"cut", "clusters"})),
+    "chi": (lambda x: x.chi, frozenset({"cut", "chi"})),
+    "cluster": (lambda x: x.cluster, frozenset({"cut", "cluster"})),
     "sandwich": (_sandwich_stats, frozenset({"matching", "tsp", "tour"})),
 }
 
@@ -749,20 +739,20 @@ class _Suite:
     others (default: all of them).
 
     ``counts`` rows are ``(check name, value key, badness, detail)``: the
-    check sums ``badness(value)`` over the eligible records that carry the
-    key, passes iff the sum is 0, and is left out when no record carries
-    the key.  The sum is also the ``violations`` of that key's summary.
+    check sums ``badness(value)`` over the eligible records, each of which
+    carries the key, and passes iff the sum is 0.  The sum is also the
+    ``violations`` of that key's summary.
     ``finish`` adds the checks that are not such counts.
     """
 
     stats: Callable[[_Instance], dict]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
     # what an instance computes beyond its metric: exact cut parameters
-    # ("cut"), its growth profiles ("profiles"), its clusterings
-    # ("clusters"), a tour ("tour") and the exact baselines ("tsp",
-    # "matching", "kmedian").  A need of a row of _STAGES ("cut",
-    # "profiles", "clusters") runs that row; the others only drive
-    # validate_config, which derives every size rule from the needs
+    # ("cut"), its growth profiles ("chi"), its clusterings ("cluster"), a
+    # tour ("tour") and the exact baselines ("tsp", "matching", "kmedian").
+    # A need of a row of _STAGES ("cut", "chi", "cluster") runs that row;
+    # the others only drive validate_config, which derives every size rule
+    # from the needs
     needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
@@ -784,8 +774,6 @@ _SUITES = {
         needs=lambda c: frozenset({"tour"}),
         summaries=lambda columns: ("iterations", "final_cost"),
         counts=lambda c: (
-            ("monotone-decrease", "strictly_decreasing", lambda ok: not ok,
-             "{bad} of {count} traces not strictly decreasing"),
             ("local-optimum", "locally_optimal", lambda ok: not ok,
              "{bad} of {count} final tours admit an improvement"),
         ),
@@ -824,11 +812,8 @@ def run_suite(config: ExperimentConfig) -> Report:
     if eligible:
         violations: dict[str, int] = {}
         for name, key, badness, detail in counts:
-            scores = [badness(r.values[key]) for r in eligible if key in r.values]
-            if scores:
-                bad = violations[key] = sum(scores)
-                text = detail.format(bad=bad, count=len(scores))
-                checks.append(CheckResult(name, bad == 0, text))
+            bad = violations[key] = sum(badness(r.values[key]) for r in eligible)
+            checks.append(CheckResult(name, bad == 0, detail.format(bad=bad, count=len(eligible))))
         for col in suite.summaries(tuple(c for c in columns if c != "connected")):
             summaries[col] = summarize(eligible, col, violations.get(col, 0))
     elif counts:

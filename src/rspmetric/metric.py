@@ -25,6 +25,10 @@ metrics of one size at once, each at its own radii, with one greedy sweep
 per block of (metric, radius) pairs.  ``cluster_arrays`` gives those
 clusterings as per-cluster arrays, with no object per cluster, and
 ``cluster_partition`` one of them as a :class:`Partition`.
+
+Both kernels bound their memory by one block rule, ``_blocks``: whole
+metrics while a block stays under its entry bound, else runs of one
+metric's centre rows or radii.
 """
 
 from __future__ import annotations
@@ -503,6 +507,31 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_m
     return csr_matrix((np.concatenate((w, w))[order], indices, indptr), shape=(n, n))
 
 
+def _blocks(widths: list[int], parts: int, bound: int):
+    """The (t0, t1, lo, hi) blocks of a batch kernel: parts lo..hi-1 of
+    instances t0..t1-1, where every instance has ``parts`` parts and a part
+    of instance t counts ``widths[t]`` entries.
+
+    The one block rule of ``_growth_profiles`` (parts: centre rows) and
+    ``_clusterings`` (parts: radii): whole instances go, in order, into one
+    block while its entries stay at most ``bound``, and an instance too large
+    for a block alone is cut into runs of max(1, bound // width) parts.
+    """
+    t0 = 0
+    while t0 < len(widths):
+        if parts * widths[t0] > bound:
+            step = max(1, bound // widths[t0])
+            yield from ((t0, t0 + 1, lo, min(lo + step, parts)) for lo in range(0, parts, step))
+            t0 += 1
+            continue
+        t1, size = t0, 0
+        while t1 < len(widths) and size + parts * widths[t1] <= bound:
+            size += parts * widths[t1]
+            t1 += 1
+        yield t0, t1, 0, parts
+        t0 = t1
+
+
 PROFILE_BLOCK = 1 << 20  # at most this many (metric, centre, edge) entries per profile block
 
 
@@ -519,11 +548,10 @@ def _growth_profiles(rows: np.ndarray, graphs: list[Graph]) -> tuple[np.ndarray,
     The cut of a prefix is its degree sum minus twice its inside edges, and
     an edge is inside from the position of its later endpoint on.  Vertex x
     of metric t is slot t(n + 1) + x of one edge list, so one ``bincount``
-    finds every degree.  The rows go in blocks of at most ``PROFILE_BLOCK``
-    (metric, centre, edge) entries, a row of metric t counting
-    max(m_t, n + 1): whole metrics, or centre rows of one.  A block's closing
-    edges are counted by one more ``bincount``, so memory stays bounded on
-    dense graphs.
+    finds every degree.  The centre rows go in ``_blocks`` of at most
+    ``PROFILE_BLOCK`` (metric, centre, edge) entries, a row of metric t
+    counting max(m_t, n + 1).  A block's closing edges are counted by one
+    more ``bincount``, so memory stays bounded on dense graphs.
     """
     count, c, n = rows.shape
     order0 = np.argsort(rows, axis=2, kind="stable")
@@ -536,7 +564,7 @@ def _growth_profiles(rows: np.ndarray, graphs: list[Graph]) -> tuple[np.ndarray,
     degree = np.bincount(edges.ravel(), minlength=count * (n + 1))
     ends = np.cumsum([0] + ms).tolist()
     chis = np.empty((count, c, max(n - 1, 0)), dtype=np.int64)
-    for t0, t1, lo, hi in _profile_blocks(ms, c, n):
+    for t0, t1, lo, hi in _blocks([max(m, n + 1) for m in ms], c, PROFILE_BLOCK):
         k, r = t1 - t0, hi - lo
         block = order0[t0:t1, lo:hi].swapaxes(0, 1)  # (centre, metric, position)
         # pos[i, t, x]: the position of vertex x around centre lo + i of
@@ -557,25 +585,6 @@ def _growth_profiles(rows: np.ndarray, graphs: list[Graph]) -> tuple[np.ndarray,
         cuts = np.cumsum(degrees, axis=2) - 2 * np.cumsum(closing, axis=2)
         chis[t0:t1, lo:hi] = cuts[:, :, : n - 1].swapaxes(0, 1)
     return order0, chis
-
-
-def _profile_blocks(ms: list[int], c: int, n: int):
-    """The (t0, t1, lo, hi) blocks of ``_growth_profiles``: centres lo..hi-1
-    of metrics t0..t1-1, where metric t has ``ms[t]`` edges."""
-    t0 = 0
-    while t0 < len(ms):
-        width = max(ms[t0], n + 1)
-        if c * width > PROFILE_BLOCK:
-            step = max(1, PROFILE_BLOCK // width)
-            yield from ((t0, t0 + 1, lo, min(lo + step, c)) for lo in range(0, c, step))
-            t0 += 1
-            continue
-        t1, size = t0, 0
-        while t1 < len(ms) and size + c * max(ms[t1], n + 1) <= PROFILE_BLOCK:
-            size += c * max(ms[t1], n + 1)
-            t1 += 1
-        yield t0, t1, 0, c
-        t0 = t1
 
 
 def prefix_cuts(metrics: list[Metric], graphs: list[Graph]) -> np.ndarray:
@@ -653,10 +662,9 @@ def cluster_arrays(
     that meets it, so its owner lies below it.  One stable sort by owner thus
     lists the clusters in the order of their lowest members.
 
-    The pairs are taken in blocks of at most ``CLUSTER_BLOCK`` (pair, vertex,
-    vertex) entries, and at least one pair: whole metrics with all their
-    radii, or radii of one metric.  A block stacks the ball masks of its
-    pairs and chooses the centres of all of them in one sweep over the
+    The radii go in ``_blocks`` of at most ``CLUSTER_BLOCK`` (pair, vertex,
+    vertex) entries, a radius counting n^2.  A block stacks the ball masks of
+    its pairs and chooses the centres of all of them in one sweep over the
     vertices.
     """
     s_grid, order, starts, diameters = _clusterings(metrics, deltas, alphas)
@@ -687,21 +695,16 @@ def _clusterings(metrics, deltas, alphas) -> tuple[np.ndarray, np.ndarray, np.nd
         tables.append(metric.finite_dist)
     grid = np.array(deltas, dtype=np.float64)
     s_grid = np.array(s_delta, dtype=np.float64)
-    rb = max(1, min(radii, CLUSTER_BLOCK // (n * n)))  # radii per block
-    tb = max(1, CLUSTER_BLOCK // (n * n * rb)) if rb >= radii else 1  # metrics per block
-    orders = [np.empty((0, n), dtype=np.intp)]
-    starts = [np.empty(0, dtype=np.intp)]
-    diameters = [np.empty(0)]
+    orders, starts, diameters = [], [], []  # every call makes a block, of no radii at R = 0
     offset = 0  # entries of the pairs before the block
-    for t0 in range(0, len(metrics), tb):
-        stack = tables[t0][None] if tb == 1 else np.stack(tables[t0 : t0 + tb])
-        for r0 in range(0, radii, rb):
-            block = (slice(t0, t0 + tb), slice(r0, r0 + rb))
-            order, first, dia = _cluster_block(stack, grid[block], s_grid[block])
-            orders.append(order)
-            starts.append(first + offset)
-            diameters.append(dia)
-            offset += order.size
+    for t0, t1, lo, hi in _blocks([n * n] * len(metrics), radii, CLUSTER_BLOCK):
+        stack = tables[t0][None] if t1 - t0 == 1 else np.stack(tables[t0:t1])
+        block = (slice(t0, t1), slice(lo, hi))
+        order, first, dia = _cluster_block(stack, grid[block], s_grid[block])
+        orders.append(order)
+        starts.append(first + offset)
+        diameters.append(dia)
+        offset += order.size
     return s_grid, np.concatenate(orders), np.concatenate(starts), np.concatenate(diameters)
 
 

@@ -299,8 +299,19 @@ def test_partitions_do_not_depend_on_the_block_bound(pairs, monkeypatch):
     deltas = [[f * diameter(m) for f in FRACTIONS] for m in metrics]
     alphas = [1.0, 0.3, 0.05, 0.5]
     want = stacked_clusterings(metrics, deltas, alphas)
-    monkeypatch.setattr(metric_module, "CLUSTER_BLOCK", pairs * 10 * 10)
+    bound = pairs * 10 * 10
+    monkeypatch.setattr(metric_module, "CLUSTER_BLOCK", bound)
+    shapes, cluster_block = [], metric_module._cluster_block
+
+    def recording(tables, block_deltas, s_delta):
+        shapes.append((len(tables), *block_deltas.shape))
+        return cluster_block(tables, block_deltas, s_delta)
+
+    monkeypatch.setattr(metric_module, "_cluster_block", recording)
     assert stacked_clusterings(metrics, deltas, alphas) == want
+    # each call clusters the planner's block: stacked_clusterings clusters twice
+    plan = metric_module._blocks([10 * 10] * len(metrics), len(FRACTIONS), bound)
+    assert shapes == [(t1 - t0, t1 - t0, hi - lo) for t0, t1, lo, hi in plan] * 2
 
 
 def test_cluster_arrays_refuse_a_malformed_stack():
@@ -411,7 +422,7 @@ def test_window_profiles_match_the_loop_at_any_block_bound(bound, monkeypatch):
     n, ms = 12, [g.m for g in graphs]
     assert len(set(ms)) >= 4
     monkeypatch.setattr(metric_module, "PROFILE_BLOCK", bound)
-    blocks = list(metric_module._profile_blocks(ms, n, n))
+    blocks = list(metric_module._blocks([max(m, n + 1) for m in ms], n, bound))
     if bound == 500:  # blocks of two whole metrics, and of centre rows inside one
         assert any(t1 - t0 > 1 for t0, t1, _, _ in blocks)
         assert any(hi - lo < n for _, _, lo, hi in blocks)

@@ -15,12 +15,23 @@ from rspmetric import (
     Seed,
     UniformStream,
     VERTEX_CAP,
+    build_metric,
+    cluster_partition,
+    cut_parameters_exact,
+    diameter,
+    draw_weights,
     exact_cut_parameters,
+    exact_matching,
+    exact_tsp,
+    generate_erdos_renyi,
+    is_connected,
     parse_config_file,
     run_suite,
     run_trials,
     summarize,
     summarize_values,
+    sum_lightest_edges,
+    tau_profile,
 )
 from rspmetric import bounds, lab, metric as metric_module
 from rspmetric.lab import TrialRecord, Z99, make_context, validate_config
@@ -564,7 +575,7 @@ def test_two_opt_suite_invariants():
     report = run_suite(cfg)
     assert report.passed
     names = {c.name for c in report.checks}
-    assert names == {"monotone-decrease", "local-optimum"}
+    assert names == {"local-optimum"}
     assert report.summaries["iterations"].minimum >= 0
 
 
@@ -616,6 +627,58 @@ def test_structure_suite_subset_of_checks():
     report = run_suite(cfg)
     assert report.passed
     assert "sandwich_violations" not in report.summaries
+
+
+def structure_record_oracle(cfg, i):
+    """Trial i of a fresh-draw structure config, from (seed, index) alone,
+    through the one-instance views: its seed hex and its values."""
+    ts = Seed(cfg.seed).child(i, "trial")
+    graph = generate_erdos_renyi(cfg.n, cfg.p, ts.child(0, "graph"))
+    if not is_connected(graph):
+        return ts.hex(), {"connected": 0}
+    wg = draw_weights(graph, ts.child(0, "weights"))
+    metric, cut, n = build_metric(wg), cut_parameters_exact(graph), cfg.n
+    values = {"connected": 1}
+    if "chi" in cfg.structure_checks:
+        chis = [tau_profile(metric, graph, v).chis.tolist() for v in range(1, n + 1)]
+        values["chi_violations"] = sum(
+            not cut.alpha <= chi / (k * (n - k)) <= cut.beta
+            for row in chis for k, chi in enumerate(row, 1)
+        )
+    if "cluster" in cfg.structure_checks:
+        wide = 0
+        for j, f in enumerate(cfg.delta_fractions):
+            delta = f * diameter(metric)
+            part = cluster_partition(metric, delta, cut.alpha)
+            values[f"delta_{j}"] = delta
+            values[f"clusters_{j}"] = len(part.clusters)
+            values[f"scale_{j}"] = n / part.s_delta
+            wide += sum(d > 4 * delta + lab.FLOAT_SLACK for d in part.diameters)
+        values["cluster_violations"] = wide
+    if "sandwich" in cfg.structure_checks:
+        s_half = sum_lightest_edges(wg, n // 2)
+        mm, tsp = exact_matching(metric).cost, exact_tsp(metric).cost
+        bad = int(tsp < 2 * mm - lab.FLOAT_SLACK) + int(mm < s_half - lab.FLOAT_SLACK)
+        values.update(s_half=s_half, mm=mm, tsp=tsp, sandwich_violations=bad)
+    return ts.hex(), values
+
+
+@pytest.mark.parametrize("extra", [
+    dict(n=10, p=0.4, trials=40, seed=5),  # with disconnected draws
+    dict(n=16, p=0.5, trials=20, seed=6, structure_checks=("cluster", "chi"),
+         delta_fractions=(0.0, 0.3, 1.0)),
+    dict(n=8, p=0.5, trials=9, seed=7, structure_checks=("cluster",), delta_fractions=()),
+], ids=["er-10-all-checks", "er-16-three-radii", "er-8-no-radii"])
+def test_structure_records_equal_their_one_instance_oracle(extra):
+    cfg = ExperimentConfig(suite="structure", model="er", **extra)
+    report = run_suite(cfg)
+    assert len(report.records) == cfg.trials
+    if extra["n"] == 10:
+        assert report.notes["skipped_disconnected"] > 0
+    for i, r in enumerate(report.records):
+        seed, values = structure_record_oracle(cfg, i)
+        assert (r.index, r.seed) == (i, seed)
+        assert r.values == values and list(r.values) == list(values), i
 
 
 def test_sandwich_fails_on_a_tour_cheaper_than_two_matchings(monkeypatch):
@@ -738,13 +801,12 @@ def test_disconnected_rows_leave_one_empty_cell_per_stat_column():
     )
     report = run_suite(cfg)
     assert report.columns == (
-        "connected", "iterations", "initial_cost", "final_cost", "strictly_decreasing",
-        "locally_optimal",
+        "connected", "iterations", "initial_cost", "final_cost", "locally_optimal",
     )
     rows = [line.split(",") for line in report.to_csv().split("\n")[1:9]]
     disconnected = [cells for cells in rows if cells[2] == "0"]
     assert len(disconnected) == 3
-    assert all(cells[3:] == [""] * 5 for cells in disconnected)
+    assert all(cells[3:] == [""] * 4 for cells in disconnected)
     assert all("" not in cells for cells in rows if cells[2] == "1")
 
 
