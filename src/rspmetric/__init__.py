@@ -16,7 +16,6 @@ from .bounds import (
     diameter_tail,
     evaluate,
     harmonic,
-    pair_distance_bounds,
     sm_tail,
     tau_cdf_bounds,
     tau_expectation_bounds,

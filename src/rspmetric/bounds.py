@@ -91,13 +91,6 @@ def tau_expectation_bounds(n: int, k: int, alpha: float, beta: float) -> tuple[f
     return (num / (beta * n), num / (alpha * n))
 
 
-def pair_distance_bounds(n: int, alpha: float, beta: float) -> tuple[float, float]:
-    """Bracket on the mean distance of two vertices: H_{n-1} / (beta (n-1)), or over alpha."""
-    _check_growth(n, 2, alpha, beta)  # a pair needs n >= 2
-    h = harmonic(n - 1)
-    return (h / (beta * (n - 1)), h / (alpha * (n - 1)))
-
-
 def tau_cdf_bounds(x: float | np.ndarray, n: int, k: int, alpha: float, beta: float) -> tuple:
     """Pointwise bracket on P(tau_k(v) <= x), at a float x or at each entry of an array x.
 

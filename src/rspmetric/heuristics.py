@@ -422,10 +422,19 @@ def two_opt(metric: Metric, initial: Tour | tuple[int, ...] | None = None) -> Tw
 
 
 def has_improving_exchange(metric: Metric, tour: Tour) -> bool:
-    """Full rescan: does any 2-exchange improve the tour, as :func:`two_opt` decides?"""
+    """Does any 2-exchange improve the tour, by :func:`two_opt`'s rule?  A scan
+    of its own, apart from :func:`_first_improvement`: every position pair
+    (r, s) with disjoint tour edges, a row r at a time, with the floats of
+    ``_row_deltas`` and :func:`_exchange`'s acceptance rule."""
     d = metric.finite_dist
     o, legs, cost = _closed_tour(d, tour.order)
-    return _first_improvement(d, o, legs, cost, 0, 2) is not None
+    n = len(legs)
+    for r in range(n - 2):
+        s = np.arange(r + 2, n - 1 if r == 0 else n)
+        delta = d[o[r], o[s]] + d[o[r + 1], o[s + 1]] - legs[r] - legs[s]
+        if any(_exchange(d, o, r, t, cost) is not None for t in s[cost + delta < cost].tolist()):
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)  # one entry per m < TSP_CAP

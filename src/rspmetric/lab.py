@@ -18,10 +18,10 @@ Every suite runs one pipeline, :func:`run_suite`:
 3. The suite's ``_SUITES`` entry turns the instance into a
    :class:`TrialRecord`, a pure function of config and trial index, so
    records are identical at any worker count.
-4. One epilogue summarizes the eligible records (99% confidence intervals)
-   and runs the entry's checks.  Deterministic invariants must have zero
-   violations.  A bracket on a mean passes when it meets the confidence
-   interval, never on point estimates; a band on a CDF passes when the
+4. One epilogue summarizes the eligible records (99% confidence intervals,
+   which no check reads) and runs the entry's checks.  Deterministic
+   invariants must have zero violations.  An exact law passes when its
+   two-sided p-value is at least 0.01; a band on a CDF passes when the
    empirical CDF of N samples leaves it by at most the DKW-Massart slack
    sqrt(ln(2/0.01) / 2N).
 """
@@ -79,8 +79,9 @@ from .metric import (
     cluster_arrays,
     diameter,
     prefix_cuts,
+    tau_profile,
 )
-from .rng import Seed, UniformStream
+from .rng import Seed
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 FLOAT_SLACK = 1e-12  # absolute slack for comparisons between float sums
@@ -596,19 +597,13 @@ def _tau_ks(config: ExperimentConfig) -> tuple[int, ...]:
     return config.tau_ks or tuple(range(1, config.n + 1))
 
 
-def _random_pair(stream: UniformStream, n: int) -> tuple[int, int]:
-    a = stream.integer_below(n)
-    b = stream.integer_below(n - 1)
-    if b >= a:
-        b += 1
-    return a + 1, b + 1
-
-
 def _tau_stats(x: _Instance) -> dict:
-    taus = np.sort(x.metric.dist[0])  # distances from vertex 1, closest first
-    u, v = _random_pair(UniformStream(x.seed.child(0, "aux")), x.config.n)
-    return {**{f"tau_{k}": float(taus[k - 1]) for k in _tau_ks(x.config)},
-            "pair_dist": x.metric.d(u, v)}
+    """The distances ``tau_k`` from vertex 1 to its k-th closest vertex, and
+    ``growth_sum``, the sum over k = 1..n-1 of chi_k (tau_{k+1} - tau_k), with
+    chi_k the cut of the first k vertices of its closest-first order."""
+    profile = tau_profile(x.metric, x.graph, 1)
+    return {**{f"tau_{k}": float(profile.taus[k - 1]) for k in _tau_ks(x.config)},
+            "growth_sum": math.fsum((profile.chis * np.diff(profile.taus)).tolist())}
 
 
 _RATIO_KINDS = {  # kind -> (needs, (heuristic, exact) solutions of an instance)
@@ -672,7 +667,7 @@ def _structure_needs(config: ExperimentConfig) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# checks beyond violation counts: brackets and closed forms
+# checks beyond violation counts: exact laws and brackets
 
 
 def _dkw_slack(count: int) -> float:
@@ -691,25 +686,27 @@ def _band_breach(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     return max(0.0, float(np.max(np.maximum(lo - grid[:-1], grid[1:] - hi))))
 
 
-def _tau_checks(config, ctx, records, summaries):
-    """The distances to the k-th closest vertex versus the paper's brackets.
+def _tau_checks(config, ctx, records):
+    """The growth process around vertex 1 versus its exact law, and the
+    distances to the k-th closest vertex versus the paper's brackets.
 
-    ``tau_k-bracket`` and ``pair_dist-bracket``: the mean's CI meets the
-    harmonic bracket.  ``tau_k-cdf-bracket``: the trials' empirical CDF of
-    tau_k leaves the pointwise bracket on P(tau_k <= x) by at most the DKW slack.
+    ``growth-exact``: the exponential is memoryless, so the increments
+    chi_k (tau_{k+1} - tau_k) are i.i.d. Exp(1) on every connected graph, and
+    the sum S of the N trials' ``growth_sum`` is Gamma(N(n - 1), 1).  It
+    passes iff the two-sided p-value 2 min(P(Gamma <= S), P(Gamma >= S)) is
+    at least 0.01.  ``tau_k-cdf-bracket``: the trials' empirical CDF of tau_k
+    leaves the pointwise bracket on P(tau_k <= x) by at most the DKW slack.
     """
+    # imported here, not with the module: only a tau report reads it, and
+    # every other run would pay its start-up time and memory
+    from scipy.special import gammainc, gammaincc
+
     n, alpha, beta = config.n, ctx.cut.alpha, ctx.cut.beta
-    brackets = [(f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta))
-                for k in _tau_ks(config)]
-    brackets.append(("pair_dist", bounds.pair_distance_bounds(n, alpha, beta)))
-    checks = []
-    for col, (lo, hi) in brackets:
-        s = summaries[col]
-        checks.append(CheckResult(
-            name=f"{col}-bracket",
-            passed=lo <= s.ci_high and hi >= s.ci_low,
-            detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{s.ci_low:.6g}; {s.ci_high:.6g}]",
-        ))
+    shape = len(records) * (n - 1)
+    total = math.fsum(r.values["growth_sum"] for r in records)
+    p = float(2 * min(gammainc(shape, total), gammaincc(shape, total)))
+    checks = [CheckResult("growth-exact", p >= 0.01,
+                          f"growth sum {total:.6g} vs Gamma({shape}, 1): two-sided p {p:.4g}")]
     slack = _dkw_slack(len(records))
     for k in _tau_ks(config):
         samples = np.sort([r.values[f"tau_{k}"] for r in records])
@@ -756,7 +753,7 @@ class _Suite:
     needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
-    finish: Callable = lambda config, ctx, records, summaries: []
+    finish: Callable = lambda config, ctx, records: []
 
 
 _SUITES = {
@@ -818,5 +815,5 @@ def run_suite(config: ExperimentConfig) -> Report:
             summaries[col] = summarize(eligible, col, violations.get(col, 0))
     elif counts:
         checks.append(CheckResult("eligible-trials", False, "no connected instances"))
-    checks += suite.finish(config, ctx, eligible, summaries)
+    checks += suite.finish(config, ctx, eligible)
     return Report(config.suite, config, columns, records, summaries, checks, notes)

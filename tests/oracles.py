@@ -20,8 +20,9 @@ one entry at a time.  Then the counter stream one value at a time in
 Python integers, the reference of the RNG kernel, with the G(n, p) and
 weight draws read from it.  Then ``exp_sum_cdf``, the CDF of a sum of
 exponentials, which the RNG tests read.  Last, the `tau` suite's checks
-with each bracket written out and the CDF bracket evaluated one sample at a
-time in ``math``, the reference of the array form in ``bounds``.
+written out: the growth sums one increment at a time, and the CDF bracket
+evaluated one sample at a time in ``math``, the reference of the array form
+in ``bounds``.
 """
 
 import itertools
@@ -565,7 +566,7 @@ def exp_sum_cdf(c, n, a):
     return (-math.expm1(-c * a)) ** n
 
 
-# -- the tau suite's brackets, one sample at a time -------------------------------
+# -- the tau suite's checks, one sample at a time ----------------------------------
 
 
 def tau_cdf_bounds_math(x, n, k, alpha, beta):
@@ -581,26 +582,41 @@ def tau_cdf_bounds_math(x, n, k, alpha, beta):
     return (max(lower_a, lower_b), upper)
 
 
-def tau_checks_loop(config, ctx, records, summaries):
-    """The checks of the `tau` suite with every bracket written out: the pair
-    bracket H_{n-1}/(beta(n-1)) inline and the CDF bracket per sample in ``math``."""
-    from rspmetric import bounds, lab
+def growth_sums_loop(config, ctx):
+    """Each trial's growth sum on the context's frozen graph, one increment
+    chi_k (tau_{k+1} - tau_k) at a time from ``tau_profile_loop``: the weights
+    drawn from each trial's seed as ``lab`` draws them, and the table of
+    ``build_metric``."""
+    from rspmetric import Seed, build_metric, draw_weights
+
+    master = Seed(config.seed)
+    sums = []
+    for i in range(config.trials):
+        wg = draw_weights(ctx.graph, master.child(i, "trial").child(0, "weights"))
+        taus, chis, _ = tau_profile_loop(build_metric(wg).dist, ctx.graph, 1)
+        sums.append(math.fsum(float(c) * float(taus[k + 1] - taus[k])
+                              for k, c in enumerate(chis.tolist())))
+    return sums
+
+
+def tau_checks_loop(config, ctx, records):
+    """The checks of the `tau` suite written out: ``growth-exact`` from the
+    growth sums of ``growth_sums_loop``, and the CDF bracket per sample in ``math``."""
+    from scipy.special import gammainc, gammaincc
+
+    from rspmetric import lab
 
     n, alpha, beta = config.n, ctx.cut.alpha, ctx.cut.beta
-    ks = lab._tau_ks(config)
-    brackets = [(f"tau_{k}", bounds.tau_expectation_bounds(n, k, alpha, beta)) for k in ks]
-    h = bounds.harmonic(n - 1)
-    brackets.append(("pair_dist", (h / (beta * (n - 1)), h / (alpha * (n - 1)))))
-    checks = []
-    for col, (lo, hi) in brackets:
-        s = summaries[col]
-        checks.append(lab.CheckResult(
-            name=f"{col}-bracket",
-            passed=lo <= s.ci_high and hi >= s.ci_low,
-            detail=f"bracket [{lo:.6g}; {hi:.6g}] vs CI [{s.ci_low:.6g}; {s.ci_high:.6g}]",
-        ))
+    shape = config.trials * (n - 1)
+    total = math.fsum(growth_sums_loop(config, ctx))
+    p = 2 * min(float(gammainc(shape, total)), float(gammaincc(shape, total)))
+    checks = [lab.CheckResult(
+        name="growth-exact",
+        passed=p >= 0.01,
+        detail=f"growth sum {total:.6g} vs Gamma({shape}, 1): two-sided p {p:.4g}",
+    )]
     slack = lab._dkw_slack(len(records))
-    for k in ks:
+    for k in lab._tau_ks(config):
         samples = sorted(r.values[f"tau_{k}"] for r in records)
         band = [tau_cdf_bounds_math(x, n, k, alpha, beta) for x in samples]
         lo = np.array([0.0 if x <= 0 else low for x, (low, _) in zip(samples, band)])

@@ -14,7 +14,6 @@ from rspmetric import (
     diameter_tail,
     evaluate,
     harmonic,
-    pair_distance_bounds,
     sm_tail,
     tau_cdf_bounds,
     tau_expectation_bounds,
@@ -195,25 +194,6 @@ def test_tau_cdf_bounds_check_every_entry():
             tau_cdf_bounds(np.ones(3), n, k, alpha, beta)
     lo, hi = tau_cdf_bounds(np.array([]), 10, 5, 0.5, 1.0)
     assert lo.shape == hi.shape == (0,)
-
-
-# -- pair distance bracket --------------------------------------------------------
-
-
-def test_pair_distance_bounds_examples():
-    assert pair_distance_bounds(2, 1.0, 1.0) == (1.0, 1.0)
-    for n, alpha, beta in ((5, 0.5, 1.0), (12, 1.0, 1.0), (16, 0.2667, 0.75), (2048, 0.9, 1.0)):
-        h = harmonic(n - 1)
-        assert pair_distance_bounds(n, alpha, beta) == (h / (beta * (n - 1)), h / (alpha * (n - 1)))
-    lo, hi = pair_distance_bounds(5, 0.5, 1.0)
-    assert lo == pytest.approx(25 / 48, abs=1e-15) and hi == pytest.approx(25 / 24, abs=1e-15)
-
-
-def test_pair_distance_bounds_validate():
-    for n, alpha, beta in ((1, 1.0, 1.0), (5, 0.9, 0.5), (5, 0.0, 1.0), (5, 0.5, 1.5),
-                           (5, math.nan, 1.0)):
-        with pytest.raises(ValueError, match="need"):
-            pair_distance_bounds(n, alpha, beta)
 
 
 # -- tail bounds ----------------------------------------------------------------
@@ -411,6 +391,6 @@ def test_growth_brackets_take_counts():
         with pytest.raises(TypeError, match="must be an integer"):
             tau_expectation_bounds(n, k, 0.5, 1.0)
     with pytest.raises(ValueError, match="float range"):
-        pair_distance_bounds(10**400, 0.5, 1.0)
+        tau_expectation_bounds(10**400, 2, 0.5, 1.0)
     bracket = tau_cdf_bounds(0.5, 10, 5, 0.5, 1.0)
     assert tau_cdf_bounds(0.5, np.int64(10), np.int64(5), 0.5, 1.0) == bracket

@@ -701,9 +701,8 @@ def test_tau_suite_checks_the_cdf_of_every_tau_k():
     cdf_checks = [c for c in report.checks if c.name.endswith("-cdf-bracket")]
     assert [c.name for c in cdf_checks] == [f"tau_{k}-cdf-bracket" for k in range(1, 9)]
     assert all(c.passed for c in cdf_checks)
-    # they follow the mean brackets, pair_dist's last
-    names = [c.name for c in report.checks]
-    assert names.index("pair_dist-bracket") == names.index("tau_1-cdf-bracket") - 1
+    # they follow the one exact test of the growth process
+    assert [c.name for c in report.checks] == ["growth-exact"] + [c.name for c in cdf_checks]
 
 
 def test_tau_cdf_brackets_on_a_frozen_er_graph():
@@ -729,22 +728,25 @@ def test_tau_cdf_bracket_fails_on_a_wrong_band(monkeypatch):
     cfg = ExperimentConfig(suite="tau", model="complete", n=8, trials=200, seed=59,
                            tau_ks=(2, 4, 8))
     report = run_suite(cfg)
-    # the mean brackets may fail on their own, so only the CDF parts are read
-    failed = [c.name for c in report.checks if not c.passed and c.name.endswith("-cdf-bracket")]
+    failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["tau_2-cdf-bracket", "tau_4-cdf-bracket", "tau_8-cdf-bracket"]
 
 
 @pytest.mark.parametrize("model, n, p", [("complete", 12, 1.0), ("complete", 30, 1.0),
                                          ("er", 16, 0.5), ("er", 20, 0.3)])
 def test_tau_checks_equal_the_per_sample_oracle(model, n, p):
-    # the array brackets of bounds give the same verdicts and details, to the
-    # last printed digit, as the brackets written out one sample at a time
+    # the growth sums of the profile kernel are those grown one vertex at a
+    # time, and the array brackets of bounds give the same verdicts and
+    # details, to the last printed digit, as the brackets written out one
+    # sample at a time
     for seed in range(20):
         cfg = ExperimentConfig(suite="tau", model=model, n=n, p=p, trials=60, seed=seed,
                                tau_ks=(1, 2, n // 2, n))
         report = run_suite(cfg)
-        expected = oracles.tau_checks_loop(cfg, make_context(cfg), report.records,
-                                           report.summaries)
+        ctx = make_context(cfg)
+        assert [r.values["growth_sum"] for r in report.records] == \
+            oracles.growth_sums_loop(cfg, ctx)
+        expected = oracles.tau_checks_loop(cfg, ctx, report.records)
         assert [(c.name, c.passed, c.detail) for c in report.checks] == \
             [(c.name, c.passed, c.detail) for c in expected]
 

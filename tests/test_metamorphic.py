@@ -18,8 +18,9 @@ same sums in the same order and returns the same tour, pairs or centres,
 with every cost times 2^j.
 
 The same scaling, applied to every window's weight draw in ``lab``, scales
-every distance a suite records: each tau_k and ``pair_dist`` of ``tau``, and
-both costs of ``ratio``, whose ratio stays the same float.
+every distance a suite records: each tau_k and the ``growth_sum`` of ``tau``
+(a sum of cut sizes times differences of distances), and both costs of
+``ratio``, whose ratio stays the same float.
 
 Relabel: renaming the vertices by a permutation, each weight carried with its
 edge, renames every shortest path.  The certified APSP's row is the unique
@@ -222,7 +223,7 @@ def test_window_weights_times_a_power_of_two_scale_every_recorded_distance(name,
         assert [(r.index, r.seed) for r in scaled] == [(r.index, r.seed) for r in plain]
         for record, times in zip(plain, scaled):
             values = record.values
-            keys = costs or [k for k in values if k.startswith("tau_")] + ["pair_dist"]
+            keys = costs or [k for k in values if k.startswith("tau_")] + ["growth_sum"]
             if values.get("connected", 1):
                 assert {k: times.values[k] for k in keys} == {k: 2.0**j * values[k] for k in keys}
             assert {k: v for k, v in times.values.items() if k not in keys} == {
