@@ -8,8 +8,7 @@ Subcommands:
   suite      run a verification suite described by a key=value config file
   bounds     evaluate a closed-form bound
 
-Exit codes: 0 pass, 1 deterministic violation or bracket failure, 2 usage
-error.
+Exit codes: 0 pass, 1 a check failed, 2 usage error.
 """
 
 from __future__ import annotations

@@ -430,7 +430,7 @@ def _cut_cells(graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
     lo_cut = np.full((low, count, cols), np.inf, dtype=np.float32)
     hi_cut = np.full_like(lo_cut, -np.inf)
     bounds = list(zip(groups.tolist(), groups[1:].tolist() + [rows]))
-    step = CUT_BLOCK // (count * cols)  # rows per block: count * cols <= 2^20 (see the caller)
+    step = max(1, CUT_BLOCK // (count * cols))  # rows per block, at least one
     for r0 in range(0, rows, step):
         block = (coef[r0 * count:(r0 + step) * count] @ xht).reshape(-1, count, cols)
         r1 = r0 + len(block)

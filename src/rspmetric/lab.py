@@ -13,11 +13,12 @@ Every suite runs one pipeline, :func:`run_suite`:
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
    ends the trial at ``connected=0``.  The trials are cut once into windows
    of consecutive trials, and a pool runs whole windows; each row of
-   ``_STAGES`` the suite needs runs once over a window's connected instances
-   (see ``_run_window``).
-3. The suite's ``_SUITES`` entry turns the instance into a
-   :class:`TrialRecord`, a pure function of config and trial index, so
-   records are identical at any worker count.
+   ``_STAGES`` the suite needs runs once over a window's connected instances:
+   cut parameters, weights and the metric, then the record values of the
+   suite, or of each structure part (see ``_run_window``).
+3. A trial's :class:`TrialRecord` holds the record values of its instance,
+   or ``connected=0`` for a disconnected draw: a pure function of config and
+   trial index, so records are identical at any worker count.
 4. One epilogue summarizes the eligible records (99% confidence intervals,
    which no check reads) and runs the entry's checks.  Deterministic
    invariants must have zero violations.  An exact law passes when its
@@ -422,17 +423,17 @@ class _Context:
 class _Instance:
     """One trial's connected graph; each row of ``_STAGES`` that the suite
     needs sets the attribute it names (a frozen graph's ``cut`` comes from
-    the context)."""
+    the context), or adds its record values to ``values``, which a fresh
+    draw starts at ``{"connected": 1}``."""
 
     config: ExperimentConfig
     index: int
     seed: Seed
     graph: Graph
     cut: CutParameters | None = None
+    values: dict = field(default_factory=dict)
     weighted: WeightedGraph | None = None
     metric: Metric | None = None
-    chi: dict | None = None
-    cluster: dict | None = None
 
 
 def _frozen_graph(config: ExperimentConfig) -> tuple[Graph, int]:
@@ -514,81 +515,6 @@ def _window_clusters(instances: list[_Instance]) -> list[dict]:
     return records
 
 
-# What a window computes for its connected instances, in order: (instance
-# attribute, the need that runs the row or None for every suite, the function
-# of the window's instances that returns one value per instance).  Each row
-# makes one batch call over the window; the chi and cluster rows hand each
-# instance the record values of the structure part of the same name
-_STAGES = (
-    ("cut", "cut", _window_cuts),
-    ("weighted", None, _window_weights),
-    ("metric", None, _window_metrics),
-    ("chi", "chi", _window_chis),
-    ("cluster", "cluster", _window_clusters),
-)
-
-
-def _run_window(config: ExperimentConfig, ctx: _Context, window: range) -> list[TrialRecord]:
-    """Records of one window of consecutive trials (see ``run_trials``).
-
-    The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
-    frozen graph is connected by construction, and its cut parameters come
-    from the context); connectivity is found per graph.  Each row of
-    ``_STAGES`` the suite needs then runs once over the connected instances,
-    and each instance gives its statistics.  A draw, a metric or a partition
-    does not depend on the window it was made in, so neither do the records.
-    """
-    # module level so that process pools can pickle it
-    suite = _SUITES[config.suite]
-    needs = suite.needs(config) - ({"cut"} if ctx.graph is not None else set())
-    master = Seed(config.seed)
-    seeds = [master.child(i, "trial") for i in window]
-    if ctx.graph is None:
-        graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
-    else:
-        graphs = [ctx.graph] * len(seeds)
-    instances = [_Instance(config, i, ts, graph, ctx.cut)
-                 for i, ts, graph in zip(window, seeds, graphs)
-                 if ctx.graph is not None or is_connected(graph)]
-    for attr, need, stage in _STAGES if instances else ():  # no row runs on an empty window
-        if need is None or need in needs:
-            for x, value in zip(instances, stage(instances)):
-                setattr(x, attr, value)
-    stats = {x.index: suite.stats(x) for x in instances}
-    records = []
-    for i, ts in zip(window, seeds):
-        if i not in stats:
-            values = {"connected": 0}
-        elif suite.fresh:
-            values = {"connected": 1, **stats[i]}
-        else:
-            values = stats[i]
-        records.append(TrialRecord(index=i, seed=ts.hex(), values=values))
-    return records
-
-
-def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]:
-    """Run all trials of a valid config on its context; records are identical
-    for any worker count.
-
-    The trials are cut once into windows of ``BATCH_VERTICES // n``
-    consecutive trials (at least one), the only unit of work: serially they
-    run in order, and a pool maps whole windows, about ``4 * workers`` tasks
-    of consecutive windows.  So every batch call sees the same graphs at any
-    worker count.  At most one process per window and per usable CPU is
-    started: on fork, the pool starts all of its ``max_workers`` at once.
-    """
-    step = max(1, metric_mod.BATCH_VERTICES // config.n)
-    windows = [range(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
-    run = partial(_run_window, config, context)
-    workers = min(config.workers, len(windows), metric_mod.usable_cpus())
-    if workers <= 1:
-        return [r for window in windows for r in run(window)]
-    chunksize = max(1, len(windows) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for records in pool.map(run, windows, chunksize=chunksize) for r in records]
-
-
 # ---------------------------------------------------------------------------
 # statistics of one instance, per suite
 
@@ -646,24 +572,102 @@ def _sandwich_stats(x: _Instance) -> dict:
     return {"s_half": s_half, "mm": mm, "tsp": tsp, "sandwich_violations": bad}
 
 
-_STRUCTURE_PARTS = {  # check -> (statistics, needs)
-    "chi": (lambda x: x.chi, frozenset({"cut", "chi"})),
-    "cluster": (lambda x: x.cluster, frozenset({"cut", "cluster"})),
-    "sandwich": (_sandwich_stats, frozenset({"matching", "tsp", "tour"})),
+_STRUCTURE_PARTS = {  # check -> needs
+    "chi": frozenset({"cut", "chi"}),
+    "cluster": frozenset({"cut", "cluster"}),
+    "sandwich": frozenset({"matching", "tsp", "tour", "sandwich"}),
 }
 
 
-def _structure_stats(x: _Instance) -> dict:
-    values: dict = {}
-    for check, (stats, _) in _STRUCTURE_PARTS.items():
-        if check in x.config.structure_checks:
-            values.update(stats(x))
-    return values
-
-
 def _structure_needs(config: ExperimentConfig) -> frozenset:
-    return frozenset().union(*(needs for check, (_, needs) in _STRUCTURE_PARTS.items()
+    return frozenset().union(*(needs for check, needs in _STRUCTURE_PARTS.items()
                                if check in config.structure_checks))
+
+
+# ---------------------------------------------------------------------------
+# windows: what a window computes, and the run of every trial
+
+
+def _each(stats: Callable[[_Instance], dict]) -> Callable[[list[_Instance]], list[dict]]:
+    """The row function that maps ``stats`` over a window's instances."""
+    return lambda instances: [stats(x) for x in instances]
+
+
+# What a window computes for its connected instances, in order: (the instance
+# attribute the row sets, or "values" for record values that it adds to
+# ``_Instance.values``; the need that runs the row, or None for every suite;
+# the function of the window's instances that returns one value per
+# instance).  The cut, weight, metric, chi and cluster rows make one batch
+# call over the window; the others compute instance by instance.  The order
+# of the rows is the order of a record's columns
+_STAGES = (
+    ("cut", "cut", _window_cuts),
+    ("weighted", None, _window_weights),
+    ("metric", None, _window_metrics),
+    ("values", "tau", _each(_tau_stats)),
+    ("values", "ratio", _each(_ratio_stats)),
+    ("values", "two-opt", _each(_two_opt_stats)),
+    ("values", "chi", _window_chis),
+    ("values", "cluster", _window_clusters),
+    ("values", "sandwich", _each(_sandwich_stats)),
+)
+
+
+def _run_window(config: ExperimentConfig, ctx: _Context, window: range) -> list[TrialRecord]:
+    """Records of one window of consecutive trials (see ``run_trials``).
+
+    The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
+    frozen graph is connected by construction, and its cut parameters come
+    from the context); connectivity is found per graph.  Each row of
+    ``_STAGES`` the suite needs then runs once over the connected instances.
+    A trial's record is its instance's ``values``, or ``connected=0`` for a
+    disconnected draw.  A draw, a metric or a partition does not depend on
+    the window it was made in, so neither do the records.
+    """
+    # module level so that process pools can pickle it
+    suite = _SUITES[config.suite]
+    needs = suite.needs(config) - ({"cut"} if ctx.graph is not None else set())
+    master = Seed(config.seed)
+    seeds = [master.child(i, "trial") for i in window]
+    if ctx.graph is None:
+        graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
+    else:
+        graphs = [ctx.graph] * len(seeds)
+    instances = [_Instance(config, i, ts, graph, ctx.cut, {"connected": 1} if suite.fresh else {})
+                 for i, ts, graph in zip(window, seeds, graphs)
+                 if ctx.graph is not None or is_connected(graph)]
+    for attr, need, stage in _STAGES if instances else ():  # no row runs on an empty window
+        if need is None or need in needs:
+            for x, value in zip(instances, stage(instances)):
+                if attr == "values":
+                    x.values.update(value)
+                else:
+                    setattr(x, attr, value)
+    values = {x.index: x.values for x in instances}
+    return [TrialRecord(index=i, seed=ts.hex(), values=values.get(i, {"connected": 0}))
+            for i, ts in zip(window, seeds)]
+
+
+def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]:
+    """Run all trials of a valid config on its context; records are identical
+    for any worker count.
+
+    The trials are cut once into windows of ``BATCH_VERTICES // n``
+    consecutive trials (at least one), the only unit of work: serially they
+    run in order, and a pool maps whole windows, about ``4 * workers`` tasks
+    of consecutive windows.  So every batch call sees the same graphs at any
+    worker count.  At most one process per window and per usable CPU is
+    started: on fork, the pool starts all of its ``max_workers`` at once.
+    """
+    step = max(1, metric_mod.BATCH_VERTICES // config.n)
+    windows = [range(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
+    run = partial(_run_window, config, context)
+    workers = min(config.workers, len(windows), metric_mod.usable_cpus())
+    if workers <= 1:
+        return [r for window in windows for r in run(window)]
+    chunksize = max(1, len(windows) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for records in pool.map(run, windows, chunksize=chunksize) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +731,7 @@ def _tau_checks(config, ctx, records):
 
 @dataclass(frozen=True)
 class _Suite:
-    """How one suite measures an instance and judges the records.
+    """What one suite computes of an instance, and how it judges the records.
 
     A report's columns are the keys its trials record, in order: every
     eligible record of a config carries the same keys, and a fresh draw puts
@@ -742,33 +746,30 @@ class _Suite:
     ``finish`` adds the checks that are not such counts.
     """
 
-    stats: Callable[[_Instance], dict]
+    # what an instance computes beyond its metric.  A need of a row of
+    # _STAGES runs that row: exact cut parameters ("cut"), the suite's record
+    # values ("tau", "ratio", "two-opt") and those of each structure part
+    # ("chi", "cluster", "sandwich").  The others, a tour ("tour") and the
+    # exact baselines ("tsp", "matching", "kmedian"), only drive
+    # validate_config, which derives every size rule from the needs
+    needs: Callable[[ExperimentConfig], frozenset]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
-    # what an instance computes beyond its metric: exact cut parameters
-    # ("cut"), its growth profiles ("chi"), its clusterings ("cluster"), a
-    # tour ("tour") and the exact baselines ("tsp", "matching", "kmedian").
-    # A need of a row of _STAGES ("cut", "chi", "cluster") runs that row;
-    # the others only drive validate_config, which derives every size rule
-    # from the needs
-    needs: Callable[[ExperimentConfig], frozenset] = lambda c: frozenset({"cut"})
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
     counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
     finish: Callable = lambda config, ctx, records: []
 
 
 _SUITES = {
-    "tau": _Suite(stats=_tau_stats, fresh=False, finish=_tau_checks),
+    "tau": _Suite(needs=lambda c: frozenset({"cut", "tau"}), fresh=False, finish=_tau_checks),
     "ratio": _Suite(
-        stats=_ratio_stats,
-        needs=lambda c: _RATIO_KINDS.get(c.kind, (frozenset(),))[0],
+        needs=lambda c: _RATIO_KINDS.get(c.kind, (frozenset(),))[0] | {"ratio"},
         counts=lambda c: (
             ("ratio-floor", "ratio", lambda r: r < 1 - FLOAT_SLACK,
              "{bad} of {count} ratios below 1"),
         ),
     ),
     "two-opt": _Suite(
-        stats=_two_opt_stats,
-        needs=lambda c: frozenset({"tour"}),
+        needs=lambda c: frozenset({"tour", "two-opt"}),
         summaries=lambda columns: ("iterations", "final_cost"),
         counts=lambda c: (
             ("local-optimum", "locally_optimal", lambda ok: not ok,
@@ -776,7 +777,6 @@ _SUITES = {
         ),
     ),
     "structure": _Suite(
-        stats=_structure_stats,
         needs=_structure_needs,
         summaries=lambda columns: tuple(col for col in columns if not col.startswith("delta_")),
         counts=lambda c: tuple(

@@ -63,6 +63,7 @@ from rspmetric import (
 )
 from scipy.sparse.csgraph import dijkstra
 
+from rspmetric import graphs as graphs_module
 from rspmetric import metric as metric_module
 from rspmetric.errors import SizeCapExceededError
 from rspmetric.graphs import CUT_BLOCK, CUT_PARAMETER_CAP, CutParameters, _split_bit_rows
@@ -1277,6 +1278,18 @@ def test_cut_parameters_equal_enumeration_across_row_blocks():
     want = cut_parameters_enum(graph)
     assert_same_cut_parameters(graph)
     assert_windows_match([graph, complete_graph(22), graph], [want, (1.0, 1.0), want])
+
+
+@pytest.mark.parametrize("bound", [1, 16, 31])
+def test_cut_parameter_windows_equal_enumeration_at_any_block_bound(bound, monkeypatch):
+    # each table row of n = 10 has 32 columns, so a bound under 32 entries
+    # still takes one row per block
+    _, _, xht, _ = _split_bit_rows(10)
+    assert xht.shape[1] > bound
+    monkeypatch.setattr(graphs_module, "CUT_BLOCK", bound)
+    graphs = [connected_er(10, 0.5, seed=300 + i)[0] for i in range(3)]
+    graphs[1:1] = [complete_graph(10)]
+    assert_windows_match(graphs, [cut_parameters_enum(g) for g in graphs])
 
 
 def test_cut_parameter_windows_at_the_cap_equal_enumeration():

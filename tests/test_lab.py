@@ -342,6 +342,12 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
     "ratio-nn": dict(suite="ratio", kind="nn", model="complete", n=9, trials=20, seed=5),
     "ratio-matching": dict(suite="ratio", kind="matching", model="er", n=10, p=0.5, trials=20,
                            seed=6),
+    # windows of 25 and 15 trials, some of them disconnected; random insertion
+    # draws from each instance's own seed
+    "ratio-insertion-random": dict(suite="ratio", kind="insertion", rule="random", model="er",
+                                   n=10, p=0.3, trials=40, seed=14),
+    "ratio-kmedian": dict(suite="ratio", kind="kmedian", k=3, model="er", n=10, p=0.3,
+                          trials=40, seed=15),
     "tau-K12": dict(suite="tau", model="complete", n=12, trials=30, seed=7),
     "tau-K12-ks-2-6-12": dict(suite="tau", model="complete", n=12, trials=30, seed=8,
                               tau_ks=(2, 6, 12)),
@@ -363,7 +369,7 @@ def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
     cfg = ExperimentConfig(**BATCHED[name])
     bound = metric_module.BATCH_VERTICES
     serial = run_suite(cfg)
-    if name == "structure-er":
+    if name in ("structure-er", "ratio-insertion-random", "ratio-kmedian"):
         assert serial.notes["skipped_disconnected"] > 0
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
     pooled = run_suite(ExperimentConfig(**BATCHED[name], workers=2))
@@ -423,42 +429,9 @@ def test_each_window_finds_its_cut_parameters_in_one_call(model, calls, monkeypa
     assert sum(sizes) == (report.notes["eligible"] if calls else 0)
 
 
-@pytest.mark.parametrize("row", lab._STAGES, ids=[attr for attr, _, _ in lab._STAGES])
-def test_each_needed_stage_row_runs_once_per_window_over_its_eligible_instances(
-        row, monkeypatch):
-    attr, _, stage = row
-    calls = []
-
-    def recording(instances):
-        calls.append([x.index for x in instances])
-        return stage(instances)
-
-    monkeypatch.setattr(lab, "_STAGES", tuple(
-        (a, need, recording if a == attr else fn) for a, need, fn in lab._STAGES))
-    # 40 trials at n = 16 are windows of 16, 16 and 8 trials
-    base = dict(suite="structure", model="er", n=16, p=0.5, trials=40, seed=3,
-                structure_checks=("chi", "cluster"))
-    report = run_suite(ExperimentConfig(**base))
-    eligible = [r.index for r in report.records if r.values["connected"] == 1]
-    assert [{i // 16 for i in window} for window in calls] == [{0}, {1}, {2}]
-    assert [i for window in calls for i in window] == eligible
-    # a row whose need is absent never runs: a frozen graph's cut parameters
-    # come from the context, cluster alone profiles nothing, and chi alone
-    # clusters nothing
-    absent = {"cut": dict(base, model="complete"),
-              "chi": dict(base, structure_checks=("cluster",)),
-              "cluster": dict(base, structure_checks=("chi",))}
-    if attr in absent:
-        calls.clear()
-        run_suite(ExperimentConfig(**absent[attr]))
-        assert calls == []
-
-
-@pytest.fixture
-def started_pools(monkeypatch):
-    """The ``max_workers`` of each process pool a run starts; the pool stand-in
-    maps in this process, so no process is started."""
-    started = []
+def recording_pool(started):
+    """A process pool stand-in that notes each pool's ``max_workers`` in
+    ``started`` and maps in this process, so no process is started."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -473,34 +446,98 @@ def started_pools(monkeypatch):
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The ``max_workers`` of each process pool a run starts."""
+    started = []
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", recording_pool(started))
     return started
 
 
-def test_windows_do_not_depend_on_the_worker_count(started_pools, monkeypatch):
-    calls = {attr: [] for attr, _, _ in lab._STAGES}
+ROWS = [need or attr for attr, need, _ in lab._STAGES]  # each row by its need, else its attribute
+# name -> (config, the rows it runs).  40 trials are windows of 16, 16 and 8
+# at n = 16, of 21 and 19 at n = 12 and of 25 and 15 at n = 10.  A frozen
+# graph's cut parameters come from the context, so its runs skip the cut row
+ROW_CONFIGS = {
+    "structure-er": (dict(suite="structure", model="er", n=12, p=0.3, trials=40, seed=3),
+                     {"cut", "weighted", "metric", "chi", "cluster", "sandwich"}),
+    "structure-er-cluster": (dict(suite="structure", model="er", n=16, p=0.5, trials=40, seed=3,
+                                  structure_checks=("cluster",)),
+                             {"cut", "weighted", "metric", "cluster"}),
+    "structure-complete-chi": (dict(suite="structure", model="complete", n=16, trials=40, seed=3,
+                                    structure_checks=("chi",)),
+                               {"weighted", "metric", "chi"}),
+    "tau-K12": (dict(suite="tau", model="complete", n=12, trials=40, seed=3),
+                {"weighted", "metric", "tau"}),
+    "tau-er": (dict(suite="tau", model="er", n=16, p=0.5, trials=40, seed=3),
+               {"weighted", "metric", "tau"}),
+    **{f"ratio-{kind}": (dict(suite="ratio", kind=kind, model="er", n=10, p=0.3, trials=40,
+                              seed=3, rule="random", k=3),
+                         {"weighted", "metric", "ratio"})
+       for kind in lab.RATIO_KINDS},
+    "two-opt-er": (dict(suite="two-opt", model="er", n=16, p=0.3, trials=40, seed=3),
+                   {"weighted", "metric", "two-opt"}),
+}
 
-    def recording(attr, stage):
+
+@pytest.fixture(scope="module")
+def row_runs():
+    """name -> workers -> (the trials each row of ``lab._STAGES`` ran on,
+    call by call, by row; the report; the pools started), for each config of
+    ``ROW_CONFIGS`` at one worker and at two."""
+    def recording(calls, stage):
         def record(instances):
-            calls[attr].append([x.index for x in instances])
+            calls.append([x.index for x in instances])
             return stage(instances)
         return record
 
-    monkeypatch.setattr(lab, "_STAGES", tuple(
-        (attr, need, recording(attr, stage)) for attr, need, stage in lab._STAGES))
-    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
-    seen = []
-    for workers in (1, 2):
-        for windows in calls.values():
-            windows.clear()
-        run_suite(ExperimentConfig(suite="structure", model="er", n=16, p=0.5, trials=25, seed=1,
-                                   structure_checks=("chi", "cluster"), workers=workers))
-        seen.append({attr: [list(window) for window in windows] for attr, windows in calls.items()})
-    assert started_pools == [2]
-    assert seen[0] == seen[1]
-    # 25 trials at n = 16 are windows of 16 and 9 trials, and every row runs on each
-    for windows in seen[0].values():
-        assert [{i // 16 for i in window} for window in windows] == [{0}, {1}]
+    runs = {}
+    for name, (kwargs, _) in ROW_CONFIGS.items():
+        for workers in (1, 2):
+            calls, started = {row: [] for row in ROWS}, []
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lab, "_STAGES", tuple((attr, need, recording(calls[row], stage))
+                                                for row, (attr, need, stage)
+                                                in zip(ROWS, lab._STAGES)))
+                m.setattr(lab, "ProcessPoolExecutor", recording_pool(started))
+                m.setattr(metric_module, "usable_cpus", lambda: 2)
+                report = run_suite(ExperimentConfig(**kwargs, workers=workers))
+            runs.setdefault(name, {})[workers] = (calls, report, started)
+    return runs
+
+
+def eligible_windows(report):
+    """The eligible trials of each window of a report's run that has any."""
+    config = report.config
+    step = metric_module.BATCH_VERTICES // config.n
+    eligible = [r.index for r in report.records if r.values.get("connected", 1) == 1]
+    windows = [[i for i in eligible if i // step == w] for w in range(-(-config.trials // step))]
+    return [window for window in windows if window]
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_each_needed_stage_row_runs_once_per_window_over_its_eligible_instances(row, row_runs):
+    needed = {name for name, (_, rows) in ROW_CONFIGS.items() if row in rows}
+    assert needed
+    for name, by_workers in row_runs.items():
+        for workers, (calls, report, _) in by_workers.items():
+            # a row whose need is absent never runs
+            want = eligible_windows(report) if name in needed else []
+            assert calls[row] == want, (name, workers)
+
+
+def test_windows_do_not_depend_on_the_worker_count(row_runs):
+    skipped = 0
+    for name, by_workers in row_runs.items():
+        (serial, serial_report, none), (pooled, pooled_report, started) = by_workers[1], by_workers[2]
+        assert none == [] and started == [2], name
+        assert serial == pooled and serial_report.records == pooled_report.records, name
+        assert len(eligible_windows(serial_report)) >= 2, name
+        skipped += serial_report.notes.get("skipped_disconnected", 0)
+    assert skipped > 0  # some window has a disconnected draw, which no row sees
 
 
 def test_worker_processes_are_bounded_by_windows_and_cpus(started_pools, monkeypatch):
