@@ -24,8 +24,8 @@ from .errors import (
 from .rng import Seed, exponential_rows, u01_rows
 
 # Hard ceiling, the only size bound of the cut table.  At 24 the 2^23 cuts of
-# a graph are built in row blocks of 2^20 float32 entries: 8-11 ms per graph
-# in a window of ten G(24, 1/2) draws, a 4.9 MiB traced peak and about 6 MB
+# a graph are built in row blocks of 2^19 float32 entries: 9-10 ms per graph
+# in a window of 28 G(24, 1/2) draws, a 3.0 MiB traced peak and about 2.5 MB
 # of extra resident memory on a 2-core Xeon host.
 CUT_PARAMETER_CAP = 24
 # Hard ceiling on n wherever an n x n table or all n(n-1)/2 pairs are built.
@@ -305,7 +305,12 @@ def is_connected(graph: Graph) -> bool:
     return count == graph.n
 
 
-CUT_BLOCK = 1 << 20  # at most this many (row, graph, column) entries per block of cut tables
+CUT_BLOCK = 1 << 19  # at most this many (row, graph, column) entries per block of cut tables
+# 2 MiB of float32 products per block.  At 2^20 a trial window of 25
+# G(16, 1/2) draws (a whole er-structure benchmark unit) takes its cuts in one
+# 3.3 MB block, and that workload's peak RSS read 89.7-89.8 MB in 10 s runs
+# on a 2-core Xeon host; at 2^19 it takes blocks of at most 16 graphs,
+# 2.1 MB each, and read 88.3-88.6 MB.
 
 
 @lru_cache(maxsize=CUT_PARAMETER_CAP)

@@ -12,7 +12,8 @@ Every suite runs one pipeline, :func:`run_suite`:
 2. The instance stage, :func:`run_trials`, gives each trial its seed and its
    graph: the frozen one, or a fresh G(n, p) draw, where a disconnected draw
    ends the trial at ``connected=0``.  The trials are cut once into windows
-   of consecutive trials, and a pool runs whole windows; each row of
+   of consecutive trials, each with at most ``WINDOW_ENTRIES`` n x n table
+   entries (at least one trial), and a pool runs whole windows; each row of
    ``_STAGES`` the suite needs runs once over a window's connected instances:
    cut parameters, weights and the metric, then the record values of the
    suite, or of each structure part (see ``_run_window``).
@@ -93,6 +94,25 @@ FLOAT_SLACK = 1e-12  # absolute slack for comparisons between float sums
 # 80-170 bytes for a CSV report and 300-380 for a JSON one, so a run at the
 # ceiling peaks at about 0.9 GB (CSV) or 1.9 GB (JSON).
 RECORD_CELL_CAP = 5 * 10**6
+WINDOW_ENTRIES = 1 << 14  # most n x n table entries per trial window (at least one trial)
+# The bound caps what a window holds at once, its T n x n tables and its draw
+# arrays: each stage kernel bounds its own working arrays, and build_metrics
+# cuts a window into blocks of BATCH_VERTICES.  Every window pays a fixed
+# cost, so it holds 64 trials at n = 16, 28 at 24, 7 at 48, 4 at 60 and one
+# from n = 91 on.  Time after the bound, as a share of the time with windows
+# of BATCH_VERTICES // n trials and CUT_BLOCK = 2^20, best of five runs
+# interleaved in one process, the range over three processes (six at
+# n >= 100), on a 2-core Xeon host (config, trials, window before -> after):
+#   structure chi G(24, 1/2)   56   10 -> 28    0.85-0.89
+#   ratio nn K_12             200   21 -> 113   0.98-0.99
+#   two-opt G(48, 0.15)        28    5 -> 7     0.97-1.01
+#   two-opt K_60               16    4 -> 4     0.99-1.01
+#   two-opt K_100               8    2 -> 1     1.00-1.06, and 1.19 once
+#   two-opt G(101, 0.3)         8    2 -> 1     1.01-1.05
+#   two-opt K_110               8    2 -> 1     0.97-1.00
+# At n = 91-128 one graph no longer shares a call's fixed cost: a K_100's
+# metric took 3.1 against 2.7-2.9 ms in pairs, and two G(101, 0.3) unions
+# 1-3% more than one.  Two pruned K_110 no longer share one certified union.
 
 MODELS = ("complete", "er", "imported")
 
@@ -652,14 +672,14 @@ def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]
     """Run all trials of a valid config on its context; records are identical
     for any worker count.
 
-    The trials are cut once into windows of ``BATCH_VERTICES // n``
+    The trials are cut once into windows of ``WINDOW_ENTRIES // n^2``
     consecutive trials (at least one), the only unit of work: serially they
     run in order, and a pool maps whole windows, about ``4 * workers`` tasks
     of consecutive windows.  So every batch call sees the same graphs at any
     worker count.  At most one process per window and per usable CPU is
     started: on fork, the pool starts all of its ``max_workers`` at once.
     """
-    step = max(1, metric_mod.BATCH_VERTICES // config.n)
+    step = max(1, WINDOW_ENTRIES // (config.n * config.n))
     windows = [range(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
     run = partial(_run_window, config, context)
     workers = min(config.workers, len(windows), metric_mod.usable_cpus())

@@ -167,9 +167,8 @@ BATCH_VERTICES = 256  # most vertices per block of build_metrics
 # blocks of at most 16, 64, 128, 256 and 512 vertices, and 26 us in one
 # block; over 100 draws 148, 54, 41, 32, 28 and 28 us.  In a union each
 # source initialises a row over the whole union, so blocks far past 256
-# vertices cost more than the calls they save.  A suite window holds
-# BATCH_VERTICES // n trials too, so the bound also sizes every window
-# stage's arrays.
+# vertices cost more than the calls they save.  The bound sizes blocks only:
+# a suite window is sized by lab.WINDOW_ENTRIES and may span several blocks.
 
 DENSE_N = 100  # largest graph that build_metrics sends through _dense_rows
 # The kernel does n^3 work per graph whatever its edge count; scipy's

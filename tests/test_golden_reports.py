@@ -57,8 +57,9 @@ CASES = {
         structure_checks=("cluster", "chi"), delta_fractions=(0.0, 0.3),
     ),
     "tau-er-k3-k7": dict(suite="tau", model="er", n=7, p=0.7, trials=20, seed=119, tau_ks=(3, 7)),
-    # K_60 and K_50 prune their edges but take the dense kernel; each window's
-    # two K_110 form one 220-vertex union, which prunes and is certified
+    # K_60 and K_50 prune their edges but take the dense kernel; each K_110 is
+    # a window of its own, pruned and certified alone (test_kernels.py's "two
+    # pruned K110" case certifies two of them as one union)
     "two-opt-complete-pruned": dict(suite="two-opt", model="complete", n=60, trials=4, seed=121),
     "ratio-kmedian-complete-pruned": dict(
         suite="ratio", kind="kmedian", model="complete", n=50, k=2, trials=4, seed=122

@@ -1269,11 +1269,12 @@ def test_cut_parameter_windows_equal_enumeration(n):
 
 
 def test_cut_parameters_equal_enumeration_across_row_blocks():
-    # at n = 22 each table is two row blocks, and the rows of |U cap L| = 6
-    # straddle them, so that group is folded into its accumulator
-    assert row_blocks(22) == 2
+    # at n = 22 each table is four row blocks, and the rows of |U cap L| = 5,
+    # 6 and 7 each straddle one block boundary, so each of those groups is
+    # folded into its accumulator
+    assert row_blocks(22) == 4
     xl, groups, _, _ = _split_bit_rows(22)
-    assert groups[5] < len(xl) // 2 < groups[6]
+    assert all(groups[a - 1] < b * len(xl) // 4 < groups[a] for a, b in ((5, 1), (6, 2), (7, 3)))
     graph = connected_er(22, 0.5, seed=22)[0]
     want = cut_parameters_enum(graph)
     assert_same_cut_parameters(graph)
@@ -1293,9 +1294,9 @@ def test_cut_parameter_windows_equal_enumeration_at_any_block_bound(bound, monke
 
 
 def test_cut_parameter_windows_at_the_cap_equal_enumeration():
-    # eight row blocks per table; the dense draw, with no affordable oracle,
+    # sixteen row blocks per table; the dense draw, with no affordable oracle,
     # must give its one-graph entry in every window
-    assert row_blocks(CUT_PARAMETER_CAP) == 8
+    assert row_blocks(CUT_PARAMETER_CAP) == 16
     sparse = connected_er(CUT_PARAMETER_CAP, 0.2, seed=24)[0]
     dense = connected_er(CUT_PARAMETER_CAP, 0.5, seed=24)[0]
     alone = cut_parameters_exact(dense)

@@ -327,7 +327,10 @@ def test_trials_are_reproducible():
      dict(suite="structure", model="complete", n=8, trials=16, seed=11)],
     ids=["er", "complete"],
 )
-def test_parallel_equals_serial(base):
+def test_parallel_equals_serial(base, monkeypatch):
+    # four windows of four trials, so workers=3 runs a pool of three processes
+    monkeypatch.setattr(lab, "WINDOW_ENTRIES", 4 * 8 * 8)
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 3)
     serial = run_suite(ExperimentConfig(**base, workers=1))
     parallel = run_suite(ExperimentConfig(**base, workers=3))
     assert serial.to_csv() == parallel.to_csv()
@@ -342,8 +345,8 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
     "ratio-nn": dict(suite="ratio", kind="nn", model="complete", n=9, trials=20, seed=5),
     "ratio-matching": dict(suite="ratio", kind="matching", model="er", n=10, p=0.5, trials=20,
                            seed=6),
-    # windows of 25 and 15 trials, some of them disconnected; random insertion
-    # draws from each instance's own seed
+    # some draws disconnected; random insertion draws from each instance's own
+    # seed
     "ratio-insertion-random": dict(suite="ratio", kind="insertion", rule="random", model="er",
                                    n=10, p=0.3, trials=40, seed=14),
     "ratio-kmedian": dict(suite="ratio", kind="kmedian", k=3, model="er", n=10, p=0.3,
@@ -359,6 +362,9 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
     # pruned K_60: serially kernel blocks of four; with the dense kernel off,
     # each window's four K_60 are one 240-vertex union, which does not prune
     "two-opt-K60": dict(suite="two-opt", model="complete", n=60, trials=8, seed=13),
+    # too sparse for the kernel: windows of seven and three trials, and a
+    # window's connected draws are union blocks of at most five
+    "two-opt-er-48": dict(suite="two-opt", model="er", n=48, p=0.15, trials=10, seed=16),
     # a frozen G(16, 1/2) graph: its cut parameters come from the context, not a window
     "tau-er": dict(suite="tau", model="er", n=16, p=0.5, trials=30, seed=12),
 }
@@ -367,35 +373,38 @@ BATCHED = {  # configs whose records must not depend on workers or batch size
 @pytest.mark.parametrize("name", BATCHED)
 def test_reports_equal_at_any_worker_count_and_batch_size(name, monkeypatch):
     cfg = ExperimentConfig(**BATCHED[name])
-    bound = metric_module.BATCH_VERTICES
+    bound, entries = metric_module.BATCH_VERTICES, lab.WINDOW_ENTRIES
     serial = run_suite(cfg)
     if name in ("structure-er", "ratio-insertion-random", "ratio-kmedian"):
         assert serial.notes["skipped_disconnected"] > 0
-    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
-    pooled = run_suite(ExperimentConfig(**BATCHED[name], workers=2))
     if name == "structure-er":
         # growth profiles in blocks of one centre row, of rows inside one
         # metric, and of two whole metrics (c max(m, n + 1) is about 140)
-        for bound in (1, 100, 300):
-            monkeypatch.setattr(metric_module, "PROFILE_BLOCK", bound)
+        for block in (1, 100, 300):
+            monkeypatch.setattr(metric_module, "PROFILE_BLOCK", block)
             assert run_suite(cfg).to_csv() == serial.to_csv()
-    # one trial per window, and one graph per block of the dense kernel
-    monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)
+    # one trial per window, serially and in a pool of two processes
+    monkeypatch.setattr(lab, "WINDOW_ENTRIES", 1)
     alone = run_suite(cfg)
-    # every metric from scipy's Dijkstra, none from the dense kernel: one
-    # graph per union, then one union per window
-    monkeypatch.setattr(metric_module, "DENSE_N", 0)
-    scipy_alone = run_suite(cfg)
+    monkeypatch.setattr(metric_module, "usable_cpus", lambda: 2)
+    pooled = run_suite(ExperimentConfig(**BATCHED[name], workers=2))
+    monkeypatch.setattr(lab, "WINDOW_ENTRIES", entries)
+    # the default windows, one graph per block of build_metrics: a window of
+    # several connected instances spans several blocks
+    monkeypatch.setattr(metric_module, "BATCH_VERTICES", 1)
+    blocks = run_suite(cfg)
     monkeypatch.setattr(metric_module, "BATCH_VERTICES", bound)
+    # every metric from scipy's Dijkstra, none from the dense kernel
+    monkeypatch.setattr(metric_module, "DENSE_N", 0)
     scipy_built = run_suite(cfg)
-    assert serial.records == pooled.records == alone.records == scipy_alone.records
+    assert serial.records == pooled.records == alone.records == blocks.records
     assert serial.records == scipy_built.records
     assert serial.to_csv() == pooled.to_csv() == alone.to_csv() == scipy_built.to_csv()
 
 
 @pytest.mark.parametrize("checks, calls", [(("chi", "cluster"), 3), (("chi",), 0)])
 def test_each_window_clusters_its_instances_in_one_call(checks, calls, monkeypatch):
-    # 40 trials at n = 16 are windows of 16, 16 and 8 trials
+    # 150 trials at n = 16 are windows of 64, 64 and 22 trials
     sizes = []
 
     def recording(metrics, deltas, alphas):
@@ -403,7 +412,7 @@ def test_each_window_clusters_its_instances_in_one_call(checks, calls, monkeypat
         return metric_module.cluster_arrays(metrics, deltas, alphas)
 
     monkeypatch.setattr(lab, "cluster_arrays", recording)
-    cfg = ExperimentConfig(suite="structure", model="er", n=16, p=0.5, trials=40, seed=3,
+    cfg = ExperimentConfig(suite="structure", model="er", n=16, p=0.5, trials=150, seed=3,
                            structure_checks=checks)
     report = run_suite(cfg)
     assert len(sizes) == calls
@@ -413,7 +422,7 @@ def test_each_window_clusters_its_instances_in_one_call(checks, calls, monkeypat
 
 @pytest.mark.parametrize("model, calls", [("er", 3), ("complete", 0)])
 def test_each_window_finds_its_cut_parameters_in_one_call(model, calls, monkeypatch):
-    # 40 trials at n = 16 are windows of 16, 16 and 8 trials; a frozen
+    # 150 trials at n = 16 are windows of 64, 64 and 22 trials; a frozen
     # graph's cut parameters come from the context
     sizes = []
 
@@ -422,7 +431,7 @@ def test_each_window_finds_its_cut_parameters_in_one_call(model, calls, monkeypa
         return exact_cut_parameters(graphs)
 
     monkeypatch.setattr(lab, "exact_cut_parameters", recording)
-    cfg = ExperimentConfig(suite="structure", model=model, n=16, p=0.5, trials=40, seed=3,
+    cfg = ExperimentConfig(suite="structure", model=model, n=16, p=0.5, trials=150, seed=3,
                            structure_checks=("chi",))
     report = run_suite(cfg)
     assert len(sizes) == calls
@@ -458,9 +467,11 @@ def started_pools(monkeypatch):
 
 
 ROWS = [need or attr for attr, need, _ in lab._STAGES]  # each row by its need, else its attribute
-# name -> (config, the rows it runs).  40 trials are windows of 16, 16 and 8
-# at n = 16, of 21 and 19 at n = 12 and of 25 and 15 at n = 10.  A frozen
-# graph's cut parameters come from the context, so its runs skip the cut row
+# Table entries per window in these runs, so that 40 trials are four windows of
+# 9 and one of 4 at n = 16, of 17, 17 and 6 at n = 12 and of 25 and 15 at n = 10
+ROW_WINDOW_ENTRIES = 2500
+# name -> (config, the rows it runs).  A frozen graph's cut parameters come
+# from the context, so its runs skip the cut row
 ROW_CONFIGS = {
     "structure-er": (dict(suite="structure", model="er", n=12, p=0.3, trials=40, seed=3),
                      {"cut", "weighted", "metric", "chi", "cluster", "sandwich"}),
@@ -503,6 +514,7 @@ def row_runs():
                                                 for row, (attr, need, stage)
                                                 in zip(ROWS, lab._STAGES)))
                 m.setattr(lab, "ProcessPoolExecutor", recording_pool(started))
+                m.setattr(lab, "WINDOW_ENTRIES", ROW_WINDOW_ENTRIES)
                 m.setattr(metric_module, "usable_cpus", lambda: 2)
                 report = run_suite(ExperimentConfig(**kwargs, workers=workers))
             runs.setdefault(name, {})[workers] = (calls, report, started)
@@ -510,9 +522,9 @@ def row_runs():
 
 
 def eligible_windows(report):
-    """The eligible trials of each window of a report's run that has any."""
+    """The eligible trials of each window of a ``row_runs`` run that has any."""
     config = report.config
-    step = metric_module.BATCH_VERTICES // config.n
+    step = ROW_WINDOW_ENTRIES // (config.n * config.n)
     eligible = [r.index for r in report.records if r.values.get("connected", 1) == 1]
     windows = [[i for i in eligible if i // step == w] for w in range(-(-config.trials // step))]
     return [window for window in windows if window]
@@ -549,7 +561,7 @@ def test_worker_processes_are_bounded_by_windows_and_cpus(started_pools, monkeyp
 
     serial = trials(trials=20, workers=64)  # 20 trials at n = 6 are one window
     assert started_pools == []
-    monkeypatch.setattr(metric_module, "BATCH_VERTICES", 6)  # one trial per window
+    monkeypatch.setattr(lab, "WINDOW_ENTRIES", 36)  # one trial per window
     pooled = trials(trials=3, workers=64)
     assert started_pools == [3]
     assert pooled == trials(trials=3)
@@ -558,6 +570,18 @@ def test_worker_processes_are_bounded_by_windows_and_cpus(started_pools, monkeyp
     monkeypatch.setattr(metric_module, "usable_cpus", lambda: 1)  # one CPU: run serially
     trials(trials=20, workers=64)
     assert started_pools == [3, 8]
+
+
+@pytest.mark.parametrize("n, size", [(6, 455), (12, 113), (16, 64), (24, 28), (48, 7), (60, 4),
+                                     (90, 2), (91, 1), (400, 1)])
+def test_a_window_holds_at_most_its_table_entries_of_trials(n, size, monkeypatch):
+    assert size == max(1, lab.WINDOW_ENTRIES // (n * n))
+    windows = []
+    monkeypatch.setattr(lab, "_run_window", lambda config, ctx, window: windows.append(window) or [])
+    cfg = ExperimentConfig(suite="tau", model="complete", n=n, trials=2 * size + 1, seed=1)
+    run_trials(cfg, make_context(cfg))
+    assert [len(w) for w in windows] == [size, size, 1]
+    assert [i for w in windows for i in w] == list(range(cfg.trials))
 
 
 def test_disconnected_draws_are_flagged_and_skipped():
