@@ -21,11 +21,13 @@ Every suite runs one pipeline, :func:`run_suite`:
    or ``connected=0`` for a disconnected draw: a pure function of config and
    trial index, so records are identical at any worker count.
 4. One epilogue summarizes the eligible records (99% confidence intervals,
-   which no check reads) and runs the entry's checks.  Deterministic
-   invariants must have zero violations.  An exact law passes when its
-   two-sided p-value is at least 0.01; a band on a CDF passes when the
-   empirical CDF of N samples leaves it by at most the DKW-Massart slack
-   sqrt(ln(2/0.01) / 2N).
+   which no check reads) and runs the check of each ``_STAGES`` row the
+   suite needs, in row order; a run with no eligible record, which only
+   fresh draws can give, fails ``eligible-trials`` alone.  A count of bad
+   values, such as the violations of a deterministic invariant, passes at
+   zero.  An exact law passes when its two-sided p-value is at least 0.01;
+   a band on a CDF passes when the empirical CDF of N samples leaves it by
+   at most the DKW-Massart slack sqrt(ln(2/0.01) / 2N).
 """
 
 from __future__ import annotations
@@ -132,7 +134,6 @@ class SummaryStats:
     ci_high: float
     minimum: float
     maximum: float
-    violations: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class TrialRecord:
     values: dict
 
 
-def summarize_values(values, violations: int = 0) -> SummaryStats:
+def summarize_values(values) -> SummaryStats:
     vals = [float(v) for v in values]
     if not vals:
         raise EmptySelectionError("no values to summarize")
@@ -160,14 +161,13 @@ def summarize_values(values, violations: int = 0) -> SummaryStats:
         ci_high=mean + half,
         minimum=min(vals),
         maximum=max(vals),
-        violations=violations,
     )
 
 
-def summarize(records, key: str, violations: int = 0) -> SummaryStats:
+def summarize(records, key: str) -> SummaryStats:
     """Summarize one value key over trial records; records without it are skipped."""
     vals = [r.values.get(key) for r in records]
-    return summarize_values([v for v in vals if v is not None], violations)
+    return summarize_values([v for v in vals if v is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +252,10 @@ def _plain(annotation: str, value):
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
-    """Parse a flat `key=value` file (blank lines and # comments ignored)."""
+    """Parse a flat `key=value` file (blank lines and # comments ignored),
+    which sets each key at most once."""
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}  # key -> the line that sets it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -261,8 +263,11 @@ def parse_config_file(path: str) -> ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ConfigInvalidError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in lines:
+                raise ConfigInvalidError(
+                    f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+            raw[key], lines[key] = value, lineno
     return config_from_mapping(raw)
 
 
@@ -337,6 +342,8 @@ def validate_config(config: ExperimentConfig) -> None:
         (c.suite == "structure" and len(checks) < len(c.structure_checks),
          "structure_checks may not repeat an entry"),
         (c.suite == "structure" and not checks, "structure suite needs at least one check"),
+        ("cluster" in checks and not c.delta_fractions,
+         "the cluster check needs at least one delta fraction"),
     ]
     problems = [message for broken, message in rules if broken]
     if problems:
@@ -378,8 +385,7 @@ class Report:
             s = self.summaries[name]
             lines.append(
                 f"#summary,{name},count={s.count},mean={s.mean!r},variance={s.variance!r},"
-                f"ci_low={s.ci_low!r},ci_high={s.ci_high!r},min={s.minimum!r},"
-                f"max={s.maximum!r},violations={s.violations}"
+                f"ci_low={s.ci_low!r},ci_high={s.ci_high!r},min={s.minimum!r},max={s.maximum!r}"
             )
         for check in self.checks:
             lines.append(
@@ -605,93 +611,16 @@ def _structure_needs(config: ExperimentConfig) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# windows: what a window computes, and the run of every trial
+# checks of the eligible records: zero counts, exact laws and brackets
 
 
-def _each(stats: Callable[[_Instance], dict]) -> Callable[[list[_Instance]], list[dict]]:
-    """The row function that maps ``stats`` over a window's instances."""
-    return lambda instances: [stats(x) for x in instances]
-
-
-# What a window computes for its connected instances, in order: (the instance
-# attribute the row sets, or "values" for record values that it adds to
-# ``_Instance.values``; the need that runs the row, or None for every suite;
-# the function of the window's instances that returns one value per
-# instance).  The cut, weight, metric, chi and cluster rows make one batch
-# call over the window; the others compute instance by instance.  The order
-# of the rows is the order of a record's columns
-_STAGES = (
-    ("cut", "cut", _window_cuts),
-    ("weighted", None, _window_weights),
-    ("metric", None, _window_metrics),
-    ("values", "tau", _each(_tau_stats)),
-    ("values", "ratio", _each(_ratio_stats)),
-    ("values", "two-opt", _each(_two_opt_stats)),
-    ("values", "chi", _window_chis),
-    ("values", "cluster", _window_clusters),
-    ("values", "sandwich", _each(_sandwich_stats)),
-)
-
-
-def _run_window(config: ExperimentConfig, ctx: _Context, window: range) -> list[TrialRecord]:
-    """Records of one window of consecutive trials (see ``run_trials``).
-
-    The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
-    frozen graph is connected by construction, and its cut parameters come
-    from the context); connectivity is found per graph.  Each row of
-    ``_STAGES`` the suite needs then runs once over the connected instances.
-    A trial's record is its instance's ``values``, or ``connected=0`` for a
-    disconnected draw.  A draw, a metric or a partition does not depend on
-    the window it was made in, so neither do the records.
-    """
-    # module level so that process pools can pickle it
-    suite = _SUITES[config.suite]
-    needs = suite.needs(config) - ({"cut"} if ctx.graph is not None else set())
-    master = Seed(config.seed)
-    seeds = [master.child(i, "trial") for i in window]
-    if ctx.graph is None:
-        graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
-    else:
-        graphs = [ctx.graph] * len(seeds)
-    instances = [_Instance(config, i, ts, graph, ctx.cut, {"connected": 1} if suite.fresh else {})
-                 for i, ts, graph in zip(window, seeds, graphs)
-                 if ctx.graph is not None or is_connected(graph)]
-    for attr, need, stage in _STAGES if instances else ():  # no row runs on an empty window
-        if need is None or need in needs:
-            for x, value in zip(instances, stage(instances)):
-                if attr == "values":
-                    x.values.update(value)
-                else:
-                    setattr(x, attr, value)
-    values = {x.index: x.values for x in instances}
-    return [TrialRecord(index=i, seed=ts.hex(), values=values.get(i, {"connected": 0}))
-            for i, ts in zip(window, seeds)]
-
-
-def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]:
-    """Run all trials of a valid config on its context; records are identical
-    for any worker count.
-
-    The trials are cut once into windows of ``WINDOW_ENTRIES // n^2``
-    consecutive trials (at least one), the only unit of work: serially they
-    run in order, and a pool maps whole windows, about ``4 * workers`` tasks
-    of consecutive windows.  So every batch call sees the same graphs at any
-    worker count.  At most one process per window and per usable CPU is
-    started: on fork, the pool starts all of its ``max_workers`` at once.
-    """
-    step = max(1, WINDOW_ENTRIES // (config.n * config.n))
-    windows = [range(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
-    run = partial(_run_window, config, context)
-    workers = min(config.workers, len(windows), metric_mod.usable_cpus())
-    if workers <= 1:
-        return [r for window in windows for r in run(window)]
-    chunksize = max(1, len(windows) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for records in pool.map(run, windows, chunksize=chunksize) for r in records]
-
-
-# ---------------------------------------------------------------------------
-# checks beyond violation counts: exact laws and brackets
+def _zero_count(name, key, badness=int, detail="{bad} violations over {count} instances"):
+    """The check ``name``: the sum of ``badness`` over the eligible records'
+    values of ``key`` is 0 (``detail`` formats the sum and the record count)."""
+    def check(config, ctx, records):
+        bad = sum(badness(r.values[key]) for r in records)
+        return [CheckResult(name, bad == 0, detail.format(bad=bad, count=len(records)))]
+    return check
 
 
 def _dkw_slack(count: int) -> float:
@@ -746,71 +675,142 @@ def _tau_checks(config, ctx, records):
 
 
 # ---------------------------------------------------------------------------
+# windows: what a window computes, and the run of every trial
+
+
+def _each(stats: Callable[[_Instance], dict]) -> Callable[[list[_Instance]], list[dict]]:
+    """The row function that maps ``stats`` over a window's instances."""
+    return lambda instances: [stats(x) for x in instances]
+
+
+# What a window computes for its connected instances, in order, and how a run
+# judges the records: (the instance attribute the row sets, or "values" for
+# record values that it adds to ``_Instance.values``; the need that runs the
+# row, or None for every suite; the function of the window's instances that
+# returns one value per instance; the row's check, a function of (config,
+# context, eligible records) that returns its CheckResults, or None).  The
+# cut, weight, metric, chi and cluster rows make one batch call over the
+# window; the others compute instance by instance.  The order of the rows is
+# the order of a record's columns and of a report's checks
+_STAGES = (
+    ("cut", "cut", _window_cuts, None),
+    ("weighted", None, _window_weights, None),
+    ("metric", None, _window_metrics, None),
+    ("values", "tau", _each(_tau_stats), _tau_checks),
+    ("values", "ratio", _each(_ratio_stats), _zero_count(
+        "ratio-floor", "ratio", lambda r: r < 1 - FLOAT_SLACK, "{bad} of {count} ratios below 1")),
+    ("values", "two-opt", _each(_two_opt_stats), _zero_count(
+        "local-optimum", "locally_optimal", lambda ok: not ok,
+        "{bad} of {count} final tours admit an improvement")),
+    ("values", "chi", _window_chis, _zero_count("chi-invariant", "chi_violations")),
+    ("values", "cluster", _window_clusters, _zero_count("cluster-invariant", "cluster_violations")),
+    ("values", "sandwich", _each(_sandwich_stats),
+     _zero_count("sandwich-invariant", "sandwich_violations")),
+)
+
+
+def _run_window(config: ExperimentConfig, ctx: _Context, window: range) -> list[TrialRecord]:
+    """Records of one window of consecutive trials (see ``run_trials``).
+
+    The window's fresh graphs come from one ``erdos_renyi_graphs`` call (a
+    frozen graph is connected by construction, and its cut parameters come
+    from the context); connectivity is found per graph.  Each row of
+    ``_STAGES`` the suite needs then runs once over the connected instances.
+    A trial's record is its instance's ``values``, or ``connected=0`` for a
+    disconnected draw.  A draw, a metric or a partition does not depend on
+    the window it was made in, so neither do the records.
+    """
+    # module level so that process pools can pickle it
+    suite = _SUITES[config.suite]
+    needs = suite.needs(config) - ({"cut"} if ctx.graph is not None else set())
+    master = Seed(config.seed)
+    seeds = [master.child(i, "trial") for i in window]
+    if ctx.graph is None:
+        graphs = erdos_renyi_graphs(config.n, config.p, [ts.child(0, "graph") for ts in seeds])
+    else:
+        graphs = [ctx.graph] * len(seeds)
+    instances = [_Instance(config, i, ts, graph, ctx.cut, {"connected": 1} if suite.fresh else {})
+                 for i, ts, graph in zip(window, seeds, graphs)
+                 if ctx.graph is not None or is_connected(graph)]
+    for attr, need, stage, _ in _STAGES if instances else ():  # no row runs on an empty window
+        if need is None or need in needs:
+            for x, value in zip(instances, stage(instances)):
+                if attr == "values":
+                    x.values.update(value)
+                else:
+                    setattr(x, attr, value)
+    values = {x.index: x.values for x in instances}
+    return [TrialRecord(index=i, seed=ts.hex(), values=values.get(i, {"connected": 0}))
+            for i, ts in zip(window, seeds)]
+
+
+def run_trials(config: ExperimentConfig, context: _Context) -> list[TrialRecord]:
+    """Run all trials of a valid config on its context; records are identical
+    for any worker count.
+
+    The trials are cut once into windows of ``WINDOW_ENTRIES // n^2``
+    consecutive trials (at least one), the only unit of work: serially they
+    run in order, and a pool maps whole windows, about ``4 * workers`` tasks
+    of consecutive windows.  So every batch call sees the same graphs at any
+    worker count.  At most one process per window and per usable CPU is
+    started: on fork, the pool starts all of its ``max_workers`` at once.
+    """
+    step = max(1, WINDOW_ENTRIES // (config.n * config.n))
+    windows = [range(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
+    run = partial(_run_window, config, context)
+    workers = min(config.workers, len(windows), metric_mod.usable_cpus())
+    if workers <= 1:
+        return [r for window in windows for r in run(window)]
+    chunksize = max(1, len(windows) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for records in pool.map(run, windows, chunksize=chunksize) for r in records]
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
 @dataclass(frozen=True)
 class _Suite:
-    """What one suite computes of an instance, and how it judges the records.
+    """What one suite computes of an instance, and which columns it summarizes.
 
     A report's columns are the keys its trials record, in order: every
     eligible record of a config carries the same keys, and a fresh draw puts
     ``connected`` first.  A fresh-draw run with no connected draw has only
     ``connected``.  ``summaries`` picks the summarized columns from the
-    others (default: all of them).
-
-    ``counts`` rows are ``(check name, value key, badness, detail)``: the
-    check sums ``badness(value)`` over the eligible records, each of which
-    carries the key, and passes iff the sum is 0.  The sum is also the
-    ``violations`` of that key's summary.
-    ``finish`` adds the checks that are not such counts.
+    others (default: all of them).  The checks are those of the rows of
+    ``_STAGES`` that the suite needs.
     """
 
     # what an instance computes beyond its metric.  A need of a row of
-    # _STAGES runs that row: exact cut parameters ("cut"), the suite's record
-    # values ("tau", "ratio", "two-opt") and those of each structure part
-    # ("chi", "cluster", "sandwich").  The others, a tour ("tour") and the
-    # exact baselines ("tsp", "matching", "kmedian"), only drive
-    # validate_config, which derives every size rule from the needs
+    # _STAGES runs that row and its check: exact cut parameters ("cut"), the
+    # suite's record values ("tau", "ratio", "two-opt") and those of each
+    # structure part ("chi", "cluster", "sandwich").  The others, a tour
+    # ("tour") and the exact baselines ("tsp", "matching", "kmedian"), only
+    # drive validate_config, which derives every size rule from the needs
     needs: Callable[[ExperimentConfig], frozenset]
     fresh: bool = True  # er draws a graph per trial; records carry `connected`
     summaries: Callable[[tuple[str, ...]], tuple[str, ...]] = lambda columns: columns
-    counts: Callable[[ExperimentConfig], tuple] = lambda c: ()
-    finish: Callable = lambda config, ctx, records: []
 
 
 _SUITES = {
-    "tau": _Suite(needs=lambda c: frozenset({"cut", "tau"}), fresh=False, finish=_tau_checks),
-    "ratio": _Suite(
-        needs=lambda c: _RATIO_KINDS.get(c.kind, (frozenset(),))[0] | {"ratio"},
-        counts=lambda c: (
-            ("ratio-floor", "ratio", lambda r: r < 1 - FLOAT_SLACK,
-             "{bad} of {count} ratios below 1"),
-        ),
-    ),
+    "tau": _Suite(needs=lambda c: frozenset({"cut", "tau"}), fresh=False),
+    "ratio": _Suite(needs=lambda c: _RATIO_KINDS.get(c.kind, (frozenset(),))[0] | {"ratio"}),
     "two-opt": _Suite(
         needs=lambda c: frozenset({"tour", "two-opt"}),
         summaries=lambda columns: ("iterations", "final_cost"),
-        counts=lambda c: (
-            ("local-optimum", "locally_optimal", lambda ok: not ok,
-             "{bad} of {count} final tours admit an improvement"),
-        ),
     ),
     "structure": _Suite(
         needs=_structure_needs,
         summaries=lambda columns: tuple(col for col in columns if not col.startswith("delta_")),
-        counts=lambda c: tuple(
-            (f"{check}-invariant", f"{check}_violations", int,
-             "{bad} violations over {count} instances")
-            for check in c.structure_checks
-        ),
     ),
 }
 SUITES = tuple(_SUITES)
 
 
 def run_suite(config: ExperimentConfig) -> Report:
-    """Validate, run every trial, then summarize and check the eligible records."""
+    """Validate, run every trial, then summarize the eligible records and run
+    the checks of the ``_STAGES`` rows the suite needs, in row order."""
     validate_config(config)
     ctx = make_context(config)
     records = run_trials(config, ctx)
@@ -823,17 +823,12 @@ def run_suite(config: ExperimentConfig) -> Report:
         notes = {
             "alpha": ctx.cut.alpha, "beta": ctx.cut.beta, "frozen_graph_index": ctx.frozen_index
         }
-    summaries: dict[str, SummaryStats] = {}
-    checks: list[CheckResult] = []
-    counts = suite.counts(config)
-    if eligible:
-        violations: dict[str, int] = {}
-        for name, key, badness, detail in counts:
-            bad = violations[key] = sum(badness(r.values[key]) for r in eligible)
-            checks.append(CheckResult(name, bad == 0, detail.format(bad=bad, count=len(eligible))))
-        for col in suite.summaries(tuple(c for c in columns if c != "connected")):
-            summaries[col] = summarize(eligible, col, violations.get(col, 0))
-    elif counts:
-        checks.append(CheckResult("eligible-trials", False, "no connected instances"))
-    checks += suite.finish(config, ctx, eligible)
+    if not eligible:
+        checks = [CheckResult("eligible-trials", False, "no connected instances")]
+        return Report(config.suite, config, columns, records, {}, checks, notes)
+    needs = suite.needs(config)
+    checks = [result for _, need, _, check in _STAGES if check and need in needs
+              for result in check(config, ctx, eligible)]
+    summaries = {col: summarize(eligible, col)
+                 for col in suite.summaries(tuple(c for c in columns if c != "connected"))}
     return Report(config.suite, config, columns, records, summaries, checks, notes)

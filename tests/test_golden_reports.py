@@ -7,12 +7,13 @@ update the digests here.  The ``imported`` model is left out because its
 JSON embeds the graph file's path.
 """
 
+import dataclasses
 import functools
 import hashlib
 
 import pytest
 
-from rspmetric import ExperimentConfig, run_suite
+from rspmetric import ExperimentConfig, lab, metric, run_suite
 
 CASES = {
     "tau-complete": dict(suite="tau", model="complete", n=6, trials=12, seed=101),
@@ -56,6 +57,12 @@ CASES = {
         suite="structure", model="er", n=8, p=0.5, trials=6, seed=117, workers=2,
         structure_checks=("cluster", "chi"), delta_fractions=(0.0, 0.3),
     ),
+    # 65 G(16, 1/2) draws are two windows of at most 64 trials, so workers=2
+    # runs them in a pool of two processes (the case above is one window)
+    "structure-er-two-windows": dict(
+        suite="structure", model="er", n=16, p=0.5, trials=65, seed=124, workers=2,
+        structure_checks=("cluster", "chi"), delta_fractions=(0.0, 0.3),
+    ),
     "tau-er-k3-k7": dict(suite="tau", model="er", n=7, p=0.7, trials=20, seed=119, tau_ks=(3, 7)),
     # K_60 and K_50 prune their edges but take the dense kernel; each K_110 is
     # a window of its own, pruned and certified alone (test_kernels.py's "two
@@ -94,6 +101,14 @@ CASES = {
 #   and the growth-exact line from the new CSV, and the last column, its
 #   summary line and the mean bracket lines from the earlier one, gives the
 #   same text.
+# - Every case but the none-eligible one lost `violations=` from its CSV
+#   summary lines and `violations` from its JSON stats: the count checks
+#   moved to the rows of lab._STAGES, and a summary no longer copies one.
+#   Deleting those from the earlier CSV and JSON gives the new ones exactly,
+#   except in the structure cases with structure_checks=("cluster", "chi"):
+#   their checks now come in row order, chi-invariant first, as their
+#   columns do, and swapping the two check lines gives the new ones exactly.
+#   The -two-windows case was captured before this change and compared so.
 # The two -pruned cases were captured while each pruned graph was certified
 # on its own; their metrics now come from the dense kernel, so their digests
 # pin that both routes give the same tables.  The -pruned-union case was
@@ -106,86 +121,90 @@ DIGESTS = {
         "0e1fdbe82e4a201d435917d5ef635ebacd942e76c1d824bda9c1677e268f373a",
     ),
     "ratio-insertion-complete": (
-        "20801c4c4c1364ca07ceca54d1516d88a39415b1f0ed6d659bfae937f95b1dfb",
-        "f63379b635f4d7cbb44ccb4cc82e930125c800a4505653efcdb6b3168a8cca4f",
+        "bfc0620b8e908e9dc18007790c6de3d1ecf21521d2cf2d27ddecf760730f1aa0",
+        "72997fb5e0441f96fb69d25c42e6d028fc0529eb44ab648727fb18b2e525574b",
     ),
     "ratio-insertion-er": (
-        "bae5c882573acb25db3fac36f88742d34f48fae00eee3df245a3ce1d6c6d2a56",
-        "dfa5d27ed9fb6e99fc0d5a3553d621a7e1b47c45314e4e68ef105650fef74b8f",
+        "92021a06e0dd72e95bb0d91902b913ec6fb784913063e1258e43bc0e963845c1",
+        "7936c896d731ca32311c0241972564103ea82e03ee1346d49282002c0877ac9e",
     ),
     "ratio-kmedian-complete": (
-        "ed338a0d77b57db72c9c0692409b77004dc197f2dcfff943fa57834823022702",
-        "78d9982cda1b6e38aa3ad0961842d14e946835cf78868defb7e85ff35781b7d4",
+        "a5444ef9d2e6367a7a7096217f26debd78cb1b6ca124123d00b3954e6a6280bc",
+        "3c1690b9b357c08dea82de05a070e16cca43e31e45f476e9bce884f4387f41ab",
     ),
     "ratio-kmedian-complete-pruned": (
-        "d283d25cd97977937ac13030bdcb55aa5f0c0da52e6b27d19ac06f045e5cc87b",
-        "b2fc9910bbc0192dc8f547e012c76154fb6e5fb00fe55a42b0ad219adf960c0c",
+        "df2553cdb93ac7663055fa1e1867f5654bcda9f46086ab2e810e53fac5df6df3",
+        "1e09c2aa167283ea30dfa678960706d12e97ac9007d6907f15f674ebda2c6109",
     ),
     "ratio-kmedian-er": (
-        "092543bbcf98f93a842b95f791bca4f292d0798bd78fcb6237751d6b6f86c48a",
-        "be54d6e9b1bc36002f90d35a3e31ccb5fa1df1cc9d2a019bd4917ed3a5f66652",
+        "7207bb74003f9a7163785acb1671e00549d0da5396d0757dfdccbfcb9f183609",
+        "971f49cec459a84660ec386ce77f177a9f0e84d6afb0baa63ce7a79669fdde90",
     ),
     "ratio-matching-complete": (
-        "6b4a4708dca44006194853fdab11b0a3880a97a0ff0b31f69fd48275e41c9a8e",
-        "cedd83d4b43c6c2309e33be8fc4e70396d566bdadcb9cbb01b47b30f61d76327",
+        "d9d60d1f853705aac9148ad3a5a105ea428ffd2f5aa3b061a37e6867b8936fe3",
+        "078cb37fff66af2273a2c2b66bbc7d5d89a01c9f55fd118bfae82644ecb9c444",
     ),
     "ratio-matching-er": (
-        "5576c51e1b0e3c19d458ad2d8dcdb46e6a27769e8ac647eeb1daeef09fba22d4",
-        "25eaf32ea909e7f75bf1905c696b0d9ee6f064bb4ab1f8d1e0cc8d98e837b01c",
+        "6e3082faa0e0edbe6143f08ae7f86489b965e6b40b8bc7e363714e390bc64294",
+        "cbb00e0ae462d101d12fa3dc24279e5e8c0c58bfa40c2850a6630dce4eb7ec68",
     ),
     "ratio-nn-complete": (
-        "10326b63ba2c78ed23e3ef239cb62e30ce4d8ed4ab5a30c449973ae1f306668c",
-        "ac875e3990eae8ffc5170fb2dd0f89b9097e7cdfb244bf16a2ac47e5a7f670f3",
+        "dc3364160cb99d0f228676c7cd8c291cc492309ac98fb5487db1c2ea29f06b85",
+        "c6b88dee31db68ab97c11a9a066bf38b04c2042da3ad16af83bb5bc7a5ee13b5",
     ),
     "ratio-nn-er": (
-        "3c2b466d38aeae0fb0578276d0ecec0e44ac062bd56144b8c4ded3ea17ac2ac9",
-        "6e205b02aedfe351631eaae98e29d4774c423e52219a2e84a9138b07d5ff8669",
+        "a179c238d67b28389e643ab6a5b99fb6a0de71145c1b591130c9985f3167c023",
+        "cae2d95bf4e521e0921e514d1775cdc00ed4e34e6299000bf0ffd6839c9aa47d",
     ),
     "structure-complete": (
-        "3efb1973f6b8f60423eef4ce251373bd86cb718f8565280889e36e294750d909",
-        "6519e246ded35209f53992e3e9482585baf2723e104938e7483e88826b948d32",
+        "db11147de623a9f7ecb237973214ae592066aa63ca7d581debcd84b85dfbca55",
+        "86c4456f0e8901c073cc3732543b6cc5e6ae09aa248f57b42cc0c7c2cca10dfa",
     ),
     "structure-er": (
-        "595a2403e80b562b725c23f166865d9e00e163a319d0a51710441d9e8154ce29",
-        "e9a0435f3a04416f3aff5a2143ca08394a16f0b222a15037243af2f376abb4ca",
+        "3e7a477f4024fe0ba1b9d4597c1ae3b2cd9c2f65bdf8aa024120bb8b2a3d87ba",
+        "e2ebed03857067f792f4ade83eff80d9da3df18a42c4c33303205cd5a7657858",
+    ),
+    "structure-er-two-windows": (
+        "1628e544ec168411fc917d01d1828d0a69c0ac97630009d2dcb5b135d41011f0",
+        "8253cc51e2d1ecdff0c83e5e0a055931514e0f731c0990b3f088b4d959f01fd3",
     ),
     "structure-er-workers-2": (
-        "95a7607e6dcd895ba9a1c6ee240d265170c56e145b9a74aa731d89ee451ed8ca",
-        "8eb49c73669ea234ac91fbe9ff86125042fbecf6398d0475303cd77aa2e95fcc",
+        "44f743feb5acfeef59c33026916beb21ea889eae5a5f8786a15a8aef2aea022f",
+        "8e2f80f967d81f3166521d1b7da3cc0b0cbcd18dffed55c9457a85a3e8a2c1ea",
     ),
     "tau-complete": (
-        "1d782aad0dd495f00d59d35a91c8c2b5fc2c9a7da67c76aa9e463ee268e823f0",
-        "53bde50691af089f1ea5b9cfaa2f5767031231e946f438169b8d256c5de388af",
+        "707a6c32f347af44d05e4e6feb539a8aaae1e46baca34e7c1517245d7e4a052f",
+        "305b0337bc0799f38551ba3a1c2a538ca844eea77331952db66ac54e279c3732",
     ),
     "tau-er": (
-        "ad89cb5e8634f52a6ca15b2ffb174bfae6aa3f9eb3909d5c83a49e8d7fdea4e4",
-        "55828aedd9f950f0242341f5fecbc695bd121a29520b3c637c794e16952766c5",
+        "9d9583d41c238c530c03a56f1a74621929a7863f99cb095164baf6d751b67b21",
+        "ebc0b0a0c583c47a3ebaec9d24ee5c3b0cf85387c6657e054f1343af220f44fd",
     ),
     "tau-er-k3-k7": (
-        "12a7c3f148ba3574f2a3dd40a7a064935508368e186fa3a51b778b6dd4fe07a6",
-        "54774c4e38092993bfbe38d694db40cd4d885f56dc2642a8ed19ef7190574e3e",
+        "8ffffd0047fc5cb0228c8cb8003585b00a8cafa4235c659df99c1d88c5a88a3b",
+        "8c1b2c769d957e534310ef26d7fc7e7cf10b3b119764b0efe38f0f69f682e2fc",
     ),
     "two-opt-complete": (
-        "1eb98191dc4f4249ff4406b015feb4edd2bac66f83faa380b0a1e2f794571412",
-        "01d287412958fb9f42beb24cd1817540b8be912e3a00c59194a5c8431df0bed9",
+        "7067fd05116ebb8e48c21aac53d4bdc44fc1e404da5f157a3b8f72d7ce1155bc",
+        "703a68336d9e5d6d438fa7b21722015fab94653fc6c12e4b546be91ea3ed46bd",
     ),
     "two-opt-complete-pruned": (
-        "136f02aaab5ca39bb862a172bef3fddc8895bea02715c236b05a4ab68eb83df5",
-        "eef4a3143e454f03f90e3101f0f96a3ab0223b75a0cca9afeb372972d33ff23d",
+        "caf094ca04b9cb22fae531218d28de7bddb26ce5277b3fc2b9c669cff964e48b",
+        "728481a76f4488cb2d6b16b10cd4d3cb31e0fd1a9a7659d45d9c9ab1e913f7d6",
     ),
     "two-opt-complete-pruned-union": (
-        "9d86f242b41b621096097eadcd491d1ce8c0120bb357f14eb4e63c78775b8dcf",
-        "c161a71882df98654969764d85a5cc1af2117808bf7092eda0aad2f6c826721f",
+        "bb8d06d2ba9e6b0140c1d7d210d2ac18aef6f771b2381611db9dd58ba29111b6",
+        "21235070a92249945faf28abc4eae298208b4ca747bef69ed91ee7c4ce8c0d5c",
     ),
     # trial 6 turns locally_optimal 0 -> 1: a tie exchange (delta -2.2e-16)
     # whose tour is not strictly cheaper no longer counts as improving
     "two-opt-er": (
-        "ffab8f7fbf97ecb4b4daa29784bc1dd3cb424132428742af4abcfe49dbd2925e",
-        "5c8f0855c40a519e7d73cd107af714cc6fec160d0418cfabd73108824d36fb20",
+        "c765c163a001b4276477cd34d3a37b9e281ba04f9b041fdd0ebca2cd1f126c72",
+        "bb96076b8d34f426d0b8aba313b135552084a460cc98a8be967122bf35337229",
     ),
     "two-opt-er-beyond-cut-cap": (
-        "64052f4aa884fa721e6f27ae70c698e1e3554108c06867cce76761fcc494fbb2",
-        "a17f2a000de8f4e740be95e6a84370ba8d61932b3625e54cc562212516d2d5ae",
+        "3cd356dad8a2c829e381fd403c80aac18795a3b696c2208daa04e1a0e7ab55af",
+        "c92a10188b999851509819c975d6398e0a4622b05540bc51acd97786a02e3f48",
     ),
 }
 
@@ -212,3 +231,19 @@ def test_record_keys_equal_report_columns(case):
     report = _report(case)
     eligible = [r for r in report.records if r.values.get("connected", 1) == 1]
     assert all(tuple(r.values) == report.columns for r in eligible)
+
+
+def test_the_two_window_case_starts_a_pool_and_equals_one_worker(monkeypatch):
+    from test_lab import recording_pool  # a stand-in pool, so no process starts
+
+    started = []
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", recording_pool(started))
+    monkeypatch.setattr(metric, "usable_cpus", lambda: 2)
+    config = ExperimentConfig(**CASES["structure-er-two-windows"])
+    pooled = run_suite(config)
+    assert started == [2]
+    serial = run_suite(dataclasses.replace(config, workers=1))
+    assert started == [2]  # one worker starts no pool
+    assert serial.to_csv() == pooled.to_csv()
+    # the JSON report holds its config
+    assert serial.to_json() == pooled.to_json().replace('"workers": 2', '"workers": 1')

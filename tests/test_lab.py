@@ -104,6 +104,14 @@ def test_parse_config_file(tmp_path):
     assert cfg.format == "json"
 
 
+def test_parse_config_rejects_a_repeated_key(tmp_path):
+    # the second n used to win silently: this ran tau at n = 8
+    path = tmp_path / "cfg.txt"
+    path.write_text("suite=tau\nn=6\ntrials=3\n\nn=8\n")
+    with pytest.raises(ConfigInvalidError, match=r"cfg.txt:5: config key 'n' repeats line 2$"):
+        parse_config_file(str(path))
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("suite=tau\nbogus=1\n")
@@ -184,6 +192,8 @@ def test_dropped_cdf_fields_are_no_config_keys(tmp_path, key):
         dict(suite="structure", n=6, delta_fractions=(-0.5,)),
         dict(suite="structure", n=6, delta_fractions=(0.0, 1.7e308)),  # f * diameter overflows
         dict(suite="structure", n=6, delta_fractions=(1.5,)),  # beyond f = 1, the whole set
+        # no radius, so cluster-invariant would count over no cluster at all
+        dict(suite="structure", n=6, structure_checks=("cluster",), delta_fractions=()),
     ],
 )
 def test_validate_config_rejects(kwargs):
@@ -466,7 +476,7 @@ def started_pools(monkeypatch):
     return started
 
 
-ROWS = [need or attr for attr, need, _ in lab._STAGES]  # each row by its need, else its attribute
+ROWS = [need or attr for attr, need, _, _ in lab._STAGES]  # each row by its need, else its attribute
 # Table entries per window in these runs, so that 40 trials are four windows of
 # 9 and one of 4 at n = 16, of 17, 17 and 6 at n = 12 and of 25 and 15 at n = 10
 ROW_WINDOW_ENTRIES = 2500
@@ -510,8 +520,8 @@ def row_runs():
         for workers in (1, 2):
             calls, started = {row: [] for row in ROWS}, []
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(lab, "_STAGES", tuple((attr, need, recording(calls[row], stage))
-                                                for row, (attr, need, stage)
+                m.setattr(lab, "_STAGES", tuple((attr, need, recording(calls[row], stage), check)
+                                                for row, (attr, need, stage, check)
                                                 in zip(ROWS, lab._STAGES)))
                 m.setattr(lab, "ProcessPoolExecutor", recording_pool(started))
                 m.setattr(lab, "WINDOW_ENTRIES", ROW_WINDOW_ENTRIES)
@@ -628,7 +638,8 @@ def test_ratio_suite_kinds_pass_at_small_scale():
         report = run_suite(cfg)
         assert report.passed, kind
         assert report.summaries["ratio"].minimum >= 1.0 - 1e-12
-        assert report.summaries["ratio"].violations == 0
+        assert [(c.name, c.detail) for c in report.checks] == [
+            ("ratio-floor", "0 of 20 ratios below 1")], kind
 
 
 def test_two_opt_suite_invariants():
@@ -674,8 +685,9 @@ def test_structure_suite_zero_violations_on_k8():
     cfg = ExperimentConfig(suite="structure", model="complete", n=8, trials=10, seed=43)
     report = run_suite(cfg)
     assert report.passed
-    for name in ("chi_violations", "cluster_violations", "sandwich_violations"):
-        assert report.summaries[name].violations == 0
+    assert [(c.name, c.detail) for c in report.checks] == [
+        (f"{part}-invariant", "0 violations over 10 instances")
+        for part in ("chi", "cluster", "sandwich")]
     # delta = 0 grid point: every cluster is a singleton
     assert report.summaries["clusters_0"].mean == 8.0
 
@@ -688,6 +700,7 @@ def test_structure_suite_subset_of_checks():
     report = run_suite(cfg)
     assert report.passed
     assert "sandwich_violations" not in report.summaries
+    assert [c.name for c in report.checks] == ["chi-invariant", "cluster-invariant"]
 
 
 def structure_record_oracle(cfg, i):
@@ -731,12 +744,14 @@ def structure_record_oracle(cfg, i):
     dict(n=8, p=0.5, trials=9, seed=7, structure_checks=("cluster",), delta_fractions=()),
 ], ids=["er-10-all-checks", "er-16-three-radii", "er-8-no-radii"])
 def test_structure_records_equal_their_one_instance_oracle(extra):
+    # records straight from run_trials, which does not validate: the cluster
+    # row at no radius, which validate_config refuses in a suite, stays covered
     cfg = ExperimentConfig(suite="structure", model="er", **extra)
-    report = run_suite(cfg)
-    assert len(report.records) == cfg.trials
+    records = run_trials(cfg, make_context(cfg))
+    assert len(records) == cfg.trials
     if extra["n"] == 10:
-        assert report.notes["skipped_disconnected"] > 0
-    for i, r in enumerate(report.records):
+        assert any(r.values["connected"] == 0 for r in records)
+    for i, r in enumerate(records):
         seed, values = structure_record_oracle(cfg, i)
         assert (r.index, r.seed) == (i, seed)
         assert r.values == values and list(r.values) == list(values), i
@@ -753,7 +768,7 @@ def test_sandwich_fails_on_a_tour_cheaper_than_two_matchings(monkeypatch):
                            structure_checks=("sandwich",))
     report = run_suite(cfg)
     assert [c.name for c in report.checks if not c.passed] == ["sandwich-invariant"]
-    assert report.summaries["sandwich_violations"].violations == 4
+    assert report.checks[0].detail == "4 violations over 4 instances"
 
 
 def test_tau_suite_checks_the_cdf_of_every_tau_k():
@@ -848,14 +863,18 @@ def test_json_shape():
 
 
 def test_run_with_no_connected_draw_has_only_the_connected_column():
-    cfg = ExperimentConfig(
-        suite="ratio", kind="matching", model="er", n=6, p=0.0, trials=3, seed=71
-    )
-    report = run_suite(cfg)
-    assert report.columns == ("connected",)
-    header, *rows = report.to_csv().split("\n")[:4]
-    assert header == "trial,seed,connected"
-    assert [row.split(",")[2:] for row in rows] == [["0"]] * 3
+    # every fresh-draw suite: G(6, 0) has no connected draw, so no row's check
+    # runs and no column is summarized
+    for suite in (dict(suite="ratio", kind="matching"), dict(suite="two-opt"),
+                  dict(suite="structure", structure_checks=("chi", "cluster", "sandwich"))):
+        cfg = ExperimentConfig(**suite, model="er", n=6, p=0.0, trials=3, seed=71)
+        report = run_suite(cfg)
+        assert report.columns == ("connected",), suite
+        header, *rows = report.to_csv().split("\n")[:4]
+        assert header == "trial,seed,connected"
+        assert [row.split(",")[2:] for row in rows] == [["0"]] * 3
+        assert report.checks == [lab.CheckResult("eligible-trials", False, "no connected instances")]
+        assert report.summaries == {} and not report.passed
 
 
 def test_disconnected_rows_leave_one_empty_cell_per_stat_column():
